@@ -184,8 +184,7 @@ class _PathIndex:
         for w, f in po.paths:
             for i in range(len(self.points) + 1):
                 p = f[:i]
-                if i <= len(self.points):
-                    self.realized.setdefault(i, set()).add(p)
+                self.realized[i].add(p)
                 self.groups.setdefault((w, p), set()).add((w, f))
         self.groups = {k: frozenset(v) for k, v in self.groups.items()}
         self.realized = {k: frozenset(v) for k, v in self.realized.items()}
@@ -563,15 +562,23 @@ def agent_choice(po: PathOutcomes, t, histories, agent, g) -> WindowChoice:
     domain = frozenset(g)
     if not po.scenarios.is_event(domain):
         raise InputError(f"domain {fmt(domain)} of g is not an event", witness=domain)
-    per_scenario = {}
-    for w in po.scenarios.scenarios:
-        if w in domain:
-            per_scenario[w] = frozenset(
-                a for a in po.space.actions if po.space.project(agent, a) == g[w]
-            )
-        else:
-            per_scenario[w] = frozenset()
+    per_scenario = _lifted(po, agent, {w: {g[w]} for w in domain})
     return window_choice(po, WindowChoiceSpec.of(t, histories, per_scenario))
+
+
+def _lifted(po: PathOutcomes, agent, components: dict) -> dict:
+    """Per-scenario action sets of an individual choice of `agent`.
+
+    On each scenario w keyed in `components`, the actions whose agent
+    projection lies in components[w]; empty on every other scenario.
+    """
+    projection = {a: po.space.project(agent, a) for a in po.space.actions}
+    return {
+        w: frozenset(a for a, c in projection.items() if c in components[w])
+        if w in components
+        else frozenset()
+        for w in po.scenarios.scenarios
+    }
 
 
 def _meets_every_node(move: RandomMove, outcomes) -> bool:
@@ -586,11 +593,23 @@ def agent_rcs(
 ) -> choice_mod.Rcs:
     """The reference choice structure of measurable individual action sets.
 
-    Per random move at time t: every window choice built from a set of
-    realized histories and a set of agent-i components (lifted through the
-    projection on the move's domain, empty off it) that passes C0-C2 and
-    meets every node of the move. The result is checked to verify as an RCS
-    rather than assumed.
+    Per random move x at time t: every window choice built from a nonempty
+    set H of realized histories and a nonempty set G of agent-i components
+    (lifted through the projection on the move's domain, empty off it) that
+    passes C0-C2 and meets every node of x. The result is checked to verify
+    as an RCS rather than assumed. More than `max_history_subsets` subsets
+    of the realized histories at a move time raise SizeCapError.
+
+    The set is built from per-history pieces, with |H| window choices per G
+    instead of 2^|H|. The piece of h is the window choice for the single
+    history h; it is kept when that choice passes C0-C2. The window choice
+    of (H, G) is the disjoint union of the pieces of H. C1 and C2 test one
+    history at a time and C0 is nonemptiness, so the union passes C0-C2
+    iff it is nonempty and every nonempty piece in H passes. Every node of
+    x lies under x's own prefix p_x, so the union meets every node iff
+    p_x ∈ H and the piece of p_x meets every node. The reference choices
+    for G are therefore piece(p_x) ∪ ⋃S over the subsets S of the other
+    kept pieces; histories with empty pieces add nothing.
     """
     po = aps.po
     if po.space.agents is None:
@@ -605,28 +624,26 @@ def agent_rcs(
                 f"{2 ** len(histories)} history subsets at t={t} exceed the cap "
                 f"{max_history_subsets}"
             )
+        own = next(iter(move.node_at(next(iter(move.domain)))))[1][: po.time.index(t)]
         found = set()
-        for r in range(1, len(histories) + 1):
-            for combo in itertools.combinations(histories, r):
-                for cr in range(1, len(components) + 1):
-                    for comp_set in itertools.combinations(components, cr):
-                        g_dummy = frozenset(comp_set)
-                        per_scenario = {}
-                        for w in po.scenarios.scenarios:
-                            if w in move.domain:
-                                per_scenario[w] = frozenset(
-                                    a
-                                    for a in po.space.actions
-                                    if po.space.project(agent, a) in g_dummy
-                                )
-                            else:
-                                per_scenario[w] = frozenset()
-                        wc = window_choice(
-                            po, WindowChoiceSpec.of(t, combo, per_scenario)
-                        )
-                        if wc.ok and _meets_every_node(move, wc.outcomes):
-                            found.add(choice_mod.Choice.of(aps.sdf, wc.outcomes))
-        per_move[move] = frozenset(found)
+        for cr in range(1, len(components) + 1):
+            for comp_set in itertools.combinations(components, cr):
+                per_scenario = _lifted(
+                    po, agent, dict.fromkeys(move.domain, frozenset(comp_set))
+                )
+                pieces = {}
+                for h in histories:
+                    wc = window_choice(po, WindowChoiceSpec.of(t, (h,), per_scenario))
+                    if wc.ok:
+                        pieces[h] = wc.outcomes
+                own_piece = pieces.pop(own, None)
+                if own_piece is None or not _meets_every_node(move, own_piece):
+                    continue
+                unions = {own_piece}
+                for piece in pieces.values():
+                    unions |= {u | piece for u in unions}
+                found |= unions
+        per_move[move] = frozenset(choice_mod.Choice.of(aps.sdf, o) for o in found)
     rcs = choice_mod.Rcs.of(per_move)
     verdict = choice_mod.verify_rcs(aps.sdf, rcs)
     if not verdict:
@@ -724,16 +741,7 @@ def check_apc3(
         for generator in _intersection_stable_generators(po.space.components(agent)):
             hit = True
             for g_set in canon_sorted(generator):
-                per_scenario = {}
-                for w in po.scenarios.scenarios:
-                    if w in move.domain:
-                        per_scenario[w] = frozenset(
-                            a
-                            for a in po.space.actions
-                            if po.space.project(agent, a) in g_set
-                        )
-                    else:
-                        per_scenario[w] = frozenset()
+                per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
                 wc = window_choice(po, WindowChoiceSpec.of(t, histories, per_scenario))
                 if not wc.outcomes:
                     continue

@@ -1,9 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's algorithms: maximal chains
-by full subset enumeration, predecessors never (the library is the literal
-definition; expected values for those come from the worked instances'
-closed forms).
+by full subset enumeration, agent reference choices by one window choice per
+(history subset, component subset) pair, predecessors never (the library is
+the literal definition; expected values for those come from the worked
+instances' closed forms).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 import pytest
 
 from sdfkit import examples
+from sdfkit.action_path import WindowChoiceSpec, _index, window_choice
+from sdfkit.choice import Choice, Rcs
 from sdfkit.gen import rng_from_env
 
 
@@ -29,6 +32,38 @@ def brute_maximal_chains(elements, ge):
         for c in chains
         if not any(c < d for d in chains)
     }
+
+
+def brute_agent_rcs(aps, agent):
+    """Agent reference choices by the definition: one window choice per nonempty
+    history subset H and nonempty component subset G, lifted on the move's
+    domain, kept when it passes C0-C2 and meets every node of the move.
+    Exponential in the number of realized histories; small inputs only."""
+    po = aps.po
+    components = list(po.space.components(agent))
+    per_move = {}
+    for move, t in aps.move_times:
+        histories = list(_index(po).realized_prefixes(t))
+        found = set()
+        for r in range(1, len(histories) + 1):
+            for combo in itertools.combinations(histories, r):
+                for cr in range(1, len(components) + 1):
+                    for comp_set in itertools.combinations(components, cr):
+                        per_scenario = {
+                            w: frozenset(
+                                a
+                                for a in po.space.actions
+                                if po.space.project(agent, a) in comp_set
+                            )
+                            if w in move.domain
+                            else frozenset()
+                            for w in po.scenarios.scenarios
+                        }
+                        wc = window_choice(po, WindowChoiceSpec.of(t, combo, per_scenario))
+                        if wc.ok and all(node & wc.outcomes for _, node in move.items()):
+                            found.add(Choice.of(aps.sdf, wc.outcomes))
+        per_move[move] = found
+    return Rcs.of(per_move)
 
 
 @pytest.fixture(scope="session")

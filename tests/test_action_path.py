@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from conftest import brute_agent_rcs
 from sdfkit import examples
 from sdfkit.action_path import (
     ActionSpace,
@@ -420,6 +422,12 @@ class TestAgentChoice:
             agent_choice(po, Fraction(0), [()], "1", {1: "a"})
 
 
+def _factorized(po, factorization):
+    return dataclasses.replace(
+        po, space=ActionSpace.of(po.space.actions, factorization)
+    )
+
+
 class TestAgentRcs:
     def test_simple_reproduces_reference_choices(self, simple_aps):
         # the worked instance's reference structure, up to the history-set
@@ -463,6 +471,67 @@ class TestAgentRcs:
         aps = build_action_path_sdf(po)
         r = agent_rcs(aps, "solo")
         assert all(not cs for _, cs in r.entries)
+
+    def test_matches_brute_force_on_builtins(self, simple_aps, variant_aps, upandout_aps):
+        # the variant carries no factorization: give it the identity one;
+        # timing is left out, the brute-force oracle alone takes seconds per agent
+        variant = build_action_path_sdf(
+            _factorized(variant_aps.po, {"1": {a: a for a in (0, 1, 2)}})
+        )
+        for aps in (simple_aps, variant, upandout_aps):
+            for agent in aps.po.space.agents:
+                assert agent_rcs(aps, agent) == brute_agent_rcs(aps, agent)
+
+    def _matches_brute_force(self, rng, draw, count):
+        compared = nonempty = 0
+        for _ in range(1000):
+            po = draw()
+            factorization = {"i": {a: a for a in po.space.actions}}
+            if rng.random() < 0.5:
+                factorization["j"] = {a: rng.choice("xy") for a in po.space.actions}
+            try:
+                aps = build_action_path_sdf(_factorized(po, factorization))
+            except StructureError:
+                continue
+            for agent in factorization:
+                rcs = agent_rcs(aps, agent)
+                assert rcs == brute_agent_rcs(aps, agent)
+                nonempty += any(cs for _, cs in rcs.entries)
+            compared += 1
+            if compared == count:
+                break
+        assert compared == count
+        return nonempty
+
+    def test_matches_brute_force_on_random_instances(self, rng):
+        from sdfkit.gen import random_path_outcomes
+
+        nonempty = self._matches_brute_force(rng, lambda: random_path_outcomes(rng), 100)
+        assert nonempty >= 30
+
+    def test_matches_brute_force_on_dense_instances(self, rng):
+        # two periods, most paths present: several histories per move pass
+        # C0-C2, so reference choices are unions of many pieces
+        from sdfkit.gen import random_scenario_space
+
+        def draw():
+            space = random_scenario_space(rng, 2)
+            actions = ["a", "b", "c"][: rng.randint(2, 3)]
+            full = list(itertools.product(actions, repeat=2))
+            paths = []
+            for w in space.scenarios:
+                kept = [f for f in full if rng.random() < 0.7] or [rng.choice(full)]
+                paths += [(w, f) for f in kept]
+            return PathOutcomes.of(TimeAxis.of([0, 1]), ActionSpace.of(actions), space, paths)
+
+        nonempty = self._matches_brute_force(rng, draw, 50)
+        assert nonempty >= 40
+
+    def test_history_subset_cap(self, timing_aps):
+        # the latest move time of the timing instance has 9 realized histories
+        with pytest.raises(SizeCapError):
+            agent_rcs(timing_aps, "1", max_history_subsets=256)
+        assert agent_rcs(timing_aps, "1", max_history_subsets=512) == agent_rcs(timing_aps, "1")
 
     def test_timing_nonempty_at_alive_moves(self, timing_aps):
         r = agent_rcs(timing_aps, "1")
