@@ -14,6 +14,18 @@ from fractions import Fraction
 
 def canon_key(value):
     """Total, deterministic sort key over the hashable values the kernel uses."""
+    # Fast path on the exact type of the common leaves and containers. ints
+    # and Fractions compare exactly and hash alike, so they need no common
+    # wrapper; bool, float, subclasses and kernel objects take the path below.
+    kind = type(value)
+    if kind is str:
+        return ("str", value)
+    if kind is int or kind is Fraction:
+        return ("num", value)
+    if kind is tuple:
+        return ("tuple", tuple(map(canon_key, value)))
+    if kind is frozenset:
+        return ("set", tuple(sorted(map(canon_key, value))))
     custom = getattr(value, "canon_key", None)
     if custom is not None and not isinstance(value, type):
         return custom()

@@ -395,6 +395,16 @@ def build_action_path_sdf(
     apw = check_apw(
         po, max_time_subsets=max_time_subsets, work_cap=work_cap
     )
+    return _construct_action_path_sdf(
+        po, apw, max_x_exhaustive=max_x_exhaustive, work_cap=work_cap
+    )[0]
+
+
+def _construct_action_path_sdf(
+    po: PathOutcomes, apw: MultiVerdict, *, max_x_exhaustive: int, work_cap: int
+) -> tuple:
+    """`build_action_path_sdf` after `check_apw`: the instance built from `po`
+    given its W-verdicts `apw`, and the `verify_sdf` verdict it passed."""
     failures = [(k, v) for k, v in apw.items if k in ("W0", "W1", "W2", "W3") and not v.ok]
     if failures:
         raise StructureError(
@@ -431,11 +441,8 @@ def build_action_path_sdf(
             witness=verdict,
             code="construction-failed",
         )
-    return ActionPathSdf(
-        po,
-        s,
-        tuple(sorted(move_times.items(), key=lambda kv: canon_key(kv[0]))),
-    )
+    move_list = tuple(sorted(move_times.items(), key=lambda kv: canon_key(kv[0])))
+    return ActionPathSdf(po, s, move_list), verdict
 
 
 def times_of_node(po: PathOutcomes, x) -> frozenset:

@@ -20,12 +20,13 @@ from fractions import Fraction
 from . import examples
 from ._canon import canon_sorted, fmt
 from .action_path import (
+    DEFAULT_PATH_WORK_CAP,
     ActionPathSdf,
     ActionSpace,
     PathOutcomes,
     TimeAxis,
+    _construct_action_path_sdf,
     _index as path_index,
-    build_action_path_sdf,
     check_apc3,
     check_apw,
     product_outcomes,
@@ -355,7 +356,13 @@ def _items_of(v) -> tuple:
 
 
 class _Instance:
-    """Everything the commands need, resolved once per run."""
+    """Everything the commands need, resolved once per run.
+
+    For an action-path instance this includes the W0-W4 verdicts of
+    `check_apw` (or the error it raised) and the `verify_sdf` verdict of the
+    built instance, which the `verify` and `apw` commands report: one run has
+    one set of caps, so recomputing them would give the same result.
+    """
 
     def __init__(self, doc: InstanceDoc, caps: dict):
         self.doc = doc
@@ -364,6 +371,9 @@ class _Instance:
         self.aps: ActionPathSdf | None = None
         self.po: PathOutcomes | None = None
         self.build_error: str | None = None
+        self.apw: MultiVerdict | None = None
+        self.apw_error: KernelError | None = None
+        self.sdf_verdict: MultiVerdict | None = None
         self.named_choices = dict(doc.named_choices)
         self.rcs: Rcs | None = doc.doc_rcs
         self.doc_eis: Eis | None = doc.doc_eis
@@ -377,13 +387,17 @@ class _Instance:
 
     def _build(self):
         try:
-            self.aps = build_action_path_sdf(
+            self.apw = check_apw(self.po, max_time_subsets=self.caps["max_time_subsets"])
+            self.aps, self.sdf_verdict = _construct_action_path_sdf(
                 self.po,
-                max_time_subsets=self.caps["max_time_subsets"],
+                self.apw,
                 max_x_exhaustive=self.caps["max_x"],
+                work_cap=DEFAULT_PATH_WORK_CAP,
             )
             self.sdf = self.aps.sdf
         except KernelError as e:
+            if self.apw is None:
+                self.apw_error = e
             self.build_error = f"{e.code}: {e}"
 
     def _resolve_builtin(self, name: str):
@@ -407,6 +421,11 @@ class _Instance:
                 examples.up_and_out_price_table(),
             )
             self._build()
+
+    def need_apw(self) -> MultiVerdict:
+        if self.apw_error is not None:
+            raise self.apw_error
+        return self.apw
 
     def need_sdf(self) -> Sdf:
         if self.sdf is None:
@@ -439,14 +458,15 @@ def _run_check(inst: _Instance, token: str, caps: dict) -> CheckRecord:
 def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
     if name == "verify":
         items = []
-        if inst.po is not None:
-            apw = check_apw(inst.po, max_time_subsets=caps["max_time_subsets"])
-            items.extend((f"AP.{k}", v) for k, v in apw.items)
+        if inst.po is None:
+            verdict = verify_sdf(inst.need_sdf(), max_x_exhaustive=caps["max_x"])
+        else:
+            items.extend((f"AP.{k}", v) for k, v in inst.need_apw().items)
             if inst.build_error is not None:
                 return CheckRecord(
                     name, "fail", tuple(items), message=inst.build_error
                 )
-        verdict = verify_sdf(inst.need_sdf(), max_x_exhaustive=caps["max_x"])
+            verdict = inst.sdf_verdict
         items.extend(verdict.items)
         bundle = MultiVerdict(tuple(items))
         return CheckRecord(name, _status_of(bundle), bundle.items)
@@ -533,7 +553,7 @@ def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
     if name == "apw":
         if inst.po is None:
             raise KernelError("apw applies to action-path instances only")
-        verdict = check_apw(inst.po, max_time_subsets=caps["max_time_subsets"])
+        verdict = inst.need_apw()
         return CheckRecord(name, _status_of(verdict), verdict.items)
     if name == "apc":
         if inst.aps is None:
@@ -555,6 +575,7 @@ def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
         items = []
         skipped = 0
         structures = enumerate_eis(inst.sdf)
+        scenarios = canon_sorted(inst.po.scenarios.scenarios)
         for agent in inst.po.space.agents:
             components = canon_sorted(inst.po.space.components(agent))
             for ei, e in enumerate(structures, start=1):
@@ -565,12 +586,14 @@ def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
                     )
                     realized = path_index(inst.po).realized_prefixes(t)
                     for label, hist in (("all", realized), ("own", own_prefix)):
-                        for values in itertools.product(components, repeat=len(inst.po.scenarios.scenarios)):
-                            g = dict(zip(canon_sorted(inst.po.scenarios.scenarios), values))
+                        for values in itertools.product(components, repeat=len(scenarios)):
+                            g = dict(zip(scenarios, values))
                             try:
                                 result = check_measurable_iff_adapted(
                                     inst.aps, agent, e, t, hist, g
                                 )
+                            except SizeCapError:
+                                raise
                             except KernelError:
                                 skipped += 1
                                 continue

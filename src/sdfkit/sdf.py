@@ -423,8 +423,9 @@ def verify_sdf(
     except StructureError as e:
         items.append(("axiom-2", Verdict.failed(e.code, str(e))))
 
+    moves = canon_sorted(s.random_moves)
     v3a = Verdict.passed()
-    for m in canon_sorted(s.random_moves):
+    for m in moves:
         if not s.space.is_event(m.domain):
             v3a = Verdict.failed(
                 "axiom-3a", f"domain {fmt(m.domain)} of {m.fmt()} is not an event"
@@ -467,8 +468,8 @@ def verify_sdf(
         )
 
     v3c = Verdict.passed()
-    for m1 in canon_sorted(s.random_moves):
-        for m2 in canon_sorted(s.random_moves):
+    for m1 in moves:
+        for m2 in moves:
             hit = next(
                 (
                     w
@@ -489,7 +490,7 @@ def verify_sdf(
     items.append(("axiom-3c", v3c))
 
     v3d = Verdict.passed()
-    for m in canon_sorted(s.random_moves):
+    for m in moves:
         flags = {node in t.maxima for _, node in m.items()}
         if len(flags) > 1:
             v3d = Verdict.failed(

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the library's algorithms: maximal chains
 by full subset enumeration, agent reference choices by one window choice per
-(history subset, component subset) pair, predecessors never (the library is
-the literal definition; expected values for those come from the worked
-instances' closed forms).
+(history subset, component subset) pair, canonical keys by the type-tag
+cascade that wraps every number in a Fraction, predecessors never (the
+library is the literal definition; expected values for those come from the
+worked instances' closed forms).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +34,29 @@ def brute_maximal_chains(elements, ge):
         for c in chains
         if not any(c < d for d in chains)
     }
+
+
+def oracle_canon_key(value):
+    """Canonical sort key by the original cascade: custom keys first, then
+    every number as a Fraction, then strings, tuples, sets, None, repr."""
+    custom = getattr(value, "canon_key", None)
+    if custom is not None and not isinstance(value, type):
+        return custom()
+    if isinstance(value, bool):
+        return ("num", Fraction(int(value)))
+    if isinstance(value, (int, Fraction)):
+        return ("num", Fraction(value))
+    if isinstance(value, float):
+        return ("num", Fraction(value))
+    if isinstance(value, str):
+        return ("str", value)
+    if isinstance(value, tuple):
+        return ("tuple", tuple(oracle_canon_key(v) for v in value))
+    if isinstance(value, (frozenset, set)):
+        return ("set", tuple(sorted(oracle_canon_key(v) for v in value)))
+    if value is None:
+        return ("none",)
+    return ("repr", type(value).__name__, repr(value))
 
 
 def brute_agent_rcs(aps, agent):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -164,6 +165,83 @@ class TestRun:
         report = run(doc, ["verify"], max_time_subsets=1)
         assert not report.ok
         assert any(r.status in ("error", "fail") for r in report.records)
+
+
+def _action_path_doc(scenarios, times, actions, paths, factorization=None):
+    obj = {
+        "kind": "action-path",
+        "scenarios": scenarios,
+        "time_points": [str(t) for t in times],
+        "actions": actions,
+        "paths": [{"scenario": w, "path": list(f)} for w, f in paths],
+    }
+    if factorization is not None:
+        obj["factorization"] = factorization
+    return parse_instance(json.dumps(obj))
+
+
+def _comparable(record):
+    return record.status, record.message, record.items, record.data
+
+
+class TestOncePerRun:
+    def test_verify_and_apw_reuse_the_build(self, monkeypatch):
+        import sdfkit.action_path
+        import sdfkit.cli
+
+        calls = {"check_apw": 0, "verify_sdf": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (sdfkit.cli, sdfkit.action_path):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        doc = parse_instance(TIMING_DOC)
+        report = run(doc, ["verify", "apw", "verify"], max_x=12)
+        assert report.ok
+        assert calls == {"check_apw": 1, "verify_sdf": 1}
+        assert _comparable(report.records[0]) == _comparable(report.records[2])
+
+    def test_w2_cap_error_same_for_verify_and_apw(self):
+        times = range(9)
+        doc = _action_path_doc(["1"], times, ["a"], [("1", ["a"] * 9)])
+        report = run(doc, ["verify", "apw"])
+        verify, apw = report.records
+        assert verify.status == "error"
+        assert verify.message == "cap-exceeded: |T| = 9 exceeds the W2 subset cap 8"
+        assert _comparable(verify) == _comparable(apw)
+
+    def test_assumption_failure_keeps_its_items(self):
+        # W2 holds on every outcome set (agreement on the latest prefix of a
+        # time set implies agreement on all of it), so W3 is the failing one.
+        paths = [
+            ("1", "11"), ("1", "12"), ("1", "21"),
+            ("2", "21"), ("2", "22"), ("2", "11"),
+        ]
+        doc = _action_path_doc(["1", "2"], [0, 1], ["1", "2"], paths)
+        verify, apw = run(doc, ["verify", "apw"]).records
+        assert verify.status == "fail"
+        assert verify.message.startswith("assumption-failure: outcome set violates AP.W3")
+        assert [k for k, _ in verify.items] == ["AP.W0", "AP.W1", "AP.W2", "AP.W3"]
+        assert [v for _, v in verify.items] == [v for _, v in apw.items]
+        assert apw.status == "fail"
+
+
+class TestThm411:
+    def test_cap_error_is_reported_not_skipped(self):
+        # 16 realized histories at t=4: 2^16 history subsets exceed the cap.
+        paths = [("1", f) for f in itertools.product("ab", repeat=5)]
+        factorization = {"a": {"1": "a"}, "b": {"1": "b"}}
+        doc = _action_path_doc(["1"], range(5), ["a", "b"], paths, factorization)
+        apc, thm = run(doc, ["apc", "thm4-11"]).records
+        message = "cap-exceeded: 65536 history subsets at t=4 exceed the cap 4096"
+        assert (apc.status, apc.message) == ("error", message)
+        assert (thm.status, thm.message) == ("error", message)
 
 
 class TestReports:

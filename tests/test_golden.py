@@ -1,6 +1,7 @@
 """Golden `--format=json` reports for the four builtins.
 
-Each golden is the byte-exact report of `cli.run(doc, commands, max_x=12)`.
+Each golden is the byte-exact report of `cli.run(doc, commands, max_x=12)`
+on the builtin named before the first `-` of the case name.
 A change that alters a verdict, a witness or the report layout shows up here.
 When a report is meant to change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -15,6 +16,7 @@ import pytest
 
 from sdfkit import examples
 from sdfkit.cli import parse_instance, report_to_json, run
+from sdfkit.sigma_info import enumerate_eis
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 MAX_X = 12
@@ -28,16 +30,29 @@ def _choice_checks(name: str) -> list:
     return checks
 
 
+def _adapted_checks(name: str) -> list:
+    build = {"simple": examples.build_simple, "variant": examples.build_variant}[name]
+    count = len(enumerate_eis(build()))
+    return [
+        f"adapted:{choice}:{k}"
+        for choice in sorted(examples.all_named_choices(name))
+        for k in range(1, count + 1)
+    ]
+
+
 CASES = {
     "simple": lambda: BASE + _choice_checks("simple"),
+    "simple-adapted": lambda: _adapted_checks("simple"),
     "variant": lambda: BASE + _choice_checks("variant"),
+    "variant-adapted": lambda: _adapted_checks("variant"),
     "timing": lambda: BASE + ["apw", "apc"],
     "upandout": lambda: BASE + ["apw", "apc", "thm4-11"],
 }
 
 
 def _report(name: str) -> str:
-    doc = parse_instance(json.dumps({"kind": "builtin", "name": name}))
+    builtin = name.partition("-")[0]
+    doc = parse_instance(json.dumps({"kind": "builtin", "name": builtin}))
     return report_to_json(run(doc, CASES[name](), max_x=MAX_X), doc) + "\n"
 
 
