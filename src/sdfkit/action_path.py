@@ -13,9 +13,9 @@ choices are all realised as checker operations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from . import choice as choice_mod
 from ._canon import canon_key, canon_sorted, fmt
@@ -174,10 +174,16 @@ class PathOutcomes:
             canon_key(self.paths),
         )
 
+    @cached_property
+    def index(self) -> "_PathIndex":
+        """Outcome groups and realized prefixes, built on first use."""
+        return _PathIndex(self)
+
 
 class _PathIndex:
     def __init__(self, po: PathOutcomes):
-        self.po = po
+        self.time = po.time
+        self.scenarios = po.scenarios.scenarios
         self.points = po.time.points
         self.groups: dict = {}
         self.realized: dict = {i: set() for i in range(len(self.points) + 1)}
@@ -195,17 +201,12 @@ class _PathIndex:
     def d_set(self, prefix) -> frozenset:
         return frozenset(
             w
-            for w in self.po.scenarios.scenarios
+            for w in self.scenarios
             if len(self.group(w, prefix)) >= 2
         )
 
     def realized_prefixes(self, t) -> frozenset:
-        return self.realized[self.po.time.index(t)]
-
-
-@cache
-def _index(po: PathOutcomes) -> _PathIndex:
-    return _PathIndex(po)
+        return self.realized[self.time.index(t)]
 
 
 def prefix_of(po: PathOutcomes, f, t) -> tuple:
@@ -218,7 +219,7 @@ def node_at(po: PathOutcomes, t, w) -> frozenset:
     scenario, f = w
     if (scenario, tuple(f)) not in po.paths:
         raise InputError(f"unknown outcome {fmt(w)}", witness=w)
-    return _index(po).group(scenario, prefix_of(po, f, t))
+    return po.index.group(scenario, prefix_of(po, f, t))
 
 
 def move_event(po: PathOutcomes, t, f) -> frozenset:
@@ -227,7 +228,7 @@ def move_event(po: PathOutcomes, t, f) -> frozenset:
     Requires the result to be an event of the scenario space (AP.W0); raises
     apw0-violation otherwise. `f` may be any path in the ambient path space.
     """
-    d = _index(po).d_set(prefix_of(po, f, t))
+    d = po.index.d_set(prefix_of(po, f, t))
     if not po.scenarios.is_event(d):
         raise StructureError(
             f"D_(t={t}, f={fmt(tuple(f))}) = {fmt(d)} is not an event",
@@ -250,17 +251,14 @@ def check_apw(
     po: PathOutcomes,
     *,
     max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP,
-    w2_mode: str = "exhaustive",
     work_cap: int = DEFAULT_PATH_WORK_CAP,
 ) -> MultiVerdict:
     """Verdicts for assumptions W0-W3 (and W4 when a factorization is present).
 
-    W2 quantifies over subsets of the time axis: mode "exhaustive" tries all
-    2^|T| subsets (requires |T| <= max_time_subsets), mode "prefix" only
-    down-closed ones. Exhaustive mode is authoritative; the prefix reduction
-    is validated against it in the test suite.
+    W2 quantifies over all 2^|T| subsets of the time axis and requires
+    |T| <= max_time_subsets.
     """
-    idx = _index(po)
+    idx = po.index
     points = po.time.points
     items = []
 
@@ -294,21 +292,16 @@ def check_apw(
             break
     items.append(("W1", w1))
 
-    if w2_mode not in ("exhaustive", "prefix"):
-        raise InputError(f"unknown W2 mode {w2_mode!r}")
-    if w2_mode == "exhaustive" and len(points) > max_time_subsets:
+    if len(points) > max_time_subsets:
         raise SizeCapError(
             f"|T| = {len(points)} exceeds the W2 subset cap {max_time_subsets}"
         )
-    if w2_mode == "exhaustive":
-        subset_pool = [
-            tuple(c)
-            for r in range(len(points) + 1)
-            for c in itertools.combinations(range(len(points)), r)
-        ]
-    else:
-        subset_pool = [tuple(range(k)) for k in range(len(points) + 1)]
-    w2 = Verdict.passed(f"mode: {w2_mode}")
+    subset_pool = [
+        c
+        for r in range(len(points) + 1)
+        for c in itertools.combinations(range(len(points)), r)
+    ]
+    w2 = Verdict.passed("mode: exhaustive")
     for w in canon_sorted(po.scenarios.scenarios):
         for f_tilde in _all_prefixes(po, len(points), work_cap):
             for subset in subset_pool:
@@ -365,6 +358,8 @@ class ActionPathSdf:
     po: PathOutcomes
     sdf: Sdf
     move_times: tuple  # ((RandomMove, Fraction), ...)
+    # agent_rcs results by (agent, max_history_subsets)
+    _rcs_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def time_of_move(self, m: RandomMove) -> Fraction:
         for move, t in self.move_times:
@@ -413,7 +408,7 @@ def _construct_action_path_sdf(
             witness=apw,
             code="assumption-failure",
         )
-    idx = _index(po)
+    idx = po.index
     nodes = {frozenset([w]) for w in po.paths}
     projection = {frozenset([w]): w[0] for w in po.paths}
     move_times: dict = {}
@@ -517,7 +512,7 @@ def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
     C2 quantifies over the admissible histories only; the node at t and the
     move event depend on nothing later.
     """
-    idx = _index(po)
+    idx = po.index
     k = po.time.index(spec.t)
     outcomes = frozenset(
         (w, f)
@@ -592,7 +587,6 @@ def _meets_every_node(move: RandomMove, outcomes) -> bool:
     return all(node & outcomes for _, node in move.items())
 
 
-@cache
 def agent_rcs(
     aps: ActionPathSdf,
     agent,
@@ -617,11 +611,16 @@ def agent_rcs(
     p_x ∈ H and the piece of p_x meets every node. The reference choices
     for G are therefore piece(p_x) ∪ ⋃S over the subsets S of the other
     kept pieces; histories with empty pieces add nothing.
+
+    The result is kept on `aps`, so each agent and cap is built once.
     """
+    memo_key = (agent, max_history_subsets)
+    if memo_key in aps._rcs_memo:
+        return aps._rcs_memo[memo_key]
     po = aps.po
     if po.space.agents is None:
         raise InputError("outcome set carries no factorization", code="no-factorization")
-    idx = _index(po)
+    idx = po.index
     per_move: dict = {}
     components = canon_sorted(po.space.components(agent))
     for move, t in aps.move_times:
@@ -657,6 +656,7 @@ def agent_rcs(
         raise StructureError(
             f"agent reference choices fail to verify: {verdict.describe()}"
         )
+    aps._rcs_memo[memo_key] = rcs
     return rcs
 
 
@@ -727,7 +727,7 @@ def check_apc3(
         required = frozenset(
             next(iter(move.node_at(w)))[1][:k] for w in move.domain
         )
-    realized = frozenset(_index(po).realized_prefixes(t))
+    realized = frozenset(po.index.realized_prefixes(t))
     if not required <= realized:
         raise InputError("required prefixes are not realized", witness=required)
     optional = canon_sorted(realized - required)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError
 from .sdf import (
     RandomMove,
     Sdf,
-    _tables,
     nodes_of_event,
     outcomes_of_event,
     scenario_outcomes,
@@ -91,24 +89,12 @@ def down_set(s: Sdf, outcomes) -> frozenset:
     return frozenset(x for x in s.forest.nodes if x <= outcomes)
 
 
-@cache
-def _up_index(s: Sdf) -> dict:
-    """up-set table plus an index from up-set value to node (up-sets are unique)."""
-    t = _tables(s)
-    index = {}
-    for x, up in t.up.items():
-        index[up] = x
-    return {"up": t.up, "by_up": index}
-
-
 def predecessors(s: Sdf, outcomes) -> frozenset:
     """P(c) by the literal definition: quantify over y ∈ ↓c and compare up-sets."""
-    idx = _up_index(s)
     dc = down_set(s, outcomes)
     out = set()
     for y in dc:
-        target = idx["up"][y] - dc
-        hit = idx["by_up"].get(target)
+        hit = s.by_up.get(s.up[y] - dc)
         if hit is not None:
             out.add(hit)
     return frozenset(out)
@@ -158,11 +144,10 @@ def preimage(s: Sdf, move: RandomMove, node_set) -> frozenset:
 def classify(s: Sdf, c: Choice) -> ChoiceFlags:
     """Non-redundancy, completeness, and the moves the choice is available at."""
     p = predecessors(s, c.outcomes)
-    t = _tables(s)
     non_redundant = True
     red_witness = ()
     for w in canon_sorted(s.space.scenarios):
-        if not (p & t.fibre.get(w, frozenset())) and c.outcomes & scenario_outcomes(s, w):
+        if not (p & s.fibre.get(w, frozenset())) and c.outcomes & scenario_outcomes(s, w):
             non_redundant = False
             red_witness = (w,)
             break

@@ -26,7 +26,6 @@ from .action_path import (
     PathOutcomes,
     TimeAxis,
     _construct_action_path_sdf,
-    _index as path_index,
     check_apc3,
     check_apw,
     product_outcomes,
@@ -349,12 +348,6 @@ def _status_of(v) -> str:
     raise TypeError(v)
 
 
-def _items_of(v) -> tuple:
-    if isinstance(v, MultiVerdict):
-        return v.items
-    return (("result", v),)
-
-
 class _Instance:
     """Everything the commands need, resolved once per run.
 
@@ -584,7 +577,7 @@ def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
                         next(iter(move.node_at(w)))[1][: inst.po.time.index(t)]
                         for w in move.domain
                     )
-                    realized = path_index(inst.po).realized_prefixes(t)
+                    realized = inst.po.index.realized_prefixes(t)
                     for label, hist in (("all", realized), ("own", own_prefix)):
                         for values in itertools.product(components, repeat=len(scenarios)):
                             g = dict(zip(scenarios, values))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 
 from . import order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
@@ -159,7 +159,47 @@ class Sdf:
         return cls(forest, space, items, moves)
 
     def pi(self, node):
-        return _tables(self).proj[node]
+        return self.proj[node]
+
+    # Derived tables, each built on first use and kept on the instance.
+
+    @cached_property
+    def proj(self) -> dict:
+        return dict(self.projection)
+
+    @cached_property
+    def node_poset(self) -> Poset:
+        return set_forest.induced_poset(self.forest)
+
+    @cached_property
+    def up(self) -> dict:
+        """x ↦ ↑x, the nodes containing x."""
+        nodes = self.forest.nodes
+        return {x: frozenset(y for y in nodes if y >= x) for x in nodes}
+
+    @cached_property
+    def by_up(self) -> dict:
+        """↑x ↦ x; up-sets are unique."""
+        return {up: x for x, up in self.up.items()}
+
+    @cached_property
+    def maxima(self) -> frozenset:
+        return frozenset(x for x, up in self.up.items() if len(up) == 1)
+
+    @cached_property
+    def fibre(self) -> dict:
+        fibre: dict = {}
+        for node, w in self.projection:
+            fibre.setdefault(w, set()).add(node)
+        return {w: frozenset(v) for w, v in fibre.items()}
+
+    @cached_property
+    def terminal_nodes(self) -> frozenset:
+        return self.forest.terminal_nodes()
+
+    @cached_property
+    def move_nodes(self) -> frozenset:
+        return self.forest.nodes - self.terminal_nodes
 
     def canon_key(self):
         return (
@@ -180,41 +220,9 @@ class TTree:
     terminals: frozenset
 
 
-class _Tables:
-    def __init__(self, s: Sdf):
-        self.proj = dict(s.projection)
-        self.poset = set_forest.induced_poset(s.forest)
-        self.up = {x: order_core.up_set(self.poset, x) for x in s.forest.nodes}
-        self.down = {x: order_core.down_set(self.poset, x) for x in s.forest.nodes}
-        self.terminals = frozenset(x for x in s.forest.nodes if self.down[x] == {x})
-        self.moves = s.forest.nodes - self.terminals
-        self.maxima = self.poset.maximal_elements()
-        fibre: dict = {}
-        for node, w in s.projection:
-            fibre.setdefault(w, set()).add(node)
-        self.fibre = {w: frozenset(v) for w, v in fibre.items()}
-
-
-@cache
-def _tables(s: Sdf) -> _Tables:
-    return _Tables(s)
-
-
-def node_poset(s: Sdf) -> Poset:
-    return _tables(s).poset
-
-
-def moves_of(s: Sdf) -> frozenset:
-    return _tables(s).moves
-
-
-def terminals_of(s: Sdf) -> frozenset:
-    return _tables(s).terminals
-
-
 def component_nodes(s: Sdf, scenario) -> frozenset:
     """T_ω: the nodes the projection sends to the scenario."""
-    return _tables(s).fibre.get(scenario, frozenset())
+    return s.fibre.get(scenario, frozenset())
 
 
 def scenario_outcomes(s: Sdf, scenario) -> frozenset:
@@ -244,9 +252,8 @@ def nodes_of_event(s: Sdf, event) -> frozenset:
 
 def fibres(s: Sdf) -> dict:
     """Check components of (F, ⊇) equal the projection fibres; return ω ↦ T_ω."""
-    t = _tables(s)
-    components = {frozenset(c) for c in order_core.connected_components(t.poset)}
-    fibre_sets = {w: t.fibre.get(w, frozenset()) for w in s.space.scenarios}
+    components = {frozenset(c) for c in order_core.connected_components(s.node_poset)}
+    fibre_sets = {w: s.fibre.get(w, frozenset()) for w in s.space.scenarios}
     for w in canon_sorted(s.space.scenarios):
         if not fibre_sets[w]:
             raise StructureError(
@@ -280,52 +287,87 @@ def x_order(s: Sdf) -> Poset:
     return Poset.from_order(s.random_moves, ge_x)
 
 
-def _family_axiom_violation(s: Sdf, family) -> str | None:
-    """First violated axiom among 3a-3d for a candidate family of sections, or None."""
-    t = _tables(s)
-    for m in family:
+def _axioms_3a_to_3d(s: Sdf, moves):
+    """Named verdicts of axioms 3a-3d for a family of random moves, yielded
+    one axiom at a time.
+
+    Witnesses are the first failures in the order of `moves`. `verify_sdf`
+    passes the instance's moves in canonical order; the 3e coarsening oracle
+    passes candidate families and stops at the first axiom that fails.
+    """
+    v3a = Verdict.passed()
+    for m in moves:
         if not s.space.is_event(m.domain):
-            return f"3a: domain {fmt(m.domain)} of {m.fmt()} is not an event"
-        for w, node in m.items():
-            if node not in s.forest.nodes:
-                return f"3a: {m.fmt()} assigns a non-node"
-            if node in t.terminals:
-                return f"3a: {m.fmt()} assigns the terminal node {fmt(node)} at {fmt(w)}"
-            if t.proj[node] != w:
-                return (
-                    f"3a: {m.fmt()} is not a section: π({fmt(node)}) = "
-                    f"{fmt(t.proj[node])} ≠ {fmt(w)}"
-                )
-    covered = {node for m in family for _, node in m.items()}
-    if covered != t.moves:
-        missing = canon_sorted(t.moves - covered)
-        extra = canon_sorted(covered - t.moves)
-        detail = []
-        if missing:
-            detail.append(f"misses {fmt(missing[0])}")
-        if extra:
-            detail.append(f"covers non-move {fmt(extra[0])}")
-        return "3b: family does not cover the moves: " + ", ".join(detail)
-    for m1 in family:
-        for m2 in family:
+            v3a = Verdict.failed(
+                "axiom-3a", f"domain {fmt(m.domain)} of {m.fmt()} is not an event"
+            )
+            break
+        if not m.domain:
+            v3a = Verdict.failed("axiom-3a", f"{m.fmt()} has empty domain")
+            break
+        bad = next(
+            (
+                (w, node)
+                for w, node in m.items()
+                if node in s.terminal_nodes or s.proj[node] != w
+            ),
+            None,
+        )
+        if bad is not None:
+            w, node = bad
+            reason = (
+                "terminal node"
+                if node in s.terminal_nodes
+                else f"π gives {fmt(s.proj[node])}"
+            )
+            v3a = Verdict.failed(
+                "axiom-3a", f"{m.fmt()} at {fmt(w)} assigns {fmt(node)} ({reason})"
+            )
+            break
+    yield "axiom-3a", v3a
+
+    covered = {node for m in moves for _, node in m.items()}
+    if covered == s.move_nodes:
+        yield "axiom-3b", Verdict.passed()
+    else:
+        missing = canon_sorted(s.move_nodes - covered) + canon_sorted(
+            covered - s.move_nodes
+        )
+        yield "axiom-3b", Verdict.failed(
+            "axiom-3b", f"covering mismatch at node {fmt(missing[0])}"
+        )
+
+    v3c = Verdict.passed()
+    for m1 in moves:
+        for m2 in moves:
             hit = next(
                 (
                     w
-                    for w in m1.domain & m2.domain
+                    for w in canon_sorted(m1.domain & m2.domain)
                     if m1.node_at(w) >= m2.node_at(w)
                 ),
                 None,
             )
             if hit is not None and not ge_x(m1, m2):
-                return (
-                    f"3c: {m1.fmt()} dominates {m2.fmt()} at {fmt(hit)} "
-                    "but not as random moves"
+                v3c = Verdict.failed(
+                    "axiom-3c",
+                    f"{m1.fmt()} ⊇ {m2.fmt()} at scenario {fmt(hit)} "
+                    "without x1 ≥_X x2",
                 )
-    for m in family:
-        root_flags = {node in t.maxima for _, node in m.items()}
-        if len(root_flags) > 1:
-            return f"3d: {m.fmt()} maps to a root for some but not all scenarios"
-    return None
+                break
+        if not v3c.ok:
+            break
+    yield "axiom-3c", v3c
+
+    v3d = Verdict.passed()
+    for m in moves:
+        flags = {node in s.maxima for _, node in m.items()}
+        if len(flags) > 1:
+            v3d = Verdict.failed(
+                "axiom-3d", f"{m.fmt()} is a root for some but not all scenarios"
+            )
+            break
+    yield "axiom-3d", v3d
 
 
 def _disjoint_domain_partitions(moves: list, work_cap: int):
@@ -363,8 +405,7 @@ def _merge_block(block) -> RandomMove:
     return RandomMove.of(assignment)
 
 
-def _check_axiom_3e(s: Sdf, max_x_exhaustive: int, work_cap: int) -> Verdict:
-    moves = canon_sorted(s.random_moves)
+def _check_axiom_3e(s: Sdf, moves: list, max_x_exhaustive: int, work_cap: int) -> Verdict:
     if len(moves) <= max_x_exhaustive:
         for blocks in _disjoint_domain_partitions(moves, work_cap):
             if all(len(b) == 1 for b in blocks):
@@ -372,7 +413,7 @@ def _check_axiom_3e(s: Sdf, max_x_exhaustive: int, work_cap: int) -> Verdict:
             family = frozenset(_merge_block(b) for b in blocks)
             if family == s.random_moves:
                 continue
-            if _family_axiom_violation(s, family) is None:
+            if all(v.ok for _, v in _axioms_3a_to_3d(s, family)):
                 merged = next(b for b in blocks if len(b) > 1)
                 return Verdict.failed(
                     "axiom-3e",
@@ -386,7 +427,7 @@ def _check_axiom_3e(s: Sdf, max_x_exhaustive: int, work_cap: int) -> Verdict:
             continue
         merged = _merge_block([m1, m2])
         family = frozenset(m for m in s.random_moves if m not in (m1, m2)) | {merged}
-        if _family_axiom_violation(s, family) is None:
+        if all(v.ok for _, v in _axioms_3a_to_3d(s, family)):
             return Verdict.failed(
                 "axiom-3e",
                 f"pairwise merge of {m1.fmt()} and {m2.fmt()} satisfies 3a-3d",
@@ -411,7 +452,6 @@ def verify_sdf(
     (verdict flagged partial). Axiom 3f holds vacuously for finite X and is
     reported as trivially satisfied rather than skipped.
     """
-    t = _tables(s)
     items = []
 
     ax1 = set_forest.verify_own_representation(s.forest)
@@ -424,82 +464,8 @@ def verify_sdf(
         items.append(("axiom-2", Verdict.failed(e.code, str(e))))
 
     moves = canon_sorted(s.random_moves)
-    v3a = Verdict.passed()
-    for m in moves:
-        if not s.space.is_event(m.domain):
-            v3a = Verdict.failed(
-                "axiom-3a", f"domain {fmt(m.domain)} of {m.fmt()} is not an event"
-            )
-            break
-        if not m.domain:
-            v3a = Verdict.failed("axiom-3a", f"{m.fmt()} has empty domain")
-            break
-        bad = next(
-            (
-                (w, node)
-                for w, node in m.items()
-                if node in t.terminals or t.proj[node] != w
-            ),
-            None,
-        )
-        if bad is not None:
-            w, node = bad
-            reason = (
-                "terminal node" if node in t.terminals else f"π gives {fmt(t.proj[node])}"
-            )
-            v3a = Verdict.failed(
-                "axiom-3a", f"{m.fmt()} at {fmt(w)} assigns {fmt(node)} ({reason})"
-            )
-            break
-    items.append(("axiom-3a", v3a))
-
-    covered = {node for m in s.random_moves for _, node in m.items()}
-    if covered == t.moves:
-        items.append(("axiom-3b", Verdict.passed()))
-    else:
-        missing = canon_sorted(t.moves - covered) + canon_sorted(covered - t.moves)
-        items.append(
-            (
-                "axiom-3b",
-                Verdict.failed(
-                    "axiom-3b", f"covering mismatch at node {fmt(missing[0])}"
-                ),
-            )
-        )
-
-    v3c = Verdict.passed()
-    for m1 in moves:
-        for m2 in moves:
-            hit = next(
-                (
-                    w
-                    for w in canon_sorted(m1.domain & m2.domain)
-                    if m1.node_at(w) >= m2.node_at(w)
-                ),
-                None,
-            )
-            if hit is not None and not ge_x(m1, m2):
-                v3c = Verdict.failed(
-                    "axiom-3c",
-                    f"{m1.fmt()} ⊇ {m2.fmt()} at scenario {fmt(hit)} "
-                    "without x1 ≥_X x2",
-                )
-                break
-        if not v3c.ok:
-            break
-    items.append(("axiom-3c", v3c))
-
-    v3d = Verdict.passed()
-    for m in moves:
-        flags = {node in t.maxima for _, node in m.items()}
-        if len(flags) > 1:
-            v3d = Verdict.failed(
-                "axiom-3d", f"{m.fmt()} is a root for some but not all scenarios"
-            )
-            break
-    items.append(("axiom-3d", v3d))
-
-    items.append(("axiom-3e", _check_axiom_3e(s, max_x_exhaustive, work_cap)))
+    items.extend(_axioms_3a_to_3d(s, moves))
+    items.append(("axiom-3e", _check_axiom_3e(s, moves, max_x_exhaustive, work_cap)))
 
     items.append(
         (
@@ -515,9 +481,8 @@ def verify_sdf(
 
 def tmap_order(s: Sdf) -> TTree:
     """Build (T, ≥_T): random moves plus one random terminal node per terminal."""
-    t = _tables(s)
     terminals = frozenset(
-        (t.proj[x], next(iter(x))) for x in t.terminals if len(x) == 1
+        (s.proj[x], next(iter(x))) for x in s.terminal_nodes if len(x) == 1
     )
     elements = set(s.random_moves) | set(terminals)
     pairs = set()
@@ -551,10 +516,6 @@ def _evaluate(y, w) -> frozenset:
     return frozenset([y[1]])
 
 
-def _ge_t(tree: TTree, y1, y2) -> bool:
-    return tree.poset.ge(y1, y2)
-
-
 def check_evaluation_bijection(s: Sdf) -> Verdict:
     """ev: T•Ω → F is a bijection and an order embedding.
 
@@ -581,7 +542,7 @@ def check_evaluation_bijection(s: Sdf) -> Verdict:
         )
     for y1, w1 in pairs:
         for y2, w2 in pairs:
-            lhs = _ge_t(tree, y1, y2) and w1 == w2
+            lhs = tree.poset.ge(y1, y2) and w1 == w2
             rhs = _evaluate(y1, w1) >= _evaluate(y2, w2)
             if lhs != rhs:
                 return Verdict.failed(
@@ -598,8 +559,7 @@ def check_ttree_theorem(s: Sdf) -> Verdict:
     Requires every root of F to be a move; otherwise raises roots-not-moves
     (drop the moveless components first).
     """
-    t = _tables(s)
-    bad_roots = canon_sorted(t.maxima - t.moves)
+    bad_roots = canon_sorted(s.maxima - s.move_nodes)
     if bad_roots:
         raise StructureError(
             f"root {fmt(bad_roots[0])} is not a move",
@@ -635,9 +595,8 @@ def drop_moveless_components(s: Sdf) -> Sdf:
     The derived-tree result presumes all roots are moves; reducing to the
     components that still offer a decision restores that form.
     """
-    t = _tables(s)
     keep = frozenset(
-        w for w in s.space.scenarios if component_nodes(s, w) & t.moves
+        w for w in s.space.scenarios if component_nodes(s, w) & s.move_nodes
     )
     if keep == s.space.scenarios:
         return s
@@ -647,10 +606,10 @@ def drop_moveless_components(s: Sdf) -> Sdf:
         a & keep for a in s.space.algebra_atoms if a & keep
     )
     space = ScenarioSpace(keep, atoms)
-    nodes = [x for x in s.forest.nodes if t.proj[x] in keep]
+    nodes = [x for x in s.forest.nodes if s.proj[x] in keep]
     universe = frozenset().union(*nodes)
     forest = SetForest.of(universe, nodes)
-    projection = {x: t.proj[x] for x in nodes}
+    projection = {x: s.proj[x] for x in nodes}
     return Sdf.of(forest, space, projection, s.random_moves)
 
 

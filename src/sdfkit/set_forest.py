@@ -20,15 +20,6 @@ from .verdict import Verdict
 
 
 @dataclass(frozen=True)
-class OutcomeSet:
-    outcomes: frozenset
-
-    def __post_init__(self):
-        if not self.outcomes:
-            raise StructureError("outcome set must be nonempty")
-
-
-@dataclass(frozen=True)
 class SetForest:
     universe: frozenset
     nodes: frozenset

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from sdfkit import examples
-from sdfkit.action_path import WindowChoiceSpec, _index, window_choice
+from sdfkit.action_path import WindowChoiceSpec, window_choice
 from sdfkit.choice import Choice, Rcs
 from sdfkit.gen import rng_from_env
 
@@ -68,7 +68,7 @@ def brute_agent_rcs(aps, agent):
     components = list(po.space.components(agent))
     per_move = {}
     for move, t in aps.move_times:
-        histories = list(_index(po).realized_prefixes(t))
+        histories = list(po.index.realized_prefixes(t))
         found = set()
         for r in range(1, len(histories) + 1):
             for combo in itertools.combinations(histories, r):

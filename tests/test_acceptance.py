@@ -13,7 +13,6 @@ import pytest
 from sdfkit import examples
 from sdfkit.action_path import (
     WindowChoiceSpec,
-    _index,
     agent_choice,
     build_action_path_sdf,
     check_apw,
@@ -30,7 +29,6 @@ from sdfkit.sdf import (
     check_ttree_theorem,
     drop_moveless_components,
     find_sdf_isomorphism,
-    moves_of,
     verify_sdf,
 )
 from sdfkit.set_forest import decompose, induced_poset, verify_own_representation
@@ -167,7 +165,7 @@ def test_criterion_07_derived_tree_property(
     ] + [aps.sdf for aps in generated_instances[0]]
     for s in corpus:
         assert check_evaluation_bijection(s).ok
-        reduced = drop_moveless_components(s) if moves_of(s) else None
+        reduced = drop_moveless_components(s) if s.move_nodes else None
         if reduced is None:
             continue
         assert check_ttree_theorem(reduced).ok
@@ -196,12 +194,12 @@ def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps
                 checked += 1
 
     # product family (the worked instance as an action path)
-    idx = _index(simple_aps.po)
+    idx = simple_aps.po.index
     for t in simple_aps.po.time.points:
         sweep(simple_aps, "1", t, idx.realized_prefixes(t), simple_aps.po.scenarios.scenarios)
 
     # timing family: all-alive histories for each agent
-    idx = _index(timing_aps.po)
+    idx = timing_aps.po.index
     for agent, slot in (("1", 0), ("2", 1)):
         for t in timing_aps.po.time.points:
             alive = [
@@ -210,7 +208,7 @@ def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps
             sweep(timing_aps, agent, t, alive, timing_aps.po.scenarios.scenarios)
 
     # up-and-out family: all-ones history, domain = still-below-the-barrier
-    idx = _index(upandout_aps.po)
+    idx = upandout_aps.po.index
     for t in upandout_aps.po.time.points:
         k = upandout_aps.po.time.index(t)
         histories = [(1,) * k]
@@ -230,7 +228,7 @@ def test_criterion_09_window_choice_identities(simple_aps, timing_aps, upandout_
     passing = 0
     for aps in (simple_aps, variant_aps, timing_aps, upandout_aps):
         po = aps.po
-        idx = _index(po)
+        idx = po.index
         s = aps.sdf
         for t in po.time.points:
             realized = sorted(idx.realized_prefixes(t))

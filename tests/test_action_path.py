@@ -11,7 +11,6 @@ from sdfkit.action_path import (
     PathOutcomes,
     TimeAxis,
     WindowChoiceSpec,
-    _index,
     agent_choice,
     agent_rcs,
     build_action_path_sdf,
@@ -31,7 +30,7 @@ from sdfkit.action_path import (
 from sdfkit.choice import classify, down_set, predecessors
 from sdfkit.errors import InputError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
-from sdfkit.sdf import ScenarioSpace, node_poset, sdf_isomorphic, verify_sdf
+from sdfkit.sdf import ScenarioSpace, sdf_isomorphic, verify_sdf
 from sdfkit.sigma_info import enumerate_eis
 
 
@@ -176,15 +175,6 @@ class TestCheckApw:
         apw = check_apw(w1_failure_outcomes())
         assert not apw.verdict("W1").ok
 
-    def test_w2_prefix_mode_agrees(self, rng):
-        from sdfkit.gen import random_path_outcomes
-
-        for _ in range(40):
-            po = random_path_outcomes(rng)
-            full = check_apw(po).verdict("W2").ok
-            pref = check_apw(po, w2_mode="prefix").verdict("W2").ok
-            assert full == pref
-
     def test_w2_cap(self):
         po = product_outcomes(
             ScenarioSpace.discrete([1]), TimeAxis.of([0, 1]), ["a", "b"]
@@ -258,7 +248,7 @@ class TestTimeOf:
     def test_strictly_decreasing_and_constant_on_images(self, timing_aps):
         po = timing_aps.po
         s = timing_aps.sdf
-        poset = node_poset(s)
+        poset = s.node_poset
         moves = [x for x in s.forest.nodes if len(x) >= 2]
         for x in moves:
             for y in moves:
@@ -296,7 +286,7 @@ class TestTimeOf:
     def test_up_set_closed_form(self, timing_aps):
         # ↑x_t(w) = {x_u(w) | u <= t}
         po = timing_aps.po
-        poset = node_poset(timing_aps.sdf)
+        poset = timing_aps.sdf.node_poset
         for w in sorted(po.paths)[:6]:
             for t in po.time.points:
                 x = node_at(po, t, w)
@@ -334,7 +324,7 @@ class TestWindowChoice:
         # choices match the closed forms
         for aps in (simple_aps, timing_aps, upandout_aps):
             po = aps.po
-            idx = _index(po)
+            idx = po.index
             checked = 0
             for t in po.time.points:
                 histories = sorted(idx.realized_prefixes(t))
@@ -371,7 +361,7 @@ class TestWindowChoice:
 class TestAgentChoice:
     def test_timing_positive(self, timing_aps):
         po = timing_aps.po
-        idx = _index(po)
+        idx = po.index
         for t in po.time.points:
             alive = [
                 h
@@ -552,7 +542,7 @@ class TestCheckApc3:
 
     def test_witness_covers_choice_prefixes(self, timing_aps):
         po = timing_aps.po
-        idx = _index(po)
+        idx = po.index
         t = Fraction(1)
         alive = [h for h in idx.realized_prefixes(t) if all(a[0] == 1 for a in h)]
         wc = agent_choice(po, t, alive, "1", {1: 0, 2: 1})
@@ -584,7 +574,7 @@ class TestMeasurabilityEquivalence:
         return count
 
     def test_simple_encoding_second_stage(self, simple_aps):
-        idx = _index(simple_aps.po)
+        idx = simple_aps.po.index
         count = self._exhaustive(
             simple_aps, "1", Fraction(1), idx.realized_prefixes(Fraction(1))
         )
@@ -603,7 +593,7 @@ class TestMeasurabilityEquivalence:
     def test_measurable_implies_adapted_2a(self, simple_aps):
         # root uninformed, scenario revealed at every second-stage move
         e = self._structure(simple_aps, {Fraction(0): 1, Fraction(1): 2})
-        idx = _index(simple_aps.po)
+        idx = simple_aps.po.index
         res = check_measurable_iff_adapted(
             simple_aps, "1", e, Fraction(1), idx.realized_prefixes(Fraction(1)),
             {1: 1, 2: 2},
@@ -612,7 +602,7 @@ class TestMeasurabilityEquivalence:
 
     def test_trivial_eis_nonconstant_g(self, simple_aps):
         trivial = self._structure(simple_aps, {Fraction(0): 1, Fraction(1): 1})
-        idx = _index(simple_aps.po)
+        idx = simple_aps.po.index
         res = check_measurable_iff_adapted(
             simple_aps, "1", trivial, Fraction(1),
             idx.realized_prefixes(Fraction(1)), {1: 1, 2: 2},
@@ -622,7 +612,7 @@ class TestMeasurabilityEquivalence:
         assert all(rec.apc3 for rec in res.records)
 
     def test_constant_g_everywhere(self, simple_aps):
-        idx = _index(simple_aps.po)
+        idx = simple_aps.po.index
         for e in enumerate_eis(simple_aps.sdf):
             res = check_measurable_iff_adapted(
                 simple_aps, "1", e, Fraction(1),

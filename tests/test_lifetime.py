@@ -1,0 +1,64 @@
+"""Derived tables live on their instance: a finished run leaves nothing behind."""
+
+import gc
+import importlib
+import pkgutil
+import random
+import weakref
+
+import sdfkit
+import sdfkit.cli
+from sdfkit.cli import InstanceDoc, run
+from sdfkit.gen import random_path_outcomes
+
+CORPUS_CHECKS = ["verify", "ttree", "enumerate-eis", "apw"]
+
+
+def _run_and_watch(monkeypatch, doc, commands) -> list:
+    """Run `commands` on `doc`; weak references to every built instance's
+    ActionPathSdf, Sdf and PathOutcomes."""
+    construct = sdfkit.cli._construct_action_path_sdf
+    refs = []
+
+    def watched(*args, **kwargs):
+        aps, verdict = construct(*args, **kwargs)
+        refs.extend(weakref.ref(x) for x in (aps, aps.sdf, aps.po))
+        return aps, verdict
+
+    monkeypatch.setattr(sdfkit.cli, "_construct_action_path_sdf", watched)
+    report = run(doc, commands, max_x=9)
+    assert report.ok
+    return refs
+
+
+def test_corpus_run_releases_its_instance(monkeypatch):
+    # Draw 14 passes every check. Nothing may run on a value-equal instance
+    # first: a value-keyed cache would then keep that one instead.
+    doc = InstanceDoc("action-path", po=random_path_outcomes(random.Random(14)))
+    refs = _run_and_watch(monkeypatch, doc, CORPUS_CHECKS)
+    del doc
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+
+
+def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):
+    refs = _run_and_watch(
+        monkeypatch, InstanceDoc("builtin", name="upandout"), CORPUS_CHECKS + ["apc"]
+    )
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+
+
+def test_no_module_level_instance_caches():
+    """Only `_intersection_stable_generators` keeps a module-level cache: its
+    key is a small set of components, not an instance."""
+    cached = set()
+    for info in pkgutil.iter_modules(sdfkit.__path__):
+        module = importlib.import_module(f"sdfkit.{info.name}")
+        cached |= {
+            f"{module.__name__}.{name}"
+            for name, fn in vars(module).items()
+            if getattr(fn, "__module__", None) == module.__name__
+            and hasattr(fn, "cache_info")
+        }
+    assert cached == {"sdfkit.action_path._intersection_stable_generators"}
