@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 from . import choice as choice_mod
 from ._canon import canon_key, canon_sorted, fmt
-from .errors import InputError, SizeCapError, StructureError
+from .errors import InputError, KernelError, SizeCapError, StructureError
 from .sdf import RandomMove, ScenarioSpace, Sdf, verify_sdf
 from .set_forest import SetForest
 from .sigma_info import Eis
@@ -846,6 +846,135 @@ def check_measurable_iff_adapted(
             )
         records.append(MeasurabilityRecord(move, domain_ok, measurable, adapted, apc3))
     return MeasurabilityReport(domain, forward, backward, tuple(records))
+
+
+class MeasurabilityCase:
+    """The part of `check_measurable_iff_adapted` that reads no EIS.
+
+    Built once for (agent, t, histories, g): the window choice c(A_<t, i, g)
+    and its C0-C2 precondition, the moves c is available at and, per move,
+    D_x ⊆ D, the level sets of g on D_x, the events x⁻¹(P(c ∩ c')) over the
+    reference choices c' (canon order, repeats dropped) and the AP.C3
+    verdict. Construction raises what the oracle raises before it reads
+    its EIS; `report(e)` then only tests σ-containment, and equals the
+    oracle's report for e.
+    """
+
+    def __init__(self, aps: ActionPathSdf, agent, t, histories, g):
+        wc = agent_choice(aps.po, t, histories, agent, g)
+        if not wc.ok:
+            raise InputError(
+                f"c(A_<t, i, g) fails C0-C2: {wc.verdicts.describe()}",
+                code="precondition-violation",
+            )
+        s = aps.sdf
+        c = choice_mod.Choice.of(s, wc.outcomes)
+        rcs = agent_rcs(aps, agent)
+        flags = choice_mod.classify(s, c)
+        g_domain = frozenset(g)
+        self.domain = Verdict.passed()
+        self.moves = []
+        for move in canon_sorted(flags.available_at):
+            domain_ok = move.domain <= g_domain
+            if not domain_ok and self.domain.ok:
+                self.domain = Verdict.failed(
+                    "domain-not-contained", f"D_x ⊄ D at {move.fmt()}"
+                )
+            levels = [
+                frozenset(w for w in move.domain if g[w] == value)
+                for value in canon_sorted({g[w] for w in move.domain})
+            ]
+            events = dict.fromkeys(
+                choice_mod.preimage(
+                    s, move, choice_mod.predecessors(s, c.outcomes & ref.outcomes)
+                )
+                for ref in canon_sorted(rcs.for_move(move))
+            )
+            apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
+            self.moves.append((move, domain_ok, levels, tuple(events), apc3))
+
+    def report(self, e: Eis) -> MeasurabilityReport:
+        forward = Verdict.passed()
+        backward = Verdict.passed()
+        records = []
+        for move, domain_ok, levels, events, apc3 in self.moves:
+            sigma = e.for_move(move)
+            measurable = all(sigma.contains(level) for level in levels)
+            adapted = all(sigma.contains(event) for event in events)
+            if measurable and not adapted and forward.ok:
+                forward = Verdict.failed(
+                    "forward-implication",
+                    f"g measurable at {move.fmt()} but the choice is not adapted there",
+                )
+            if apc3 and adapted and not measurable and backward.ok:
+                backward = Verdict.failed(
+                    "backward-implication",
+                    f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
+                )
+            records.append(MeasurabilityRecord(move, domain_ok, measurable, adapted, apc3))
+        return MeasurabilityReport(self.domain, forward, backward, tuple(records))
+
+
+@dataclass(frozen=True)
+class SweepCase:
+    """One case of `measurability_sweep` and its outcome.
+
+    `result` is the `MeasurabilityReport` that `check_measurable_iff_adapted`
+    returns for the case, or the `KernelError` it raises.
+    """
+
+    agent: object
+    eis_index: int  # 1-based position in the structures swept
+    t: Fraction
+    label: str  # "all": every realized history at t; "own": the move's own
+    histories: frozenset
+    g: dict
+    result: object
+
+
+def measurability_sweep(aps: ActionPathSdf, structures):
+    """Theorem 4.11 over every agent × EIS × move × {all, own} × total map g.
+
+    `structures` is a sequence of EIS; it is walked once per agent. Yields
+    one `SweepCase` per case, agents in order, then the structures, the
+    moves, the two history sets and the maps g in canon order. A case's
+    `MeasurabilityCase` depends on (agent, t, histories, g) only: it is
+    built on first use and shared by every structure, by the moves at t and
+    by both labels when their history sets are equal, errors included. Per
+    structure, only the σ-containment of `MeasurabilityCase.report` runs.
+    """
+    po = aps.po
+    scenarios = canon_sorted(po.scenarios.scenarios)
+    windows = []
+    for move, t in aps.move_times:
+        own = frozenset(
+            next(iter(move.node_at(w)))[1][: po.time.index(t)] for w in move.domain
+        )
+        windows.append((t, (("all", po.index.realized_prefixes(t)), ("own", own))))
+    cases: dict = {}
+    for agent in po.space.agents or ():
+        components = canon_sorted(po.space.components(agent))
+        for index, e in enumerate(structures, start=1):
+            for t, labelled in windows:
+                for label, histories in labelled:
+                    for values in itertools.product(components, repeat=len(scenarios)):
+                        g = dict(zip(scenarios, values))
+                        key = (agent, t, histories, values)
+                        case = cases.get(key)
+                        if case is None:
+                            try:
+                                case = MeasurabilityCase(aps, agent, t, histories, g)
+                            except KernelError as err:
+                                case = err
+                            cases[key] = case
+                        if isinstance(case, KernelError):
+                            result = case
+                        else:
+                            try:
+                                result = case.report(e)
+                            except KernelError as err:
+                                result = err
+                        yield SweepCase(agent, index, t, label, histories, g, result)
 
 
 def product_outcomes(

@@ -10,7 +10,6 @@ and come in a human text format (with timings) and a machine JSON format
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -28,8 +27,8 @@ from .action_path import (
     _construct_action_path_sdf,
     check_apc3,
     check_apw,
+    measurability_sweep,
     product_outcomes,
-    check_measurable_iff_adapted,
     timing_outcomes,
     up_and_out_outcomes,
 )
@@ -567,45 +566,29 @@ def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
             raise KernelError("thm4-11 needs a factorization")
         items = []
         skipped = 0
-        structures = enumerate_eis(inst.sdf)
-        scenarios = canon_sorted(inst.po.scenarios.scenarios)
-        for agent in inst.po.space.agents:
-            components = canon_sorted(inst.po.space.components(agent))
-            for ei, e in enumerate(structures, start=1):
-                for move, t in inst.aps.move_times:
-                    own_prefix = frozenset(
-                        next(iter(move.node_at(w)))[1][: inst.po.time.index(t)]
-                        for w in move.domain
-                    )
-                    realized = inst.po.index.realized_prefixes(t)
-                    for label, hist in (("all", realized), ("own", own_prefix)):
-                        for values in itertools.product(components, repeat=len(scenarios)):
-                            g = dict(zip(scenarios, values))
-                            try:
-                                result = check_measurable_iff_adapted(
-                                    inst.aps, agent, e, t, hist, g
-                                )
-                            except SizeCapError:
-                                raise
-                            except KernelError:
-                                skipped += 1
-                                continue
-                            ok = result.ok
-                            items.append(
-                                (
-                                    f"agent {agent}, eis {ei}, t={t}, {label}, g={fmt(tuple(values))}",
-                                    Verdict.passed()
-                                    if ok
-                                    else Verdict.failed(
-                                        "thm4-11",
-                                        "; ".join(
-                                            v.describe()
-                                            for v in (result.domain, result.forward, result.backward)
-                                            if not v.ok
-                                        ),
-                                    ),
-                                )
-                            )
+        for case in measurability_sweep(inst.aps, enumerate_eis(inst.sdf)):
+            result = case.result
+            if isinstance(result, KernelError):
+                if result.code != "precondition-violation":
+                    raise result
+                skipped += 1
+                continue
+            items.append(
+                (
+                    f"agent {case.agent}, eis {case.eis_index}, t={case.t}, "
+                    f"{case.label}, g={fmt(tuple(case.g.values()))}",
+                    Verdict.passed()
+                    if result.ok
+                    else Verdict.failed(
+                        "thm4-11",
+                        "; ".join(
+                            v.describe()
+                            for v in (result.domain, result.forward, result.backward)
+                            if not v.ok
+                        ),
+                    ),
+                )
+            )
         bundle = MultiVerdict(tuple(items))
         rec = CheckRecord(name, _status_of(bundle), bundle.items)
         rec.data = {"skipped": skipped, "checked": len(items)}

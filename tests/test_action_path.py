@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import brute_agent_rcs
 from sdfkit import examples
 from sdfkit.action_path import (
     ActionSpace,
+    MeasurabilityCase,
     PathOutcomes,
     TimeAxis,
     WindowChoiceSpec,
@@ -16,6 +18,7 @@ from sdfkit.action_path import (
     build_action_path_sdf,
     check_apc3,
     check_apw,
+    measurability_sweep,
     move_event,
     node_at,
     prefix_of,
@@ -27,8 +30,9 @@ from sdfkit.action_path import (
     up_and_out_outcomes,
     window_choice,
 )
+from sdfkit._canon import canon_sorted
 from sdfkit.choice import classify, down_set, predecessors
-from sdfkit.errors import InputError, SizeCapError, StructureError
+from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
 from sdfkit.sdf import ScenarioSpace, sdf_isomorphic, verify_sdf
 from sdfkit.sigma_info import enumerate_eis
@@ -626,3 +630,173 @@ class TestMeasurabilityEquivalence:
             check_measurable_iff_adapted(
                 simple_aps, "1", trivial, Fraction(1), [], {1: 1, 2: 1}
             )
+
+
+def _same_as_oracle(result, oracle) -> Counter:
+    """Assert `result` equals what `oracle()` returns, or is the error it raises
+    (same type, code and message); tally what was compared."""
+    try:
+        expected = oracle()
+    except KernelError as err:
+        assert isinstance(result, KernelError), result
+        assert (type(result), result.code, str(result)) == (type(err), err.code, str(err))
+        return Counter({err.code: 1})
+    assert result == expected
+    tally = Counter(report=1)
+    for rec in expected.records:
+        for flag in ("measurable", "adapted", "apc3"):
+            tally[f"{flag}={getattr(rec, flag)}"] += 1
+    return tally
+
+
+def _windows(aps):
+    """(t, "all" histories, "own" histories) per move, in move order."""
+    po = aps.po
+    for move, t in aps.move_times:
+        k = po.time.index(t)
+        own = frozenset(f[:k] for node in move.image for _, f in node)
+        yield t, po.index.realized_prefixes(t), own
+
+
+def _sweep_against_oracle(aps) -> Counter:
+    """Every case of the sweep, in the order of the nested loops
+    agent × EIS × move × {all, own} × g, against the per-case oracle."""
+    po = aps.po
+    structures = enumerate_eis(aps.sdf)
+    scenarios = canon_sorted(po.scenarios.scenarios)
+    expected_order = [
+        (agent, k, t, label, hist, dict(zip(scenarios, values)))
+        for agent in po.space.agents
+        for k in range(1, len(structures) + 1)
+        for t, realized, own in _windows(aps)
+        for label, hist in (("all", realized), ("own", own))
+        for values in itertools.product(
+            canon_sorted(po.space.components(agent)), repeat=len(scenarios)
+        )
+    ]
+    cases = list(measurability_sweep(aps, structures))
+    assert [
+        (c.agent, c.eis_index, c.t, c.label, c.histories, c.g) for c in cases
+    ] == expected_order
+    # the oracle is a function of its arguments: the moves at one time share
+    # its result for the "all" histories, so each distinct call runs once
+    oracle: dict = {}
+
+    def call(c):
+        key = (c.agent, c.eis_index, c.t, c.histories, tuple(c.g.values()))
+        if key not in oracle:
+            e = structures[c.eis_index - 1]
+            try:
+                oracle[key] = check_measurable_iff_adapted(
+                    aps, c.agent, e, c.t, c.histories, c.g
+                )
+            except KernelError as err:
+                oracle[key] = err
+        if isinstance(oracle[key], KernelError):
+            raise oracle[key]
+        return oracle[key]
+
+    tally = Counter()
+    for c in cases:
+        tally += _same_as_oracle(c.result, lambda: call(c))
+    return tally
+
+
+def _partial_maps_against_oracle(aps) -> Counter:
+    """`MeasurabilityCase` against the oracle for every g on a proper subset
+    of the scenarios, every window and every EIS."""
+    po = aps.po
+    structures = enumerate_eis(aps.sdf)
+    scenarios = canon_sorted(po.scenarios.scenarios)
+    windows = {(t, hist) for t, realized, own in _windows(aps) for hist in (realized, own)}
+    tally = Counter()
+    for agent in po.space.agents:
+        comps = canon_sorted(po.space.components(agent))
+        for t, hist in windows:
+            for r in range(len(scenarios)):
+                for domain in itertools.combinations(scenarios, r):
+                    for values in itertools.product(comps, repeat=r):
+                        g = dict(zip(domain, values))
+                        try:
+                            case = MeasurabilityCase(aps, agent, t, hist, g)
+                        except KernelError as err:
+                            case = err
+                        for e in structures:
+                            result = case if isinstance(case, KernelError) else case.report(e)
+                            tally += _same_as_oracle(
+                                result,
+                                lambda: check_measurable_iff_adapted(aps, agent, e, t, hist, g),
+                            )
+    return tally
+
+
+class TestMeasurabilitySweep:
+    def test_matches_oracle_on_builtins(self, simple_aps, upandout_aps, variant_aps):
+        variant = build_action_path_sdf(
+            _factorized(variant_aps.po, {"1": {a: a for a in (0, 1, 2)}})
+        )
+        tally = Counter()
+        for aps in (simple_aps, upandout_aps, variant):
+            tally += _sweep_against_oracle(aps)
+            tally += _partial_maps_against_oracle(aps)
+        assert tally["precondition-violation"] > 0
+        assert tally["measurable=False"] > 0 and tally["adapted=False"] > 0
+
+    def test_matches_oracle_on_a_coarse_scenario_space(self):
+        # {1} is not an event here, so a g defined on it alone is an input error
+        po = product_outcomes(
+            ScenarioSpace.of([1, 2], [[1, 2]]),
+            TimeAxis.of([0, 1]),
+            ["a", "b"],
+            factorization={"1": {"a": "a", "b": "b"}},
+        )
+        aps = build_action_path_sdf(po)
+        tally = _sweep_against_oracle(aps) + _partial_maps_against_oracle(aps)
+        assert tally["input-error"] > 0 and tally["report"] > 0
+
+    def test_matches_oracle_where_the_choice_decides_apc3(self):
+        # AP.C3 is searched over histories covering the choice's prefixes; on
+        # this instance a search from each move's own prefix alone would pass
+        # at some moves where the oracle's search fails
+        paths = ["ab", "ba", "bb"], ["aa", "ab", "ba", "bb"]
+        po = PathOutcomes.of(
+            TimeAxis.of([0, 1]),
+            ActionSpace.of(["a", "b"], {"1": {"a": "a", "b": "b"}}),
+            ScenarioSpace.discrete([1, 2]),
+            [(w, tuple(f)) for w, fs in zip((1, 2), paths) for f in fs],
+        )
+        tally = _sweep_against_oracle(build_action_path_sdf(po))
+        assert tally["apc3=False"] > 0 and tally["apc3=True"] > 0
+
+    def test_matches_oracle_on_random_instances(self, rng):
+        # 150 draws: on the default seed the first 100 reach no failed AP.C3
+        from sdfkit.gen import random_path_outcomes
+
+        tally = Counter()
+        compared = 0
+        for _ in range(1000):
+            po = random_path_outcomes(rng)
+            factorization = {"i": {a: a for a in po.space.actions}}
+            if rng.random() < 0.5:
+                factorization["j"] = {a: rng.choice("xy") for a in sorted(po.space.actions)}
+            try:
+                aps = build_action_path_sdf(_factorized(po, factorization))
+            except StructureError:
+                continue
+            tally += _sweep_against_oracle(aps)
+            tally += _partial_maps_against_oracle(aps)
+            compared += 1
+            if compared == 150:
+                break
+        assert compared == 150
+        assert tally["measurable=False"] >= 100 and tally["adapted=False"] >= 100, tally
+        assert tally["apc3=False"] > 0 and tally["precondition-violation"] > 0, tally
+
+    def test_no_structures_compute_nothing(self, upandout_aps, monkeypatch):
+        import sdfkit.action_path
+
+        def fail(*args, **kwargs):
+            raise AssertionError("EIS-independent state built without an EIS")
+
+        monkeypatch.setattr(sdfkit.action_path, "agent_choice", fail)
+        assert list(measurability_sweep(upandout_aps, ())) == []

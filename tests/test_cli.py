@@ -231,6 +231,53 @@ class TestOncePerRun:
         assert [v for _, v in verify.items] == [v for _, v in apw.items]
         assert apw.status == "fail"
 
+    def test_thm4_11_builds_each_case_once(self, monkeypatch):
+        # agent_choice runs once per distinct (agent, t, histories, g) and
+        # check_apc3 once per (case, available move), however many EIS there are
+        import sdfkit.action_path
+        from sdfkit._canon import canon_sorted
+        from sdfkit.action_path import agent_choice
+        from sdfkit.choice import classify
+        from sdfkit.sigma_info import enumerate_eis
+
+        aps = examples.upandout_instance()
+        po = aps.po
+        assert len(enumerate_eis(aps.sdf)) > 1
+        scenarios = canon_sorted(po.scenarios.scenarios)
+        cases = set()
+        for agent in po.space.agents:
+            for move, t in aps.move_times:
+                k = po.time.index(t)
+                own = frozenset(f[:k] for node in move.image for _, f in node)
+                for hist in (po.index.realized_prefixes(t), own):
+                    for values in itertools.product(
+                        canon_sorted(po.space.components(agent)), repeat=len(scenarios)
+                    ):
+                        cases.add((agent, t, hist, values))
+        pairs = 0
+        for agent, t, hist, values in cases:
+            wc = agent_choice(po, t, hist, agent, dict(zip(scenarios, values)))
+            if wc.ok:
+                pairs += len(classify(aps.sdf, wc.as_choice(aps.sdf)).available_at)
+        assert pairs > 0
+
+        calls = {"agent_choice": 0, "check_apc3": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                sdfkit.action_path, name, counting(name, getattr(sdfkit.action_path, name))
+            )
+        [record] = run(InstanceDoc("builtin", name="upandout"), ["thm4-11"], max_x=12).records
+        assert record.status == "ok"
+        assert calls == {"agent_choice": len(cases), "check_apc3": pairs}
+
 
 class TestThm411:
     def test_cap_error_is_reported_not_skipped(self):
@@ -242,6 +289,19 @@ class TestThm411:
         message = "cap-exceeded: 65536 history subsets at t=4 exceed the cap 4096"
         assert (apc.status, apc.message) == ("error", message)
         assert (thm.status, thm.message) == ("error", message)
+
+    def test_only_failed_preconditions_are_skipped(self, monkeypatch):
+        import sdfkit.action_path
+        from sdfkit.errors import StructureError
+
+        def failing(*args, **kwargs):
+            raise StructureError("agent reference choices fail to verify: stub")
+
+        monkeypatch.setattr(sdfkit.action_path, "agent_rcs", failing)
+        [thm] = run(InstanceDoc("builtin", name="upandout"), ["thm4-11"], max_x=12).records
+        assert (thm.status, thm.message) == (
+            "error", "structure-error: agent reference choices fail to verify: stub"
+        )
 
 
 class TestReports:
