@@ -86,7 +86,9 @@ def _get(obj, key, kind, path, optional=False, default=None):
         _expect(optional, f"missing field {key!r}", path)
         return default
     value = obj[key]
-    _expect(isinstance(value, kind), f"field {key!r} has the wrong type", f"{path}.{key}")
+    # JSON true/false parse to bools, which are ints too; no field takes one
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    _expect(ok, f"field {key!r} has the wrong type", f"{path}.{key}")
     return value
 
 
@@ -131,7 +133,7 @@ def _parse_explicit(obj) -> InstanceDoc:
         for scen, node_idx in assignment.items():
             _expect(scen in space.scenarios, f"unresolved scenario {scen!r}", mpath)
             _expect(
-                isinstance(node_idx, int) and 0 <= node_idx < len(nodes),
+                type(node_idx) is int and 0 <= node_idx < len(nodes),
                 f"unresolved node index {node_idx!r}",
                 mpath,
             )
@@ -660,7 +662,7 @@ def _add_options(parser, suppress: bool):
         **(kwargs or {"default": 6}),
     )
     parser.add_argument(
-        "--max-time-subsets", type=int, help="AP.W2 exhaustive subset cap on |T|",
+        "--max-time-subsets", type=int, help="largest |T| that AP.W2 accepts",
         **(kwargs or {"default": 8}),
     )
 

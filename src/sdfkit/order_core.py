@@ -244,6 +244,40 @@ def maximal_chains(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> ChainSet:
     return ChainSet(frozenset(chains), maximal=True)
 
 
+def set_partitions(items, fits=None, work_cap=None, label="set"):
+    """Partitions of `items` as lists of blocks, in restricted-growth order
+    (Knuth, TAOCP 4A §7.2.1.5): item i joins each earlier block in turn,
+    then opens a block of its own.
+
+    `fits(block, item)` may bar `item` from `block`. Each search node counts
+    one work unit; more than `work_cap` raise `SizeCapError` naming `label`.
+    """
+    items = list(items)
+    work = 0
+
+    def rec(i, blocks):
+        nonlocal work
+        work += 1
+        if work_cap is not None and work > work_cap:
+            raise SizeCapError(
+                f"{label} partition enumeration exceeded {work_cap} work units"
+            )
+        if i == len(items):
+            yield [list(b) for b in blocks]
+            return
+        x = items[i]
+        for b in blocks:
+            if fits is None or fits(b, x):
+                b.append(x)
+                yield from rec(i + 1, blocks)
+                b.pop()
+        blocks.append([x])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
 def separates(p: Poset, x, y, work_cap: int = DEFAULT_WORK_CAP) -> bool:
     """True iff some maximal chain contains exactly one of x, y."""
     if x not in p.elements:

@@ -18,7 +18,7 @@ from functools import cached_property
 from . import order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError, SizeCapError, StructureError
-from .order_core import DEFAULT_WORK_CAP, Poset
+from .order_core import DEFAULT_WORK_CAP, Poset, set_partitions
 from .set_forest import SetForest
 from .verdict import MultiVerdict, Verdict
 
@@ -370,33 +370,6 @@ def _axioms_3a_to_3d(s: Sdf, moves):
     yield "axiom-3d", v3d
 
 
-def _disjoint_domain_partitions(moves: list, work_cap: int):
-    """Partitions of the move list into blocks with pairwise-disjoint domains."""
-    work = 0
-
-    def rec(i, blocks):
-        nonlocal work
-        work += 1
-        if work > work_cap:
-            raise SizeCapError(
-                f"axiom-3e partition enumeration exceeded {work_cap} work units"
-            )
-        if i == len(moves):
-            yield [list(b) for b in blocks]
-            return
-        m = moves[i]
-        for b in blocks:
-            if all(not (m.domain & other.domain) for other in b):
-                b.append(m)
-                yield from rec(i + 1, blocks)
-                b.pop()
-        blocks.append([m])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
-
-
 def _merge_block(block) -> RandomMove:
     assignment = {}
     for m in block:
@@ -407,7 +380,10 @@ def _merge_block(block) -> RandomMove:
 
 def _check_axiom_3e(s: Sdf, moves: list, max_x_exhaustive: int, work_cap: int) -> Verdict:
     if len(moves) <= max_x_exhaustive:
-        for blocks in _disjoint_domain_partitions(moves, work_cap):
+        def disjoint(block, m):
+            return all(not (m.domain & other.domain) for other in block)
+
+        for blocks in set_partitions(moves, disjoint, work_cap, "axiom-3e"):
             if all(len(b) == 1 for b in blocks):
                 continue
             family = frozenset(_merge_block(b) for b in blocks)

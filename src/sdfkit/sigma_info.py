@@ -14,6 +14,7 @@ from math import comb
 
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError, SizeCapError, StructureError
+from .order_core import set_partitions
 from .sdf import RandomMove, ScenarioSpace, Sdf, ge_x, x_order
 from .verdict import Verdict
 
@@ -224,19 +225,6 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
                         f"{fmt(frozenset(event & m2.domain))} ∉ algebra at {m2.fmt()}",
                     )
     return Verdict.passed()
-
-
-def set_partitions(items):
-    """All partitions of a list, each yielded as a list of blocks."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
 
 
 def bell_number(n: int) -> int:

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's algorithms: maximal chains
 by full subset enumeration, agent reference choices by one window choice per
 (history subset, component subset) pair, canonical keys by the type-tag
-cascade that wraps every number in a Fraction, predecessors never (the
-library is the literal definition; expected values for those come from the
-worked instances' closed forms).
+cascade that wraps every number in a Fraction, the AP.W assumptions by
+walking the whole path space A^|T| and every time subset, predecessors never
+(the library is the literal definition; expected values for those come from
+the worked instances' closed forms).
 """
 
 from __future__ import annotations
@@ -16,9 +17,18 @@ from fractions import Fraction
 import pytest
 
 from sdfkit import examples
-from sdfkit.action_path import WindowChoiceSpec, window_choice
+from sdfkit._canon import canon_sorted, fmt
+from sdfkit.action_path import (
+    DEFAULT_PATH_WORK_CAP,
+    DEFAULT_TIME_SUBSET_CAP,
+    PathOutcomes,
+    WindowChoiceSpec,
+    window_choice,
+)
 from sdfkit.choice import Choice, Rcs
+from sdfkit.errors import SizeCapError
 from sdfkit.gen import rng_from_env
+from sdfkit.verdict import MultiVerdict, Verdict
 
 
 def brute_maximal_chains(elements, ge):
@@ -89,6 +99,117 @@ def brute_agent_rcs(aps, agent):
                             found.add(Choice.of(aps.sdf, wc.outcomes))
         per_move[move] = found
     return Rcs.of(per_move)
+
+
+def _all_prefixes(po: PathOutcomes, length: int, work_cap: int):
+    count = len(po.space.actions) ** length
+    if count > work_cap:
+        raise SizeCapError(
+            f"prefix space of size {count} exceeds work cap {work_cap}"
+        )
+    return itertools.product(canon_sorted(po.space.actions), repeat=length)
+
+
+def brute_check_apw(
+    po: PathOutcomes,
+    *,
+    max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP,
+    work_cap: int = DEFAULT_PATH_WORK_CAP,
+) -> MultiVerdict:
+    """AP.W0-W4 by enumeration: W0 and W3 over every prefix in A^i, W2 over
+    every (scenario, path in A^|T|, time subset) triple. Exponential in |T|;
+    the reference the decided `check_apw` is compared against."""
+    idx = po.index
+    points = po.time.points
+    items = []
+
+    w0 = Verdict.passed()
+    for i, t in enumerate(points):
+        for p in _all_prefixes(po, i, work_cap):
+            d = idx.d_set(p)
+            if not po.scenarios.is_event(d):
+                w0 = Verdict.failed(
+                    "apw0",
+                    f"D_(t={t}, prefix={fmt(p)}) = {fmt(d)} is not an event",
+                )
+                break
+        if not w0.ok:
+            break
+    items.append(("W0", w0))
+
+    w1 = Verdict.passed()
+    for w, f in canon_sorted(po.paths):
+        for i, j in itertools.combinations(range(len(points)), 2):
+            xi = idx.group(w, f[:i])
+            xj = idx.group(w, f[:j])
+            if xi == xj and len(xi) != 1:
+                w1 = Verdict.failed(
+                    "apw1",
+                    f"x at t={points[i]} and t={points[j]} coincide on the "
+                    f"non-singleton {fmt(xi)}",
+                )
+                break
+        if not w1.ok:
+            break
+    items.append(("W1", w1))
+
+    if len(points) > max_time_subsets:
+        raise SizeCapError(
+            f"|T| = {len(points)} exceeds the W2 subset cap {max_time_subsets}"
+        )
+    subset_pool = [
+        c
+        for r in range(len(points) + 1)
+        for c in itertools.combinations(range(len(points)), r)
+    ]
+    w2 = Verdict.passed("mode: exhaustive")
+    for w in canon_sorted(po.scenarios.scenarios):
+        for f_tilde in _all_prefixes(po, len(points), work_cap):
+            for subset in subset_pool:
+                if any(not idx.group(w, f_tilde[:i]) for i in subset):
+                    continue
+                if not any(
+                    w2_ == w and all(f[:i] == f_tilde[:i] for i in subset)
+                    for w2_, f in po.paths
+                ):
+                    w2 = Verdict.failed(
+                        "apw2",
+                        f"scenario {fmt(w)}, path {fmt(f_tilde)}, times "
+                        f"{fmt(tuple(points[i] for i in subset))}: locally "
+                        "consistent prefix extends to no outcome",
+                    )
+                    break
+            if not w2.ok:
+                break
+        if not w2.ok:
+            break
+    items.append(("W2", w2))
+
+    w3 = Verdict.passed()
+    for i, t in enumerate(points):
+        fs = list(_all_prefixes(po, i, work_cap))
+        for p, q in itertools.combinations(fs, 2):
+            dp, dq = idx.d_set(p), idx.d_set(q)
+            if not dp or not dq or (dp & dq):
+                continue
+            if not any(
+                (idx.d_set(p[:j]) & idx.d_set(q[:j])) and p[:j] != q[:j]
+                for j in range(i + 1)
+            ):
+                w3 = Verdict.failed(
+                    "apw3",
+                    f"t={t}: prefixes {fmt(p)} on {fmt(dp)} and {fmt(q)} on "
+                    f"{fmt(dq)} could be identified",
+                )
+                break
+        if not w3.ok:
+            break
+    items.append(("W3", w3))
+
+    if po.space.agents is not None:
+        items.append(("W4", po.space.verify_w4()))
+
+    return MultiVerdict(tuple(items))
 
 
 @pytest.fixture(scope="session")

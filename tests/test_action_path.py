@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_agent_rcs
+from conftest import brute_agent_rcs, brute_check_apw
 from sdfkit import examples
 from sdfkit.action_path import (
     ActionSpace,
@@ -66,6 +66,32 @@ def w1_failure_outcomes():
     return PathOutcomes.of(
         TimeAxis.of([0, 1, 2]), ActionSpace.of(["a", "b"]), space, paths
     )
+
+
+def outcome_less_outcomes():
+    """Scenarios 0 and 3 admit no outcome, which only the dataclass
+    constructor allows (`PathOutcomes.of` rejects it)."""
+    po = w3_failure_outcomes()
+    return PathOutcomes(po.time, po.space, ScenarioSpace.discrete([0, 1, 2, 3]), po.paths)
+
+
+def w3_three_pairs_outcomes():
+    """Three time-1 prefixes with pairwise disjoint move events, so every pair
+    fails W3. Int actions hash alike in every process, and the set of
+    prefixes {(1,), (2,), (6,)} iterates (6,) first: only a canonical scan
+    names the pair (1,), (2,)."""
+    paths = [(w, (a, b)) for w, a in ((1, 1), (2, 2), (3, 6)) for b in (1, 2)]
+    return PathOutcomes.of(
+        TimeAxis.of([0, 1]), ActionSpace.of([1, 2, 6]),
+        ScenarioSpace.discrete([1, 2, 3]), paths,
+    )
+
+
+def _apw_or_error(check, po, **caps):
+    try:
+        return check(po, **caps)
+    except KernelError as e:
+        return (type(e), e.code, str(e))
 
 
 class TestTimeAxis:
@@ -185,6 +211,34 @@ class TestCheckApw:
         )
         with pytest.raises(SizeCapError):
             check_apw(po, max_time_subsets=1)
+
+    def test_decided_matches_enumeration(
+        self, rng, simple_aps, variant_aps, timing_aps, upandout_aps
+    ):
+        from sdfkit.gen import random_path_outcomes
+
+        outcome_less = outcome_less_outcomes()
+        assert check_apw(outcome_less).verdict("W2").witness == (
+            "scenario 0, path (1, 1), times (): locally consistent prefix "
+            "extends to no outcome"
+        )
+        fixed = [
+            simple_aps.po, variant_aps.po, timing_aps.po, upandout_aps.po,
+            w1_failure_outcomes(), w3_failure_outcomes(), w3_three_pairs_outcomes(),
+            outcome_less,
+        ]
+        draws = [random_path_outcomes(rng, 4, 4, 3) for _ in range(300)]
+        seen = Counter()
+        for po in fixed + draws:
+            for caps in ({}, {"max_time_subsets": 2}, {"work_cap": 20}):
+                got = _apw_or_error(check_apw, po, **caps)
+                assert got == _apw_or_error(brute_check_apw, po, **caps)
+                if isinstance(got, tuple):
+                    seen[got[1]] += 1
+                else:
+                    seen.update(k for k, v in got.items if not v.ok)
+        # the corpus reaches every verdict that can fail, and the caps
+        assert {"W0", "W1", "W2", "W3", "size-cap"} <= set(seen)
 
     def test_w4_only_with_factorization(self):
         without = product_outcomes(

@@ -89,6 +89,31 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance(json.dumps(bad))
 
+    @pytest.mark.parametrize(
+        "site, where",
+        [
+            ("eis", "$.eis[0].move"),
+            ("rcs", "$.rcs[0].move"),
+            ("assignment", "$.random_moves[0]"),
+        ],
+    )
+    def test_boolean_index_rejected(self, site, where):
+        # false == 0, so a bool index would silently name move or node 0
+        bad = json.loads(EXPLICIT_DOC)
+        if site == "assignment":
+            bad["random_moves"][0]["assignment"]["L"] = False
+        else:
+            bad[site][0]["move"] = False
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(bad))
+        assert exc.value.path == where
+
+    def test_boolean_path_scenario_rejected(self):
+        # true == 1, so the path would land in scenario 1
+        with pytest.raises(ParseError) as exc:
+            _action_path_doc([1, 2], [0], ["a"], [(1, "a"), (2, "a"), (True, "a")])
+        assert exc.value.path == "$.paths[2].scenario"
+
     def test_schema_type_error(self):
         with pytest.raises(ParseError) as exc:
             parse_instance('{"kind": "explicit-sdf", "scenarios": "oops"}')

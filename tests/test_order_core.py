@@ -17,6 +17,7 @@ from sdfkit.order_core import (
     roots,
     separates,
     separation_witness,
+    set_partitions,
     up_set,
 )
 from sdfkit.set_forest import induced_poset, representation_by_decision_paths, verify_own_representation
@@ -178,6 +179,24 @@ class TestMaximalChains:
         with pytest.raises(SizeCapError):
             maximal_chains(chain_poset(30), work_cap=10)
 
+
+
+class TestSetPartitions:
+    def test_restricted_growth_order(self):
+        parts = [["".join(b) for b in p] for p in set_partitions("abc")]
+        assert parts == [["abc"], ["ab", "c"], ["ac", "b"], ["a", "bc"], ["a", "b", "c"]]
+        assert [len(list(set_partitions(range(n)))) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+
+    def test_fits_and_work_cap(self):
+        def apart(block, x):
+            return not {"a", "b"} <= set(block) | {x}
+
+        # six search nodes: the root, [a], [a][b] and the three leaves
+        parts = [["".join(b) for b in p] for p in set_partitions("abc", apart, 6)]
+        assert parts == [["ac", "b"], ["a", "bc"], ["a", "b", "c"]]
+        with pytest.raises(SizeCapError) as exc:
+            list(set_partitions("abc", apart, 5, "abc"))
+        assert str(exc.value) == "abc partition enumeration exceeded 5 work units"
 
 class TestSeparates:
     def test_two_incomparable_roots(self):

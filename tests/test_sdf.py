@@ -1,7 +1,7 @@
 import pytest
 
 from sdfkit import examples
-from sdfkit.errors import InputError, StructureError
+from sdfkit.errors import InputError, SizeCapError, StructureError
 from sdfkit.order_core import is_rooted_forest, is_tree, order_isomorphic, separation_witness
 from sdfkit.sdf import (
     RandomMove,
@@ -46,6 +46,24 @@ def lone_terminal_sdf():
     }
     move = RandomMove.of({1: frozenset("ab")})
     return Sdf.of(forest, space, projection, [move])
+
+
+def disjoint_domain_sdf():
+    """Three one-scenario trees with a root move each, plus an inner move in
+    scenario 2; the four moves sort as root 1, inner 2, root 2, root 3."""
+    trees = {1: ["a1", "b1"], 2: ["a2", "b2", "c2"], 3: ["a3", "b3"]}
+    nodes, projection = [], {}
+    for w, outs in trees.items():
+        for x in [frozenset(outs)] + [frozenset([o]) for o in outs]:
+            nodes.append(x)
+            projection[x] = w
+    inner = frozenset(["a2", "b2"])
+    nodes.append(inner)
+    projection[inner] = 2
+    forest = SetForest.of(frozenset(o for outs in trees.values() for o in outs), nodes)
+    moves = [RandomMove.of({w: frozenset(outs)}) for w, outs in trees.items()]
+    moves.append(RandomMove.of({2: inner}))
+    return Sdf.of(forest, ScenarioSpace.discrete(trees), projection, moves)
 
 
 class TestScenarioSpace:
@@ -146,6 +164,20 @@ class TestVerifySdf:
         s = Sdf.of(simple.forest, simple.space, dict(simple.projection), split)
         verdict = verify_sdf(s, max_x_exhaustive=1).verdict("axiom-3e")
         assert not verdict.ok and not verdict.partial
+
+    def test_3e_work_cap_and_visit_order(self):
+        # Restricted-growth order: the three coarsenings that merge root 1
+        # with the inner move fail 3d, so the first to pass 3a-3d merges the
+        # three roots, found at the tenth work unit.
+        s = disjoint_domain_sdf()
+        verdict = verify_sdf(s, work_cap=10).verdict("axiom-3e")
+        assert verdict.witness == (
+            "proper coarsening satisfies 3a-3d: merging "
+            "{1↦{a1, b1}}, {2↦{a2, b2, c2}}, {3↦{a3, b3}}"
+        )
+        with pytest.raises(SizeCapError) as exc:
+            verify_sdf(s, work_cap=9)
+        assert str(exc.value) == "axiom-3e partition enumeration exceeded 9 work units"
 
     def test_3f_reported_not_skipped(self, simple):
         v = verify_sdf(simple)

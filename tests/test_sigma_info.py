@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sdfkit import examples
 from sdfkit.errors import InputError, SizeCapError
 from sdfkit.gen import random_filtration, random_observables, random_path_outcomes, rng_from_env
+from sdfkit.order_core import set_partitions
 from sdfkit.sdf import ScenarioSpace, ge_x, x_order
 from sdfkit.sigma_info import (
     ChainStages,
@@ -21,7 +22,6 @@ from sdfkit.sigma_info import (
     eis_from_observations,
     enumerate_eis,
     level_set_partition,
-    set_partitions,
     sub_sigma_candidates,
     verify_eis,
 )
