@@ -154,7 +154,7 @@ def classify(s: Sdf, c: Choice) -> ChoiceFlags:
     complete = True
     comp_witness = ()
     available = set()
-    for m in canon_sorted(s.random_moves):
+    for m in s.sorted_moves:
         pre = preimage(s, m, p)
         if pre == m.domain:
             available.add(m)

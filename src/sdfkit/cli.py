@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import examples
 from ._canon import canon_sorted, fmt
@@ -92,6 +93,16 @@ def _get(obj, key, kind, path, optional=False, default=None):
     return value
 
 
+def _same_types(values, declared: dict, what: str, path: str):
+    """Reject a value that equals a declared one of another type: JSON `true`
+    equals 1, and 1.0 equals 1, yet neither is that value. `declared` maps
+    each declared value to itself; a value it lacks is left to resolution."""
+    for value in values:
+        match = declared.get(value, value)
+        if type(match) is not type(value):
+            raise ParseError(f"{what} {value!r} stands in for {match!r}", path=path)
+
+
 def _fraction(text, path) -> Fraction:
     try:
         return Fraction(text)
@@ -106,9 +117,14 @@ def _scenario_space(obj, path) -> ScenarioSpace:
     try:
         if atoms is None:
             return ScenarioSpace.discrete(scenarios)
-        return ScenarioSpace.of(scenarios, [frozenset(a) for a in atoms])
+        space = ScenarioSpace.of(scenarios, [frozenset(a) for a in atoms])
     except KernelError as e:
         raise ParseError(str(e), path=f"{path}.atoms") from None
+    scenario_of = {w: w for w in space.scenarios}
+    _same_types(
+        (w for atom in atoms for w in atom), scenario_of, "scenario", f"{path}.atoms"
+    )
+    return space
 
 
 def _parse_explicit(obj) -> InstanceDoc:
@@ -148,6 +164,7 @@ def _parse_explicit(obj) -> InstanceDoc:
             )
         moves.append(RandomMove.of(mapping))
     table = _get(obj, "outcome_scenarios", dict, path)
+    scenario_of = {w: w for w in space.scenarios}
     for o in universe:
         _expect(o in table, f"outcome {o!r} missing a scenario", f"{path}.outcome_scenarios")
         _expect(
@@ -155,6 +172,7 @@ def _parse_explicit(obj) -> InstanceDoc:
             f"unresolved scenario {table[o]!r}",
             f"{path}.outcome_scenarios",
         )
+        _same_types((table[o],), scenario_of, "scenario", f"{path}.outcome_scenarios")
     try:
         forest = SetForest.of(universe, nodes)
         projection = {}
@@ -221,6 +239,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
 def _parse_action_path(obj) -> InstanceDoc:
     path = "$"
     space = _scenario_space(obj, path)
+    scenario_of = {w: w for w in space.scenarios}
     raw_points = _get(obj, "time_points", list, path)
     time_axis = TimeAxis.of([_fraction(p, f"{path}.time_points") for p in raw_points])
     generator = obj.get("generator")
@@ -239,12 +258,15 @@ def _parse_action_path(obj) -> InstanceDoc:
                     factorization[agent][action] = comp
         try:
             action_space = ActionSpace.of(actions, factorization)
+            action_of = {a: a for a in action_space.actions}
             paths = []
             for i, entry in enumerate(_get(obj, "paths", list, path)):
                 ppath = f"{path}.paths[{i}]"
                 _expect(isinstance(entry, dict), "path entry must be an object", ppath)
                 scen = _get(entry, "scenario", (str, int), ppath)
                 seq = _get(entry, "path", list, ppath)
+                _same_types((scen,), scenario_of, "scenario", f"{ppath}.scenario")
+                _same_types(seq, action_of, "action", f"{ppath}.path")
                 paths.append((scen, tuple(seq)))
             po = PathOutcomes.of(time_axis, action_space, space, paths)
         except KernelError as e:
@@ -284,6 +306,7 @@ def _parse_action_path(obj) -> InstanceDoc:
     choices = obj.get("choices")
     if choices is not None:
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
+        action_of = {a: a for a in po.space.actions}
         for name, outs in choices.items():
             cpath = f"$.choices.{name}"
             _expect(isinstance(outs, list), "choice must be an outcome array", cpath)
@@ -292,6 +315,8 @@ def _parse_action_path(obj) -> InstanceDoc:
                 _expect(isinstance(entry, dict), "outcome must be {scenario, path}", cpath)
                 w = (entry.get("scenario"), tuple(entry.get("path", ())))
                 _expect(w in po.paths, f"unresolved outcome {fmt(w)}", cpath)
+                _same_types(w[:1], scenario_of, "scenario", cpath)
+                _same_types(w[1], action_of, "action", cpath)
                 resolved.add(w)
             doc.named_choices[name] = frozenset(resolved)
     return doc
@@ -369,6 +394,7 @@ class _Instance:
         self.apw_error: KernelError | None = None
         self.sdf_verdict: MultiVerdict | None = None
         self.named_choices = dict(doc.named_choices)
+        self.choices_of: str | None = None  # builtin whose choice names resolve on lookup
         self.rcs: Rcs | None = doc.doc_rcs
         self.doc_eis: Eis | None = doc.doc_eis
         if doc.kind == "explicit-sdf":
@@ -398,11 +424,11 @@ class _Instance:
         if name == "simple":
             self.sdf = examples.build_simple()
             self.rcs = examples.simple_rcs(self.sdf)
-            self.named_choices = examples.all_named_choices("simple")
+            self.choices_of = "simple"
         elif name == "variant":
             self.sdf = examples.build_variant()
             self.rcs = examples.variant_rcs(self.sdf)
-            self.named_choices = examples.all_named_choices("variant")
+            self.choices_of = "variant"
         elif name == "timing":
             self.po = timing_outcomes(
                 ScenarioSpace.discrete((1, 2)), TimeAxis.of([0, 1, 2]), ("1", "2")
@@ -427,12 +453,18 @@ class _Instance:
         return self.sdf
 
     def choice_named(self, name: str) -> frozenset:
-        if name not in self.named_choices:
+        builtin = self.choices_of
+        if builtin is None:
+            outcomes = self.named_choices.get(name)
+        else:
+            outcomes = examples.named_choice(builtin, name)
+        if outcomes is None:
+            known = self.named_choices if builtin is None else examples.all_named_choices(builtin)
             raise KernelError(
                 f"unknown choice {name!r}; known: "
-                + ", ".join(sorted(self.named_choices) or ("<none>",))
+                + ", ".join(sorted(known) or ("<none>",))
             )
-        return self.named_choices[name]
+        return outcomes
 
 
 def _run_check(inst: _Instance, token: str, caps: dict) -> CheckRecord:
@@ -633,7 +665,59 @@ def report_to_json(report: Report, doc: InstanceDoc) -> str:
             for r in report.records
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2, default=str)
+    out: list = []
+    _emit_json(payload, "", out)
+    return "".join(out)
+
+
+def _emit_json(value, indent: str, out: list) -> None:
+    """Append `value` as `json.dumps(value, sort_keys=True, indent=2,
+    default=str)` writes it at nesting prefix `indent`, byte for byte.
+
+    Strings, booleans, None, exact ints, lists, tuples and dicts whose keys
+    are all `str` are written here, with the C string encoder. Any other
+    value (a float, a Fraction, a dict with other keys, a subclass) goes to
+    `json.dumps` itself, with every newline followed by `indent`. That is
+    exact because indented JSON nests by prefixing whole lines, and an
+    encoded string never holds a raw newline, so every newline in the
+    fallback's text starts a line of its layout.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _emit_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif kind is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k in sorted(value):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _emit_json(value[k], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        text = json.dumps(value, sort_keys=True, indent=2, default=str)
+        out.append(text.replace("\n", "\n" + indent))
 
 
 def report_to_text(report: Report, doc: InstanceDoc) -> str:

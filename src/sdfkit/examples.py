@@ -313,40 +313,42 @@ def variant_aps() -> ActionPathSdf:
     return build_action_path_sdf(encode_variant())
 
 
-def _parse_slot(token: str):
-    if token == "any":
-        return None
-    if len(token) == 1:
-        return int(token)
-    if len(token) == 2 and all(ch in "12" for ch in token):
-        return {1: int(token[0]), 2: int(token[1])}
-    raise ValueError(f"bad choice slot {token!r}")
+# Choice-name slots: a stage's coordinate unconstrained, constant, or
+# scenario-indexed (`12`: scenario 1 ↦ 1, scenario 2 ↦ 2).
+CHOICE_SLOTS = {"any": None, "1": 1, "2": 2} | {
+    a + b: {1: int(a), 2: int(b)} for a in "12" for b in "12"
+}
 
 
-def named_choice_outcomes(instance: str, name: str) -> frozenset:
-    """Resolve CLI choice names like c_1_any, c_any_2, c_12_any, c_1_21."""
+def named_choice(instance: str, name: str) -> frozenset | None:
+    """The outcomes of a CLI choice name like c_1_any, c_any_2, c_12_any or
+    c_1_21, else None.
+
+    A name is known iff both slots are in CHOICE_SLOTS, not both `any`, and
+    it names a nonempty outcome set of the `simple` or `variant` instance.
+    """
+    outcomes_fn = {
+        "simple": simple_choice_outcomes,
+        "variant": variant_choice_outcomes,
+    }.get(instance)
     parts = name.split("_")
-    if len(parts) != 3 or parts[0] != "c":
-        raise ValueError(f"bad choice name {name!r}; expected c_<first>_<second>")
-    first, second = _parse_slot(parts[1]), _parse_slot(parts[2])
-    if instance == "simple":
-        return simple_choice_outcomes(first, second)
-    if instance == "variant":
-        return variant_choice_outcomes(first, second)
-    raise ValueError(f"no named choices for instance {instance!r}")
+    if (
+        outcomes_fn is None
+        or len(parts) != 3
+        or parts[0] != "c"
+        or parts[1] == parts[2] == "any"
+        or parts[1] not in CHOICE_SLOTS
+        or parts[2] not in CHOICE_SLOTS
+    ):
+        return None
+    return outcomes_fn(CHOICE_SLOTS[parts[1]], CHOICE_SLOTS[parts[2]]) or None
 
 
 def all_named_choices(instance: str) -> dict:
-    slots = ["any", "1", "2"] + ["".join(p) for p in itertools.product("12", repeat=2)]
     out = {}
-    for a, b in itertools.product(slots, repeat=2):
-        if a == b == "any":
-            continue
+    for a, b in itertools.product(CHOICE_SLOTS, repeat=2):
         name = f"c_{a}_{b}"
-        try:
-            outcomes = named_choice_outcomes(instance, name)
-        except ValueError:
-            continue
-        if outcomes:
+        outcomes = named_choice(instance, name)
+        if outcomes is not None:
             out[name] = outcomes
     return out

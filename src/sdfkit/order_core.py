@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
@@ -80,22 +81,35 @@ class Poset:
             self.comparable(x, y) for x, y in itertools.combinations(subset, 2)
         )
 
+    # Principal up- and down-sets, each built on first use in one pass over
+    # the pairs and kept on the instance.
+
+    @cached_property
+    def up(self) -> dict:
+        """x ↦ {y | y >= x}."""
+        up = {x: [] for x in self.elements}
+        for x, y in self.ge_pairs:
+            up[y].append(x)
+        return {x: frozenset(ys) for x, ys in up.items()}
+
+    @cached_property
+    def down(self) -> dict:
+        """x ↦ {y | x >= y}."""
+        down = {x: [] for x in self.elements}
+        for x, y in self.ge_pairs:
+            down[x].append(y)
+        return {x: frozenset(ys) for x, ys in down.items()}
+
     def maximal_elements(self) -> frozenset:
-        return frozenset(
-            x for x in self.elements if not any(self.gt(y, x) for y in self.elements)
-        )
+        return frozenset(x for x, up in self.up.items() if len(up) == 1)
 
     def minimal_elements(self) -> frozenset:
-        return frozenset(
-            x for x in self.elements if not any(self.gt(x, y) for y in self.elements)
-        )
+        return frozenset(x for x, down in self.down.items() if len(down) == 1)
 
     def covers(self, x) -> frozenset:
         """Elements covered by x: y < x with nothing strictly between."""
-        below = [y for y in self.elements if self.gt(x, y)]
-        return frozenset(
-            y for y in below if not any(self.gt(x, z) and self.gt(z, y) for z in below)
-        )
+        below = self.down.get(x, frozenset()) - {x}
+        return frozenset(y for y in below if self.up[y] & below == {y})
 
     def canon_key(self):
         return ("poset", canon_key(self.elements), canon_key(self.ge_pairs))
@@ -128,13 +142,13 @@ def up_set(p: Poset, x) -> frozenset:
     """The principal up-set {y | y >= x}. For a forest this is a chain."""
     if x not in p.elements:
         raise unknown_element(x)
-    return frozenset(y for y in p.elements if p.ge(y, x))
+    return p.up[x]
 
 
 def down_set(p: Poset, x) -> frozenset:
     if x not in p.elements:
         raise unknown_element(x)
-    return frozenset(y for y in p.elements if p.ge(x, y))
+    return p.down[x]
 
 
 def is_forest(p: Poset) -> bool:
@@ -143,9 +157,15 @@ def is_forest(p: Poset) -> bool:
 
 
 def forest_witness(p: Poset):
-    """None, or an element whose up-set is not a chain."""
+    """None, or an element whose up-set is not a chain.
+
+    A set U is a chain iff every y in U is comparable with all of U, that is
+    U ⊆ ↑y ∪ ↓y.
+    """
+    up, down = p.up, p.down
     for x in canon_sorted(p.elements):
-        if not p.is_chain(up_set(p, x)):
+        u = up[x]
+        if not all(u <= up[y] | down[y] for y in u):
             return x
     return None
 
@@ -162,7 +182,7 @@ def is_rooted_forest(p: Poset) -> bool:
     if not p.elements:
         return False
     maxima = p.maximal_elements()
-    return all(up_set(p, x) & maxima for x in p.elements)
+    return all(up & maxima for up in p.up.values())
 
 
 def is_tree(p: Poset) -> bool:
@@ -170,8 +190,9 @@ def is_tree(p: Poset) -> bool:
     w = forest_witness(p)
     if w is not None:
         raise not_a_forest(w)
+    up = p.up
     return all(
-        bool(up_set(p, x) & up_set(p, y))
+        not up[x].isdisjoint(up[y])
         for x, y in itertools.combinations(p.elements, 2)
     )
 
@@ -205,7 +226,7 @@ def roots(p: Poset) -> frozenset:
     """The maxima of the connected components of a rooted forest."""
     out = set()
     for block in connected_components(p):
-        maxima = [x for x in block if not any(p.gt(y, x) for y in block)]
+        maxima = [x for x in block if p.up[x] & block == {x}]
         if len(maxima) != 1:
             raise StructureError(
                 f"component without unique maximum: {fmt(frozenset(block))}",
@@ -298,10 +319,18 @@ def is_decision_forest(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> bool:
 
 
 def separation_witness(p: Poset, work_cap: int = DEFAULT_WORK_CAP):
-    """None, or a pair of distinct elements no maximal chain separates."""
-    chains = maximal_chains(p, work_cap).chains
+    """None, or a pair of distinct elements no maximal chain separates.
+
+    Some chain holds exactly one of x, y iff the sets of chains through x and
+    through y differ; each set is a bitmask over the chains' indices. Pairs
+    are tried in canonical order, so the witness is the first such pair.
+    """
+    through = {x: 0 for x in p.elements}
+    for i, c in enumerate(maximal_chains(p, work_cap).chains):
+        for x in c:
+            through[x] |= 1 << i
     for x, y in itertools.combinations(canon_sorted(p.elements), 2):
-        if not any(len(c & {x, y}) == 1 for c in chains):
+        if through[x] == through[y]:
             return (x, y)
     return None
 

@@ -194,6 +194,11 @@ class Sdf:
         return {w: frozenset(v) for w, v in fibre.items()}
 
     @cached_property
+    def sorted_moves(self) -> tuple:
+        """The random moves in canonical order."""
+        return tuple(canon_sorted(self.random_moves))
+
+    @cached_property
     def terminal_nodes(self) -> frozenset:
         return self.forest.terminal_nodes()
 
@@ -378,7 +383,7 @@ def _merge_block(block) -> RandomMove:
     return RandomMove.of(assignment)
 
 
-def _check_axiom_3e(s: Sdf, moves: list, max_x_exhaustive: int, work_cap: int) -> Verdict:
+def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int, work_cap: int) -> Verdict:
     if len(moves) <= max_x_exhaustive:
         def disjoint(block, m):
             return all(not (m.domain & other.domain) for other in block)
@@ -439,7 +444,7 @@ def verify_sdf(
     except StructureError as e:
         items.append(("axiom-2", Verdict.failed(e.code, str(e))))
 
-    moves = canon_sorted(s.random_moves)
+    moves = s.sorted_moves
     items.extend(_axioms_3a_to_3d(s, moves))
     items.append(("axiom-3e", _check_axiom_3e(s, moves, max_x_exhaustive, work_cap)))
 
@@ -475,10 +480,13 @@ def tmap_order(s: Sdf) -> TTree:
 
 
 def t_dot_omega(s: Sdf, tree: TTree | None = None):
-    """T • Ω: pairs (y, ω) with ω in the domain of y, canonical order."""
+    """T • Ω: pairs (y, ω) with ω in the domain of y, canonical order.
+
+    `tree`, given or not, is `tmap_order(s)`: its moves are those of `s`.
+    """
     tree = tree or tmap_order(s)
     pairs = []
-    for m in canon_sorted(tree.moves):
+    for m in s.sorted_moves:
         for w in canon_sorted(m.domain):
             pairs.append((m, w))
     for (w, out) in canon_sorted(tree.terminals):

@@ -1,7 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's algorithms: maximal chains
-by full subset enumeration, agent reference choices by one window choice per
+by full subset enumeration, up-sets, down-sets, covers, extremal elements,
+trees and separation by scanning every element instead of the poset's
+index, agent reference choices by one window choice per
 (history subset, component subset) pair, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the AP.W assumptions by
 walking the whole path space A^|T| and every time subset, predecessors never
@@ -26,8 +28,9 @@ from sdfkit.action_path import (
     window_choice,
 )
 from sdfkit.choice import Choice, Rcs
-from sdfkit.errors import SizeCapError
+from sdfkit.errors import SizeCapError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
+from sdfkit.order_core import DEFAULT_WORK_CAP, maximal_chains
 from sdfkit.verdict import MultiVerdict, Verdict
 
 
@@ -44,6 +47,59 @@ def brute_maximal_chains(elements, ge):
         for c in chains
         if not any(c < d for d in chains)
     }
+
+
+def oracle_up_set(p, x):
+    """{y | y >= x} by scanning every element."""
+    if x not in p.elements:
+        raise unknown_element(x)
+    return frozenset(y for y in p.elements if p.ge(y, x))
+
+
+def oracle_down_set(p, x):
+    if x not in p.elements:
+        raise unknown_element(x)
+    return frozenset(y for y in p.elements if p.ge(x, y))
+
+
+def oracle_maximal_elements(p):
+    return frozenset(
+        x for x in p.elements if not any(p.gt(y, x) for y in p.elements)
+    )
+
+
+def oracle_minimal_elements(p):
+    return frozenset(
+        x for x in p.elements if not any(p.gt(x, y) for y in p.elements)
+    )
+
+
+def oracle_covers(p, x):
+    """y < x with no z strictly between; empty for a non-element."""
+    below = [y for y in p.elements if p.gt(x, y)]
+    return frozenset(
+        y for y in below if not any(p.gt(x, z) and p.gt(z, y) for z in below)
+    )
+
+
+def oracle_is_tree(p):
+    """A forest (every up-set a chain) whose up-sets pairwise intersect."""
+    for x in canon_sorted(p.elements):
+        if not p.is_chain(oracle_up_set(p, x)):
+            raise not_a_forest(x)
+    return all(
+        bool(oracle_up_set(p, x) & oracle_up_set(p, y))
+        for x, y in itertools.combinations(p.elements, 2)
+    )
+
+
+def oracle_separation_witness(p, work_cap=DEFAULT_WORK_CAP):
+    """The first canonical pair that no maximal chain holds exactly one of."""
+    chains = maximal_chains(p, work_cap).chains
+    for x, y in itertools.combinations(canon_sorted(p.elements), 2):
+        if not any(len(c & {x, y}) == 1 for c in chains):
+            return (x, y)
+    return None
 
 
 def oracle_canon_key(value):

@@ -3,15 +3,19 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdfkit
 from sdfkit import examples
 from sdfkit.cli import (
     InstanceDoc,
     ParseError,
+    _emit_json,
     main,
     parse_instance,
     report_to_json,
@@ -114,6 +118,50 @@ class TestParse:
             _action_path_doc([1, 2], [0], ["a"], [(1, "a"), (2, "a"), (True, "a")])
         assert exc.value.path == "$.paths[2].scenario"
 
+    @pytest.mark.parametrize("stand_in", [True, 1.0])
+    def test_path_action_stand_in_rejected(self, stand_in):
+        # true == 1 and 1.0 == 1, so either would be stored in place of action 1
+        with pytest.raises(ParseError) as exc:
+            _action_path_doc([1], [0], [0, 1], [(1, [0]), (1, [stand_in])])
+        assert exc.value.path == "$.paths[1].path"
+
+    @pytest.mark.parametrize(
+        "entry", [{"scenario": True, "path": [1]}, {"scenario": 1, "path": [True]}]
+    )
+    def test_choice_outcome_stand_in_rejected(self, entry):
+        obj = {
+            "kind": "action-path",
+            "scenarios": [1, 2],
+            "time_points": ["0"],
+            "actions": [0, 1],
+            "paths": [{"scenario": 1, "path": [1]}, {"scenario": 2, "path": [0]}],
+            "choices": {"first": [entry]},
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.choices.first"
+
+    def test_outcome_scenario_stand_in_rejected(self):
+        obj = {
+            "kind": "explicit-sdf",
+            "scenarios": [1, 2],
+            "outcomes": ["a", "z"],
+            "outcome_scenarios": {"a": 1, "z": 2.0},
+            "nodes": [["a"], ["z"]],
+            "random_moves": [],
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.outcome_scenarios"
+
+    def test_atom_stand_in_rejected(self):
+        obj = json.loads(TIMING_DOC)
+        obj["scenarios"] = [1, 2]
+        obj["atoms"] = [[True], [2]]
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.atoms"
+
     def test_schema_type_error(self):
         with pytest.raises(ParseError) as exc:
             parse_instance('{"kind": "explicit-sdf", "scenarios": "oops"}')
@@ -190,6 +238,56 @@ class TestRun:
         report = run(doc, ["verify"], max_time_subsets=1)
         assert not report.ok
         assert any(r.status in ("error", "fail") for r in report.records)
+
+
+def parent_named_choices(instance):
+    """Every choice name with a nonempty outcome set, by trying each slot pair."""
+    slots = {
+        "any": None,
+        "1": 1,
+        "2": 2,
+        "11": {1: 1, 2: 1},
+        "12": {1: 1, 2: 2},
+        "21": {1: 2, 2: 1},
+        "22": {1: 2, 2: 2},
+    }
+    outcomes_fn = {
+        "simple": examples.simple_choice_outcomes,
+        "variant": examples.variant_choice_outcomes,
+    }[instance]
+    out = {}
+    for a, b in itertools.product(slots, repeat=2):
+        if a == b == "any":
+            continue
+        outcomes = outcomes_fn(slots[a], slots[b])
+        if outcomes:
+            out[f"c_{a}_{b}"] = outcomes
+    return out
+
+
+class TestNamedChoices:
+    @pytest.mark.parametrize("builtin", ["simple", "variant"])
+    def test_every_name_resolves_to_its_set(self, builtin):
+        known = parent_named_choices(builtin)
+        assert examples.all_named_choices(builtin) == known
+        for name, outcomes in known.items():
+            report = run(InstanceDoc("builtin", name=builtin), [f"predecessors:{name}"])
+            assert report.records[0].status == "ok"
+            assert examples.named_choice(builtin, name) == outcomes
+
+    @pytest.mark.parametrize("builtin", ["simple", "variant"])
+    @pytest.mark.parametrize(
+        # c_9_9 parses to an empty set; "١" is a digit int() reads as 1
+        "name", ["c_any_any", "c_3_any", "c_1_2_3", "x_1_1", "c_9_9", "c_\u0661_any"]
+    )
+    def test_unknown_name_lists_every_known_name(self, builtin, name):
+        report = run(InstanceDoc("builtin", name=builtin), [f"classify:{name}"])
+        record = report.records[0]
+        assert record.status == "error"
+        assert record.message == (
+            f"kernel-error: unknown choice {name!r}; known: "
+            + ", ".join(sorted(parent_named_choices(builtin)))
+        )
 
 
 def _action_path_doc(scenarios, times, actions, paths, factorization=None):
@@ -375,6 +473,58 @@ class TestReports:
         payload = json.loads(report_to_json(run(doc, ["verify"]), doc))
         assert "elapsed" not in json.dumps(payload)
         assert payload["overall"] == "ok"
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+JSON_SCALARS = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="\x00\x1f\n\t\"\\é€😀\u2028", max_size=4),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(max_denominator=50),
+    st.text(max_size=3).map(_Label),
+    st.integers(-3, 3).map(_Count),
+    st.frozensets(st.integers(0, 3), max_size=2),
+)
+
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """`report_to_json`'s emitter writes what `json.dumps` writes."""
+
+    @staticmethod
+    def emitted(value):
+        out = []
+        _emit_json(value, "", out)
+        return "".join(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_PAYLOADS)
+    def test_matches_json_dumps(self, value):
+        assert self.emitted(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+    def test_fallback_nested_in_layout(self):
+        value = {"data": [{2: Fraction(1, 3), 1: [1.5, None]}, (), {}], "ok": True}
+        assert self.emitted(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
 
 
 class TestMain:

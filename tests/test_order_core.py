@@ -8,10 +8,12 @@ from sdfkit.gen import random_rooted_forest, rng_from_env
 from sdfkit.order_core import (
     Poset,
     connected_components,
+    down_set,
     find_order_isomorphism,
     is_decision_forest,
     is_forest,
     is_rooted_forest,
+    is_tree,
     maximal_chains,
     order_isomorphic,
     roots,
@@ -20,9 +22,19 @@ from sdfkit.order_core import (
     set_partitions,
     up_set,
 )
+from sdfkit.sdf import tmap_order
 from sdfkit.set_forest import induced_poset, representation_by_decision_paths, verify_own_representation
 
-from conftest import brute_maximal_chains
+from conftest import (
+    brute_maximal_chains,
+    oracle_covers,
+    oracle_down_set,
+    oracle_is_tree,
+    oracle_maximal_elements,
+    oracle_minimal_elements,
+    oracle_separation_witness,
+    oracle_up_set,
+)
 
 
 def chain_poset(n):
@@ -270,3 +282,85 @@ class TestIsomorphism:
             for a in p.elements:
                 for b in p.elements:
                     assert p.ge(a, b) == q.ge(f[a], f[b])
+
+
+def relabelled(p, label):
+    return Poset.of(
+        [label(x) for x in p.elements],
+        [(label(x), label(y)) for x, y in p.ge_pairs],
+    )
+
+
+def scrambled(x):
+    # injective on 0..100; a set iterates these ints out of their numeric order
+    return (37 * x + 11) % 101
+
+
+def random_dag_poset(rng, max_nodes=8):
+    """The transitive closure of a random DAG: mostly not a forest."""
+    n = rng.randint(1, max_nodes)
+    above = {}
+    for j in range(n):
+        above[j] = {j}
+        for i in range(j):
+            if rng.random() < 0.35:
+                above[j] |= above[i]
+    return Poset.of(range(n), [(i, j) for j in range(n) for i in above[j]])
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type, code and text of the error it raises."""
+    try:
+        return ("value", fn(*args))
+    except (InputError, StructureError) as e:
+        return ("error", type(e), e.code, str(e))
+
+
+def oracle_posets(rng):
+    posets = []
+    for _ in range(40):
+        posets.append(relabelled(random_rooted_forest(rng, 10), scrambled))
+        posets.append(relabelled(random_dag_poset(rng), scrambled))
+    builtins = [
+        examples.build_simple(),
+        examples.build_variant(),
+        examples.timing_instance().sdf,
+        examples.upandout_instance().sdf,
+    ]
+    for s in builtins:
+        posets.append(s.node_poset)
+        posets.append(tmap_order(s).poset)
+    posets += [diamond(), antichain(3), chain_poset(4), Poset.of([], [])]
+    return posets
+
+
+class TestIndexAgainstOracles:
+    """The indexed derived-order functions equal their element-scanning definitions."""
+
+    def test_up_down_covers_extrema(self, rng):
+        for p in oracle_posets(rng):
+            for x in list(p.elements) + ["not-an-element"]:
+                assert outcome(up_set, p, x) == outcome(oracle_up_set, p, x)
+                assert outcome(down_set, p, x) == outcome(oracle_down_set, p, x)
+                assert p.covers(x) == oracle_covers(p, x)
+            assert p.maximal_elements() == oracle_maximal_elements(p)
+            assert p.minimal_elements() == oracle_minimal_elements(p)
+
+    def test_is_tree_and_separation_witness(self, rng):
+        kinds = set()
+        for p in oracle_posets(rng):
+            tree = outcome(is_tree, p)
+            assert tree == outcome(oracle_is_tree, p)
+            witness = separation_witness(p)
+            assert witness == oracle_separation_witness(p)
+            kinds.add((tree[0], tree[1] if tree[0] == "value" else None, witness is None))
+        # trees, forests, non-forests, separated and unseparated posets all occur
+        assert {("value", True, True), ("value", False, False), ("error", None, False)} <= kinds
+
+    def test_unknown_element_errors(self):
+        p = chain_poset(2)
+        for fn in (up_set, down_set):
+            with pytest.raises(InputError) as exc:
+                fn(p, 99)
+            assert exc.value.code == "unknown-element"
+            assert str(exc.value) == "element not in poset: 99"
