@@ -74,7 +74,6 @@ class InstanceDoc:
     named_choices: dict = field(default_factory=dict)
     doc_eis: Eis | None = None
     doc_rcs: Rcs | None = None
-    source: dict = field(default_factory=dict)
 
 
 def _expect(cond: bool, message: str, path: str):
@@ -181,11 +180,9 @@ def _parse_explicit(obj) -> InstanceDoc:
             _expect(len(scens) == 1, f"node {fmt(x)} mixes scenarios", f"{path}.nodes")
             projection[x] = next(iter(scens))
         sdf = Sdf.of(forest, space, projection, moves)
-    except ParseError:
-        raise
     except KernelError as e:
         raise ParseError(str(e), path=path) from None
-    doc = InstanceDoc("explicit-sdf", sdf=sdf, source=obj)
+    doc = InstanceDoc("explicit-sdf", sdf=sdf)
     _parse_sections(doc, obj, moves, universe)
     return doc
 
@@ -302,7 +299,7 @@ def _parse_action_path(obj) -> InstanceDoc:
                 raise ParseError(f"unknown generator {generator!r}", path="$.generator")
         except KernelError as e:
             raise ParseError(str(e), path="$.generator") from None
-    doc = InstanceDoc("action-path", po=po, source=obj)
+    doc = InstanceDoc("action-path", po=po)
     choices = obj.get("choices")
     if choices is not None:
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
@@ -313,7 +310,13 @@ def _parse_action_path(obj) -> InstanceDoc:
             resolved = set()
             for entry in outs:
                 _expect(isinstance(entry, dict), "outcome must be {scenario, path}", cpath)
-                w = (entry.get("scenario"), tuple(entry.get("path", ())))
+                scen, seq = entry.get("scenario"), entry.get("path")
+                _expect(
+                    isinstance(scen, (str, int)) and isinstance(seq, list),
+                    "outcome needs a string or integer scenario and a path array",
+                    cpath,
+                )
+                w = (scen, tuple(seq))
                 _expect(w in po.paths, f"unresolved outcome {fmt(w)}", cpath)
                 _same_types(w[:1], scenario_of, "scenario", cpath)
                 _same_types(w[1], action_of, "action", cpath)
@@ -338,7 +341,7 @@ def parse_instance(text: str) -> InstanceDoc:
                 f"unknown builtin {name!r}; expected one of {', '.join(BUILTINS)}",
                 path="$.name",
             )
-        return InstanceDoc("builtin", name=name, source=obj)
+        return InstanceDoc("builtin", name=name)
     if kind == "explicit-sdf":
         return _parse_explicit(obj)
     if kind == "action-path":
@@ -350,10 +353,10 @@ def parse_instance(text: str) -> InstanceDoc:
 class CheckRecord:
     check_id: str
     status: str  # ok | partial | fail | error
-    items: tuple = ()
-    data: dict = field(default_factory=dict)
-    message: str = ""
-    elapsed_ms: float = 0.0
+    items: tuple
+    data: dict
+    message: str
+    elapsed_ms: float
 
 
 @dataclass
@@ -366,14 +369,6 @@ class Report:
         return all(r.status in ("ok", "partial") for r in self.records)
 
 
-def _status_of(v) -> str:
-    if isinstance(v, (Verdict, MultiVerdict)):
-        if v.ok:
-            return "partial" if v.partial else "ok"
-        return "fail"
-    raise TypeError(v)
-
-
 class _Instance:
     """Everything the commands need, resolved once per run.
 
@@ -384,7 +379,6 @@ class _Instance:
     """
 
     def __init__(self, doc: InstanceDoc, caps: dict):
-        self.doc = doc
         self.caps = caps
         self.sdf: Sdf | None = None
         self.aps: ActionPathSdf | None = None
@@ -430,16 +424,10 @@ class _Instance:
             self.rcs = examples.variant_rcs(self.sdf)
             self.choices_of = "variant"
         elif name == "timing":
-            self.po = timing_outcomes(
-                ScenarioSpace.discrete((1, 2)), TimeAxis.of([0, 1, 2]), ("1", "2")
-            )
+            self.po = examples.timing_path_outcomes()
             self._build()
         elif name == "upandout":
-            self.po = up_and_out_outcomes(
-                ScenarioSpace.discrete((1, 2)),
-                TimeAxis.of([0, 1, 2]),
-                examples.up_and_out_price_table(),
-            )
+            self.po = examples.upandout_path_outcomes()
             self._build()
 
     def need_apw(self) -> MultiVerdict:
@@ -451,6 +439,13 @@ class _Instance:
         if self.sdf is None:
             raise KernelError(self.build_error or "no decision forest in this instance")
         return self.sdf
+
+    def need_aps(self, command: str) -> ActionPathSdf:
+        if self.aps is None:
+            raise KernelError(self.build_error or f"{command} needs a built action-path instance")
+        if self.po.space.agents is None:
+            raise KernelError(f"{command} needs a factorization")
+        return self.aps
 
     def choice_named(self, name: str) -> frozenset:
         builtin = self.choices_of
@@ -467,174 +462,176 @@ class _Instance:
         return outcomes
 
 
-def _run_check(inst: _Instance, token: str, caps: dict) -> CheckRecord:
+# A command handler takes the instance and the text after "name:" and
+# returns its named verdicts and its data, plus a message when it has one.
+
+
+def _verify(inst: _Instance, arg: str):
+    if inst.po is None:
+        return verify_sdf(inst.need_sdf(), max_x_exhaustive=inst.caps["max_x"]).items, {}
+    items = tuple((f"AP.{k}", v) for k, v in inst.need_apw().items)
+    if inst.build_error is not None:
+        return items, {}, inst.build_error
+    return items + inst.sdf_verdict.items, {}
+
+
+def _ttree(inst: _Instance, arg: str):
+    s = inst.need_sdf()
+    ev = check_evaluation_bijection(s)
+    try:
+        tt = check_ttree_theorem(s)
+    except KernelError as e:
+        tt = Verdict.failed(e.code, str(e))
+    return (("evaluation-bijection", ev), ("rooted-tree", tt)), {}
+
+
+def _enumerate_eis(inst: _Instance, arg: str):
+    structures = enumerate_eis(inst.need_sdf())
+    listing = [[[fmt(sigma.atoms) for _, sigma in e.entries]] for e in structures]
+    return (
+        (("count", Verdict.passed(f"{len(structures)} structures")),),
+        {"count": len(structures), "structures": listing},
+    )
+
+
+def _predecessors(inst: _Instance, arg: str):
+    nodes = predecessors(inst.need_sdf(), inst.choice_named(arg))
+    return (
+        (("result", Verdict.passed(f"{len(nodes)} predecessor nodes")),),
+        {"choice": arg, "nodes": [fmt(x) for x in canon_sorted(nodes)]},
+    )
+
+
+def _classify(inst: _Instance, arg: str):
+    s = inst.need_sdf()
+    flags = classify(s, Choice.of(s, inst.choice_named(arg)))
+    items = (
+        (
+            "non-redundant",
+            Verdict.passed() if flags.non_redundant else Verdict.failed(
+                "redundant", f"scenario {fmt(flags.redundancy_witness[0])}"
+            ),
+        ),
+        (
+            "complete",
+            Verdict.passed() if flags.complete else Verdict.failed(
+                "incomplete", flags.completeness_witness[0].fmt()
+            ),
+        ),
+    )
+    available = [m.fmt() for m in canon_sorted(flags.available_at)]
+    return items, {"choice": arg, "available_at": available}
+
+
+def _adapted(inst: _Instance, arg: str):
+    s = inst.need_sdf()
+    choice_name, _, eis_idx = arg.partition(":")
+    c = Choice.of(s, inst.choice_named(choice_name))
+    if eis_idx:
+        structures = enumerate_eis(s)
+        k = int(eis_idx)
+        if not 1 <= k <= len(structures):
+            raise KernelError(f"eis index {k} out of range 1..{len(structures)}")
+        e = structures[k - 1]
+    elif inst.doc_eis is not None:
+        e = inst.doc_eis
+    else:
+        raise KernelError("adapted needs an eis section or an :<index> suffix")
+    if inst.rcs is None:
+        raise KernelError("adapted needs a reference choice structure (rcs)")
+    ev = verify_eis(s, e)
+    rv = verify_rcs(s, inst.rcs)
+    if not (ev.ok and rv.ok):
+        return (("preconditions", ev if not ev.ok else rv),), {}
+    return (("adapted", is_adapted(s, e, inst.rcs, c)),), {}
+
+
+def _apw(inst: _Instance, arg: str):
+    if inst.po is None:
+        raise KernelError("apw applies to action-path instances only")
+    return inst.need_apw().items, {}
+
+
+def _apc(inst: _Instance, arg: str):
+    aps = inst.need_aps("apc")
+    items = [
+        (f"agent {agent} @ {move.fmt()}", check_apc3(aps, agent, move).verdict)
+        for agent in aps.po.space.agents
+        for move, _t in aps.move_times
+    ]
+    return items, {}
+
+
+def _thm4_11(inst: _Instance, arg: str):
+    aps = inst.need_aps("thm4-11")
+    items = []
+    skipped = 0
+    for case in measurability_sweep(aps, enumerate_eis(aps.sdf)):
+        result = case.result
+        if isinstance(result, KernelError):
+            if result.code != "precondition-violation":
+                raise result
+            skipped += 1
+            continue
+        items.append(
+            (
+                f"agent {case.agent}, eis {case.eis_index}, t={case.t}, "
+                f"{case.label}, g={fmt(tuple(case.g.values()))}",
+                Verdict.passed()
+                if result.ok
+                else Verdict.failed(
+                    "thm4-11",
+                    "; ".join(
+                        v.describe()
+                        for v in (result.domain, result.forward, result.backward)
+                        if not v.ok
+                    ),
+                ),
+            )
+        )
+    return items, {"skipped": skipped, "checked": len(items)}
+
+
+COMMANDS = {
+    "verify": _verify,
+    "ttree": _ttree,
+    "enumerate-eis": _enumerate_eis,
+    "predecessors": _predecessors,
+    "classify": _classify,
+    "adapted": _adapted,
+    "apw": _apw,
+    "apc": _apc,
+    "thm4-11": _thm4_11,
+}
+
+
+def _run_check(inst: _Instance, token: str) -> CheckRecord:
+    """Run one "name[:arg]" token. The record fails when the handler gives
+    a message or a failed verdict; kernel errors become `error` records."""
     name, _, arg = token.partition(":")
     start = time.perf_counter()
     try:
-        record = _dispatch(inst, name, arg, caps)
+        handler = COMMANDS.get(name)
+        if handler is None:
+            raise KernelError(f"unknown command {name!r}")
+        items, data, *message = handler(inst, arg)
+        message = message[0] if message else ""
+        bundle = MultiVerdict(tuple(items))
+        if message or not bundle.ok:
+            status = "fail"
+        else:
+            status = "partial" if bundle.partial else "ok"
     except SizeCapError as e:
-        record = CheckRecord(token, "error", message=f"cap-exceeded: {e}")
+        bundle, data, status, message = MultiVerdict(), {}, "error", f"cap-exceeded: {e}"
     except KernelError as e:
-        record = CheckRecord(token, "error", message=f"{e.code}: {e}")
-    record.check_id = token
-    record.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return record
-
-
-def _dispatch(inst: _Instance, name: str, arg: str, caps: dict) -> CheckRecord:
-    if name == "verify":
-        items = []
-        if inst.po is None:
-            verdict = verify_sdf(inst.need_sdf(), max_x_exhaustive=caps["max_x"])
-        else:
-            items.extend((f"AP.{k}", v) for k, v in inst.need_apw().items)
-            if inst.build_error is not None:
-                return CheckRecord(
-                    name, "fail", tuple(items), message=inst.build_error
-                )
-            verdict = inst.sdf_verdict
-        items.extend(verdict.items)
-        bundle = MultiVerdict(tuple(items))
-        return CheckRecord(name, _status_of(bundle), bundle.items)
-    if name == "ttree":
-        s = inst.need_sdf()
-        ev = check_evaluation_bijection(s)
-        try:
-            tt = check_ttree_theorem(s)
-        except KernelError as e:
-            tt = Verdict.failed(e.code, str(e))
-        bundle = MultiVerdict((("evaluation-bijection", ev), ("rooted-tree", tt)))
-        return CheckRecord(name, _status_of(bundle), bundle.items)
-    if name == "enumerate-eis":
-        structures = enumerate_eis(inst.need_sdf())
-        listing = [
-            [
-                [fmt(sigma.atoms) for _, sigma in e.entries],
-            ]
-            for e in structures
-        ]
-        return CheckRecord(
-            name,
-            "ok",
-            (("count", Verdict.passed(f"{len(structures)} structures")),),
-            data={"count": len(structures), "structures": listing},
-        )
-    if name == "predecessors":
-        s = inst.need_sdf()
-        nodes = predecessors(s, inst.choice_named(arg))
-        return CheckRecord(
-            name,
-            "ok",
-            (("result", Verdict.passed(f"{len(nodes)} predecessor nodes")),),
-            data={"choice": arg, "nodes": [fmt(x) for x in canon_sorted(nodes)]},
-        )
-    if name == "classify":
-        s = inst.need_sdf()
-        flags = classify(s, Choice.of(s, inst.choice_named(arg)))
-        return CheckRecord(
-            name,
-            "ok" if (flags.non_redundant and flags.complete) else "fail",
-            (
-                (
-                    "non-redundant",
-                    Verdict.passed() if flags.non_redundant else Verdict.failed(
-                        "redundant", f"scenario {fmt(flags.redundancy_witness[0])}"
-                    ),
-                ),
-                (
-                    "complete",
-                    Verdict.passed() if flags.complete else Verdict.failed(
-                        "incomplete", flags.completeness_witness[0].fmt()
-                    ),
-                ),
-            ),
-            data={
-                "choice": arg,
-                "available_at": [m.fmt() for m in canon_sorted(flags.available_at)],
-            },
-        )
-    if name == "adapted":
-        s = inst.need_sdf()
-        choice_name, _, eis_idx = arg.partition(":")
-        c = Choice.of(s, inst.choice_named(choice_name))
-        if eis_idx:
-            structures = enumerate_eis(s)
-            k = int(eis_idx)
-            if not 1 <= k <= len(structures):
-                raise KernelError(f"eis index {k} out of range 1..{len(structures)}")
-            e = structures[k - 1]
-        elif inst.doc_eis is not None:
-            e = inst.doc_eis
-        else:
-            raise KernelError("adapted needs an eis section or an :<index> suffix")
-        if inst.rcs is None:
-            raise KernelError("adapted needs a reference choice structure (rcs)")
-        ev = verify_eis(s, e)
-        rv = verify_rcs(s, inst.rcs)
-        if not (ev.ok and rv.ok):
-            bad = ev if not ev.ok else rv
-            return CheckRecord(name, "fail", (("preconditions", bad),))
-        verdict = is_adapted(s, e, inst.rcs, c)
-        return CheckRecord(name, _status_of(verdict), (("adapted", verdict),))
-    if name == "apw":
-        if inst.po is None:
-            raise KernelError("apw applies to action-path instances only")
-        verdict = inst.need_apw()
-        return CheckRecord(name, _status_of(verdict), verdict.items)
-    if name == "apc":
-        if inst.aps is None:
-            raise KernelError(inst.build_error or "apc needs a built action-path instance")
-        if inst.po.space.agents is None:
-            raise KernelError("apc needs a factorization", )
-        items = []
-        for agent in inst.po.space.agents:
-            for move, _t in inst.aps.move_times:
-                result = check_apc3(inst.aps, agent, move)
-                items.append((f"agent {agent} @ {move.fmt()}", result.verdict))
-        bundle = MultiVerdict(tuple(items))
-        return CheckRecord(name, _status_of(bundle), bundle.items)
-    if name == "thm4-11":
-        if inst.aps is None:
-            raise KernelError(inst.build_error or "thm4-11 needs a built action-path instance")
-        if inst.po.space.agents is None:
-            raise KernelError("thm4-11 needs a factorization")
-        items = []
-        skipped = 0
-        for case in measurability_sweep(inst.aps, enumerate_eis(inst.sdf)):
-            result = case.result
-            if isinstance(result, KernelError):
-                if result.code != "precondition-violation":
-                    raise result
-                skipped += 1
-                continue
-            items.append(
-                (
-                    f"agent {case.agent}, eis {case.eis_index}, t={case.t}, "
-                    f"{case.label}, g={fmt(tuple(case.g.values()))}",
-                    Verdict.passed()
-                    if result.ok
-                    else Verdict.failed(
-                        "thm4-11",
-                        "; ".join(
-                            v.describe()
-                            for v in (result.domain, result.forward, result.backward)
-                            if not v.ok
-                        ),
-                    ),
-                )
-            )
-        bundle = MultiVerdict(tuple(items))
-        rec = CheckRecord(name, _status_of(bundle), bundle.items)
-        rec.data = {"skipped": skipped, "checked": len(items)}
-        return rec
-    raise KernelError(f"unknown command {name!r}", )
+        bundle, data, status, message = MultiVerdict(), {}, "error", f"{e.code}: {e}"
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return CheckRecord(token, status, bundle.items, data, message, elapsed_ms)
 
 
 def run(doc: InstanceDoc, commands, *, max_x: int = 6, max_time_subsets: int = 8) -> Report:
-    caps = {"max_x": max_x, "max_time_subsets": max_time_subsets}
-    inst = _Instance(doc, caps)
-    records = [_run_check(inst, token, caps) for token in commands]
-    return Report(records, caps)
+    inst = _Instance(doc, {"max_x": max_x, "max_time_subsets": max_time_subsets})
+    return Report([_run_check(inst, token) for token in commands], inst.caps)
 
 
 def report_to_json(report: Report, doc: InstanceDoc) -> str:
@@ -770,19 +767,12 @@ def main(argv=None) -> int:
     if args.command == "verify":
         try:
             with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        try:
-            doc = parse_instance(text)
-        except ParseError as e:
+                doc = parse_instance(fh.read())
+        except (OSError, ParseError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
     else:
         doc = InstanceDoc("builtin", name=args.name)
-        inst_src = {"kind": "builtin", "name": args.name}
-        doc.source = inst_src
 
     checks = list(args.checks) or ["verify"]
     report = run(doc, checks, max_x=args.max_x, max_time_subsets=args.max_time_subsets)

@@ -57,9 +57,8 @@ def simple_moves() -> dict:
     return {"x0": x0, "x1": xs[1], "x2": xs[2]}
 
 
-def build_simple() -> Sdf:
-    universe = simple_universe()
-    moves = simple_moves()
+def _build(universe: frozenset, moves: dict) -> Sdf:
+    """The instance whose nodes are the moves' nodes and the singletons."""
     nodes = set()
     for m in moves.values():
         nodes |= set(m.image)
@@ -67,6 +66,10 @@ def build_simple() -> Sdf:
     forest = SetForest.of(universe, nodes)
     projection = {x: next(iter(x))[0] for x in nodes}
     return Sdf.of(forest, _space(), projection, frozenset(moves.values()))
+
+
+def build_simple() -> Sdf:
+    return _build(simple_universe(), simple_moves())
 
 
 def variant_universe() -> frozenset:
@@ -88,15 +91,7 @@ def variant_moves() -> dict:
 
 
 def build_variant() -> Sdf:
-    universe = variant_universe()
-    moves = variant_moves()
-    nodes = set()
-    for m in moves.values():
-        nodes |= set(m.image)
-    nodes |= {frozenset([w]) for w in universe}
-    forest = SetForest.of(universe, nodes)
-    projection = {x: next(iter(x))[0] for x in nodes}
-    return Sdf.of(forest, _space(), projection, frozenset(moves.values()))
+    return _build(variant_universe(), variant_moves())
 
 
 def _pattern_matches(pattern, scenario, value) -> bool:
@@ -281,11 +276,14 @@ def encode_variant() -> PathOutcomes:
     return PathOutcomes.of(time, space, _space(), paths)
 
 
+def timing_path_outcomes(n_times: int = 3, agents=("1", "2")) -> PathOutcomes:
+    """The `timing` builtin's outcome set: stopping paths of the agents over
+    times 0..n_times-1, in both scenarios."""
+    return timing_outcomes(_space(), TimeAxis.of(range(n_times)), agents)
+
+
 def timing_instance(n_times: int = 3, agents=("1", "2")) -> ActionPathSdf:
-    po = timing_outcomes(
-        _space(), TimeAxis.of(range(n_times)), agents
-    )
-    return build_action_path_sdf(po, max_x_exhaustive=12)
+    return build_action_path_sdf(timing_path_outcomes(n_times, agents), max_x_exhaustive=12)
 
 
 def up_and_out_price_table() -> dict:
@@ -298,11 +296,13 @@ def up_and_out_price_table() -> dict:
     return {(t, w): rows[w][i] for w in SCENARIOS for i, t in enumerate(points)}
 
 
+def upandout_path_outcomes() -> PathOutcomes:
+    """The `upandout` builtin's outcome set, over `up_and_out_price_table`."""
+    return up_and_out_outcomes(_space(), TimeAxis.of([0, 1, 2]), up_and_out_price_table())
+
+
 def upandout_instance() -> ActionPathSdf:
-    po = up_and_out_outcomes(
-        _space(), TimeAxis.of([0, 1, 2]), up_and_out_price_table()
-    )
-    return build_action_path_sdf(po, max_x_exhaustive=12)
+    return build_action_path_sdf(upandout_path_outcomes(), max_x_exhaustive=12)
 
 
 def simple_aps() -> ActionPathSdf:

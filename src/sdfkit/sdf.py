@@ -168,10 +168,6 @@ class Sdf:
         return dict(self.projection)
 
     @cached_property
-    def node_poset(self) -> Poset:
-        return set_forest.induced_poset(self.forest)
-
-    @cached_property
     def up(self) -> dict:
         """x ↦ ↑x, the nodes containing x."""
         nodes = self.forest.nodes
@@ -257,7 +253,7 @@ def nodes_of_event(s: Sdf, event) -> frozenset:
 
 def fibres(s: Sdf) -> dict:
     """Check components of (F, ⊇) equal the projection fibres; return ω ↦ T_ω."""
-    components = {frozenset(c) for c in order_core.connected_components(s.node_poset)}
+    components = {frozenset(c) for c in order_core.connected_components(s.forest.poset)}
     fibre_sets = {w: s.fibre.get(w, frozenset()) for w in s.space.scenarios}
     for w in canon_sorted(s.space.scenarios):
         if not fibre_sets[w]:

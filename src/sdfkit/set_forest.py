@@ -11,6 +11,7 @@ construction errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import order_core
 from ._canon import canon_sorted, fmt
@@ -59,10 +60,16 @@ class SetForest:
     def moves(self) -> frozenset:
         return self.nodes - self.terminal_nodes()
 
+    @cached_property
+    def poset(self) -> Poset:
+        """The poset of nodes under reverse inclusion (x >= y iff x ⊇ y),
+        built on first use and kept on the forest."""
+        return Poset.from_order(self.nodes, lambda x, y: x >= y)
+
 
 def induced_poset(sf: SetForest) -> Poset:
     """The poset of nodes under reverse inclusion (x >= y iff x ⊇ y)."""
-    return Poset.from_order(sf.nodes, lambda x, y: x >= y)
+    return sf.poset
 
 
 def decision_paths(sf: SetForest) -> dict:

@@ -12,6 +12,7 @@ import pytest
 
 from sdfkit import examples
 from sdfkit.action_path import (
+    MeasurabilityCase,
     WindowChoiceSpec,
     agent_choice,
     build_action_path_sdf,
@@ -174,19 +175,29 @@ def test_criterion_07_derived_tree_property(
 
 def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps):
     checked = 0
+    cases = 0
 
     def sweep(aps, agent, t, histories, domain):
-        nonlocal checked
+        # One MeasurabilityCase per g, reported per structure; the per-case
+        # definition stays the oracle on the first structure.
+        nonlocal checked, cases
         comps = sorted(aps.po.space.components(agent))
         structures = enumerate_eis(aps.sdf)
         scen = sorted(domain)
-        for e in structures:
-            for values in itertools.product(comps, repeat=len(scen)):
-                g = dict(zip(scen, values))
-                try:
-                    res = check_measurable_iff_adapted(aps, agent, e, t, histories, g)
-                except InputError:
-                    continue
+        for values in itertools.product(comps, repeat=len(scen)):
+            g = dict(zip(scen, values))
+            try:
+                case = MeasurabilityCase(aps, agent, t, histories, g)
+            except InputError:
+                with pytest.raises(InputError):
+                    check_measurable_iff_adapted(aps, agent, structures[0], t, histories, g)
+                continue
+            cases += 1
+            assert case.report(structures[0]) == check_measurable_iff_adapted(
+                aps, agent, structures[0], t, histories, g
+            )
+            for e in structures:
+                res = case.report(e)
                 assert res.domain.ok, (agent, t, g)
                 assert res.forward.ok, (agent, t, g, res.forward.describe())
                 assert res.backward.ok, (agent, t, g, res.backward.describe())
@@ -220,7 +231,7 @@ def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps
             continue
         sweep(upandout_aps, "1", t, histories, domain)
 
-    assert checked >= 100
+    assert (cases, checked) == (42, 2038)
     report(8, f"both implications hold in all {checked} (structure, g) combinations")
 
 

@@ -306,7 +306,7 @@ class TestTimeOf:
     def test_strictly_decreasing_and_constant_on_images(self, timing_aps):
         po = timing_aps.po
         s = timing_aps.sdf
-        poset = s.node_poset
+        poset = s.forest.poset
         moves = [x for x in s.forest.nodes if len(x) >= 2]
         for x in moves:
             for y in moves:
@@ -344,7 +344,7 @@ class TestTimeOf:
     def test_up_set_closed_form(self, timing_aps):
         # ↑x_t(w) = {x_u(w) | u <= t}
         po = timing_aps.po
-        poset = timing_aps.sdf.node_poset
+        poset = timing_aps.sdf.forest.poset
         for w in sorted(po.paths)[:6]:
             for t in po.time.points:
                 x = node_at(po, t, w)

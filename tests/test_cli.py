@@ -141,6 +141,27 @@ class TestParse:
             parse_instance(json.dumps(obj))
         assert exc.value.path == "$.choices.first"
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"scenario": 1, "path": "ab"},  # a string is not the path ("a", "b")
+            {"scenario": [1], "path": ["a", "b"]},
+            {"scenario": 1},
+        ],
+    )
+    def test_choice_outcome_field_types(self, entry):
+        obj = {
+            "kind": "action-path",
+            "scenarios": [1],
+            "time_points": ["0", "1"],
+            "actions": ["a", "b"],
+            "paths": [{"scenario": 1, "path": ["a", "b"]}],
+            "choices": {"first": [entry]},
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.choices.first"
+
     def test_outcome_scenario_stand_in_rejected(self):
         obj = {
             "kind": "explicit-sdf",
@@ -425,6 +446,96 @@ class TestThm411:
         assert (thm.status, thm.message) == (
             "error", "structure-error: agent reference choices fail to verify: stub"
         )
+
+
+def _explicit(**change):
+    """EXPLICIT_DOC with the given top-level fields replaced (None deletes)."""
+    obj = json.loads(EXPLICIT_DOC)
+    for key, value in change.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return parse_instance(json.dumps(obj))
+
+
+def _factorless_doc():
+    paths = [(w, f) for w in "12" for f in ("11", "12", "21", "22")]
+    return _action_path_doc(["1", "2"], [0, 1], ["1", "2"], paths)
+
+
+def _w3_failing_doc():
+    paths = [("1", "11"), ("1", "12"), ("1", "21"), ("2", "21"), ("2", "22"), ("2", "11")]
+    return _action_path_doc(["1", "2"], [0, 1], ["1", "2"], paths)
+
+
+W3_BUILD_ERROR = (
+    "kernel-error: assumption-failure: outcome set violates AP.W3 "
+    "(t=1: prefixes (1) on {1} and (2) on {2} could be identified)"
+)
+TWO_WAY_CHOICES = {"left_a": ["a", "z"], "half": ["a"], "both": ["a", "b", "z"]}
+
+# (document, check, caps) -> (status, message, [(item name, item code)])
+ERROR_AND_FAIL_PATHS = [
+    (lambda: InstanceDoc("builtin", name="simple"), "frobnicate", {},
+     ("error", "kernel-error: unknown command 'frobnicate'", [])),
+    (lambda: parse_instance(EXPLICIT_DOC), "apw", {},
+     ("error", "kernel-error: apw applies to action-path instances only", [])),
+    (lambda: parse_instance(EXPLICIT_DOC), "apc", {},
+     ("error", "kernel-error: apc needs a built action-path instance", [])),
+    (lambda: parse_instance(EXPLICIT_DOC), "thm4-11", {},
+     ("error", "kernel-error: thm4-11 needs a built action-path instance", [])),
+    (_factorless_doc, "apc", {}, ("error", "kernel-error: apc needs a factorization", [])),
+    (_factorless_doc, "thm4-11", {},
+     ("error", "kernel-error: thm4-11 needs a factorization", [])),
+    (_w3_failing_doc, "apc", {}, ("error", W3_BUILD_ERROR, [])),
+    (_w3_failing_doc, "thm4-11", {}, ("error", W3_BUILD_ERROR, [])),
+    (lambda: _explicit(eis=None), "adapted:left_a", {},
+     ("error", "kernel-error: adapted needs an eis section or an :<index> suffix", [])),
+    (lambda: _explicit(rcs=None), "adapted:left_a", {},
+     ("error", "kernel-error: adapted needs a reference choice structure (rcs)", [])),
+    (lambda: parse_instance(EXPLICIT_DOC), "adapted:left_a:99", {},
+     ("error", "kernel-error: eis index 99 out of range 1..2", [])),
+    (lambda: _explicit(rcs=[{"move": 0, "choices": [["a", "z"], ["b"]]}]),
+     "adapted:left_a", {}, ("fail", "", [("preconditions", "rcs-incomplete")])),
+    (lambda: _explicit(atoms=[["L", "R"]], eis=[{"move": 0, "atoms": [["L"], ["R"]]}]),
+     "adapted:left_a", {}, ("fail", "", [("preconditions", "eis-not-sub-algebra")])),
+    (lambda: _explicit(choices=TWO_WAY_CHOICES), "classify:half", {},
+     ("fail", "", [("non-redundant", ""), ("complete", "incomplete")])),
+    (lambda: _explicit(choices=TWO_WAY_CHOICES), "classify:both", {},
+     ("fail", "", [("non-redundant", "redundant"), ("complete", "incomplete")])),
+    (lambda: parse_instance(EXPLICIT_DOC), "classify:nope", {},
+     ("error", "kernel-error: unknown choice 'nope'; known: left_a", [])),
+]
+
+
+@pytest.mark.parametrize(
+    "make_doc, check, caps, expected",
+    ERROR_AND_FAIL_PATHS,
+    ids=[f"{i}-{case[1]}" for i, case in enumerate(ERROR_AND_FAIL_PATHS)],
+)
+def test_error_and_fail_records(make_doc, check, caps, expected):
+    [record] = run(make_doc(), [check], **caps).records
+    got = (record.status, record.message, [(k, v.code) for k, v in record.items])
+    assert got == expected
+
+
+def test_verify_reports_a_build_that_fails_after_w0_to_w3(monkeypatch):
+    # A document whose build passes W0-W3 and then fails exists (axiom 3e
+    # outruns its work cap on 28 one-scenario moves), but takes half a
+    # minute to reach the cap, so the build failure is stubbed here.
+    import sdfkit.cli
+    from sdfkit.errors import StructureError
+
+    def failing(*args, **kwargs):
+        raise StructureError("stub", code="construction-failed")
+
+    monkeypatch.setattr(sdfkit.cli, "_construct_action_path_sdf", failing)
+    [record] = run(_factorless_doc(), ["verify"]).records
+    assert (record.status, record.message) == ("fail", "construction-failed: stub")
+    assert [(k, v.ok, v.code) for k, v in record.items] == [
+        (f"AP.W{i}", True, "") for i in range(4)
+    ]
 
 
 class TestReports:

@@ -8,8 +8,10 @@ import weakref
 
 import sdfkit
 import sdfkit.cli
+from sdfkit.action_path import build_action_path_sdf
 from sdfkit.cli import InstanceDoc, run
 from sdfkit.gen import random_path_outcomes
+from sdfkit.order_core import Poset
 
 CORPUS_CHECKS = ["verify", "ttree", "enumerate-eis", "apw"]
 
@@ -39,6 +41,24 @@ def test_corpus_run_releases_its_instance(monkeypatch):
     del doc
     gc.collect()
     assert refs and all(r() is None for r in refs)
+
+
+def test_corpus_run_builds_the_node_poset_once(monkeypatch):
+    # Axiom 1 (own representation) and axiom 2 (fibres) both read the nodes
+    # under reverse inclusion; the forest keeps that poset for both.
+    po = random_path_outcomes(random.Random(5))
+    nodes = build_action_path_sdf(po, max_x_exhaustive=9).sdf.forest.nodes
+    from_order = Poset.from_order.__func__
+    built = []
+
+    def counting(cls, elements, ge):
+        built.append(frozenset(elements))
+        return from_order(cls, elements, ge)
+
+    monkeypatch.setattr(Poset, "from_order", classmethod(counting))
+    [verify, *_] = run(InstanceDoc("action-path", po=po), CORPUS_CHECKS, max_x=9).records
+    assert verify.status == "ok"
+    assert built.count(nodes) == 1
 
 
 def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):

@@ -328,7 +328,7 @@ def oracle_posets(rng):
         examples.upandout_instance().sdf,
     ]
     for s in builtins:
-        posets.append(s.node_poset)
+        posets.append(s.forest.poset)
         posets.append(tmap_order(s).poset)
     posets += [diamond(), antichain(3), chain_poset(4), Poset.of([], [])]
     return posets

@@ -227,7 +227,7 @@ class TestTTree:
         assert is_tree(tree.poset) and is_rooted_forest(tree.poset)
         # with one scenario the derived tree is the forest itself, moves
         # becoming singleton-domain sections
-        assert order_isomorphic(tree.poset, s.node_poset)
+        assert order_isomorphic(tree.poset, s.forest.poset)
 
     def test_simple_derived_tree_shape(self, simple):
         tree = tmap_order(simple)
