@@ -95,8 +95,10 @@ def _get(obj, key, kind, path, optional=False, default=None):
 def _same_types(values, declared: dict, what: str, path: str):
     """Reject a value that equals a declared one of another type: JSON `true`
     equals 1, and 1.0 equals 1, yet neither is that value. `declared` maps
-    each declared value to itself; a value it lacks is left to resolution."""
+    each declared value to itself; a value it lacks is left to resolution.
+    A JSON array or object is never a scenario or an action."""
     for value in values:
+        _expect(not isinstance(value, (list, dict)), f"{what} {value!r} is not a scalar", path)
         match = declared.get(value, value)
         if type(match) is not type(value):
             raise ParseError(f"{what} {value!r} stands in for {match!r}", path=path)
@@ -311,15 +313,11 @@ def _parse_action_path(obj) -> InstanceDoc:
             for entry in outs:
                 _expect(isinstance(entry, dict), "outcome must be {scenario, path}", cpath)
                 scen, seq = entry.get("scenario"), entry.get("path")
-                _expect(
-                    isinstance(scen, (str, int)) and isinstance(seq, list),
-                    "outcome needs a string or integer scenario and a path array",
-                    cpath,
-                )
+                _expect(isinstance(seq, list), "outcome path must be an array", cpath)
+                _same_types((scen,), scenario_of, "scenario", cpath)
+                _same_types(seq, action_of, "action", cpath)
                 w = (scen, tuple(seq))
                 _expect(w in po.paths, f"unresolved outcome {fmt(w)}", cpath)
-                _same_types(w[:1], scenario_of, "scenario", cpath)
-                _same_types(w[1], action_of, "action", cpath)
                 resolved.add(w)
             doc.named_choices[name] = frozenset(resolved)
     return doc
@@ -463,16 +461,17 @@ class _Instance:
 
 
 # A command handler takes the instance and the text after "name:" and
-# returns its named verdicts and its data, plus a message when it has one.
+# returns its named verdicts, its data and its message ("" for none).
 
 
 def _verify(inst: _Instance, arg: str):
     if inst.po is None:
-        return verify_sdf(inst.need_sdf(), max_x_exhaustive=inst.caps["max_x"]).items, {}
+        s = inst.need_sdf()
+        return verify_sdf(s, max_x_exhaustive=inst.caps["max_x"]).items, {}, ""
     items = tuple((f"AP.{k}", v) for k, v in inst.need_apw().items)
     if inst.build_error is not None:
         return items, {}, inst.build_error
-    return items + inst.sdf_verdict.items, {}
+    return items + inst.sdf_verdict.items, {}, ""
 
 
 def _ttree(inst: _Instance, arg: str):
@@ -482,7 +481,7 @@ def _ttree(inst: _Instance, arg: str):
         tt = check_ttree_theorem(s)
     except KernelError as e:
         tt = Verdict.failed(e.code, str(e))
-    return (("evaluation-bijection", ev), ("rooted-tree", tt)), {}
+    return (("evaluation-bijection", ev), ("rooted-tree", tt)), {}, ""
 
 
 def _enumerate_eis(inst: _Instance, arg: str):
@@ -491,6 +490,7 @@ def _enumerate_eis(inst: _Instance, arg: str):
     return (
         (("count", Verdict.passed(f"{len(structures)} structures")),),
         {"count": len(structures), "structures": listing},
+        "",
     )
 
 
@@ -499,6 +499,7 @@ def _predecessors(inst: _Instance, arg: str):
     return (
         (("result", Verdict.passed(f"{len(nodes)} predecessor nodes")),),
         {"choice": arg, "nodes": [fmt(x) for x in canon_sorted(nodes)]},
+        "",
     )
 
 
@@ -520,7 +521,7 @@ def _classify(inst: _Instance, arg: str):
         ),
     )
     available = [m.fmt() for m in canon_sorted(flags.available_at)]
-    return items, {"choice": arg, "available_at": available}
+    return items, {"choice": arg, "available_at": available}, ""
 
 
 def _adapted(inst: _Instance, arg: str):
@@ -529,10 +530,9 @@ def _adapted(inst: _Instance, arg: str):
     c = Choice.of(s, inst.choice_named(choice_name))
     if eis_idx:
         structures = enumerate_eis(s)
-        k = int(eis_idx)
-        if not 1 <= k <= len(structures):
-            raise KernelError(f"eis index {k} out of range 1..{len(structures)}")
-        e = structures[k - 1]
+        if not (eis_idx.isdecimal() and 1 <= int(eis_idx) <= len(structures)):
+            raise KernelError(f"eis index {eis_idx} out of range 1..{len(structures)}")
+        e = structures[int(eis_idx) - 1]
     elif inst.doc_eis is not None:
         e = inst.doc_eis
     else:
@@ -542,14 +542,14 @@ def _adapted(inst: _Instance, arg: str):
     ev = verify_eis(s, e)
     rv = verify_rcs(s, inst.rcs)
     if not (ev.ok and rv.ok):
-        return (("preconditions", ev if not ev.ok else rv),), {}
-    return (("adapted", is_adapted(s, e, inst.rcs, c)),), {}
+        return (("preconditions", ev if not ev.ok else rv),), {}, ""
+    return (("adapted", is_adapted(s, e, inst.rcs, c)),), {}, ""
 
 
 def _apw(inst: _Instance, arg: str):
     if inst.po is None:
         raise KernelError("apw applies to action-path instances only")
-    return inst.need_apw().items, {}
+    return inst.need_apw().items, {}, ""
 
 
 def _apc(inst: _Instance, arg: str):
@@ -559,7 +559,7 @@ def _apc(inst: _Instance, arg: str):
         for agent in aps.po.space.agents
         for move, _t in aps.move_times
     ]
-    return items, {}
+    return items, {}, ""
 
 
 def _thm4_11(inst: _Instance, arg: str):
@@ -589,7 +589,7 @@ def _thm4_11(inst: _Instance, arg: str):
                 ),
             )
         )
-    return items, {"skipped": skipped, "checked": len(items)}
+    return items, {"skipped": skipped, "checked": len(items)}, ""
 
 
 COMMANDS = {
@@ -614,8 +614,7 @@ def _run_check(inst: _Instance, token: str) -> CheckRecord:
         handler = COMMANDS.get(name)
         if handler is None:
             raise KernelError(f"unknown command {name!r}")
-        items, data, *message = handler(inst, arg)
-        message = message[0] if message else ""
+        items, data, message = handler(inst, arg)
         bundle = MultiVerdict(tuple(items))
         if message or not bundle.ok:
             status = "fail"

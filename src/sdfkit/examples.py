@@ -276,14 +276,14 @@ def encode_variant() -> PathOutcomes:
     return PathOutcomes.of(time, space, _space(), paths)
 
 
-def timing_path_outcomes(n_times: int = 3, agents=("1", "2")) -> PathOutcomes:
-    """The `timing` builtin's outcome set: stopping paths of the agents over
-    times 0..n_times-1, in both scenarios."""
-    return timing_outcomes(_space(), TimeAxis.of(range(n_times)), agents)
+def timing_path_outcomes() -> PathOutcomes:
+    """The `timing` builtin's outcome set: stopping paths of agents 1 and 2
+    over times 0..2, in both scenarios."""
+    return timing_outcomes(_space(), TimeAxis.of([0, 1, 2]), ("1", "2"))
 
 
-def timing_instance(n_times: int = 3, agents=("1", "2")) -> ActionPathSdf:
-    return build_action_path_sdf(timing_path_outcomes(n_times, agents), max_x_exhaustive=12)
+def timing_instance() -> ActionPathSdf:
+    return build_action_path_sdf(timing_path_outcomes(), max_x_exhaustive=12)
 
 
 def up_and_out_price_table() -> dict:

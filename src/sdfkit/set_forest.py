@@ -68,7 +68,7 @@ class SetForest:
 
 
 def induced_poset(sf: SetForest) -> Poset:
-    """The poset of nodes under reverse inclusion (x >= y iff x ⊇ y)."""
+    """`sf.poset`, the poset of nodes under reverse inclusion, as a function."""
     return sf.poset
 
 
@@ -114,7 +114,7 @@ def verify_own_representation(sf: SetForest) -> Verdict:
     names the failing outcome, chain, or node. A non-singleton terminal node
     is reported as such rather than assumed away.
     """
-    poset = induced_poset(sf)
+    poset = sf.poset
     if not order_core.is_rooted_forest(poset):
         return Verdict.failed("not-rooted-forest", "node family is not a rooted forest")
     for x in canon_sorted(sf.terminal_nodes()):
@@ -184,7 +184,7 @@ def decompose(sf: SetForest) -> tuple[tuple[frozenset, SetForest], ...]:
     For a verified forest the V_T partition the universe and each component
     is a decision tree over its root.
     """
-    poset = induced_poset(sf)
+    poset = sf.poset
     out = []
     for block in order_core.connected_components(poset):
         root = max(block, key=len)
@@ -203,7 +203,7 @@ def glue(trees) -> SetForest:
             raise StructureError(
                 f"input {idx} is not a verified tree: {v.describe()}", witness=idx
             )
-        if not order_core.is_tree(induced_poset(t)):
+        if not order_core.is_tree(t.poset):
             raise StructureError(f"input {idx} is not a tree", witness=idx)
     universe = set()
     nodes = []
@@ -215,4 +215,4 @@ def glue(trees) -> SetForest:
 
 def forest_isomorphic(a: SetForest, b: SetForest) -> bool:
     """Order isomorphism of the induced posets."""
-    return order_core.order_isomorphic(induced_poset(a), induced_poset(b))
+    return order_core.order_isomorphic(a.poset, b.poset)

@@ -147,6 +147,7 @@ class TestParse:
             {"scenario": 1, "path": "ab"},  # a string is not the path ("a", "b")
             {"scenario": [1], "path": ["a", "b"]},
             {"scenario": 1},
+            {"scenario": 1, "path": [["a"], "b"]},
         ],
     )
     def test_choice_outcome_field_types(self, entry):
@@ -161,6 +162,30 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_instance(json.dumps(obj))
         assert exc.value.path == "$.choices.first"
+
+    def test_generated_choice_keeps_any_declared_scenario(self):
+        obj = {
+            "kind": "action-path",
+            "scenarios": [1.5, 2],
+            "time_points": ["0", "1"],
+            "generator": "product",
+            "actions": ["a", "b"],
+            "choices": {"first": [{"scenario": 1.5, "path": ["a", "b"]}]},
+        }
+        doc = parse_instance(json.dumps(obj))
+        assert doc.named_choices == {"first": frozenset({(1.5, ("a", "b"))})}
+
+    def test_array_action_in_paths_rejected(self):
+        obj = {
+            "kind": "action-path",
+            "scenarios": [1],
+            "time_points": ["0", "1"],
+            "actions": ["a", "b"],
+            "paths": [{"scenario": 1, "path": [["a"], "b"]}],
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.paths[0].path"
 
     def test_outcome_scenario_stand_in_rejected(self):
         obj = {
@@ -477,47 +502,54 @@ TWO_WAY_CHOICES = {"left_a": ["a", "z"], "half": ["a"], "both": ["a", "b", "z"]}
 
 # (document, check, caps) -> (status, message, [(item name, item code)])
 ERROR_AND_FAIL_PATHS = [
-    (lambda: InstanceDoc("builtin", name="simple"), "frobnicate", {},
+    (lambda: InstanceDoc("builtin", name="simple"), "frobnicate",
      ("error", "kernel-error: unknown command 'frobnicate'", [])),
-    (lambda: parse_instance(EXPLICIT_DOC), "apw", {},
+    (lambda: parse_instance(EXPLICIT_DOC), "apw",
      ("error", "kernel-error: apw applies to action-path instances only", [])),
-    (lambda: parse_instance(EXPLICIT_DOC), "apc", {},
+    (lambda: parse_instance(EXPLICIT_DOC), "apc",
      ("error", "kernel-error: apc needs a built action-path instance", [])),
-    (lambda: parse_instance(EXPLICIT_DOC), "thm4-11", {},
+    (lambda: parse_instance(EXPLICIT_DOC), "thm4-11",
      ("error", "kernel-error: thm4-11 needs a built action-path instance", [])),
-    (_factorless_doc, "apc", {}, ("error", "kernel-error: apc needs a factorization", [])),
-    (_factorless_doc, "thm4-11", {},
+    (_factorless_doc, "apc", ("error", "kernel-error: apc needs a factorization", [])),
+    (_factorless_doc, "thm4-11",
      ("error", "kernel-error: thm4-11 needs a factorization", [])),
-    (_w3_failing_doc, "apc", {}, ("error", W3_BUILD_ERROR, [])),
-    (_w3_failing_doc, "thm4-11", {}, ("error", W3_BUILD_ERROR, [])),
-    (lambda: _explicit(eis=None), "adapted:left_a", {},
+    (_w3_failing_doc, "apc", ("error", W3_BUILD_ERROR, [])),
+    (_w3_failing_doc, "thm4-11", ("error", W3_BUILD_ERROR, [])),
+    (lambda: _explicit(eis=None), "adapted:left_a",
      ("error", "kernel-error: adapted needs an eis section or an :<index> suffix", [])),
-    (lambda: _explicit(rcs=None), "adapted:left_a", {},
+    (lambda: _explicit(rcs=None), "adapted:left_a",
      ("error", "kernel-error: adapted needs a reference choice structure (rcs)", [])),
-    (lambda: parse_instance(EXPLICIT_DOC), "adapted:left_a:99", {},
+    (lambda: parse_instance(EXPLICIT_DOC), "adapted:left_a:99",
      ("error", "kernel-error: eis index 99 out of range 1..2", [])),
     (lambda: _explicit(rcs=[{"move": 0, "choices": [["a", "z"], ["b"]]}]),
-     "adapted:left_a", {}, ("fail", "", [("preconditions", "rcs-incomplete")])),
+     "adapted:left_a", ("fail", "", [("preconditions", "rcs-incomplete")])),
     (lambda: _explicit(atoms=[["L", "R"]], eis=[{"move": 0, "atoms": [["L"], ["R"]]}]),
-     "adapted:left_a", {}, ("fail", "", [("preconditions", "eis-not-sub-algebra")])),
-    (lambda: _explicit(choices=TWO_WAY_CHOICES), "classify:half", {},
+     "adapted:left_a", ("fail", "", [("preconditions", "eis-not-sub-algebra")])),
+    (lambda: _explicit(choices=TWO_WAY_CHOICES), "classify:half",
      ("fail", "", [("non-redundant", ""), ("complete", "incomplete")])),
-    (lambda: _explicit(choices=TWO_WAY_CHOICES), "classify:both", {},
+    (lambda: _explicit(choices=TWO_WAY_CHOICES), "classify:both",
      ("fail", "", [("non-redundant", "redundant"), ("complete", "incomplete")])),
-    (lambda: parse_instance(EXPLICIT_DOC), "classify:nope", {},
+    (lambda: parse_instance(EXPLICIT_DOC), "classify:nope",
      ("error", "kernel-error: unknown choice 'nope'; known: left_a", [])),
 ]
 
 
 @pytest.mark.parametrize(
-    "make_doc, check, caps, expected",
+    "make_doc, check, expected",
     ERROR_AND_FAIL_PATHS,
     ids=[f"{i}-{case[1]}" for i, case in enumerate(ERROR_AND_FAIL_PATHS)],
 )
-def test_error_and_fail_records(make_doc, check, caps, expected):
-    [record] = run(make_doc(), [check], **caps).records
+def test_error_and_fail_records(make_doc, check, expected):
+    [record] = run(make_doc(), [check]).records
     got = (record.status, record.message, [(k, v.code) for k, v in record.items])
     assert got == expected
+
+
+def test_non_integer_eis_index_is_an_error_record():
+    [record] = run(parse_instance(EXPLICIT_DOC), ["adapted:left_a:x"]).records
+    assert (record.status, record.message) == (
+        "error", "kernel-error: eis index x out of range 1..2"
+    )
 
 
 def test_verify_reports_a_build_that_fails_after_w0_to_w3(monkeypatch):
