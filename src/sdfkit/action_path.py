@@ -12,10 +12,10 @@ choices are all realised as checker operations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
 
 from . import choice as choice_mod
 from ._canon import canon_key, canon_sorted, fmt
@@ -174,7 +174,7 @@ class PathOutcomes:
             canon_key(self.paths),
         )
 
-    @cached_property
+    @functools.cached_property
     def index(self) -> "_PathIndex":
         """Outcome groups and realized prefixes, built on first use."""
         return _PathIndex(self)
@@ -660,117 +660,122 @@ class Apc3Result:
     generator: frozenset | None = None
 
 
-@cache
-def _intersection_stable_generators(components: frozenset) -> list:
-    """Candidate generators of the power set of the component set.
-
-    The canonical candidate (all proper subsets) first, then every other
-    intersection-stable family that generates the full power set; only
-    feasible for small component sets.
-    """
-    subsets = [
-        frozenset(c)
-        for r in range(len(components) + 1)
-        for c in itertools.combinations(canon_sorted(components), r)
-    ]
-    canonical = frozenset(s for s in subsets if s != components)
-
-    def generates(family) -> bool:
-        profiles = {
-            x: tuple(x in g for g in canon_sorted(family)) for x in components
-        }
-        return len(set(profiles.values())) == len(components)
-
-    def stable(family) -> bool:
-        return all(g1 & g2 in family for g1 in family for g2 in family)
-
-    out = [canonical]
-    if len(components) <= 3:
-        for r in range(len(subsets) + 1):
-            for fam in itertools.combinations(subsets, r):
-                fam = frozenset(fam)
-                if fam != canonical and stable(fam) and generates(fam):
-                    out.append(fam)
-    return out
-
-
 def check_apc3(
     aps: ActionPathSdf,
     agent,
     move: RandomMove,
     *,
     choice: WindowChoice | None = None,
-    max_candidates: int = 512,
 ) -> Apc3Result:
-    """Search for histories A'_<t and an intersection-stable generator.
+    """Find histories A'_<t and an intersection-stable generator for AP.C3.
 
-    The witness pair must cover the realized prefixes of the given choice
-    (the move's own prefix when none is given) and send every generator
-    member G to a window choice that is empty or lies in the agent's
-    reference choices at the move. The first hit is returned.
+    The witness pair (H, 𝒢) must cover the realized prefixes `required` of
+    the given choice (the move's own prefix p_x when none is given) and send
+    every member G of 𝒢 to a window choice that is empty or lies in the
+    agent's reference choices at the move. The result is the first hit in
+    the order: H = required, H = every realized history, then required ∪ S
+    over the nonempty S ⊆ the other realized histories, by size; per H, the
+    canonical generator (all proper subsets), then the other families.
+
+    At most three history sets need a test. The window choice of (H, G) is
+    the disjoint union of its per-history pieces, and C1 and C2 look at one
+    history group at a time. Every node of x lies under p_x. By the
+    construction of `agent_rcs`, the reference choices for G are piece(p_x)
+    ∪ any union of other passing pieces. So if (H, 𝒢) is a hit, so is
+    (R, 𝒢) for every R ⊆ H that contains p_x. A set H without p_x is a hit
+    only if all its window choices are empty (a nonempty one misses the
+    nodes of x), and then so are those of required ⊆ H. Hence, when
+    p_x ∈ required, only required is tried; otherwise required, the
+    realized histories and required ∪ {p_x}, which is the first set after
+    those two that can hit.
+
+    Per H, each component subset is decided once, on demand. A family is a
+    hit when all its members pass, so the first hit is the canonical family
+    if it passes, else the first intersection-stable, point-separating
+    family of the passing subsets, by size and then subset order. Trying
+    more than DEFAULT_PATH_WORK_CAP such families raises SizeCapError.
     """
     po = aps.po
     if po.space.agents is None:
         raise InputError("outcome set carries no factorization", code="no-factorization")
     t = aps.time_of_move(move)
     k = po.time.index(t)
+    own = next(iter(move.node_at(next(iter(move.domain)))))[1][:k]
     if choice is not None:
         required = frozenset(f[:k] for _, f in choice.outcomes)
     else:
-        required = frozenset(
-            next(iter(move.node_at(w)))[1][:k] for w in move.domain
-        )
+        required = frozenset([own])
     realized = frozenset(po.index.realized_prefixes(t))
     if not required <= realized:
         raise InputError("required prefixes are not realized", witness=required)
-    optional = canon_sorted(realized - required)
-    candidates = [required, realized]
-    for r in range(1, len(optional) + 1):
-        for combo in itertools.combinations(optional, r):
-            candidates.append(required | frozenset(combo))
-    seen: set = set()
-    unique_candidates = []
-    for cand in candidates:
-        if cand not in seen:
-            seen.add(cand)
-            unique_candidates.append(cand)
-    capped = len(unique_candidates) > max_candidates
-    unique_candidates = unique_candidates[:max_candidates]
     references = agent_rcs(aps, agent).for_move(move)
-    for histories in unique_candidates:
-        for generator in _intersection_stable_generators(po.space.components(agent)):
-            hit = True
-            for g_set in canon_sorted(generator):
+    components = canon_sorted(po.space.components(agent))
+    subsets = [
+        frozenset(c)
+        for r in range(len(components) + 1)
+        for c in itertools.combinations(components, r)
+    ]
+    if own in required:
+        history_sets = [required]
+    else:
+        history_sets = dict.fromkeys([required, realized, required | {own}])
+    for histories in history_sets:
+        decided: dict = {}
+
+        def passes(g_set) -> bool:
+            if g_set not in decided:
                 per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
                 wc = window_choice(po, WindowChoiceSpec.of(t, histories, per_scenario))
-                if not wc.outcomes:
-                    continue
-                if not (
+                decided[g_set] = not wc.outcomes or (
                     wc.ok
                     and _meets_every_node(move, wc.outcomes)
                     and choice_mod.Choice.of(aps.sdf, wc.outcomes) in references
-                ):
-                    hit = False
-                    break
-            if hit:
-                return Apc3Result(
-                    Verdict.passed(
-                        f"A'_<t with {len(histories)} histories, generator of "
-                        f"{len(generator)} sets"
-                    ),
-                    histories,
-                    generator,
                 )
-    notes = ("candidate search capped; verdict not exhaustive",) if capped else ()
+            return decided[g_set]
+
+        generator = _first_generator(subsets, passes)
+        if generator is not None:
+            return Apc3Result(
+                Verdict.passed(
+                    f"A'_<t with {len(histories)} histories, generator of "
+                    f"{len(generator)} sets"
+                ),
+                histories,
+                generator,
+            )
     return Apc3Result(
-        Verdict(False, "apc3-not-found", "no (A'_<t, generator) pair found", notes=notes)
+        Verdict.failed("apc3-not-found", "no (A'_<t, generator) pair found")
     )
+
+
+def _first_generator(subsets: list, passes) -> frozenset | None:
+    """The first family of passing component subsets that generates the power
+    set: the canonical one (`subsets` but the last, the full set) when all
+    its members pass, else the first intersection-stable, point-separating
+    family of the passing subsets, ordered by size, then by `subsets` order.
+    """
+    if all(passes(g) for g in subsets[:-1]):
+        return frozenset(subsets[:-1])
+    full = subsets[-1]
+    passing = [g for g in subsets if passes(g)]
+    tried = 0
+    for r in range(len(passing) + 1):
+        for family in itertools.combinations(passing, r):
+            tried += 1
+            if tried > DEFAULT_PATH_WORK_CAP:
+                raise SizeCapError(
+                    f"AP.C3 generator search exceeded {DEFAULT_PATH_WORK_CAP} families"
+                )
+            family = frozenset(family)
+            stable = all(a & b in family for a in family for b in family)
+            if stable and len({tuple(x in g for g in family) for x in full}) == len(full):
+                return family
+    return None
 
 
 @dataclass(frozen=True)
 class MeasurabilityRecord:
     move: RandomMove
-    domain_ok: bool
     measurable: bool
     adapted: bool
     apc3: bool
@@ -795,7 +800,12 @@ def check_measurable_iff_adapted(
 
     Forward: measurability of g on D_x implies the adaptedness condition at
     x. Backward: when the generator search succeeds, the adaptedness
-    condition at x implies measurability. Also confirms D_x ⊆ D.
+    condition at x implies measurability.
+
+    `domain` (D_x ⊆ D, with D the domain of g) is always a passed verdict:
+    c(A_<t, i, g) has no outcome off D, and availability at x puts every
+    x(ω), ω ∈ D_x, in P(c). Since x(ω) holds outcomes of scenario ω only,
+    c has an outcome of scenario ω, so ω ∈ D.
     """
     wc = agent_choice(aps.po, t, histories, agent, g)
     if not wc.ok:
@@ -807,17 +817,10 @@ def check_measurable_iff_adapted(
     c = choice_mod.Choice.of(s, wc.outcomes)
     rcs = agent_rcs(aps, agent)
     flags = choice_mod.classify(s, c)
-    domain = Verdict.passed()
     forward = Verdict.passed()
     backward = Verdict.passed()
     records = []
-    g_domain = frozenset(g)
     for move in canon_sorted(flags.available_at):
-        domain_ok = move.domain <= g_domain
-        if not domain_ok and domain.ok:
-            domain = Verdict.failed(
-                "domain-not-contained", f"D_x ⊄ D at {move.fmt()}"
-            )
         sigma = e.for_move(move)
         measurable = all(
             sigma.contains(
@@ -837,8 +840,8 @@ def check_measurable_iff_adapted(
                 "backward-implication",
                 f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
             )
-        records.append(MeasurabilityRecord(move, domain_ok, measurable, adapted, apc3))
-    return MeasurabilityReport(domain, forward, backward, tuple(records))
+        records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
+    return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
 
 
 class MeasurabilityCase:
@@ -846,7 +849,7 @@ class MeasurabilityCase:
 
     Built once for (agent, t, histories, g): the window choice c(A_<t, i, g)
     and its C0-C2 precondition, the moves c is available at and, per move,
-    D_x ⊆ D, the level sets of g on D_x, the events x⁻¹(P(c ∩ c')) over the
+    the level sets of g on D_x, the events x⁻¹(P(c ∩ c')) over the
     reference choices c' (canon order, repeats dropped) and the AP.C3
     verdict. Construction raises what the oracle raises before it reads
     its EIS; `report(e)` then only tests σ-containment, and equals the
@@ -864,15 +867,8 @@ class MeasurabilityCase:
         c = choice_mod.Choice.of(s, wc.outcomes)
         rcs = agent_rcs(aps, agent)
         flags = choice_mod.classify(s, c)
-        g_domain = frozenset(g)
-        self.domain = Verdict.passed()
         self.moves = []
         for move in canon_sorted(flags.available_at):
-            domain_ok = move.domain <= g_domain
-            if not domain_ok and self.domain.ok:
-                self.domain = Verdict.failed(
-                    "domain-not-contained", f"D_x ⊄ D at {move.fmt()}"
-                )
             levels = [
                 frozenset(w for w in move.domain if g[w] == value)
                 for value in canon_sorted({g[w] for w in move.domain})
@@ -884,13 +880,13 @@ class MeasurabilityCase:
                 for ref in canon_sorted(rcs.for_move(move))
             )
             apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
-            self.moves.append((move, domain_ok, levels, tuple(events), apc3))
+            self.moves.append((move, levels, tuple(events), apc3))
 
     def report(self, e: Eis) -> MeasurabilityReport:
         forward = Verdict.passed()
         backward = Verdict.passed()
         records = []
-        for move, domain_ok, levels, events, apc3 in self.moves:
+        for move, levels, events, apc3 in self.moves:
             sigma = e.for_move(move)
             measurable = all(sigma.contains(level) for level in levels)
             adapted = all(sigma.contains(event) for event in events)
@@ -904,8 +900,8 @@ class MeasurabilityCase:
                     "backward-implication",
                     f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
                 )
-            records.append(MeasurabilityRecord(move, domain_ok, measurable, adapted, apc3))
-        return MeasurabilityReport(self.domain, forward, backward, tuple(records))
+            records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
+        return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
 
 
 @dataclass(frozen=True)

@@ -381,7 +381,7 @@ class _Instance:
         self.sdf: Sdf | None = None
         self.aps: ActionPathSdf | None = None
         self.po: PathOutcomes | None = None
-        self.build_error: str | None = None
+        self.build_error: KernelError | None = None
         self.apw: MultiVerdict | None = None
         self.apw_error: KernelError | None = None
         self.sdf_verdict: MultiVerdict | None = None
@@ -410,7 +410,9 @@ class _Instance:
         except KernelError as e:
             if self.apw is None:
                 self.apw_error = e
-            self.build_error = f"{e.code}: {e}"
+            # a cap reads `cap-exceeded` in every command; any other build
+            # error is reported by its code
+            self.build_error = e if isinstance(e, SizeCapError) else KernelError(f"{e.code}: {e}")
 
     def _resolve_builtin(self, name: str):
         if name == "simple":
@@ -435,12 +437,12 @@ class _Instance:
 
     def need_sdf(self) -> Sdf:
         if self.sdf is None:
-            raise KernelError(self.build_error or "no decision forest in this instance")
+            raise self.build_error or KernelError("no decision forest in this instance")
         return self.sdf
 
     def need_aps(self, command: str) -> ActionPathSdf:
         if self.aps is None:
-            raise KernelError(self.build_error or f"{command} needs a built action-path instance")
+            raise self.build_error or KernelError(f"{command} needs a built action-path instance")
         if self.po.space.agents is None:
             raise KernelError(f"{command} needs a factorization")
         return self.aps
@@ -469,8 +471,10 @@ def _verify(inst: _Instance, arg: str):
         s = inst.need_sdf()
         return verify_sdf(s, max_x_exhaustive=inst.caps["max_x"]).items, {}, ""
     items = tuple((f"AP.{k}", v) for k, v in inst.need_apw().items)
+    if isinstance(inst.build_error, SizeCapError):
+        raise inst.build_error
     if inst.build_error is not None:
-        return items, {}, inst.build_error
+        return items, {}, str(inst.build_error)
     return items + inst.sdf_verdict.items, {}, ""
 
 

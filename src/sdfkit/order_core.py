@@ -11,9 +11,9 @@ than degrade.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
@@ -84,7 +84,7 @@ class Poset:
     # Principal up- and down-sets, each built on first use in one pass over
     # the pairs and kept on the instance.
 
-    @cached_property
+    @functools.cached_property
     def up(self) -> dict:
         """x ↦ {y | y >= x}."""
         up = {x: [] for x in self.elements}
@@ -92,7 +92,7 @@ class Poset:
             up[y].append(x)
         return {x: frozenset(ys) for x, ys in up.items()}
 
-    @cached_property
+    @functools.cached_property
     def down(self) -> dict:
         """x ↦ {y | x >= y}."""
         down = {x: [] for x in self.elements}

@@ -11,9 +11,9 @@ them; an event is precisely a union of atoms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
@@ -163,42 +163,42 @@ class Sdf:
 
     # Derived tables, each built on first use and kept on the instance.
 
-    @cached_property
+    @functools.cached_property
     def proj(self) -> dict:
         return dict(self.projection)
 
-    @cached_property
+    @functools.cached_property
     def up(self) -> dict:
         """x ↦ ↑x, the nodes containing x."""
         nodes = self.forest.nodes
         return {x: frozenset(y for y in nodes if y >= x) for x in nodes}
 
-    @cached_property
+    @functools.cached_property
     def by_up(self) -> dict:
         """↑x ↦ x; up-sets are unique."""
         return {up: x for x, up in self.up.items()}
 
-    @cached_property
+    @functools.cached_property
     def maxima(self) -> frozenset:
         return frozenset(x for x, up in self.up.items() if len(up) == 1)
 
-    @cached_property
+    @functools.cached_property
     def fibre(self) -> dict:
         fibre: dict = {}
         for node, w in self.projection:
             fibre.setdefault(w, set()).add(node)
         return {w: frozenset(v) for w, v in fibre.items()}
 
-    @cached_property
+    @functools.cached_property
     def sorted_moves(self) -> tuple:
         """The random moves in canonical order."""
         return tuple(canon_sorted(self.random_moves))
 
-    @cached_property
+    @functools.cached_property
     def terminal_nodes(self) -> frozenset:
         return self.forest.terminal_nodes()
 
-    @cached_property
+    @functools.cached_property
     def move_nodes(self) -> frozenset:
         return self.forest.nodes - self.terminal_nodes
 

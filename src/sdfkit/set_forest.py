@@ -10,8 +10,8 @@ construction errors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import order_core
 from ._canon import canon_sorted, fmt
@@ -60,7 +60,7 @@ class SetForest:
     def moves(self) -> frozenset:
         return self.nodes - self.terminal_nodes()
 
-    @cached_property
+    @functools.cached_property
     def poset(self) -> Poset:
         """The poset of nodes under reverse inclusion (x >= y iff x ⊇ y),
         built on first use and kept on the forest."""
@@ -98,12 +98,6 @@ class DecisionPathMap:
             )
         paths = decision_paths(sf)
         return cls(tuple((v, paths[v]) for v in canon_sorted(sf.universe)))
-
-    def chain_of(self, outcome) -> frozenset:
-        for v, chain in self.entries:
-            if v == outcome:
-                return chain
-        raise InputError(f"unknown outcome {fmt(outcome)}", code="unknown-element")
 
 
 def verify_own_representation(sf: SetForest) -> Verdict:

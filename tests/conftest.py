@@ -6,7 +6,9 @@ trees and separation by scanning every element instead of the poset's
 index, agent reference choices by one window choice per
 (history subset, component subset) pair, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the AP.W assumptions by
-walking the whole path space A^|T| and every time subset, predecessors never
+walking the whole path space A^|T| and every time subset, AP.C3 by trying
+every history set that covers the required prefixes against a listed
+generator table, predecessors never
 (the library is the literal definition; expected values for those come from
 the worked instances' closed forms).
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -23,12 +26,14 @@ from sdfkit._canon import canon_sorted, fmt
 from sdfkit.action_path import (
     DEFAULT_PATH_WORK_CAP,
     DEFAULT_TIME_SUBSET_CAP,
+    Apc3Result,
     PathOutcomes,
     WindowChoiceSpec,
+    agent_rcs,
     window_choice,
 )
 from sdfkit.choice import Choice, Rcs
-from sdfkit.errors import SizeCapError, not_a_forest, unknown_element
+from sdfkit.errors import InputError, SizeCapError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import DEFAULT_WORK_CAP, maximal_chains
 from sdfkit.verdict import MultiVerdict, Verdict
@@ -155,6 +160,111 @@ def brute_agent_rcs(aps, agent):
                             found.add(Choice.of(aps.sdf, wc.outcomes))
         per_move[move] = found
     return Rcs.of(per_move)
+
+
+@cache
+def brute_intersection_stable_generators(components: frozenset) -> list:
+    """Candidate generators of the power set of the component set.
+
+    The canonical candidate (all proper subsets) first, then every other
+    intersection-stable family that generates the full power set; only
+    feasible for small component sets.
+    """
+    subsets = [
+        frozenset(c)
+        for r in range(len(components) + 1)
+        for c in itertools.combinations(canon_sorted(components), r)
+    ]
+    canonical = frozenset(s for s in subsets if s != components)
+
+    def generates(family) -> bool:
+        profiles = {
+            x: tuple(x in g for g in canon_sorted(family)) for x in components
+        }
+        return len(set(profiles.values())) == len(components)
+
+    def stable(family) -> bool:
+        return all(g1 & g2 in family for g1 in family for g2 in family)
+
+    out = [canonical]
+    if len(components) <= 3:
+        for r in range(len(subsets) + 1):
+            for fam in itertools.combinations(subsets, r):
+                fam = frozenset(fam)
+                if fam != canonical and stable(fam) and generates(fam):
+                    out.append(fam)
+    return out
+
+
+def brute_check_apc3(aps, agent, move, *, choice=None, max_candidates=512):
+    """AP.C3 by search: every history set required ∪ S, S ⊆ the other
+    realized histories (required, all realized, then by size, cut at
+    `max_candidates`), against every listed generator; the first hit wins.
+    Lists only the canonical generator for more than 3 components; exact
+    below that. The reference the decided `check_apc3` is compared against."""
+    po = aps.po
+    if po.space.agents is None:
+        raise InputError("outcome set carries no factorization", code="no-factorization")
+    t = aps.time_of_move(move)
+    k = po.time.index(t)
+    if choice is not None:
+        required = frozenset(f[:k] for _, f in choice.outcomes)
+    else:
+        required = frozenset(
+            next(iter(move.node_at(w)))[1][:k] for w in move.domain
+        )
+    realized = frozenset(po.index.realized_prefixes(t))
+    if not required <= realized:
+        raise InputError("required prefixes are not realized", witness=required)
+    optional = canon_sorted(realized - required)
+    candidates = [required, realized]
+    for r in range(1, len(optional) + 1):
+        for combo in itertools.combinations(optional, r):
+            candidates.append(required | frozenset(combo))
+    seen: set = set()
+    unique_candidates = []
+    for cand in candidates:
+        if cand not in seen:
+            seen.add(cand)
+            unique_candidates.append(cand)
+    capped = len(unique_candidates) > max_candidates
+    unique_candidates = unique_candidates[:max_candidates]
+    references = agent_rcs(aps, agent).for_move(move)
+    for histories in unique_candidates:
+        for generator in brute_intersection_stable_generators(po.space.components(agent)):
+            hit = True
+            for g_set in canon_sorted(generator):
+                per_scenario = {
+                    w: frozenset(
+                        a for a in po.space.actions if po.space.project(agent, a) in g_set
+                    )
+                    if w in move.domain
+                    else frozenset()
+                    for w in po.scenarios.scenarios
+                }
+                wc = window_choice(po, WindowChoiceSpec.of(t, histories, per_scenario))
+                if not wc.outcomes:
+                    continue
+                if not (
+                    wc.ok
+                    and all(node & wc.outcomes for _, node in move.items())
+                    and Choice.of(aps.sdf, wc.outcomes) in references
+                ):
+                    hit = False
+                    break
+            if hit:
+                return Apc3Result(
+                    Verdict.passed(
+                        f"A'_<t with {len(histories)} histories, generator of "
+                        f"{len(generator)} sets"
+                    ),
+                    histories,
+                    generator,
+                )
+    notes = ("candidate search capped; verdict not exhaustive",) if capped else ()
+    return Apc3Result(
+        Verdict(False, "apc3-not-found", "no (A'_<t, generator) pair found", notes=notes)
+    )
 
 
 def _all_prefixes(po: PathOutcomes, length: int, work_cap: int):

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import os
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_agent_rcs, brute_check_apw
+from conftest import brute_agent_rcs, brute_check_apc3, brute_check_apw
 from sdfkit import examples
 from sdfkit.action_path import (
     ActionSpace,
@@ -609,6 +610,108 @@ class TestCheckApc3:
             result = check_apc3(timing_aps, "1", m, choice=wc)
             assert result.verdict.ok
             assert {f[: po.time.index(t)] for (_, f) in wc.outcomes} <= result.histories
+
+    @staticmethod
+    def _against_brute_force(aps) -> Counter:
+        """Every agent × move, with no choice and with each choice a
+        `MeasurabilityCase` builds at the move's time (every window at that
+        time × total g), against the search oracle; tallies where the hit
+        lies: at the required histories, at all realized ones, or at the
+        required ones plus the move's own prefix."""
+        po = aps.po
+        scenarios = canon_sorted(po.scenarios.scenarios)
+        windows: dict = {}
+        for t, realized, own in _windows(aps):
+            windows.setdefault(t, {realized: None})[own] = None
+        tally = Counter()
+        for agent in po.space.agents:
+            comps = canon_sorted(po.space.components(agent))
+            for move, t in aps.move_times:
+                choices = [None]
+                for hist in windows[t]:
+                    for values in itertools.product(comps, repeat=len(scenarios)):
+                        wc = agent_choice(po, t, hist, agent, dict(zip(scenarios, values)))
+                        if wc.ok:
+                            choices.append(wc)
+                k = po.time.index(t)
+                own = frozenset(f[:k] for node in move.image for _, f in node)
+                for wc in choices:
+                    got = check_apc3(aps, agent, move, choice=wc)
+                    assert got == brute_check_apc3(aps, agent, move, choice=wc)
+                    required = own if wc is None else frozenset(f[:k] for _, f in wc.outcomes)
+                    if not got.verdict.ok:
+                        tally["not-found"] += 1
+                    elif got.histories == required:
+                        tally["required"] += 1
+                    elif got.histories == po.index.realized_prefixes(t):
+                        tally["realized"] += 1
+                    else:
+                        assert got.histories == required | own
+                        tally["required+own"] += 1
+        return tally
+
+    def test_matches_brute_force(self, simple_aps, upandout_aps, variant_aps, rng):
+        from sdfkit.gen import random_path_outcomes
+
+        variant = build_action_path_sdf(
+            _factorized(variant_aps.po, {"1": {a: a for a in (0, 1, 2)}})
+        )
+        tally = Counter()
+        for aps in (simple_aps, upandout_aps, variant):
+            tally += self._against_brute_force(aps)
+        compared = 0
+        while compared < 40:
+            po = random_path_outcomes(rng)
+            factorization = {"i": {a: a for a in po.space.actions}}
+            if rng.random() < 0.5:
+                factorization["j"] = {a: rng.choice("xy") for a in sorted(po.space.actions)}
+            try:
+                aps = build_action_path_sdf(_factorized(po, factorization))
+            except StructureError:
+                continue
+            tally += self._against_brute_force(aps)
+            compared += 1
+        if "SDF_SEED" not in os.environ:
+            assert set(tally) == {"required", "realized", "required+own", "not-found"}, tally
+
+    @staticmethod
+    def _four_actions():
+        # one scenario, actions a-d, the identity factorization; after a only
+        # a or b can follow
+        acts = "abcd"
+        paths = [
+            (1, f)
+            for f in itertools.product(acts, repeat=2)
+            if f not in (("a", "c"), ("a", "d"))
+        ]
+        po = PathOutcomes.of(
+            TimeAxis.of([0, 1]),
+            ActionSpace.of(acts, {"1": {a: a for a in acts}}),
+            ScenarioSpace.discrete([1]),
+            paths,
+        )
+        aps = build_action_path_sdf(po)
+        [after_a] = [m for m, t in aps.move_times if t == 1 and (1, ("a", "a")) in m.node_at(1)]
+        return aps, after_a
+
+    def test_four_components_search_every_family(self):
+        # the canonical generator fails after a: {a, b} lifts to the whole
+        # node, which fails C1; the first passing family of the other
+        # subsets is {{a}, {a, c}, {a, d}}, where only canonical was tried
+        # for more than 3 components
+        aps, after_a = self._four_actions()
+        result = check_apc3(aps, "1", after_a)
+        assert result.verdict.ok
+        assert result.verdict.notes == ("A'_<t with 1 histories, generator of 3 sets",)
+        assert result.generator == {frozenset("a"), frozenset("ac"), frozenset("ad")}
+
+    def test_generator_search_past_its_cap_raises(self, monkeypatch):
+        import sdfkit.action_path
+
+        aps, after_a = self._four_actions()
+        monkeypatch.setattr(sdfkit.action_path, "DEFAULT_PATH_WORK_CAP", 3)
+        with pytest.raises(SizeCapError, match="generator search exceeded 3 families"):
+            check_apc3(aps, "1", after_a)
 
 
 class TestMeasurabilityEquivalence:

@@ -552,10 +552,27 @@ def test_non_integer_eis_index_is_an_error_record():
     )
 
 
+def test_a_cap_in_the_build_reads_cap_exceeded_in_every_command(monkeypatch):
+    # W0-W3 hold; axiom 3e of the built instance then outruns a work cap of
+    # 50, as every command that needs the build reports
+    import sdfkit.cli
+
+    p1 = ["a" + "".join(f) for f in itertools.product("ab", repeat=4)] + ["baaaa", "bbaaa"]
+    p2 = ["b" + "".join(f) for f in itertools.product("ab", repeat=4)] + ["aaaaa", "abaaa"]
+    paths = [("1", f) for f in p1] + [("2", f) for f in p2]
+    doc = _action_path_doc(["1", "2"], range(5), ["a", "b"], paths)
+    monkeypatch.setattr(sdfkit.cli, "DEFAULT_PATH_WORK_CAP", 50)
+    verify, ttree, apw = run(doc, ["verify", "ttree", "apw"], max_x=40).records
+    message = "cap-exceeded: axiom-3e partition enumeration exceeded 50 work units"
+    assert (verify.status, verify.message, verify.items) == ("error", message, ())
+    assert (ttree.status, ttree.message, ttree.items) == ("error", message, ())
+    assert apw.status == "ok"
+
+
 def test_verify_reports_a_build_that_fails_after_w0_to_w3(monkeypatch):
-    # A document whose build passes W0-W3 and then fails exists (axiom 3e
-    # outruns its work cap on 28 one-scenario moves), but takes half a
-    # minute to reach the cap, so the build failure is stubbed here.
+    # No document is known whose build passes W0-W3 and then fails other
+    # than by a cap (which reads cap-exceeded, as above), so the failure is
+    # stubbed here.
     import sdfkit.cli
     from sdfkit.errors import StructureError
 

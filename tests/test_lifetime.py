@@ -70,8 +70,8 @@ def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):
 
 
 def test_no_module_level_instance_caches():
-    """Only `_intersection_stable_generators` keeps a module-level cache: its
-    key is a small set of components, not an instance."""
+    """Derived tables live on their instance: no sdfkit function keeps a
+    module-level cache."""
     cached = set()
     for info in pkgutil.iter_modules(sdfkit.__path__):
         module = importlib.import_module(f"sdfkit.{info.name}")
@@ -81,4 +81,4 @@ def test_no_module_level_instance_caches():
             if getattr(fn, "__module__", None) == module.__name__
             and hasattr(fn, "cache_info")
         }
-    assert cached == {"sdfkit.action_path._intersection_stable_generators"}
+    assert cached == set()
