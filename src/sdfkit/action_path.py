@@ -351,7 +351,7 @@ class ActionPathSdf:
     po: PathOutcomes
     sdf: Sdf
     move_times: tuple  # ((RandomMove, Fraction), ...)
-    # agent_rcs results by (agent, max_history_subsets)
+    # agent_rcs results by agent: (Rcs, {(move, G): {h: (piece, C0-C2 ok)}})
     _rcs_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def time_of_move(self, m: RandomMove) -> Fraction:
@@ -580,67 +580,69 @@ def _meets_every_node(move: RandomMove, outcomes) -> bool:
     return all(node & outcomes for _, node in move.items())
 
 
-def agent_rcs(
-    aps: ActionPathSdf,
-    agent,
-    max_history_subsets: int = DEFAULT_HISTORY_SUBSET_CAP,
-) -> choice_mod.Rcs:
+def _own_prefix(po: PathOutcomes, move: RandomMove, t) -> tuple:
+    """p_x: the history before t that every outcome of the move x at t shares."""
+    _, f = next(iter(move.graph[0][1]))
+    return prefix_of(po, f, t)
+
+
+def agent_rcs(aps: ActionPathSdf, agent) -> choice_mod.Rcs:
     """The reference choice structure of measurable individual action sets.
 
     Per random move x at time t: every window choice built from a nonempty
     set H of realized histories and a nonempty set G of agent-i components
     (lifted through the projection on the move's domain, empty off it) that
     passes C0-C2 and meets every node of x. The result is checked to verify
-    as an RCS rather than assumed. More than `max_history_subsets` subsets
-    of the realized histories at a move time raise SizeCapError.
+    as an RCS rather than assumed. More than DEFAULT_HISTORY_SUBSET_CAP
+    subsets of the realized histories at a move time raise SizeCapError.
 
-    The set is built from per-history pieces, with |H| window choices per G
-    instead of 2^|H|. The piece of h is the window choice for the single
-    history h; it is kept when that choice passes C0-C2. The window choice
-    of (H, G) is the disjoint union of the pieces of H. C1 and C2 test one
-    history at a time and C0 is nonemptiness, so the union passes C0-C2
-    iff it is nonempty and every nonempty piece in H passes. Every node of
-    x lies under x's own prefix p_x, so the union meets every node iff
-    p_x ∈ H and the piece of p_x meets every node. The reference choices
-    for G are therefore piece(p_x) ∪ ⋃S over the subsets S of the other
-    kept pieces; histories with empty pieces add nothing.
+    The set is built from per-history pieces, |H| window choices per G
+    instead of 2^|H|: the piece of h is the window choice for the single
+    history h, and the window choice of (H, G) is the disjoint union of the
+    pieces of H. C1 and C2 test one history at a time and C0 is
+    nonemptiness, so the union passes C0-C2 iff it is nonempty and every
+    nonempty piece in H passes. Every node of x lies under x's own prefix
+    p_x, so the union meets every node iff p_x ∈ H and the piece of p_x
+    meets every node. The reference choices for G are therefore piece(p_x)
+    ∪ ⋃S over the subsets S of the other passing pieces.
 
-    The result is kept on `aps`, so each agent and cap is built once.
+    The result is kept on `aps`, so each agent is built once, with every
+    nonempty piece and its C0-C2 flag, from which `check_apc3` decides.
     """
-    memo_key = (agent, max_history_subsets)
-    if memo_key in aps._rcs_memo:
-        return aps._rcs_memo[memo_key]
+    if agent in aps._rcs_memo:
+        return aps._rcs_memo[agent][0]
     po = aps.po
     if po.space.agents is None:
         raise InputError("outcome set carries no factorization", code="no-factorization")
     idx = po.index
     per_move: dict = {}
+    pieces: dict = {}
     components = canon_sorted(po.space.components(agent))
     for move, t in aps.move_times:
         histories = canon_sorted(idx.realized_prefixes(t))
-        if 2 ** len(histories) > max_history_subsets:
+        if 2 ** len(histories) > DEFAULT_HISTORY_SUBSET_CAP:
             raise SizeCapError(
                 f"{2 ** len(histories)} history subsets at t={t} exceed the cap "
-                f"{max_history_subsets}"
+                f"{DEFAULT_HISTORY_SUBSET_CAP}"
             )
-        own = next(iter(move.node_at(next(iter(move.domain)))))[1][: po.time.index(t)]
+        own = _own_prefix(po, move, t)
         found = set()
         for cr in range(1, len(components) + 1):
             for comp_set in itertools.combinations(components, cr):
-                per_scenario = _lifted(
-                    po, agent, dict.fromkeys(move.domain, frozenset(comp_set))
-                )
-                pieces = {}
+                g_set = frozenset(comp_set)
+                per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
+                held = pieces[move, g_set] = {}
                 for h in histories:
                     wc = window_choice(po, WindowChoiceSpec.of(t, (h,), per_scenario))
-                    if wc.ok:
-                        pieces[h] = wc.outcomes
-                own_piece = pieces.pop(own, None)
-                if own_piece is None or not _meets_every_node(move, own_piece):
+                    if wc.outcomes:
+                        held[h] = (wc.outcomes, wc.ok)
+                own_piece, own_ok = held.get(own, (frozenset(), False))
+                if not own_ok or not _meets_every_node(move, own_piece):
                     continue
                 unions = {own_piece}
-                for piece in pieces.values():
-                    unions |= {u | piece for u in unions}
+                for h, (piece, ok) in held.items():
+                    if ok and h != own:
+                        unions |= {u | piece for u in unions}
                 found |= unions
         per_move[move] = frozenset(choice_mod.Choice.of(aps.sdf, o) for o in found)
     rcs = choice_mod.Rcs.of(per_move)
@@ -649,7 +651,7 @@ def agent_rcs(
         raise StructureError(
             f"agent reference choices fail to verify: {verdict.describe()}"
         )
-    aps._rcs_memo[memo_key] = rcs
+    aps._rcs_memo[agent] = (rcs, pieces)
     return rcs
 
 
@@ -677,38 +679,40 @@ def check_apc3(
     over the nonempty S ⊆ the other realized histories, by size; per H, the
     canonical generator (all proper subsets), then the other families.
 
-    At most three history sets need a test. The window choice of (H, G) is
-    the disjoint union of its per-history pieces, and C1 and C2 look at one
-    history group at a time. Every node of x lies under p_x. By the
-    construction of `agent_rcs`, the reference choices for G are piece(p_x)
-    ∪ any union of other passing pieces. So if (H, 𝒢) is a hit, so is
-    (R, 𝒢) for every R ⊆ H that contains p_x. A set H without p_x is a hit
-    only if all its window choices are empty (a nonempty one misses the
-    nodes of x), and then so are those of required ⊆ H. Hence, when
-    p_x ∈ required, only required is tried; otherwise required, the
-    realized histories and required ∪ {p_x}, which is the first set after
-    those two that can hit.
+    A member G is decided from the pieces `agent_rcs` keeps: the window
+    choice of (H, G) is the disjoint union of G's nonempty pieces in H. G
+    passes when H holds none, or when each passes C0-C2 and H holds p_x,
+    whose piece meets every node of x. That is the membership test, by
+    `agent_rcs`'s argument: C1 and C2 each look at one history and every
+    node of x lies under p_x, so a union that passes C0-C2 and meets every
+    node is piece(p_x) ∪ other passing pieces, a reference choice. Being a
+    union of nodes, it is always a choice.
 
-    Per H, each component subset is decided once, on demand. A family is a
-    hit when all its members pass, so the first hit is the canonical family
-    if it passes, else the first intersection-stable, point-separating
-    family of the passing subsets, by size and then subset order. Trying
-    more than DEFAULT_PATH_WORK_CAP such families raises SizeCapError.
+    At most three history sets need a test. By the same argument, if
+    (H, 𝒢) is a hit, so is (R, 𝒢) for every R ⊆ H that holds p_x. An H
+    without p_x is a hit only if all its window choices are empty, and then
+    so are those of required ⊆ H. Hence, when p_x ∈ required, only required
+    is tried; otherwise required, the realized histories and
+    required ∪ {p_x}, the first set after those two that can hit.
+
+    Per H, a family is a hit when all its members pass; the first hit is the
+    one `_first_generator` returns, which raises SizeCapError past
+    DEFAULT_PATH_WORK_CAP families.
     """
     po = aps.po
     if po.space.agents is None:
         raise InputError("outcome set carries no factorization", code="no-factorization")
     t = aps.time_of_move(move)
-    k = po.time.index(t)
-    own = next(iter(move.node_at(next(iter(move.domain)))))[1][:k]
+    own = _own_prefix(po, move, t)
     if choice is not None:
-        required = frozenset(f[:k] for _, f in choice.outcomes)
+        required = frozenset(prefix_of(po, f, t) for _, f in choice.outcomes)
     else:
         required = frozenset([own])
     realized = frozenset(po.index.realized_prefixes(t))
     if not required <= realized:
         raise InputError("required prefixes are not realized", witness=required)
-    references = agent_rcs(aps, agent).for_move(move)
+    agent_rcs(aps, agent)
+    pieces = aps._rcs_memo[agent][1]
     components = canon_sorted(po.space.components(agent))
     subsets = [
         frozenset(c)
@@ -720,18 +724,14 @@ def check_apc3(
     else:
         history_sets = dict.fromkeys([required, realized, required | {own}])
     for histories in history_sets:
-        decided: dict = {}
-
         def passes(g_set) -> bool:
-            if g_set not in decided:
-                per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
-                wc = window_choice(po, WindowChoiceSpec.of(t, histories, per_scenario))
-                decided[g_set] = not wc.outcomes or (
-                    wc.ok
-                    and _meets_every_node(move, wc.outcomes)
-                    and choice_mod.Choice.of(aps.sdf, wc.outcomes) in references
-                )
-            return decided[g_set]
+            held = pieces.get((move, g_set), {})
+            inside = [h for h in held if h in histories]
+            return not inside or (
+                all(held[h][1] for h in inside)
+                and own in inside
+                and _meets_every_node(move, held[own][0])
+            )
 
         generator = _first_generator(subsets, passes)
         if generator is not None:
@@ -936,9 +936,7 @@ def measurability_sweep(aps: ActionPathSdf, structures):
     scenarios = canon_sorted(po.scenarios.scenarios)
     windows = []
     for move, t in aps.move_times:
-        own = frozenset(
-            next(iter(move.node_at(w)))[1][: po.time.index(t)] for w in move.domain
-        )
+        own = frozenset([_own_prefix(po, move, t)])
         windows.append((t, (("all", po.index.realized_prefixes(t)), ("own", own))))
     cases: dict = {}
     for agent in po.space.agents or ():

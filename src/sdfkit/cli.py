@@ -96,7 +96,8 @@ def _same_types(values, declared: dict, what: str, path: str):
     """Reject a value that equals a declared one of another type: JSON `true`
     equals 1, and 1.0 equals 1, yet neither is that value. `declared` maps
     each declared value to itself; a value it lacks is left to resolution.
-    A JSON array or object is never a scenario or an action."""
+    A JSON array or object is never a scenario, action, outcome, agent or
+    component."""
     for value in values:
         _expect(not isinstance(value, (list, dict)), f"{what} {value!r} is not a scalar", path)
         match = declared.get(value, value)
@@ -111,10 +112,20 @@ def _fraction(text, path) -> Fraction:
         raise ParseError(f"bad rational {text!r}", path=path) from None
 
 
+def _atoms(obj, path, optional=False):
+    """The `atoms` field: an array of scenario arrays."""
+    atoms = _get(obj, "atoms", list, path, optional=optional)
+    for atom in atoms or ():
+        _expect(isinstance(atom, list), "atom must be a scenario array", f"{path}.atoms")
+        _same_types(atom, {}, "scenario", f"{path}.atoms")
+    return atoms
+
+
 def _scenario_space(obj, path) -> ScenarioSpace:
     scenarios = _get(obj, "scenarios", list, path)
     _expect(bool(scenarios), "scenarios must be nonempty", f"{path}.scenarios")
-    atoms = _get(obj, "atoms", list, path, optional=True)
+    _same_types(scenarios, {}, "scenario", f"{path}.scenarios")
+    atoms = _atoms(obj, path, optional=True)
     try:
         if atoms is None:
             return ScenarioSpace.discrete(scenarios)
@@ -132,11 +143,13 @@ def _parse_explicit(obj) -> InstanceDoc:
     path = "$"
     space = _scenario_space(obj, path)
     outcomes = _get(obj, "outcomes", list, path)
+    _same_types(outcomes, {}, "outcome", f"{path}.outcomes")
     node_lists = _get(obj, "nodes", list, path)
     universe = frozenset(outcomes)
     nodes = []
     for i, entry in enumerate(node_lists):
         _expect(isinstance(entry, list), "node must be an outcome array", f"{path}.nodes[{i}]")
+        _same_types(entry, {}, "outcome", f"{path}.nodes[{i}]")
         for o in entry:
             _expect(o in universe, f"unresolved outcome {o!r}", f"{path}.nodes[{i}]")
         nodes.append(frozenset(entry))
@@ -156,8 +169,9 @@ def _parse_explicit(obj) -> InstanceDoc:
             )
             mapping[scen] = nodes[node_idx]
         _expect(bool(mapping), "random move needs a nonempty assignment", mpath)
-        domain = entry.get("domain")
+        domain = _get(entry, "domain", list, mpath, optional=True)
         if domain is not None:
+            _same_types(domain, {}, "scenario", f"{mpath}.domain")
             _expect(
                 frozenset(domain) == frozenset(mapping),
                 "declared domain differs from the assignment's scenarios",
@@ -168,12 +182,12 @@ def _parse_explicit(obj) -> InstanceDoc:
     scenario_of = {w: w for w in space.scenarios}
     for o in universe:
         _expect(o in table, f"outcome {o!r} missing a scenario", f"{path}.outcome_scenarios")
+        _same_types((table[o],), scenario_of, "scenario", f"{path}.outcome_scenarios")
         _expect(
             table[o] in space.scenarios,
             f"unresolved scenario {table[o]!r}",
             f"{path}.outcome_scenarios",
         )
-        _same_types((table[o],), scenario_of, "scenario", f"{path}.outcome_scenarios")
     try:
         forest = SetForest.of(universe, nodes)
         projection = {}
@@ -195,6 +209,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
         for name, outs in choices.items():
             _expect(isinstance(outs, list), "choice must be an outcome array", f"$.choices.{name}")
+            _same_types(outs, {}, "outcome", f"$.choices.{name}")
             for o in outs:
                 _expect(o in universe, f"unresolved outcome {o!r}", f"$.choices.{name}")
             doc.named_choices[name] = frozenset(outs)
@@ -207,7 +222,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             _expect(isinstance(entry, dict), "eis entry must be an object", epath)
             idx = _get(entry, "move", int, epath)
             _expect(0 <= idx < len(moves), f"unresolved move index {idx}", epath)
-            atoms = _get(entry, "atoms", list, epath)
+            atoms = _atoms(entry, epath)
             try:
                 per_move[moves[idx]] = SubSigma.of(
                     moves[idx].domain, [frozenset(a) for a in atoms]
@@ -226,6 +241,9 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             idx = _get(entry, "move", int, rpath)
             _expect(0 <= idx < len(moves), f"unresolved move index {idx}", rpath)
             outs = _get(entry, "choices", list, rpath)
+            for c in outs:
+                _expect(isinstance(c, list), "choice must be an outcome array", f"{rpath}.choices")
+                _same_types(c, {}, "outcome", f"{rpath}.choices")
             try:
                 per_move[moves[idx]] = frozenset(
                     Choice.of(doc.sdf, frozenset(c)) for c in outs
@@ -240,21 +258,25 @@ def _parse_action_path(obj) -> InstanceDoc:
     space = _scenario_space(obj, path)
     scenario_of = {w: w for w in space.scenarios}
     raw_points = _get(obj, "time_points", list, path)
-    time_axis = TimeAxis.of([_fraction(p, f"{path}.time_points") for p in raw_points])
+    try:
+        time_axis = TimeAxis.of([_fraction(p, f"{path}.time_points") for p in raw_points])
+    except KernelError as e:
+        raise ParseError(str(e), path=f"{path}.time_points") from None
     generator = obj.get("generator")
     if generator is None:
         actions = _get(obj, "actions", list, path)
+        _same_types(actions, {}, "action", f"{path}.actions")
         factorization_src = _get(obj, "factorization", dict, path, optional=True)
         factorization = None
         if factorization_src is not None:
-            agents = sorted({a for table in factorization_src.values() for a in table})
-            factorization = {
-                agent: {} for agent in agents
-            }
+            fpath = f"{path}.factorization"
+            factorization = {}
             for action, table in factorization_src.items():
-                _expect(action in actions, f"unresolved action {action!r}", f"{path}.factorization")
+                _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
+                _same_types(table.values(), {}, "component", fpath)
+                _expect(action in actions, f"unresolved action {action!r}", fpath)
                 for agent, comp in table.items():
-                    factorization[agent][action] = comp
+                    factorization.setdefault(agent, {})[action] = comp
         try:
             action_space = ActionSpace.of(actions, factorization)
             action_of = {a: a for a in action_space.actions}
@@ -274,9 +296,11 @@ def _parse_action_path(obj) -> InstanceDoc:
         try:
             if generator == "product":
                 actions = _get(obj, "actions", list, path)
+                _same_types(actions, {}, "action", f"{path}.actions")
                 po = product_outcomes(space, time_axis, actions)
             elif generator == "timing":
                 agents = _get(obj, "agents", list, path)
+                _same_types(agents, {}, "agent", f"{path}.agents")
                 po = timing_outcomes(space, time_axis, agents)
             elif isinstance(generator, dict) and generator.get("name") == "up-and-out":
                 price_src = _get(generator, "price", dict, "$.generator")

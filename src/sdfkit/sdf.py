@@ -195,6 +195,24 @@ class Sdf:
         return tuple(canon_sorted(self.random_moves))
 
     @functools.cached_property
+    def ttree(self) -> "TTree":
+        """(T, ≥_T): random moves plus one random terminal node per terminal."""
+        terminals = frozenset(
+            (self.proj[x], next(iter(x))) for x in self.terminal_nodes if len(x) == 1
+        )
+        elements = set(self.random_moves) | set(terminals)
+        pairs = set()
+        for m1 in self.random_moves:
+            for m2 in self.random_moves:
+                if ge_x(m1, m2):
+                    pairs.add((m1, m2))
+        for m in self.random_moves:
+            for (w, out) in terminals:
+                if w in m.domain and out in m.node_at(w):
+                    pairs.add((m, (w, out)))
+        return TTree(Poset.of(elements, pairs), frozenset(self.random_moves), terminals)
+
+    @functools.cached_property
     def terminal_nodes(self) -> frozenset:
         return self.forest.terminal_nodes()
 
@@ -289,22 +307,21 @@ def x_order(s: Sdf) -> Poset:
 
 
 def _axioms_3a_to_3d(s: Sdf, moves):
-    """Named verdicts of axioms 3a-3d for a family of random moves, yielded
-    one axiom at a time.
+    """Axioms 3a-3d for a family of random moves, yielded one axiom at a
+    time as (name, failure): None when the axiom holds, else its first
+    failure in the order of `moves` as (template, *values), not yet text.
 
-    Witnesses are the first failures in the order of `moves`. `verify_sdf`
-    passes the instance's moves in canonical order; the 3e coarsening oracle
-    passes candidate families and stops at the first axiom that fails.
+    `verify_sdf` passes the instance's moves in canonical order and formats
+    each failure; the 3e coarsening oracle passes candidate families, stops
+    at the first axiom that fails and formats nothing.
     """
-    v3a = Verdict.passed()
+    failure = None
     for m in moves:
         if not s.space.is_event(m.domain):
-            v3a = Verdict.failed(
-                "axiom-3a", f"domain {fmt(m.domain)} of {m.fmt()} is not an event"
-            )
+            failure = ("domain {} of {} is not an event", m.domain, m)
             break
         if not m.domain:
-            v3a = Verdict.failed("axiom-3a", f"{m.fmt()} has empty domain")
+            failure = ("{} has empty domain", m)
             break
         bad = next(
             (
@@ -316,29 +333,23 @@ def _axioms_3a_to_3d(s: Sdf, moves):
         )
         if bad is not None:
             w, node = bad
-            reason = (
-                "terminal node"
-                if node in s.terminal_nodes
-                else f"π gives {fmt(s.proj[node])}"
-            )
-            v3a = Verdict.failed(
-                "axiom-3a", f"{m.fmt()} at {fmt(w)} assigns {fmt(node)} ({reason})"
-            )
+            if node in s.terminal_nodes:
+                failure = ("{} at {} assigns {} (terminal node)", m, w, node)
+            else:
+                failure = ("{} at {} assigns {} (π gives {})", m, w, node, s.proj[node])
             break
-    yield "axiom-3a", v3a
+    yield "axiom-3a", failure
 
     covered = {node for m in moves for _, node in m.items()}
-    if covered == s.move_nodes:
-        yield "axiom-3b", Verdict.passed()
-    else:
+    failure = None
+    if covered != s.move_nodes:
         missing = canon_sorted(s.move_nodes - covered) + canon_sorted(
             covered - s.move_nodes
         )
-        yield "axiom-3b", Verdict.failed(
-            "axiom-3b", f"covering mismatch at node {fmt(missing[0])}"
-        )
+        failure = ("covering mismatch at node {}", missing[0])
+    yield "axiom-3b", failure
 
-    v3c = Verdict.passed()
+    failure = None
     for m1 in moves:
         for m2 in moves:
             hit = next(
@@ -350,25 +361,19 @@ def _axioms_3a_to_3d(s: Sdf, moves):
                 None,
             )
             if hit is not None and not ge_x(m1, m2):
-                v3c = Verdict.failed(
-                    "axiom-3c",
-                    f"{m1.fmt()} ⊇ {m2.fmt()} at scenario {fmt(hit)} "
-                    "without x1 ≥_X x2",
-                )
+                failure = ("{} ⊇ {} at scenario {} without x1 ≥_X x2", m1, m2, hit)
                 break
-        if not v3c.ok:
+        if failure is not None:
             break
-    yield "axiom-3c", v3c
+    yield "axiom-3c", failure
 
-    v3d = Verdict.passed()
+    failure = None
     for m in moves:
         flags = {node in s.maxima for _, node in m.items()}
         if len(flags) > 1:
-            v3d = Verdict.failed(
-                "axiom-3d", f"{m.fmt()} is a root for some but not all scenarios"
-            )
+            failure = ("{} is a root for some but not all scenarios", m)
             break
-    yield "axiom-3d", v3d
+    yield "axiom-3d", failure
 
 
 def _merge_block(block) -> RandomMove:
@@ -390,7 +395,7 @@ def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int, work_cap: int) 
             family = frozenset(_merge_block(b) for b in blocks)
             if family == s.random_moves:
                 continue
-            if all(v.ok for _, v in _axioms_3a_to_3d(s, family)):
+            if all(f is None for _, f in _axioms_3a_to_3d(s, family)):
                 merged = next(b for b in blocks if len(b) > 1)
                 return Verdict.failed(
                     "axiom-3e",
@@ -404,7 +409,7 @@ def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int, work_cap: int) 
             continue
         merged = _merge_block([m1, m2])
         family = frozenset(m for m in s.random_moves if m not in (m1, m2)) | {merged}
-        if all(v.ok for _, v in _axioms_3a_to_3d(s, family)):
+        if all(f is None for _, f in _axioms_3a_to_3d(s, family)):
             return Verdict.failed(
                 "axiom-3e",
                 f"pairwise merge of {m1.fmt()} and {m2.fmt()} satisfies 3a-3d",
@@ -441,7 +446,12 @@ def verify_sdf(
         items.append(("axiom-2", Verdict.failed(e.code, str(e))))
 
     moves = s.sorted_moves
-    items.extend(_axioms_3a_to_3d(s, moves))
+    for name, failure in _axioms_3a_to_3d(s, moves):
+        if failure is None:
+            items.append((name, Verdict.passed()))
+        else:
+            template, *values = failure
+            items.append((name, Verdict.failed(name, template.format(*map(fmt, values)))))
     items.append(("axiom-3e", _check_axiom_3e(s, moves, max_x_exhaustive, work_cap)))
 
     items.append(
@@ -457,35 +467,17 @@ def verify_sdf(
 
 
 def tmap_order(s: Sdf) -> TTree:
-    """Build (T, ≥_T): random moves plus one random terminal node per terminal."""
-    terminals = frozenset(
-        (s.proj[x], next(iter(x))) for x in s.terminal_nodes if len(x) == 1
-    )
-    elements = set(s.random_moves) | set(terminals)
-    pairs = set()
-    for m1 in s.random_moves:
-        for m2 in s.random_moves:
-            if ge_x(m1, m2):
-                pairs.add((m1, m2))
-    for m in s.random_moves:
-        for (w, out) in terminals:
-            if w in m.domain and out in m.node_at(w):
-                pairs.add((m, (w, out)))
-    poset = Poset.of(elements, pairs)
-    return TTree(poset, frozenset(s.random_moves), terminals)
+    """(T, ≥_T), kept on the instance as `Sdf.ttree`."""
+    return s.ttree
 
 
-def t_dot_omega(s: Sdf, tree: TTree | None = None):
-    """T • Ω: pairs (y, ω) with ω in the domain of y, canonical order.
-
-    `tree`, given or not, is `tmap_order(s)`: its moves are those of `s`.
-    """
-    tree = tree or tmap_order(s)
+def t_dot_omega(s: Sdf):
+    """T • Ω: pairs (y, ω) with ω in the domain of y, canonical order."""
     pairs = []
     for m in s.sorted_moves:
         for w in canon_sorted(m.domain):
             pairs.append((m, w))
-    for (w, out) in canon_sorted(tree.terminals):
+    for (w, out) in canon_sorted(s.ttree.terminals):
         pairs.append(((w, out), w))
     return pairs
 
@@ -501,8 +493,8 @@ def check_evaluation_bijection(s: Sdf) -> Verdict:
 
     Holds under axioms 1, 2, 3a-3c already; 3d-3f are not needed.
     """
-    tree = tmap_order(s)
-    pairs = t_dot_omega(s, tree)
+    tree = s.ttree
+    pairs = t_dot_omega(s)
     seen = {}
     for y, w in pairs:
         node = _evaluate(y, w)
@@ -546,7 +538,7 @@ def check_ttree_theorem(s: Sdf) -> Verdict:
             witness=bad_roots[0],
             code="roots-not-moves",
         )
-    tree = tmap_order(s)
+    tree = s.ttree
     if not order_core.is_rooted_forest(tree.poset):
         return Verdict.failed("ttree-not-rooted-forest", "(T, ≥_T) is not a rooted forest")
     if not order_core.is_tree(tree.poset):

@@ -576,11 +576,15 @@ class TestAgentRcs:
         nonempty = self._matches_brute_force(rng, draw, 50)
         assert nonempty >= 40
 
-    def test_history_subset_cap(self, timing_aps):
-        # the latest move time of the timing instance has 9 realized histories
-        with pytest.raises(SizeCapError):
-            agent_rcs(timing_aps, "1", max_history_subsets=256)
-        assert agent_rcs(timing_aps, "1", max_history_subsets=512) == agent_rcs(timing_aps, "1")
+    def test_history_subset_cap(self):
+        # one scenario, actions a/b, times 0-4: 16 realized histories at t=4
+        paths = [("1", f) for f in itertools.product("ab", repeat=5)]
+        space = ActionSpace.of(["a", "b"], {"1": {"a": "a", "b": "b"}})
+        po = PathOutcomes.of(TimeAxis.of(range(5)), space, ScenarioSpace.discrete(["1"]), paths)
+        aps = build_action_path_sdf(po)
+        with pytest.raises(SizeCapError) as exc:
+            agent_rcs(aps, "1")
+        assert str(exc.value) == "65536 history subsets at t=4 exceed the cap 4096"
 
     def test_timing_nonempty_at_alive_moves(self, timing_aps):
         r = agent_rcs(timing_aps, "1")

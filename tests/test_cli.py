@@ -208,6 +208,46 @@ class TestParse:
             parse_instance(json.dumps(obj))
         assert exc.value.path == "$.atoms"
 
+    @pytest.mark.parametrize(
+        "kind, where, value, path",
+        [
+            ("explicit", ["scenarios"], [["s"]], "$.scenarios"),
+            ("explicit", ["atoms"], [1], "$.atoms"),
+            ("explicit", ["atoms"], [[[1]]], "$.atoms"),
+            ("explicit", ["random_moves", 0, "domain"], 5, "$.random_moves[0].domain"),
+            ("explicit", ["outcomes"], [["a"], "b"], "$.outcomes"),
+            ("explicit", ["nodes", 0], [["a"]], "$.nodes[0]"),
+            ("explicit", ["choices", "left_a"], [["a"]], "$.choices.left_a"),
+            ("explicit", ["eis", 0, "atoms"], [1], "$.eis[0].atoms"),
+            ("explicit", ["rcs", 0, "choices"], [1], "$.rcs[0].choices"),
+            ("explicit", ["outcome_scenarios", "a"], ["L"], "$.outcome_scenarios"),
+            ("paths", ["factorization"], {"a": [1], "b": {"1": "b"}}, "$.factorization"),
+            ("paths", ["actions"], [["a"], "b"], "$.actions"),
+            ("product", ["actions"], [["a"], "b"], "$.actions"),
+            ("timing", ["agents"], [["1"], "2"], "$.agents"),
+            ("paths", ["time_points"], ["1"], "$.time_points"),
+        ],
+    )
+    def test_malformed_value_is_a_parse_error(self, kind, where, value, path):
+        # each once escaped parse_instance: a TypeError from hashing or
+        # iterating the value, or the time axis's StructureError
+        if kind == "explicit":
+            obj = json.loads(EXPLICIT_DOC)
+        else:
+            obj = {"kind": "action-path", "scenarios": ["1"], "time_points": ["0"]}
+            if kind == "paths":
+                obj["actions"] = ["a", "b"]
+                obj["paths"] = [{"scenario": "1", "path": [a]} for a in "ab"]
+            else:
+                obj["generator"] = kind
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == path
+
     def test_schema_type_error(self):
         with pytest.raises(ParseError) as exc:
             parse_instance('{"kind": "explicit-sdf", "scenarios": "oops"}')

@@ -12,6 +12,7 @@ from sdfkit.action_path import build_action_path_sdf
 from sdfkit.cli import InstanceDoc, run
 from sdfkit.gen import random_path_outcomes
 from sdfkit.order_core import Poset
+from sdfkit.sdf import tmap_order
 
 CORPUS_CHECKS = ["verify", "ttree", "enumerate-eis", "apw"]
 
@@ -59,6 +60,24 @@ def test_corpus_run_builds_the_node_poset_once(monkeypatch):
     [verify, *_] = run(InstanceDoc("action-path", po=po), CORPUS_CHECKS, max_x=9).records
     assert verify.status == "ok"
     assert built.count(nodes) == 1
+
+
+def test_ttree_command_builds_the_t_tree_once(monkeypatch):
+    # The evaluation bijection and the tree theorem both read (T, ≥_T); the
+    # instance keeps it for both.
+    po = random_path_outcomes(random.Random(14))
+    elements = tmap_order(build_action_path_sdf(po, max_x_exhaustive=9).sdf).poset.elements
+    of = Poset.of.__func__
+    built = []
+
+    def counting(cls, elements, ge_pairs):
+        built.append(frozenset(elements))
+        return of(cls, elements, ge_pairs)
+
+    monkeypatch.setattr(Poset, "of", classmethod(counting))
+    [ttree] = run(InstanceDoc("action-path", po=po), ["ttree"], max_x=9).records
+    assert ttree.status == "ok"
+    assert built.count(frozenset(elements)) == 1
 
 
 def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):

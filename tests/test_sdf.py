@@ -179,6 +179,21 @@ class TestVerifySdf:
             verify_sdf(s, work_cap=9)
         assert str(exc.value) == "axiom-3e partition enumeration exceeded 9 work units"
 
+    def test_3e_formats_only_its_witness(self, monkeypatch):
+        # the candidates that fail 3d before the witness is found format no
+        # text; only the three merged moves of the witness are formatted
+        s = disjoint_domain_sdf()
+        fmt = RandomMove.fmt
+        formatted = []
+
+        def counting(move):
+            formatted.append(move)
+            return fmt(move)
+
+        monkeypatch.setattr(RandomMove, "fmt", counting)
+        verdict = verify_sdf(s).verdict("axiom-3e")
+        assert not verdict.ok and len(formatted) == 3
+
     def test_3f_reported_not_skipped(self, simple):
         v = verify_sdf(simple)
         assert "trivially satisfied" in " ".join(v.verdict("axiom-3f").notes)
@@ -279,7 +294,7 @@ class TestTTree:
 
     def test_order_embedding_quantified(self, simple):
         tree = tmap_order(simple)
-        pairs = t_dot_omega(simple, tree)
+        pairs = t_dot_omega(simple)
 
         def value(y, w):
             if isinstance(y, RandomMove):
