@@ -106,9 +106,11 @@ def _same_types(values, declared: dict, what: str, path: str):
 
 
 def _fraction(text, path) -> Fraction:
+    # JSON true/false are ints and a JSON float is binary: neither is exact
+    _expect(type(text) in (str, int), f"bad rational {text!r}", path)
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {text!r}", path=path) from None
 
 

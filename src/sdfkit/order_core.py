@@ -82,7 +82,7 @@ class Poset:
         )
 
     # Principal up- and down-sets, each built on first use in one pass over
-    # the pairs and kept on the instance.
+    # the pairs and kept on the instance, and the forest witness read off them.
 
     @functools.cached_property
     def up(self) -> dict:
@@ -99,6 +99,11 @@ class Poset:
         for x, y in self.ge_pairs:
             down[x].append(y)
         return {x: frozenset(ys) for x, ys in down.items()}
+
+    @functools.cached_property
+    def forest_witness(self):
+        """`forest_witness(self)`, scanned once per poset."""
+        return forest_witness(self)
 
     def maximal_elements(self) -> frozenset:
         return frozenset(x for x, up in self.up.items() if len(up) == 1)
@@ -153,7 +158,7 @@ def down_set(p: Poset, x) -> frozenset:
 
 def is_forest(p: Poset) -> bool:
     """True iff every principal up-set is a chain."""
-    return forest_witness(p) is None
+    return p.forest_witness is None
 
 
 def forest_witness(p: Poset):
@@ -170,15 +175,18 @@ def forest_witness(p: Poset):
     return None
 
 
+def _require_forest(p: Poset) -> None:
+    if p.forest_witness is not None:
+        raise not_a_forest(p.forest_witness)
+
+
 def is_rooted_forest(p: Poset) -> bool:
     """True iff the forest is nonempty and every up-set contains a maximal element.
 
     The second half is automatic for finite nonempty forests but is checked
     literally all the same.
     """
-    w = forest_witness(p)
-    if w is not None:
-        raise not_a_forest(w)
+    _require_forest(p)
     if not p.elements:
         return False
     maxima = p.maximal_elements()
@@ -187,9 +195,7 @@ def is_rooted_forest(p: Poset) -> bool:
 
 def is_tree(p: Poset) -> bool:
     """True iff any two up-sets intersect (single connected component)."""
-    w = forest_witness(p)
-    if w is not None:
-        raise not_a_forest(w)
+    _require_forest(p)
     up = p.up
     return all(
         not up[x].isdisjoint(up[y])
@@ -199,9 +205,7 @@ def is_tree(p: Poset) -> bool:
 
 def connected_components(p: Poset) -> tuple[frozenset, ...]:
     """The unique partition of a forest into trees (comparable elements share a block)."""
-    w = forest_witness(p)
-    if w is not None:
-        raise not_a_forest(w)
+    _require_forest(p)
     parent = {x: x for x in p.elements}
 
     def find(x):

@@ -5,8 +5,9 @@ projection whose fibres are the connected components, and a set of random
 moves (scenario-indexed sections of moves). `verify_sdf` checks every axiom
 mechanically and reports one verdict per axiom, with witnesses.
 
-Finite σ-algebras are represented by the partition of atoms generating
-them; an event is precisely a union of atoms.
+Finite σ-algebras are `SubSigma`s: a carrier event and the partition of
+it into atoms, so an event is precisely a union of atoms. The scenario
+space is the `SubSigma` whose carrier is Ω.
 """
 
 from __future__ import annotations
@@ -24,60 +25,125 @@ from .verdict import MultiVerdict, Verdict
 
 
 @dataclass(frozen=True)
-class ScenarioSpace:
-    """Finite scenario set Ω with the σ-algebra generated by an atom partition."""
+class SubSigma:
+    """A σ-algebra over a carrier event, as the atom partition of the carrier."""
 
-    scenarios: frozenset
-    algebra_atoms: frozenset
+    carrier: frozenset
+    atoms: frozenset
 
     def __post_init__(self):
-        seen = set()
-        for atom in self.algebra_atoms:
-            if not atom:
-                raise StructureError("empty σ-algebra atom")
-            if atom & seen:
-                raise StructureError(f"σ-algebra atoms overlap at {fmt(atom)}", witness=atom)
-            seen |= atom
-        if seen != self.scenarios:
-            raise StructureError("σ-algebra atoms do not cover the scenario set")
-        if not self.scenarios:
+        seen: set = set()
+        for a in self.atoms:
+            if not a:
+                raise StructureError("empty atom")
+            if a & seen:
+                raise StructureError(f"atoms overlap at {fmt(a)}", witness=a)
+            seen |= a
+        if seen != self.carrier:
+            raise StructureError("atoms do not partition the carrier")
+
+    @classmethod
+    def of(cls, carrier, atoms) -> "SubSigma":
+        return cls(frozenset(carrier), frozenset(frozenset(a) for a in atoms))
+
+    @classmethod
+    def trivial(cls, carrier) -> "SubSigma":
+        carrier = frozenset(carrier)
+        return cls(carrier, frozenset([carrier]) if carrier else frozenset())
+
+    @classmethod
+    def ambient_trace(cls, space: ScenarioSpace, carrier) -> "SubSigma":
+        """The trace 𝒜|_carrier: the finest algebra the ambient one allows."""
+        return cls(frozenset(carrier), space.trace_atoms(carrier))
+
+    def contains(self, event) -> bool:
+        """E ∈ F iff E is a union of atoms."""
+        event = frozenset(event)
+        if not event <= self.carrier:
+            return False
+        return all(a <= event or not (a & event) for a in self.atoms)
+
+    def events(self):
+        """All events, in canonical order (2^#atoms of them)."""
+        atoms = canon_sorted(self.atoms)
+        out = {frozenset()}
+        for r in range(1, len(atoms) + 1):
+            for combo in itertools.combinations(atoms, r):
+                out.add(frozenset().union(*combo))
+        return canon_sorted(out)
+
+    def trace_failure(self, domain, other: "SubSigma"):
+        """None, or the first event E in canonical order whose trace E ∩ domain
+        is not an event of `other`: the no-forgetting check.
+
+        E ∩ domain is the union of a ∩ domain over the atoms a ⊆ E, and
+        `contains` accepts ∅ and every union of accepted sets, so every event
+        passes exactly when every atom does. The events are listed only to
+        name a failure.
+        """
+        if all(other.contains(a & domain) for a in self.atoms):
+            return None
+        return next(ev for ev in self.events() if not other.contains(ev & domain))
+
+    def trace(self, event) -> "SubSigma":
+        event = frozenset(event)
+        return SubSigma(
+            self.carrier & event,
+            frozenset(a & event for a in self.atoms if a & event),
+        )
+
+    def join(self, other: "SubSigma") -> "SubSigma":
+        """Smallest common refinement (σ-algebra join) over a shared carrier."""
+        if self.carrier != other.carrier:
+            raise InputError(
+                "join requires a common carrier",
+                witness=(self.carrier, other.carrier),
+                code="carrier-mismatch",
+            )
+        atoms = frozenset(
+            a & b for a in self.atoms for b in other.atoms if a & b
+        )
+        return SubSigma(self.carrier, atoms)
+
+    def includes(self, coarser: "SubSigma") -> bool:
+        """True iff every event of `coarser` is an event of self."""
+        return all(self.contains(a) for a in coarser.atoms)
+
+    def canon_key(self):
+        return ("subsigma", canon_key(self.carrier), canon_key(self.atoms))
+
+    def fmt(self) -> str:
+        return fmt(self.atoms)
+
+
+class ScenarioSpace(SubSigma):
+    """Finite scenario set Ω with its σ-algebra: the SubSigma whose carrier is Ω."""
+
+    scenarios = property(lambda self: self.carrier)
+    algebra_atoms = property(lambda self: self.atoms)
+    is_event = SubSigma.contains
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.carrier:
             raise StructureError("scenario set must be nonempty")
 
     @classmethod
     def of(cls, scenarios, atoms=None) -> "ScenarioSpace":
         scenarios = frozenset(scenarios)
         if atoms is None:
-            atoms = [frozenset([w]) for w in scenarios]
-        return cls(scenarios, frozenset(frozenset(a) for a in atoms))
+            atoms = [[w] for w in scenarios]
+        return super().of(scenarios, atoms)
 
     @classmethod
     def discrete(cls, scenarios) -> "ScenarioSpace":
         return cls.of(scenarios)
 
-    def is_event(self, subset) -> bool:
-        """E ∈ 𝒜 iff E is a union of atoms."""
-        subset = frozenset(subset)
-        if not subset <= self.scenarios:
-            return False
-        return all(atom <= subset or not (atom & subset) for atom in self.algebra_atoms)
-
-    def events(self):
-        """All events, in canonical order (2^#atoms of them)."""
-        atoms = canon_sorted(self.algebra_atoms)
-        out = []
-        for r in range(len(atoms) + 1):
-            for combo in itertools.combinations(atoms, r):
-                out.append(frozenset().union(*combo) if combo else frozenset())
-        return canon_sorted(set(out))
-
     def trace_atoms(self, carrier) -> frozenset:
         """Atoms of the trace σ-algebra 𝒜|_carrier, for an event carrier."""
-        if not self.is_event(carrier):
+        if not self.contains(carrier):
             raise InputError(f"not an event: {fmt(frozenset(carrier))}", witness=carrier)
-        return frozenset(a for a in self.algebra_atoms if a <= frozenset(carrier))
-
-    def canon_key(self):
-        return ("space", canon_key(self.scenarios), canon_key(self.algebra_atoms))
+        return frozenset(a for a in self.atoms if a <= frozenset(carrier))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Finite σ-algebras, filtrations, and exogenous information structures.
+"""Filtrations and exogenous information structures.
 
-A σ-algebra over a carrier event is identified with the partition of the
-carrier into its atoms; "E ∈ F" means "E is a union of F-atoms". An
-exogenous information structure assigns one such algebra per random move,
-monotone under traces along ≥_X (the no-forgetting condition).
+A σ-algebra over a carrier event is a `SubSigma` (defined in `sdf`, next to
+the scenario space, and re-exported here). An exogenous information
+structure assigns one such algebra per random move, monotone under traces
+along ≥_X (the no-forgetting condition, `SubSigma.trace_failure`).
 """
 
 from __future__ import annotations
@@ -15,85 +15,8 @@ from math import comb
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import set_partitions
-from .sdf import RandomMove, ScenarioSpace, Sdf, ge_x, x_order
+from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x, x_order
 from .verdict import Verdict
-
-
-@dataclass(frozen=True)
-class SubSigma:
-    """A σ-algebra over a carrier event, as the atom partition of the carrier."""
-
-    carrier: frozenset
-    atoms: frozenset
-
-    def __post_init__(self):
-        seen: set = set()
-        for a in self.atoms:
-            if not a:
-                raise StructureError("empty atom")
-            if a & seen:
-                raise StructureError(f"atoms overlap at {fmt(a)}", witness=a)
-            seen |= a
-        if seen != self.carrier:
-            raise StructureError("atoms do not partition the carrier")
-
-    @classmethod
-    def of(cls, carrier, atoms) -> "SubSigma":
-        return cls(frozenset(carrier), frozenset(frozenset(a) for a in atoms))
-
-    @classmethod
-    def trivial(cls, carrier) -> "SubSigma":
-        carrier = frozenset(carrier)
-        return cls(carrier, frozenset([carrier]) if carrier else frozenset())
-
-    @classmethod
-    def ambient_trace(cls, space: ScenarioSpace, carrier) -> "SubSigma":
-        """The trace 𝒜|_carrier: the finest algebra the ambient one allows."""
-        return cls(frozenset(carrier), space.trace_atoms(carrier))
-
-    def contains(self, event) -> bool:
-        event = frozenset(event)
-        if not event <= self.carrier:
-            return False
-        return all(a <= event or not (a & event) for a in self.atoms)
-
-    def events(self):
-        atoms = canon_sorted(self.atoms)
-        out = {frozenset()}
-        for r in range(1, len(atoms) + 1):
-            for combo in itertools.combinations(atoms, r):
-                out.add(frozenset().union(*combo))
-        return canon_sorted(out)
-
-    def trace(self, event) -> "SubSigma":
-        event = frozenset(event)
-        return SubSigma(
-            self.carrier & event,
-            frozenset(a & event for a in self.atoms if a & event),
-        )
-
-    def join(self, other: "SubSigma") -> "SubSigma":
-        """Smallest common refinement (σ-algebra join) over a shared carrier."""
-        if self.carrier != other.carrier:
-            raise InputError(
-                "join requires a common carrier",
-                witness=(self.carrier, other.carrier),
-                code="carrier-mismatch",
-            )
-        atoms = frozenset(
-            a & b for a in self.atoms for b in other.atoms if a & b
-        )
-        return SubSigma(self.carrier, atoms)
-
-    def includes(self, coarser: "SubSigma") -> bool:
-        """True iff every event of `coarser` is an event of self."""
-        return all(self.contains(a) for a in coarser.atoms)
-
-    def canon_key(self):
-        return ("subsigma", canon_key(self.carrier), canon_key(self.atoms))
-
-    def fmt(self) -> str:
-        return fmt(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -213,17 +136,16 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
                     f"atom {fmt(atom)} of the algebra at {m.fmt()} is not an event",
                 )
     for m1, sigma1 in e.entries:
-        for m2, _ in e.entries:
+        for m2, sigma2 in e.entries:
             if m1 == m2 or not ge_x(m1, m2):
                 continue
-            sigma2 = e.for_move(m2)
-            for event in sigma1.events():
-                if not sigma2.contains(event & m2.domain):
-                    return Verdict.failed(
-                        "eis-trace-violation",
-                        f"E = {fmt(event)} at {m1.fmt()} traces to "
-                        f"{fmt(frozenset(event & m2.domain))} ∉ algebra at {m2.fmt()}",
-                    )
+            event = sigma1.trace_failure(m2.domain, sigma2)
+            if event is not None:
+                return Verdict.failed(
+                    "eis-trace-violation",
+                    f"E = {fmt(event)} at {m1.fmt()} traces to "
+                    f"{fmt(frozenset(event & m2.domain))} ∉ algebra at {m2.fmt()}",
+                )
     return Verdict.passed()
 
 
@@ -277,13 +199,11 @@ def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
     assignment: dict = {}
 
     def compatible(new_move, sigma) -> bool:
-        for earlier in assignment:
-            if ge_x(earlier, new_move) and earlier != new_move:
-                earlier_sigma = assignment[earlier]
-                for event in earlier_sigma.events():
-                    if not sigma.contains(event & new_move.domain):
-                        return False
-        return True
+        return all(
+            earlier_sigma.trace_failure(new_move.domain, sigma) is None
+            for earlier, earlier_sigma in assignment.items()
+            if earlier != new_move and ge_x(earlier, new_move)
+        )
 
     def assign(i):
         if i == len(moves):
@@ -336,14 +256,7 @@ def chain_filtration(s: Sdf, e: Eis, chain) -> ChainStages:
     verdict = Verdict.passed()
     for i, (m1, sigma1) in enumerate(stages):
         for m2, sigma2 in stages[i + 1 :]:
-            bad = next(
-                (
-                    ev
-                    for ev in sigma1.events()
-                    if not sigma2.contains(ev & m2.domain)
-                ),
-                None,
-            )
+            bad = sigma1.trace_failure(m2.domain, sigma2)
             if bad is not None:
                 verdict = Verdict.failed(
                     "trace-not-monotone",
@@ -365,15 +278,7 @@ def eis_from_filtration(s: Sdf, time_of_move, g: Filtration) -> Eis:
     defining conditions; this is the constant-observable case of the
     observation construction.
     """
-    per_move = {}
-    for m in s.random_moves:
-        t = time_of_move[m]
-        if t not in g.times:
-            raise InputError(
-                f"move time {t} not in the filtration index", code="time-index-mismatch"
-            )
-        per_move[m] = g.stage(t).trace(m.domain)
-    return Eis.of(per_move)
+    return Eis.of({m: g.stage(time_of_move[m]).trace(m.domain) for m in s.random_moves})
 
 
 def eis_from_observations(
@@ -387,12 +292,7 @@ def eis_from_observations(
     """
     per_move = {}
     for m in s.random_moves:
-        t = time_of_move[m]
-        if t not in g.times:
-            raise InputError(
-                f"move time {t} not in the filtration index", code="time-index-mismatch"
-            )
-        joined = g.stage(t)
+        joined = g.stage(time_of_move[m])
         for other in s.random_moves:
             if ge_x(other, m):
                 joined = joined.join(level_set_partition(s.space, y.for_move(other)))

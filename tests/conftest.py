@@ -5,7 +5,8 @@ by full subset enumeration, up-sets, down-sets, covers, extremal elements,
 trees and separation by scanning every element instead of the poset's
 index, agent reference choices by one window choice per
 (history subset, component subset) pair, canonical keys by the type-tag
-cascade that wraps every number in a Fraction, the AP.W assumptions by
+cascade that wraps every number in a Fraction, the no-forgetting trace
+check by listing every event, the AP.W assumptions by
 walking the whole path space A^|T| and every time subset, AP.C3 by trying
 every history set that covers the required prefixes against a listed
 generator table, predecessors never
@@ -128,6 +129,19 @@ def oracle_canon_key(value):
     if value is None:
         return ("none",)
     return ("repr", type(value).__name__, repr(value))
+
+
+def brute_trace_failure(sigma, domain, other):
+    """The first event E of `sigma`, in canonical order, with E ∩ domain not
+    an event of `other`, by listing all 2^k events; None when there is none."""
+    return next(
+        (
+            ev
+            for ev in sigma.events()
+            if not other.contains(ev & domain)
+        ),
+        None,
+    )
 
 
 def brute_agent_rcs(aps, agent):

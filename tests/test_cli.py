@@ -200,6 +200,13 @@ class TestParse:
             parse_instance(json.dumps(obj))
         assert exc.value.path == "$.outcome_scenarios"
 
+    def test_overlapping_atoms_are_a_parse_error(self):
+        obj = json.loads(TIMING_DOC)
+        obj["atoms"] = [["1", "2"], ["2"]]
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.atoms"
+
     def test_atom_stand_in_rejected(self):
         obj = json.loads(TIMING_DOC)
         obj["scenarios"] = [1, 2]
@@ -226,6 +233,12 @@ class TestParse:
             ("product", ["actions"], [["a"], "b"], "$.actions"),
             ("timing", ["agents"], [["1"], "2"], "$.agents"),
             ("paths", ["time_points"], ["1"], "$.time_points"),
+            ("paths", ["time_points"], [False], "$.time_points"),
+            ("paths", ["time_points"], [0.0], "$.time_points"),
+            ("timing", ["generator"], {"name": "up-and-out", "price": {"1": [True]}}, "$.generator.price"),
+            ("timing", ["generator"], {"name": "up-and-out", "price": {"1": [0.5]}}, "$.generator.price"),
+            ("timing", ["generator"], {"name": "up-and-out", "price": {"1": ["1"]}, "barrier": False}, "$.generator.barrier"),
+            ("timing", ["generator"], {"name": "up-and-out", "price": {"1": ["1"]}, "barrier": 2.5}, "$.generator.barrier"),
         ],
     )
     def test_malformed_value_is_a_parse_error(self, kind, where, value, path):

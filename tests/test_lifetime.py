@@ -11,6 +11,7 @@ import sdfkit.cli
 from sdfkit.action_path import build_action_path_sdf
 from sdfkit.cli import InstanceDoc, run
 from sdfkit.gen import random_path_outcomes
+from sdfkit import order_core
 from sdfkit.order_core import Poset
 from sdfkit.sdf import tmap_order
 
@@ -78,6 +79,23 @@ def test_ttree_command_builds_the_t_tree_once(monkeypatch):
     [ttree] = run(InstanceDoc("action-path", po=po), ["ttree"], max_x=9).records
     assert ttree.status == "ok"
     assert built.count(frozenset(elements)) == 1
+
+
+def test_each_poset_decides_forest_ness_once(monkeypatch):
+    # Axioms 1 and 2 both need the node poset to be a forest, and the tree
+    # theorem asks it of (T, ≥_T) twice; each poset scans its up-sets once.
+    witness = order_core.forest_witness
+    scanned = []
+
+    def counting(p):
+        scanned.append(p)
+        return witness(p)
+
+    monkeypatch.setattr(order_core, "forest_witness", counting)
+    doc = InstanceDoc("action-path", po=random_path_outcomes(random.Random(14)))
+    records = run(doc, ["verify", "ttree"], max_x=9).records
+    assert [r.status for r in records] == ["ok", "ok"]
+    assert len(scanned) == 2
 
 
 def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):

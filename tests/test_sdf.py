@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sdfkit import examples
@@ -20,6 +22,7 @@ from sdfkit.sdf import (
     x_order,
 )
 from sdfkit.set_forest import SetForest, induced_poset
+from sdfkit.sigma_info import SubSigma
 
 
 def one_scenario_sdf():
@@ -78,6 +81,35 @@ class TestScenarioSpace:
         assert space.is_event(set())
         assert not space.is_event({1})
         assert len(space.events()) == 4
+
+    def test_is_the_sub_sigma_over_omega(self):
+        space = ScenarioSpace.of([1, 2, 3], [[1, 2], [3]])
+        assert isinstance(space, SubSigma)
+        assert space.scenarios == space.carrier == frozenset([1, 2, 3])
+        assert space.algebra_atoms == space.atoms
+        for r in range(4):
+            for subset in itertools.combinations([1, 2, 3], r):
+                assert space.is_event(subset) == space.contains(subset)
+
+    @pytest.mark.parametrize(
+        "scenarios, atoms",
+        [
+            ([1, 2], [[1, 2], []]),  # empty atom
+            ([1, 2], [[1, 2], [2]]),  # overlapping atoms
+            ([1, 2], [[1]]),  # atoms do not cover Ω
+            ([], []),  # empty Ω
+        ],
+    )
+    def test_invalid_spaces_rejected(self, scenarios, atoms):
+        with pytest.raises(StructureError):
+            ScenarioSpace.of(scenarios, atoms)
+
+    def test_public_names_import(self):
+        import sdfkit
+        import sdfkit.sigma_info
+
+        assert sdfkit.SubSigma is sdfkit.sigma_info.SubSigma is SubSigma
+        assert sdfkit.ScenarioSpace is ScenarioSpace
 
 
 class TestRandomMove:

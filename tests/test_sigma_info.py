@@ -25,7 +25,8 @@ from sdfkit.sigma_info import (
     sub_sigma_candidates,
     verify_eis,
 )
-from sdfkit.action_path import build_action_path_sdf, check_apw
+from sdfkit.action_path import TimeAxis, build_action_path_sdf, check_apw, product_outcomes
+from conftest import brute_trace_failure
 
 
 def partitions_strategy(n):
@@ -36,6 +37,14 @@ def partitions_strategy(n):
     ]
     carrier = frozenset(items)
     return st.sampled_from([SubSigma(carrier, p) for p in all_parts])
+
+
+@st.composite
+def sub_sigmas(draw, universe=range(4)):
+    """hypothesis strategy producing a SubSigma over a subset of `universe`."""
+    carrier = draw(st.frozensets(st.sampled_from(list(universe))))
+    blocks = draw(st.sampled_from(list(set_partitions(sorted(carrier)))))
+    return SubSigma.of(carrier, blocks)
 
 
 class TestSubSigma:
@@ -69,6 +78,16 @@ class TestSubSigma:
         with pytest.raises(InputError):
             SubSigma.trivial({1}).join(SubSigma.trivial({2}))
 
+    @settings(max_examples=300, deadline=None)
+    @given(sub_sigmas(), sub_sigmas(), st.data())
+    def test_trace_failure_matches_event_listing(self, sigma, other, data):
+        # the domain is the other's carrier or any subset of the universe
+        domain = data.draw(
+            st.one_of(st.just(other.carrier), st.frozensets(st.sampled_from(range(4))))
+        )
+        expected = brute_trace_failure(sigma, domain, other)
+        assert sigma.trace_failure(domain, other) == expected
+
 
 class TestVerifyEis:
     def test_trivial_everywhere(self, simple):
@@ -86,6 +105,21 @@ class TestVerifyEis:
         v = verify_eis(simple, e)
         assert not v.ok and v.code == "eis-trace-violation"
         assert "{1}" in v.witness
+
+    def test_trace_violation_witness_text(self, simple, simple_moves):
+        omega = frozenset([1, 2])
+        e = Eis.of(
+            {
+                simple_moves["x0"]: SubSigma.ambient_trace(simple.space, omega),
+                simple_moves["x1"]: SubSigma.trivial(omega),
+                simple_moves["x2"]: SubSigma.trivial(omega),
+            }
+        )
+        assert verify_eis(simple, e).witness == (
+            "E = {1} at {1↦{(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)}, "
+            "2↦{(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)}} traces to {1} "
+            "∉ algebra at {1↦{(1, 1, 1), (1, 1, 2)}, 2↦{(2, 1, 1), (2, 1, 2)}}"
+        )
 
     def test_case_2b(self, simple):
         # root trivial, scenario revealed only at the first successor
@@ -177,6 +211,28 @@ class TestChainFiltration:
         (_, s0), (_, s2) = stages.stages
         assert s0.carrier == frozenset([1, 2])
         assert s2.atoms == frozenset([frozenset([2])])
+
+    def test_reports_the_last_failing_pair(self):
+        # a three-move chain, discrete at the top two moves and trivial at the
+        # bottom one: both upper moves fail the trace at the bottom, and the
+        # verdict names the later pair
+        space = ScenarioSpace.discrete([1, 2])
+        po = product_outcomes(space, TimeAxis.of([0, 1, 2]), ["a", "b"])
+        s = build_action_path_sdf(po).sdf
+        bottom, middle, top = s.sorted_moves[:3]
+        omega = s.space.scenarios
+        fine = SubSigma.ambient_trace(space, omega)
+        e = Eis.of(
+            {m: SubSigma.trivial(omega) if m == bottom else fine for m in s.random_moves}
+        )
+        verdict = chain_filtration(s, e, [bottom, top, middle]).verdict
+        assert verdict.code == "trace-not-monotone"
+        assert verdict.witness == (
+            "E = {1} at {1↦{(1, (a, a, a)), (1, (a, a, b)), (1, (a, b, a)), "
+            "(1, (a, b, b))}, 2↦{(2, (a, a, a)), (2, (a, a, b)), (2, (a, b, a)), "
+            "(2, (a, b, b))}} fails the trace at {1↦{(1, (a, a, a)), (1, (a, a, b))}, "
+            "2↦{(2, (a, a, a)), (2, (a, a, b))}}"
+        )
 
     def test_not_a_chain(self, simple, simple_moves):
         e = examples.simple_eis_list()[0]
