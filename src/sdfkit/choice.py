@@ -146,7 +146,7 @@ def classify(s: Sdf, c: Choice) -> ChoiceFlags:
     p = predecessors(s, c.outcomes)
     non_redundant = True
     red_witness = ()
-    for w in canon_sorted(s.space.scenarios):
+    for w in s.sorted_scenarios:
         if not (p & s.fibre.get(w, frozenset())) and c.outcomes & scenario_outcomes(s, w):
             non_redundant = False
             red_witness = (w,)
@@ -174,24 +174,31 @@ def verify_rcs(s: Sdf, r: Rcs) -> Verdict:
             "reference choice structure does not index exactly the random moves"
         )
     for m, cs in r.entries:
-        for c in canon_sorted(cs):
+        failures = {}
+        for c in cs:
             flags = classify(s, c)
-            if not flags.non_redundant:
-                return Verdict.failed(
-                    "rcs-redundant",
-                    f"choice {c.fmt()} at {m.fmt()} is redundant "
-                    f"(scenario {fmt(flags.redundancy_witness[0])})",
-                )
-            if not flags.complete:
-                return Verdict.failed(
-                    "rcs-incomplete",
-                    f"choice {c.fmt()} at {m.fmt()} is incomplete "
-                    f"(move {flags.completeness_witness[0].fmt()})",
-                )
-            if m not in flags.available_at:
-                return Verdict.failed(
-                    "rcs-unavailable", f"choice {c.fmt()} is not available at {m.fmt()}"
-                )
+            if not (flags.non_redundant and flags.complete and m in flags.available_at):
+                failures[c] = flags
+        if not failures:
+            continue
+        # the witness is the canonically first failing choice at the move
+        c = min(failures, key=canon_key)
+        flags = failures[c]
+        if not flags.non_redundant:
+            return Verdict.failed(
+                "rcs-redundant",
+                f"choice {c.fmt()} at {m.fmt()} is redundant "
+                f"(scenario {fmt(flags.redundancy_witness[0])})",
+            )
+        if not flags.complete:
+            return Verdict.failed(
+                "rcs-incomplete",
+                f"choice {c.fmt()} at {m.fmt()} is incomplete "
+                f"(move {flags.completeness_witness[0].fmt()})",
+            )
+        return Verdict.failed(
+            "rcs-unavailable", f"choice {c.fmt()} is not available at {m.fmt()}"
+        )
     return Verdict.passed()
 
 
@@ -203,16 +210,20 @@ def adapted_at_move(s: Sdf, e: Eis, r: Rcs, c: Choice, move: RandomMove) -> Verd
     needed.
     """
     sigma = e.for_move(move)
-    for ref in canon_sorted(r.for_move(move)):
-        inter = c.outcomes & ref.outcomes
-        event = preimage(s, move, predecessors(s, inter))
+    failures = {}
+    for ref in r.for_move(move):
+        event = preimage(s, move, predecessors(s, c.outcomes & ref.outcomes))
         if not sigma.contains(event):
-            return Verdict.failed(
-                "not-adapted",
-                f"x⁻¹(P(c ∩ c')) = {fmt(event)} ∉ F_x at {move.fmt()} "
-                f"for reference {ref.fmt()}",
-            )
-    return Verdict.passed()
+            failures[ref] = event
+    if not failures:
+        return Verdict.passed()
+    # the witness is the canonically first failing reference choice
+    ref = min(failures, key=canon_key)
+    return Verdict.failed(
+        "not-adapted",
+        f"x⁻¹(P(c ∩ c')) = {fmt(failures[ref])} ∉ F_x at {move.fmt()} "
+        f"for reference {ref.fmt()}",
+    )
 
 
 def is_adapted(s: Sdf, e: Eis, r: Rcs, c: Choice) -> Verdict:
@@ -223,7 +234,9 @@ def is_adapted(s: Sdf, e: Eis, r: Rcs, c: Choice) -> Verdict:
             f"adaptedness requires a non-redundant complete choice; got {c.fmt()}",
             code="precondition-violation",
         )
-    for m in canon_sorted(flags.available_at):
+    for m in s.sorted_moves:
+        if m not in flags.available_at:
+            continue
         verdict = adapted_at_move(s, e, r, c, m)
         if not verdict:
             return verdict

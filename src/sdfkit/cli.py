@@ -413,7 +413,7 @@ class _Instance:
         self.sdf_verdict: MultiVerdict | None = None
         self.named_choices = dict(doc.named_choices)
         self.choices_of: str | None = None  # builtin whose choice names resolve on lookup
-        self.rcs: Rcs | None = doc.doc_rcs
+        self.doc_rcs: Rcs | None = doc.doc_rcs
         self.doc_eis: Eis | None = doc.doc_eis
         if doc.kind == "explicit-sdf":
             self.sdf = doc.sdf
@@ -443,11 +443,9 @@ class _Instance:
     def _resolve_builtin(self, name: str):
         if name == "simple":
             self.sdf = examples.build_simple()
-            self.rcs = examples.simple_rcs(self.sdf)
             self.choices_of = "simple"
         elif name == "variant":
             self.sdf = examples.build_variant()
-            self.rcs = examples.variant_rcs(self.sdf)
             self.choices_of = "variant"
         elif name == "timing":
             self.po = examples.timing_path_outcomes()
@@ -472,6 +470,17 @@ class _Instance:
         if self.po.space.agents is None:
             raise KernelError(f"{command} needs a factorization")
         return self.aps
+
+    def need_rcs(self) -> Rcs:
+        """The document's reference choice structure, or a builtin's, built
+        only when a command reads it."""
+        if self.choices_of == "simple":
+            return examples.simple_rcs(self.sdf)
+        if self.choices_of == "variant":
+            return examples.variant_rcs(self.sdf)
+        if self.doc_rcs is None:
+            raise KernelError("adapted needs a reference choice structure (rcs)")
+        return self.doc_rcs
 
     def choice_named(self, name: str) -> frozenset:
         builtin = self.choices_of
@@ -567,13 +576,12 @@ def _adapted(inst: _Instance, arg: str):
         e = inst.doc_eis
     else:
         raise KernelError("adapted needs an eis section or an :<index> suffix")
-    if inst.rcs is None:
-        raise KernelError("adapted needs a reference choice structure (rcs)")
+    r = inst.need_rcs()
     ev = verify_eis(s, e)
-    rv = verify_rcs(s, inst.rcs)
+    rv = verify_rcs(s, r)
     if not (ev.ok and rv.ok):
         return (("preconditions", ev if not ev.ok else rv),), {}, ""
-    return (("adapted", is_adapted(s, e, inst.rcs, c)),), {}, ""
+    return (("adapted", is_adapted(s, e, r, c)),), {}, ""
 
 
 def _apw(inst: _Instance, arg: str):

@@ -81,9 +81,14 @@ class SubSigma:
         passes exactly when every atom does. The events are listed only to
         name a failure.
         """
-        if all(other.contains(a & domain) for a in self.atoms):
+        if self.traces_into(domain, other):
             return None
         return next(ev for ev in self.events() if not other.contains(ev & domain))
+
+    def traces_into(self, domain, other: "SubSigma") -> bool:
+        """True iff the trace on `domain` of every atom is an event of `other`:
+        `trace_failure` is None, decided without listing events."""
+        return all(other.contains(a & domain) for a in self.atoms)
 
     def trace(self, event) -> "SubSigma":
         event = frozenset(event)
@@ -164,7 +169,7 @@ class RandomMove:
         items = sorted(assignment.items(), key=lambda kv: canon_key(kv[0]))
         return cls(tuple((w, frozenset(node)) for w, node in items))
 
-    @property
+    @functools.cached_property
     def domain(self) -> frozenset:
         return frozenset(w for w, _ in self.graph)
 
@@ -259,6 +264,11 @@ class Sdf:
     def sorted_moves(self) -> tuple:
         """The random moves in canonical order."""
         return tuple(canon_sorted(self.random_moves))
+
+    @functools.cached_property
+    def sorted_scenarios(self) -> tuple:
+        """The scenarios in canonical order."""
+        return tuple(canon_sorted(self.space.scenarios))
 
     @functools.cached_property
     def ttree(self) -> "TTree":

@@ -15,7 +15,7 @@ from math import comb
 from ._canon import canon_key, canon_sorted, fmt
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import set_partitions
-from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x, x_order
+from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
 from .verdict import Verdict
 
 
@@ -163,7 +163,7 @@ def sub_sigma_candidates(space: ScenarioSpace, carrier) -> list:
     for blocks in set_partitions(atoms):
         merged = frozenset(frozenset().union(*b) for b in blocks)
         out.append(SubSigma(frozenset(carrier), merged))
-    return canon_sorted(set(out))
+    return canon_sorted(out)
 
 
 def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
@@ -171,10 +171,15 @@ def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
 
     Iterates per move over all partitions of the ambient atoms inside its
     domain (Bell-number growth, capped by the sum of per-move Bell numbers)
-    and prunes by the trace condition incrementally along a linear extension
-    of ≥_X. Output order is lexicographic over the per-move atom partitions.
+    and prunes by the trace condition incrementally along the canonical
+    linear extension of ≥_X: repeatedly the canonically least move whose
+    moves above are all placed. Output order is lexicographic over the
+    per-move atom partitions along that extension.
+
+    The order holds by construction: each move's candidates come in
+    canonical order, which for a fixed carrier is the order of their atoms,
+    and the search tries them in that order at every depth.
     """
-    order = x_order(s)
     total = sum(
         bell_number(len(s.space.trace_atoms(m.domain))) for m in s.random_moves
     )
@@ -182,44 +187,30 @@ def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
         raise SizeCapError(
             f"sum of per-move Bell numbers {total} exceeds cap {bell_cap}"
         )
-    moves = []
-    remaining = set(s.random_moves)
-    while remaining:
-        ready = [
-            m
-            for m in remaining
-            if all(other in moves or not order.gt(other, m) for other in s.random_moves)
-        ]
-        nxt = min(ready, key=canon_key)
-        moves.append(nxt)
-        remaining.discard(nxt)
-    candidates = {m: sub_sigma_candidates(s.space, m.domain) for m in moves}
+    moves = s.sorted_moves
+    above = {m: [o for o in moves if o != m and ge_x(o, m)] for m in moves}
+    order: list = []
+    placed: set = set()
+    while len(order) < len(moves):
+        nxt = next(m for m in moves if m not in placed and placed.issuperset(above[m]))
+        order.append(nxt)
+        placed.add(nxt)
+    candidates = {m: sub_sigma_candidates(s.space, m.domain) for m in order}
 
     results = []
     assignment: dict = {}
 
-    def compatible(new_move, sigma) -> bool:
-        return all(
-            earlier_sigma.trace_failure(new_move.domain, sigma) is None
-            for earlier, earlier_sigma in assignment.items()
-            if earlier != new_move and ge_x(earlier, new_move)
-        )
-
     def assign(i):
-        if i == len(moves):
-            results.append(Eis.of(dict(assignment)))
+        if i == len(order):
+            results.append(Eis(tuple((m, assignment[m]) for m in moves)))
             return
-        m = moves[i]
+        m = order[i]
         for sigma in candidates[m]:
-            if compatible(m, sigma):
+            if all(assignment[o].traces_into(m.domain, sigma) for o in above[m]):
                 assignment[m] = sigma
                 assign(i + 1)
-                del assignment[m]
 
     assign(0)
-    results.sort(
-        key=lambda e: tuple(canon_key(e.for_move(m).atoms) for m in moves)
-    )
     return tuple(results)
 
 

@@ -6,7 +6,9 @@ trees and separation by scanning every element instead of the poset's
 index, agent reference choices by one window choice per
 (history subset, component subset) pair, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the no-forgetting trace
-check by listing every event, the AP.W assumptions by
+check by listing every event, the information structures and their
+order by sorting every result, the RCS and adaptedness witnesses by
+scanning in canonical order, the AP.W assumptions by
 walking the whole path space A^|T| and every time subset, AP.C3 by trying
 every history set that covers the required prefixes against a listed
 generator table, predecessors never
@@ -23,7 +25,7 @@ from functools import cache
 import pytest
 
 from sdfkit import examples
-from sdfkit._canon import canon_sorted, fmt
+from sdfkit._canon import canon_key, canon_sorted, fmt
 from sdfkit.action_path import (
     DEFAULT_PATH_WORK_CAP,
     DEFAULT_TIME_SUBSET_CAP,
@@ -33,10 +35,12 @@ from sdfkit.action_path import (
     agent_rcs,
     window_choice,
 )
-from sdfkit.choice import Choice, Rcs
+from sdfkit.choice import Choice, Rcs, classify, predecessors, preimage
 from sdfkit.errors import InputError, SizeCapError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import DEFAULT_WORK_CAP, maximal_chains
+from sdfkit.sdf import ge_x, x_order
+from sdfkit.sigma_info import Eis, sub_sigma_candidates
 from sdfkit.verdict import MultiVerdict, Verdict
 
 
@@ -142,6 +146,89 @@ def brute_trace_failure(sigma, domain, other):
         ),
         None,
     )
+
+
+def brute_enumerate_eis(s):
+    """Every information structure by the first-written search: the linear
+    extension of ≥_X by repeated canonical minimum over the ready moves of
+    `x_order`, a trace check per (placed move, candidate) pair that names its
+    witness, each structure sorted by move (`Eis.of`) and the list sorted by
+    the per-move atom keys along the extension. The reference for the
+    structures and their order; no Bell-number cap."""
+    order = x_order(s)
+    moves = []
+    remaining = set(s.random_moves)
+    while remaining:
+        ready = [
+            m
+            for m in remaining
+            if all(other in moves or not order.gt(other, m) for other in s.random_moves)
+        ]
+        nxt = min(ready, key=canon_key)
+        moves.append(nxt)
+        remaining.discard(nxt)
+    candidates = {m: sub_sigma_candidates(s.space, m.domain) for m in moves}
+    results = []
+    assignment: dict = {}
+
+    def assign(i):
+        if i == len(moves):
+            results.append(Eis.of(dict(assignment)))
+            return
+        m = moves[i]
+        for sigma in candidates[m]:
+            if all(
+                earlier_sigma.trace_failure(m.domain, sigma) is None
+                for earlier, earlier_sigma in assignment.items()
+                if earlier != m and ge_x(earlier, m)
+            ):
+                assignment[m] = sigma
+                assign(i + 1)
+                del assignment[m]
+
+    assign(0)
+    results.sort(key=lambda e: tuple(canon_key(e.for_move(m).atoms) for m in moves))
+    return tuple(results)
+
+
+def brute_verify_rcs(s, r):
+    """`verify_rcs` by the canon-sorted scan: per move, the choices in
+    canonical order, the first failure wins."""
+    for m, cs in r.entries:
+        for c in canon_sorted(cs):
+            flags = classify(s, c)
+            if not flags.non_redundant:
+                return Verdict.failed(
+                    "rcs-redundant",
+                    f"choice {c.fmt()} at {m.fmt()} is redundant "
+                    f"(scenario {fmt(flags.redundancy_witness[0])})",
+                )
+            if not flags.complete:
+                return Verdict.failed(
+                    "rcs-incomplete",
+                    f"choice {c.fmt()} at {m.fmt()} is incomplete "
+                    f"(move {flags.completeness_witness[0].fmt()})",
+                )
+            if m not in flags.available_at:
+                return Verdict.failed(
+                    "rcs-unavailable", f"choice {c.fmt()} is not available at {m.fmt()}"
+                )
+    return Verdict.passed()
+
+
+def brute_adapted_at_move(s, e, r, c, move):
+    """`adapted_at_move` by the canon-sorted scan over the reference
+    choices at the move; the first failure wins."""
+    sigma = e.for_move(move)
+    for ref in canon_sorted(r.for_move(move)):
+        event = preimage(s, move, predecessors(s, c.outcomes & ref.outcomes))
+        if not sigma.contains(event):
+            return Verdict.failed(
+                "not-adapted",
+                f"x⁻¹(P(c ∩ c')) = {fmt(event)} ∉ F_x at {move.fmt()} "
+                f"for reference {ref.fmt()}",
+            )
+    return Verdict.passed()
 
 
 def brute_agent_rcs(aps, agent):

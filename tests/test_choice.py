@@ -17,7 +17,9 @@ from sdfkit.choice import (
 )
 from sdfkit.errors import InputError
 from sdfkit.sdf import outcomes_of_event
+from sdfkit.sigma_info import enumerate_eis
 
+from conftest import brute_adapted_at_move, brute_verify_rcs
 from tests_helpers import lone_terminal_instance
 
 C = examples.simple_choice_outcomes
@@ -248,3 +250,50 @@ class TestPreimage:
         p = predecessors(simple, C(first=1))
         m = simple_moves["x0"]
         assert preimage(simple, m, p) == m.domain
+
+
+class TestWitnessOracles:
+    """The failure-min scans against the canon-sorted loops they replace."""
+
+    @staticmethod
+    def cases(simple, variant):
+        """Per builtin: the instance, its named choices, its reference
+        choice structure, and one that puts every named choice on every
+        move, so that a move has several failing choices."""
+        for name, s, rcs in (
+            ("simple", simple, examples.simple_rcs(simple)),
+            ("variant", variant, examples.variant_rcs(variant)),
+        ):
+            choices = [Choice.of(s, o) for o in examples.all_named_choices(name).values()]
+            crowded = Rcs.of({m: frozenset(choices) for m in s.random_moves})
+            yield s, choices, (rcs, crowded)
+
+    def test_verify_rcs(self, simple, variant):
+        codes = set()
+        for s, choices, (rcs, crowded) in self.cases(simple, variant):
+            assert not verify_rcs(s, crowded).ok
+            singles = [Rcs.of({m: {c} for m in s.random_moves}) for c in choices]
+            for r in (rcs, crowded, *singles):
+                got = verify_rcs(s, r)
+                assert got == brute_verify_rcs(s, r)
+                codes.add(got.code)
+        assert codes == {"", "rcs-incomplete", "rcs-unavailable"}
+
+    def test_adapted_at_move(self, simple, variant):
+        several_failures = 0
+        for s, choices, structures in self.cases(simple, variant):
+            for e in enumerate_eis(s):
+                for r in structures:
+                    for c in choices:
+                        for m in s.sorted_moves:
+                            got = adapted_at_move(s, e, r, c, m)
+                            assert got == brute_adapted_at_move(s, e, r, c, m)
+                            failing = [
+                                ref
+                                for ref in r.for_move(m)
+                                if not e.for_move(m).contains(
+                                    preimage(s, m, predecessors(s, c.outcomes & ref.outcomes))
+                                )
+                            ]
+                            several_failures += len(failing) > 1
+        assert several_failures

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,8 @@ from sdfkit.sigma_info import (
     verify_eis,
 )
 from sdfkit.action_path import TimeAxis, build_action_path_sdf, check_apw, product_outcomes
-from conftest import brute_trace_failure
+from sdfkit.errors import KernelError
+from conftest import brute_enumerate_eis, brute_trace_failure
 
 
 def partitions_strategy(n):
@@ -151,6 +154,22 @@ def brute_force_eis(s):
     return out
 
 
+@pytest.fixture(scope="module")
+def eis_instances(simple, variant, timing_aps, upandout_aps):
+    """The four builtins, then the buildable draws among the first 200
+    seeds of the path-outcome generator."""
+    out = [simple, variant, timing_aps.sdf, upandout_aps.sdf]
+    for seed in range(200):
+        try:
+            aps = build_action_path_sdf(
+                random_path_outcomes(random.Random(seed)), max_x_exhaustive=9
+            )
+        except KernelError:
+            continue
+        out.append(aps.sdf)
+    return out
+
+
 class TestEnumerateEis:
     def test_simple_has_five(self, simple):
         structures = enumerate_eis(simple)
@@ -178,6 +197,30 @@ class TestEnumerateEis:
     def test_against_unpruned_brute_force(self, simple, variant):
         for s in (simple, variant):
             assert set(enumerate_eis(s)) == set(brute_force_eis(s))
+
+    def test_order_matches_sorting_oracle(self, eis_instances):
+        # `adapted:<c>:<k>` indexes this order, so it is compared in full
+        for s in eis_instances:
+            assert enumerate_eis(s) == brute_enumerate_eis(s)
+
+    def test_never_lists_events(self, monkeypatch, eis_instances, timing_aps):
+        # a pruned candidate needs only the boolean trace test, no witness
+        timing = timing_aps.sdf
+        unpruned = math.prod(
+            len(sub_sigma_candidates(timing.space, m.domain)) for m in timing.random_moves
+        )
+        assert len(enumerate_eis(timing)) < unpruned
+        listed = []
+        events = SubSigma.events
+
+        def counting(self):
+            listed.append(self)
+            return events(self)
+
+        monkeypatch.setattr(SubSigma, "events", counting)
+        for s in eis_instances:
+            enumerate_eis(s)
+        assert listed == []
 
     def test_cap(self, simple):
         with pytest.raises(SizeCapError):
