@@ -269,36 +269,45 @@ def check_apw(
     idx = po.index
     points = po.time.points
     items = []
+    # D of each prefix, computed once per call; the index outlives the call
+    d_set = functools.cache(idx.d_set)
 
+    # Each assumption is decided on the unordered prefixes and paths; a
+    # failure is then named by its canonically first witness.
     w0 = Verdict.passed()
     for i, t in enumerate(points):
         _prefix_space(po, i, work_cap)
-        for p in canon_sorted(idx.realized[i]):
-            d = idx.d_set(p)
-            if not po.scenarios.is_event(d):
-                w0 = Verdict.failed(
-                    "apw0",
-                    f"D_(t={t}, prefix={fmt(p)}) = {fmt(d)} is not an event",
-                )
-                break
-        if not w0.ok:
+        bad = [p for p in idx.realized[i] if not po.scenarios.is_event(d_set(p))]
+        if bad:
+            p = min(bad, key=canon_key)
+            w0 = Verdict.failed(
+                "apw0",
+                f"D_(t={t}, prefix={fmt(p)}) = {fmt(d_set(p))} is not an event",
+            )
             break
     items.append(("W0", w0))
 
+    # The nodes x_t along a path shrink as t grows, so two of them coincide
+    # iff two consecutive ones do, and the first coinciding pair (i, j) in
+    # lexicographic order is (i, i + 1) for the least such i.
+    def w1_failure(w, f):
+        groups = [idx.group(w, f[:i]) for i in range(len(points))]
+        return next(
+            (i for i in range(len(points) - 1)
+             if groups[i] == groups[i + 1] and len(groups[i]) != 1),
+            None,
+        )
+
     w1 = Verdict.passed()
-    for w, f in canon_sorted(po.paths):
-        for i, j in itertools.combinations(range(len(points)), 2):
-            xi = idx.group(w, f[:i])
-            xj = idx.group(w, f[:j])
-            if xi == xj and len(xi) != 1:
-                w1 = Verdict.failed(
-                    "apw1",
-                    f"x at t={points[i]} and t={points[j]} coincide on the "
-                    f"non-singleton {fmt(xi)}",
-                )
-                break
-        if not w1.ok:
-            break
+    bad = [path for path in po.paths if w1_failure(*path) is not None]
+    if bad:
+        w, f = min(bad, key=canon_key)
+        i = w1_failure(w, f)
+        w1 = Verdict.failed(
+            "apw1",
+            f"x at t={points[i]} and t={points[i + 1]} coincide on the "
+            f"non-singleton {fmt(idx.group(w, f[:i]))}",
+        )
     items.append(("W1", w1))
 
     if len(points) > max_time_subsets:
@@ -307,35 +316,40 @@ def check_apw(
         )
     n_paths = _prefix_space(po, len(points), work_cap)
     w2 = Verdict.passed("mode: exhaustive")
-    bare = [w for w in canon_sorted(po.scenarios.scenarios) if not idx.group(w, ())]
+    bare = [w for w in po.scenarios.scenarios if not idx.group(w, ())]
     if bare and n_paths:
         first = tuple(canon_sorted(po.space.actions)[:1]) * len(points)
         w2 = Verdict.failed(
             "apw2",
-            f"scenario {fmt(bare[0])}, path {fmt(first)}, times (): locally "
-            "consistent prefix extends to no outcome",
+            f"scenario {fmt(min(bare, key=canon_key))}, path {fmt(first)}, times (): "
+            "locally consistent prefix extends to no outcome",
         )
     items.append(("W2", w2))
+
+    def identifiable(p, q, i):
+        dp, dq = d_set(p), d_set(q)
+        if not dp or not dq or (dp & dq):
+            return False
+        return not any(
+            (d_set(p[:j]) & d_set(q[:j])) and p[:j] != q[:j]
+            for j in range(i + 1)
+        )
 
     w3 = Verdict.passed()
     for i, t in enumerate(points):
         _prefix_space(po, i, work_cap)
-        for p, q in itertools.combinations(canon_sorted(idx.realized[i]), 2):
-            dp, dq = idx.d_set(p), idx.d_set(q)
-            if not dp or not dq or (dp & dq):
-                continue
-            if not any(
-                (idx.d_set(p[:j]) & idx.d_set(q[:j])) and p[:j] != q[:j]
-                for j in range(i + 1)
-            ):
-                w3 = Verdict.failed(
-                    "apw3",
-                    f"t={t}: prefixes {fmt(p)} on {fmt(dp)} and {fmt(q)} on "
-                    f"{fmt(dq)} could be identified",
-                )
-                break
-        if not w3.ok:
-            break
+        live = [p for p in idx.realized[i] if d_set(p)]
+        if not any(identifiable(p, q, i) for p, q in itertools.combinations(live, 2)):
+            continue
+        p, q = next(
+            pq for pq in itertools.combinations(canon_sorted(live), 2) if identifiable(*pq, i)
+        )
+        w3 = Verdict.failed(
+            "apw3",
+            f"t={t}: prefixes {fmt(p)} on {fmt(d_set(p))} and {fmt(q)} on "
+            f"{fmt(d_set(q))} could be identified",
+        )
+        break
     items.append(("W3", w3))
 
     if po.space.agents is not None:
@@ -429,7 +443,7 @@ def _construct_action_path_sdf(
             witness=verdict,
             code="construction-failed",
         )
-    move_list = tuple(sorted(move_times.items(), key=lambda kv: canon_key(kv[0])))
+    move_list = tuple((m, move_times[m]) for m in s.sorted_moves)
     return ActionPathSdf(po, s, move_list), verdict
 
 

@@ -399,7 +399,9 @@ class _Instance:
     For an action-path instance this includes the W0-W4 verdicts of
     `check_apw` (or the error it raised) and the `verify_sdf` verdict of the
     built instance, which the `verify` and `apw` commands report: one run has
-    one set of caps, so recomputing them would give the same result.
+    one set of caps, so recomputing them would give the same result. The
+    information structures, the reference choice structure and its
+    `verify_rcs` verdict are likewise computed on first read and kept.
     """
 
     def __init__(self, doc: InstanceDoc, caps: dict):
@@ -415,6 +417,7 @@ class _Instance:
         self.choices_of: str | None = None  # builtin whose choice names resolve on lookup
         self.doc_rcs: Rcs | None = doc.doc_rcs
         self.doc_eis: Eis | None = doc.doc_eis
+        self._kept: dict = {}
         if doc.kind == "explicit-sdf":
             self.sdf = doc.sdf
         elif doc.kind == "action-path":
@@ -471,9 +474,32 @@ class _Instance:
             raise KernelError(f"{command} needs a factorization")
         return self.aps
 
+    def _once(self, key: str, compute):
+        """`compute()` on the first read of `key`, kept for the run; a kernel
+        error it raised is kept too and raised again on every read."""
+        if key not in self._kept:
+            try:
+                self._kept[key] = compute()
+            except KernelError as e:
+                self._kept[key] = e
+        value = self._kept[key]
+        if isinstance(value, KernelError):
+            raise value
+        return value
+
+    def need_eis(self) -> tuple:
+        """`enumerate_eis` of the instance."""
+        return self._once("eis", lambda: enumerate_eis(self.need_sdf()))
+
     def need_rcs(self) -> Rcs:
-        """The document's reference choice structure, or a builtin's, built
-        only when a command reads it."""
+        """The document's reference choice structure, or a builtin's."""
+        return self._once("rcs", self._reference_choices)
+
+    def rcs_verdict(self) -> Verdict:
+        """`verify_rcs` of `need_rcs()`."""
+        return self._once("rcs-verdict", lambda: verify_rcs(self.sdf, self.need_rcs()))
+
+    def _reference_choices(self) -> Rcs:
         if self.choices_of == "simple":
             return examples.simple_rcs(self.sdf)
         if self.choices_of == "variant":
@@ -524,7 +550,7 @@ def _ttree(inst: _Instance, arg: str):
 
 
 def _enumerate_eis(inst: _Instance, arg: str):
-    structures = enumerate_eis(inst.need_sdf())
+    structures = inst.need_eis()
     listing = [[[fmt(sigma.atoms) for _, sigma in e.entries]] for e in structures]
     return (
         (("count", Verdict.passed(f"{len(structures)} structures")),),
@@ -568,7 +594,7 @@ def _adapted(inst: _Instance, arg: str):
     choice_name, _, eis_idx = arg.partition(":")
     c = Choice.of(s, inst.choice_named(choice_name))
     if eis_idx:
-        structures = enumerate_eis(s)
+        structures = inst.need_eis()
         if not (eis_idx.isdecimal() and 1 <= int(eis_idx) <= len(structures)):
             raise KernelError(f"eis index {eis_idx} out of range 1..{len(structures)}")
         e = structures[int(eis_idx) - 1]
@@ -578,7 +604,7 @@ def _adapted(inst: _Instance, arg: str):
         raise KernelError("adapted needs an eis section or an :<index> suffix")
     r = inst.need_rcs()
     ev = verify_eis(s, e)
-    rv = verify_rcs(s, r)
+    rv = inst.rcs_verdict()
     if not (ev.ok and rv.ok):
         return (("preconditions", ev if not ev.ok else rv),), {}, ""
     return (("adapted", is_adapted(s, e, r, c)),), {}, ""
@@ -604,7 +630,7 @@ def _thm4_11(inst: _Instance, arg: str):
     aps = inst.need_aps("thm4-11")
     items = []
     skipped = 0
-    for case in measurability_sweep(aps, enumerate_eis(aps.sdf)):
+    for case in measurability_sweep(aps, inst.need_eis()):
         result = case.result
         if isinstance(result, KernelError):
             if result.code != "precondition-violation":

@@ -29,27 +29,37 @@ class Poset:
     ge_pairs: frozenset
 
     def __post_init__(self):
+        # Each axiom is decided on sets; a failure is named by the canonically
+        # least witness, so the message does not depend on hash order.
         elems = self.elements
         pairs = self.ge_pairs
-        for x, y in pairs:
-            if x not in elems or y not in elems:
-                raise StructureError(
-                    f"relation mentions non-element: {(x, y)!r}", witness=(x, y)
-                )
-        for x in elems:
-            if (x, x) not in pairs:
-                raise StructureError(f"relation not reflexive at {x!r}", witness=x)
-        for x, y in pairs:
-            if x != y and (y, x) in pairs:
-                raise StructureError(
-                    f"relation not antisymmetric on {(x, y)!r}", witness=(x, y)
-                )
-        for x, y in pairs:
-            for z in elems:
-                if (y, z) in pairs and (x, z) not in pairs:
-                    raise StructureError(
-                        f"relation not transitive via {(x, y, z)!r}", witness=(x, y, z)
-                    )
+        outside = [p for p in pairs if p[0] not in elems or p[1] not in elems]
+        if outside:
+            x, y = min(outside, key=canon_key)
+            raise StructureError(
+                f"relation mentions non-element: {(x, y)!r}", witness=(x, y)
+            )
+        irreflexive = [x for x in elems if (x, x) not in pairs]
+        if irreflexive:
+            x = min(irreflexive, key=canon_key)
+            raise StructureError(f"relation not reflexive at {x!r}", witness=x)
+        symmetric = [(x, y) for x, y in pairs if x != y and (y, x) in pairs]
+        if symmetric:
+            x, y = min(symmetric, key=canon_key)
+            raise StructureError(
+                f"relation not antisymmetric on {(x, y)!r}", witness=(x, y)
+            )
+        # Transitive iff x >= y implies ↓y ⊆ ↓x.
+        down = self.down
+        broken = [(x, y) for x, y in pairs if not down[y] <= down[x]]
+        if broken:
+            x, y, z = min(
+                ((x, y, z) for x, y in broken for z in down[y] - down[x]),
+                key=canon_key,
+            )
+            raise StructureError(
+                f"relation not transitive via {(x, y, z)!r}", witness=(x, y, z)
+            )
 
     @classmethod
     def of(cls, elements, ge_pairs) -> "Poset":
@@ -62,9 +72,9 @@ class Poset:
     @classmethod
     def from_order(cls, elements, ge) -> "Poset":
         """Build a poset extensionally from a comparison callable ge(x, y)."""
-        elems = list(elements)
-        pairs = {(x, y) for x in elems for y in elems if ge(x, y)}
-        return cls.of(elems, pairs)
+        elems = frozenset(elements)
+        pairs = {(x, y) for x in elems for y in elems if x == y or ge(x, y)}
+        return cls(elems, frozenset(pairs))
 
     def ge(self, x, y) -> bool:
         return (x, y) in self.ge_pairs
@@ -162,17 +172,16 @@ def is_forest(p: Poset) -> bool:
 
 
 def forest_witness(p: Poset):
-    """None, or an element whose up-set is not a chain.
+    """None, or the canonically least element whose up-set is not a chain.
 
     A set U is a chain iff every y in U is comparable with all of U, that is
     U ⊆ ↑y ∪ ↓y.
     """
     up, down = p.up, p.down
-    for x in canon_sorted(p.elements):
-        u = up[x]
-        if not all(u <= up[y] | down[y] for y in u):
-            return x
-    return None
+    failing = [
+        x for x, u in up.items() if not all(u <= up[y] | down[y] for y in u)
+    ]
+    return min(failing, key=canon_key) if failing else None
 
 
 def _require_forest(p: Poset) -> None:
@@ -205,6 +214,11 @@ def is_tree(p: Poset) -> bool:
 
 def connected_components(p: Poset) -> tuple[frozenset, ...]:
     """The unique partition of a forest into trees (comparable elements share a block)."""
+    return tuple(canon_sorted(component_blocks(p)))
+
+
+def component_blocks(p: Poset) -> frozenset:
+    """The blocks of `connected_components`, as a set, in no order."""
     _require_forest(p)
     parent = {x: x for x in p.elements}
 
@@ -221,9 +235,7 @@ def connected_components(p: Poset) -> tuple[frozenset, ...]:
     blocks: dict = {}
     for x in p.elements:
         blocks.setdefault(find(x), set()).add(x)
-    return tuple(
-        frozenset(b) for b in canon_sorted(frozenset(b) for b in blocks.values())
-    )
+    return frozenset(frozenset(b) for b in blocks.values())
 
 
 def roots(p: Poset) -> frozenset:
@@ -244,11 +256,13 @@ def maximal_chains(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> ChainSet:
     """All ⊆-maximal chains, by exhaustive descent along the cover relation.
 
     A maximal chain runs from a maximal element down to a minimal one through
-    covers; the enumeration counts visited nodes against `work_cap`.
+    covers; the enumeration counts visited nodes against `work_cap`. Every
+    node of the descent is visited whatever the order, so whether the cap is
+    reached does not depend on it.
     """
     chains: set = set()
     work = 0
-    cover_cache = {x: canon_sorted(p.covers(x)) for x in p.elements}
+    cover_cache = {x: p.covers(x) for x in p.elements}
 
     def descend(x, acc):
         nonlocal work
@@ -264,7 +278,7 @@ def maximal_chains(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> ChainSet:
         for y in below:
             descend(y, acc + [y])
 
-    for top in canon_sorted(p.maximal_elements()):
+    for top in p.maximal_elements():
         descend(top, [top])
     return ChainSet(frozenset(chains), maximal=True)
 
@@ -326,17 +340,23 @@ def separation_witness(p: Poset, work_cap: int = DEFAULT_WORK_CAP):
     """None, or a pair of distinct elements no maximal chain separates.
 
     Some chain holds exactly one of x, y iff the sets of chains through x and
-    through y differ; each set is a bitmask over the chains' indices. Pairs
-    are tried in canonical order, so the witness is the first such pair.
+    through y differ; each set is a bitmask over the chains' indices, and
+    elements with equal masks form a group. The witness is the first such
+    pair in canonical order: the canonically least element sharing its
+    group, with the next element of that group.
     """
     through = {x: 0 for x in p.elements}
     for i, c in enumerate(maximal_chains(p, work_cap).chains):
         for x in c:
             through[x] |= 1 << i
-    for x, y in itertools.combinations(canon_sorted(p.elements), 2):
-        if through[x] == through[y]:
-            return (x, y)
-    return None
+    groups: dict = {}
+    for x, mask in through.items():
+        groups.setdefault(mask, []).append(x)
+    shared = [x for g in groups.values() if len(g) > 1 for x in g]
+    if not shared:
+        return None
+    first = min(shared, key=canon_key)
+    return first, min((y for y in groups[through[first]] if y != first), key=canon_key)
 
 
 def find_order_isomorphism(p: Poset, q: Poset):

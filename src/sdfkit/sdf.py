@@ -173,15 +173,20 @@ class RandomMove:
     def domain(self) -> frozenset:
         return frozenset(w for w, _ in self.graph)
 
+    @functools.cached_property
+    def nodes(self) -> dict:
+        """scenario ↦ node."""
+        return dict(self.graph)
+
     @property
     def image(self) -> frozenset:
         return frozenset(node for _, node in self.graph)
 
     def node_at(self, scenario) -> frozenset:
-        for w, node in self.graph:
-            if w == scenario:
-                return node
-        raise InputError(f"scenario {scenario!r} outside domain", witness=scenario)
+        node = self.nodes.get(scenario)
+        if node is None:
+            raise InputError(f"scenario {scenario!r} outside domain", witness=scenario)
+        return node
 
     def items(self):
         return self.graph
@@ -347,22 +352,23 @@ def nodes_of_event(s: Sdf, event) -> frozenset:
 
 def fibres(s: Sdf) -> dict:
     """Check components of (F, ⊇) equal the projection fibres; return ω ↦ T_ω."""
-    components = {frozenset(c) for c in order_core.connected_components(s.forest.poset)}
+    components = order_core.component_blocks(s.forest.poset)
     fibre_sets = {w: s.fibre.get(w, frozenset()) for w in s.space.scenarios}
-    for w in canon_sorted(s.space.scenarios):
+    bad = [w for w, nodes in fibre_sets.items() if nodes not in components]
+    if bad:
+        w = min(bad, key=canon_key)
         if not fibre_sets[w]:
             raise StructureError(
                 f"scenario {fmt(w)} has an empty fibre (projection not surjective)",
                 witness=w,
                 code="fibre-mismatch",
             )
-        if fibre_sets[w] not in components:
-            raise StructureError(
-                f"fibre of scenario {fmt(w)} is not a connected component: "
-                f"{fmt(fibre_sets[w])}",
-                witness=w,
-                code="fibre-mismatch",
-            )
+        raise StructureError(
+            f"fibre of scenario {fmt(w)} is not a connected component: "
+            f"{fmt(fibre_sets[w])}",
+            witness=w,
+            code="fibre-mismatch",
+        )
     if len(components) != len(fibre_sets):
         raise StructureError(
             "more components than scenarios", code="fibre-mismatch"
@@ -374,7 +380,8 @@ def ge_x(x1: RandomMove, x2: RandomMove) -> bool:
     """x1 ≥_X x2: domain inclusion plus pointwise node inclusion."""
     if not x1.domain >= x2.domain:
         return False
-    return all(x1.node_at(w) >= x2.node_at(w) for w in x2.domain)
+    n1 = x1.nodes
+    return all(n1[w] >= node for w, node in x2.graph)
 
 
 def x_order(s: Sdf) -> Poset:
@@ -427,16 +434,12 @@ def _axioms_3a_to_3d(s: Sdf, moves):
 
     failure = None
     for m1 in moves:
+        n1 = m1.nodes
         for m2 in moves:
-            hit = next(
-                (
-                    w
-                    for w in canon_sorted(m1.domain & m2.domain)
-                    if m1.node_at(w) >= m2.node_at(w)
-                ),
-                None,
-            )
-            if hit is not None and not ge_x(m1, m2):
+            n2 = m2.nodes
+            hits = [w for w in n1.keys() & n2.keys() if n1[w] >= n2[w]]
+            if hits and not ge_x(m1, m2):
+                hit = min(hits, key=canon_key)
                 failure = ("{} ⊇ {} at scenario {} without x1 ≥_X x2", m1, m2, hit)
                 break
         if failure is not None:
@@ -568,7 +571,35 @@ def check_evaluation_bijection(s: Sdf) -> Verdict:
     """ev: T•Ω → F is a bijection and an order embedding.
 
     Holds under axioms 1, 2, 3a-3c already; 3d-3f are not needed.
+
+    Decided on sets: ev is a bijection when its values are distinct nodes,
+    one per node; it is then an order embedding when, for every p₂ = (y₂, ω₂),
+    the pairs p₁ with ev(p₁) ⊇ ev(p₂), that is ev⁻¹(↑ev(p₂)), are exactly
+    {(y₁, ω₂) : y₁ ≥_T y₂, ω₂ in y₁'s domain}. Only a failure walks T•Ω in
+    canonical order, to name the first failing pair.
     """
+    tree = s.ttree
+    ev = {(m, w): node for m in s.random_moves for w, node in m.graph}
+    ev.update((((w, out), w), frozenset([out])) for w, out in tree.terminals)
+    inverse = {node: pair for pair, node in ev.items()}
+    if len(inverse) != len(ev) or inverse.keys() != s.forest.nodes:
+        return _evaluation_failure(s)
+    up_t = tree.poset.up
+    for (y2, w2), node in ev.items():
+        above = frozenset(inverse[x] for x in s.up[node])
+        if above != {(y1, w2) for y1 in up_t[y2] if _in_domain(y1, w2)}:
+            return _evaluation_failure(s)
+    return Verdict.passed(f"|T•Ω| = {len(ev)} = |F|")
+
+
+def _in_domain(y, w) -> bool:
+    """ω in the domain of an element of T: a move's, or {ω'} for a terminal (ω', v)."""
+    return w in y.domain if isinstance(y, RandomMove) else y[0] == w
+
+
+def _evaluation_failure(s: Sdf) -> Verdict:
+    """The first failure of `check_evaluation_bijection`, walking T•Ω in
+    canonical order."""
     tree = s.ttree
     pairs = t_dot_omega(s)
     seen = {}
@@ -598,7 +629,7 @@ def check_evaluation_bijection(s: Sdf) -> Verdict:
                     f"pairs ev⁻¹{fmt(_evaluate(y1, w1))}, ev⁻¹{fmt(_evaluate(y2, w2))} "
                     f"break the embedding ({lhs} vs {rhs})",
                 )
-    return Verdict.passed(f"|T•Ω| = {len(pairs)} = |F|")
+    raise AssertionError("ev is an order-embedding bijection")
 
 
 def check_ttree_theorem(s: Sdf) -> Verdict:
@@ -607,12 +638,11 @@ def check_ttree_theorem(s: Sdf) -> Verdict:
     Requires every root of F to be a move; otherwise raises roots-not-moves
     (drop the moveless components first).
     """
-    bad_roots = canon_sorted(s.maxima - s.move_nodes)
+    bad_roots = s.maxima - s.move_nodes
     if bad_roots:
+        root = min(bad_roots, key=canon_key)
         raise StructureError(
-            f"root {fmt(bad_roots[0])} is not a move",
-            witness=bad_roots[0],
-            code="roots-not-moves",
+            f"root {fmt(root)} is not a move", witness=root, code="roots-not-moves"
         )
     tree = s.ttree
     if not order_core.is_rooted_forest(tree.poset):

@@ -8,7 +8,11 @@ index, agent reference choices by one window choice per
 cascade that wraps every number in a Fraction, the no-forgetting trace
 check by listing every event, the information structures and their
 order by sorting every result, the RCS and adaptedness witnesses by
-scanning in canonical order, the AP.W assumptions by
+scanning in canonical order, the poset axioms, forest-ness, axiom 1, axiom
+2, axiom 3c and the evaluation bijection by walking their elements in
+canonical order (the checks the library decides on sets and sorts only to
+name a failure), the maximal-chain work by counting cover paths, the AP.W
+assumptions by
 walking the whole path space A^|T| and every time subset, AP.C3 by trying
 every history set that covers the required prefixes against a listed
 generator table, predecessors never
@@ -36,7 +40,7 @@ from sdfkit.action_path import (
     window_choice,
 )
 from sdfkit.choice import Choice, Rcs, classify, predecessors, preimage
-from sdfkit.errors import InputError, SizeCapError, not_a_forest, unknown_element
+from sdfkit.errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import DEFAULT_WORK_CAP, maximal_chains
 from sdfkit.sdf import ge_x, x_order
@@ -477,6 +481,170 @@ def brute_check_apw(
         items.append(("W4", po.space.verify_w4()))
 
     return MultiVerdict(tuple(items))
+
+
+def brute_poset_failure(elements, pairs):
+    """None, or the message of the first failing poset axiom with its first
+    witness in canonical order, by the literal definitions: non-element,
+    reflexivity, antisymmetry, then transitivity over every z."""
+    pairs = frozenset(pairs)
+    for x, y in canon_sorted(pairs):
+        if x not in elements or y not in elements:
+            return f"relation mentions non-element: {(x, y)!r}"
+    for x in canon_sorted(elements):
+        if (x, x) not in pairs:
+            return f"relation not reflexive at {x!r}"
+    for x, y in canon_sorted(pairs):
+        if x != y and (y, x) in pairs:
+            return f"relation not antisymmetric on {(x, y)!r}"
+    for x, y in canon_sorted(pairs):
+        for z in canon_sorted(elements):
+            if (y, z) in pairs and (x, z) not in pairs:
+                return f"relation not transitive via {(x, y, z)!r}"
+    return None
+
+
+def brute_forest_witness(p):
+    """The first element in canonical order whose up-set is not a chain."""
+    for x in canon_sorted(p.elements):
+        if not p.is_chain(oracle_up_set(p, x)):
+            return x
+    return None
+
+
+def brute_chain_work(p):
+    """The work units `maximal_chains` spends: one per cover path from a
+    maximal element, counted by dynamic programming down the covers."""
+    paths = {}
+    for x in sorted(p.elements, key=lambda x: len(oracle_up_set(p, x))):
+        above = [y for y in p.elements if x in oracle_covers(p, y)]
+        paths[x] = 1 if not above else sum(paths[y] for y in above)
+    return sum(paths.values())
+
+
+def brute_verify_own_representation(sf):
+    """Axiom 1 walking outcomes, chains and nodes in canonical order."""
+    from sdfkit import order_core
+    from sdfkit.set_forest import decision_paths
+
+    poset = sf.poset
+    if not order_core.is_rooted_forest(poset):
+        return Verdict.failed("not-rooted-forest", "node family is not a rooted forest")
+    terminals = [x for x in sf.nodes if not any(x > y for y in sf.nodes)]
+    for x in canon_sorted(terminals):
+        if len(x) != 1:
+            return Verdict.failed(
+                "non-singleton-terminal", f"terminal node {fmt(x)} has {len(x)} outcomes"
+            )
+    chains = maximal_chains(poset).chains
+    f = decision_paths(sf)
+    image = {}
+    for v in canon_sorted(sf.universe):
+        chain = f[v]
+        if chain not in chains:
+            return Verdict.failed(
+                "path-not-maximal-chain",
+                f"outcome {fmt(v)}: ↑{{v}} = {fmt(chain)} is not a maximal chain",
+            )
+        if chain in image:
+            return Verdict.failed(
+                "not-injective",
+                f"outcomes {fmt(image[chain])} and {fmt(v)} share the chain {fmt(chain)}",
+            )
+        image[chain] = v
+    for c in canon_sorted(chains):
+        if c not in image:
+            return Verdict.failed(
+                "not-surjective", f"maximal chain {fmt(c)} hit by no outcome"
+            )
+    for y in canon_sorted(sf.nodes):
+        lhs = frozenset(f[v] for v in y)
+        rhs = frozenset(c for c in chains if y in c)
+        if lhs != rhs:
+            return Verdict.failed(
+                "image-mismatch",
+                f"node {fmt(y)}: (Pf)(y) = {fmt(lhs)} but W(y) = {fmt(rhs)}",
+            )
+    return Verdict.passed()
+
+
+def brute_check_evaluation_bijection(s):
+    """ev on T•Ω in canonical order: into F, injective, onto F, then the
+    order embedding over every ordered pair of pairs."""
+    from sdfkit.sdf import RandomMove, t_dot_omega
+
+    def evaluate(y, w):
+        return y.node_at(w) if isinstance(y, RandomMove) else frozenset([y[1]])
+
+    tree = s.ttree
+    pairs = t_dot_omega(s)
+    seen = {}
+    for y, w in pairs:
+        node = evaluate(y, w)
+        if node not in s.forest.nodes:
+            return Verdict.failed("ev-not-into-f", f"ev({fmt(w)}) hits non-node {fmt(node)}")
+        if node in seen:
+            return Verdict.failed("ev-not-injective", f"node {fmt(node)} hit twice")
+        seen[node] = (y, w)
+    if len(seen) != len(s.forest.nodes):
+        missing = canon_sorted(s.forest.nodes - set(seen))[0]
+        return Verdict.failed("ev-not-surjective", f"node {fmt(missing)} not in the image of ev")
+    for y1, w1 in pairs:
+        for y2, w2 in pairs:
+            lhs = tree.poset.ge(y1, y2) and w1 == w2
+            rhs = evaluate(y1, w1) >= evaluate(y2, w2)
+            if lhs != rhs:
+                return Verdict.failed(
+                    "ev-not-order-embedding",
+                    f"pairs ev⁻¹{fmt(evaluate(y1, w1))}, ev⁻¹{fmt(evaluate(y2, w2))} "
+                    f"break the embedding ({lhs} vs {rhs})",
+                )
+    return Verdict.passed(f"|T•Ω| = {len(pairs)} = |F|")
+
+
+def brute_axiom_3c(moves):
+    """The first pair of `moves`, in their order, that meets ⊇ at a scenario
+    (the first in canonical order) without x1 ≥_X x2."""
+    for m1 in moves:
+        for m2 in moves:
+            for w in canon_sorted(m1.domain & m2.domain):
+                if m1.node_at(w) >= m2.node_at(w):
+                    if not ge_x(m1, m2):
+                        return ("{} ⊇ {} at scenario {} without x1 ≥_X x2", m1, m2, w)
+                    break
+    return None
+
+
+def brute_fibres(s):
+    """Axiom 2 over the scenarios in canonical order, against the
+    components listed by scanning every element."""
+    poset = s.forest.poset
+    witness = brute_forest_witness(poset)
+    if witness is not None:
+        raise not_a_forest(witness)
+    # in a forest, two elements share a tree iff their up-sets meet
+    components = {
+        frozenset(y for y in poset.elements if oracle_up_set(poset, x) & oracle_up_set(poset, y))
+        for x in poset.elements
+    }
+    fibre_sets = {w: s.fibre.get(w, frozenset()) for w in s.space.scenarios}
+    for w in canon_sorted(s.space.scenarios):
+        if not fibre_sets[w]:
+            raise StructureError(
+                f"scenario {fmt(w)} has an empty fibre (projection not surjective)",
+                witness=w,
+                code="fibre-mismatch",
+            )
+        if fibre_sets[w] not in components:
+            raise StructureError(
+                f"fibre of scenario {fmt(w)} is not a connected component: "
+                f"{fmt(fibre_sets[w])}",
+                witness=w,
+                code="fibre-mismatch",
+            )
+    if len(components) != len(fibre_sets):
+        raise StructureError("more components than scenarios", code="fibre-mismatch")
+    return fibre_sets
 
 
 @pytest.fixture(scope="session")

@@ -500,6 +500,45 @@ class TestOncePerRun:
         assert record.status == "ok"
         assert calls == {"agent_choice": len(cases), "check_apc3": pairs}
 
+    def test_structures_and_reference_choices_read_once(self, monkeypatch):
+        import sdfkit.cli
+
+        choice = sorted(examples.all_named_choices("simple"))[0]
+        commands = ["enumerate-eis"] + [f"adapted:{choice}:{k}" for k in range(1, 5)]
+        simple = InstanceDoc("builtin", name="simple")
+        alone = [run(simple, [c]).records[0] for c in commands]
+        upandout = InstanceDoc("builtin", name="upandout")
+        upandout_alone = [run(upandout, [c], max_x=12).records[0] for c in ("enumerate-eis", "thm4-11")]
+        calls = {"enumerate_eis": 0, "simple_rcs": 0, "verify_rcs": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, module in (
+            ("enumerate_eis", sdfkit.cli),
+            ("simple_rcs", examples),
+            ("verify_rcs", sdfkit.cli),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        report = run(simple, commands)
+        assert calls == {"enumerate_eis": 1, "simple_rcs": 1, "verify_rcs": 1}
+        assert [_comparable(r) for r in report.records] == [_comparable(r) for r in alone]
+        assert report.ok
+        report = run(upandout, ["enumerate-eis", "thm4-11"], max_x=12)
+        assert calls["enumerate_eis"] == 2
+        assert [_comparable(r) for r in report.records] == [_comparable(r) for r in upandout_alone]
+
+    def test_a_missing_reference_choice_structure_errs_in_every_command(self):
+        doc = _explicit(rcs=None)
+        records = run(doc, ["adapted:left_a:1", "adapted:left_a"]).records
+        assert [r.status for r in records] == ["error", "error"]
+        assert records[0].message == records[1].message
+        assert records[0].message.endswith("adapted needs a reference choice structure (rcs)")
+
 
 class TestThm411:
     def test_cap_error_is_reported_not_skipped(self):

@@ -1,0 +1,311 @@
+"""The build-time checks decide on sets and sort only to name a failure.
+
+Each decision is compared with the canonical loop it replaced (the oracles in
+conftest) on random inputs that include every kind of failure, and a guard
+asserts that a passing check makes no canonical-order call at all.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from sdfkit import _canon, action_path, choice, cli, examples, order_core, sdf, set_forest, sigma_info
+from sdfkit._canon import canon_sorted
+from sdfkit.action_path import (
+    ActionSpace,
+    PathOutcomes,
+    TimeAxis,
+    build_action_path_sdf,
+    check_apw,
+)
+from sdfkit.errors import KernelError, SizeCapError
+from sdfkit.gen import random_path_outcomes, random_rooted_forest
+from sdfkit.order_core import Poset, forest_witness, maximal_chains, separation_witness
+from sdfkit.sdf import (
+    RandomMove,
+    ScenarioSpace,
+    Sdf,
+    _axioms_3a_to_3d,
+    check_evaluation_bijection,
+    check_ttree_theorem,
+    fibres,
+)
+from sdfkit.set_forest import SetForest, representation_by_decision_paths, verify_own_representation
+
+from conftest import (
+    brute_axiom_3c,
+    brute_chain_work,
+    brute_check_apw,
+    brute_check_evaluation_bijection,
+    brute_fibres,
+    brute_forest_witness,
+    brute_verify_own_representation,
+    oracle_separation_witness,
+)
+
+
+def outcome(fn, *args, **kwargs):
+    """What fn returns, or the type, code and text of the kernel error it raises."""
+    try:
+        return ("value", fn(*args, **kwargs))
+    except KernelError as e:
+        return ("error", type(e), e.code, str(e))
+
+
+def corpus_sdfs(n: int) -> list:
+    """The four builtins and the buildable draws among the first `n`."""
+    out = [
+        examples.build_simple(),
+        examples.build_variant(),
+        examples.timing_instance().sdf,
+        examples.upandout_instance().sdf,
+    ]
+    for draw in range(n):
+        try:
+            out.append(build_action_path_sdf(random_path_outcomes(random.Random(draw))).sdf)
+        except KernelError:
+            pass
+    return out
+
+
+# ---------------------------------------------------------------------------
+# order_core: forest witness, maximal chains, separation
+
+
+def random_relation_poset(rng):
+    """A poset from a random DAG over string labels (set order follows the
+    hash), or a forest relabelled the same way."""
+    labels = [f"n{i}" for i in range(rng.randint(1, 8))]
+    if rng.random() < 0.5:
+        p = random_rooted_forest(rng, len(labels))
+        return Poset.of([labels[x] for x in p.elements], [(labels[x], labels[y]) for x, y in p.ge_pairs])
+    above = {}
+    for j, y in enumerate(labels):
+        above[y] = {y}
+        for x in labels[:j]:
+            if rng.random() < 0.35:
+                above[y] |= above[x]
+    return Poset.of(labels, [(x, y) for y in labels for x in above[y]])
+
+
+class TestOrderCore:
+    def test_forest_and_separation_witnesses(self, rng):
+        kinds = Counter()
+        for _ in range(200):
+            p = random_relation_poset(rng)
+            witness = forest_witness(p)
+            assert witness == brute_forest_witness(p)
+            separated = separation_witness(p)
+            assert separated == oracle_separation_witness(p)
+            kinds[(witness is None, separated is None)] += 1
+        assert len(kinds) == 4
+
+    def test_chain_cap_does_not_depend_on_order(self, rng):
+        for _ in range(100):
+            p = random_relation_poset(rng)
+            work = brute_chain_work(p)
+            assert maximal_chains(p, work).chains == maximal_chains(p).chains
+            with pytest.raises(SizeCapError) as exc:
+                maximal_chains(p, work - 1)
+            assert str(exc.value) == f"maximal-chain enumeration exceeded {work - 1} work units"
+
+
+# ---------------------------------------------------------------------------
+# set_forest: axiom 1
+
+
+def random_node_family(rng) -> SetForest:
+    """Random subsets of a small universe: mostly not decision forests."""
+    universe = [f"v{i}" for i in range(rng.randint(1, 5))]
+    subsets = [
+        frozenset(c) for r in range(1, len(universe) + 1) for c in itertools.combinations(universe, r)
+    ]
+    return SetForest.of(universe, rng.sample(subsets, rng.randint(1, min(len(subsets), 9))))
+
+
+def mutated_forest(rng) -> SetForest:
+    """A represented decision forest with a node dropped or added, or intact."""
+    p = random_rooted_forest(rng, 8)
+    if separation_witness(p) is not None:
+        return random_node_family(rng)
+    sf = representation_by_decision_paths(p)
+    nodes = set(sf.nodes)
+    r = rng.random()
+    if r < 0.3 and len(nodes) > 1:
+        nodes.discard(rng.choice(canon_sorted(nodes)))
+    elif r < 0.6:
+        chains = canon_sorted(sf.universe)
+        nodes.add(frozenset(rng.sample(chains, rng.randint(1, len(chains)))))
+    return SetForest.of(sf.universe, nodes)
+
+
+class TestOwnRepresentation:
+    def test_matches_canonical_loop(self, rng):
+        # The oracle also walks injectivity, surjectivity and W(y); they
+        # never fail once terminals are singletons and paths maximal chains.
+        codes = Counter()
+        families = [SetForest.of(["v0"], [])]
+        for i in range(600):
+            families.append(random_node_family(rng) if i % 2 else mutated_forest(rng))
+        for sf in families:
+            got = outcome(verify_own_representation, sf)
+            assert got == outcome(brute_verify_own_representation, sf)
+            codes[(got[1].code or "ok") if got[0] == "value" else got[2]] += 1
+        assert set(codes) == {
+            "ok",
+            "not-a-forest",
+            "not-rooted-forest",
+            "non-singleton-terminal",
+            "path-not-maximal-chain",
+        }
+
+
+# ---------------------------------------------------------------------------
+# sdf: the evaluation bijection, axiom 2 and axiom 3c
+
+
+def mutated_sdf(rng, s: Sdf) -> Sdf:
+    """`s` with one move's node swapped (for a node of the forest or not), a
+    node's scenario swapped, a move dropped, or unchanged."""
+    moves = set(s.random_moves)
+    projection = dict(s.proj)
+    r = rng.random()
+    nodes = canon_sorted(s.forest.nodes)
+    if r < 0.5 and moves:
+        m = rng.choice(canon_sorted(moves))
+        assignment = dict(m.graph)
+        assignment[rng.choice(canon_sorted(m.domain))] = rng.choice(nodes)
+        moves = (moves - {m}) | {RandomMove.of(assignment)}
+    elif r < 0.75:
+        projection[rng.choice(nodes)] = rng.choice(canon_sorted(s.space.scenarios))
+    elif r < 0.85 and moves:
+        moves.discard(rng.choice(canon_sorted(moves)))
+    elif r < 0.92 and moves:
+        # a node outside the forest, past the shape check of Sdf.of
+        m = rng.choice(canon_sorted(moves))
+        assignment = dict(m.graph)
+        assignment[rng.choice(canon_sorted(m.domain))] = frozenset(["not-an-outcome"])
+        moves = (moves - {m}) | {RandomMove.of(assignment)}
+        return Sdf(s.forest, s.space, s.projection, frozenset(moves))
+    return Sdf.of(s.forest, s.space, projection, moves)
+
+
+@pytest.fixture(scope="module")
+def sdf_pool():
+    return corpus_sdfs(150)
+
+
+class TestSdfChecks:
+    def test_matches_canonical_loops(self, rng, sdf_pool):
+        seen = Counter()
+        for s in sdf_pool:
+            for _ in range(6):
+                t = mutated_sdf(rng, s)
+                ev = outcome(check_evaluation_bijection, t)
+                assert ev == outcome(brute_check_evaluation_bijection, t)
+                fib = outcome(fibres, t)
+                assert fib == outcome(brute_fibres, t)
+                seen[ev[1].code if ev[0] == "value" else ev[2]] += 1
+                seen["fibres " + ("ok" if fib[0] == "value" else fib[3].split(" ")[0])] += 1
+                if any(not m.image <= t.forest.nodes for m in t.random_moves):
+                    continue  # axiom 3a presumes the shape Sdf.of checks
+                order = list(t.random_moves)
+                rng.shuffle(order)
+                for moves in (t.sorted_moves, order):
+                    c3 = dict(_axioms_3a_to_3d(t, moves))["axiom-3c"]
+                    assert c3 == brute_axiom_3c(moves)
+                    seen["3c " + ("ok" if c3 is None else "fail")] += 1
+        assert {
+            "",
+            "ev-not-into-f",
+            "ev-not-injective",
+            "ev-not-surjective",
+            "ev-not-order-embedding",
+            "fibres ok",
+            "fibres scenario",
+            "fibres fibre",
+            "3c ok",
+            "3c fail",
+        } <= set(seen)
+
+
+# ---------------------------------------------------------------------------
+# action_path: AP.W0-W3
+
+
+def random_path_family(rng) -> PathOutcomes:
+    """Any nonempty set of paths per scenario over a random atom partition,
+    with string scenario labels."""
+    scenarios = [f"w{i}" for i in range(rng.randint(1, 4))]
+    atoms, rest = [], list(scenarios)
+    while rest:
+        k = rng.randint(1, len(rest))
+        atoms.append(rest[:k])
+        rest = rest[k:]
+    times = TimeAxis.of([0] + rng.sample(range(1, 5), rng.randint(0, 3)))
+    actions = ["a", "b", "c"][: rng.randint(1, 3)]
+    full = list(itertools.product(actions, repeat=len(times.points)))
+    paths = [(w, f) for w in scenarios for f in rng.sample(full, rng.randint(1, min(len(full), 6)))]
+    return PathOutcomes.of(times, ActionSpace.of(actions), ScenarioSpace.of(scenarios, atoms), paths)
+
+
+class TestCheckApw:
+    def test_matches_enumeration(self, rng):
+        seen = Counter()
+        for _ in range(300):
+            po = random_path_family(rng)
+            for caps in ({}, {"max_time_subsets": 2}, {"work_cap": 8}):
+                got = outcome(check_apw, po, **caps)
+                assert got == outcome(brute_check_apw, po, **caps)
+                if got[0] == "error":
+                    seen[got[3].split(" ")[0]] += 1
+                else:
+                    seen.update(k for k, v in got[1].items if not v.ok)
+        assert {"W0", "W1", "W3", "prefix", "|T|"} <= set(seen)
+
+
+# ---------------------------------------------------------------------------
+# guard: a passing check makes no canonical-order call
+
+
+def fresh_copy(s: Sdf) -> Sdf:
+    """`s` with none of its derived tables built yet."""
+    return Sdf(SetForest(s.forest.universe, s.forest.nodes), s.space, s.projection, s.random_moves)
+
+
+def test_passing_checks_never_sort(monkeypatch, sdf_pool):
+    pos = []
+    for draw in range(150):
+        po = random_path_outcomes(random.Random(draw))
+        if check_apw(po).ok:
+            pos.append(PathOutcomes(po.time, po.space, po.scenarios, po.paths))
+    instances = [fresh_copy(s) for s in sdf_pool]
+    trees = [s.maxima <= s.move_nodes and check_ttree_theorem(fresh_copy(s)).ok for s in sdf_pool]
+    calls = Counter()
+    for module in (_canon, order_core, set_forest, sdf, action_path, sigma_info, choice, cli):
+        for fn_name in ("canon_key", "canon_sorted"):
+            fn = getattr(module, fn_name, None)
+            if fn is None:
+                continue
+
+            def counting(*args, _fn=fn, _name=fn_name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn_name, counting)
+    for s, tree in zip(instances, trees):
+        assert verify_own_representation(s.forest).ok
+        assert check_evaluation_bijection(s).ok
+        assert all(f is None for _, f in _axioms_3a_to_3d(s, tuple(s.random_moves)))
+        fibres(s)
+        if tree:
+            assert check_ttree_theorem(s).ok
+    for po in pos:
+        assert check_apw(po).ok
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert (len(instances), sum(trees), len(pos)) == (127, 35, 123)

@@ -1,6 +1,11 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sdfkit
 
 from sdfkit import examples
 from sdfkit.errors import InputError, SizeCapError, StructureError
@@ -27,6 +32,7 @@ from sdfkit.set_forest import induced_poset, representation_by_decision_paths, v
 
 from conftest import (
     brute_maximal_chains,
+    brute_poset_failure,
     oracle_covers,
     oracle_down_set,
     oracle_is_tree,
@@ -72,6 +78,73 @@ class TestPosetConstruction:
     def test_relation_bounds(self):
         with pytest.raises(StructureError):
             Poset.of([1], [(1, 2)])
+
+
+# Relations with several failures of one axiom, and the canonically first
+# witness each must name, whatever the hash order of the sets.
+POSET_WITNESS_CASES = [
+    (
+        "abcdxyz",
+        [("a", "b"), ("b", "c"), ("c", "d"), ("x", "y"), ("y", "z")],
+        "relation not transitive via ('a', 'b', 'c')",
+    ),
+    ("abxy", [("b", "a"), ("a", "b"), ("y", "x"), ("x", "y")], "relation not antisymmetric on ('a', 'b')"),
+    ("ab", [("b", "z"), ("a", "q"), ("y", "a")], "relation mentions non-element: ('a', 'q')"),
+]
+
+
+def _poset_failure(elements, pairs, close=True):
+    try:
+        if close:
+            Poset.of(elements, pairs)
+        else:
+            Poset(frozenset(elements), frozenset(pairs))
+    except StructureError as e:
+        return str(e)
+    return None
+
+
+class TestPosetWitnesses:
+    def test_canonical_witness(self):
+        for elements, pairs, message in POSET_WITNESS_CASES:
+            assert _poset_failure(elements, pairs) == message
+        assert _poset_failure("zyx", [("y", "y")], close=False) == "relation not reflexive at 'x'"
+
+    def test_same_under_two_hash_seeds(self, tmp_path):
+        source_root = str(Path(sdfkit.__file__).resolve().parent.parent)
+        script = (
+            "from sdfkit.order_core import Poset\n"
+            "from sdfkit.errors import StructureError\n"
+            f"for elements, pairs, _ in {POSET_WITNESS_CASES!r}:\n"
+            "    try:\n"
+            "        Poset.of(elements, pairs)\n"
+            "    except StructureError as e:\n"
+            "        print(e)\n"
+        )
+        for seed in ("1", "77"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": source_root},
+                cwd=tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines() == [m for _, _, m in POSET_WITNESS_CASES]
+
+    def test_matches_literal_definitions(self, rng):
+        # random relations over string labels, closed reflexively or not
+        kinds = set()
+        for _ in range(300):
+            elements = [f"e{i}" for i in range(rng.randint(1, 5))]
+            pool = elements + ["stray"] * (rng.random() < 0.2)
+            pairs = {(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 10))}
+            close = rng.random() < 0.7
+            closed = pairs | {(x, x) for x in elements} if close else pairs
+            message = _poset_failure(elements, pairs, close)
+            assert message == brute_poset_failure(frozenset(elements), closed)
+            kinds.add(message.split(" ")[2] if message else None)
+        assert kinds == {None, "non-element:", "reflexive", "antisymmetric", "transitive"}
 
 
 class TestUpSet:
