@@ -71,13 +71,11 @@ from .action_path import (
     TimeAxis,
     WindowChoiceSpec,
     agent_choice,
-    agent_rcs,
     build_action_path_sdf,
     check_apc3,
     check_apw,
     move_event,
     node_at,
-    check_measurable_iff_adapted,
     time_of,
     window_choice,
 )

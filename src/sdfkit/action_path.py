@@ -27,7 +27,6 @@ from .verdict import MultiVerdict, Verdict
 
 DEFAULT_TIME_SUBSET_CAP = 8
 DEFAULT_PATH_WORK_CAP = 2 ** 16
-DEFAULT_HISTORY_SUBSET_CAP = 4096
 
 
 def as_time(value) -> Fraction:
@@ -365,8 +364,8 @@ class ActionPathSdf:
     po: PathOutcomes
     sdf: Sdf
     move_times: tuple  # ((RandomMove, Fraction), ...)
-    # agent_rcs results by agent: (Rcs, {(move, G): {h: (piece, C0-C2 ok)}})
-    _rcs_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _agent_pieces results by agent: ({(move, G): {h: (piece, C0-C2 ok)}}, Rcs)
+    _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def time_of_move(self, m: RandomMove) -> Fraction:
         for move, t in self.move_times:
@@ -531,28 +530,37 @@ def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
         if outcomes
         else Verdict.failed("apc0", "the window choice is empty")
     )
+    # C1 and C2 are decided on sets; only the failures are sorted, to name
+    # the canonically first witness. As in a scan in canonical order, a
+    # wrong-length history raises unless a failing one sorts before it.
     c1 = Verdict.passed()
-    for w in canon_sorted(outcomes):
-        if not (idx.group(w[0], w[1][:k]) - outcomes):
-            c1 = Verdict.failed(
-                "apc1", f"no alternative to {fmt(w)} inside its node"
-            )
-            break
+    stuck = [w for w in outcomes if not (idx.group(w[0], w[1][:k]) - outcomes)]
+    if stuck:
+        c1 = Verdict.failed(
+            "apc1", f"no alternative to {fmt(min(stuck, key=canon_key))} inside its node"
+        )
     c2 = Verdict.passed()
-    for h in canon_sorted(spec.histories):
+    bad: dict = {}  # history -> (meets, move event), or None for a wrong length
+    for h in spec.histories:
         if len(h) != k:
-            raise InputError(
-                f"history {fmt(h)} has length {len(h)}, expected {k}", witness=h
-            )
+            bad[h] = None
+            continue
         d = idx.d_set(h)
         meets = frozenset(w for w in d if idx.group(w, h) & outcomes)
         if meets and meets != d:
-            c2 = Verdict.failed(
-                "apc2",
-                f"history {fmt(h)}: choice meets the node for {fmt(meets)} "
-                f"but the move event is {fmt(d)}",
+            bad[h] = (meets, d)
+    if bad:
+        h = min(bad, key=canon_key)
+        if bad[h] is None:
+            raise InputError(
+                f"history {fmt(h)} has length {len(h)}, expected {k}", witness=h
             )
-            break
+        meets, d = bad[h]
+        c2 = Verdict.failed(
+            "apc2",
+            f"history {fmt(h)}: choice meets the node for {fmt(meets)} "
+            f"but the move event is {fmt(d)}",
+        )
     return WindowChoice(
         spec, outcomes, MultiVerdict((("C0", c0), ("C1", c1), ("C2", c2)))
     )
@@ -600,73 +608,70 @@ def _own_prefix(po: PathOutcomes, move: RandomMove, t) -> tuple:
     return prefix_of(po, f, t)
 
 
-def agent_rcs(aps: ActionPathSdf, agent) -> choice_mod.Rcs:
-    """The reference choice structure of measurable individual action sets.
+def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
+    """Agent reference choices as the per-history pieces they are made of.
 
-    Per random move x at time t: every window choice built from a nonempty
-    set H of realized histories and a nonempty set G of agent-i components
-    (lifted through the projection on the move's domain, empty off it) that
-    passes C0-C2 and meets every node of x. The result is checked to verify
-    as an RCS rather than assumed. More than DEFAULT_HISTORY_SUBSET_CAP
-    subsets of the realized histories at a move time raise SizeCapError.
+    The agent's reference choices at a random move x at time t are the
+    window choices of a nonempty set H of realized histories and a nonempty
+    set G of agent components (lifted through the projection on x's domain,
+    empty off it) that pass C0-C2 and meet every node of x. The piece of h
+    is the window choice for the single history h, and the window choice of
+    (H, G) is the disjoint union of the pieces of H. Returns the table
+    {(move, G): {h: (piece, C0-C2 ok)}} of every nonempty piece, |H| window
+    choices per G instead of 2^|H|, and the own-prefix family: per move, the
+    piece_G(p_x) of each G whose piece passes and meets every node of x,
+    with p_x the history every outcome of x shares.
 
-    The set is built from per-history pieces, |H| window choices per G
-    instead of 2^|H|: the piece of h is the window choice for the single
-    history h, and the window choice of (H, G) is the disjoint union of the
-    pieces of H. C1 and C2 test one history at a time and C0 is
-    nonemptiness, so the union passes C0-C2 iff it is nonempty and every
-    nonempty piece in H passes. Every node of x lies under x's own prefix
-    p_x, so the union meets every node iff p_x ∈ H and the piece of p_x
-    meets every node. The reference choices for G are therefore piece(p_x)
-    ∪ ⋃S over the subsets S of the other passing pieces.
+    (a) The reference choices for G are exactly the unions of passing
+    pieces that contain piece_G(p_x), when that piece meets every node. C1
+    and C2 test one history at a time and C0 is nonemptiness, so a union
+    passes C0-C2 iff it is nonempty and each of its pieces passes. Every
+    node of x lies under p_x, so the union meets every node iff it holds
+    piece_G(p_x) and that piece meets every node.
 
-    The result is kept on `aps`, so each agent is built once, with every
-    nonempty piece and its C0-C2 flag, from which `check_apc3` decides.
+    (b) x⁻¹(P(c ∩ c')) depends on a reference choice c' only through its
+    piece_G(p_x). Every x(ω) lies under p_x, so x(ω) ∩ c' = x(ω) ∩
+    piece_G(p_x). Whether x(ω) ∈ P(D) depends only on x(ω) ∩ D: it asks for
+    x(ω) ⊄ D and a node y ⊊ x(ω) such that every node z with y ⊆ z ⊊ x(ω)
+    lies in D, and each such z is a subset of x(ω). So the events over every
+    reference choice are those over the own-prefix family, which is what
+    `MeasurabilityCase` reads; `check_apc3` decides from the table.
+
+    The own-prefix family is checked to verify as an RCS rather than
+    assumed. The result is kept on `aps`, so each agent is built once.
     """
-    if agent in aps._rcs_memo:
-        return aps._rcs_memo[agent][0]
+    if agent in aps._pieces:
+        return aps._pieces[agent]
     po = aps.po
-    if po.space.agents is None:
-        raise InputError("outcome set carries no factorization", code="no-factorization")
     idx = po.index
+    table: dict = {}
     per_move: dict = {}
-    pieces: dict = {}
     components = canon_sorted(po.space.components(agent))
     for move, t in aps.move_times:
-        histories = canon_sorted(idx.realized_prefixes(t))
-        if 2 ** len(histories) > DEFAULT_HISTORY_SUBSET_CAP:
-            raise SizeCapError(
-                f"{2 ** len(histories)} history subsets at t={t} exceed the cap "
-                f"{DEFAULT_HISTORY_SUBSET_CAP}"
-            )
+        histories = idx.realized_prefixes(t)
         own = _own_prefix(po, move, t)
         found = set()
         for cr in range(1, len(components) + 1):
             for comp_set in itertools.combinations(components, cr):
                 g_set = frozenset(comp_set)
                 per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
-                held = pieces[move, g_set] = {}
+                held = table[move, g_set] = {}
                 for h in histories:
                     wc = window_choice(po, WindowChoiceSpec.of(t, (h,), per_scenario))
                     if wc.outcomes:
                         held[h] = (wc.outcomes, wc.ok)
                 own_piece, own_ok = held.get(own, (frozenset(), False))
-                if not own_ok or not _meets_every_node(move, own_piece):
-                    continue
-                unions = {own_piece}
-                for h, (piece, ok) in held.items():
-                    if ok and h != own:
-                        unions |= {u | piece for u in unions}
-                found |= unions
+                if own_ok and _meets_every_node(move, own_piece):
+                    found.add(own_piece)
         per_move[move] = frozenset(choice_mod.Choice.of(aps.sdf, o) for o in found)
-    rcs = choice_mod.Rcs.of(per_move)
-    verdict = choice_mod.verify_rcs(aps.sdf, rcs)
+    own_family = choice_mod.Rcs.of(per_move)
+    verdict = choice_mod.verify_rcs(aps.sdf, own_family)
     if not verdict:
         raise StructureError(
             f"agent reference choices fail to verify: {verdict.describe()}"
         )
-    aps._rcs_memo[agent] = (rcs, pieces)
-    return rcs
+    aps._pieces[agent] = (table, own_family)
+    return table, own_family
 
 
 @dataclass(frozen=True)
@@ -693,14 +698,12 @@ def check_apc3(
     over the nonempty S ⊆ the other realized histories, by size; per H, the
     canonical generator (all proper subsets), then the other families.
 
-    A member G is decided from the pieces `agent_rcs` keeps: the window
-    choice of (H, G) is the disjoint union of G's nonempty pieces in H. G
-    passes when H holds none, or when each passes C0-C2 and H holds p_x,
-    whose piece meets every node of x. That is the membership test, by
-    `agent_rcs`'s argument: C1 and C2 each look at one history and every
-    node of x lies under p_x, so a union that passes C0-C2 and meets every
-    node is piece(p_x) ∪ other passing pieces, a reference choice. Being a
-    union of nodes, it is always a choice.
+    A member G is decided from the piece table of `_agent_pieces`: the
+    window choice of (H, G) is the disjoint union of G's nonempty pieces in
+    H. G passes when H holds none, or when each passes C0-C2 and H holds
+    p_x, whose piece meets every node of x. That is the membership test, by
+    argument (a) of `_agent_pieces`: such a union is a reference choice.
+    Being a union of nodes, it is always a choice.
 
     At most three history sets need a test. By the same argument, if
     (H, 𝒢) is a hit, so is (R, 𝒢) for every R ⊆ H that holds p_x. An H
@@ -725,8 +728,7 @@ def check_apc3(
     realized = frozenset(po.index.realized_prefixes(t))
     if not required <= realized:
         raise InputError("required prefixes are not realized", witness=required)
-    agent_rcs(aps, agent)
-    pieces = aps._rcs_memo[agent][1]
+    pieces = _agent_pieces(aps, agent)[0]
     components = canon_sorted(po.space.components(agent))
     subsets = [
         frozenset(c)
@@ -807,67 +809,23 @@ class MeasurabilityReport:
         return self.domain.ok and self.forward.ok and self.backward.ok
 
 
-def check_measurable_iff_adapted(
-    aps: ActionPathSdf, agent, e: Eis, t, histories, g
-) -> MeasurabilityReport:
-    """Measurability of g versus adaptedness of c(A_<t, i, g), per available move.
-
-    Forward: measurability of g on D_x implies the adaptedness condition at
-    x. Backward: when the generator search succeeds, the adaptedness
-    condition at x implies measurability.
-
-    `domain` (D_x ⊆ D, with D the domain of g) is always a passed verdict:
-    c(A_<t, i, g) has no outcome off D, and availability at x puts every
-    x(ω), ω ∈ D_x, in P(c). Since x(ω) holds outcomes of scenario ω only,
-    c has an outcome of scenario ω, so ω ∈ D.
-    """
-    wc = agent_choice(aps.po, t, histories, agent, g)
-    if not wc.ok:
-        raise InputError(
-            f"c(A_<t, i, g) fails C0-C2: {wc.verdicts.describe()}",
-            code="precondition-violation",
-        )
-    s = aps.sdf
-    c = choice_mod.Choice.of(s, wc.outcomes)
-    rcs = agent_rcs(aps, agent)
-    flags = choice_mod.classify(s, c)
-    forward = Verdict.passed()
-    backward = Verdict.passed()
-    records = []
-    for move in canon_sorted(flags.available_at):
-        sigma = e.for_move(move)
-        measurable = all(
-            sigma.contains(
-                frozenset(w for w in move.domain if g[w] == value)
-            )
-            for value in canon_sorted({g[w] for w in move.domain})
-        )
-        adapted = choice_mod.adapted_at_move(s, e, rcs, c, move).ok
-        apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
-        if measurable and not adapted and forward.ok:
-            forward = Verdict.failed(
-                "forward-implication",
-                f"g measurable at {move.fmt()} but the choice is not adapted there",
-            )
-        if apc3 and adapted and not measurable and backward.ok:
-            backward = Verdict.failed(
-                "backward-implication",
-                f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
-            )
-        records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
-    return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
-
-
 class MeasurabilityCase:
-    """The part of `check_measurable_iff_adapted` that reads no EIS.
+    """Theorem 4.11 for one (agent, t, histories, g): measurability of g
+    versus adaptedness of c(A_<t, i, g), per move c is available at.
 
-    Built once for (agent, t, histories, g): the window choice c(A_<t, i, g)
-    and its C0-C2 precondition, the moves c is available at and, per move,
-    the level sets of g on D_x, the events x⁻¹(P(c ∩ c')) over the
-    reference choices c' (canon order, repeats dropped) and the AP.C3
-    verdict. Construction raises what the oracle raises before it reads
-    its EIS; `report(e)` then only tests σ-containment, and equals the
-    oracle's report for e.
+    Built once per case: the window choice c and its C0-C2 precondition, the
+    moves c is available at and, per move x, the level sets of g on D_x, the
+    events x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
+    `_agent_pieces`, the events over every reference choice c' are those
+    over the own-prefix pieces, so only those are taken. `report(e)` then
+    only tests σ-containment in the EIS e.
+
+    Forward: measurability of g on D_x implies adaptedness at x. Backward:
+    when AP.C3 holds, adaptedness at x implies measurability. `domain`
+    (D_x ⊆ D, with D the domain of g) is always a passed verdict: c has no
+    outcome off D, and availability at x puts every x(ω), ω ∈ D_x, in P(c).
+    Since x(ω) holds outcomes of scenario ω only, c has an outcome of
+    scenario ω, so ω ∈ D.
     """
 
     def __init__(self, aps: ActionPathSdf, agent, t, histories, g):
@@ -879,7 +837,7 @@ class MeasurabilityCase:
             )
         s = aps.sdf
         c = choice_mod.Choice.of(s, wc.outcomes)
-        rcs = agent_rcs(aps, agent)
+        own_family = _agent_pieces(aps, agent)[1]
         flags = choice_mod.classify(s, c)
         self.moves = []
         for move in canon_sorted(flags.available_at):
@@ -887,14 +845,14 @@ class MeasurabilityCase:
                 frozenset(w for w in move.domain if g[w] == value)
                 for value in canon_sorted({g[w] for w in move.domain})
             ]
-            events = dict.fromkeys(
+            events = frozenset(
                 choice_mod.preimage(
-                    s, move, choice_mod.predecessors(s, c.outcomes & ref.outcomes)
+                    s, move, choice_mod.predecessors(s, c.outcomes & piece.outcomes)
                 )
-                for ref in canon_sorted(rcs.for_move(move))
+                for piece in own_family.for_move(move)
             )
             apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
-            self.moves.append((move, levels, tuple(events), apc3))
+            self.moves.append((move, levels, events, apc3))
 
     def report(self, e: Eis) -> MeasurabilityReport:
         forward = Verdict.passed()
@@ -922,8 +880,8 @@ class MeasurabilityCase:
 class SweepCase:
     """One case of `measurability_sweep` and its outcome.
 
-    `result` is the `MeasurabilityReport` that `check_measurable_iff_adapted`
-    returns for the case, or the `KernelError` it raises.
+    `result` is the case's `MeasurabilityCase(...).report(e)`, or the
+    `KernelError` that building the case or its report raises.
     """
 
     agent: object
@@ -945,6 +903,9 @@ def measurability_sweep(aps: ActionPathSdf, structures):
     built on first use and shared by every structure, by the moves at t and
     by both labels when their history sets are equal, errors included. Per
     structure, only the σ-containment of `MeasurabilityCase.report` runs.
+    A case reads the agent's own-prefix pieces (see `_agent_pieces`), not
+    their unions, so its cost grows with the number of realized histories,
+    not with the number of their subsets.
     """
     po = aps.po
     scenarios = canon_sorted(po.scenarios.scenarios)

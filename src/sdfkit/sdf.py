@@ -205,7 +205,7 @@ class RandomMove:
 class Sdf:
     forest: SetForest
     space: ScenarioSpace
-    projection: tuple  # ((node, scenario), ...) canonical
+    projection: frozenset  # of (node, scenario) pairs
     random_moves: frozenset
 
     @classmethod
@@ -229,10 +229,7 @@ class Sdf:
                     raise InputError(
                         f"random move assigns unknown node {fmt(node)}", witness=node
                     )
-        items = tuple(
-            (node, proj[node]) for node in canon_sorted(forest.nodes)
-        )
-        return cls(forest, space, items, moves)
+        return cls(forest, space, frozenset(proj.items()), moves)
 
     def pi(self, node):
         return self.proj[node]
@@ -306,7 +303,7 @@ class Sdf:
             "sdf",
             self.forest.canon_key(),
             self.space.canon_key(),
-            canon_key(self.projection),
+            canon_key(tuple(canon_sorted(self.projection))),
             canon_key(self.random_moves),
         )
 

@@ -4,7 +4,10 @@ The oracles here deliberately avoid the library's algorithms: maximal chains
 by full subset enumeration, up-sets, down-sets, covers, extremal elements,
 trees and separation by scanning every element instead of the poset's
 index, agent reference choices by one window choice per
-(history subset, component subset) pair, canonical keys by the type-tag
+(history subset, component subset) pair, and by the unions of the
+library's per-history pieces (`agent_rcs`, the family Theorem 4.11's
+per-case oracle `check_measurable_iff_adapted` reads), the window-choice
+verdicts by canonical scans, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the no-forgetting trace
 check by listing every event, the information structures and their
 order by sorting every result, the RCS and adaptedness witnesses by
@@ -34,12 +37,18 @@ from sdfkit.action_path import (
     DEFAULT_PATH_WORK_CAP,
     DEFAULT_TIME_SUBSET_CAP,
     Apc3Result,
+    MeasurabilityRecord,
+    MeasurabilityReport,
     PathOutcomes,
+    WindowChoice,
     WindowChoiceSpec,
-    agent_rcs,
+    _agent_pieces,
+    _own_prefix,
+    agent_choice,
+    check_apc3,
     window_choice,
 )
-from sdfkit.choice import Choice, Rcs, classify, predecessors, preimage
+from sdfkit.choice import Choice, Rcs, adapted_at_move, classify, predecessors, preimage
 from sdfkit.errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import DEFAULT_WORK_CAP, maximal_chains
@@ -267,6 +276,63 @@ def brute_agent_rcs(aps, agent):
     return Rcs.of(per_move)
 
 
+def agent_rcs(aps, agent):
+    """The agent's full reference choice structure, built as unions of the
+    library's per-history pieces: per move x and component set G whose
+    own-prefix piece passes C0-C2 and meets every node of x, piece_G(p_x) ∪ ⋃S
+    over every set S of G's other passing pieces, 2^(H-1) unions per G. The
+    family `check_measurable_iff_adapted` reads; compared with
+    `brute_agent_rcs` on small inputs."""
+    table = _agent_pieces(aps, agent)[0]
+    own = {move: _own_prefix(aps.po, move, t) for move, t in aps.move_times}
+    per_move = {move: set() for move in own}
+    for (move, _g_set), held in table.items():
+        own_piece, own_ok = held.get(own[move], (frozenset(), False))
+        if not own_ok or not all(node & own_piece for _, node in move.items()):
+            continue
+        unions = {own_piece}
+        for h, (piece, ok) in held.items():
+            if ok and h != own[move]:
+                unions |= {u | piece for u in unions}
+        per_move[move] |= {Choice.of(aps.sdf, u) for u in unions}
+    return Rcs.of(per_move)
+
+
+def brute_window_choice(po, spec):
+    """`window_choice` by the canonical scans: C1 over the outcomes and C2
+    over the histories in canonical order, the first failure wins; a
+    wrong-length history raises when the scan reaches it."""
+    idx = po.index
+    k = po.time.index(spec.t)
+    outcomes = frozenset(
+        (w, f)
+        for w, f in po.paths
+        if f[:k] in spec.histories and f[k] in spec.actions_for(w)
+    )
+    c0 = Verdict.passed() if outcomes else Verdict.failed("apc0", "the window choice is empty")
+    c1 = Verdict.passed()
+    for w in canon_sorted(outcomes):
+        if not (idx.group(w[0], w[1][:k]) - outcomes):
+            c1 = Verdict.failed("apc1", f"no alternative to {fmt(w)} inside its node")
+            break
+    c2 = Verdict.passed()
+    for h in canon_sorted(spec.histories):
+        if len(h) != k:
+            raise InputError(
+                f"history {fmt(h)} has length {len(h)}, expected {k}", witness=h
+            )
+        d = idx.d_set(h)
+        meets = frozenset(w for w in d if idx.group(w, h) & outcomes)
+        if meets and meets != d:
+            c2 = Verdict.failed(
+                "apc2",
+                f"history {fmt(h)}: choice meets the node for {fmt(meets)} "
+                f"but the move event is {fmt(d)}",
+            )
+            break
+    return WindowChoice(spec, outcomes, MultiVerdict((("C0", c0), ("C1", c1), ("C2", c2))))
+
+
 @cache
 def brute_intersection_stable_generators(components: frozenset) -> list:
     """Candidate generators of the power set of the component set.
@@ -370,6 +436,52 @@ def brute_check_apc3(aps, agent, move, *, choice=None, max_candidates=512):
     return Apc3Result(
         Verdict(False, "apc3-not-found", "no (A'_<t, generator) pair found", notes=notes)
     )
+
+
+def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> MeasurabilityReport:
+    """Theorem 4.11 for one case by the definition: measurability of g versus
+    adaptedness of c(A_<t, i, g) over every reference choice of
+    `agent_rcs`, per move c is available at. The per-case oracle that
+    `MeasurabilityCase(...).report(e)` is compared against.
+
+    Forward: measurability of g on D_x implies the adaptedness condition at
+    x. Backward: when the generator search succeeds, the adaptedness
+    condition at x implies measurability. `domain` is always a passed
+    verdict (see `MeasurabilityCase`).
+    """
+    wc = agent_choice(aps.po, t, histories, agent, g)
+    if not wc.ok:
+        raise InputError(
+            f"c(A_<t, i, g) fails C0-C2: {wc.verdicts.describe()}",
+            code="precondition-violation",
+        )
+    s = aps.sdf
+    c = Choice.of(s, wc.outcomes)
+    rcs = agent_rcs(aps, agent)
+    flags = classify(s, c)
+    forward = Verdict.passed()
+    backward = Verdict.passed()
+    records = []
+    for move in canon_sorted(flags.available_at):
+        sigma = e.for_move(move)
+        measurable = all(
+            sigma.contains(frozenset(w for w in move.domain if g[w] == value))
+            for value in canon_sorted({g[w] for w in move.domain})
+        )
+        adapted = adapted_at_move(s, e, rcs, c, move).ok
+        apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
+        if measurable and not adapted and forward.ok:
+            forward = Verdict.failed(
+                "forward-implication",
+                f"g measurable at {move.fmt()} but the choice is not adapted there",
+            )
+        if apc3 and adapted and not measurable and backward.ok:
+            backward = Verdict.failed(
+                "backward-implication",
+                f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
+            )
+        records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
+    return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
 
 
 def _all_prefixes(po: PathOutcomes, length: int, work_cap: int):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import check_measurable_iff_adapted
 from sdfkit import examples
 from sdfkit.action_path import (
     MeasurabilityCase,
@@ -18,7 +19,6 @@ from sdfkit.action_path import (
     build_action_path_sdf,
     check_apw,
     node_at,
-    check_measurable_iff_adapted,
     window_choice,
 )
 from sdfkit.choice import Choice, classify, down_set, is_adapted, predecessors, restrict_check

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_agent_rcs, brute_check_apc3, brute_check_apw
+from conftest import (
+    agent_rcs,
+    brute_agent_rcs,
+    brute_check_apc3,
+    brute_check_apw,
+    check_measurable_iff_adapted,
+)
 from sdfkit import examples
 from sdfkit.action_path import (
     ActionSpace,
@@ -15,7 +21,6 @@ from sdfkit.action_path import (
     TimeAxis,
     WindowChoiceSpec,
     agent_choice,
-    agent_rcs,
     build_action_path_sdf,
     check_apc3,
     check_apw,
@@ -24,7 +29,6 @@ from sdfkit.action_path import (
     node_at,
     prefix_of,
     product_outcomes,
-    check_measurable_iff_adapted,
     time_of,
     times_of_node,
     timing_outcomes,
@@ -32,7 +36,7 @@ from sdfkit.action_path import (
     window_choice,
 )
 from sdfkit._canon import canon_sorted
-from sdfkit.choice import classify, down_set, predecessors
+from sdfkit.choice import classify, down_set, predecessors, verify_rcs
 from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
 from sdfkit.sdf import ScenarioSpace, sdf_isomorphic, verify_sdf
@@ -529,7 +533,9 @@ class TestAgentRcs:
         )
         for aps in (simple_aps, variant, upandout_aps):
             for agent in aps.po.space.agents:
-                assert agent_rcs(aps, agent) == brute_agent_rcs(aps, agent)
+                brute = brute_agent_rcs(aps, agent)
+                assert agent_rcs(aps, agent) == brute
+                assert verify_rcs(aps.sdf, brute).ok
 
     def _matches_brute_force(self, rng, draw, count):
         compared = nonempty = 0
@@ -544,7 +550,9 @@ class TestAgentRcs:
                 continue
             for agent in factorization:
                 rcs = agent_rcs(aps, agent)
-                assert rcs == brute_agent_rcs(aps, agent)
+                brute = brute_agent_rcs(aps, agent)
+                assert rcs == brute
+                assert verify_rcs(aps.sdf, brute).ok
                 nonempty += any(cs for _, cs in rcs.entries)
             compared += 1
             if compared == count:
@@ -575,16 +583,6 @@ class TestAgentRcs:
 
         nonempty = self._matches_brute_force(rng, draw, 50)
         assert nonempty >= 40
-
-    def test_history_subset_cap(self):
-        # one scenario, actions a/b, times 0-4: 16 realized histories at t=4
-        paths = [("1", f) for f in itertools.product("ab", repeat=5)]
-        space = ActionSpace.of(["a", "b"], {"1": {"a": "a", "b": "b"}})
-        po = PathOutcomes.of(TimeAxis.of(range(5)), space, ScenarioSpace.discrete(["1"]), paths)
-        aps = build_action_path_sdf(po)
-        with pytest.raises(SizeCapError) as exc:
-            agent_rcs(aps, "1")
-        assert str(exc.value) == "65536 history subsets at t=4 exceed the cap 4096"
 
     def test_timing_nonempty_at_alive_moves(self, timing_aps):
         r = agent_rcs(timing_aps, "1")

@@ -541,15 +541,34 @@ class TestOncePerRun:
 
 
 class TestThm411:
-    def test_cap_error_is_reported_not_skipped(self):
-        # 16 realized histories at t=4: 2^16 history subsets exceed the cap.
+    def test_cap_error_is_reported_not_skipped(self, monkeypatch):
+        # four agent components after "a": the AP.C3 generator search tries
+        # more than the patched 3 families, inside the sweep as in apc
+        import sdfkit.action_path
+
+        acts = "abcd"
+        paths = [
+            (1, f)
+            for f in itertools.product(acts, repeat=2)
+            if f not in (("a", "c"), ("a", "d"))
+        ]
+        doc = _action_path_doc([1], [0, 1], list(acts), paths, {a: {"1": a} for a in acts})
+        monkeypatch.setattr(sdfkit.action_path, "DEFAULT_PATH_WORK_CAP", 3)
+        verify, apc, thm = run(doc, ["verify", "apc", "thm4-11"]).records
+        message = "cap-exceeded: AP.C3 generator search exceeded 3 families"
+        assert verify.status == "ok"
+        assert (apc.status, apc.message) == ("error", message)
+        assert (thm.status, thm.message) == ("error", message)
+
+    def test_sixteen_realized_histories_get_verdicts(self):
+        # one scenario, actions a/b, times 0-4: 16 realized histories at t=4,
+        # whose 2^16 history subsets are never enumerated
         paths = [("1", f) for f in itertools.product("ab", repeat=5)]
         factorization = {"a": {"1": "a"}, "b": {"1": "b"}}
         doc = _action_path_doc(["1"], range(5), ["a", "b"], paths, factorization)
         apc, thm = run(doc, ["apc", "thm4-11"]).records
-        message = "cap-exceeded: 65536 history subsets at t=4 exceed the cap 4096"
-        assert (apc.status, apc.message) == ("error", message)
-        assert (thm.status, thm.message) == ("error", message)
+        assert (apc.status, len(apc.items)) == ("ok", 31)
+        assert (thm.status, thm.data) == ("ok", {"skipped": 0, "checked": 124})
 
     def test_only_failed_preconditions_are_skipped(self, monkeypatch):
         import sdfkit.action_path
@@ -558,7 +577,7 @@ class TestThm411:
         def failing(*args, **kwargs):
             raise StructureError("agent reference choices fail to verify: stub")
 
-        monkeypatch.setattr(sdfkit.action_path, "agent_rcs", failing)
+        monkeypatch.setattr(sdfkit.action_path, "_agent_pieces", failing)
         [thm] = run(InstanceDoc("builtin", name="upandout"), ["thm4-11"], max_x=12).records
         assert (thm.status, thm.message) == (
             "error", "structure-error: agent reference choices fail to verify: stub"

@@ -19,8 +19,10 @@ from sdfkit.action_path import (
     ActionSpace,
     PathOutcomes,
     TimeAxis,
+    WindowChoiceSpec,
     build_action_path_sdf,
     check_apw,
+    window_choice,
 )
 from sdfkit.errors import KernelError, SizeCapError
 from sdfkit.gen import random_path_outcomes, random_rooted_forest
@@ -44,6 +46,7 @@ from conftest import (
     brute_fibres,
     brute_forest_witness,
     brute_verify_own_representation,
+    brute_window_choice,
     oracle_separation_witness,
 )
 
@@ -268,6 +271,43 @@ class TestCheckApw:
         assert {"W0", "W1", "W3", "prefix", "|T|"} <= set(seen)
 
 
+def random_window_spec(rng, po) -> WindowChoiceSpec:
+    """A window at a random time: some realized histories, sometimes an
+    unrealized one and a wrong-length one, and random action sets."""
+    points = po.time.points
+    k = rng.randrange(len(points))
+    actions = canon_sorted(po.space.actions)
+    histories = [h for h in canon_sorted(po.index.realized[k]) if rng.random() < 0.7]
+    if rng.random() < 0.3:
+        histories.append(tuple(rng.choice(actions) for _ in range(k)))
+    if rng.random() < 0.3:
+        length = rng.choice([n for n in range(len(points) + 1) if n != k])
+        histories.append(tuple(rng.choice(actions) for _ in range(length)))
+    per_scenario = {
+        w: {a for a in actions if rng.random() < 0.6} for w in canon_sorted(po.scenarios.scenarios)
+    }
+    return WindowChoiceSpec.of(points[k], histories, per_scenario)
+
+
+class TestWindowChoice:
+    def test_matches_canonical_scans(self, rng):
+        seen = Counter()
+        for _ in range(400):
+            po = random_path_outcomes(rng)
+            spec = random_window_spec(rng, po)
+            got = outcome(window_choice, po, spec)
+            assert got == outcome(brute_window_choice, po, spec)
+            k = po.time.index(spec.t)
+            wrong_length = any(len(h) != k for h in spec.histories)
+            if got[0] == "error":
+                seen["wrong-length"] += 1
+            else:
+                seen.update(name for name, v in got[1].verdicts.items if not v.ok)
+                # a failing history sorts before the wrong-length one
+                seen["C2 before wrong-length"] += wrong_length
+        assert min(seen[key] for key in ("C1", "C2", "wrong-length", "C2 before wrong-length")) > 0, seen
+
+
 # ---------------------------------------------------------------------------
 # guard: a passing check makes no canonical-order call
 
@@ -309,3 +349,43 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
     monkeypatch.undo()
     assert calls == Counter()
     assert (len(instances), sum(trees), len(pos)) == (127, 35, 123)
+
+
+def test_passing_window_choices_never_sort(monkeypatch):
+    # the window choices the piece builder makes on the builtins and on
+    # random factorized draws, the passing ones rebuilt under the guard
+    made = []
+
+    def recording(po, spec):
+        made.append((po, spec))
+        return window_choice(po, spec)
+
+    monkeypatch.setattr(action_path, "window_choice", recording)
+    instances = [examples.timing_instance(), examples.upandout_instance()]
+    for draw in range(40):
+        po = random_path_outcomes(random.Random(draw))
+        space = ActionSpace.of(po.space.actions, {"i": {a: a for a in po.space.actions}})
+        try:
+            instances.append(build_action_path_sdf(PathOutcomes(po.time, space, po.scenarios, po.paths)))
+        except KernelError:
+            pass
+    for aps in instances:
+        for agent in aps.po.space.agents:
+            action_path._agent_pieces(aps, agent)
+    monkeypatch.undo()
+    cases = [(po, spec) for po, spec in made if brute_window_choice(po, spec).ok]
+    calls = Counter()
+    for module in (_canon, action_path):
+        for fn_name in ("canon_key", "canon_sorted"):
+            fn = getattr(module, fn_name)
+
+            def counting(*args, _fn=fn, _name=fn_name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn_name, counting)
+    for po, spec in cases:
+        assert window_choice(po, spec).ok
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert (len(made), len(cases)) == (464, 148)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from sdfkit import examples
+from sdfkit._canon import canon_key, canon_sorted
 from sdfkit.errors import InputError, SizeCapError, StructureError
 from sdfkit.order_core import is_rooted_forest, is_tree, order_isomorphic, separation_witness
 from sdfkit.sdf import (
@@ -142,6 +143,16 @@ class TestFibres:
         with pytest.raises(StructureError) as exc:
             fibres(bad)
         assert exc.value.code == "fibre-mismatch"
+
+
+class TestProjection:
+    def test_kept_as_a_set_keyed_in_node_order(self, simple, variant):
+        # the canonical key still lists (node, scenario) in canonical node order
+        for s in (simple, variant, one_scenario_sdf()):
+            assert isinstance(s.projection, frozenset)
+            pairs = tuple((x, s.proj[x]) for x in canon_sorted(s.forest.nodes))
+            assert s.canon_key()[3] == canon_key(pairs)
+            assert s == Sdf.of(s.forest, s.space, dict(reversed(pairs)), s.random_moves)
 
 
 class TestVerifySdf:
