@@ -595,8 +595,14 @@ def _adapted(inst: _Instance, arg: str):
     c = Choice.of(s, inst.choice_named(choice_name))
     if eis_idx:
         structures = inst.need_eis()
-        if not (eis_idx.isdecimal() and 1 <= int(eis_idx) <= len(structures)):
-            raise KernelError(f"eis index {eis_idx} out of range 1..{len(structures)}")
+        n = len(structures)
+        # one spelling per index: ASCII digits, no leading zero; the length
+        # test keeps int() off strings longer than its digit limit
+        if not (
+            eis_idx.isascii() and eis_idx.isdecimal() and eis_idx[0] != "0"
+            and len(eis_idx) <= len(str(n)) and int(eis_idx) <= n
+        ):
+            raise KernelError(f"eis index {eis_idx} out of range 1..{n}")
         e = structures[int(eis_idx) - 1]
     elif inst.doc_eis is not None:
         e = inst.doc_eis
@@ -697,36 +703,72 @@ def run(doc: InstanceDoc, commands, *, max_x: int = 6, max_time_subsets: int = 8
     return Report([_run_check(inst, token) for token in commands], inst.caps)
 
 
+# The report's fixed skeleton: the text between `_emit_json` calls, at the
+# indents `json.dumps(..., indent=2)` gives it; _CHECK_KEYS and _ITEM_KEYS
+# are the indents of a check's and of an item's keys.
+_CHECK_KEYS, _ITEM_KEYS = " " * 6, " " * 10
+_ITEM = (
+    '{\n          "code": %s,\n          "name": %s,\n          "notes": %s,\n'
+    '          "ok": %s,\n          "partial": %s,\n          "witness": %s\n        }'
+)
+_CHECK_END = ',\n      "message": %s,\n      "status": %s\n    }'
+_REPORT_END = '%s,\n  "kind": %s,\n  "name": %s,\n  "overall": %s\n}'
+_BOOL = ("false", "true")
+
+
 def report_to_json(report: Report, doc: InstanceDoc) -> str:
-    """Machine format: deterministic, no timings."""
-    payload = {
-        "kind": doc.kind,
-        "name": doc.name,
-        "caps": report.caps,
-        "overall": "ok" if report.ok else "fail",
-        "checks": [
-            {
-                "id": r.check_id,
-                "status": r.status,
-                "message": r.message,
-                "items": [
-                    {
-                        "name": k,
-                        "ok": v.ok,
-                        "code": v.code,
-                        "witness": v.witness,
-                        "partial": v.partial,
-                        "notes": list(v.notes),
-                    }
-                    for k, v in r.items
-                ],
-                "data": r.data,
-            }
-            for r in report.records
-        ],
-    }
+    """Machine format: deterministic, no timings.
+
+    The text is `json.dumps(payload, sort_keys=True, indent=2, default=str)`
+    of the payload {caps, checks, kind, name, overall}, where a check is
+    {data, id, items, message, status} and an item {code, name, notes, ok,
+    partial, witness}. That skeleton is written here from fixed strings,
+    keys in sorted order. `data`, `caps`, non-empty notes and any field not
+    of its declared `str` or `bool` type go to `_emit_json`. Every piece
+    goes to one list, joined once: no part of the report is copied before
+    the join, which keeps the peak memory of a large report down.
+    """
+    enc = encode_basestring_ascii
+    out = ['{\n  "caps": ']
+    _emit_json(report.caps, "  ", out)
+    out.append(',\n  "checks": ')
+    sep = '[\n    {\n      "data": '
+    for r in report.records:
+        out.append(sep)
+        _emit_json(r.data, _CHECK_KEYS, out)
+        out.append(',\n      "id": %s,\n      "items": ' % _text(r.check_id, _CHECK_KEYS))
+        item_sep = "[\n        "
+        for k, v in r.items:
+            # the items are most of a report, so their fields are inlined
+            code, witness, ok, partial = v.code, v.witness, v.ok, v.partial
+            out.append(item_sep + _ITEM % (
+                enc(code) if type(code) is str else _emitted(code, _ITEM_KEYS),
+                enc(k) if type(k) is str else _emitted(k, _ITEM_KEYS),
+                _emitted(list(v.notes), _ITEM_KEYS) if v.notes else "[]",
+                _BOOL[ok] if type(ok) is bool else _emitted(ok, _ITEM_KEYS),
+                _BOOL[partial] if type(partial) is bool else _emitted(partial, _ITEM_KEYS),
+                enc(witness) if type(witness) is str else _emitted(witness, _ITEM_KEYS),
+            ))
+            item_sep = ",\n        "
+        out.append(("\n      ]" if r.items else "[]") + _CHECK_END % (
+            _text(r.message, _CHECK_KEYS), _text(r.status, _CHECK_KEYS),
+        ))
+        sep = ',\n    {\n      "data": '
+    out.append(_REPORT_END % (
+        "\n  ]" if report.records else "[]",
+        _text(doc.kind, "  "), _text(doc.name, "  "), '"ok"' if report.ok else '"fail"',
+    ))
+    return "".join(out)
+
+
+def _text(value, indent: str) -> str:
+    """A field declared `str`, whose key sits at `indent`."""
+    return encode_basestring_ascii(value) if type(value) is str else _emitted(value, indent)
+
+
+def _emitted(value, indent: str) -> str:
     out: list = []
-    _emit_json(payload, "", out)
+    _emit_json(value, indent, out)
     return "".join(out)
 
 
@@ -794,6 +836,16 @@ def report_to_text(report: Report, doc: InstanceDoc) -> str:
     return "\n".join(lines)
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_options(parser, suppress: bool):
     # registered on the subcommands too, so flags may follow the check list
     kwargs = {"default": argparse.SUPPRESS} if suppress else {}
@@ -802,11 +854,11 @@ def _add_options(parser, suppress: bool):
         **(kwargs or {"default": "text"}),
     )
     parser.add_argument(
-        "--max-x", type=int, help="exhaustive axiom-3e cap on |X|",
+        "--max-x", type=_cap, help="exhaustive axiom-3e cap on |X|",
         **(kwargs or {"default": 6}),
     )
     parser.add_argument(
-        "--max-time-subsets", type=int, help="largest |T| that AP.W2 accepts",
+        "--max-time-subsets", type=_cap, help="largest |T| that AP.W2 accepts",
         **(kwargs or {"default": 8}),
     )
 

@@ -18,7 +18,8 @@ name a failure), the maximal-chain work by counting cover paths, the AP.W
 assumptions by
 walking the whole path space A^|T| and every time subset, AP.C3 by trying
 every history set that covers the required prefixes against a listed
-generator table, predecessors never
+generator table, the JSON report by building its payload and handing it to
+`json.dumps`, predecessors never
 (the library is the literal definition; expected values for those come from
 the worked instances' closed forms).
 """
@@ -26,6 +27,7 @@ the worked instances' closed forms).
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from functools import cache
 
@@ -757,6 +759,37 @@ def brute_fibres(s):
     if len(components) != len(fibre_sets):
         raise StructureError("more components than scenarios", code="fibre-mismatch")
     return fibre_sets
+
+
+def brute_report_to_json(report, doc) -> str:
+    """The `--format=json` report as `json.dumps` writes its payload dict."""
+    payload = {
+        "kind": doc.kind,
+        "name": doc.name,
+        "caps": report.caps,
+        "overall": "ok" if report.ok else "fail",
+        "checks": [
+            {
+                "id": r.check_id,
+                "status": r.status,
+                "message": r.message,
+                "items": [
+                    {
+                        "name": k,
+                        "ok": v.ok,
+                        "code": v.code,
+                        "witness": v.witness,
+                        "partial": v.partial,
+                        "notes": list(v.notes),
+                    }
+                    for k, v in r.items
+                ],
+                "data": r.data,
+            }
+            for r in report.records
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, default=str)
 
 
 @pytest.fixture(scope="session")

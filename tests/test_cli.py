@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 import sdfkit
 from sdfkit import examples
 from sdfkit.cli import (
+    BUILTINS,
+    CheckRecord,
     InstanceDoc,
     ParseError,
+    Report,
     _emit_json,
     main,
     parse_instance,
@@ -22,6 +25,10 @@ from sdfkit.cli import (
     report_to_text,
     run,
 )
+from sdfkit.verdict import Verdict
+
+from conftest import brute_report_to_json
+from tests_helpers import EXPLICIT_DOC, corpus_doc
 
 TIMING_DOC = json.dumps(
     {
@@ -30,20 +37,6 @@ TIMING_DOC = json.dumps(
         "time_points": ["0", "1", "2"],
         "generator": "timing",
         "agents": ["1", "2"],
-    }
-)
-
-EXPLICIT_DOC = json.dumps(
-    {
-        "kind": "explicit-sdf",
-        "scenarios": ["L", "R"],
-        "outcomes": ["a", "b", "z", "y"],
-        "outcome_scenarios": {"a": "L", "b": "L", "z": "R", "y": "R"},
-        "nodes": [["a", "b"], ["a"], ["b"], ["z", "y"], ["z"], ["y"]],
-        "random_moves": [{"domain": ["L", "R"], "assignment": {"L": 0, "R": 3}}],
-        "choices": {"left_a": ["a", "z"]},
-        "eis": [{"move": 0, "atoms": [["L", "R"]]}],
-        "rcs": [{"move": 0, "choices": [["a", "z"], ["b", "y"]]}],
     }
 )
 
@@ -663,6 +656,21 @@ def test_non_integer_eis_index_is_an_error_record():
     )
 
 
+@pytest.mark.parametrize(
+    "index",
+    ["\u0661", "01", "0", "1" * 5000],
+    ids=["arabic-indic-one", "leading-zero", "zero", "5000-digits"],
+)
+def test_eis_index_has_one_spelling(index):
+    # only ASCII digits without a leading zero name a structure, so that no
+    # two check ids run the same check; a number longer than int()'s digit
+    # limit is out of range like any other
+    [record] = run(parse_instance(EXPLICIT_DOC), [f"adapted:left_a:{index}"]).records
+    assert (record.status, record.message) == (
+        "error", f"kernel-error: eis index {index} out of range 1..2"
+    )
+
+
 def test_a_cap_in_the_build_reads_cap_exceeded_in_every_command(monkeypatch):
     # W0-W3 hold; axiom 3e of the built instance then outruns a work cap of
     # 50, as every command that needs the build reports
@@ -798,6 +806,110 @@ class TestJsonWriter:
         assert self.emitted(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
 
 
+def _every_command(builtin: str) -> list:
+    # timing and upandout name no choices: their choice commands read
+    # unknown-choice errors
+    choices = sorted(examples.all_named_choices(builtin)) or ["c_1_1"]
+    return (
+        ["verify", "ttree", "enumerate-eis", "apw", "apc", "thm4-11"]
+        + [f"{cmd}:{c}" for c in choices for cmd in ("predecessors", "classify")]
+        + [f"adapted:{c}{k}" for c in choices[:2] for k in ("", ":1", ":2", ":3")]
+    )
+
+
+def _crossing_explicit():
+    # the failing instance of TestMain: a node across both scenarios
+    return _explicit(
+        nodes=[["a", "b"], ["a"], ["b"], ["z", "y"], ["z"], ["y"], ["a", "z"]],
+        outcome_scenarios={"a": "L", "b": "L", "z": "L", "y": "L"},
+    )
+
+
+ACTION_PATH_COMMANDS = ["verify", "ttree", "enumerate-eis", "apw", "apc", "thm4-11"]
+EXPLICIT_COMMANDS = [
+    "verify", "ttree", "enumerate-eis", "predecessors:left_a", "classify:left_a",
+    "classify:half", "classify:both", "adapted:left_a", "adapted:half:2",
+    "adapted:left_a:99", "apw", "apc",
+]
+ODD_IDS = [
+    "frobnicate", "classify:nope", "classify:\u00e9t\u00e9", "v\x00\x1f\u2028\U0001f600\ud800",
+]
+
+# case -> [(document, commands, max_x, max_time_subsets)]
+REPORT_CASES = {
+    **{
+        f"{b} max_x={m}": [(lambda b=b: InstanceDoc("builtin", name=b), _every_command(b), m, 8)]
+        for b in BUILTINS
+        for m in (0, 12)
+    },
+    "explicit": [(lambda: _explicit(choices=TWO_WAY_CHOICES), EXPLICIT_COMMANDS + ODD_IDS, 12, 8)],
+    "explicit failing": [(_crossing_explicit, EXPLICIT_COMMANDS, 12, 8)],
+    "action-path documents": [
+        (_w3_failing_doc, ACTION_PATH_COMMANDS, 6, 8),
+        (_factorless_doc, ACTION_PATH_COMMANDS, 6, 8),
+        (lambda: parse_instance(TIMING_DOC), ACTION_PATH_COMMANDS + ODD_IDS, 12, 8),
+    ],
+    "generator draws": [
+        (lambda d=d: parse_instance(corpus_doc(d)), ACTION_PATH_COMMANDS, max_x, t)
+        for d in range(30)
+        for max_x, t in ((0, 2), (9, 8))
+    ],
+}
+
+
+# Synthetic reports: the fields declared `str` hold any text, control
+# characters and lone surrogates included; some fields hold other values,
+# scalars or lists, which the writer hands to `_emit_json`.
+ANY_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=6)
+NESTED = st.lists(JSON_SCALARS, min_size=1, max_size=2)
+TEXT_FIELDS = st.one_of(ANY_TEXT, ANY_TEXT, JSON_SCALARS, NESTED)
+BOOL_FIELDS = st.one_of(st.booleans(), st.booleans(), JSON_SCALARS, NESTED)
+VERDICTS = st.builds(
+    Verdict, ok=BOOL_FIELDS, code=TEXT_FIELDS, witness=TEXT_FIELDS, partial=BOOL_FIELDS,
+    notes=st.one_of(st.just(()), st.lists(TEXT_FIELDS, max_size=3).map(tuple)),
+)
+CHECK_RECORDS = st.builds(
+    CheckRecord,
+    check_id=TEXT_FIELDS,
+    status=st.one_of(st.sampled_from(["ok", "partial", "fail", "error"]), TEXT_FIELDS),
+    items=st.lists(st.tuples(TEXT_FIELDS, VERDICTS), max_size=3).map(tuple),
+    data=JSON_PAYLOADS,
+    message=TEXT_FIELDS,
+    elapsed_ms=st.just(0.0),
+)
+INSTANCE_DOCS = st.builds(InstanceDoc, kind=TEXT_FIELDS, name=st.one_of(st.none(), TEXT_FIELDS))
+CAPS = st.dictionaries(st.text(max_size=4), st.integers())
+
+
+class TestReportWriter:
+    """`report_to_json` writes what `json.dumps` writes for the report's
+    payload dict (`brute_report_to_json`)."""
+
+    def test_matches_payload_writer(self):
+        shapes = set()
+        for case, jobs in REPORT_CASES.items():
+            for make_doc, commands, max_x, max_time_subsets in jobs:
+                doc = make_doc()
+                report = run(doc, commands, max_x=max_x, max_time_subsets=max_time_subsets)
+                assert report_to_json(report, doc) == brute_report_to_json(report, doc), case
+                items = [v for r in report.records for _, v in r.items]
+                shapes |= {r.status for r in report.records}
+                shapes |= {"cap" for r in report.records if r.message.startswith("cap-exceeded")}
+                shapes |= {"notes" for v in items if v.notes}
+                shapes |= {"partial item" for v in items if v.partial}
+                if doc.name is None:
+                    shapes.add("null name")
+        assert shapes == {
+            "ok", "partial", "fail", "error", "cap", "notes", "partial item", "null name",
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(CHECK_RECORDS, max_size=3), CAPS, INSTANCE_DOCS)
+    def test_matches_payload_writer_on_synthetic_reports(self, records, caps, doc):
+        report = Report(records, caps)
+        assert report_to_json(report, doc) == brute_report_to_json(report, doc)
+
+
 class TestMain:
     def test_builtin_ok_exit(self, capsys):
         assert main(["builtin", "simple"]) == 0
@@ -825,6 +937,18 @@ class TestMain:
         assert main(["verify", str(f)]) == 2
         err = capsys.readouterr().err
         assert "line" in err
+
+    @pytest.mark.parametrize("flag", ["--max-x", "--max-time-subsets"])
+    def test_negative_cap_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["builtin", "simple", "verify", flag, "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a non-negative integer, got '-1'" in err
+
+    def test_zero_cap_is_accepted(self, capsys):
+        assert main(["--max-x", "0", "--max-time-subsets", "0", "builtin", "simple", "verify"]) == 0
+        assert "exceeds exhaustive cap 0" in capsys.readouterr().out
 
     def test_json_format_flag(self, capsys):
         assert main(["--format", "json", "builtin", "variant", "enumerate-eis"]) == 0

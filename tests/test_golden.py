@@ -1,7 +1,9 @@
-"""Golden `--format=json` reports for the four builtins.
+"""Golden `--format=json` reports for the four builtins and two documents.
 
-Each golden is the byte-exact report of `cli.run(doc, commands, max_x=12)`
-on the builtin named before the first `-` of the case name. A report too
+Each golden in `CASES` is the byte-exact report of
+`cli.run(doc, commands, max_x=12)` on the builtin named before the first
+`-` of the case name; each in `DOCUMENTS` is the report on a document that
+is not a builtin, at its own `max_x`. A report too
 large to commit (`timing-thm4-11`, 1.16 MB) is pinned by its SHA-256 in
 `<case>.sha256` instead.
 A change that alters a verdict, a witness or the report layout shows up here.
@@ -17,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from sdfkit import examples
+from sdfkit import cli, examples
 from sdfkit.cli import parse_instance, report_to_json, run
 from sdfkit.sigma_info import enumerate_eis
+
+from tests_helpers import EXPLICIT_DOC, corpus_doc
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 MAX_X = 12
@@ -55,17 +59,51 @@ CASES = {
 DIGESTED = {"timing-thm4-11"}
 
 
+def _two_way_explicit() -> str:
+    obj = json.loads(EXPLICIT_DOC)
+    obj["choices"] = {"left_a": ["a", "z"], "half": ["a"], "both": ["a", "b", "z"]}
+    return json.dumps(obj)
+
+
+# name -> (document, commands, max_x). Between them the two reports hold
+# error, fail and partial records, a null `name` and a non-ASCII check id.
+DOCUMENTS = {
+    "draw-5": (
+        lambda: corpus_doc(5),
+        BASE + ["apw", "apc", "thm4-11", "frobnicate"],
+        2,
+    ),
+    "explicit-sdf": (
+        _two_way_explicit,
+        BASE + [
+            "predecessors:left_a", "classify:left_a", "classify:half", "classify:both",
+            "adapted:left_a", "adapted:half:2", "adapted:left_a:99", "apw", "classify:\u00e9t\u00e9",
+        ],
+        MAX_X,
+    ),
+}
+
+
+def run_case(name: str):
+    """The report of the case `name` and the document it ran on."""
+    if name in DOCUMENTS:
+        text, commands, max_x = DOCUMENTS[name]
+        doc = parse_instance(text())
+    else:
+        doc = parse_instance(json.dumps({"kind": "builtin", "name": name.partition("-")[0]}))
+        commands, max_x = CASES[name](), MAX_X
+    return run(doc, commands, max_x=max_x), doc
+
+
 def _report(name: str) -> str:
-    builtin = name.partition("-")[0]
-    doc = parse_instance(json.dumps({"kind": "builtin", "name": builtin}))
-    return report_to_json(run(doc, CASES[name](), max_x=MAX_X), doc) + "\n"
+    return report_to_json(*run_case(name)) + "\n"
 
 
 def _digest(report: str) -> str:
     return hashlib.sha256(report.encode()).hexdigest() + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(set(CASES) - DIGESTED))
+@pytest.mark.parametrize("name", sorted(set(CASES) - DIGESTED) + sorted(DOCUMENTS))
 def test_report_matches_golden(name):
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
     assert _report(name) == golden
@@ -77,9 +115,37 @@ def test_timing_thm4_11_matches_digest():
     assert json.loads(report)["checks"][0]["data"] == {"checked": 5904, "skipped": 5904}
 
 
+def test_reports_are_written_without_the_generic_writer(monkeypatch):
+    # Every field of these reports has its declared type, so the report
+    # skeleton (checks and items) never reaches `_emit_json` and nothing
+    # reaches `json.dumps`, its fallback.
+    reports = [run_case(name) for name in sorted(CASES) + sorted(DOCUMENTS)]
+    for draw in range(200):
+        doc = parse_instance(corpus_doc(draw))
+        reports.append((run(doc, ["verify", "ttree", "enumerate-eis", "apw"], max_x=9), doc))
+    dumped, emitted = [], []
+
+    def dumps(*args, _fn=json.dumps, **kwargs):
+        dumped.append(args)
+        return _fn(*args, **kwargs)
+
+    def emit_json(value, indent, out, _fn=cli._emit_json):
+        emitted.append(value)
+        return _fn(value, indent, out)
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    monkeypatch.setattr(cli, "_emit_json", emit_json)
+    for report, doc in reports:
+        report_to_json(report, doc)
+    monkeypatch.undo()
+    assert dumped == []
+    assert [v for v in emitted if type(v) is dict and {"items", "witness"} & v.keys()] == []
+    assert len(emitted) > len(reports)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(CASES):
+    for name in sorted(CASES) + sorted(DOCUMENTS):
         if name in DIGESTED:
             (GOLDEN_DIR / f"{name}.sha256").write_text(_digest(_report(name)))
         else:
