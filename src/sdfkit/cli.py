@@ -146,6 +146,12 @@ def _parse_explicit(obj) -> InstanceDoc:
     space = _scenario_space(obj, path)
     outcomes = _get(obj, "outcomes", list, path)
     _same_types(outcomes, {}, "outcome", f"{path}.outcomes")
+    for o in outcomes:
+        if type(o) is not str:
+            raise ParseError(
+                f"outcome {o!r} is not a string, and outcome names key JSON objects",
+                path=f"{path}.outcomes",
+            )
     node_lists = _get(obj, "nodes", list, path)
     universe = frozenset(outcomes)
     nodes = []
@@ -156,6 +162,9 @@ def _parse_explicit(obj) -> InstanceDoc:
             _expect(o in universe, f"unresolved outcome {o!r}", f"{path}.nodes[{i}]")
         nodes.append(frozenset(entry))
     move_entries = _get(obj, "random_moves", list, path)
+    # JSON object keys are strings, so an assignment key spelling a
+    # non-string scenario ("1" for 1) can never name it
+    keyless = {str(w): w for w in space.scenarios if type(w) is not str}
     moves = []
     for i, entry in enumerate(move_entries):
         mpath = f"{path}.random_moves[{i}]"
@@ -163,6 +172,12 @@ def _parse_explicit(obj) -> InstanceDoc:
         assignment = _get(entry, "assignment", dict, mpath)
         mapping = {}
         for scen, node_idx in assignment.items():
+            if scen not in space.scenarios and scen in keyless:
+                raise ParseError(
+                    f"scenario {keyless[scen]!r} is not a string, "
+                    "and scenario names key JSON objects",
+                    path=f"{path}.scenarios",
+                )
             _expect(scen in space.scenarios, f"unresolved scenario {scen!r}", mpath)
             _expect(
                 type(node_idx) is int and 0 <= node_idx < len(nodes),
@@ -355,6 +370,8 @@ def parse_instance(text: str) -> InstanceDoc:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"syntax error: {e.msg}", line=e.lineno, col=e.colno) from None
+    except RecursionError:
+        raise ParseError("syntax error: arrays and objects nest too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("document must be a JSON object", path="$")
     kind = obj.get("kind")
@@ -396,83 +413,25 @@ class Report:
 class _Instance:
     """Everything the commands need, resolved once per run.
 
-    For an action-path instance this includes the W0-W4 verdicts of
-    `check_apw` (or the error it raised) and the `verify_sdf` verdict of the
-    built instance, which the `verify` and `apw` commands report: one run has
-    one set of caps, so recomputing them would give the same result. The
-    information structures, the reference choice structure and its
-    `verify_rcs` verdict are likewise computed on first read and kept.
+    A builtin name resolves to its forest or outcome set here; every part
+    derived from the document is computed by `_once` on its first read, so
+    a run computes only what its commands read, each at most once.
     """
 
     def __init__(self, doc: InstanceDoc, caps: dict):
+        self.doc = doc
         self.caps = caps
-        self.sdf: Sdf | None = None
-        self.aps: ActionPathSdf | None = None
-        self.po: PathOutcomes | None = None
-        self.build_error: KernelError | None = None
-        self.apw: MultiVerdict | None = None
-        self.apw_error: KernelError | None = None
-        self.sdf_verdict: MultiVerdict | None = None
-        self.named_choices = dict(doc.named_choices)
-        self.choices_of: str | None = None  # builtin whose choice names resolve on lookup
-        self.doc_rcs: Rcs | None = doc.doc_rcs
-        self.doc_eis: Eis | None = doc.doc_eis
+        self.sdf: Sdf | None = doc.sdf
+        self.po: PathOutcomes | None = doc.po
         self._kept: dict = {}
-        if doc.kind == "explicit-sdf":
-            self.sdf = doc.sdf
-        elif doc.kind == "action-path":
-            self.po = doc.po
-            self._build()
-        else:
-            self._resolve_builtin(doc.name)
-
-    def _build(self):
-        try:
-            self.apw = check_apw(self.po, max_time_subsets=self.caps["max_time_subsets"])
-            self.aps, self.sdf_verdict = _construct_action_path_sdf(
-                self.po,
-                self.apw,
-                max_x_exhaustive=self.caps["max_x"],
-                work_cap=DEFAULT_PATH_WORK_CAP,
-            )
-            self.sdf = self.aps.sdf
-        except KernelError as e:
-            if self.apw is None:
-                self.apw_error = e
-            # a cap reads `cap-exceeded` in every command; any other build
-            # error is reported by its code
-            self.build_error = e if isinstance(e, SizeCapError) else KernelError(f"{e.code}: {e}")
-
-    def _resolve_builtin(self, name: str):
-        if name == "simple":
+        if doc.name == "simple":
             self.sdf = examples.build_simple()
-            self.choices_of = "simple"
-        elif name == "variant":
+        elif doc.name == "variant":
             self.sdf = examples.build_variant()
-            self.choices_of = "variant"
-        elif name == "timing":
+        elif doc.name == "timing":
             self.po = examples.timing_path_outcomes()
-            self._build()
-        elif name == "upandout":
+        elif doc.name == "upandout":
             self.po = examples.upandout_path_outcomes()
-            self._build()
-
-    def need_apw(self) -> MultiVerdict:
-        if self.apw_error is not None:
-            raise self.apw_error
-        return self.apw
-
-    def need_sdf(self) -> Sdf:
-        if self.sdf is None:
-            raise self.build_error or KernelError("no decision forest in this instance")
-        return self.sdf
-
-    def need_aps(self, command: str) -> ActionPathSdf:
-        if self.aps is None:
-            raise self.build_error or KernelError(f"{command} needs a built action-path instance")
-        if self.po.space.agents is None:
-            raise KernelError(f"{command} needs a factorization")
-        return self.aps
 
     def _once(self, key: str, compute):
         """`compute()` on the first read of `key`, kept for the run; a kernel
@@ -487,6 +446,46 @@ class _Instance:
             raise value
         return value
 
+    def need_apw(self) -> MultiVerdict:
+        """The W0-W4 verdicts of `check_apw`."""
+        return self._once(
+            "apw", lambda: check_apw(self.po, max_time_subsets=self.caps["max_time_subsets"])
+        )
+
+    def need_build(self) -> tuple:
+        """The built `ActionPathSdf` and its `verify_sdf` verdict. A cap reads
+        `cap-exceeded` in every command; any other build error, by its code."""
+
+        def build():
+            try:
+                return _construct_action_path_sdf(
+                    self.po,
+                    self.need_apw(),
+                    max_x_exhaustive=self.caps["max_x"],
+                    work_cap=DEFAULT_PATH_WORK_CAP,
+                )
+            except SizeCapError:
+                raise
+            except KernelError as e:
+                raise KernelError(f"{e.code}: {e}") from None
+
+        return self._once("build", build)
+
+    def need_sdf(self) -> Sdf:
+        if self.po is not None:
+            return self.need_build()[0].sdf
+        if self.sdf is None:
+            raise KernelError("no decision forest in this instance")
+        return self.sdf
+
+    def need_aps(self, command: str) -> ActionPathSdf:
+        if self.po is None:
+            raise KernelError(f"{command} needs a built action-path instance")
+        aps = self.need_build()[0]
+        if self.po.space.agents is None:
+            raise KernelError(f"{command} needs a factorization")
+        return aps
+
     def need_eis(self) -> tuple:
         """`enumerate_eis` of the instance."""
         return self._once("eis", lambda: enumerate_eis(self.need_sdf()))
@@ -497,25 +496,23 @@ class _Instance:
 
     def rcs_verdict(self) -> Verdict:
         """`verify_rcs` of `need_rcs()`."""
-        return self._once("rcs-verdict", lambda: verify_rcs(self.sdf, self.need_rcs()))
+        return self._once("rcs-verdict", lambda: verify_rcs(self.need_sdf(), self.need_rcs()))
 
     def _reference_choices(self) -> Rcs:
-        if self.choices_of == "simple":
-            return examples.simple_rcs(self.sdf)
-        if self.choices_of == "variant":
-            return examples.variant_rcs(self.sdf)
-        if self.doc_rcs is None:
+        if self.doc.name in ("simple", "variant"):
+            return getattr(examples, f"{self.doc.name}_rcs")(self.sdf)
+        if self.doc.doc_rcs is None:
             raise KernelError("adapted needs a reference choice structure (rcs)")
-        return self.doc_rcs
+        return self.doc.doc_rcs
 
     def choice_named(self, name: str) -> frozenset:
-        builtin = self.choices_of
+        builtin = self.doc.name
         if builtin is None:
-            outcomes = self.named_choices.get(name)
+            outcomes = self.doc.named_choices.get(name)
         else:
             outcomes = examples.named_choice(builtin, name)
         if outcomes is None:
-            known = self.named_choices if builtin is None else examples.all_named_choices(builtin)
+            known = examples.all_named_choices(builtin) if builtin else self.doc.named_choices
             raise KernelError(
                 f"unknown choice {name!r}; known: "
                 + ", ".join(sorted(known) or ("<none>",))
@@ -532,11 +529,13 @@ def _verify(inst: _Instance, arg: str):
         s = inst.need_sdf()
         return verify_sdf(s, max_x_exhaustive=inst.caps["max_x"]).items, {}, ""
     items = tuple((f"AP.{k}", v) for k, v in inst.need_apw().items)
-    if isinstance(inst.build_error, SizeCapError):
-        raise inst.build_error
-    if inst.build_error is not None:
-        return items, {}, str(inst.build_error)
-    return items + inst.sdf_verdict.items, {}, ""
+    try:
+        _aps, verdict = inst.need_build()
+    except SizeCapError:
+        raise
+    except KernelError as e:
+        return items, {}, str(e)
+    return items + verdict.items, {}, ""
 
 
 def _ttree(inst: _Instance, arg: str):
@@ -604,8 +603,8 @@ def _adapted(inst: _Instance, arg: str):
         ):
             raise KernelError(f"eis index {eis_idx} out of range 1..{n}")
         e = structures[int(eis_idx) - 1]
-    elif inst.doc_eis is not None:
-        e = inst.doc_eis
+    elif inst.doc.doc_eis is not None:
+        e = inst.doc.doc_eis
     else:
         raise KernelError("adapted needs an eis section or an :<index> suffix")
     r = inst.need_rcs()
@@ -883,7 +882,7 @@ def main(argv=None) -> int:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 doc = parse_instance(fh.read())
-        except (OSError, ParseError) as e:
+        except (OSError, UnicodeDecodeError, ParseError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
     else:

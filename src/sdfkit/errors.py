@@ -11,9 +11,11 @@ from __future__ import annotations
 class KernelError(Exception):
     code = "kernel-error"
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness=None, code: str | None = None):
         super().__init__(message)
         self.witness = witness
+        if code is not None:
+            self.code = code
 
 
 class InputError(KernelError):
@@ -21,21 +23,11 @@ class InputError(KernelError):
 
     code = "input-error"
 
-    def __init__(self, message: str, witness=None, code: str | None = None):
-        super().__init__(message, witness)
-        if code is not None:
-            self.code = code
-
 
 class StructureError(KernelError):
     """A structural invariant of a kernel value does not hold."""
 
     code = "structure-error"
-
-    def __init__(self, message: str, witness=None, code: str | None = None):
-        super().__init__(message, witness)
-        if code is not None:
-            self.code = code
 
 
 class SizeCapError(KernelError):

@@ -254,6 +254,40 @@ class TestParse:
             parse_instance(json.dumps(obj))
         assert exc.value.path == path
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        # the JSON decoder recurses once per nesting level
+        with pytest.raises(ParseError) as exc:
+            parse_instance("[" * 200000 + "]" * 200000)
+        assert str(exc.value).startswith("syntax error")
+
+    def test_non_string_outcome_rejected_where_declared(self):
+        # an outcome keys $.outcome_scenarios, whose keys are strings
+        obj = json.loads(EXPLICIT_DOC)
+        obj["outcomes"] = [1, "b", "z", "y"]
+        obj["nodes"] = [[1, "b"], [1], ["b"], ["z", "y"], ["z"], ["y"]]
+        obj["outcome_scenarios"]["1"] = obj["outcome_scenarios"].pop("a")
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.outcomes"
+        assert "outcome 1 is not a string, and outcome names key JSON objects" in str(exc.value)
+
+    def test_non_string_scenario_rejected_where_an_assignment_keys_it(self):
+        obj = {
+            "kind": "explicit-sdf",
+            "scenarios": ["1", 2],
+            "outcomes": ["a", "b", "z"],
+            "outcome_scenarios": {"a": "1", "b": "1", "z": 2},
+            "nodes": [["a", "b"], ["a"], ["b"], ["z"]],
+            "random_moves": [{"assignment": {"1": 0}}],
+        }
+        # scenario 2 carries a lone terminal and keys no assignment
+        assert parse_instance(json.dumps(obj)).sdf is not None
+        obj["random_moves"] += [{"assignment": {"2": 3}}]
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.scenarios"
+        assert "scenario 2 is not a string, and scenario names key JSON objects" in str(exc.value)
+
     def test_schema_type_error(self):
         with pytest.raises(ParseError) as exc:
             parse_instance('{"kind": "explicit-sdf", "scenarios": "oops"}')
@@ -524,6 +558,46 @@ class TestOncePerRun:
         report = run(upandout, ["enumerate-eis", "thm4-11"], max_x=12)
         assert calls["enumerate_eis"] == 2
         assert [_comparable(r) for r in report.records] == [_comparable(r) for r in upandout_alone]
+
+    def test_apw_alone_builds_nothing(self, monkeypatch):
+        import sdfkit.cli
+
+        built = []
+        construct = sdfkit.cli._construct_action_path_sdf
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return construct(*args, **kwargs)
+
+        monkeypatch.setattr(sdfkit.cli, "_construct_action_path_sdf", counting)
+        [apw] = run(parse_instance(TIMING_DOC), ["apw"]).records
+        assert apw.status == "ok"
+        assert built == []
+
+    def test_every_command_shares_one_build(self, monkeypatch):
+        import sdfkit.action_path
+        import sdfkit.cli
+
+        calls = {"check_apw": 0, "_construct_action_path_sdf": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (sdfkit.cli, sdfkit.action_path):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        commands = ["verify", "ttree", "enumerate-eis", "apw", "apc", "thm4-11"]
+        report = run(InstanceDoc("builtin", name="upandout"), commands, max_x=12)
+        assert report.ok
+        assert calls == {"check_apw": 1, "_construct_action_path_sdf": 1}
+
+    def test_a_build_error_reads_the_same_in_every_command(self):
+        records = run(_w3_failing_doc(), ["ttree", "apc", "enumerate-eis"]).records
+        assert [(r.status, r.message) for r in records] == [("error", W3_BUILD_ERROR)] * 3
 
     def test_a_missing_reference_choice_structure_errs_in_every_command(self):
         doc = _explicit(rcs=None)
@@ -937,6 +1011,12 @@ class TestMain:
         assert main(["verify", str(f)]) == 2
         err = capsys.readouterr().err
         assert "line" in err
+
+    def test_undecodable_file_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "binary.json"
+        f.write_bytes(b"\xff")
+        assert main(["verify", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("flag", ["--max-x", "--max-time-subsets"])
     def test_negative_cap_is_a_usage_error(self, flag, capsys):
