@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import choice as choice_mod
 from ._canon import canon_key, canon_sorted, fmt
+from ._record import record
 from .errors import InputError, KernelError, SizeCapError, StructureError
 from .sdf import RandomMove, ScenarioSpace, Sdf, verify_sdf
 from .set_forest import SetForest
@@ -36,7 +36,7 @@ def as_time(value) -> Fraction:
     return t
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimeAxis:
     points: tuple  # strictly increasing Fractions, containing 0
 
@@ -61,7 +61,7 @@ class TimeAxis:
         return ("time", canon_key(self.points))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActionSpace:
     actions: frozenset
     agents: tuple | None = None
@@ -136,7 +136,7 @@ class ActionSpace:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PathOutcomes:
     time: TimeAxis
     space: ActionSpace
@@ -357,15 +357,18 @@ def check_apw(
     return MultiVerdict(tuple(items))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActionPathSdf:
     """An SDF built from path outcomes, together with the move-time map."""
 
     po: PathOutcomes
     sdf: Sdf
     move_times: tuple  # ((RandomMove, Fraction), ...)
-    # _agent_pieces results by agent: ({(move, G): {h: (piece, C0-C2 ok)}}, Rcs)
-    _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _pieces(self) -> dict:
+        """_agent_pieces results by agent: ({(move, G): {h: (piece, C0-C2 ok)}}, Rcs)."""
+        return {}
 
     def time_of_move(self, m: RandomMove) -> Fraction:
         for move, t in self.move_times:
@@ -472,7 +475,7 @@ def time_of(aps: ActionPathSdf, x) -> Fraction:
     return next(iter(times))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WindowChoiceSpec:
     """A time point, a set of admissible histories, and per-scenario action sets."""
 
@@ -498,7 +501,7 @@ class WindowChoiceSpec:
         return frozenset()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WindowChoice:
     spec: WindowChoiceSpec
     outcomes: frozenset
@@ -674,7 +677,7 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     return table, own_family
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Apc3Result:
     verdict: Verdict
     histories: frozenset | None = None
@@ -789,7 +792,7 @@ def _first_generator(subsets: list, passes) -> frozenset | None:
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MeasurabilityRecord:
     move: RandomMove
     measurable: bool
@@ -797,7 +800,7 @@ class MeasurabilityRecord:
     apc3: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MeasurabilityReport:
     domain: Verdict
     forward: Verdict
@@ -876,7 +879,7 @@ class MeasurabilityCase:
         return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepCase:
     """One case of `measurability_sweep` and its outcome.
 

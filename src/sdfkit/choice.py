@@ -11,9 +11,9 @@ instances live in the test suite as the second route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ._canon import canon_key, canon_sorted, fmt
+from ._record import record
 from .errors import InputError
 from .sdf import (
     RandomMove,
@@ -26,7 +26,7 @@ from .sigma_info import Eis
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Choice:
     """A nonempty union of nodes, stored as its outcome set."""
 
@@ -59,7 +59,7 @@ class Choice:
         return fmt(self.outcomes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rcs:
     """Reference choice structure: a set of choices per random move."""
 
@@ -126,7 +126,7 @@ def restrict_check(s: Sdf, outcomes, event) -> Verdict:
     return Verdict.passed(*notes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChoiceFlags:
     non_redundant: bool
     complete: bool

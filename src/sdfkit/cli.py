@@ -9,16 +9,15 @@ and come in a human text format (with timings) and a machine JSON format
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import examples
 from ._canon import canon_sorted, fmt
+from ._record import field, record
 from .action_path import (
     DEFAULT_PATH_WORK_CAP,
     ActionPathSdf,
@@ -65,7 +64,7 @@ class ParseError(Exception):
         self.path = path
 
 
-@dataclass
+@record
 class InstanceDoc:
     kind: str
     name: str | None = None
@@ -288,9 +287,18 @@ def _parse_action_path(obj) -> InstanceDoc:
         if factorization_src is not None:
             fpath = f"{path}.factorization"
             factorization = {}
+            # as for scenarios in _parse_explicit: a key spelling a non-string
+            # action ("1" for 1) can never name it
+            keyless = {str(a): a for a in actions if type(a) is not str}
             for action, table in factorization_src.items():
                 _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
                 _same_types(table.values(), {}, "component", fpath)
+                if action not in actions and action in keyless:
+                    raise ParseError(
+                        f"action {keyless[action]!r} is not a string, "
+                        "and action names key JSON objects",
+                        path=f"{path}.actions",
+                    )
                 _expect(action in actions, f"unresolved action {action!r}", fpath)
                 for agent, comp in table.items():
                     factorization.setdefault(agent, {})[action] = comp
@@ -390,7 +398,7 @@ def parse_instance(text: str) -> InstanceDoc:
     raise ParseError(f"unknown kind {kind!r}", path="$.kind")
 
 
-@dataclass
+@record
 class CheckRecord:
     check_id: str
     status: str  # ok | partial | fail | error
@@ -400,7 +408,7 @@ class CheckRecord:
     elapsed_ms: float
 
 
-@dataclass
+@record
 class Report:
     records: list
     caps: dict
@@ -836,6 +844,8 @@ def report_to_text(report: Report, doc: InstanceDoc) -> str:
 
 
 def _cap(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -846,6 +856,8 @@ def _cap(text: str) -> int:
 
 
 def _add_options(parser, suppress: bool):
+    import argparse
+
     # registered on the subcommands too, so flags may follow the check list
     kwargs = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
@@ -863,6 +875,8 @@ def _add_options(parser, suppress: bool):
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it; importing it costs start-up
+
     parser = argparse.ArgumentParser(
         prog="sdf", description="Stochastic decision forest instance checker"
     )

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from ._canon import canon_key, canon_sorted, fmt
+from ._record import record
 from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 
 DEFAULT_WORK_CAP = 2 ** 16
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Poset:
     """A finite weak partial order, given by its element set and all pairs x >= y."""
 
@@ -130,7 +130,7 @@ class Poset:
         return ("poset", canon_key(self.elements), canon_key(self.ge_pairs))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainSet:
     """A set of chains of some poset; `maximal` flags ⊆-maximal chains."""
 

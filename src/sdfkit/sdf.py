@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
+from ._record import record
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import DEFAULT_WORK_CAP, Poset, set_partitions
 from .set_forest import SetForest
 from .verdict import MultiVerdict, Verdict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubSigma:
     """A σ-algebra over a carrier event, as the atom partition of the carrier."""
 
@@ -151,7 +151,7 @@ class ScenarioSpace(SubSigma):
         return frozenset(a for a in self.atoms if a <= frozenset(carrier))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RandomMove:
     """A section of moves: one node per scenario of its domain, π ∘ x = id."""
 
@@ -201,7 +201,7 @@ class RandomMove:
         return "{" + ", ".join(f"{fmt(w)}↦{fmt(n)}" for w, n in self.graph) + "}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sdf:
     forest: SetForest
     space: ScenarioSpace
@@ -308,7 +308,7 @@ class Sdf:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TTree:
     """Random moves plus random terminal nodes under the extended order."""
 

@@ -11,16 +11,16 @@ construction errors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import order_core
 from ._canon import canon_key, canon_sorted, fmt
+from ._record import record
 from .errors import InputError, StructureError
 from .order_core import Poset
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetForest:
     universe: frozenset
     nodes: frozenset
@@ -77,7 +77,7 @@ def decision_paths(sf: SetForest) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecisionPathMap:
     """The verified bijection from outcomes to maximal chains of nodes.
 

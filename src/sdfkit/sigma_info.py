@@ -9,17 +9,17 @@ along ≥_X (the no-forgetting condition, `SubSigma.trace_failure`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from ._canon import canon_key, canon_sorted, fmt
+from ._record import record
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import set_partitions
 from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Eis:
     """Exogenous information structure: one SubSigma per random move."""
 
@@ -43,7 +43,7 @@ class Eis:
         return ("eis", canon_key(self.entries))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Filtration:
     """Time-indexed increasing family of σ-algebras over all of Ω."""
 
@@ -76,7 +76,7 @@ class Filtration:
         raise InputError(f"time {t} not in the filtration", code="time-index-mismatch")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObservationFamily:
     """Finite-valued observables, one per random move, total on Ω."""
 
@@ -214,7 +214,7 @@ def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
     return tuple(results)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainStages:
     """Information along a ≥_X-chain of random moves, earliest move first."""
 

@@ -8,10 +8,10 @@ axiom-3e mode), never a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     ok: bool
     code: str = ""
@@ -41,11 +41,11 @@ class Verdict:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiVerdict:
     """An ordered bundle of named verdicts (per axiom / per assumption)."""
 
-    items: tuple[tuple[str, Verdict], ...] = field(default_factory=tuple)
+    items: tuple[tuple[str, Verdict], ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 from collections import Counter
@@ -74,7 +73,7 @@ def w1_failure_outcomes():
 
 
 def outcome_less_outcomes():
-    """Scenarios 0 and 3 admit no outcome, which only the dataclass
+    """Scenarios 0 and 3 admit no outcome, which only the record
     constructor allows (`PathOutcomes.of` rejects it)."""
     po = w3_failure_outcomes()
     return PathOutcomes(po.time, po.space, ScenarioSpace.discrete([0, 1, 2, 3]), po.paths)
@@ -476,8 +475,8 @@ class TestAgentChoice:
 
 
 def _factorized(po, factorization):
-    return dataclasses.replace(
-        po, space=ActionSpace.of(po.space.actions, factorization)
+    return PathOutcomes(
+        po.time, ActionSpace.of(po.space.actions, factorization), po.scenarios, po.paths
     )
 
 

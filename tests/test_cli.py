@@ -288,6 +288,20 @@ class TestParse:
         assert exc.value.path == "$.scenarios"
         assert "scenario 2 is not a string, and scenario names key JSON objects" in str(exc.value)
 
+    def test_non_string_action_rejected_where_a_factorization_keys_it(self):
+        paths = [(1, (1,)), (1, (2,))]
+        # without a factorization, integer actions name no JSON key
+        assert _action_path_doc([1], [0], [1, 2], paths).po is not None
+        with pytest.raises(ParseError) as exc:
+            _action_path_doc([1], [0], [1, 2], paths, {"1": {"A": "x"}, "2": {"A": "y"}})
+        assert exc.value.path == "$.actions"
+        assert "action 1 is not a string, and action names key JSON objects" in str(exc.value)
+        # a key that spells no declared action stays unresolved
+        with pytest.raises(ParseError) as exc:
+            _action_path_doc([1], [0], [1, 2], paths, {"3": {"A": "x"}})
+        assert exc.value.path == "$.factorization"
+        assert "unresolved action '3'" in str(exc.value)
+
     def test_schema_type_error(self):
         with pytest.raises(ParseError) as exc:
             parse_instance('{"kind": "explicit-sdf", "scenarios": "oops"}')
@@ -1029,6 +1043,12 @@ class TestMain:
     def test_zero_cap_is_accepted(self, capsys):
         assert main(["--max-x", "0", "--max-time-subsets", "0", "builtin", "simple", "verify"]) == 0
         assert "exceeds exhaustive cap 0" in capsys.readouterr().out
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sdf ")
 
     def test_json_format_flag(self, capsys):
         assert main(["--format", "json", "builtin", "variant", "enumerate-eis"]) == 0
