@@ -17,6 +17,7 @@ import itertools
 from fractions import Fraction
 
 from . import choice as choice_mod
+from . import errors
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import record
 from .errors import InputError, KernelError, SizeCapError, StructureError
@@ -26,7 +27,6 @@ from .sigma_info import Eis
 from .verdict import MultiVerdict, Verdict
 
 DEFAULT_TIME_SUBSET_CAP = 8
-DEFAULT_PATH_WORK_CAP = 2 ** 16
 
 
 def as_time(value) -> Fraction:
@@ -237,21 +237,8 @@ def move_event(po: PathOutcomes, t, f) -> frozenset:
     return d
 
 
-def _prefix_space(po: PathOutcomes, length: int, work_cap: int) -> int:
-    """|A|^length; past `work_cap` it raises, as enumerating A^length did."""
-    count = len(po.space.actions) ** length
-    if count > work_cap:
-        raise SizeCapError(
-            f"prefix space of size {count} exceeds work cap {work_cap}"
-        )
-    return count
-
-
 def check_apw(
-    po: PathOutcomes,
-    *,
-    max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP,
-    work_cap: int = DEFAULT_PATH_WORK_CAP,
+    po: PathOutcomes, *, max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP
 ) -> MultiVerdict:
     """Verdicts for assumptions W0-W3 (and W4 when a factorization is present).
 
@@ -262,8 +249,7 @@ def check_apw(
     same first failure. For W2 with S nonempty, any outcome in the nonempty
     group of f̃[:max S] agrees with f̃ at every i ∈ S; with S = ∅ the scenario
     just needs an outcome (`PathOutcomes.of` ensures one), and the witness is
-    the first path of A^|T|. The caps |T| <= max_time_subsets and
-    |A|^|T| <= work_cap still apply.
+    the first path of A^|T|. The cap |T| <= max_time_subsets still applies.
     """
     idx = po.index
     points = po.time.points
@@ -275,7 +261,6 @@ def check_apw(
     # failure is then named by its canonically first witness.
     w0 = Verdict.passed()
     for i, t in enumerate(points):
-        _prefix_space(po, i, work_cap)
         bad = [p for p in idx.realized[i] if not po.scenarios.is_event(d_set(p))]
         if bad:
             p = min(bad, key=canon_key)
@@ -313,10 +298,9 @@ def check_apw(
         raise SizeCapError(
             f"|T| = {len(points)} exceeds the W2 subset cap {max_time_subsets}"
         )
-    n_paths = _prefix_space(po, len(points), work_cap)
     w2 = Verdict.passed("mode: exhaustive")
     bare = [w for w in po.scenarios.scenarios if not idx.group(w, ())]
-    if bare and n_paths:
+    if bare:
         first = tuple(canon_sorted(po.space.actions)[:1]) * len(points)
         w2 = Verdict.failed(
             "apw2",
@@ -336,7 +320,6 @@ def check_apw(
 
     w3 = Verdict.passed()
     for i, t in enumerate(points):
-        _prefix_space(po, i, work_cap)
         live = [p for p in idx.realized[i] if d_set(p)]
         if not any(identifiable(p, q, i) for p, q in itertools.combinations(live, 2)):
             continue
@@ -388,7 +371,6 @@ def build_action_path_sdf(
     *,
     max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP,
     max_x_exhaustive: int = 6,
-    work_cap: int = DEFAULT_PATH_WORK_CAP,
 ) -> ActionPathSdf:
     """Construct the SDF {x_t(w)} ∪ {{w}} with the prefix sections as random moves.
 
@@ -396,16 +378,12 @@ def build_action_path_sdf(
     the constructed instance against the SDF axioms instead of trusting the
     construction.
     """
-    apw = check_apw(
-        po, max_time_subsets=max_time_subsets, work_cap=work_cap
-    )
-    return _construct_action_path_sdf(
-        po, apw, max_x_exhaustive=max_x_exhaustive, work_cap=work_cap
-    )[0]
+    apw = check_apw(po, max_time_subsets=max_time_subsets)
+    return _construct_action_path_sdf(po, apw, max_x_exhaustive=max_x_exhaustive)[0]
 
 
 def _construct_action_path_sdf(
-    po: PathOutcomes, apw: MultiVerdict, *, max_x_exhaustive: int, work_cap: int
+    po: PathOutcomes, apw: MultiVerdict, *, max_x_exhaustive: int
 ) -> tuple:
     """`build_action_path_sdf` after `check_apw`: the instance built from `po`
     given its W-verdicts `apw`, and the `verify_sdf` verdict it passed."""
@@ -438,7 +416,7 @@ def _construct_action_path_sdf(
                 move_times[m] = t
     forest = SetForest.of(frozenset(po.paths), nodes)
     s = Sdf.of(forest, po.scenarios, projection, frozenset(move_times))
-    verdict = verify_sdf(s, max_x_exhaustive=max_x_exhaustive, work_cap=work_cap)
+    verdict = verify_sdf(s, max_x_exhaustive=max_x_exhaustive)
     if not verdict.ok:
         raise StructureError(
             f"constructed instance fails verification: {verdict.describe()}",
@@ -717,7 +695,7 @@ def check_apc3(
 
     Per H, a family is a hit when all its members pass; the first hit is the
     one `_first_generator` returns, which raises SizeCapError past
-    DEFAULT_PATH_WORK_CAP families.
+    WORK_CAP families.
     """
     po = aps.po
     if po.space.agents is None:
@@ -778,13 +756,12 @@ def _first_generator(subsets: list, passes) -> frozenset | None:
     full = subsets[-1]
     passing = [g for g in subsets if passes(g)]
     tried = 0
+    cap = errors.WORK_CAP
     for r in range(len(passing) + 1):
         for family in itertools.combinations(passing, r):
             tried += 1
-            if tried > DEFAULT_PATH_WORK_CAP:
-                raise SizeCapError(
-                    f"AP.C3 generator search exceeded {DEFAULT_PATH_WORK_CAP} families"
-                )
+            if tried > cap:
+                raise SizeCapError(f"AP.C3 generator search exceeded {cap} families")
             family = frozenset(family)
             stable = all(a & b in family for a in family for b in family)
             if stable and len({tuple(x in g for g in family) for x in full}) == len(full):

@@ -19,7 +19,6 @@ from . import examples
 from ._canon import canon_sorted, fmt
 from ._record import field, record
 from .action_path import (
-    DEFAULT_PATH_WORK_CAP,
     ActionPathSdf,
     ActionSpace,
     PathOutcomes,
@@ -331,12 +330,20 @@ def _parse_action_path(obj) -> InstanceDoc:
                 price_src = _get(generator, "price", dict, "$.generator")
                 price = {}
                 for scen in space.scenarios:
+                    key = str(scen)
                     _expect(
-                        str(scen) in price_src or scen in price_src,
+                        key in price_src,
                         f"price table missing scenario {scen!r}",
                         "$.generator.price",
                     )
-                    row = price_src.get(str(scen), price_src.get(scen))
+                    # JSON object keys are strings: "1" prices scenario 1
+                    # only when no scenario "1" is declared as well
+                    _expect(
+                        type(scen) is str or key not in space.scenarios,
+                        f"price key {key!r} names scenario {scen!r} and scenario {key!r}",
+                        "$.generator.price",
+                    )
+                    row = price_src[key]
                     _expect(
                         isinstance(row, list) and len(row) == len(time_axis.points),
                         "price row must list one value per time point",
@@ -467,10 +474,7 @@ class _Instance:
         def build():
             try:
                 return _construct_action_path_sdf(
-                    self.po,
-                    self.need_apw(),
-                    max_x_exhaustive=self.caps["max_x"],
-                    work_cap=DEFAULT_PATH_WORK_CAP,
+                    self.po, self.need_apw(), max_x_exhaustive=self.caps["max_x"]
                 )
             except SizeCapError:
                 raise

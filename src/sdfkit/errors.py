@@ -30,11 +30,17 @@ class StructureError(KernelError):
     code = "structure-error"
 
 
-class SizeCapError(KernelError):
-    """An exhaustive enumeration exceeded its configured work bound.
+# The one bound on the exhaustive searches: `maximal_chains`, `set_partitions`
+# (axiom 3e), the AP.C3 generator search and `find_sdf_isomorphism` each read
+# it when called and count their search nodes against it.
+WORK_CAP = 2 ** 16
 
-    Enumerations fail loudly instead of silently degrading; callers may retry
-    with a larger cap.
+
+class SizeCapError(KernelError):
+    """An exhaustive enumeration exceeded its work bound.
+
+    Enumerations fail loudly instead of silently degrading; the searches
+    share the bound `WORK_CAP`.
     """
 
     code = "size-cap"

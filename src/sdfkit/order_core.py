@@ -5,8 +5,8 @@ earlier / closer to a root than y", and for families of sets it is reverse
 inclusion. Relations are stored extensionally (the full set of ordered
 pairs), because the axiom checkers quantify over >= directly.
 
-Enumerations carry a configurable work cap and raise `SizeCapError` rather
-than degrade.
+Enumerations count their search nodes against `errors.WORK_CAP` and raise
+`SizeCapError` rather than degrade.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import itertools
 
+from . import errors
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import record
 from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
-
-DEFAULT_WORK_CAP = 2 ** 16
 
 
 @record(frozen=True)
@@ -252,24 +251,25 @@ def roots(p: Poset) -> frozenset:
     return frozenset(out)
 
 
-def maximal_chains(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> ChainSet:
+def maximal_chains(p: Poset) -> ChainSet:
     """All ⊆-maximal chains, by exhaustive descent along the cover relation.
 
     A maximal chain runs from a maximal element down to a minimal one through
-    covers; the enumeration counts visited nodes against `work_cap`. Every
+    covers; the enumeration counts visited nodes against `WORK_CAP`. Every
     node of the descent is visited whatever the order, so whether the cap is
     reached does not depend on it.
     """
     chains: set = set()
     work = 0
+    cap = errors.WORK_CAP
     cover_cache = {x: p.covers(x) for x in p.elements}
 
     def descend(x, acc):
         nonlocal work
         work += 1
-        if work > work_cap:
+        if work > cap:
             raise SizeCapError(
-                f"maximal-chain enumeration exceeded {work_cap} work units"
+                f"maximal-chain enumeration exceeded {cap} work units"
             )
         below = cover_cache[x]
         if not below:
@@ -283,23 +283,24 @@ def maximal_chains(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> ChainSet:
     return ChainSet(frozenset(chains), maximal=True)
 
 
-def set_partitions(items, fits=None, work_cap=None, label="set"):
+def set_partitions(items, fits=None, label="set"):
     """Partitions of `items` as lists of blocks, in restricted-growth order
     (Knuth, TAOCP 4A §7.2.1.5): item i joins each earlier block in turn,
     then opens a block of its own.
 
     `fits(block, item)` may bar `item` from `block`. Each search node counts
-    one work unit; more than `work_cap` raise `SizeCapError` naming `label`.
+    one work unit; more than `WORK_CAP` raise `SizeCapError` naming `label`.
     """
     items = list(items)
     work = 0
+    cap = errors.WORK_CAP
 
     def rec(i, blocks):
         nonlocal work
         work += 1
-        if work_cap is not None and work > work_cap:
+        if work > cap:
             raise SizeCapError(
-                f"{label} partition enumeration exceeded {work_cap} work units"
+                f"{label} partition enumeration exceeded {cap} work units"
             )
         if i == len(items):
             yield [list(b) for b in blocks]
@@ -317,7 +318,7 @@ def set_partitions(items, fits=None, work_cap=None, label="set"):
     yield from rec(0, [])
 
 
-def separates(p: Poset, x, y, work_cap: int = DEFAULT_WORK_CAP) -> bool:
+def separates(p: Poset, x, y) -> bool:
     """True iff some maximal chain contains exactly one of x, y."""
     if x not in p.elements:
         raise unknown_element(x)
@@ -325,18 +326,18 @@ def separates(p: Poset, x, y, work_cap: int = DEFAULT_WORK_CAP) -> bool:
         raise unknown_element(y)
     if x == y:
         raise InputError("separates requires distinct elements", witness=(x, y))
-    for c in maximal_chains(p, work_cap).chains:
+    for c in maximal_chains(p).chains:
         if len(c & {x, y}) == 1:
             return True
     return False
 
 
-def is_decision_forest(p: Poset, work_cap: int = DEFAULT_WORK_CAP) -> bool:
+def is_decision_forest(p: Poset) -> bool:
     """Rooted forest in which every pair of distinct nodes is separated."""
-    return is_rooted_forest(p) and separation_witness(p, work_cap) is None
+    return is_rooted_forest(p) and separation_witness(p) is None
 
 
-def separation_witness(p: Poset, work_cap: int = DEFAULT_WORK_CAP):
+def separation_witness(p: Poset):
     """None, or a pair of distinct elements no maximal chain separates.
 
     Some chain holds exactly one of x, y iff the sets of chains through x and
@@ -346,7 +347,7 @@ def separation_witness(p: Poset, work_cap: int = DEFAULT_WORK_CAP):
     group, with the next element of that group.
     """
     through = {x: 0 for x in p.elements}
-    for i, c in enumerate(maximal_chains(p, work_cap).chains):
+    for i, c in enumerate(maximal_chains(p).chains):
         for x in c:
             through[x] |= 1 << i
     groups: dict = {}

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import order_core, set_forest
+from . import errors, order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import record
 from .errors import InputError, SizeCapError, StructureError
-from .order_core import DEFAULT_WORK_CAP, Poset, set_partitions
+from .order_core import Poset, set_partitions
 from .set_forest import SetForest
 from .verdict import MultiVerdict, Verdict
 
@@ -460,17 +460,17 @@ def _merge_block(block) -> RandomMove:
     return RandomMove.of(assignment)
 
 
-def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int, work_cap: int) -> Verdict:
+def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int) -> Verdict:
     if len(moves) <= max_x_exhaustive:
         def disjoint(block, m):
             return all(not (m.domain & other.domain) for other in block)
 
-        for blocks in set_partitions(moves, disjoint, work_cap, "axiom-3e"):
+        # every partition but the all-singleton one has fewer blocks than
+        # |X|, so its merged family is a proper coarsening
+        for blocks in set_partitions(moves, disjoint, "axiom-3e"):
             if all(len(b) == 1 for b in blocks):
                 continue
             family = frozenset(_merge_block(b) for b in blocks)
-            if family == s.random_moves:
-                continue
             if all(f is None for _, f in _axioms_3a_to_3d(s, family)):
                 merged = next(b for b in blocks if len(b) > 1)
                 return Verdict.failed(
@@ -497,12 +497,7 @@ def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int, work_cap: int) 
     )
 
 
-def verify_sdf(
-    s: Sdf,
-    *,
-    max_x_exhaustive: int = 6,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> MultiVerdict:
+def verify_sdf(s: Sdf, *, max_x_exhaustive: int = 6) -> MultiVerdict:
     """Check axioms 1, 2, 3a-3f; one named verdict per axiom.
 
     Axiom 3e runs the exhaustive coarsening oracle up to `max_x_exhaustive`
@@ -528,7 +523,7 @@ def verify_sdf(
         else:
             template, *values = failure
             items.append((name, Verdict.failed(name, template.format(*map(fmt, values)))))
-    items.append(("axiom-3e", _check_axiom_3e(s, moves, max_x_exhaustive, work_cap)))
+    items.append(("axiom-3e", _check_axiom_3e(s, moves, max_x_exhaustive)))
 
     items.append(
         (
@@ -688,13 +683,13 @@ def drop_moveless_components(s: Sdf) -> Sdf:
     return Sdf.of(forest, space, projection, s.random_moves)
 
 
-def find_sdf_isomorphism(a: Sdf, b: Sdf, work_cap: int = DEFAULT_WORK_CAP):
+def find_sdf_isomorphism(a: Sdf, b: Sdf):
     """Search for an SDF isomorphism: paired scenario and outcome bijections.
 
     The outcome bijection must respect the scenario bijection (pruning), carry
     nodes onto nodes, commute with the projections, map algebra atoms onto
     algebra atoms, and transport the random-move set onto the random-move set.
-    Returns (scenario_map, outcome_map) or None. Exhaustive up to `work_cap`
+    Returns (scenario_map, outcome_map) or None. Exhaustive up to `WORK_CAP`
     candidate outcome bijections.
     """
     if (
@@ -711,6 +706,7 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf, work_cap: int = DEFAULT_WORK_CAP):
     a_out, b_out = outcomes_by_scenario(a), outcomes_by_scenario(b)
     a_scen = canon_sorted(a.space.scenarios)
     work = 0
+    cap = errors.WORK_CAP
 
     def atom_map_ok(scen_map):
         mapped = {frozenset(scen_map[w] for w in atom) for atom in a.space.algebra_atoms}
@@ -753,9 +749,9 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf, work_cap: int = DEFAULT_WORK_CAP):
             )
         for combo in itertools.product(*per_scenario):
             work += 1
-            if work > work_cap:
+            if work > cap:
                 raise SizeCapError(
-                    f"isomorphism search exceeded {work_cap} candidate bijections"
+                    f"isomorphism search exceeded {cap} candidate bijections"
                 )
             out_map = {}
             for part in combo:
@@ -765,5 +761,5 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf, work_cap: int = DEFAULT_WORK_CAP):
     return None
 
 
-def sdf_isomorphic(a: Sdf, b: Sdf, work_cap: int = DEFAULT_WORK_CAP) -> bool:
-    return find_sdf_isomorphism(a, b, work_cap) is not None
+def sdf_isomorphic(a: Sdf, b: Sdf) -> bool:
+    return find_sdf_isomorphism(a, b) is not None

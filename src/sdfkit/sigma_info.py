@@ -18,6 +18,8 @@ from .order_core import set_partitions
 from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
 from .verdict import Verdict
 
+BELL_CAP = 10_000
+
 
 @record(frozen=True)
 class Eis:
@@ -166,14 +168,14 @@ def sub_sigma_candidates(space: ScenarioSpace, carrier) -> list:
     return canon_sorted(out)
 
 
-def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
+def enumerate_eis(s: Sdf) -> tuple:
     """Every exogenous information structure of the instance, exhaustively.
 
     Iterates per move over all partitions of the ambient atoms inside its
-    domain (Bell-number growth, capped by the sum of per-move Bell numbers)
-    and prunes by the trace condition incrementally along the canonical
-    linear extension of ≥_X: repeatedly the canonically least move whose
-    moves above are all placed. Output order is lexicographic over the
+    domain (Bell-number growth; the sum of per-move Bell numbers is capped
+    by `BELL_CAP`) and prunes by the trace condition incrementally along the
+    canonical linear extension of ≥_X: repeatedly the canonically least move
+    whose moves above are all placed. Output order is lexicographic over the
     per-move atom partitions along that extension.
 
     The order holds by construction: each move's candidates come in
@@ -183,9 +185,9 @@ def enumerate_eis(s: Sdf, bell_cap: int = 10_000) -> tuple:
     total = sum(
         bell_number(len(s.space.trace_atoms(m.domain))) for m in s.random_moves
     )
-    if total > bell_cap:
+    if total > BELL_CAP:
         raise SizeCapError(
-            f"sum of per-move Bell numbers {total} exceeds cap {bell_cap}"
+            f"sum of per-move Bell numbers {total} exceeds cap {BELL_CAP}"
         )
     moves = s.sorted_moves
     above = {m: [o for o in moves if o != m and ge_x(o, m)] for m in moves}

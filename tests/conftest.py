@@ -36,7 +36,6 @@ import pytest
 from sdfkit import examples
 from sdfkit._canon import canon_key, canon_sorted, fmt
 from sdfkit.action_path import (
-    DEFAULT_PATH_WORK_CAP,
     DEFAULT_TIME_SUBSET_CAP,
     Apc3Result,
     MeasurabilityRecord,
@@ -53,7 +52,7 @@ from sdfkit.action_path import (
 from sdfkit.choice import Choice, Rcs, adapted_at_move, classify, predecessors, preimage
 from sdfkit.errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
-from sdfkit.order_core import DEFAULT_WORK_CAP, maximal_chains
+from sdfkit.order_core import maximal_chains
 from sdfkit.sdf import ge_x, x_order
 from sdfkit.sigma_info import Eis, sub_sigma_candidates
 from sdfkit.verdict import MultiVerdict, Verdict
@@ -118,9 +117,9 @@ def oracle_is_tree(p):
     )
 
 
-def oracle_separation_witness(p, work_cap=DEFAULT_WORK_CAP):
+def oracle_separation_witness(p):
     """The first canonical pair that no maximal chain holds exactly one of."""
-    chains = maximal_chains(p, work_cap).chains
+    chains = maximal_chains(p).chains
     for x, y in itertools.combinations(canon_sorted(p.elements), 2):
         if not any(len(c & {x, y}) == 1 for c in chains):
             return (x, y)
@@ -486,31 +485,24 @@ def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> Measura
     return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
 
 
-def _all_prefixes(po: PathOutcomes, length: int, work_cap: int):
-    count = len(po.space.actions) ** length
-    if count > work_cap:
-        raise SizeCapError(
-            f"prefix space of size {count} exceeds work cap {work_cap}"
-        )
+def _all_prefixes(po: PathOutcomes, length: int):
     return itertools.product(canon_sorted(po.space.actions), repeat=length)
 
 
 def brute_check_apw(
-    po: PathOutcomes,
-    *,
-    max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP,
-    work_cap: int = DEFAULT_PATH_WORK_CAP,
+    po: PathOutcomes, *, max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP
 ) -> MultiVerdict:
     """AP.W0-W4 by enumeration: W0 and W3 over every prefix in A^i, W2 over
-    every (scenario, path in A^|T|, time subset) triple. Exponential in |T|;
-    the reference the decided `check_apw` is compared against."""
+    every (scenario, path in A^|T|, time subset) triple. Exponential in |T|,
+    and uncapped: the reference the decided `check_apw` is compared against
+    on small instances."""
     idx = po.index
     points = po.time.points
     items = []
 
     w0 = Verdict.passed()
     for i, t in enumerate(points):
-        for p in _all_prefixes(po, i, work_cap):
+        for p in _all_prefixes(po, i):
             d = idx.d_set(p)
             if not po.scenarios.is_event(d):
                 w0 = Verdict.failed(
@@ -549,7 +541,7 @@ def brute_check_apw(
     ]
     w2 = Verdict.passed("mode: exhaustive")
     for w in canon_sorted(po.scenarios.scenarios):
-        for f_tilde in _all_prefixes(po, len(points), work_cap):
+        for f_tilde in _all_prefixes(po, len(points)):
             for subset in subset_pool:
                 if any(not idx.group(w, f_tilde[:i]) for i in subset):
                     continue
@@ -572,7 +564,7 @@ def brute_check_apw(
 
     w3 = Verdict.passed()
     for i, t in enumerate(points):
-        fs = list(_all_prefixes(po, i, work_cap))
+        fs = list(_all_prefixes(po, i))
         for p, q in itertools.combinations(fs, 2):
             dp, dq = idx.d_set(p), idx.d_set(q)
             if not dp or not dq or (dp & dq):

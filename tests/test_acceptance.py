@@ -47,15 +47,17 @@ def generated_instances():
     passing = []
     excluded = []
     attempts = 0
-    while len(passing) < 200 and attempts < 3000:
-        attempts += 1
-        po = random_path_outcomes(rng)
-        apw = check_apw(po)
-        bad = [k for k, v in apw.items if k in ("W0", "W1", "W2", "W3") and not v.ok]
-        if bad:
-            excluded.append((po, bad[0]))
-            continue
-        passing.append(build_action_path_sdf(po, max_x_exhaustive=9, work_cap=2 ** 20))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sdfkit.errors.WORK_CAP", 2 ** 20)
+        while len(passing) < 200 and attempts < 3000:
+            attempts += 1
+            po = random_path_outcomes(rng)
+            apw = check_apw(po)
+            bad = [k for k, v in apw.items if k in ("W0", "W1", "W2", "W3") and not v.ok]
+            if bad:
+                excluded.append((po, bad[0]))
+                continue
+            passing.append(build_action_path_sdf(po, max_x_exhaustive=9))
     return passing, excluded
 
 
@@ -135,11 +137,12 @@ def test_criterion_05_action_path_roundtrip(simple, variant, simple_aps, variant
     report(5, "action-path encodings are SDF-isomorphic to the direct constructions")
 
 
-def test_criterion_06_construction_theorem_property(generated_instances):
+def test_criterion_06_construction_theorem_property(generated_instances, monkeypatch):
     passing, excluded = generated_instances
     assert len(passing) >= 200
+    monkeypatch.setattr("sdfkit.errors.WORK_CAP", 2 ** 20)
     for aps in passing:
-        v = verify_sdf(aps.sdf, max_x_exhaustive=9, work_cap=2 ** 20)
+        v = verify_sdf(aps.sdf, max_x_exhaustive=9)
         assert v.ok, v.describe()
     for _, assumption in excluded:
         assert assumption in ("W0", "W1", "W2", "W3")

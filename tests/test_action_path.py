@@ -234,7 +234,7 @@ class TestCheckApw:
         draws = [random_path_outcomes(rng, 4, 4, 3) for _ in range(300)]
         seen = Counter()
         for po in fixed + draws:
-            for caps in ({}, {"max_time_subsets": 2}, {"work_cap": 20}):
+            for caps in ({}, {"max_time_subsets": 2}):
                 got = _apw_or_error(check_apw, po, **caps)
                 assert got == _apw_or_error(brute_check_apw, po, **caps)
                 if isinstance(got, tuple):
@@ -707,10 +707,10 @@ class TestCheckApc3:
         assert result.generator == {frozenset("a"), frozenset("ac"), frozenset("ad")}
 
     def test_generator_search_past_its_cap_raises(self, monkeypatch):
-        import sdfkit.action_path
+        import sdfkit.errors
 
         aps, after_a = self._four_actions()
-        monkeypatch.setattr(sdfkit.action_path, "DEFAULT_PATH_WORK_CAP", 3)
+        monkeypatch.setattr(sdfkit.errors, "WORK_CAP", 3)
         with pytest.raises(SizeCapError, match="generator search exceeded 3 families"):
             check_apc3(aps, "1", after_a)
 

@@ -302,6 +302,24 @@ class TestParse:
         assert exc.value.path == "$.factorization"
         assert "unresolved action '3'" in str(exc.value)
 
+    def test_up_and_out_price_key_names_one_scenario(self):
+        obj = {
+            "kind": "action-path",
+            "scenarios": [1, 2],
+            "time_points": ["0", "1"],
+            "generator": {"name": "up-and-out", "price": {"1": ["1", "3"], "2": ["1", "1"]}},
+        }
+        # the key "1" prices the integer scenario 1, knocked out at t=1
+        paths = parse_instance(json.dumps(obj)).po.paths
+        assert sorted(w for w, _ in paths) == [1, 1, 2, 2, 2]
+        # ... unless scenario "1" is declared too: one row cannot serve both
+        obj["scenarios"] = [1, "1"]
+        obj["generator"]["price"] = {"1": ["1", "3"]}
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.path == "$.generator.price"
+        assert "price key '1' names scenario 1 and scenario '1'" in str(exc.value)
+
     def test_schema_type_error(self):
         with pytest.raises(ParseError) as exc:
             parse_instance('{"kind": "explicit-sdf", "scenarios": "oops"}')
@@ -624,8 +642,9 @@ class TestOncePerRun:
 class TestThm411:
     def test_cap_error_is_reported_not_skipped(self, monkeypatch):
         # four agent components after "a": the AP.C3 generator search tries
-        # more than the patched 3 families, inside the sweep as in apc
-        import sdfkit.action_path
+        # more than the patched 20 families, inside the sweep as in apc;
+        # the build's own searches stay below that cap
+        import sdfkit.errors
 
         acts = "abcd"
         paths = [
@@ -634,9 +653,9 @@ class TestThm411:
             if f not in (("a", "c"), ("a", "d"))
         ]
         doc = _action_path_doc([1], [0, 1], list(acts), paths, {a: {"1": a} for a in acts})
-        monkeypatch.setattr(sdfkit.action_path, "DEFAULT_PATH_WORK_CAP", 3)
+        monkeypatch.setattr(sdfkit.errors, "WORK_CAP", 20)
         verify, apc, thm = run(doc, ["verify", "apc", "thm4-11"]).records
-        message = "cap-exceeded: AP.C3 generator search exceeded 3 families"
+        message = "cap-exceeded: AP.C3 generator search exceeded 20 families"
         assert verify.status == "ok"
         assert (apc.status, apc.message) == ("error", message)
         assert (thm.status, thm.message) == ("error", message)
@@ -761,19 +780,58 @@ def test_eis_index_has_one_spelling(index):
 
 def test_a_cap_in_the_build_reads_cap_exceeded_in_every_command(monkeypatch):
     # W0-W3 hold; axiom 3e of the built instance then outruns a work cap of
-    # 50, as every command that needs the build reports
-    import sdfkit.cli
+    # 100, as every command that needs the build reports (at 50, axiom 1's
+    # maximal-chain enumeration would reach the cap first)
+    import sdfkit.errors
 
     p1 = ["a" + "".join(f) for f in itertools.product("ab", repeat=4)] + ["baaaa", "bbaaa"]
     p2 = ["b" + "".join(f) for f in itertools.product("ab", repeat=4)] + ["aaaaa", "abaaa"]
     paths = [("1", f) for f in p1] + [("2", f) for f in p2]
     doc = _action_path_doc(["1", "2"], range(5), ["a", "b"], paths)
-    monkeypatch.setattr(sdfkit.cli, "DEFAULT_PATH_WORK_CAP", 50)
+    monkeypatch.setattr(sdfkit.errors, "WORK_CAP", 100)
     verify, ttree, apw = run(doc, ["verify", "ttree", "apw"], max_x=40).records
-    message = "cap-exceeded: axiom-3e partition enumeration exceeded 50 work units"
+    message = "cap-exceeded: axiom-3e partition enumeration exceeded 100 work units"
     assert (verify.status, verify.message, verify.items) == ("error", message, ())
     assert (ttree.status, ttree.message, ttree.items) == ("error", message, ())
     assert apw.status == "ok"
+
+
+def test_a_large_action_set_gets_verdicts_not_a_prefix_cap():
+    # 17 actions over 5 times: |A|^4 = 83521 exceeds WORK_CAP, yet W0-W3
+    # read only the 32 realized paths over {a, b}^5 and nothing else
+    # enumerates the action set
+    actions = ["a", "b"] + [f"c{i}" for i in range(15)]
+    paths = [("1", f) for f in itertools.product("ab", repeat=5)]
+    doc = _action_path_doc(["1"], range(5), actions, paths)
+    apw, verify, ttree, eis = run(doc, ["apw", "verify", "ttree", "enumerate-eis"]).records
+    assert (apw.status, apw.message) == ("ok", "")
+    assert [k for k, v in apw.items if v.ok] == ["W0", "W1", "W2", "W3"]
+    # 31 random moves, above the default max_x, so 3e runs the pairwise test
+    assert (verify.status, verify.message) == ("partial", "")
+    assert dict(verify.items)["axiom-3e"].partial
+    assert (ttree.status, ttree.message) == ("ok", "")
+    assert (eis.status, eis.data["count"]) == ("ok", 1)
+
+
+def test_no_function_takes_a_cap_parameter():
+    # the search bound is errors.WORK_CAP; the Bell bound is sigma_info.BELL_CAP
+    import importlib
+    import inspect
+    import pkgutil
+
+    found = set()
+    for info in pkgutil.iter_modules(sdfkit.__path__):
+        module = importlib.import_module(f"sdfkit.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn):
+                    params = inspect.signature(fn).parameters.keys() & {"work_cap", "bell_cap"}
+                    found |= {f"{fn.__qualname__}({p})" for p in params}
+    assert found == set()
 
 
 def test_verify_reports_a_build_that_fails_after_w0_to_w3(monkeypatch):

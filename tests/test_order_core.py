@@ -260,9 +260,10 @@ class TestMaximalChains:
         cs = maximal_chains(two_scenario_poset(simple))
         cs.check(two_scenario_poset(simple))
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 10)
         with pytest.raises(SizeCapError):
-            maximal_chains(chain_poset(30), work_cap=10)
+            maximal_chains(chain_poset(30))
 
 
 
@@ -272,15 +273,17 @@ class TestSetPartitions:
         assert parts == [["abc"], ["ab", "c"], ["ac", "b"], ["a", "bc"], ["a", "b", "c"]]
         assert [len(list(set_partitions(range(n)))) for n in range(6)] == [1, 1, 2, 5, 15, 52]
 
-    def test_fits_and_work_cap(self):
+    def test_fits_and_work_cap(self, monkeypatch):
         def apart(block, x):
             return not {"a", "b"} <= set(block) | {x}
 
         # six search nodes: the root, [a], [a][b] and the three leaves
-        parts = [["".join(b) for b in p] for p in set_partitions("abc", apart, 6)]
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 6)
+        parts = [["".join(b) for b in p] for p in set_partitions("abc", apart)]
         assert parts == [["ac", "b"], ["a", "bc"], ["a", "b", "c"]]
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 5)
         with pytest.raises(SizeCapError) as exc:
-            list(set_partitions("abc", apart, 5, "abc"))
+            list(set_partitions("abc", apart, "abc"))
         assert str(exc.value) == "abc partition enumeration exceeded 5 work units"
 
 class TestSeparates:

@@ -208,18 +208,23 @@ class TestVerifySdf:
         verdict = verify_sdf(s, max_x_exhaustive=1).verdict("axiom-3e")
         assert not verdict.ok and not verdict.partial
 
-    def test_3e_work_cap_and_visit_order(self):
+    def test_3e_work_cap_and_visit_order(self, monkeypatch):
         # Restricted-growth order: the three coarsenings that merge root 1
         # with the inner move fail 3d, so the first to pass 3a-3d merges the
-        # three roots, found at the tenth work unit.
+        # three roots, found at the tenth work unit. Axiom 1's chain
+        # enumeration shares the cap, so the 3e check runs alone.
+        from sdfkit.sdf import _check_axiom_3e
+
         s = disjoint_domain_sdf()
-        verdict = verify_sdf(s, work_cap=10).verdict("axiom-3e")
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 10)
+        verdict = _check_axiom_3e(s, s.sorted_moves, 6)
         assert verdict.witness == (
             "proper coarsening satisfies 3a-3d: merging "
             "{1↦{a1, b1}}, {2↦{a2, b2, c2}}, {3↦{a3, b3}}"
         )
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 9)
         with pytest.raises(SizeCapError) as exc:
-            verify_sdf(s, work_cap=9)
+            _check_axiom_3e(s, s.sorted_moves, 6)
         assert str(exc.value) == "axiom-3e partition enumeration exceeded 9 work units"
 
     def test_3e_formats_only_its_witness(self, monkeypatch):

@@ -222,9 +222,10 @@ class TestEnumerateEis:
             enumerate_eis(s)
         assert listed == []
 
-    def test_cap(self, simple):
+    def test_cap(self, simple, monkeypatch):
+        monkeypatch.setattr("sdfkit.sigma_info.BELL_CAP", 1)
         with pytest.raises(SizeCapError):
-            enumerate_eis(simple, bell_cap=1)
+            enumerate_eis(simple)
 
     def test_bell_numbers(self):
         assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]

@@ -1,0 +1,125 @@
+"""Re-runnable mutation check: every listed mutant must make its tests fail.
+
+    python3 tools/mutants.py
+
+Each row of `MUTANTS` names a file under `src/`, an exact text that occurs
+exactly once in it, the text that replaces it, and the pytest node ids that
+must fail once it is replaced. For each mutant the script copies `src/`,
+`tests/` and `pyproject.toml` into a fresh temporary directory, applies the
+replacement there, and runs only the named tests in that copy. The checkout
+itself is never written. A mutant whose tests all pass survives.
+
+The named tests are first run once on an unmutated copy; if they fail
+there, no mutant is tried. The exit status is 0 when every mutant is
+killed, 1 when one survives or its text does not occur exactly once, and
+2 when the unmutated tests fail or a mutant names no test. Standard library
+only; not part of the Tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+# (name, file under src/, exact old text, new text, tests expected to fail)
+MUTANTS = [
+    (
+        "chain-cap-off-by-one",
+        "sdfkit/order_core.py",
+        "        if work > cap:\n            raise SizeCapError(\n"
+        '                f"maximal-chain enumeration',
+        "        if work >= cap:\n            raise SizeCapError(\n"
+        '                f"maximal-chain enumeration',
+        ["tests/test_decided_checks.py::TestOrderCore::test_chain_cap_does_not_depend_on_order"],
+    ),
+    (
+        "partition-cap-dropped",
+        "sdfkit/order_core.py",
+        "        if work > cap:\n            raise SizeCapError(\n"
+        '                f"{label} partition',
+        "        if False:\n            raise SizeCapError(\n"
+        '                f"{label} partition',
+        [
+            "tests/test_order_core.py::TestSetPartitions::test_fits_and_work_cap",
+            "tests/test_sdf.py::TestVerifySdf::test_3e_work_cap_and_visit_order",
+        ],
+    ),
+    (
+        "generator-cap-literal",
+        "sdfkit/action_path.py",
+        "            if tried > cap:",
+        "            if tried > 2 ** 16:",
+        [
+            "tests/test_action_path.py::TestCheckApc3::test_generator_search_past_its_cap_raises",
+            "tests/test_cli.py::TestThm411::test_cap_error_is_reported_not_skipped",
+        ],
+    ),
+    (
+        "price-key-ambiguity-unchecked",
+        "sdfkit/cli.py",
+        "type(scen) is str or key not in space.scenarios,",
+        "True,",
+        ["tests/test_cli.py::TestParse::test_up_and_out_price_key_names_one_scenario"],
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis", ".pytest_cache")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tests_pass(copy: Path, tests: list) -> bool | None:
+    """True when every test passes in `copy`, False when one fails, None on timeout."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode == 0
+
+
+def run_mutant(name, path, old, new, tests) -> str:
+    with tempfile.TemporaryDirectory(prefix="sdfkit-mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        target = copy / "src" / path
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"text found {text.count(old)} times"
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        passed = _tests_pass(copy, tests)
+    return {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[passed]
+
+
+def main() -> int:
+    if any(not m[4] for m in MUTANTS):
+        print("every mutant must name at least one test", file=sys.stderr)
+        return 2
+    baseline = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
+    with tempfile.TemporaryDirectory(prefix="sdfkit-mutant-") as tmp:
+        _copy(Path(tmp))
+        if not _tests_pass(Path(tmp), baseline):
+            print("the named tests fail without a mutant; nothing tried", file=sys.stderr)
+            return 2
+    status = 0
+    for mutant in MUTANTS:
+        outcome = run_mutant(*mutant)
+        print(f"{mutant[0]}: {outcome}", flush=True)
+        if not outcome.startswith("killed"):
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
