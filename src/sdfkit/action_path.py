@@ -157,11 +157,10 @@ class PathOutcomes:
             for a in f:
                 if a not in space.actions:
                     raise InputError(f"unknown action {a!r} in a path", witness=a)
-        for w in scenarios.scenarios:
-            if not any(w2 == w for w2, _ in paths):
-                raise StructureError(
-                    f"scenario {fmt(w)} admits no outcome", witness=w
-                )
+        bare = scenarios.scenarios - {w for w, _ in paths}
+        if bare:
+            w = min(bare, key=canon_key)
+            raise StructureError(f"scenario {fmt(w)} admits no outcome", witness=w)
         return cls(time, space, scenarios, paths)
 
     def canon_key(self):
@@ -196,6 +195,11 @@ class _PathIndex:
 
     def group(self, scenario, prefix) -> frozenset:
         return self.groups.get((scenario, tuple(prefix)), frozenset())
+
+    def groups_of(self, prefix) -> list:
+        """(scenario, group) for every scenario whose group at `prefix` is nonempty."""
+        groups = self.groups
+        return [(w, g) for w in self.scenarios if (g := groups.get((w, prefix)))]
 
     def d_set(self, prefix) -> frozenset:
         return frozenset(
@@ -493,43 +497,75 @@ class WindowChoice:
         return choice_mod.Choice.of(s, self.outcomes)
 
 
+def _decide_history(groups: list, k: int, actions: dict) -> tuple:
+    """The piece of one history h at time index k, and its C1/C2 decision.
+
+    `groups` lists (scenario w, group(w, h)) for the nonempty groups of h,
+    and `actions` maps a scenario to its action set (no entry: none). The
+    piece is the set of outcomes of those groups whose action at k lies in
+    their scenario's set. Returns (piece, stuck, c2): `stuck` lists the
+    groups that lie wholly in the piece, so C1 fails iff it is nonempty;
+    `c2` is None, or (meets, D(h)) when the scenarios of D(h) whose group
+    the piece meets are neither none nor all of D(h), so C2 fails. C0 is
+    that the piece is nonempty. Nothing is sorted or named.
+    """
+    piece = []
+    stuck = []
+    meets = []
+    d = []
+    for w, group in groups:
+        acts = actions.get(w)
+        part = [o for o in group if o[1][k] in acts] if acts else ()
+        if part:
+            piece += part
+            if len(part) == len(group):
+                stuck.append(group)
+        if len(group) >= 2:
+            d.append(w)
+            if part:
+                meets.append(w)
+    c2 = None if not meets or len(meets) == len(d) else (frozenset(meets), frozenset(d))
+    return frozenset(piece), stuck, c2
+
+
 def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
     """c(A_<t, A_t) plus the C0/C1/C2 verdicts.
 
     C2 quantifies over the admissible histories only; the node at t and the
-    move event depend on nothing later.
+    move event depend on nothing later. Every outcome of a history h lies in
+    a group of h, so the window choice is the disjoint union of the pieces
+    of its histories, and C1 and C2 are decided one history at a time by
+    `_decide_history`, read from the path index.
     """
     idx = po.index
     k = po.time.index(spec.t)
-    outcomes = frozenset(
-        (w, f)
-        for w, f in po.paths
-        if f[:k] in spec.histories and f[k] in spec.actions_for(w)
-    )
-    c0 = (
-        Verdict.passed()
-        if outcomes
-        else Verdict.failed("apc0", "the window choice is empty")
-    )
-    # C1 and C2 are decided on sets; only the failures are sorted, to name
-    # the canonically first witness. As in a scan in canonical order, a
-    # wrong-length history raises unless a failing one sorts before it.
-    c1 = Verdict.passed()
-    stuck = [w for w in outcomes if not (idx.group(w[0], w[1][:k]) - outcomes)]
-    if stuck:
-        c1 = Verdict.failed(
-            "apc1", f"no alternative to {fmt(min(stuck, key=canon_key))} inside its node"
-        )
-    c2 = Verdict.passed()
+    actions = dict(spec.per_scenario)
+    outcomes: set = set()
+    stuck: list = []
     bad: dict = {}  # history -> (meets, move event), or None for a wrong length
     for h in spec.histories:
         if len(h) != k:
             bad[h] = None
             continue
-        d = idx.d_set(h)
-        meets = frozenset(w for w in d if idx.group(w, h) & outcomes)
-        if meets and meets != d:
-            bad[h] = (meets, d)
+        piece, stuck_h, c2 = _decide_history(idx.groups_of(h), k, actions)
+        outcomes |= piece
+        stuck += stuck_h
+        if c2 is not None:
+            bad[h] = c2
+    c0 = (
+        Verdict.passed()
+        if outcomes
+        else Verdict.failed("apc0", "the window choice is empty")
+    )
+    outcomes = frozenset(outcomes)
+    # Only the failures are sorted, to name the canonically first witness.
+    # As in a scan in canonical order, a wrong-length history raises unless
+    # a failing one sorts before it.
+    c1 = Verdict.passed()
+    if stuck:
+        first = min((o for group in stuck for o in group), key=canon_key)
+        c1 = Verdict.failed("apc1", f"no alternative to {fmt(first)} inside its node")
+    c2 = Verdict.passed()
     if bad:
         h = min(bad, key=canon_key)
         if bad[h] is None:
@@ -601,7 +637,9 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     {(move, G): {h: (piece, C0-C2 ok)}} of every nonempty piece, |H| window
     choices per G instead of 2^|H|, and the own-prefix family: per move, the
     piece_G(p_x) of each G whose piece passes and meets every node of x,
-    with p_x the history every outcome of x shares.
+    with p_x the history every outcome of x shares. Each piece is decided by
+    `_decide_history` on h's groups in the path index, with the agent's
+    projection read once: no window choice is built and no witness named.
 
     (a) The reference choices for G are exactly the unions of passing
     pieces that contain piece_G(p_x), when that piece meets every node. C1
@@ -628,22 +666,27 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     table: dict = {}
     per_move: dict = {}
     components = canon_sorted(po.space.components(agent))
+    projection = {a: po.space.project(agent, a) for a in po.space.actions}
+    lifted = {}
+    for cr in range(1, len(components) + 1):
+        for comp_set in itertools.combinations(components, cr):
+            g_set = frozenset(comp_set)
+            lifted[g_set] = frozenset(a for a, c in projection.items() if c in g_set)
     for move, t in aps.move_times:
-        histories = idx.realized_prefixes(t)
+        k = po.time.index(t)
+        groups = {h: idx.groups_of(h) for h in idx.realized[k]}
         own = _own_prefix(po, move, t)
         found = set()
-        for cr in range(1, len(components) + 1):
-            for comp_set in itertools.combinations(components, cr):
-                g_set = frozenset(comp_set)
-                per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
-                held = table[move, g_set] = {}
-                for h in histories:
-                    wc = window_choice(po, WindowChoiceSpec.of(t, (h,), per_scenario))
-                    if wc.outcomes:
-                        held[h] = (wc.outcomes, wc.ok)
-                own_piece, own_ok = held.get(own, (frozenset(), False))
-                if own_ok and _meets_every_node(move, own_piece):
-                    found.add(own_piece)
+        for g_set, acts in lifted.items():
+            actions = dict.fromkeys(move.domain, acts)
+            held = table[move, g_set] = {}
+            for h, h_groups in groups.items():
+                piece, stuck, c2 = _decide_history(h_groups, k, actions)
+                if piece:
+                    held[h] = (piece, not stuck and c2 is None)
+            own_piece, own_ok = held.get(own, (frozenset(), False))
+            if own_ok and _meets_every_node(move, own_piece):
+                found.add(own_piece)
         per_move[move] = frozenset(choice_mod.Choice.of(aps.sdf, o) for o in found)
     own_family = choice_mod.Rcs.of(per_move)
     verdict = choice_mod.verify_rcs(aps.sdf, own_family)

@@ -32,14 +32,20 @@ class SubSigma:
     atoms: frozenset
 
     def __post_init__(self):
-        seen: set = set()
-        for a in self.atoms:
-            if not a:
-                raise StructureError("empty atom")
-            if a & seen:
-                raise StructureError(f"atoms overlap at {fmt(a)}", witness=a)
-            seen |= a
-        if seen != self.carrier:
+        # decided on sets: the atoms are disjoint iff their sizes sum to the
+        # size of their union; an overlap is named by the first atom in
+        # canonical order that meets an earlier one
+        atoms = self.atoms
+        if frozenset() in atoms:
+            raise StructureError("empty atom")
+        union = frozenset().union(*atoms)
+        if sum(map(len, atoms)) != len(union):
+            seen: set = set()
+            for a in canon_sorted(atoms):
+                if a & seen:
+                    raise StructureError(f"atoms overlap at {fmt(a)}", witness=a)
+                seen |= a
+        if union != self.carrier:
             raise StructureError("atoms do not partition the carrier")
 
     @classmethod

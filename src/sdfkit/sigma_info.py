@@ -131,12 +131,13 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
                 code="carrier-mismatch",
             )
     for m, sigma in e.entries:
-        for atom in canon_sorted(sigma.atoms):
-            if not s.space.is_event(atom):
-                return Verdict.failed(
-                    "eis-not-sub-algebra",
-                    f"atom {fmt(atom)} of the algebra at {m.fmt()} is not an event",
-                )
+        bad = [atom for atom in sigma.atoms if not s.space.is_event(atom)]
+        if bad:
+            return Verdict.failed(
+                "eis-not-sub-algebra",
+                f"atom {fmt(min(bad, key=canon_key))} of the algebra at {m.fmt()} "
+                "is not an event",
+            )
     for m1, sigma1 in e.entries:
         for m2, sigma2 in e.entries:
             if m1 == m2 or not ge_x(m1, m2):

@@ -6,8 +6,9 @@ trees and separation by scanning every element instead of the poset's
 index, agent reference choices by one window choice per
 (history subset, component subset) pair, and by the unions of the
 library's per-history pieces (`agent_rcs`, the family Theorem 4.11's
-per-case oracle `check_measurable_iff_adapted` reads), the window-choice
-verdicts by canonical scans, canonical keys by the type-tag
+per-case oracle `check_measurable_iff_adapted` reads), the piece table of
+an agent by one window choice per (move, component set, history) over every
+path (`brute_agent_pieces`), the window-choice verdicts by canonical scans, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the no-forgetting trace
 check by listing every event, the information structures and their
 order by sorting every result, the RCS and adaptedness witnesses by
@@ -44,12 +45,22 @@ from sdfkit.action_path import (
     WindowChoice,
     WindowChoiceSpec,
     _agent_pieces,
+    _lifted,
+    _meets_every_node,
     _own_prefix,
     agent_choice,
     check_apc3,
     window_choice,
 )
-from sdfkit.choice import Choice, Rcs, adapted_at_move, classify, predecessors, preimage
+from sdfkit.choice import (
+    Choice,
+    Rcs,
+    adapted_at_move,
+    classify,
+    predecessors,
+    preimage,
+    verify_rcs,
+)
 from sdfkit.errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import maximal_chains
@@ -297,6 +308,43 @@ def agent_rcs(aps, agent):
                 unions |= {u | piece for u in unions}
         per_move[move] |= {Choice.of(aps.sdf, u) for u in unions}
     return Rcs.of(per_move)
+
+
+def brute_agent_pieces(aps, agent):
+    """`_agent_pieces` as it was built from full window choices: one window
+    choice per (move, component set G, realized history h), over every path,
+    with G lifted through `_lifted` on the move's domain, and decided by the
+    canonical scans of `brute_window_choice`. Not kept on `aps`, so it never
+    reads the library's table."""
+    po = aps.po
+    idx = po.index
+    table: dict = {}
+    per_move: dict = {}
+    components = canon_sorted(po.space.components(agent))
+    for move, t in aps.move_times:
+        histories = idx.realized_prefixes(t)
+        own = _own_prefix(po, move, t)
+        found = set()
+        for cr in range(1, len(components) + 1):
+            for comp_set in itertools.combinations(components, cr):
+                g_set = frozenset(comp_set)
+                per_scenario = _lifted(po, agent, dict.fromkeys(move.domain, g_set))
+                held = table[move, g_set] = {}
+                for h in histories:
+                    wc = brute_window_choice(po, WindowChoiceSpec.of(t, (h,), per_scenario))
+                    if wc.outcomes:
+                        held[h] = (wc.outcomes, wc.ok)
+                own_piece, own_ok = held.get(own, (frozenset(), False))
+                if own_ok and _meets_every_node(move, own_piece):
+                    found.add(own_piece)
+        per_move[move] = frozenset(Choice.of(aps.sdf, o) for o in found)
+    own_family = Rcs.of(per_move)
+    verdict = verify_rcs(aps.sdf, own_family)
+    if not verdict:
+        raise StructureError(
+            f"agent reference choices fail to verify: {verdict.describe()}"
+        )
+    return table, own_family
 
 
 def brute_window_choice(po, spec):

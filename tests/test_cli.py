@@ -41,6 +41,54 @@ TIMING_DOC = json.dumps(
 )
 
 
+# one fault of a kind the parser meets while walking a set, several times over
+MULTI_FAULT_DOCS = [
+    {
+        "kind": "action-path",
+        "scenarios": ["x", "y", "z"],
+        "time_points": ["0", "1"],
+        "generator": {"name": "up-and-out", "price": {}},
+    },
+    {
+        "kind": "action-path",
+        "scenarios": ["a", "b", "c", "d", "e", "f"],
+        "atoms": [["a", "b", "c"], ["a", "d", "e"], ["b", "d", "f"], ["c", "e", "f"]],
+        "time_points": ["0"],
+        "actions": ["u"],
+        "paths": [],
+    },
+    {
+        "kind": "action-path",
+        "scenarios": ["p", "q", "r", "s"],
+        "time_points": ["0"],
+        "actions": ["u"],
+        "paths": [{"scenario": "p", "path": ["u"]}],
+    },
+]
+
+
+def outputs_under_hash_seeds(script, cwd, stdin="") -> list:
+    """The stdout of `script` run by one child interpreter per hash seed 0,
+    1 and 42. The children import the same sdfkit as this process, found
+    only through PYTHONPATH: they run in `cwd`, an empty directory, so the
+    working directory cannot supply the package by accident."""
+    source_root = str(Path(sdfkit.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1", "42"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": source_root},
+            cwd=cwd,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip(), f"no output under PYTHONHASHSEED={seed}"
+        outputs.append(proc.stdout)
+    return outputs
+
+
 class TestParse:
     def test_builtin(self):
         doc = parse_instance('{"kind": "builtin", "name": "simple"}')
@@ -860,33 +908,38 @@ class TestReports:
         assert a == b
 
     def test_json_deterministic_across_hash_seeds(self, tmp_path):
-        # The children import the same sdfkit as this process, found only
-        # through PYTHONPATH: they run in an empty directory, so the working
-        # directory cannot supply the package by accident.
-        source_root = str(Path(sdfkit.__file__).resolve().parent.parent)
         script = (
             "from sdfkit.cli import InstanceDoc, run, report_to_json;"
             "doc = InstanceDoc('builtin', name='simple');"
             "print(report_to_json(run(doc, ['verify', 'enumerate-eis', 'ttree']), doc))"
         )
-        outputs = set()
-        for seed in ("0", "1", "42"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env={
-                    "PYTHONHASHSEED": seed,
-                    "PATH": "/usr/bin:/bin",
-                    "PYTHONPATH": source_root,
-                },
-                cwd=tmp_path,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip(), f"empty report under PYTHONHASHSEED={seed}"
-            assert json.loads(proc.stdout)["overall"] == "ok"
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1
+        outputs = outputs_under_hash_seeds(script, tmp_path)
+        assert json.loads(outputs[0])["overall"] == "ok"
+        assert len(set(outputs)) == 1
+
+    def test_parse_errors_deterministic_across_hash_seeds(self, tmp_path):
+        # documents with several faults of one kind: each names the
+        # canonically first, whatever order the hash seed gives its sets
+        script = (
+            "import sys\n"
+            "from sdfkit.cli import parse_instance\n"
+            "for text in sys.stdin.read().splitlines():\n"
+            "    try:\n"
+            "        parse_instance(text)\n"
+            "    except Exception as e:\n"
+            "        print(type(e).__name__, e)\n"
+            "    else:\n"
+            "        print('parsed')\n"
+        )
+        outputs = outputs_under_hash_seeds(
+            script, tmp_path, "\n".join(json.dumps(doc) for doc in MULTI_FAULT_DOCS)
+        )
+        assert len(set(outputs)) == 1, outputs
+        assert outputs[0].splitlines() == [
+            "ParseError price table missing scenario 'x' at $.generator.price",
+            "ParseError atoms overlap at {a, d, e} at $.atoms",
+            "ParseError scenario q admits no outcome at $",
+        ]
 
     def test_text_report_has_timings(self):
         doc = InstanceDoc("builtin", name="simple")

@@ -31,6 +31,7 @@ from sdfkit.sdf import (
     RandomMove,
     ScenarioSpace,
     Sdf,
+    SubSigma,
     _axioms_3a_to_3d,
     check_evaluation_bijection,
     check_ttree_theorem,
@@ -38,7 +39,9 @@ from sdfkit.sdf import (
 )
 from sdfkit.set_forest import SetForest, representation_by_decision_paths, verify_own_representation
 
+import conftest
 from conftest import (
+    brute_agent_pieces,
     brute_axiom_3c,
     brute_chain_work,
     brute_check_apw,
@@ -329,6 +332,11 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
             pos.append(PathOutcomes(po.time, po.space, po.scenarios, po.paths))
     instances = [fresh_copy(s) for s in sdf_pool]
     trees = [s.maxima <= s.move_nodes and check_ttree_theorem(fresh_copy(s)).ok for s in sdf_pool]
+    # the finest information structure: the ambient trace on every domain
+    finest = [
+        sigma_info.Eis.of({m: SubSigma.ambient_trace(s.space, m.domain) for m in s.random_moves})
+        for s in instances
+    ]
     calls = Counter()
     for module in (_canon, order_core, set_forest, sdf, action_path, sigma_info, choice, cli):
         for fn_name in ("canon_key", "canon_sorted"):
@@ -341,8 +349,9 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, fn_name, counting)
-    for s, tree in zip(instances, trees):
+    for s, tree, e in zip(instances, trees, finest):
         assert verify_own_representation(s.forest).ok
+        assert sigma_info.verify_eis(s, e).ok
         assert check_evaluation_bijection(s).ok
         assert all(f is None for _, f in _axioms_3a_to_3d(s, tuple(s.random_moves)))
         fibres(s)
@@ -355,16 +364,9 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
     assert (len(instances), sum(trees), len(pos)) == (127, 35, 123)
 
 
-def test_passing_window_choices_never_sort(monkeypatch):
-    # the window choices the piece builder makes on the builtins and on
-    # random factorized draws, the passing ones rebuilt under the guard
-    made = []
-
-    def recording(po, spec):
-        made.append((po, spec))
-        return window_choice(po, spec)
-
-    monkeypatch.setattr(action_path, "window_choice", recording)
+def piece_instances() -> list:
+    """Fresh `timing` and `upandout`, and the buildable draws 0-39 of the
+    path-outcome generator with one agent whose components are the actions."""
     instances = [examples.timing_instance(), examples.upandout_instance()]
     for draw in range(40):
         po = random_path_outcomes(random.Random(draw))
@@ -373,9 +375,55 @@ def test_passing_window_choices_never_sort(monkeypatch):
             instances.append(build_action_path_sdf(PathOutcomes(po.time, space, po.scenarios, po.paths)))
         except KernelError:
             pass
-    for aps in instances:
+    return instances
+
+
+class TestAgentPieces:
+    def test_matches_full_window_choices(self):
+        seen = Counter()
+        for aps in piece_instances():
+            for agent in aps.po.space.agents:
+                got = outcome(action_path._agent_pieces, aps, agent)
+                assert got == outcome(brute_agent_pieces, aps, agent)
+                table, own_family = got[1]
+                seen["own choices"] += sum(len(cs) for _, cs in own_family.entries)
+                for held in table.values():
+                    seen.update("pass" if ok else "fail" for _, ok in held.values())
+        assert seen["own choices"] and seen["pass"] and seen["fail"], seen
+
+    def test_timing_pieces_name_nothing(self, monkeypatch):
+        # built from full window choices, the pieces of `timing` format 188
+        # C1/C2 witnesses that the table then discards
+        aps = examples.timing_instance()
+        calls = Counter()
+        for module in (_canon, action_path, choice):
+            fn = module.fmt
+
+            def counting(*args, _fn=fn, _name=module.__name__, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, "fmt", counting)
         for agent in aps.po.space.agents:
             action_path._agent_pieces(aps, agent)
+        monkeypatch.undo()
+        assert calls == Counter()
+
+
+def test_passing_window_choices_never_sort(monkeypatch):
+    # the window choices the full-window-choice piece builder (the oracle
+    # brute_agent_pieces) makes on the builtins and on random factorized
+    # draws, the passing ones rebuilt under the guard
+    made = []
+
+    def recording(po, spec):
+        made.append((po, spec))
+        return brute_window_choice(po, spec)
+
+    monkeypatch.setattr(conftest, "brute_window_choice", recording)
+    for aps in piece_instances():
+        for agent in aps.po.space.agents:
+            brute_agent_pieces(aps, agent)
     monkeypatch.undo()
     cases = [(po, spec) for po, spec in made if brute_window_choice(po, spec).ok]
     calls = Counter()

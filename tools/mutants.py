@@ -68,6 +68,27 @@ MUTANTS = [
         "True,",
         ["tests/test_cli.py::TestParse::test_up_and_out_price_key_names_one_scenario"],
     ),
+    (
+        "piece-c1-dropped",
+        "sdfkit/action_path.py",
+        "                stuck.append(group)",
+        "                pass",
+        ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
+    ),
+    (
+        "piece-c2-none-or-all-dropped",
+        "sdfkit/action_path.py",
+        "    c2 = None if not meets or len(meets) == len(d) else",
+        "    c2 = None if True else",
+        ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
+    ),
+    (
+        "piece-off-domain-scenario-acts",
+        "sdfkit/action_path.py",
+        "            actions = dict.fromkeys(move.domain, acts)",
+        "            actions = dict.fromkeys(po.scenarios.scenarios, acts)",
+        ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
+    ),
 ]
 
 
