@@ -147,17 +147,25 @@ class PathOutcomes:
     def of(cls, time, space, scenarios, paths) -> "PathOutcomes":
         paths = frozenset((w, tuple(f)) for w, f in paths)
         n = len(time.points)
-        for w, f in paths:
-            if w not in scenarios.scenarios:
-                raise InputError(f"path for unknown scenario {w!r}", witness=w)
-            if len(f) != n:
-                raise InputError(
-                    f"path {fmt(f)} not indexed by the {n} time points", witness=f
-                )
-            for a in f:
-                if a not in space.actions:
-                    raise InputError(f"unknown action {a!r} in a path", witness=a)
-        bare = scenarios.scenarios - {w for w, _ in paths}
+        # decided on sets; a fault is named by the first faulty path in
+        # canonical order, so a passing parse sorts nothing
+        used = {w for w, _ in paths}
+        if not (
+            used <= scenarios.scenarios
+            and all(len(f) == n for _, f in paths)
+            and {a for _, f in paths for a in f} <= space.actions
+        ):
+            for w, f in canon_sorted(paths):
+                if w not in scenarios.scenarios:
+                    raise InputError(f"path for unknown scenario {w!r}", witness=w)
+                if len(f) != n:
+                    raise InputError(
+                        f"path {fmt(f)} not indexed by the {n} time points", witness=f
+                    )
+                for a in f:
+                    if a not in space.actions:
+                        raise InputError(f"unknown action {a!r} in a path", witness=a)
+        bare = scenarios.scenarios - used
         if bare:
             w = min(bare, key=canon_key)
             raise StructureError(f"scenario {fmt(w)} admits no outcome", witness=w)
@@ -1009,7 +1017,9 @@ def up_and_out_outcomes(
     next-time-point checks on the table.
     """
     points = time.points
-    for w in scenarios.scenarios:
+    # in canonical order, so the scenario named is the same under every hash
+    # seed; a missing price raises for the same scenario too
+    for w in canon_sorted(scenarios.scenarios):
         if Fraction(price[(points[0], w)]) != 1:
             raise InputError(
                 f"price at time 0 must be 1 (scenario {fmt(w)})", witness=w

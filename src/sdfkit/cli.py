@@ -195,7 +195,8 @@ def _parse_explicit(obj) -> InstanceDoc:
         moves.append(RandomMove.of(mapping))
     table = _get(obj, "outcome_scenarios", dict, path)
     scenario_of = {w: w for w in space.scenarios}
-    for o in universe:
+    # in canonical order, so the outcome named is the same under every hash seed
+    for o in canon_sorted(universe):
         _expect(o in table, f"outcome {o!r} missing a scenario", f"{path}.outcome_scenarios")
         _same_types((table[o],), scenario_of, "scenario", f"{path}.outcome_scenarios")
         _expect(
@@ -206,10 +207,16 @@ def _parse_explicit(obj) -> InstanceDoc:
     try:
         forest = SetForest.of(universe, nodes)
         projection = {}
+        mixed = []
         for x in forest.nodes:
-            scens = {table[o] for o in x}
-            _expect(len(scens) == 1, f"node {fmt(x)} mixes scenarios", f"{path}.nodes")
-            projection[x] = next(iter(scens))
+            w, *others = {table[o] for o in x}
+            if others:
+                mixed.append(x)
+            projection[x] = w
+        # decided on the nodes; a fault is named by the canonically first
+        if mixed:
+            x = canon_sorted(mixed)[0]
+            raise ParseError(f"node {fmt(x)} mixes scenarios", path=f"{path}.nodes")
         sdf = Sdf.of(forest, space, projection, moves)
     except KernelError as e:
         raise ParseError(str(e), path=path) from None
@@ -564,7 +571,7 @@ def _ttree(inst: _Instance, arg: str):
 
 def _enumerate_eis(inst: _Instance, arg: str):
     structures = inst.need_eis()
-    listing = [[[fmt(sigma.atoms) for _, sigma in e.entries]] for e in structures]
+    listing = [[[sigma.fmt() for _, sigma in e.entries]] for e in structures]
     return (
         (("count", Verdict.passed(f"{len(structures)} structures")),),
         {"count": len(structures), "structures": listing},
@@ -649,6 +656,10 @@ def _thm4_11(inst: _Instance, arg: str):
     aps = inst.need_aps("thm4-11")
     items = []
     skipped = 0
+    # the "t=…, label, g=…" tail of each item, rendered once per distinct
+    # case; the agent is in the key because the text of a component does not
+    # follow its equality (True == 1) and components are per agent
+    tails: dict = {}
     for case in measurability_sweep(aps, inst.need_eis()):
         result = case.result
         if isinstance(result, KernelError):
@@ -656,10 +667,14 @@ def _thm4_11(inst: _Instance, arg: str):
                 raise result
             skipped += 1
             continue
+        values = tuple(case.g.values())
+        key = (case.agent, case.t, case.label, values)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = f"t={case.t}, {case.label}, g={fmt(values)}"
         items.append(
             (
-                f"agent {case.agent}, eis {case.eis_index}, t={case.t}, "
-                f"{case.label}, g={fmt(tuple(case.g.values()))}",
+                f"agent {case.agent}, eis {case.eis_index}, {tail}",
                 Verdict.passed()
                 if result.ok
                 else Verdict.failed(

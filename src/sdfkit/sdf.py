@@ -123,8 +123,13 @@ class SubSigma:
     def canon_key(self):
         return ("subsigma", canon_key(self.carrier), canon_key(self.atoms))
 
-    def fmt(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
         return fmt(self.atoms)
+
+    def fmt(self) -> str:
+        """The atoms' text, rendered on first call and kept on the instance."""
+        return self._text
 
 
 class ScenarioSpace(SubSigma):
@@ -203,8 +208,13 @@ class RandomMove:
     def canon_key(self):
         return ("rmove", canon_key(self.graph))
 
-    def fmt(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
         return "{" + ", ".join(f"{fmt(w)}↦{fmt(n)}" for w, n in self.graph) + "}"
+
+    def fmt(self) -> str:
+        """The scenario ↦ node text, rendered on first call and kept on the instance."""
+        return self._text
 
 
 @record(frozen=True)
@@ -217,24 +227,30 @@ class Sdf:
     @classmethod
     def of(cls, forest, space, projection, random_moves) -> "Sdf":
         """Shape-validate only; the axioms are the business of verify_sdf."""
+        # Each check is decided on sets; a fault is named at the canonically
+        # first node or move, so a passing build sorts nothing.
         proj = dict(projection) if not isinstance(projection, dict) else projection
-        for node in forest.nodes:
-            if node not in proj:
-                raise InputError(f"projection missing node {fmt(node)}", witness=node)
-        for node, w in proj.items():
-            if node not in forest.nodes:
-                raise InputError(f"projection maps unknown node {fmt(node)}", witness=node)
-            if w not in space.scenarios:
-                raise InputError(f"projection targets unknown scenario {w!r}", witness=w)
+        nodes, scenarios = forest.nodes, space.scenarios
+        missing = nodes - proj.keys()
+        if missing:
+            node = min(missing, key=canon_key)
+            raise InputError(f"projection missing node {fmt(node)}", witness=node)
+        if not (proj.keys() <= nodes and set(proj.values()) <= scenarios):
+            for node, w in sorted(proj.items(), key=lambda kv: canon_key(kv[0])):
+                if node not in nodes:
+                    raise InputError(f"projection maps unknown node {fmt(node)}", witness=node)
+                if w not in scenarios:
+                    raise InputError(f"projection targets unknown scenario {w!r}", witness=w)
         moves = frozenset(random_moves)
-        for m in moves:
-            for w, node in m.items():
-                if w not in space.scenarios:
-                    raise InputError(f"random move uses unknown scenario {w!r}", witness=w)
-                if node not in forest.nodes:
-                    raise InputError(
-                        f"random move assigns unknown node {fmt(node)}", witness=node
-                    )
+        if not all(w in scenarios and node in nodes for m in moves for w, node in m.items()):
+            for m in canon_sorted(moves):
+                for w, node in m.items():
+                    if w not in scenarios:
+                        raise InputError(f"random move uses unknown scenario {w!r}", witness=w)
+                    if node not in nodes:
+                        raise InputError(
+                            f"random move assigns unknown node {fmt(node)}", witness=node
+                        )
         return cls(forest, space, frozenset(proj.items()), moves)
 
     def pi(self, node):

@@ -109,11 +109,11 @@ def level_set_partition(space: ScenarioSpace, observable: dict) -> SubSigma:
     for w, value in observable.items():
         levels.setdefault(canon_key(value), set()).add(w)
     atoms = frozenset(frozenset(ws) for ws in levels.values())
-    for a in atoms:
-        if not space.is_event(a):
-            raise InputError(
-                f"observable level set {fmt(a)} is not an event", witness=a
-            )
+    # decided on the level sets; a fault is named by the canonically first
+    bad = [a for a in atoms if not space.is_event(a)]
+    if bad:
+        a = min(bad, key=canon_key)
+        raise InputError(f"observable level set {fmt(a)} is not an event", witness=a)
     return SubSigma(space.scenarios, atoms)
 
 

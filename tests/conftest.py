@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's algorithms: maximal chains
 by full subset enumeration, up-sets, down-sets, covers, extremal elements,
 trees and separation by scanning every element instead of the poset's
-index, agent reference choices by one window choice per
+index, rendering by the original `fmt` cascade, agent reference choices by one window choice per
 (history subset, component subset) pair, and by the unions of the
 library's per-history pieces (`agent_rcs`, the family Theorem 4.11's
 per-case oracle `check_measurable_iff_adapted` reads), the piece table of
@@ -158,6 +158,23 @@ def oracle_canon_key(value):
     if value is None:
         return ("none",)
     return ("repr", type(value).__name__, repr(value))
+
+
+def oracle_fmt(value) -> str:
+    """Rendering by the original cascade: sets in canonical order, tuples,
+    Fractions, strings, then the value's own `fmt`, then repr."""
+    if isinstance(value, (frozenset, set)):
+        return "{" + ", ".join(oracle_fmt(v) for v in sorted(value, key=oracle_canon_key)) + "}"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(oracle_fmt(v) for v in value) + ")"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    custom = getattr(value, "fmt", None)
+    if custom is not None and not isinstance(value, type):
+        return custom()
+    return repr(value)
 
 
 def brute_trace_failure(sigma, domain, other):

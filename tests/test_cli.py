@@ -25,9 +25,10 @@ from sdfkit.cli import (
     report_to_text,
     run,
 )
+from sdfkit.sigma_info import enumerate_eis
 from sdfkit.verdict import Verdict
 
-from conftest import brute_report_to_json
+from conftest import brute_report_to_json, oracle_fmt
 from tests_helpers import EXPLICIT_DOC, corpus_doc
 
 TIMING_DOC = json.dumps(
@@ -64,6 +65,56 @@ MULTI_FAULT_DOCS = [
         "actions": ["u"],
         "paths": [{"scenario": "p", "path": ["u"]}],
     },
+    {
+        "kind": "action-path",
+        "scenarios": ["w"],
+        "time_points": ["0"],
+        "actions": ["u"],
+        "paths": [
+            {"scenario": "w", "path": []},
+            {"scenario": "w", "path": ["u", "u"]},
+            {"scenario": "w", "path": ["u", "u", "u"]},
+        ],
+    },
+    {
+        "kind": "action-path",
+        "scenarios": ["x", "y", "z"],
+        "time_points": ["0", "1"],
+        "generator": {
+            "name": "up-and-out",
+            "price": {"x": ["2", "1"], "y": ["2", "1"], "z": ["2", "1"]},
+        },
+    },
+    {
+        "kind": "explicit-sdf",
+        "scenarios": ["L"],
+        "outcomes": ["a", "b", "c", "d"],
+        "outcome_scenarios": {},
+        "nodes": [],
+        "random_moves": [],
+    },
+    {
+        "kind": "explicit-sdf",
+        "scenarios": ["L", "R"],
+        "outcomes": ["a", "b", "c", "d"],
+        "outcome_scenarios": {"a": "L", "b": "R", "c": "L", "d": "R"},
+        "nodes": [["a", "b"], ["c", "d"], ["a"], ["b"], ["c"], ["d"]],
+        "random_moves": [],
+    },
+]
+
+# the same for library calls no document reaches, each evaluated after
+# `from sdfkit import *` and imports of `ChainSet` and `level_set_partition`
+MULTI_FAULT_CALLS = [
+    "Sdf.of(SetForest.of('abcd', ['ab', 'cd', 'a', 'b', 'c', 'd']), "
+    "ScenarioSpace.discrete('LR'), {}, [])",
+    "Sdf.of(SetForest.of('abc', ['a', 'b', 'c']), ScenarioSpace.discrete('L'), "
+    "{(frozenset(o), o.upper()) for o in 'abc'}, [])",
+    "Sdf.of(SetForest.of('ab', ['a', 'b']), ScenarioSpace.discrete('L'), "
+    "{frozenset(o): 'L' for o in 'ab'}, [RandomMove.of({w: frozenset('a')}) for w in 'PQR'])",
+    "ChainSet(frozenset(map(frozenset, 'xyz'))).check(Poset.of('abc', []))",
+    "ChainSet(frozenset([frozenset('a')]), maximal=True).check(Poset.of('abcd', ['ab', 'ac', 'ad']))",
+    "level_set_partition(ScenarioSpace.of('abcd', ['ab', 'cd']), dict(zip('abcd', range(4))))",
 ]
 
 
@@ -675,6 +726,33 @@ class TestOncePerRun:
         assert report.ok
         assert calls == {"check_apw": 1, "_construct_action_path_sdf": 1}
 
+    def test_timing_enumerate_eis_renders_each_sigma_once(self, monkeypatch):
+        # enumerate_eis reuses each move's candidate σ-algebras, so 82 EIS of
+        # 9 moves hold 18 σ objects; each one's atoms are rendered once
+        from sdfkit import _canon, action_path, choice, order_core, sdf, set_forest, sigma_info
+        import sdfkit.cli
+
+        renders = []
+        real = _canon.fmt
+
+        def counting(value):
+            # an atom set: a nonempty set of sets
+            if type(value) is frozenset and value and all(type(a) is frozenset for a in value):
+                renders.append(value)
+            return real(value)
+
+        for module in (_canon, order_core, set_forest, sdf, action_path, sigma_info, choice, sdfkit.cli):
+            if hasattr(module, "fmt"):
+                monkeypatch.setattr(module, "fmt", counting)
+        [record] = run(InstanceDoc("builtin", name="timing"), ["enumerate-eis"], max_x=12).records
+        monkeypatch.undo()
+        structures = enumerate_eis(examples.timing_instance().sdf)
+        assert record.data["structures"] == [
+            [[oracle_fmt(sigma.atoms) for _, sigma in e.entries]] for e in structures
+        ]
+        assert (len(structures), len(structures[0].entries)) == (82, 9)
+        assert 0 < len(renders) <= 18
+
     def test_a_build_error_reads_the_same_in_every_command(self):
         records = run(_w3_failing_doc(), ["ttree", "apc", "enumerate-eis"]).records
         assert [(r.status, r.message) for r in records] == [("error", W3_BUILD_ERROR)] * 3
@@ -939,6 +1017,35 @@ class TestReports:
             "ParseError price table missing scenario 'x' at $.generator.price",
             "ParseError atoms overlap at {a, d, e} at $.atoms",
             "ParseError scenario q admits no outcome at $",
+            "ParseError path () not indexed by the 1 time points at $",
+            "ParseError price at time 0 must be 1 (scenario x) at $.generator",
+            "ParseError outcome 'a' missing a scenario at $.outcome_scenarios",
+            "ParseError node {a, b} mixes scenarios at $.nodes",
+        ]
+
+    def test_library_errors_deterministic_across_hash_seeds(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from sdfkit import *\n"
+            "from sdfkit.order_core import ChainSet\n"
+            "from sdfkit.sigma_info import level_set_partition\n"
+            "for call in sys.stdin.read().splitlines():\n"
+            "    try:\n"
+            "        eval(call)\n"
+            "    except Exception as e:\n"
+            "        print(type(e).__name__, e)\n"
+            "    else:\n"
+            "        print('passed')\n"
+        )
+        outputs = outputs_under_hash_seeds(script, tmp_path, "\n".join(MULTI_FAULT_CALLS))
+        assert len(set(outputs)) == 1, outputs
+        assert outputs[0].splitlines() == [
+            "InputError projection missing node {a}",
+            "InputError projection targets unknown scenario 'A'",
+            "InputError random move uses unknown scenario 'P'",
+            "StructureError not a chain of the poset: {x}",
+            "StructureError chain {a} extendable by 'b'",
+            "InputError observable level set {a} is not an event",
         ]
 
     def test_text_report_has_timings(self):

@@ -52,6 +52,7 @@ from conftest import (
     brute_window_choice,
     oracle_separation_witness,
 )
+from tests_helpers import corpus_doc
 
 
 def outcome(fn, *args, **kwargs):
@@ -337,6 +338,8 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
         sigma_info.Eis.of({m: SubSigma.ambient_trace(s.space, m.domain) for m in s.random_moves})
         for s in instances
     ]
+    # documents as the benchmark's corpus writes them: a passing parse sorts nothing
+    docs = [corpus_doc(draw) for draw in range(150)]
     calls = Counter()
     for module in (_canon, order_core, set_forest, sdf, action_path, sigma_info, choice, cli):
         for fn_name in ("canon_key", "canon_sorted"):
@@ -350,6 +353,7 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
 
             monkeypatch.setattr(module, fn_name, counting)
     for s, tree, e in zip(instances, trees, finest):
+        assert sdf.Sdf.of(s.forest, s.space, s.projection, s.random_moves) == s
         assert verify_own_representation(s.forest).ok
         assert sigma_info.verify_eis(s, e).ok
         assert check_evaluation_bijection(s).ok
@@ -359,6 +363,8 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
             assert check_ttree_theorem(s).ok
     for po in pos:
         assert check_apw(po).ok
+    for text in docs:
+        cli.parse_instance(text)
     monkeypatch.undo()
     assert calls == Counter()
     assert (len(instances), sum(trees), len(pos)) == (127, 35, 123)

@@ -89,6 +89,31 @@ MUTANTS = [
         "            actions = dict.fromkeys(po.scenarios.scenarios, acts)",
         ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
     ),
+    (
+        "fmt-frozenset-unsorted",
+        "sdfkit/_canon.py",
+        '        return "{" + ", ".join(map(fmt, canon_sorted(value))) + "}"',
+        '        return "{" + ", ".join(map(fmt, value)) + "}"',
+        ["tests/test_canon.py::test_fmt_matches_oracle"],
+    ),
+    (
+        "move-text-shared",
+        "sdfkit/sdf.py",
+        '        return "{" + ", ".join(f"{fmt(w)}↦{fmt(n)}" for w, n in self.graph) + "}"',
+        '        RandomMove._text = "{" + ", ".join(f"{fmt(w)}↦{fmt(n)}" for w, n in self.graph) + "}"\n'
+        "        return RandomMove._text",
+        ["tests/test_canon.py::test_move_and_sigma_texts_match_oracle"],
+    ),
+    (
+        "eis-listing-first-move",
+        "sdfkit/cli.py",
+        "    listing = [[[sigma.fmt() for _, sigma in e.entries]] for e in structures]",
+        "    listing = [[[e.entries[0][1].fmt() for _, sigma in e.entries]] for e in structures]",
+        [
+            "tests/test_cli.py::TestOncePerRun::test_timing_enumerate_eis_renders_each_sigma_once",
+            "tests/test_golden.py::test_report_matches_golden[timing]",
+        ],
+    ),
 ]
 
 
