@@ -53,20 +53,14 @@ def canon_sorted(values):
 
 def fmt(value) -> str:
     """Render a value with deterministic ordering inside sets and mappings."""
-    # Fast path on the exact type, as in `canon_key`: `Fraction` is an ABC,
-    # so the isinstance tests below are slow for every int and str leaf.
-    # bool, set, float, subclasses and kernel objects take the path below.
+    # Fast path on the exact type of the leaves, as in `canon_key`: `Fraction`
+    # is an ABC, so its isinstance test below is slow for every int and str;
+    # bool and subclasses take the path below.
     kind = type(value)
     if kind is str:
         return value
     if kind is int:
         return repr(value)
-    if kind is Fraction:
-        return str(value)
-    if kind is tuple:
-        return "(" + ", ".join(map(fmt, value)) + ")"
-    if kind is frozenset:
-        return "{" + ", ".join(map(fmt, canon_sorted(value))) + "}"
     if isinstance(value, (frozenset, set)):
         return "{" + ", ".join(fmt(v) for v in canon_sorted(value)) + "}"
     if isinstance(value, tuple):

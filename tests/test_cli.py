@@ -104,7 +104,7 @@ MULTI_FAULT_DOCS = [
 ]
 
 # the same for library calls no document reaches, each evaluated after
-# `from sdfkit import *` and imports of `ChainSet` and `level_set_partition`
+# `from sdfkit import *` and an import of `level_set_partition`
 MULTI_FAULT_CALLS = [
     "Sdf.of(SetForest.of('abcd', ['ab', 'cd', 'a', 'b', 'c', 'd']), "
     "ScenarioSpace.discrete('LR'), {}, [])",
@@ -112,8 +112,6 @@ MULTI_FAULT_CALLS = [
     "{(frozenset(o), o.upper()) for o in 'abc'}, [])",
     "Sdf.of(SetForest.of('ab', ['a', 'b']), ScenarioSpace.discrete('L'), "
     "{frozenset(o): 'L' for o in 'ab'}, [RandomMove.of({w: frozenset('a')}) for w in 'PQR'])",
-    "ChainSet(frozenset(map(frozenset, 'xyz'))).check(Poset.of('abc', []))",
-    "ChainSet(frozenset([frozenset('a')]), maximal=True).check(Poset.of('abcd', ['ab', 'ac', 'ad']))",
     "level_set_partition(ScenarioSpace.of('abcd', ['ab', 'cd']), dict(zip('abcd', range(4))))",
 ]
 
@@ -1027,7 +1025,6 @@ class TestReports:
         script = (
             "import sys\n"
             "from sdfkit import *\n"
-            "from sdfkit.order_core import ChainSet\n"
             "from sdfkit.sigma_info import level_set_partition\n"
             "for call in sys.stdin.read().splitlines():\n"
             "    try:\n"
@@ -1043,8 +1040,6 @@ class TestReports:
             "InputError projection missing node {a}",
             "InputError projection targets unknown scenario 'A'",
             "InputError random move uses unknown scenario 'P'",
-            "StructureError not a chain of the poset: {x}",
-            "StructureError chain {a} extendable by 'b'",
             "InputError observable level set {a} is not an event",
         ]
 

@@ -52,7 +52,7 @@ from conftest import (
     brute_window_choice,
     oracle_separation_witness,
 )
-from tests_helpers import corpus_doc
+from tests_helpers import EXPLICIT_DOC, corpus_doc
 
 
 def outcome(fn, *args, **kwargs):
@@ -368,6 +368,23 @@ def test_passing_checks_never_sort(monkeypatch, sdf_pool):
     monkeypatch.undo()
     assert calls == Counter()
     assert (len(instances), sum(trees), len(pos)) == (127, 35, 123)
+
+
+def test_passing_explicit_parse_sorts_nothing_in_the_parser(monkeypatch):
+    # the records an explicit document builds (`RandomMove.of`, `Eis.of`,
+    # `Rcs.of`) keep their entries in canonical order by construction; the
+    # parser's own checks decide on sets and sort only to name a fault
+    calls = Counter()
+    fn = cli.canon_sorted
+
+    def counting(*args, **kwargs):
+        calls["canon_sorted"] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "canon_sorted", counting)
+    cli.parse_instance(EXPLICIT_DOC)
+    monkeypatch.undo()
+    assert calls == Counter()
 
 
 def piece_instances() -> list:

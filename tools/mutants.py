@@ -92,8 +92,8 @@ MUTANTS = [
     (
         "fmt-frozenset-unsorted",
         "sdfkit/_canon.py",
-        '        return "{" + ", ".join(map(fmt, canon_sorted(value))) + "}"',
-        '        return "{" + ", ".join(map(fmt, value)) + "}"',
+        '        return "{" + ", ".join(fmt(v) for v in canon_sorted(value)) + "}"',
+        '        return "{" + ", ".join(fmt(v) for v in value) + "}"',
         ["tests/test_canon.py::test_fmt_matches_oracle"],
     ),
     (
