@@ -849,7 +849,10 @@ class MeasurabilityCase:
     events x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
     `_agent_pieces`, the events over every reference choice c' are those
     over the own-prefix pieces, so only those are taken. `report(e)` then
-    only tests σ-containment in the EIS e.
+    only tests σ-containment in the EIS e's σ-algebras at those moves. It
+    reads e through that tuple of σ-algebras alone, so it is decided once
+    per distinct tuple and kept on the case: EIS that agree at the case's
+    moves share one report.
 
     Forward: measurability of g on D_x implies adaptedness at x. Backward:
     when AP.C3 holds, adaptedness at x implies measurability. `domain`
@@ -884,13 +887,20 @@ class MeasurabilityCase:
             )
             apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
             self.moves.append((move, levels, events, apc3))
+        self._reports: dict = {}
 
     def report(self, e: Eis) -> MeasurabilityReport:
+        sigmas = tuple(e.for_move(move) for move, *_ in self.moves)
+        report = self._reports.get(sigmas)
+        if report is None:
+            report = self._reports[sigmas] = self._decide(sigmas)
+        return report
+
+    def _decide(self, sigmas: tuple) -> MeasurabilityReport:
         forward = Verdict.passed()
         backward = Verdict.passed()
         records = []
-        for move, levels, events, apc3 in self.moves:
-            sigma = e.for_move(move)
+        for (move, levels, events, apc3), sigma in zip(self.moves, sigmas):
             measurable = all(sigma.contains(level) for level in levels)
             adapted = all(sigma.contains(event) for event in events)
             if measurable and not adapted and forward.ok:
@@ -929,14 +939,19 @@ def measurability_sweep(aps: ActionPathSdf, structures):
 
     `structures` is a sequence of EIS; it is walked once per agent. Yields
     one `SweepCase` per case, agents in order, then the structures, the
-    moves, the two history sets and the maps g in canon order. A case's
-    `MeasurabilityCase` depends on (agent, t, histories, g) only: it is
-    built on first use and shared by every structure, by the moves at t and
-    by both labels when their history sets are equal, errors included. Per
-    structure, only the σ-containment of `MeasurabilityCase.report` runs.
-    A case reads the agent's own-prefix pieces (see `_agent_pieces`), not
-    their unions, so its cost grows with the number of realized histories,
-    not with the number of their subsets.
+    moves, the two history sets and the maps g in canon order. Nothing in a
+    row (t, label, histories, g) depends on the structure, so each agent's
+    rows are built once, at its first structure (none when there is no
+    structure), each with its `MeasurabilityCase` or the error building it
+    raised. Every structure walks that one table, so the `SweepCase`s of a
+    row share its `g` dict. A `MeasurabilityCase` depends on
+    (agent, t, histories, g) only, so the moves at t share it, as do both
+    labels when their history sets are equal. Per structure, only
+    `MeasurabilityCase.report` runs, and it decides σ-containment once per
+    distinct tuple of σ-algebras at the case's moves. A case reads the
+    agent's own-prefix pieces (see `_agent_pieces`), not their unions, so
+    its cost grows with the number of realized histories, not with the
+    number of their subsets.
     """
     po = aps.po
     scenarios = canon_sorted(po.scenarios.scenarios)
@@ -944,30 +959,43 @@ def measurability_sweep(aps: ActionPathSdf, structures):
     for move, t in aps.move_times:
         own = frozenset([_own_prefix(po, move, t)])
         windows.append((t, (("all", po.index.realized_prefixes(t)), ("own", own))))
-    cases: dict = {}
     for agent in po.space.agents or ():
-        components = canon_sorted(po.space.components(agent))
+        rows = None
         for index, e in enumerate(structures, start=1):
-            for t, labelled in windows:
-                for label, histories in labelled:
-                    for values in itertools.product(components, repeat=len(scenarios)):
-                        g = dict(zip(scenarios, values))
-                        key = (agent, t, histories, values)
-                        case = cases.get(key)
-                        if case is None:
-                            try:
-                                case = MeasurabilityCase(aps, agent, t, histories, g)
-                            except KernelError as err:
-                                case = err
-                            cases[key] = case
-                        if isinstance(case, KernelError):
-                            result = case
-                        else:
-                            try:
-                                result = case.report(e)
-                            except KernelError as err:
-                                result = err
-                        yield SweepCase(agent, index, t, label, histories, g, result)
+            if rows is None:
+                rows = _sweep_rows(aps, agent, scenarios, windows)
+            for t, label, histories, g, case in rows:
+                if isinstance(case, KernelError):
+                    result = case
+                else:
+                    try:
+                        result = case.report(e)
+                    except KernelError as err:
+                        result = err
+                yield SweepCase(agent, index, t, label, histories, g, result)
+
+
+def _sweep_rows(aps: ActionPathSdf, agent, scenarios: list, windows: list) -> list:
+    """The agent's rows of `measurability_sweep`, in its order: (t, label,
+    histories, g, the `MeasurabilityCase` or the `KernelError` it raised),
+    one case per distinct (t, histories, g)."""
+    components = canon_sorted(aps.po.space.components(agent))
+    cases: dict = {}
+    rows = []
+    for t, labelled in windows:
+        for label, histories in labelled:
+            for values in itertools.product(components, repeat=len(scenarios)):
+                g = dict(zip(scenarios, values))
+                key = (t, histories, values)
+                case = cases.get(key)
+                if case is None:
+                    try:
+                        case = MeasurabilityCase(aps, agent, t, histories, g)
+                    except KernelError as err:
+                        case = err
+                    cases[key] = case
+                rows.append((t, label, histories, g, case))
+    return rows
 
 
 def product_outcomes(

@@ -667,6 +667,10 @@ def _thm4_11(inst: _Instance, arg: str):
     aps = inst.need_aps("thm4-11")
     items = []
     skipped = 0
+    # The sweep's rows repeat for every structure, each with its own g dict:
+    # a row's text is kept by the identity of that dict, held here so that
+    # its id stays unique until the sweep ends.
+    row_texts: dict = {}
     for case in measurability_sweep(aps, inst.need_eis()):
         result = case.result
         if isinstance(result, KernelError):
@@ -674,10 +678,15 @@ def _thm4_11(inst: _Instance, arg: str):
                 raise result
             skipped += 1
             continue
+        held = row_texts.get(id(case.g))
+        if held is None:
+            held = row_texts[id(case.g)] = (
+                case.g,
+                f"t={case.t}, {case.label}, g={fmt(tuple(case.g.values()))}",
+            )
         items.append(
             (
-                f"agent {case.agent}, eis {case.eis_index}, t={case.t}, "
-                f"{case.label}, g={fmt(tuple(case.g.values()))}",
+                f"agent {case.agent}, eis {case.eis_index}, {held[1]}",
                 Verdict.passed()
                 if result.ok
                 else Verdict.failed(

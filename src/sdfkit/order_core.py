@@ -15,7 +15,7 @@ import functools
 import itertools
 
 from . import errors
-from ._canon import canon_key, canon_sorted, fmt
+from ._canon import canon_key, canon_sorted
 from ._record import record
 from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 
@@ -139,18 +139,6 @@ class ChainSet:
     def __len__(self):
         return len(self.chains)
 
-    def check(self, p: Poset) -> None:
-        """Raise unless every member is a chain (and maximal when flagged)."""
-        for c in self.chains:
-            if not c or not c <= p.elements or not p.is_chain(c):
-                raise StructureError(f"not a chain of the poset: {fmt(c)}", witness=c)
-            if self.maximal:
-                for y in p.elements - c:
-                    if all(p.comparable(x, y) for x in c):
-                        raise StructureError(
-                            f"chain {fmt(c)} extendable by {y!r}", witness=(c, y)
-                        )
-
 
 def up_set(p: Poset, x) -> frozenset:
     """The principal up-set {y | y >= x}. For a forest this is a chain."""
@@ -235,20 +223,6 @@ def component_blocks(p: Poset) -> frozenset:
     for x in p.elements:
         blocks.setdefault(find(x), set()).add(x)
     return frozenset(frozenset(b) for b in blocks.values())
-
-
-def roots(p: Poset) -> frozenset:
-    """The maxima of the connected components of a rooted forest."""
-    out = set()
-    for block in connected_components(p):
-        maxima = [x for x in block if p.up[x] & block == {x}]
-        if len(maxima) != 1:
-            raise StructureError(
-                f"component without unique maximum: {fmt(frozenset(block))}",
-                witness=frozenset(block),
-            )
-        out.add(maxima[0])
-    return frozenset(out)
 
 
 def maximal_chains(p: Poset) -> ChainSet:

@@ -24,7 +24,12 @@ class Verdict:
 
     @staticmethod
     def passed(*notes: str, partial: bool = False) -> "Verdict":
-        return Verdict(ok=True, partial=partial, notes=tuple(notes))
+        """A positive verdict; without notes and not partial it is the one
+        shared `Verdict(ok=True)`, which is safe to share as records are
+        frozen."""
+        if notes or partial:
+            return Verdict(ok=True, partial=partial, notes=notes)
+        return _PASSED
 
     @staticmethod
     def failed(code: str, witness: str, *notes: str) -> "Verdict":
@@ -39,6 +44,9 @@ class Verdict:
             parts.append(f"witness: {self.witness}")
         parts.extend(self.notes)
         return "; ".join(parts)
+
+
+_PASSED = Verdict(ok=True)
 
 
 @record(frozen=True)

@@ -950,6 +950,26 @@ class TestMeasurabilitySweep:
         assert tally["measurable=False"] >= 100 and tally["adapted=False"] >= 100, tally
         assert tally["apc3=False"] > 0 and tally["precondition-violation"] > 0, tally
 
+    def test_reports_are_decided_once_per_sigma_tuple(self, timing_aps, monkeypatch):
+        # timing: 82 structures, 11808 cases, 5904 of them reported. A report
+        # reads its structure only through the σ-algebras at the case's
+        # moves. Deciding it anew for every structure makes 23308
+        # containment tests; deciding it once per distinct tuple makes 480
+        from sdfkit.sdf import SubSigma
+
+        structures = enumerate_eis(timing_aps.sdf)
+        contains = SubSigma.contains
+        calls = 0
+
+        def counting(self, event):
+            nonlocal calls
+            calls += 1
+            return contains(self, event)
+
+        monkeypatch.setattr(SubSigma, "contains", counting)
+        cases = list(measurability_sweep(timing_aps, structures))
+        assert (len(structures), len(cases), calls) == (82, 11808, 480)
+
     def test_no_structures_compute_nothing(self, upandout_aps, monkeypatch):
         import sdfkit.action_path
 

@@ -106,6 +106,13 @@ def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):
     assert refs and all(r() is None for r in refs)
 
 
+def test_builtin_thm4_11_run_releases_its_instance(monkeypatch):
+    # the sweep's rows, its cases and their kept reports end with the run
+    refs = _run_and_watch(monkeypatch, InstanceDoc("builtin", name="upandout"), ["thm4-11"])
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+
+
 def test_no_module_level_instance_caches():
     """Derived tables live on their instance: no sdfkit function keeps a
     module-level cache."""

@@ -21,7 +21,6 @@ from sdfkit.order_core import (
     is_tree,
     maximal_chains,
     order_isomorphic,
-    roots,
     separates,
     separation_witness,
     set_partitions,
@@ -256,10 +255,6 @@ class TestMaximalChains:
         p = diamond()
         assert maximal_chains(p).chains == brute_maximal_chains(p.elements, p.ge)
 
-    def test_chainset_check(self, simple):
-        cs = maximal_chains(two_scenario_poset(simple))
-        cs.check(two_scenario_poset(simple))
-
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("sdfkit.errors.WORK_CAP", 10)
         with pytest.raises(SizeCapError):
@@ -311,7 +306,7 @@ class TestRootsAndChains:
     def test_each_maximal_chain_has_one_root(self, rng):
         for _ in range(25):
             p = random_rooted_forest(rng, 10)
-            rs = roots(p)
+            rs = p.maximal_elements()
             for c in maximal_chains(p).chains:
                 assert len(c & rs) == 1
 

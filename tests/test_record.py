@@ -6,8 +6,9 @@ applied to a class of the same name with the same annotations and defaults.
 The generated methods must behave alike: the `__init__` signature, `repr`,
 `==` and `hash` on instances that the four builtins and the `draw-5` golden
 document build, frozen assignment and deletion, `__post_init__` and
-`default_factory`. The last test keeps start-up lean: importing sdfkit
-loads neither `dataclasses` nor `inspect` nor `argparse`.
+`default_factory`. `Verdict.passed()` shares one frozen value. The last
+test keeps start-up lean: importing sdfkit loads neither `dataclasses` nor
+`inspect` nor `argparse`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from sdfkit.errors import StructureError
 from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma
 from sdfkit.set_forest import DecisionPathMap
 from sdfkit.sigma_info import ObservationFamily, chain_filtration, enumerate_eis
+from sdfkit.verdict import Verdict
 
 from test_golden import run_case
 
@@ -254,6 +256,20 @@ def test_plain_records_are_unhashable(samples):
         assert cls.__hash__ is None
         with pytest.raises(TypeError, match="unhashable type"):
             hash(samples[cls][0])
+
+
+def test_plain_passed_verdict_is_one_frozen_value():
+    shared = Verdict.passed()
+    assert shared == Verdict(ok=True) and shared is Verdict.passed()
+    with pytest.raises(_record.FrozenInstanceError):
+        shared.notes = ("changed",)
+    # notes or partial=True make a fresh value that carries them
+    noted = Verdict.passed("a", "b")
+    assert noted == Verdict(ok=True, notes=("a", "b"))
+    assert noted is not Verdict.passed("a", "b")
+    assert Verdict.passed(partial=True) == Verdict(ok=True, partial=True)
+    assert Verdict.passed("a", partial=True) == Verdict(ok=True, partial=True, notes=("a",))
+    assert Verdict.passed() == Verdict(ok=True)  # the refused assignment left it as it was
 
 
 def test_import_leaves_out_dataclasses_inspect_and_argparse():

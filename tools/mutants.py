@@ -114,6 +114,37 @@ MUTANTS = [
             "tests/test_golden.py::test_report_matches_golden[timing]",
         ],
     ),
+    (
+        "sweep-report-memo-first-move",
+        "sdfkit/action_path.py",
+        "        report = self._reports.get(sigmas)\n"
+        "        if report is None:\n"
+        "            report = self._reports[sigmas] = self._decide(sigmas)",
+        "        report = self._reports.get(sigmas[:1])\n"
+        "        if report is None:\n"
+        "            report = self._reports[sigmas[:1]] = self._decide(sigmas)",
+        ["tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_builtins"],
+    ),
+    (
+        "passed-shared-with-notes",
+        "sdfkit/verdict.py",
+        "        if notes or partial:",
+        "        if partial:",
+        [
+            "tests/test_golden.py::test_report_matches_golden[explicit-sdf]",
+            "tests/test_sdf.py::TestVerifySdf::test_3f_reported_not_skipped",
+        ],
+    ),
+    (
+        "sweep-row-text-first-row",
+        "sdfkit/cli.py",
+        "        held = row_texts.get(id(case.g))",
+        "        held = next(iter(row_texts.values()), None)",
+        [
+            "tests/test_golden.py::test_report_matches_golden[upandout]",
+            "tests/test_golden.py::test_timing_thm4_11_matches_digest",
+        ],
+    ),
 ]
 
 
