@@ -9,15 +9,12 @@ or approximated.
 
 from .errors import InputError, KernelError, SizeCapError, StructureError
 from .order_core import (
-    ChainSet,
     Poset,
     connected_components,
     is_decision_forest,
-    is_forest,
     is_rooted_forest,
     is_tree,
     maximal_chains,
-    order_isomorphic,
     separates,
     up_set,
 )
@@ -25,7 +22,6 @@ from .set_forest import (
     SetForest,
     decompose,
     glue,
-    induced_poset,
     representation_by_decision_paths,
     verify_own_representation,
 )
@@ -38,8 +34,6 @@ from .sdf import (
     check_ttree_theorem,
     drop_moveless_components,
     fibres,
-    sdf_isomorphic,
-    tmap_order,
     verify_sdf,
     x_order,
 )

@@ -501,9 +501,6 @@ class WindowChoice:
     def ok(self) -> bool:
         return self.verdicts.ok
 
-    def as_choice(self, s: Sdf) -> choice_mod.Choice:
-        return choice_mod.Choice.of(s, self.outcomes)
-
 
 def _decide_history(groups: list, k: int, actions: dict) -> tuple:
     """The piece of one history h at time index k, and its C1/C2 decision.
@@ -830,14 +827,13 @@ class MeasurabilityRecord:
 
 @record(frozen=True)
 class MeasurabilityReport:
-    domain: Verdict
     forward: Verdict
     backward: Verdict
     records: tuple
 
     @property
     def ok(self) -> bool:
-        return self.domain.ok and self.forward.ok and self.backward.ok
+        return self.forward.ok and self.backward.ok
 
 
 class MeasurabilityCase:
@@ -855,11 +851,11 @@ class MeasurabilityCase:
     moves share one report.
 
     Forward: measurability of g on D_x implies adaptedness at x. Backward:
-    when AP.C3 holds, adaptedness at x implies measurability. `domain`
-    (D_x ⊆ D, with D the domain of g) is always a passed verdict: c has no
-    outcome off D, and availability at x puts every x(ω), ω ∈ D_x, in P(c).
-    Since x(ω) holds outcomes of scenario ω only, c has an outcome of
-    scenario ω, so ω ∈ D.
+    when AP.C3 holds, adaptedness at x implies measurability. The third
+    condition, D_x ⊆ D with D the domain of g, holds by construction and is
+    not reported: c has no outcome off D, and availability at x puts every
+    x(ω), ω ∈ D_x, in P(c). Since x(ω) holds outcomes of scenario ω only, c
+    has an outcome of scenario ω, so ω ∈ D.
     """
 
     def __init__(self, aps: ActionPathSdf, agent, t, histories, g):
@@ -914,7 +910,7 @@ class MeasurabilityCase:
                     f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
                 )
             records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
-        return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
+        return MeasurabilityReport(forward, backward, tuple(records))
 
 
 @record(frozen=True)

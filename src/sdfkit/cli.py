@@ -693,7 +693,7 @@ def _thm4_11(inst: _Instance, arg: str):
                     "thm4-11",
                     "; ".join(
                         v.describe()
-                        for v in (result.domain, result.forward, result.backward)
+                        for v in (result.forward, result.backward)
                         if not v.ok
                     ),
                 ),

@@ -1,10 +1,9 @@
 """Canonical worked instances.
 
 Two hand-built two-scenario instances (the second with a random move on a
-proper subdomain), their named choice families, information structures,
-reference choices and adapted-choice tables, plus their action-path
-encodings and the timing / up-and-out generator instances used by the CLI
-builtins.
+proper subdomain), their named choice families and reference choices, plus
+their action-path encodings and the timing / up-and-out generator instances
+used by the CLI builtins.
 """
 
 from __future__ import annotations
@@ -25,15 +24,9 @@ from .action_path import (
 from .choice import Choice, Rcs
 from .sdf import RandomMove, ScenarioSpace, Sdf
 from .set_forest import SetForest
-from .sigma_info import Eis, SubSigma
 
 SCENARIOS = (1, 2)
 KM = (1, 2)
-
-# All maps Ω -> {1,2}, as dictionaries, constants first.
-MAPS = tuple(
-    {1: a, 2: b} for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))
-)
 
 
 def _space() -> ScenarioSpace:
@@ -155,102 +148,6 @@ def variant_rcs(s: Sdf | None = None) -> Rcs:
     return canonical_rcs(s, variant_moves(), variant_choice_outcomes)
 
 
-def _sigma(space: ScenarioSpace, carrier, discrete: bool) -> SubSigma:
-    carrier = frozenset(carrier)
-    if discrete:
-        return SubSigma.ambient_trace(space, carrier)
-    return SubSigma.trivial(carrier)
-
-
-def simple_eis_list() -> tuple:
-    """The five information structures of the simple instance, in table order:
-    trivial; trivial-then-(both, only-x1, only-x2 discrete); discrete."""
-    space = _space()
-    moves = simple_moves()
-    omega = frozenset(SCENARIOS)
-    patterns = [
-        (False, False, False),
-        (False, True, True),
-        (False, True, False),
-        (False, False, True),
-        (True, True, True),
-    ]
-    out = []
-    for p0, p1, p2 in patterns:
-        out.append(
-            Eis.of(
-                {
-                    moves["x0"]: _sigma(space, omega, p0),
-                    moves["x1"]: _sigma(space, omega, p1),
-                    moves["x2"]: _sigma(space, omega, p2),
-                }
-            )
-        )
-    return tuple(out)
-
-
-def variant_eis_list() -> tuple:
-    """The three information structures of the variant, in table order."""
-    space = _space()
-    moves = variant_moves()
-    omega = frozenset(SCENARIOS)
-    sub = SubSigma.trivial(frozenset([2]))
-    patterns = [(False, False), (False, True), (True, True)]
-    out = []
-    for p0, p1 in patterns:
-        out.append(
-            Eis.of(
-                {
-                    moves["x0"]: _sigma(space, omega, p0),
-                    moves["x1"]: _sigma(space, omega, p1),
-                    moves["x2"]: sub,
-                }
-            )
-        )
-    return tuple(out)
-
-
-def simple_adapted_table() -> tuple:
-    """Per information structure: (first-period, second-period) adapted choices."""
-    c = simple_choice_outcomes
-    const_first = [c(first=k) for k in KM]
-    rows = [
-        (const_first, [c(first=k, second=m) for k in KM for m in KM]
-         + [c(second=m) for m in KM]),
-        (const_first, [c(first=k, second=g) for k in KM for g in MAPS]
-         + [c(second=g) for g in MAPS]),
-        (const_first, [c(first=1, second=g) for g in MAPS]
-         + [c(first=2, second=m) for m in KM] + [c(second=m) for m in KM]),
-        (const_first, [c(first=1, second=m) for m in KM]
-         + [c(first=2, second=g) for g in MAPS] + [c(second=m) for m in KM]),
-        ([c(first=f) for f in MAPS],
-         [c(first=k, second=g) for k in KM for g in MAPS]
-         + [c(second=g) for g in MAPS]),
-    ]
-    return tuple(
-        (tuple(frozenset(x) for x in fst), tuple(frozenset(x) for x in snd))
-        for fst, snd in rows
-    )
-
-
-def variant_adapted_table() -> tuple:
-    c = variant_choice_outcomes
-    const_first = [c(first=k) for k in KM]
-    rows = [
-        (const_first, [c(first=k, second=m) for k in KM for m in KM]
-         + [c(second=m) for m in KM]),
-        (const_first, [c(first=k, second=g) for k in KM for g in MAPS]
-         + [c(second=g) for g in MAPS]),
-        ([c(first=f) for f in MAPS],
-         [c(first=k, second=g) for k in KM for g in MAPS]
-         + [c(second=g) for g in MAPS]),
-    ]
-    return tuple(
-        (tuple(frozenset(x) for x in fst), tuple(frozenset(x) for x in snd))
-        for fst, snd in rows
-    )
-
-
 def encode_simple() -> PathOutcomes:
     """The simple instance as a two-period action path over actions {1, 2}."""
     return product_outcomes(
@@ -299,18 +196,6 @@ def up_and_out_price_table() -> dict:
 def upandout_path_outcomes() -> PathOutcomes:
     """The `upandout` builtin's outcome set, over `up_and_out_price_table`."""
     return up_and_out_outcomes(_space(), TimeAxis.of([0, 1, 2]), up_and_out_price_table())
-
-
-def upandout_instance() -> ActionPathSdf:
-    return build_action_path_sdf(upandout_path_outcomes(), max_x_exhaustive=12)
-
-
-def simple_aps() -> ActionPathSdf:
-    return build_action_path_sdf(encode_simple())
-
-
-def variant_aps() -> ActionPathSdf:
-    return build_action_path_sdf(encode_variant())
 
 
 # Choice-name slots: a stage's coordinate unconstrained, constant, or

@@ -129,17 +129,6 @@ class Poset:
         return ("poset", canon_key(self.elements), canon_key(self.ge_pairs))
 
 
-@record(frozen=True)
-class ChainSet:
-    """A set of chains of some poset; `maximal` flags ⊆-maximal chains."""
-
-    chains: frozenset
-    maximal: bool = False
-
-    def __len__(self):
-        return len(self.chains)
-
-
 def up_set(p: Poset, x) -> frozenset:
     """The principal up-set {y | y >= x}. For a forest this is a chain."""
     if x not in p.elements:
@@ -151,11 +140,6 @@ def down_set(p: Poset, x) -> frozenset:
     if x not in p.elements:
         raise unknown_element(x)
     return p.down[x]
-
-
-def is_forest(p: Poset) -> bool:
-    """True iff every principal up-set is a chain."""
-    return p.forest_witness is None
 
 
 def forest_witness(p: Poset):
@@ -225,7 +209,7 @@ def component_blocks(p: Poset) -> frozenset:
     return frozenset(frozenset(b) for b in blocks.values())
 
 
-def maximal_chains(p: Poset) -> ChainSet:
+def maximal_chains(p: Poset) -> frozenset:
     """All ⊆-maximal chains, by exhaustive descent along the cover relation.
 
     A maximal chain runs from a maximal element down to a minimal one through
@@ -254,7 +238,7 @@ def maximal_chains(p: Poset) -> ChainSet:
 
     for top in p.maximal_elements():
         descend(top, [top])
-    return ChainSet(frozenset(chains), maximal=True)
+    return frozenset(chains)
 
 
 def set_partitions(items, fits=None, label="set"):
@@ -300,7 +284,7 @@ def separates(p: Poset, x, y) -> bool:
         raise unknown_element(y)
     if x == y:
         raise InputError("separates requires distinct elements", witness=(x, y))
-    for c in maximal_chains(p).chains:
+    for c in maximal_chains(p):
         if len(c & {x, y}) == 1:
             return True
     return False
@@ -321,7 +305,7 @@ def separation_witness(p: Poset):
     group, with the next element of that group.
     """
     through = {x: 0 for x in p.elements}
-    for i, c in enumerate(maximal_chains(p).chains):
+    for i, c in enumerate(maximal_chains(p)):
         for x in c:
             through[x] |= 1 << i
     groups: dict = {}
@@ -378,7 +362,3 @@ def find_order_isomorphism(p: Poset, q: Poset):
         return False
 
     return dict(assignment) if extend(0) else None
-
-
-def order_isomorphic(p: Poset, q: Poset) -> bool:
-    return find_order_isomorphism(p, q) is not None

@@ -559,11 +559,6 @@ def verify_sdf(s: Sdf, *, max_x_exhaustive: int = 6) -> MultiVerdict:
     return MultiVerdict(tuple(items))
 
 
-def tmap_order(s: Sdf) -> TTree:
-    """(T, ≥_T), kept on the instance as `Sdf.ttree`."""
-    return s.ttree
-
-
 def t_dot_omega(s: Sdf):
     """T • Ω: pairs (y, ω) with ω in the domain of y, canonical order."""
     pairs = []
@@ -781,7 +776,3 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf):
             if transport_ok(out_map, scen_map):
                 return scen_map, out_map
     return None
-
-
-def sdf_isomorphic(a: Sdf, b: Sdf) -> bool:
-    return find_sdf_isomorphism(a, b) is not None

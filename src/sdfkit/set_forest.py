@@ -65,11 +65,6 @@ class SetForest:
         return Poset.from_order(self.nodes, lambda x, y: x >= y)
 
 
-def induced_poset(sf: SetForest) -> Poset:
-    """`sf.poset`, the poset of nodes under reverse inclusion, as a function."""
-    return sf.poset
-
-
 def decision_paths(sf: SetForest) -> dict:
     """The candidate outcome -> chain map v ↦ ↑{v} = {x | v ∈ x}."""
     return {
@@ -125,7 +120,7 @@ def verify_own_representation(sf: SetForest) -> Verdict:
         return Verdict.failed(
             "non-singleton-terminal", f"terminal node {fmt(x)} has {len(x)} outcomes"
         )
-    chains = order_core.maximal_chains(poset).chains
+    chains = order_core.maximal_chains(poset)
     f = decision_paths(sf)
     stray = [v for v, chain in f.items() if chain not in chains]
     if stray:
@@ -156,7 +151,7 @@ def representation_by_decision_paths(p: Poset) -> SetForest:
             witness=witness,
             code="not-a-decision-forest",
         )
-    chains = order_core.maximal_chains(p).chains
+    chains = order_core.maximal_chains(p)
     nodes = [frozenset(c for c in chains if x in c) for x in p.elements]
     return SetForest.of(chains, nodes)
 
@@ -194,8 +189,3 @@ def glue(trees) -> SetForest:
         universe.update((v, idx) for v in t.universe)
         nodes.extend(frozenset((v, idx) for v in x) for x in t.nodes)
     return SetForest.of(universe, nodes)
-
-
-def forest_isomorphic(a: SetForest, b: SetForest) -> bool:
-    """Order isomorphism of the induced posets."""
-    return order_core.order_isomorphic(a.poset, b.poset)

@@ -72,8 +72,5 @@ class MultiVerdict:
                 return v
         raise KeyError(name)
 
-    def failures(self) -> tuple[tuple[str, Verdict], ...]:
-        return tuple((k, v) for k, v in self.items if not v.ok)
-
     def describe(self) -> str:
         return "; ".join(f"{k}: {v.describe()}" for k, v in self.items)

@@ -49,6 +49,7 @@ from sdfkit.action_path import (
     _meets_every_node,
     _own_prefix,
     agent_choice,
+    build_action_path_sdf,
     check_apc3,
     window_choice,
 )
@@ -130,7 +131,7 @@ def oracle_is_tree(p):
 
 def oracle_separation_witness(p):
     """The first canonical pair that no maximal chain holds exactly one of."""
-    chains = maximal_chains(p).chains
+    chains = maximal_chains(p)
     for x, y in itertools.combinations(canon_sorted(p.elements), 2):
         if not any(len(c & {x, y}) == 1 for c in chains):
             return (x, y)
@@ -512,8 +513,8 @@ def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> Measura
 
     Forward: measurability of g on D_x implies the adaptedness condition at
     x. Backward: when the generator search succeeds, the adaptedness
-    condition at x implies measurability. `domain` is always a passed
-    verdict (see `MeasurabilityCase`).
+    condition at x implies measurability. D_x ⊆ D holds by construction
+    and is not reported (see `MeasurabilityCase`).
     """
     wc = agent_choice(aps.po, t, histories, agent, g)
     if not wc.ok:
@@ -547,7 +548,7 @@ def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> Measura
                 f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
             )
         records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
-    return MeasurabilityReport(Verdict.passed(), forward, backward, tuple(records))
+    return MeasurabilityReport(forward, backward, tuple(records))
 
 
 def _all_prefixes(po: PathOutcomes, length: int):
@@ -707,7 +708,7 @@ def brute_verify_own_representation(sf):
             return Verdict.failed(
                 "non-singleton-terminal", f"terminal node {fmt(x)} has {len(x)} outcomes"
             )
-    chains = maximal_chains(poset).chains
+    chains = maximal_chains(poset)
     f = decision_paths(sf)
     image = {}
     for v in canon_sorted(sf.universe):
@@ -871,12 +872,12 @@ def variant_moves():
 
 @pytest.fixture(scope="session")
 def simple_aps():
-    return examples.simple_aps()
+    return build_action_path_sdf(examples.encode_simple())
 
 
 @pytest.fixture(scope="session")
 def variant_aps():
-    return examples.variant_aps()
+    return build_action_path_sdf(examples.encode_variant())
 
 
 @pytest.fixture(scope="session")
@@ -886,7 +887,7 @@ def timing_aps():
 
 @pytest.fixture(scope="session")
 def upandout_aps():
-    return examples.upandout_instance()
+    return build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12)
 
 
 @pytest.fixture()

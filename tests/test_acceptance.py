@@ -24,7 +24,7 @@ from sdfkit.action_path import (
 from sdfkit.choice import Choice, classify, down_set, is_adapted, predecessors, restrict_check
 from sdfkit.errors import InputError
 from sdfkit.gen import random_path_outcomes, random_v_poset, rng_from_env
-from sdfkit.order_core import is_forest, is_rooted_forest, is_tree
+from sdfkit.order_core import is_rooted_forest, is_tree
 from sdfkit.sdf import (
     check_evaluation_bijection,
     check_ttree_theorem,
@@ -32,8 +32,15 @@ from sdfkit.sdf import (
     find_sdf_isomorphism,
     verify_sdf,
 )
-from sdfkit.set_forest import decompose, induced_poset, verify_own_representation
+from sdfkit.set_forest import decompose, verify_own_representation
 from sdfkit.sigma_info import enumerate_eis, verify_eis
+from tests_helpers import (
+    MAPS,
+    simple_adapted_table,
+    simple_eis_list,
+    variant_adapted_table,
+    variant_eis_list,
+)
 
 
 def report(n: int, message: str):
@@ -72,13 +79,13 @@ def test_criterion_01_worked_instances_verify_exhaustively(simple, variant):
 
 def test_criterion_02_information_structure_enumeration(simple, variant):
     enumerated = enumerate_eis(simple)
-    explicit = examples.simple_eis_list()
+    explicit = simple_eis_list()
     assert len(enumerated) == 5
     for item in explicit:
         assert item in enumerated
     assert set(enumerated) == set(explicit)
     enumerated_v = enumerate_eis(variant)
-    explicit_v = examples.variant_eis_list()
+    explicit_v = variant_eis_list()
     assert len(enumerated_v) == 3
     for item in explicit_v:
         assert item in enumerated_v
@@ -92,15 +99,15 @@ def test_criterion_03_predecessor_closed_forms(simple, variant, simple_moves, va
         (simple, simple_moves, examples.simple_choice_outcomes),
         (variant, variant_moves, examples.variant_choice_outcomes),
     ):
-        for f in examples.MAPS:
+        for f in MAPS:
             assert predecessors(s, fam(first=f)) == moves["x0"].image
             cases += 1
         for k in (1, 2):
-            for g in examples.MAPS:
+            for g in MAPS:
                 assert predecessors(s, fam(first=k, second=g)) == moves[f"x{k}"].image
                 cases += 1
         both = moves["x1"].image | moves["x2"].image
-        for g in examples.MAPS:
+        for g in MAPS:
             assert predecessors(s, fam(second=g)) == both
             cases += 1
     assert cases == 32
@@ -110,9 +117,9 @@ def test_criterion_03_predecessor_closed_forms(simple, variant, simple_moves, va
 def test_criterion_04_adapted_choice_tables(simple, variant):
     checked = 0
     for s, table, eis_list, rcs in (
-        (simple, examples.simple_adapted_table(), examples.simple_eis_list(),
+        (simple, simple_adapted_table(), simple_eis_list(),
          examples.simple_rcs(simple)),
-        (variant, examples.variant_adapted_table(), examples.variant_eis_list(),
+        (variant, variant_adapted_table(), variant_eis_list(),
          examples.variant_rcs(variant)),
     ):
         for e, (first, second) in zip(eis_list, table):
@@ -122,7 +129,7 @@ def test_criterion_04_adapted_choice_tables(simple, variant):
                 checked += 1
     negative = Choice.of(simple, examples.simple_choice_outcomes(first={1: 1, 2: 2}))
     v = is_adapted(
-        simple, examples.simple_eis_list()[0], examples.simple_rcs(simple), negative
+        simple, simple_eis_list()[0], examples.simple_rcs(simple), negative
     )
     assert not v.ok
     report(4, f"all {checked} table entries adapted; derived negative rejected")
@@ -201,7 +208,7 @@ def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps
             )
             for e in structures:
                 res = case.report(e)
-                assert res.domain.ok, (agent, t, g)
+                assert all(rec.move.domain <= set(g) for rec in res.records), (agent, t, g)
                 assert res.forward.ok, (agent, t, g, res.forward.describe())
                 assert res.backward.ok, (agent, t, g, res.backward.describe())
                 assert any(rec.apc3 for rec in res.records) or not res.records
@@ -265,7 +272,7 @@ def test_criterion_09_window_choice_identities(simple_aps, timing_aps, upandout_
                 assert down_set(s, c) == {
                     node_at(po, u, w) for w in c for u in po.time.points if u > t
                 } | {frozenset([w]) for w in c}
-                flags = classify(s, wc.as_choice(s))
+                flags = classify(s, Choice.of(s, wc.outcomes))
                 assert flags.non_redundant and flags.complete
                 for event in s.space.events():
                     assert restrict_check(s, c, event).ok
@@ -279,8 +286,8 @@ def test_criterion_10_forest_tree_equivalence():
     examined = 0
     while examined < 500:
         forest = random_v_poset(rng, max_outcomes=5)
-        poset = induced_poset(forest)
-        if len(poset.elements) > 10 or not is_forest(poset) or not is_rooted_forest(poset):
+        poset = forest.poset
+        if len(poset.elements) > 10 or poset.forest_witness is not None or not is_rooted_forest(poset):
             continue
         examined += 1
         whole = verify_own_representation(forest).ok
@@ -295,7 +302,7 @@ def test_criterion_10_forest_tree_equivalence():
             disjoint
             and union == set(forest.universe)
             and all(
-                is_tree(induced_poset(tree)) and verify_own_representation(tree).ok
+                is_tree(tree.poset) and verify_own_representation(tree).ok
                 for _, tree in parts
             )
         )

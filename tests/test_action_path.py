@@ -35,10 +35,10 @@ from sdfkit.action_path import (
     window_choice,
 )
 from sdfkit._canon import canon_sorted
-from sdfkit.choice import classify, down_set, predecessors, verify_rcs
+from sdfkit.choice import Choice, classify, down_set, predecessors, verify_rcs
 from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
-from sdfkit.sdf import ScenarioSpace, sdf_isomorphic, verify_sdf
+from sdfkit.sdf import ScenarioSpace, find_sdf_isomorphism, verify_sdf
 from sdfkit.sigma_info import enumerate_eis
 
 
@@ -261,10 +261,10 @@ class TestCheckApw:
 
 class TestBuildActionPathSdf:
     def test_simple_encoding_isomorphic(self, simple_aps, simple):
-        assert sdf_isomorphic(simple_aps.sdf, simple)
+        assert find_sdf_isomorphism(simple_aps.sdf, simple) is not None
 
     def test_variant_encoding_isomorphic(self, variant_aps, variant):
-        assert sdf_isomorphic(variant_aps.sdf, variant)
+        assert find_sdf_isomorphism(variant_aps.sdf, variant) is not None
 
     def test_timing_verifies(self, timing_aps):
         v = verify_sdf(timing_aps.sdf, max_x_exhaustive=12)
@@ -415,7 +415,7 @@ class TestWindowChoice:
                     assert predecessors(aps.sdf, c) == {
                         node_at(po, t, w) for w in c
                     }
-                    flags = classify(aps.sdf, wc.as_choice(aps.sdf))
+                    flags = classify(aps.sdf, Choice.of(aps.sdf, wc.outcomes))
                     assert flags.non_redundant and flags.complete
             assert checked
 
@@ -606,7 +606,7 @@ class TestCheckApc3:
         t = Fraction(1)
         alive = [h for h in idx.realized_prefixes(t) if all(a[0] == 1 for a in h)]
         wc = agent_choice(po, t, alive, "1", {1: 0, 2: 1})
-        flags = classify(timing_aps.sdf, wc.as_choice(timing_aps.sdf))
+        flags = classify(timing_aps.sdf, Choice.of(timing_aps.sdf, wc.outcomes))
         for m in flags.available_at:
             result = check_apc3(timing_aps, "1", m, choice=wc)
             assert result.verdict.ok
@@ -729,9 +729,7 @@ class TestMeasurabilityEquivalence:
                     res = check_measurable_iff_adapted(aps, agent, e, t, histories, g)
                 except InputError:
                     continue
-                assert res.domain.ok and res.forward.ok and res.backward.ok, (
-                    g, res
-                )
+                assert res.ok, (g, res)
                 count += 1
         return count
 

@@ -20,11 +20,10 @@ from sdfkit.sdf import outcomes_of_event
 from sdfkit.sigma_info import enumerate_eis
 
 from conftest import brute_adapted_at_move, brute_verify_rcs
-from tests_helpers import lone_terminal_instance
+from tests_helpers import MAPS, lone_terminal_instance, simple_eis_list
 
 C = examples.simple_choice_outcomes
 CV = examples.variant_choice_outcomes
-MAPS = examples.MAPS
 
 
 class TestChoiceValidation:
@@ -206,7 +205,7 @@ class TestVerifyRcs:
 
 class TestIsAdapted:
     def test_trivial_eis_constant_choices(self, simple):
-        e = examples.simple_eis_list()[0]
+        e = simple_eis_list()[0]
         r = examples.simple_rcs(simple)
         for k in (1, 2):
             for m in (1, 2):
@@ -214,20 +213,20 @@ class TestIsAdapted:
                 assert is_adapted(simple, e, r, c).ok
 
     def test_discrete_eis_any_first_stage(self, simple):
-        e = examples.simple_eis_list()[4]
+        e = simple_eis_list()[4]
         r = examples.simple_rcs(simple)
         for f in MAPS:
             assert is_adapted(simple, e, r, Choice.of(simple, C(first=f))).ok
 
     def test_trivial_eis_nonconstant_first_stage_fails(self, simple):
-        e = examples.simple_eis_list()[0]
+        e = simple_eis_list()[0]
         r = examples.simple_rcs(simple)
         c = Choice.of(simple, C(first={1: 1, 2: 2}))
         v = is_adapted(simple, e, r, c)
         assert not v.ok and v.code == "not-adapted"
 
     def test_precondition_enforced(self, simple):
-        e = examples.simple_eis_list()[0]
+        e = simple_eis_list()[0]
         r = examples.simple_rcs(simple)
         incomplete = Choice.of(simple, frozenset([(1, 1, 1)]))
         flags = classify(simple, incomplete)
@@ -237,7 +236,7 @@ class TestIsAdapted:
 
     def test_empty_intersection_is_measurable(self, simple, simple_moves):
         # c ∩ c' = ∅ contributes the empty preimage, which every algebra holds
-        e = examples.simple_eis_list()[0]
+        e = simple_eis_list()[0]
         r = examples.simple_rcs(simple)
         c = Choice.of(simple, C(first=1, second=1))
         other = Choice.of(simple, C(second=2))

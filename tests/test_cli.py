@@ -614,11 +614,11 @@ class TestOncePerRun:
         # check_apc3 once per (case, available move), however many EIS there are
         import sdfkit.action_path
         from sdfkit._canon import canon_sorted
-        from sdfkit.action_path import agent_choice
-        from sdfkit.choice import classify
+        from sdfkit.action_path import agent_choice, build_action_path_sdf
+        from sdfkit.choice import Choice, classify
         from sdfkit.sigma_info import enumerate_eis
 
-        aps = examples.upandout_instance()
+        aps = build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12)
         po = aps.po
         assert len(enumerate_eis(aps.sdf)) > 1
         scenarios = canon_sorted(po.scenarios.scenarios)
@@ -636,7 +636,7 @@ class TestOncePerRun:
         for agent, t, hist, values in cases:
             wc = agent_choice(po, t, hist, agent, dict(zip(scenarios, values)))
             if wc.ok:
-                pairs += len(classify(aps.sdf, wc.as_choice(aps.sdf)).available_at)
+                pairs += len(classify(aps.sdf, Choice.of(aps.sdf, wc.outcomes)).available_at)
         assert pairs > 0
 
         calls = {"agent_choice": 0, "check_apc3": 0}

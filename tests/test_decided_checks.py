@@ -69,7 +69,7 @@ def corpus_sdfs(n: int) -> list:
         examples.build_simple(),
         examples.build_variant(),
         examples.timing_instance().sdf,
-        examples.upandout_instance().sdf,
+        build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12).sdf,
     ]
     for draw in range(n):
         try:
@@ -115,10 +115,10 @@ class TestOrderCore:
         for _ in range(100):
             p = random_relation_poset(rng)
             work = brute_chain_work(p)
-            chains = maximal_chains(p).chains
+            chains = maximal_chains(p)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr("sdfkit.errors.WORK_CAP", work)
-                assert maximal_chains(p).chains == chains
+                assert maximal_chains(p) == chains
                 mp.setattr("sdfkit.errors.WORK_CAP", work - 1)
                 with pytest.raises(SizeCapError) as exc:
                     maximal_chains(p)
@@ -390,7 +390,10 @@ def test_passing_explicit_parse_sorts_nothing_in_the_parser(monkeypatch):
 def piece_instances() -> list:
     """Fresh `timing` and `upandout`, and the buildable draws 0-39 of the
     path-outcome generator with one agent whose components are the actions."""
-    instances = [examples.timing_instance(), examples.upandout_instance()]
+    instances = [
+        examples.timing_instance(),
+        build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12),
+    ]
     for draw in range(40):
         po = random_path_outcomes(random.Random(draw))
         space = ActionSpace.of(po.space.actions, {"i": {a: a for a in po.space.actions}})

@@ -13,7 +13,6 @@ from sdfkit.cli import InstanceDoc, run
 from sdfkit.gen import random_path_outcomes
 from sdfkit import order_core
 from sdfkit.order_core import Poset
-from sdfkit.sdf import tmap_order
 
 CORPUS_CHECKS = ["verify", "ttree", "enumerate-eis", "apw"]
 
@@ -67,7 +66,7 @@ def test_ttree_command_builds_the_t_tree_once(monkeypatch):
     # The evaluation bijection and the tree theorem both read (T, ≥_T); the
     # instance keeps it for both.
     po = random_path_outcomes(random.Random(14))
-    elements = tmap_order(build_action_path_sdf(po, max_x_exhaustive=9).sdf).poset.elements
+    elements = build_action_path_sdf(po, max_x_exhaustive=9).sdf.ttree.poset.elements
     of = Poset.of.__func__
     built = []
 

@@ -8,6 +8,7 @@ import pytest
 import sdfkit
 
 from sdfkit import examples
+from sdfkit.action_path import build_action_path_sdf
 from sdfkit.errors import InputError, SizeCapError, StructureError
 from sdfkit.gen import random_rooted_forest, rng_from_env
 from sdfkit.order_core import (
@@ -16,18 +17,15 @@ from sdfkit.order_core import (
     down_set,
     find_order_isomorphism,
     is_decision_forest,
-    is_forest,
     is_rooted_forest,
     is_tree,
     maximal_chains,
-    order_isomorphic,
     separates,
     separation_witness,
     set_partitions,
     up_set,
 )
-from sdfkit.sdf import tmap_order
-from sdfkit.set_forest import induced_poset, representation_by_decision_paths, verify_own_representation
+from sdfkit.set_forest import representation_by_decision_paths, verify_own_representation
 
 from conftest import (
     brute_maximal_chains,
@@ -58,7 +56,7 @@ def diamond():
 
 
 def two_scenario_poset(simple):
-    return induced_poset(simple.forest)
+    return simple.forest.poset
 
 
 class TestPosetConstruction:
@@ -173,13 +171,13 @@ class TestUpSet:
 
 class TestIsForest:
     def test_diamond_is_not(self):
-        assert not is_forest(diamond())
+        assert diamond().forest_witness is not None
 
     def test_total_order_is(self):
-        assert is_forest(chain_poset(5))
+        assert chain_poset(5).forest_witness is None
 
     def test_two_scenario_instance_is(self, simple):
-        assert is_forest(two_scenario_poset(simple))
+        assert two_scenario_poset(simple).forest_witness is None
 
 
 class TestIsRootedForest:
@@ -191,7 +189,7 @@ class TestIsRootedForest:
             assert is_rooted_forest(random_rooted_forest(rng))
 
     def test_variant_forest(self, variant):
-        assert is_rooted_forest(induced_poset(variant.forest))
+        assert is_rooted_forest(variant.forest.poset)
 
     def test_not_a_forest_error(self):
         with pytest.raises(StructureError):
@@ -235,25 +233,23 @@ class TestConnectedComponents:
 
 class TestMaximalChains:
     def test_antichain(self):
-        cs = maximal_chains(antichain(4))
-        assert cs.chains == {frozenset([i]) for i in range(4)}
+        assert maximal_chains(antichain(4)) == {frozenset([i]) for i in range(4)}
 
     def test_two_chain(self):
-        cs = maximal_chains(chain_poset(2))
-        assert cs.chains == {frozenset([0, 1])}
+        assert maximal_chains(chain_poset(2)) == {frozenset([0, 1])}
 
     def test_two_scenario_instance_eight_chains(self, simple):
-        assert len(maximal_chains(two_scenario_poset(simple)).chains) == 8
+        assert len(maximal_chains(two_scenario_poset(simple))) == 8
 
     def test_against_subset_oracle(self, rng):
         for _ in range(20):
             p = random_rooted_forest(rng, 7)
             expected = brute_maximal_chains(p.elements, p.ge)
-            assert maximal_chains(p).chains == expected
+            assert maximal_chains(p) == expected
 
     def test_oracle_on_non_forest(self):
         p = diamond()
-        assert maximal_chains(p).chains == brute_maximal_chains(p.elements, p.ge)
+        assert maximal_chains(p) == brute_maximal_chains(p.elements, p.ge)
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("sdfkit.errors.WORK_CAP", 10)
@@ -307,7 +303,7 @@ class TestRootsAndChains:
         for _ in range(25):
             p = random_rooted_forest(rng, 10)
             rs = p.maximal_elements()
-            for c in maximal_chains(p).chains:
+            for c in maximal_chains(p):
                 assert len(c & rs) == 1
 
 
@@ -334,11 +330,12 @@ class TestDecisionForestCrossCheck:
 class TestIsomorphism:
     def test_reflexive(self, simple):
         p = two_scenario_poset(simple)
-        assert order_isomorphic(p, p)
+        assert find_order_isomorphism(p, p) is not None
 
     def test_respects_structure(self):
-        assert order_isomorphic(chain_poset(3), Poset.from_order("abc", lambda x, y: x >= y))
-        assert not order_isomorphic(chain_poset(3), antichain(3))
+        abc = Poset.from_order("abc", lambda x, y: x >= y)
+        assert find_order_isomorphism(chain_poset(3), abc) is not None
+        assert find_order_isomorphism(chain_poset(3), antichain(3)) is None
 
     def test_mapping_is_an_isomorphism(self, rng):
         for _ in range(10):
@@ -396,11 +393,11 @@ def oracle_posets(rng):
         examples.build_simple(),
         examples.build_variant(),
         examples.timing_instance().sdf,
-        examples.upandout_instance().sdf,
+        build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12).sdf,
     ]
     for s in builtins:
         posets.append(s.forest.poset)
-        posets.append(tmap_order(s).poset)
+        posets.append(s.ttree.poset)
     posets += [diamond(), antichain(3), chain_poset(4), Poset.of([], [])]
     return posets
 

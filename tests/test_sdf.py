@@ -5,7 +5,7 @@ import pytest
 from sdfkit import examples
 from sdfkit._canon import canon_key, canon_sorted
 from sdfkit.errors import InputError, SizeCapError, StructureError
-from sdfkit.order_core import is_rooted_forest, is_tree, order_isomorphic, separation_witness
+from sdfkit.order_core import find_order_isomorphism, is_rooted_forest, is_tree, separation_witness
 from sdfkit.sdf import (
     RandomMove,
     ScenarioSpace,
@@ -16,13 +16,11 @@ from sdfkit.sdf import (
     fibres,
     find_sdf_isomorphism,
     ge_x,
-    sdf_isomorphic,
     t_dot_omega,
-    tmap_order,
     verify_sdf,
     x_order,
 )
-from sdfkit.set_forest import SetForest, induced_poset
+from sdfkit.set_forest import SetForest
 from sdfkit.sigma_info import SubSigma
 
 
@@ -285,20 +283,20 @@ class TestVerifySdf:
 class TestTTree:
     def test_single_scenario_tree(self):
         s = one_scenario_sdf()
-        tree = tmap_order(s)
+        tree = s.ttree
         assert len(tree.moves) == 1 and len(tree.terminals) == 2
         assert is_tree(tree.poset) and is_rooted_forest(tree.poset)
         # with one scenario the derived tree is the forest itself, moves
         # becoming singleton-domain sections
-        assert order_isomorphic(tree.poset, s.forest.poset)
+        assert find_order_isomorphism(tree.poset, s.forest.poset) is not None
 
     def test_simple_derived_tree_shape(self, simple):
-        tree = tmap_order(simple)
+        tree = simple.ttree
         assert len(tree.moves) == 3
         assert len(tree.terminals) == 8
 
     def test_variant_derived_tree_shape(self, variant):
-        tree = tmap_order(variant)
+        tree = variant.ttree
         assert len(tree.moves) == 3
         assert len(tree.terminals) == 7
 
@@ -331,7 +329,7 @@ class TestTTree:
 
     def test_components_match_slices(self, simple, variant):
         for s in (simple, variant):
-            tree = tmap_order(s)
+            tree = s.ttree
             for w in s.space.scenarios:
                 slice_nodes = {
                     y.node_at(w) for y in tree.moves if w in y.domain
@@ -341,7 +339,7 @@ class TestTTree:
                 assert slice_nodes == fibres(s)[w]
 
     def test_order_embedding_quantified(self, simple):
-        tree = tmap_order(simple)
+        tree = simple.ttree
         pairs = t_dot_omega(simple)
 
         def value(y, w):
@@ -358,16 +356,16 @@ class TestTTree:
 class TestTTreeAsDecisionTree:
     def test_separation(self, simple, variant):
         for s in (simple, variant):
-            tree = tmap_order(s)
+            tree = s.ttree
             assert separation_witness(tree.poset) is None
 
 
 class TestIsomorphism:
     def test_self(self, simple):
-        assert sdf_isomorphic(simple, simple)
+        assert find_sdf_isomorphism(simple, simple) is not None
 
     def test_simple_not_variant(self, simple, variant):
-        assert not sdf_isomorphic(simple, variant)
+        assert find_sdf_isomorphism(simple, variant) is None
 
     def test_relabelled(self, simple):
         mapping = {w: ("w", *w) for w in simple.forest.universe}

@@ -3,15 +3,12 @@ import pytest
 from sdfkit import examples
 from sdfkit.errors import InputError, StructureError
 from sdfkit.gen import random_v_poset, rng_from_env
-from sdfkit.order_core import Poset, connected_components, is_tree, order_isomorphic
-from sdfkit.sdf import tmap_order
+from sdfkit.order_core import Poset, connected_components, find_order_isomorphism, is_tree
 from sdfkit.set_forest import (
     DecisionPathMap,
     SetForest,
     decompose,
-    forest_isomorphic,
     glue,
-    induced_poset,
     representation_by_decision_paths,
     verify_own_representation,
 )
@@ -24,17 +21,17 @@ def sf(universe, nodes):
 class TestInducedPoset:
     def test_three_nodes(self):
         forest = sf("ab", [{"a", "b"}, {"a"}, {"b"}])
-        p = induced_poset(forest)
+        p = forest.poset
         top = frozenset("ab")
         assert p.gt(top, frozenset("a")) and p.gt(top, frozenset("b"))
         assert not p.comparable(frozenset("a"), frozenset("b"))
 
     def test_single_node(self):
-        p = induced_poset(sf("a", [{"a"}]))
+        p = sf("a", [{"a"}]).poset
         assert len(p.elements) == 1
 
     def test_simple_instance_fourteen_nodes_two_components(self, simple):
-        p = induced_poset(simple.forest)
+        p = simple.forest.poset
         # 2 roots + 4 mid moves + 8 terminals
         assert len(p.elements) == 14
         assert len(connected_components(p)) == 2
@@ -99,23 +96,23 @@ class TestRepresentationByDecisionPaths:
     def test_derived_tree_roundtrip(self, simple):
         # the derived tree of the simple instance, re-represented over its
         # own maximal chains, is order-isomorphic to itself
-        tree = tmap_order(simple).poset
+        tree = simple.ttree.poset
         forest = representation_by_decision_paths(tree)
         assert verify_own_representation(forest).ok
-        assert order_isomorphic(induced_poset(forest), tree)
+        assert find_order_isomorphism(forest.poset, tree) is not None
 
     def test_roundtrip_random(self, rng):
         done = 0
         while done < 15:
             candidate = random_v_poset(rng, 5)
-            p = induced_poset(candidate)
-            from sdfkit.order_core import is_forest, separation_witness, is_rooted_forest
+            p = candidate.poset
+            from sdfkit.order_core import separation_witness, is_rooted_forest
 
-            if not is_forest(p) or not is_rooted_forest(p) or separation_witness(p) is not None:
+            if p.forest_witness is not None or not is_rooted_forest(p) or separation_witness(p) is not None:
                 continue
             forest = representation_by_decision_paths(p)
             assert verify_own_representation(forest).ok
-            assert order_isomorphic(induced_poset(forest), p)
+            assert find_order_isomorphism(forest.poset, p) is not None
             done += 1
 
 
@@ -136,7 +133,7 @@ class TestDecompose:
         }
         for root, tree in parts:
             assert verify_own_representation(tree).ok
-            assert is_tree(induced_poset(tree))
+            assert is_tree(tree.poset)
 
     def test_variant_three_plus_four(self, variant):
         parts = decompose(variant.forest)
@@ -156,7 +153,7 @@ class TestGlue:
     def test_single_tree(self):
         tree = sf("ab", [{"a", "b"}, {"a"}, {"b"}])
         glued = glue([tree])
-        assert forest_isomorphic(glued, tree)
+        assert find_order_isomorphism(glued.poset, tree.poset) is not None
 
     def test_two_copies_of_one_outcome_tree(self):
         tree = sf("a", [{"a"}])
@@ -173,19 +170,19 @@ class TestGlue:
         trees = [tree for _, tree in decompose(simple.forest)]
         glued = glue(trees)
         assert verify_own_representation(glued).ok
-        assert forest_isomorphic(glued, simple.forest)
+        assert find_order_isomorphism(glued.poset, simple.forest.poset) is not None
         back = [tree for _, tree in decompose(glued)]
         assert len(back) == len(trees)
         for tree in trees:
-            assert any(forest_isomorphic(tree, b) for b in back)
+            assert any(find_order_isomorphism(tree.poset, b.poset) is not None for b in back)
 
 
 def component_side_check(forest: SetForest) -> bool:
     """The component-wise side of the forest/trees equivalence."""
-    p = induced_poset(forest)
-    from sdfkit.order_core import is_forest, is_rooted_forest
+    p = forest.poset
+    from sdfkit.order_core import is_rooted_forest
 
-    if not is_forest(p) or not is_rooted_forest(p):
+    if p.forest_witness is not None or not is_rooted_forest(p):
         return False
     parts = decompose(forest)
     union = set()
@@ -196,20 +193,20 @@ def component_side_check(forest: SetForest) -> bool:
     if union != set(forest.universe):
         return False
     return all(
-        is_tree(induced_poset(tree)) and verify_own_representation(tree).ok
+        is_tree(tree.poset) and verify_own_representation(tree).ok
         for _, tree in parts
     )
 
 
 class TestForestTreeEquivalence:
     def test_bidirectional_on_randoms(self, rng):
-        from sdfkit.order_core import is_forest, is_rooted_forest
+        from sdfkit.order_core import is_rooted_forest
 
         seen = {True: 0, False: 0}
         for _ in range(120):
             forest = random_v_poset(rng, 6)
-            p = induced_poset(forest)
-            if not is_forest(p) or not is_rooted_forest(p):
+            p = forest.poset
+            if p.forest_witness is not None or not is_rooted_forest(p):
                 continue
             whole = verify_own_representation(forest).ok
             parts = component_side_check(forest)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdfkit import examples
 from sdfkit.errors import InputError, SizeCapError
 from sdfkit.gen import random_filtration, random_observables, random_path_outcomes, rng_from_env
 from sdfkit.order_core import set_partitions
@@ -30,6 +29,7 @@ from sdfkit.sigma_info import (
 from sdfkit.action_path import TimeAxis, build_action_path_sdf, check_apw, product_outcomes
 from sdfkit.errors import KernelError
 from conftest import brute_enumerate_eis, brute_trace_failure
+from tests_helpers import simple_eis_list, variant_eis_list
 
 
 def partitions_strategy(n):
@@ -94,7 +94,7 @@ class TestSubSigma:
 
 class TestVerifyEis:
     def test_trivial_everywhere(self, simple):
-        assert verify_eis(simple, examples.simple_eis_list()[0]).ok
+        assert verify_eis(simple, simple_eis_list()[0]).ok
 
     def test_discrete_at_root_trivial_below_fails(self, simple, simple_moves):
         omega = frozenset([1, 2])
@@ -126,7 +126,7 @@ class TestVerifyEis:
 
     def test_case_2b(self, simple):
         # root trivial, scenario revealed only at the first successor
-        assert verify_eis(simple, examples.simple_eis_list()[2]).ok
+        assert verify_eis(simple, simple_eis_list()[2]).ok
 
     def test_carrier_mismatch(self, simple, simple_moves):
         omega = frozenset([1, 2])
@@ -174,12 +174,12 @@ class TestEnumerateEis:
     def test_simple_has_five(self, simple):
         structures = enumerate_eis(simple)
         assert len(structures) == 5
-        assert set(structures) == set(examples.simple_eis_list())
+        assert set(structures) == set(simple_eis_list())
 
     def test_variant_has_three(self, variant):
         structures = enumerate_eis(variant)
         assert len(structures) == 3
-        assert set(structures) == set(examples.variant_eis_list())
+        assert set(structures) == set(variant_eis_list())
 
     def test_single_scenario(self):
         from tests_helpers import one_scenario_instance
@@ -233,12 +233,12 @@ class TestEnumerateEis:
 
 class TestChainFiltration:
     def test_single_move_chain(self, simple, simple_moves):
-        e = examples.simple_eis_list()[0]
+        e = simple_eis_list()[0]
         stages = chain_filtration(simple, e, [simple_moves["x0"]])
         assert len(stages.stages) == 1 and stages.verdict.ok
 
     def test_simple_2a_chain(self, simple, simple_moves):
-        e = examples.simple_eis_list()[1]  # trivial at root, discrete after
+        e = simple_eis_list()[1]  # trivial at root, discrete after
         stages = chain_filtration(simple, e, [simple_moves["x0"], simple_moves["x1"]])
         assert stages.verdict.ok
         (m0, s0), (m1, s1) = stages.stages
@@ -248,7 +248,7 @@ class TestChainFiltration:
         assert stages.filtration.stage(1).includes(stages.filtration.stage(0))
 
     def test_variant_trace_chain(self, variant, variant_moves):
-        e = examples.variant_eis_list()[0]
+        e = variant_eis_list()[0]
         stages = chain_filtration(variant, e, [variant_moves["x0"], variant_moves["x2"]])
         assert stages.verdict.ok
         assert stages.filtration is None  # carriers differ from Ω
@@ -279,7 +279,7 @@ class TestChainFiltration:
         )
 
     def test_not_a_chain(self, simple, simple_moves):
-        e = examples.simple_eis_list()[0]
+        e = simple_eis_list()[0]
         with pytest.raises(InputError) as exc:
             chain_filtration(simple, e, [simple_moves["x1"], simple_moves["x2"]])
         assert exc.value.code == "not-a-chain"

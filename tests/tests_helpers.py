@@ -1,4 +1,6 @@
-"""Small hand-built instances and instance documents shared by several test modules."""
+"""Small hand-built instances, instance documents, and the worked examples'
+expected information structures and adapted-choice tables, shared by
+several test modules."""
 
 from __future__ import annotations
 
@@ -7,8 +9,18 @@ import random
 
 from sdfkit import gen
 from sdfkit._canon import canon_sorted
+from sdfkit.examples import (
+    KM,
+    SCENARIOS,
+    _space,
+    simple_choice_outcomes,
+    simple_moves,
+    variant_choice_outcomes,
+    variant_moves,
+)
 from sdfkit.sdf import RandomMove, ScenarioSpace, Sdf
 from sdfkit.set_forest import SetForest
+from sdfkit.sigma_info import Eis, SubSigma
 
 EXPLICIT_DOC = json.dumps(
     {
@@ -64,4 +76,106 @@ def corpus_doc(draw: int) -> str:
             "actions": canon_sorted(po.space.actions),
             "paths": [{"scenario": s, "path": list(f)} for s, f in canon_sorted(po.paths)],
         }
+    )
+
+
+# All maps Ω -> {1,2}, as dictionaries, constants first.
+MAPS = tuple(
+    {1: a, 2: b} for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))
+)
+
+
+def _sigma(space: ScenarioSpace, carrier, discrete: bool) -> SubSigma:
+    carrier = frozenset(carrier)
+    if discrete:
+        return SubSigma.ambient_trace(space, carrier)
+    return SubSigma.trivial(carrier)
+
+
+def simple_eis_list() -> tuple:
+    """The five information structures of the simple instance, in table order:
+    trivial; trivial-then-(both, only-x1, only-x2 discrete); discrete."""
+    space = _space()
+    moves = simple_moves()
+    omega = frozenset(SCENARIOS)
+    patterns = [
+        (False, False, False),
+        (False, True, True),
+        (False, True, False),
+        (False, False, True),
+        (True, True, True),
+    ]
+    out = []
+    for p0, p1, p2 in patterns:
+        out.append(
+            Eis.of(
+                {
+                    moves["x0"]: _sigma(space, omega, p0),
+                    moves["x1"]: _sigma(space, omega, p1),
+                    moves["x2"]: _sigma(space, omega, p2),
+                }
+            )
+        )
+    return tuple(out)
+
+
+def variant_eis_list() -> tuple:
+    """The three information structures of the variant, in table order."""
+    space = _space()
+    moves = variant_moves()
+    omega = frozenset(SCENARIOS)
+    sub = SubSigma.trivial(frozenset([2]))
+    patterns = [(False, False), (False, True), (True, True)]
+    out = []
+    for p0, p1 in patterns:
+        out.append(
+            Eis.of(
+                {
+                    moves["x0"]: _sigma(space, omega, p0),
+                    moves["x1"]: _sigma(space, omega, p1),
+                    moves["x2"]: sub,
+                }
+            )
+        )
+    return tuple(out)
+
+
+def simple_adapted_table() -> tuple:
+    """Per information structure: (first-period, second-period) adapted choices."""
+    c = simple_choice_outcomes
+    const_first = [c(first=k) for k in KM]
+    rows = [
+        (const_first, [c(first=k, second=m) for k in KM for m in KM]
+         + [c(second=m) for m in KM]),
+        (const_first, [c(first=k, second=g) for k in KM for g in MAPS]
+         + [c(second=g) for g in MAPS]),
+        (const_first, [c(first=1, second=g) for g in MAPS]
+         + [c(first=2, second=m) for m in KM] + [c(second=m) for m in KM]),
+        (const_first, [c(first=1, second=m) for m in KM]
+         + [c(first=2, second=g) for g in MAPS] + [c(second=m) for m in KM]),
+        ([c(first=f) for f in MAPS],
+         [c(first=k, second=g) for k in KM for g in MAPS]
+         + [c(second=g) for g in MAPS]),
+    ]
+    return tuple(
+        (tuple(frozenset(x) for x in fst), tuple(frozenset(x) for x in snd))
+        for fst, snd in rows
+    )
+
+
+def variant_adapted_table() -> tuple:
+    c = variant_choice_outcomes
+    const_first = [c(first=k) for k in KM]
+    rows = [
+        (const_first, [c(first=k, second=m) for k in KM for m in KM]
+         + [c(second=m) for m in KM]),
+        (const_first, [c(first=k, second=g) for k in KM for g in MAPS]
+         + [c(second=g) for g in MAPS]),
+        ([c(first=f) for f in MAPS],
+         [c(first=k, second=g) for k in KM for g in MAPS]
+         + [c(second=g) for g in MAPS]),
+    ]
+    return tuple(
+        (tuple(frozenset(x) for x in fst), tuple(frozenset(x) for x in snd))
+        for fst, snd in rows
     )

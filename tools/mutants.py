@@ -145,6 +145,30 @@ MUTANTS = [
             "tests/test_golden.py::test_timing_thm4_11_matches_digest",
         ],
     ),
+    (
+        "once-not-keeping",
+        "sdfkit/cli.py",
+        "        if key not in self._kept:",
+        "        if True:",
+        ["tests/test_cli.py::TestOncePerRun::test_verify_and_apw_reuse_the_build"],
+    ),
+    (
+        "forest-witness-max",
+        "sdfkit/order_core.py",
+        "    return min(failing, key=canon_key) if failing else None",
+        "    return max(failing, key=canon_key) if failing else None",
+        ["tests/test_decided_checks.py::TestOrderCore::test_forest_and_separation_witnesses"],
+    ),
+    (
+        "w1-singleton-guard-dropped",
+        "sdfkit/action_path.py",
+        "             if groups[i] == groups[i + 1] and len(groups[i]) != 1),",
+        "             if groups[i] == groups[i + 1]),",
+        [
+            "tests/test_action_path.py::TestCheckApw::test_decided_matches_enumeration",
+            "tests/test_decided_checks.py::TestCheckApw::test_matches_enumeration",
+        ],
+    ),
 ]
 
 
