@@ -249,12 +249,11 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
     eis_src = obj.get("eis")
     if eis_src is not None:
         _expect(isinstance(eis_src, list), "eis must be an array", "$.eis")
-        per_move = {}
+        per_move, seen = {}, set()
         for i, entry in enumerate(eis_src):
             epath = f"$.eis[{i}]"
             _expect(isinstance(entry, dict), "eis entry must be an object", epath)
-            idx = _get(entry, "move", int, epath)
-            _expect(0 <= idx < len(moves), f"unresolved move index {idx}", epath)
+            idx = _move_index(entry, moves, seen, epath)
             atoms = _atoms(entry, epath)
             try:
                 per_move[moves[idx]] = SubSigma.of(
@@ -267,12 +266,11 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
     rcs_src = obj.get("rcs")
     if rcs_src is not None and doc.sdf is not None:
         _expect(isinstance(rcs_src, list), "rcs must be an array", "$.rcs")
-        per_move = {m: frozenset() for m in moves}
+        per_move, seen = {m: frozenset() for m in moves}, set()
         for i, entry in enumerate(rcs_src):
             rpath = f"$.rcs[{i}]"
             _expect(isinstance(entry, dict), "rcs entry must be an object", rpath)
-            idx = _get(entry, "move", int, rpath)
-            _expect(0 <= idx < len(moves), f"unresolved move index {idx}", rpath)
+            idx = _move_index(entry, moves, seen, rpath)
             outs = _get(entry, "choices", list, rpath)
             for c in outs:
                 _expect(isinstance(c, list), "choice must be an outcome array", f"{rpath}.choices")
@@ -284,6 +282,16 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             except KernelError as e:
                 raise ParseError(str(e), path=rpath) from None
         doc.doc_rcs = Rcs.of(per_move)
+
+
+def _move_index(entry, moves, seen: set, path) -> int:
+    """An entry's `move` index: in range, and not listed before in its
+    section (`seen`, which it joins)."""
+    idx = _get(entry, "move", int, path)
+    _expect(0 <= idx < len(moves), f"unresolved move index {idx}", path)
+    _expect(idx not in seen, f"move index {idx} listed twice", path)
+    seen.add(idx)
+    return idx
 
 
 def _parse_action_path(obj) -> InstanceDoc:
@@ -399,6 +407,28 @@ def _parse_action_path(obj) -> InstanceDoc:
     return doc
 
 
+def builtin_doc(name) -> InstanceDoc:
+    """The builtin `name` as the document a file would give: its forest or
+    outcome set, its named choices and, for the two worked forests, its
+    reference choice structure."""
+    if name not in BUILTINS:
+        raise ParseError(
+            f"unknown builtin {name!r}; expected one of {', '.join(BUILTINS)}", path="$.name"
+        )
+    doc = InstanceDoc("builtin", name=name, named_choices=examples.all_named_choices(name))
+    if name == "simple":
+        doc.sdf = examples.build_simple()
+        doc.doc_rcs = examples.simple_rcs(doc.sdf)
+    elif name == "variant":
+        doc.sdf = examples.build_variant()
+        doc.doc_rcs = examples.variant_rcs(doc.sdf)
+    elif name == "timing":
+        doc.po = examples.timing_path_outcomes()
+    else:
+        doc.po = examples.upandout_path_outcomes()
+    return doc
+
+
 def parse_instance(text: str) -> InstanceDoc:
     """Parse an instance document or raise a positioned ParseError."""
     try:
@@ -411,13 +441,7 @@ def parse_instance(text: str) -> InstanceDoc:
         raise ParseError("document must be a JSON object", path="$")
     kind = obj.get("kind")
     if kind == "builtin":
-        name = obj.get("name")
-        if name not in BUILTINS:
-            raise ParseError(
-                f"unknown builtin {name!r}; expected one of {', '.join(BUILTINS)}",
-                path="$.name",
-            )
-        return InstanceDoc("builtin", name=name)
+        return builtin_doc(obj.get("name"))
     if kind == "explicit-sdf":
         return _parse_explicit(obj)
     if kind == "action-path":
@@ -446,27 +470,17 @@ class Report:
 
 
 class _Instance:
-    """Everything the commands need, resolved once per run.
+    """One run's view of a parsed document, builtin or file alike.
 
-    A builtin name resolves to its forest or outcome set here; every part
-    derived from the document is computed by `_once` on its first read, so
-    a run computes only what its commands read, each at most once.
+    The document holds its forest or outcome set, named choices, EIS and
+    RCS; every part derived from them is computed by `_once` on its first
+    read, so a run computes only what its commands read, each at most once.
     """
 
     def __init__(self, doc: InstanceDoc, caps: dict):
         self.doc = doc
         self.caps = caps
-        self.sdf: Sdf | None = doc.sdf
-        self.po: PathOutcomes | None = doc.po
         self._kept: dict = {}
-        if doc.name == "simple":
-            self.sdf = examples.build_simple()
-        elif doc.name == "variant":
-            self.sdf = examples.build_variant()
-        elif doc.name == "timing":
-            self.po = examples.timing_path_outcomes()
-        elif doc.name == "upandout":
-            self.po = examples.upandout_path_outcomes()
 
     def _once(self, key: str, compute):
         """`compute()` on the first read of `key`, kept for the run; a kernel
@@ -484,7 +498,7 @@ class _Instance:
     def need_apw(self) -> MultiVerdict:
         """The W0-W4 verdicts of `check_apw`."""
         return self._once(
-            "apw", lambda: check_apw(self.po, max_time_subsets=self.caps["max_time_subsets"])
+            "apw", lambda: check_apw(self.doc.po, max_time_subsets=self.caps["max_time_subsets"])
         )
 
     def need_build(self) -> tuple:
@@ -494,7 +508,7 @@ class _Instance:
         def build():
             try:
                 return _construct_action_path_sdf(
-                    self.po, self.need_apw(), max_x_exhaustive=self.caps["max_x"]
+                    self.doc.po, self.need_apw(), max_x_exhaustive=self.caps["max_x"]
                 )
             except SizeCapError:
                 raise
@@ -504,17 +518,17 @@ class _Instance:
         return self._once("build", build)
 
     def need_sdf(self) -> Sdf:
-        if self.po is not None:
+        if self.doc.po is not None:
             return self.need_build()[0].sdf
-        if self.sdf is None:
+        if self.doc.sdf is None:
             raise KernelError("no decision forest in this instance")
-        return self.sdf
+        return self.doc.sdf
 
     def need_aps(self, command: str) -> ActionPathSdf:
-        if self.po is None:
+        if self.doc.po is None:
             raise KernelError(f"{command} needs a built action-path instance")
         aps = self.need_build()[0]
-        if self.po.space.agents is None:
+        if self.doc.po.space.agents is None:
             raise KernelError(f"{command} needs a factorization")
         return aps
 
@@ -523,31 +537,21 @@ class _Instance:
         return self._once("eis", lambda: enumerate_eis(self.need_sdf()))
 
     def need_rcs(self) -> Rcs:
-        """The document's reference choice structure, or a builtin's."""
-        return self._once("rcs", self._reference_choices)
+        """The document's reference choice structure."""
+        if self.doc.doc_rcs is None:
+            raise KernelError("adapted needs a reference choice structure (rcs)")
+        return self.doc.doc_rcs
 
     def rcs_verdict(self) -> Verdict:
         """`verify_rcs` of `need_rcs()`."""
         return self._once("rcs-verdict", lambda: verify_rcs(self.need_sdf(), self.need_rcs()))
 
-    def _reference_choices(self) -> Rcs:
-        if self.doc.name in ("simple", "variant"):
-            return getattr(examples, f"{self.doc.name}_rcs")(self.sdf)
-        if self.doc.doc_rcs is None:
-            raise KernelError("adapted needs a reference choice structure (rcs)")
-        return self.doc.doc_rcs
-
     def choice_named(self, name: str) -> frozenset:
-        builtin = self.doc.name
-        if builtin is None:
-            outcomes = self.doc.named_choices.get(name)
-        else:
-            outcomes = examples.named_choice(builtin, name)
+        outcomes = self.doc.named_choices.get(name)
         if outcomes is None:
-            known = examples.all_named_choices(builtin) if builtin else self.doc.named_choices
             raise KernelError(
                 f"unknown choice {name!r}; known: "
-                + ", ".join(sorted(known) or ("<none>",))
+                + ", ".join(sorted(self.doc.named_choices) or ("<none>",))
             )
         return outcomes
 
@@ -557,7 +561,7 @@ class _Instance:
 
 
 def _verify(inst: _Instance, arg: str):
-    if inst.po is None:
+    if inst.doc.po is None:
         s = inst.need_sdf()
         return verify_sdf(s, max_x_exhaustive=inst.caps["max_x"]).items, {}, ""
     items = tuple((f"AP.{k}", v) for k, v in inst.need_apw().items)
@@ -648,7 +652,7 @@ def _adapted(inst: _Instance, arg: str):
 
 
 def _apw(inst: _Instance, arg: str):
-    if inst.po is None:
+    if inst.doc.po is None:
         raise KernelError("apw applies to action-path instances only")
     return inst.need_apw().items, {}, ""
 
@@ -933,7 +937,7 @@ def main(argv=None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 2
     else:
-        doc = InstanceDoc("builtin", name=args.name)
+        doc = builtin_doc(args.name)
 
     checks = list(args.checks) or ["verify"]
     report = run(doc, checks, max_x=args.max_x, max_time_subsets=args.max_time_subsets)

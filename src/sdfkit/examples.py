@@ -138,13 +138,11 @@ def canonical_rcs(s: Sdf, moves: dict, outcomes_fn) -> Rcs:
     return Rcs.of(per_move)
 
 
-def simple_rcs(s: Sdf | None = None) -> Rcs:
-    s = s or build_simple()
+def simple_rcs(s: Sdf) -> Rcs:
     return canonical_rcs(s, simple_moves(), simple_choice_outcomes)
 
 
-def variant_rcs(s: Sdf | None = None) -> Rcs:
-    s = s or build_variant()
+def variant_rcs(s: Sdf) -> Rcs:
     return canonical_rcs(s, variant_moves(), variant_choice_outcomes)
 
 
@@ -205,35 +203,22 @@ CHOICE_SLOTS = {"any": None, "1": 1, "2": 2} | {
 }
 
 
-def named_choice(instance: str, name: str) -> frozenset | None:
-    """The outcomes of a CLI choice name like c_1_any, c_any_2, c_12_any or
-    c_1_21, else None.
+def all_named_choices(instance: str) -> dict:
+    """The CLI choice names of the `simple` or `variant` instance, like
+    c_1_any, c_any_2, c_12_any or c_1_21, each mapped to its outcomes.
 
     A name is known iff both slots are in CHOICE_SLOTS, not both `any`, and
-    it names a nonempty outcome set of the `simple` or `variant` instance.
+    it names a nonempty outcome set. Other instances name no choice.
     """
     outcomes_fn = {
         "simple": simple_choice_outcomes,
         "variant": variant_choice_outcomes,
     }.get(instance)
-    parts = name.split("_")
-    if (
-        outcomes_fn is None
-        or len(parts) != 3
-        or parts[0] != "c"
-        or parts[1] == parts[2] == "any"
-        or parts[1] not in CHOICE_SLOTS
-        or parts[2] not in CHOICE_SLOTS
-    ):
-        return None
-    return outcomes_fn(CHOICE_SLOTS[parts[1]], CHOICE_SLOTS[parts[2]]) or None
-
-
-def all_named_choices(instance: str) -> dict:
+    if outcomes_fn is None:
+        return {}
     out = {}
     for a, b in itertools.product(CHOICE_SLOTS, repeat=2):
-        name = f"c_{a}_{b}"
-        outcomes = named_choice(instance, name)
-        if outcomes is not None:
-            out[name] = outcomes
+        outcomes = outcomes_fn(CHOICE_SLOTS[a], CHOICE_SLOTS[b])
+        if outcomes and not a == b == "any":
+            out[f"c_{a}_{b}"] = outcomes
     return out

@@ -262,11 +262,13 @@ class Sdf:
     def proj(self) -> dict:
         return dict(self.projection)
 
+    # The nodes under ⊇ are the forest's poset: its up-sets, its maximal
+    # elements (the roots) and its minimal ones (the terminal nodes).
+
     @functools.cached_property
     def up(self) -> dict:
         """x ↦ ↑x, the nodes containing x."""
-        nodes = self.forest.nodes
-        return {x: frozenset(y for y in nodes if y >= x) for x in nodes}
+        return self.forest.poset.up
 
     @functools.cached_property
     def by_up(self) -> dict:
@@ -275,7 +277,7 @@ class Sdf:
 
     @functools.cached_property
     def maxima(self) -> frozenset:
-        return frozenset(x for x, up in self.up.items() if len(up) == 1)
+        return self.forest.poset.maximal_elements()
 
     @functools.cached_property
     def fibre(self) -> dict:
@@ -314,7 +316,7 @@ class Sdf:
 
     @functools.cached_property
     def terminal_nodes(self) -> frozenset:
-        return self.forest.terminal_nodes()
+        return self.forest.poset.minimal_elements()
 
     @functools.cached_property
     def move_nodes(self) -> frozenset:

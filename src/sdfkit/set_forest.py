@@ -50,14 +50,6 @@ class SetForest:
     def canon_key(self):
         return ("set-forest", canon_key(self.universe), canon_key(self.nodes))
 
-    def terminal_nodes(self) -> frozenset:
-        return frozenset(
-            x for x in self.nodes if not any(x > y for y in self.nodes)
-        )
-
-    def moves(self) -> frozenset:
-        return self.nodes - self.terminal_nodes()
-
     @functools.cached_property
     def poset(self) -> Poset:
         """The poset of nodes under reverse inclusion (x >= y iff x ⊇ y),

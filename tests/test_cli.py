@@ -19,6 +19,7 @@ from sdfkit.cli import (
     ParseError,
     Report,
     _emit_json,
+    builtin_doc,
     main,
     parse_instance,
     report_to_json,
@@ -201,6 +202,21 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_instance(json.dumps(bad))
         assert exc.value.path == where
+
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("eis", {"move": 0, "atoms": [["L"], ["R"]]}),
+            ("rcs", {"move": 0, "choices": [["a", "b", "z", "y"]]}),
+        ],
+    )
+    def test_repeated_move_index_rejected(self, section, entry):
+        # a second entry for move 0 would silently replace the first
+        bad = json.loads(EXPLICIT_DOC)
+        bad[section].append(entry)
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(bad))
+        assert str(exc.value) == f"move index 0 listed twice at $.{section}[1]"
 
     def test_boolean_path_scenario_rejected(self):
         # true == 1, so the path would land in scenario 1
@@ -446,30 +462,30 @@ class TestParse:
 
 class TestRun:
     def test_simple_verify_and_eis(self):
-        doc = InstanceDoc("builtin", name="simple")
+        doc = builtin_doc("simple")
         report = run(doc, ["verify", "enumerate-eis"])
         assert report.ok
         assert report.records[0].status == "ok"
         assert report.records[1].data["count"] == 5
 
     def test_variant_eis_count(self):
-        report = run(InstanceDoc("builtin", name="variant"), ["enumerate-eis"])
+        report = run(builtin_doc("variant"), ["enumerate-eis"])
         assert report.records[0].data["count"] == 3
 
     def test_predecessors_of_first_stage_choice(self, simple, simple_moves):
-        report = run(InstanceDoc("builtin", name="simple"), ["predecessors:c_1_any"])
+        report = run(builtin_doc("simple"), ["predecessors:c_1_any"])
         nodes = set(report.records[0].data["nodes"])
         from sdfkit._canon import fmt
 
         assert nodes == {fmt(x) for x in simple_moves["x0"].image}
 
     def test_adapted_by_eis_index(self):
-        doc = InstanceDoc("builtin", name="simple")
+        doc = builtin_doc("simple")
         report = run(doc, ["adapted:c_1_11:1"])
         assert report.ok
 
     def test_unknown_command(self):
-        report = run(InstanceDoc("builtin", name="simple"), ["frobnicate"])
+        report = run(builtin_doc("simple"), ["frobnicate"])
         assert not report.ok
         assert report.records[0].status == "error"
 
@@ -525,10 +541,11 @@ class TestNamedChoices:
     def test_every_name_resolves_to_its_set(self, builtin):
         known = parent_named_choices(builtin)
         assert examples.all_named_choices(builtin) == known
-        for name, outcomes in known.items():
-            report = run(InstanceDoc("builtin", name=builtin), [f"predecessors:{name}"])
+        doc = builtin_doc(builtin)
+        assert doc.named_choices == known
+        for name in known:
+            report = run(doc, [f"predecessors:{name}"])
             assert report.records[0].status == "ok"
-            assert examples.named_choice(builtin, name) == outcomes
 
     @pytest.mark.parametrize("builtin", ["simple", "variant"])
     @pytest.mark.parametrize(
@@ -536,7 +553,7 @@ class TestNamedChoices:
         "name", ["c_any_any", "c_3_any", "c_1_2_3", "x_1_1", "c_9_9", "c_\u0661_any"]
     )
     def test_unknown_name_lists_every_known_name(self, builtin, name):
-        report = run(InstanceDoc("builtin", name=builtin), [f"classify:{name}"])
+        report = run(builtin_doc(builtin), [f"classify:{name}"])
         record = report.records[0]
         assert record.status == "error"
         assert record.message == (
@@ -652,18 +669,19 @@ class TestOncePerRun:
             monkeypatch.setattr(
                 sdfkit.action_path, name, counting(name, getattr(sdfkit.action_path, name))
             )
-        [record] = run(InstanceDoc("builtin", name="upandout"), ["thm4-11"], max_x=12).records
+        [record] = run(builtin_doc("upandout"), ["thm4-11"], max_x=12).records
         assert record.status == "ok"
         assert calls == {"agent_choice": len(cases), "check_apc3": pairs}
 
     def test_structures_and_reference_choices_read_once(self, monkeypatch):
+        # a builtin's reference choices are built when it is parsed; the
+        # structures and the RCS verdict once per run
         import sdfkit.cli
 
         choice = sorted(examples.all_named_choices("simple"))[0]
         commands = ["enumerate-eis"] + [f"adapted:{choice}:{k}" for k in range(1, 5)]
-        simple = InstanceDoc("builtin", name="simple")
-        alone = [run(simple, [c]).records[0] for c in commands]
-        upandout = InstanceDoc("builtin", name="upandout")
+        alone = [run(builtin_doc("simple"), [c]).records[0] for c in commands]
+        upandout = builtin_doc("upandout")
         upandout_alone = [run(upandout, [c], max_x=12).records[0] for c in ("enumerate-eis", "thm4-11")]
         calls = {"enumerate_eis": 0, "simple_rcs": 0, "verify_rcs": 0}
 
@@ -680,13 +698,45 @@ class TestOncePerRun:
             ("verify_rcs", sdfkit.cli),
         ):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        report = run(simple, commands)
-        assert calls == {"enumerate_eis": 1, "simple_rcs": 1, "verify_rcs": 1}
-        assert [_comparable(r) for r in report.records] == [_comparable(r) for r in alone]
-        assert report.ok
+        simple = parse_instance('{"kind": "builtin", "name": "simple"}')
+        assert calls == {"enumerate_eis": 0, "simple_rcs": 1, "verify_rcs": 0}
+        for _ in range(2):
+            report = run(simple, commands)
+            assert [_comparable(r) for r in report.records] == [_comparable(r) for r in alone]
+            assert report.ok
+        assert calls == {"enumerate_eis": 2, "simple_rcs": 1, "verify_rcs": 2}
         report = run(upandout, ["enumerate-eis", "thm4-11"], max_x=12)
-        assert calls["enumerate_eis"] == 2
+        assert calls["enumerate_eis"] == 3
         assert [_comparable(r) for r in report.records] == [_comparable(r) for r in upandout_alone]
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_runs_on_one_parsed_builtin_share_its_instance(self, monkeypatch, name):
+        # the forest or outcome set is built at parse; every run reads that
+        # one object and reports what a run on a fresh parse reports
+        import sdfkit.cli
+
+        text = json.dumps({"kind": "builtin", "name": name})
+        choices = sorted(examples.all_named_choices(name))[:2]
+        commands = ["verify", "ttree", "enumerate-eis", "apw"] + [f"adapted:{c}:1" for c in choices]
+        fresh = []
+        for _ in range(3):
+            doc = parse_instance(text)
+            fresh.append(report_to_json(run(doc, commands), doc))
+        read = []
+
+        def watching(fn):
+            def wrapper(instance, *args, **kwargs):
+                read.append(instance)
+                return fn(instance, *args, **kwargs)
+
+            return wrapper
+
+        for fn in ("verify_sdf", "check_apw"):
+            monkeypatch.setattr(sdfkit.cli, fn, watching(getattr(sdfkit.cli, fn)))
+        doc = parse_instance(text)
+        shared = [report_to_json(run(doc, commands), doc) for _ in range(3)]
+        assert len(read) == 3 and all(x is (doc.sdf or doc.po) for x in read)
+        assert shared == fresh
 
     def test_apw_alone_builds_nothing(self, monkeypatch):
         import sdfkit.cli
@@ -720,7 +770,7 @@ class TestOncePerRun:
             for name in calls:
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         commands = ["verify", "ttree", "enumerate-eis", "apw", "apc", "thm4-11"]
-        report = run(InstanceDoc("builtin", name="upandout"), commands, max_x=12)
+        report = run(builtin_doc("upandout"), commands, max_x=12)
         assert report.ok
         assert calls == {"check_apw": 1, "_construct_action_path_sdf": 1}
 
@@ -742,7 +792,7 @@ class TestOncePerRun:
         for module in (_canon, order_core, set_forest, sdf, action_path, sigma_info, choice, sdfkit.cli):
             if hasattr(module, "fmt"):
                 monkeypatch.setattr(module, "fmt", counting)
-        [record] = run(InstanceDoc("builtin", name="timing"), ["enumerate-eis"], max_x=12).records
+        [record] = run(builtin_doc("timing"), ["enumerate-eis"], max_x=12).records
         monkeypatch.undo()
         structures = enumerate_eis(examples.timing_instance().sdf)
         assert record.data["structures"] == [
@@ -802,7 +852,7 @@ class TestThm411:
             raise StructureError("agent reference choices fail to verify: stub")
 
         monkeypatch.setattr(sdfkit.action_path, "_agent_pieces", failing)
-        [thm] = run(InstanceDoc("builtin", name="upandout"), ["thm4-11"], max_x=12).records
+        [thm] = run(builtin_doc("upandout"), ["thm4-11"], max_x=12).records
         assert (thm.status, thm.message) == (
             "error", "structure-error: agent reference choices fail to verify: stub"
         )
@@ -837,7 +887,7 @@ TWO_WAY_CHOICES = {"left_a": ["a", "z"], "half": ["a"], "both": ["a", "b", "z"]}
 
 # (document, check, caps) -> (status, message, [(item name, item code)])
 ERROR_AND_FAIL_PATHS = [
-    (lambda: InstanceDoc("builtin", name="simple"), "frobnicate",
+    (lambda: builtin_doc("simple"), "frobnicate",
      ("error", "kernel-error: unknown command 'frobnicate'", [])),
     (lambda: parse_instance(EXPLICIT_DOC), "apw",
      ("error", "kernel-error: apw applies to action-path instances only", [])),
@@ -978,15 +1028,15 @@ def test_verify_reports_a_build_that_fails_after_w0_to_w3(monkeypatch):
 
 class TestReports:
     def test_json_deterministic_in_process(self):
-        doc = InstanceDoc("builtin", name="variant")
+        doc = builtin_doc("variant")
         a = report_to_json(run(doc, ["verify", "enumerate-eis"]), doc)
         b = report_to_json(run(doc, ["verify", "enumerate-eis"]), doc)
         assert a == b
 
     def test_json_deterministic_across_hash_seeds(self, tmp_path):
         script = (
-            "from sdfkit.cli import InstanceDoc, run, report_to_json;"
-            "doc = InstanceDoc('builtin', name='simple');"
+            "from sdfkit.cli import builtin_doc, run, report_to_json;"
+            "doc = builtin_doc('simple');"
             "print(report_to_json(run(doc, ['verify', 'enumerate-eis', 'ttree']), doc))"
         )
         outputs = outputs_under_hash_seeds(script, tmp_path)
@@ -1044,12 +1094,12 @@ class TestReports:
         ]
 
     def test_text_report_has_timings(self):
-        doc = InstanceDoc("builtin", name="simple")
+        doc = builtin_doc("simple")
         text = report_to_text(run(doc, ["verify"]), doc)
         assert "ms]" in text and "overall: ok" in text
 
     def test_json_has_no_timings(self):
-        doc = InstanceDoc("builtin", name="simple")
+        doc = builtin_doc("simple")
         payload = json.loads(report_to_json(run(doc, ["verify"]), doc))
         assert "elapsed" not in json.dumps(payload)
         assert payload["overall"] == "ok"
@@ -1139,7 +1189,7 @@ ODD_IDS = [
 # case -> [(document, commands, max_x, max_time_subsets)]
 REPORT_CASES = {
     **{
-        f"{b} max_x={m}": [(lambda b=b: InstanceDoc("builtin", name=b), _every_command(b), m, 8)]
+        f"{b} max_x={m}": [(lambda b=b: builtin_doc(b), _every_command(b), m, 8)]
         for b in BUILTINS
         for m in (0, 12)
     },

@@ -39,8 +39,6 @@ KEEP = {
     "restrict_check": "paper: the restriction identity P(c ∩ W_A) = P(c) ∩ F_A",
     "time_of": "paper: the time of a move of an action-path forest",
     "x_order": "paper: the order ≥_X on random moves",
-    "simple_rcs": "cli: read by getattr(examples, f'{name}_rcs')",
-    "variant_rcs": "cli: read by getattr(examples, f'{name}_rcs')",
     "rng_from_env": "gen: test-data generator (the seed of the random draws)",
     "random_filtration": "gen: test-data generator",
     "random_observables": "gen: test-data generator",

@@ -9,7 +9,7 @@ import weakref
 import sdfkit
 import sdfkit.cli
 from sdfkit.action_path import build_action_path_sdf
-from sdfkit.cli import InstanceDoc, run
+from sdfkit.cli import InstanceDoc, builtin_doc, run
 from sdfkit.gen import random_path_outcomes
 from sdfkit import order_core
 from sdfkit.order_core import Poset
@@ -99,7 +99,7 @@ def test_each_poset_decides_forest_ness_once(monkeypatch):
 
 def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):
     refs = _run_and_watch(
-        monkeypatch, InstanceDoc("builtin", name="upandout"), CORPUS_CHECKS + ["apc"]
+        monkeypatch, builtin_doc("upandout"), CORPUS_CHECKS + ["apc"]
     )
     gc.collect()
     assert refs and all(r() is None for r in refs)
@@ -107,7 +107,7 @@ def test_builtin_run_with_reference_choices_releases_its_instance(monkeypatch):
 
 def test_builtin_thm4_11_run_releases_its_instance(monkeypatch):
     # the sweep's rows, its cases and their kept reports end with the run
-    refs = _run_and_watch(monkeypatch, InstanceDoc("builtin", name="upandout"), ["thm4-11"])
+    refs = _run_and_watch(monkeypatch, builtin_doc("upandout"), ["thm4-11"])
     gc.collect()
     assert refs and all(r() is None for r in refs)
 

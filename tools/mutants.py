@@ -4,16 +4,18 @@
 
 Each row of `MUTANTS` names a file under `src/`, an exact text that occurs
 exactly once in it, the text that replaces it, and the pytest node ids that
-must fail once it is replaced. For each mutant the script copies `src/`,
+must fail once it is replaced. A mutant named in `EQUIVALENT` changes no
+behaviour, so its tests must pass: it is expected to survive, and it fails
+the check if they kill it. For each mutant the script copies `src/`,
 `tests/` and `pyproject.toml` into a fresh temporary directory, applies the
 replacement there, and runs only the named tests in that copy. The checkout
 itself is never written. A mutant whose tests all pass survives.
 
 The named tests are first run once on an unmutated copy; if they fail
 there, no mutant is tried. The exit status is 0 when every mutant is
-killed, 1 when one survives or its text does not occur exactly once, and
-2 when the unmutated tests fail or a mutant names no test. Standard library
-only; not part of the Tier-1 suite.
+killed and every equivalent one survives, 1 when one does otherwise or its
+text does not occur exactly once, and 2 when the unmutated tests fail or a
+mutant names no test. Standard library only; not part of the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -146,6 +148,23 @@ MUTANTS = [
         ],
     ),
     (
+        "builtin-choices-of-simple",
+        "sdfkit/cli.py",
+        'InstanceDoc("builtin", name=name, named_choices=examples.all_named_choices(name))',
+        'InstanceDoc("builtin", name=name, named_choices=examples.all_named_choices("simple"))',
+        [
+            "tests/test_cli.py::TestNamedChoices::test_every_name_resolves_to_its_set[variant]",
+            "tests/test_golden.py::test_report_matches_golden[variant-adapted]",
+        ],
+    ),
+    (
+        "report-code-isinstance",
+        "sdfkit/cli.py",
+        "                enc(code) if type(code) is str else _emitted(code, _ITEM_KEYS),",
+        "                enc(code) if isinstance(code, str) else _emitted(code, _ITEM_KEYS),",
+        ["tests/test_cli.py::TestReportWriter::test_matches_payload_writer_on_synthetic_reports"],
+    ),
+    (
         "once-not-keeping",
         "sdfkit/cli.py",
         "        if key not in self._kept:",
@@ -170,6 +189,12 @@ MUTANTS = [
         ],
     ),
 ]
+
+# Mutant name -> why no input can tell it from the original.
+EQUIVALENT = {
+    "report-code-isinstance": "a str subclass goes to _emit_json, whose json.dumps "
+    "fallback writes the same encoded string as the C encoder",
+}
 
 
 def _copy(dest: Path) -> None:
@@ -207,6 +232,9 @@ def main() -> int:
     if any(not m[4] for m in MUTANTS):
         print("every mutant must name at least one test", file=sys.stderr)
         return 2
+    if not EQUIVALENT.keys() <= {m[0] for m in MUTANTS}:
+        print("every equivalent mutant must be a row of MUTANTS", file=sys.stderr)
+        return 2
     baseline = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
     with tempfile.TemporaryDirectory(prefix="sdfkit-mutant-") as tmp:
         _copy(Path(tmp))
@@ -215,9 +243,10 @@ def main() -> int:
             return 2
     status = 0
     for mutant in MUTANTS:
-        outcome = run_mutant(*mutant)
+        equivalent = mutant[0] in EQUIVALENT
+        outcome = run_mutant(*mutant) + (" (equivalent)" if equivalent else "")
         print(f"{mutant[0]}: {outcome}", flush=True)
-        if not outcome.startswith("killed"):
+        if not outcome.startswith("SURVIVED" if equivalent else "killed"):
             status = 1
     return status
 
