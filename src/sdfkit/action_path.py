@@ -26,8 +26,6 @@ from .set_forest import SetForest
 from .sigma_info import Eis
 from .verdict import MultiVerdict, Verdict
 
-DEFAULT_TIME_SUBSET_CAP = 8
-
 
 def as_time(value) -> Fraction:
     t = Fraction(value)
@@ -249,9 +247,7 @@ def move_event(po: PathOutcomes, t, f) -> frozenset:
     return d
 
 
-def check_apw(
-    po: PathOutcomes, *, max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP
-) -> MultiVerdict:
+def check_apw(po: PathOutcomes) -> MultiVerdict:
     """Verdicts for assumptions W0-W3 (and W4 when a factorization is present).
 
     W0 and W3 range over A^i, W2 over A^|T| and all time subsets S, yet only
@@ -261,7 +257,8 @@ def check_apw(
     same first failure. For W2 with S nonempty, any outcome in the nonempty
     group of f̃[:max S] agrees with f̃ at every i ∈ S; with S = ∅ the scenario
     just needs an outcome (`PathOutcomes.of` ensures one), and the witness is
-    the first path of A^|T|. The cap |T| <= max_time_subsets still applies.
+    the first path of A^|T|. No time subset is enumerated, so no cap bounds
+    |T|.
     """
     idx = po.index
     points = po.time.points
@@ -306,10 +303,6 @@ def check_apw(
         )
     items.append(("W1", w1))
 
-    if len(points) > max_time_subsets:
-        raise SizeCapError(
-            f"|T| = {len(points)} exceeds the W2 subset cap {max_time_subsets}"
-        )
     w2 = Verdict.passed("mode: exhaustive")
     bare = [w for w in po.scenarios.scenarios if not idx.group(w, ())]
     if bare:
@@ -379,10 +372,7 @@ class ActionPathSdf:
 
 
 def build_action_path_sdf(
-    po: PathOutcomes,
-    *,
-    max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP,
-    max_x_exhaustive: int = 6,
+    po: PathOutcomes, *, max_x_exhaustive: int = 6
 ) -> ActionPathSdf:
     """Construct the SDF {x_t(w)} ∪ {{w}} with the prefix sections as random moves.
 
@@ -390,7 +380,7 @@ def build_action_path_sdf(
     the constructed instance against the SDF axioms instead of trusting the
     construction.
     """
-    apw = check_apw(po, max_time_subsets=max_time_subsets)
+    apw = check_apw(po)
     return _construct_action_path_sdf(po, apw, max_x_exhaustive=max_x_exhaustive)[0]
 
 

@@ -497,9 +497,7 @@ class _Instance:
 
     def need_apw(self) -> MultiVerdict:
         """The W0-W4 verdicts of `check_apw`."""
-        return self._once(
-            "apw", lambda: check_apw(self.doc.po, max_time_subsets=self.caps["max_time_subsets"])
-        )
+        return self._once("apw", lambda: check_apw(self.doc.po))
 
     def need_build(self) -> tuple:
         """The built `ActionPathSdf` and its `verify_sdf` verdict. A cap reads
@@ -742,8 +740,8 @@ def _run_check(inst: _Instance, token: str) -> CheckRecord:
     return CheckRecord(token, status, bundle.items, data, message, elapsed_ms)
 
 
-def run(doc: InstanceDoc, commands, *, max_x: int = 6, max_time_subsets: int = 8) -> Report:
-    inst = _Instance(doc, {"max_x": max_x, "max_time_subsets": max_time_subsets})
+def run(doc: InstanceDoc, commands, *, max_x: int = 6) -> Report:
+    inst = _Instance(doc, {"max_x": max_x})
     return Report([_run_check(inst, token) for token in commands], inst.caps)
 
 
@@ -905,10 +903,6 @@ def _add_options(parser, suppress: bool):
         "--max-x", type=_cap, help="exhaustive axiom-3e cap on |X|",
         **(kwargs or {"default": 6}),
     )
-    parser.add_argument(
-        "--max-time-subsets", type=_cap, help="largest |T| that AP.W2 accepts",
-        **(kwargs or {"default": 8}),
-    )
 
 
 def main(argv=None) -> int:
@@ -940,7 +934,7 @@ def main(argv=None) -> int:
         doc = builtin_doc(args.name)
 
     checks = list(args.checks) or ["verify"]
-    report = run(doc, checks, max_x=args.max_x, max_time_subsets=args.max_time_subsets)
+    report = run(doc, checks, max_x=args.max_x)
     if args.format == "json":
         print(report_to_json(report, doc))
     else:

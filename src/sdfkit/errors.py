@@ -30,9 +30,9 @@ class StructureError(KernelError):
     code = "structure-error"
 
 
-# The one bound on the exhaustive searches: `maximal_chains`, `set_partitions`
-# (axiom 3e), the AP.C3 generator search and `find_sdf_isomorphism` each read
-# it when called and count their search nodes against it.
+# The one bound on the exhaustive searches: `maximal_chains`, `set_partitions`,
+# `enumerate_eis`, the AP.C3 generator search and `find_sdf_isomorphism` each
+# read it when called and count their work against it.
 WORK_CAP = 2 ** 16
 
 

@@ -174,13 +174,10 @@ def is_rooted_forest(p: Poset) -> bool:
 
 
 def is_tree(p: Poset) -> bool:
-    """True iff any two up-sets intersect (single connected component)."""
+    """True iff any two up-sets intersect (single connected component): in a
+    forest two up-sets meet iff they share their maximal element."""
     _require_forest(p)
-    up = p.up
-    return all(
-        not up[x].isdisjoint(up[y])
-        for x, y in itertools.combinations(p.elements, 2)
-    )
+    return len(p.maximal_elements()) <= 1
 
 
 def connected_components(p: Poset) -> tuple[frozenset, ...]:
@@ -248,32 +245,47 @@ def set_partitions(items, fits=None, label="set"):
 
     `fits(block, item)` may bar `item` from `block`. Each search node counts
     one work unit; more than `WORK_CAP` raise `SizeCapError` naming `label`.
+    The search path is kept in `at`, not on the call stack.
     """
     items = list(items)
     work = 0
     cap = errors.WORK_CAP
+    blocks, at = [], []  # at[i]: the block item i joined, None once it opened its own
 
-    def rec(i, blocks):
-        nonlocal work
+    while True:
         work += 1
         if work > cap:
             raise SizeCapError(
                 f"{label} partition enumeration exceeded {cap} work units"
             )
-        if i == len(items):
+        if len(at) == len(items):
             yield [list(b) for b in blocks]
+        else:
+            at.append(-1)
+        # the next search node: the next place of the deepest item that has
+        # one, undoing the places of the items it backs out of
+        while at:
+            i = len(at) - 1
+            j = at[i]
+            if j is None:
+                blocks.pop()
+                at.pop()
+                continue
+            x = items[i]
+            if j >= 0:
+                blocks[j].pop()
+            j += 1
+            while j < len(blocks) and fits is not None and not fits(blocks[j], x):
+                j += 1
+            if j < len(blocks):
+                blocks[j].append(x)
+                at[i] = j
+            else:
+                blocks.append([x])
+                at[i] = None
+            break
+        else:
             return
-        x = items[i]
-        for b in blocks:
-            if fits is None or fits(b, x):
-                b.append(x)
-                yield from rec(i + 1, blocks)
-                b.pop()
-        blocks.append([x])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
 
 
 def separates(p: Poset, x, y) -> bool:

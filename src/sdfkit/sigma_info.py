@@ -9,16 +9,14 @@ along ≥_X (the no-forgetting condition, `SubSigma.trace_failure`).
 from __future__ import annotations
 
 import itertools
-from math import comb
 
+from . import errors
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import record
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import set_partitions
 from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
 from .verdict import Verdict
-
-BELL_CAP = 10_000
 
 
 @record(frozen=True)
@@ -152,18 +150,11 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
     return Verdict.passed()
 
 
-def bell_number(n: int) -> int:
-    acc = [1]
-    for i in range(n):
-        acc.append(sum(comb(i, k) * acc[k] for k in range(i + 1)))
-    return acc[n]
-
-
 def sub_sigma_candidates(space: ScenarioSpace, carrier) -> list:
     """All sub-σ-algebras of 𝒜|carrier, canonically ordered."""
     atoms = canon_sorted(space.trace_atoms(carrier))
     out = []
-    for blocks in set_partitions(atoms):
+    for blocks in set_partitions(atoms, label="sub-σ-algebra"):
         merged = frozenset(frozenset().union(*b) for b in blocks)
         out.append(SubSigma(frozenset(carrier), merged))
     return canon_sorted(out)
@@ -173,23 +164,25 @@ def enumerate_eis(s: Sdf) -> tuple:
     """Every exogenous information structure of the instance, exhaustively.
 
     Iterates per move over all partitions of the ambient atoms inside its
-    domain (Bell-number growth; the sum of per-move Bell numbers is capped
-    by `BELL_CAP`) and prunes by the trace condition incrementally along the
-    canonical linear extension of ≥_X: repeatedly the canonically least move
-    whose moves above are all placed. Output order is lexicographic over the
-    per-move atom partitions along that extension.
+    domain (Bell-number growth) and prunes by the trace condition
+    incrementally along the canonical linear extension of ≥_X: repeatedly
+    the canonically least move whose moves above are all placed. Output
+    order is lexicographic over the per-move atom partitions along that
+    extension: each move's candidates come in canonical order, the order of
+    their atoms for a fixed carrier, and are tried in that order.
 
-    The order holds by construction: each move's candidates come in
-    canonical order, which for a fixed carrier is the order of their atoms,
-    and the search tries them in that order at every depth.
+    The search path is kept on a list, not the call stack. Each candidate
+    σ-algebra built (counted as each move's list is built) and each candidate
+    tried is one work unit; past `WORK_CAP` it raises `SizeCapError`.
     """
-    total = sum(
-        bell_number(len(s.space.trace_atoms(m.domain))) for m in s.random_moves
-    )
-    if total > BELL_CAP:
-        raise SizeCapError(
-            f"sum of per-move Bell numbers {total} exceeds cap {BELL_CAP}"
-        )
+    work, cap = 0, errors.WORK_CAP
+
+    def count(units):
+        nonlocal work
+        work += units
+        if work > cap:
+            raise SizeCapError(f"EIS enumeration exceeded {cap} work units")
+
     moves = s.sorted_moves
     above = {m: [o for o in moves if o != m and ge_x(o, m)] for m in moves}
     order: list = []
@@ -198,23 +191,33 @@ def enumerate_eis(s: Sdf) -> tuple:
         nxt = next(m for m in moves if m not in placed and placed.issuperset(above[m]))
         order.append(nxt)
         placed.add(nxt)
-    candidates = {m: sub_sigma_candidates(s.space, m.domain) for m in order}
+    candidates = {}
+    for m in order:
+        candidates[m] = sub_sigma_candidates(s.space, m.domain)
+        count(len(candidates[m]))
 
-    results = []
-    assignment: dict = {}
+    results, assignment = [], {}
 
-    def assign(i):
-        if i == len(order):
+    def fits(m, sigma):
+        count(1)
+        return all(assignment[o].traces_into(m.domain, sigma) for o in above[m])
+
+    tries: list = []  # tries[i]: the candidates of order[i] not yet tried
+    while True:
+        if len(tries) == len(order):
             results.append(Eis(tuple((m, assignment[m]) for m in moves)))
-            return
-        m = order[i]
-        for sigma in candidates[m]:
-            if all(assignment[o].traces_into(m.domain, sigma) for o in above[m]):
+        else:
+            tries.append(iter(candidates[order[len(tries)]]))
+        # place the next fitting candidate of the deepest move that has one left
+        while tries:
+            m = order[len(tries) - 1]
+            sigma = next((c for c in tries[-1] if fits(m, c)), None)
+            if sigma is not None:
                 assignment[m] = sigma
-                assign(i + 1)
-
-    assign(0)
-    return tuple(results)
+                break
+            tries.pop()
+        else:
+            return tuple(results)
 
 
 @record(frozen=True)

@@ -34,10 +34,9 @@ from functools import cache
 
 import pytest
 
-from sdfkit import examples
+from sdfkit import errors, examples
 from sdfkit._canon import canon_key, canon_sorted, fmt
 from sdfkit.action_path import (
-    DEFAULT_TIME_SUBSET_CAP,
     Apc3Result,
     MeasurabilityRecord,
     MeasurabilityReport,
@@ -83,6 +82,37 @@ def brute_maximal_chains(elements, ge):
         for c in chains
         if not any(c < d for d in chains)
     }
+
+
+def brute_set_partitions(items, fits=None, label="set"):
+    """`set_partitions` as first written: one recursive call per search node,
+    counted against `WORK_CAP` on entry. The reference for the partition
+    sequence, the calls of `fits` and the node at which the cap is reached."""
+    items = list(items)
+    work = 0
+    cap = errors.WORK_CAP
+
+    def rec(i, blocks):
+        nonlocal work
+        work += 1
+        if work > cap:
+            raise SizeCapError(
+                f"{label} partition enumeration exceeded {cap} work units"
+            )
+        if i == len(items):
+            yield [list(b) for b in blocks]
+            return
+        x = items[i]
+        for b in blocks:
+            if fits is None or fits(b, x):
+                b.append(x)
+                yield from rec(i + 1, blocks)
+                b.pop()
+        blocks.append([x])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
 
 
 def oracle_up_set(p, x):
@@ -555,9 +585,7 @@ def _all_prefixes(po: PathOutcomes, length: int):
     return itertools.product(canon_sorted(po.space.actions), repeat=length)
 
 
-def brute_check_apw(
-    po: PathOutcomes, *, max_time_subsets: int = DEFAULT_TIME_SUBSET_CAP
-) -> MultiVerdict:
+def brute_check_apw(po: PathOutcomes) -> MultiVerdict:
     """AP.W0-W4 by enumeration: W0 and W3 over every prefix in A^i, W2 over
     every (scenario, path in A^|T|, time subset) triple. Exponential in |T|,
     and uncapped: the reference the decided `check_apw` is compared against
@@ -596,10 +624,6 @@ def brute_check_apw(
             break
     items.append(("W1", w1))
 
-    if len(points) > max_time_subsets:
-        raise SizeCapError(
-            f"|T| = {len(points)} exceeds the W2 subset cap {max_time_subsets}"
-        )
     subset_pool = [
         c
         for r in range(len(points) + 1)

@@ -91,13 +91,6 @@ def w3_three_pairs_outcomes():
     )
 
 
-def _apw_or_error(check, po, **caps):
-    try:
-        return check(po, **caps)
-    except KernelError as e:
-        return (type(e), e.code, str(e))
-
-
 class TestTimeAxis:
     def test_zero_required(self):
         with pytest.raises(StructureError):
@@ -209,12 +202,12 @@ class TestCheckApw:
         apw = check_apw(w1_failure_outcomes())
         assert not apw.verdict("W1").ok
 
-    def test_w2_cap(self):
-        po = product_outcomes(
-            ScenarioSpace.discrete([1]), TimeAxis.of([0, 1]), ["a", "b"]
-        )
-        with pytest.raises(SizeCapError):
-            check_apw(po, max_time_subsets=1)
+    def test_w2_decided_at_nine_times(self):
+        # W2 reads each scenario's root group, so no bound on |T| guards it
+        po = product_outcomes(ScenarioSpace.discrete([1]), TimeAxis.of(range(9)), ["a"])
+        apw = check_apw(po)
+        assert [k for k, v in apw.items if v.ok] == ["W0", "W1", "W2", "W3"]
+        assert apw == brute_check_apw(po)
 
     def test_decided_matches_enumeration(
         self, rng, simple_aps, variant_aps, timing_aps, upandout_aps
@@ -234,15 +227,11 @@ class TestCheckApw:
         draws = [random_path_outcomes(rng, 4, 4, 3) for _ in range(300)]
         seen = Counter()
         for po in fixed + draws:
-            for caps in ({}, {"max_time_subsets": 2}):
-                got = _apw_or_error(check_apw, po, **caps)
-                assert got == _apw_or_error(brute_check_apw, po, **caps)
-                if isinstance(got, tuple):
-                    seen[got[1]] += 1
-                else:
-                    seen.update(k for k, v in got.items if not v.ok)
-        # the corpus reaches every verdict that can fail, and the caps
-        assert {"W0", "W1", "W2", "W3", "size-cap"} <= set(seen)
+            got = check_apw(po)
+            assert got == brute_check_apw(po)
+            seen.update(k for k, v in got.items if not v.ok)
+        # the corpus reaches every verdict that can fail
+        assert {"W0", "W1", "W2", "W3"} <= set(seen)
 
     def test_w4_only_with_factorization(self):
         without = product_outcomes(

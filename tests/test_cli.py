@@ -26,6 +26,7 @@ from sdfkit.cli import (
     report_to_text,
     run,
 )
+from sdfkit.errors import WORK_CAP
 from sdfkit.sigma_info import enumerate_eis
 from sdfkit.verdict import Verdict
 
@@ -504,11 +505,27 @@ class TestRun:
         report = run(doc, ["apw", "apc"], max_x=12)
         assert report.ok
 
-    def test_cap_error_reported(self):
+    def test_cap_error_reported(self, monkeypatch):
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 10)
         doc = parse_instance(TIMING_DOC)
-        report = run(doc, ["verify"], max_time_subsets=1)
-        assert not report.ok
-        assert any(r.status in ("error", "fail") for r in report.records)
+        [verify] = run(doc, ["verify"]).records
+        assert (verify.status, verify.message) == (
+            "error", "cap-exceeded: maximal-chain enumeration exceeded 10 work units"
+        )
+
+    def test_eis_search_counts_against_the_work_cap(self, monkeypatch):
+        # three scenarios over {a, b}^3: 7 moves of 5 candidates each and
+        # 1520 structures; the search, not a candidate list, outruns 1000
+        scenarios = ["1", "2", "3"]
+        paths = [(w, f) for w in scenarios for f in itertools.product("ab", repeat=3)]
+        doc = _action_path_doc(scenarios, range(3), ["a", "b"], paths)
+        [eis] = run(doc, ["enumerate-eis"]).records
+        assert (eis.status, eis.data["count"]) == ("ok", 1520)
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 1000)
+        [eis] = run(doc, ["enumerate-eis"]).records
+        assert (eis.status, eis.message) == (
+            "error", "cap-exceeded: EIS enumeration exceeded 1000 work units"
+        )
 
 
 def parent_named_choices(instance):
@@ -602,14 +619,14 @@ class TestOncePerRun:
         assert calls == {"check_apw": 1, "verify_sdf": 1}
         assert _comparable(report.records[0]) == _comparable(report.records[2])
 
-    def test_w2_cap_error_same_for_verify_and_apw(self):
+    def test_w2_decided_at_nine_times_same_for_verify_and_apw(self):
         times = range(9)
         doc = _action_path_doc(["1"], times, ["a"], [("1", ["a"] * 9)])
         report = run(doc, ["verify", "apw"])
         verify, apw = report.records
-        assert verify.status == "error"
-        assert verify.message == "cap-exceeded: |T| = 9 exceeds the W2 subset cap 8"
-        assert _comparable(verify) == _comparable(apw)
+        assert (verify.status, apw.status) == ("ok", "ok")
+        assert [k for k, v in apw.items if v.ok] == ["W0", "W1", "W2", "W3"]
+        assert verify.items[:4] == tuple((f"AP.{k}", v) for k, v in apw.items)
 
     def test_assumption_failure_keeps_its_items(self):
         # W2 holds on every outcome set (agreement on the latest prefix of a
@@ -988,7 +1005,7 @@ def test_a_large_action_set_gets_verdicts_not_a_prefix_cap():
 
 
 def test_no_function_takes_a_cap_parameter():
-    # the search bound is errors.WORK_CAP; the Bell bound is sigma_info.BELL_CAP
+    # the search bound is errors.WORK_CAP
     import importlib
     import inspect
     import pkgutil
@@ -1003,7 +1020,9 @@ def test_no_function_takes_a_cap_parameter():
             for fn in members:
                 fn = getattr(fn, "__func__", fn)
                 if inspect.isfunction(fn):
-                    params = inspect.signature(fn).parameters.keys() & {"work_cap", "bell_cap"}
+                    params = inspect.signature(fn).parameters.keys() & {
+                        "work_cap", "bell_cap", "max_time_subsets"
+                    }
                     found |= {f"{fn.__qualname__}({p})" for p in params}
     assert found == set()
 
@@ -1186,24 +1205,26 @@ ODD_IDS = [
     "frobnicate", "classify:nope", "classify:\u00e9t\u00e9", "v\x00\x1f\u2028\U0001f600\ud800",
 ]
 
-# case -> [(document, commands, max_x, max_time_subsets)]
+# case -> [(document, commands, max_x, WORK_CAP)]
 REPORT_CASES = {
     **{
-        f"{b} max_x={m}": [(lambda b=b: builtin_doc(b), _every_command(b), m, 8)]
+        f"{b} max_x={m}": [(lambda b=b: builtin_doc(b), _every_command(b), m, WORK_CAP)]
         for b in BUILTINS
         for m in (0, 12)
     },
-    "explicit": [(lambda: _explicit(choices=TWO_WAY_CHOICES), EXPLICIT_COMMANDS + ODD_IDS, 12, 8)],
-    "explicit failing": [(_crossing_explicit, EXPLICIT_COMMANDS, 12, 8)],
+    "explicit": [
+        (lambda: _explicit(choices=TWO_WAY_CHOICES), EXPLICIT_COMMANDS + ODD_IDS, 12, WORK_CAP)
+    ],
+    "explicit failing": [(_crossing_explicit, EXPLICIT_COMMANDS, 12, WORK_CAP)],
     "action-path documents": [
-        (_w3_failing_doc, ACTION_PATH_COMMANDS, 6, 8),
-        (_factorless_doc, ACTION_PATH_COMMANDS, 6, 8),
-        (lambda: parse_instance(TIMING_DOC), ACTION_PATH_COMMANDS + ODD_IDS, 12, 8),
+        (_w3_failing_doc, ACTION_PATH_COMMANDS, 6, WORK_CAP),
+        (_factorless_doc, ACTION_PATH_COMMANDS, 6, WORK_CAP),
+        (lambda: parse_instance(TIMING_DOC), ACTION_PATH_COMMANDS + ODD_IDS, 12, WORK_CAP),
     ],
     "generator draws": [
-        (lambda d=d: parse_instance(corpus_doc(d)), ACTION_PATH_COMMANDS, max_x, t)
+        (lambda d=d: parse_instance(corpus_doc(d)), ACTION_PATH_COMMANDS, max_x, cap)
         for d in range(30)
-        for max_x, t in ((0, 2), (9, 8))
+        for max_x, cap in ((0, 8), (9, WORK_CAP))
     ],
 }
 
@@ -1236,12 +1257,13 @@ class TestReportWriter:
     """`report_to_json` writes what `json.dumps` writes for the report's
     payload dict (`brute_report_to_json`)."""
 
-    def test_matches_payload_writer(self):
+    def test_matches_payload_writer(self, monkeypatch):
         shapes = set()
         for case, jobs in REPORT_CASES.items():
-            for make_doc, commands, max_x, max_time_subsets in jobs:
+            for make_doc, commands, max_x, cap in jobs:
+                monkeypatch.setattr("sdfkit.errors.WORK_CAP", cap)
                 doc = make_doc()
-                report = run(doc, commands, max_x=max_x, max_time_subsets=max_time_subsets)
+                report = run(doc, commands, max_x=max_x)
                 assert report_to_json(report, doc) == brute_report_to_json(report, doc), case
                 items = [v for r in report.records for _, v in r.items]
                 shapes |= {r.status for r in report.records}
@@ -1295,7 +1317,7 @@ class TestMain:
         assert main(["verify", str(f)]) == 2
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
-    @pytest.mark.parametrize("flag", ["--max-x", "--max-time-subsets"])
+    @pytest.mark.parametrize("flag", ["--max-x"])
     def test_negative_cap_is_a_usage_error(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["builtin", "simple", "verify", flag, "-1"])
@@ -1304,8 +1326,17 @@ class TestMain:
         assert f"argument {flag}: expected a non-negative integer, got '-1'" in err
 
     def test_zero_cap_is_accepted(self, capsys):
-        assert main(["--max-x", "0", "--max-time-subsets", "0", "builtin", "simple", "verify"]) == 0
+        assert main(["--max-x", "0", "builtin", "simple", "verify"]) == 0
         assert "exceeds exhaustive cap 0" in capsys.readouterr().out
+
+    def test_time_subset_flag_is_a_usage_error(self, capsys):
+        # W2 is decided for every |T|, so the flag that bounded |T| is gone
+        for argv in (["--max-time-subsets", "3", "builtin", "simple"],
+                     ["builtin", "simple", "--max-time-subsets", "3"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-time-subsets 3" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from sdfkit.set_forest import representation_by_decision_paths, verify_own_repre
 
 from conftest import (
     brute_maximal_chains,
+    brute_set_partitions,
     brute_poset_failure,
     oracle_covers,
     oracle_down_set,
@@ -38,6 +40,7 @@ from conftest import (
     oracle_separation_witness,
     oracle_up_set,
 )
+from tests_helpers import recursion_headroom
 
 
 def chain_poset(n):
@@ -276,6 +279,36 @@ class TestSetPartitions:
         with pytest.raises(SizeCapError) as exc:
             list(set_partitions("abc", apart, "abc"))
         assert str(exc.value) == "abc partition enumeration exceeded 5 work units"
+
+    def test_matches_recursive_form(self, rng, monkeypatch):
+        # the same partitions, `fits` calls and cap node as the recursive
+        # search, under every cap from 1 to past the whole search
+        def trace(fn, items, seed, cap):
+            monkeypatch.setattr("sdfkit.errors.WORK_CAP", cap)
+            draw, verdicts, calls, parts = random.Random(seed), {}, [], []
+
+            def fits(block, x):
+                calls.append((tuple(block), x))
+                return verdicts.setdefault(calls[-1], draw.random() < 0.6)
+
+            try:
+                for p in fn(items, fits if seed % 3 else None, "t"):
+                    parts.append(p)
+            except SizeCapError as e:
+                return parts, calls, str(e)
+            return parts, calls, None
+
+        for n in range(6):
+            for cap in range(1, 200, 3):
+                seed = rng.randrange(10 ** 6)
+                assert trace(set_partitions, range(n), seed, cap) == trace(
+                    brute_set_partitions, range(n), seed, cap
+                )
+
+    def test_depth_not_bounded_by_the_recursion_limit(self):
+        with recursion_headroom(100):
+            parts = list(set_partitions(range(300), lambda block, x: False))
+        assert parts == [[[i] for i in range(300)]]
 
 class TestSeparates:
     def test_two_incomparable_roots(self):

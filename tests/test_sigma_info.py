@@ -17,7 +17,6 @@ from sdfkit.sigma_info import (
     Filtration,
     ObservationFamily,
     SubSigma,
-    bell_number,
     chain_filtration,
     eis_from_filtration,
     eis_from_observations,
@@ -29,7 +28,7 @@ from sdfkit.sigma_info import (
 from sdfkit.action_path import TimeAxis, build_action_path_sdf, check_apw, product_outcomes
 from sdfkit.errors import KernelError
 from conftest import brute_enumerate_eis, brute_trace_failure
-from tests_helpers import simple_eis_list, variant_eis_list
+from tests_helpers import recursion_headroom, simple_eis_list, variant_eis_list
 
 
 def partitions_strategy(n):
@@ -223,12 +222,51 @@ class TestEnumerateEis:
         assert listed == []
 
     def test_cap(self, simple, monkeypatch):
-        monkeypatch.setattr("sdfkit.sigma_info.BELL_CAP", 1)
-        with pytest.raises(SizeCapError):
+        # 18 units: 6 candidates built over the 3 moves, 12 tried
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 18)
+        assert len(enumerate_eis(simple)) == 5
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 17)
+        with pytest.raises(SizeCapError) as exc:
             enumerate_eis(simple)
+        assert str(exc.value) == "EIS enumeration exceeded 17 work units"
 
-    def test_bell_numbers(self):
-        assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    def test_cap_counts_each_candidate_list_as_it_is_built(self, monkeypatch):
+        # {a, b}^3 over 5 scenarios: 7 moves, each over 5 atoms, so 52
+        # candidates a move; the second list passes 100 units, and the
+        # lists of the other 5 moves are never built
+        po = product_outcomes(ScenarioSpace.discrete(range(5)), TimeAxis.of(range(3)), ["a", "b"])
+        s = build_action_path_sdf(po).sdf
+        assert len(s.random_moves) == 7
+        built = []
+
+        def counting(space, carrier):
+            built.append(sub_sigma_candidates(space, carrier))
+            return built[-1]
+
+        monkeypatch.setattr("sdfkit.sigma_info.sub_sigma_candidates", counting)
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 100)
+        with pytest.raises(SizeCapError) as exc:
+            enumerate_eis(s)
+        assert str(exc.value) == "EIS enumeration exceeded 100 work units"
+        assert [len(c) for c in built] == [52, 52]
+
+    def test_candidate_list_cap_names_its_search(self, monkeypatch):
+        # one move over 3 atoms: 9 partition search nodes
+        po = product_outcomes(ScenarioSpace.discrete(range(3)), TimeAxis.of(range(1)), ["a", "b"])
+        s = build_action_path_sdf(po).sdf
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 8)
+        with pytest.raises(SizeCapError) as exc:
+            enumerate_eis(s)
+        assert str(exc.value) == "sub-σ-algebra partition enumeration exceeded 8 work units"
+
+    def test_depth_not_bounded_by_the_recursion_limit(self):
+        # {a, b}^7 in one scenario: 127 moves, one candidate each
+        po = product_outcomes(ScenarioSpace.discrete([1]), TimeAxis.of(range(7)), ["a", "b"])
+        s = build_action_path_sdf(po).sdf
+        assert len(s.random_moves) == 127
+        with recursion_headroom(100):
+            structures = enumerate_eis(s)
+        assert len(structures) == 1
 
 
 class TestChainFiltration:

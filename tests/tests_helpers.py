@@ -1,11 +1,13 @@
-"""Small hand-built instances, instance documents, and the worked examples'
-expected information structures and adapted-choice tables, shared by
-several test modules."""
+"""Small hand-built instances, instance documents, the worked examples'
+expected information structures and adapted-choice tables, and a
+recursion-limit guard, shared by several test modules."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import sys
 
 from sdfkit import gen
 from sdfkit._canon import canon_sorted
@@ -61,6 +63,22 @@ def lone_terminal_instance() -> Sdf:
     }
     move = RandomMove.of({1: frozenset("ab")})
     return Sdf.of(forest, space, projection, [move])
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to `frames` above the current call depth
+    for the body, and restore it after: a search that recursed once per
+    item would fail inside on more than `frames` items."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def corpus_doc(draw: int) -> str:

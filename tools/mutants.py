@@ -54,6 +54,33 @@ MUTANTS = [
         ],
     ),
     (
+        "partition-stack-order-reversed",
+        "sdfkit/order_core.py",
+        "                blocks[j].pop()",
+        "                blocks[j].pop(0)",
+        [
+            "tests/test_order_core.py::TestSetPartitions::test_matches_recursive_form",
+            "tests/test_order_core.py::TestSetPartitions::test_restricted_growth_order",
+        ],
+    ),
+    (
+        "eis-cap-dropped",
+        "sdfkit/sigma_info.py",
+        "        if work > cap:",
+        "        if False:",
+        [
+            "tests/test_sigma_info.py::TestEnumerateEis::test_cap",
+            "tests/test_cli.py::TestRun::test_eis_search_counts_against_the_work_cap",
+        ],
+    ),
+    (
+        "eis-lists-counted-after-all-are-built",
+        "sdfkit/sigma_info.py",
+        "        count(len(candidates[m]))\n",
+        "    count(sum(len(c) for c in candidates.values()))\n",
+        ["tests/test_sigma_info.py::TestEnumerateEis::test_cap_counts_each_candidate_list_as_it_is_built"],
+    ),
+    (
         "generator-cap-literal",
         "sdfkit/action_path.py",
         "            if tried > cap:",
