@@ -297,21 +297,47 @@ class Sdf:
         return tuple(canon_sorted(self.space.scenarios))
 
     @functools.cached_property
+    def x_above(self) -> dict:
+        """m ↦ the moves o ≠ m with o ≥_X m, as an unordered set, so a
+        passing check that reads it sorts nothing.
+
+        o ≥_X m needs o(ω) ⊇ m(ω) at m's first scenario ω, so only the moves
+        that assign a node of ↑m(ω) at ω are tested. If a move assigns a set
+        that is not a node (`Sdf.of` admits none), every pair is tested.
+        """
+        moves = self.random_moves
+        if len(moves) < 2:
+            return dict.fromkeys(moves, frozenset())
+        owners: dict = {}  # (ω, node) ↦ the moves assigning that node at ω
+        for m in moves:
+            for w, node in m.graph:
+                owners.setdefault((w, node), []).append(m)
+        up = self.up
+        if all(node in up for _, node in owners):
+            def near(m):
+                w, node = m.graph[0]
+                return [o for y in up[node] for o in owners.get((w, y), ())]
+        else:
+            def near(m):
+                return moves
+        return {m: frozenset(o for o in near(m) if o is not m and ge_x(o, m)) for m in moves}
+
+    @functools.cached_property
     def ttree(self) -> "TTree":
-        """(T, ≥_T): random moves plus one random terminal node per terminal."""
+        """(T, ≥_T): random moves plus one random terminal node per terminal.
+
+        A move is above the terminal (ω, v) iff its node at ω contains v, so
+        the pairs are read off each move's nodes.
+        """
         terminals = frozenset(
             (self.proj[x], next(iter(x))) for x in self.terminal_nodes if len(x) == 1
         )
         elements = set(self.random_moves) | set(terminals)
-        pairs = set()
-        for m1 in self.random_moves:
-            for m2 in self.random_moves:
-                if ge_x(m1, m2):
-                    pairs.add((m1, m2))
+        pairs = []
         for m in self.random_moves:
-            for (w, out) in terminals:
-                if w in m.domain and out in m.node_at(w):
-                    pairs.add((m, (w, out)))
+            pairs.extend((o, m) for o in self.x_above[m])
+            for w, node in m.graph:
+                pairs.extend((m, (w, out)) for out in node if (w, out) in terminals)
         return TTree(Poset.of(elements, pairs), frozenset(self.random_moves), terminals)
 
     @functools.cached_property

@@ -8,6 +8,7 @@ along ≥_X (the no-forgetting condition, `SubSigma.trace_failure`).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from . import errors
@@ -116,7 +117,12 @@ def level_set_partition(space: ScenarioSpace, observable: dict) -> SubSigma:
 
 
 def verify_eis(s: Sdf, e: Eis) -> Verdict:
-    """Both defining conditions, checked for every pair x ≥_X x' and every event E."""
+    """Both defining conditions, checked for every pair x ≥_X x' and every event E.
+
+    The pairs are read from `Sdf.x_above`, and the trace condition is decided
+    on them unordered. Only a failure walks the moves in canonical order, and
+    for each the moves strictly below it in canonical order, to name the
+    first failing pair."""
     if e.moves() != s.random_moves:
         raise InputError(
             "information structure does not index exactly the random moves",
@@ -136,9 +142,16 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
                 f"atom {fmt(min(bad, key=canon_key))} of the algebra at {m.fmt()} "
                 "is not an event",
             )
+    sigmas = dict(e.entries)
+    if all(
+        sigmas[m1].traces_into(m2.domain, sigmas[m2])
+        for m2, above in s.x_above.items()
+        for m1 in above
+    ):
+        return Verdict.passed()
     for m1, sigma1 in e.entries:
         for m2, sigma2 in e.entries:
-            if m1 == m2 or not ge_x(m1, m2):
+            if m1 not in s.x_above[m2]:
                 continue
             event = sigma1.trace_failure(m2.domain, sigma2)
             if event is not None:
@@ -147,17 +160,20 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
                     f"E = {fmt(event)} at {m1.fmt()} traces to "
                     f"{fmt(frozenset(event & m2.domain))} ∉ algebra at {m2.fmt()}",
                 )
-    return Verdict.passed()
+    raise AssertionError("a pair that fails the trace was decided above")
 
 
 def sub_sigma_candidates(space: ScenarioSpace, carrier) -> list:
-    """All sub-σ-algebras of 𝒜|carrier, canonically ordered."""
+    """All sub-σ-algebras of 𝒜|carrier, canonically ordered: by their atoms,
+    since the carrier is the same for all."""
+    carrier = frozenset(carrier)
     atoms = canon_sorted(space.trace_atoms(carrier))
     out = []
     for blocks in set_partitions(atoms, label="sub-σ-algebra"):
         merged = frozenset(frozenset().union(*b) for b in blocks)
-        out.append(SubSigma(frozenset(carrier), merged))
-    return canon_sorted(out)
+        out.append(SubSigma(carrier, merged))
+    out.sort(key=lambda sigma: canon_key(sigma.atoms))
+    return out
 
 
 def enumerate_eis(s: Sdf) -> tuple:
@@ -171,8 +187,15 @@ def enumerate_eis(s: Sdf) -> tuple:
     extension: each move's candidates come in canonical order, the order of
     their atoms for a fixed carrier, and are tried in that order.
 
-    The search path is kept on a list, not the call stack. Each candidate
-    σ-algebra built (counted as each move's list is built) and each candidate
+    The moves above each move are read from `Sdf.x_above`, and the extension
+    comes from a min-heap of canonical ranks (Kahn's algorithm). Moves with
+    one domain share one candidate list, built when the first of them is
+    reached. Whether candidate i of a domain traces into candidate j on
+    another move's domain is decided once per call and then read from a
+    table. The search path is kept on a list, not the call stack.
+
+    Each candidate σ-algebra of a move's list (counted move by move, along
+    the extension, as if every move built its own list) and each candidate
     tried is one work unit; past `WORK_CAP` it raises `SizeCapError`.
     """
     work, cap = 0, errors.WORK_CAP
@@ -183,41 +206,79 @@ def enumerate_eis(s: Sdf) -> tuple:
         if work > cap:
             raise SizeCapError(f"EIS enumeration exceeded {cap} work units")
 
+    # moves by canonical rank: above[i] ranks the moves above move i
     moves = s.sorted_moves
-    above = {m: [o for o in moves if o != m and ge_x(o, m)] for m in moves}
-    order: list = []
-    placed: set = set()
-    while len(order) < len(moves):
-        nxt = next(m for m in moves if m not in placed and placed.issuperset(above[m]))
-        order.append(nxt)
-        placed.add(nxt)
-    candidates = {}
-    for m in order:
-        candidates[m] = sub_sigma_candidates(s.space, m.domain)
-        count(len(candidates[m]))
+    if len(moves) > 1:
+        rank = {m: i for i, m in enumerate(moves)}
+        above = [sorted(rank[o] for o in s.x_above[m]) for m in moves]
+        order = _linear_extension(above)
+    else:
+        above, order = [()] * len(moves), range(len(moves))
+    lists: dict = {}  # domain ↦ (its number, its candidate list)
+    dom, candidates = [0] * len(moves), [()] * len(moves)
+    for i in order:
+        domain = moves[i].domain
+        if domain not in lists:
+            lists[domain] = (len(lists), sub_sigma_candidates(s.space, domain))
+        dom[i], candidates[i] = lists[domain]
+        count(len(candidates[i]))
 
-    results, assignment = [], {}
+    results = []
+    pos = [0] * len(moves)  # pos[i]: the position of move i's placed candidate
+    # (domain of o, position at o, domain of i, position j) ↦ whether o's
+    # candidate traces on move i's domain into i's candidate j
+    traced: dict = {}
 
-    def fits(m, sigma):
+    def fits(i, j):
         count(1)
-        return all(assignment[o].traces_into(m.domain, sigma) for o in above[m])
+        d, domain, sigma = dom[i], moves[i].domain, candidates[i][j]
+        for o in above[i]:
+            key = (dom[o], pos[o], d, j)
+            ok = traced.get(key)
+            if ok is None:
+                ok = traced[key] = candidates[o][pos[o]].traces_into(domain, sigma)
+            if not ok:
+                return False
+        return True
 
-    tries: list = []  # tries[i]: the candidates of order[i] not yet tried
+    tries: list = []  # tries[k]: the positions of order[k]'s candidates not yet tried
     while True:
         if len(tries) == len(order):
-            results.append(Eis(tuple((m, assignment[m]) for m in moves)))
+            results.append(Eis(tuple((m, candidates[i][pos[i]]) for i, m in enumerate(moves))))
         else:
-            tries.append(iter(candidates[order[len(tries)]]))
+            tries.append(iter(range(len(candidates[order[len(tries)]]))))
         # place the next fitting candidate of the deepest move that has one left
         while tries:
-            m = order[len(tries) - 1]
-            sigma = next((c for c in tries[-1] if fits(m, c)), None)
-            if sigma is not None:
-                assignment[m] = sigma
+            i = order[len(tries) - 1]
+            j = next((j for j in tries[-1] if fits(i, j)), None)
+            if j is not None:
+                pos[i] = j
                 break
             tries.pop()
         else:
             return tuple(results)
+
+
+def _linear_extension(above: list) -> list:
+    """The canonical linear extension of ≥_X on moves given by canonical
+    rank, `above[i]` ranking the moves above move i: repeatedly the least
+    rank whose moves above are all placed. Kahn's topological sort with a
+    min-heap of ranks."""
+    below: list = [[] for _ in above]
+    for i, ranks in enumerate(above):
+        for o in ranks:
+            below[o].append(i)
+    waiting = [len(ranks) for ranks in above]
+    ready = [i for i, n in enumerate(waiting) if not n]  # ascending, so a heap
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for k in below[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                heapq.heappush(ready, k)
+    return order
 
 
 @record(frozen=True)

@@ -11,7 +11,8 @@ an agent by one window choice per (move, component set, history) over every
 path (`brute_agent_pieces`), the window-choice verdicts by canonical scans, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the no-forgetting trace
 check by listing every event, the information structures and their
-order by sorting every result, the RCS and adaptedness witnesses by
+order by sorting every result, ≥_X, the derived tree, the EIS check and the
+EIS search with its work count by one `ge_x` per ordered pair of moves, the RCS and adaptedness witnesses by
 scanning in canonical order, the poset axioms, forest-ness, axiom 1, axiom
 2, axiom 3c and the evaluation bijection by walking their elements in
 canonical order (the checks the library decides on sets and sorts only to
@@ -63,8 +64,8 @@ from sdfkit.choice import (
 )
 from sdfkit.errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
-from sdfkit.order_core import maximal_chains
-from sdfkit.sdf import ge_x, x_order
+from sdfkit.order_core import Poset, maximal_chains
+from sdfkit.sdf import TTree, ge_x, x_order
 from sdfkit.sigma_info import Eis, sub_sigma_candidates
 from sdfkit.verdict import MultiVerdict, Verdict
 
@@ -262,6 +263,120 @@ def brute_enumerate_eis(s):
     assign(0)
     results.sort(key=lambda e: tuple(canon_key(e.for_move(m).atoms) for m in moves))
     return tuple(results)
+
+
+def scan_enumerate_eis(s):
+    """`enumerate_eis` as first written with its work count: the `above`
+    table by one `ge_x` per ordered pair of moves, the linear extension by
+    scanning every move at every step, one candidate list built per move and
+    each trace decided at every try. The reference for the structures, their
+    order, the work units and the point where the cap is reached."""
+    work, cap = 0, errors.WORK_CAP
+
+    def count(units):
+        nonlocal work
+        work += units
+        if work > cap:
+            raise SizeCapError(f"EIS enumeration exceeded {cap} work units")
+
+    moves = s.sorted_moves
+    above = {m: [o for o in moves if o != m and ge_x(o, m)] for m in moves}
+    order: list = []
+    placed: set = set()
+    while len(order) < len(moves):
+        nxt = next(m for m in moves if m not in placed and placed.issuperset(above[m]))
+        order.append(nxt)
+        placed.add(nxt)
+    candidates = {}
+    for m in order:
+        candidates[m] = sub_sigma_candidates(s.space, m.domain)
+        count(len(candidates[m]))
+
+    results, assignment = [], {}
+
+    def fits(m, sigma):
+        count(1)
+        return all(assignment[o].traces_into(m.domain, sigma) for o in above[m])
+
+    tries: list = []  # tries[i]: the candidates of order[i] not yet tried
+    while True:
+        if len(tries) == len(order):
+            results.append(Eis(tuple((m, assignment[m]) for m in moves)))
+        else:
+            tries.append(iter(candidates[order[len(tries)]]))
+        # place the next fitting candidate of the deepest move that has one left
+        while tries:
+            m = order[len(tries) - 1]
+            sigma = next((c for c in tries[-1] if fits(m, c)), None)
+            if sigma is not None:
+                assignment[m] = sigma
+                break
+            tries.pop()
+        else:
+            return tuple(results)
+
+
+def pairwise_verify_eis(s, e):
+    """`verify_eis` over every ordered pair of moves in canonical order, one
+    `ge_x` each, naming the first pair that fails the trace condition."""
+    if e.moves() != s.random_moves:
+        raise InputError(
+            "information structure does not index exactly the random moves",
+            code="carrier-mismatch",
+        )
+    for m, sigma in e.entries:
+        if sigma.carrier != m.domain:
+            raise InputError(
+                f"carrier {fmt(sigma.carrier)} differs from the domain of {m.fmt()}",
+                code="carrier-mismatch",
+            )
+    for m, sigma in e.entries:
+        bad = [atom for atom in sigma.atoms if not s.space.is_event(atom)]
+        if bad:
+            return Verdict.failed(
+                "eis-not-sub-algebra",
+                f"atom {fmt(min(bad, key=canon_key))} of the algebra at {m.fmt()} "
+                "is not an event",
+            )
+    for m1, sigma1 in e.entries:
+        for m2, sigma2 in e.entries:
+            if m1 == m2 or not ge_x(m1, m2):
+                continue
+            event = sigma1.trace_failure(m2.domain, sigma2)
+            if event is not None:
+                return Verdict.failed(
+                    "eis-trace-violation",
+                    f"E = {fmt(event)} at {m1.fmt()} traces to "
+                    f"{fmt(frozenset(event & m2.domain))} ∉ algebra at {m2.fmt()}",
+                )
+    return Verdict.passed()
+
+
+def pairwise_x_above(s):
+    """m ↦ the moves o ≠ m with o ≥_X m, by one `ge_x` per ordered pair."""
+    return {
+        m: frozenset(o for o in s.random_moves if o != m and ge_x(o, m))
+        for m in s.random_moves
+    }
+
+
+def pairwise_ttree(s):
+    """`Sdf.ttree` with its pairs tested one by one: `ge_x` for every ordered
+    pair of moves, containment for every move and terminal."""
+    terminals = frozenset(
+        (s.proj[x], next(iter(x))) for x in s.terminal_nodes if len(x) == 1
+    )
+    elements = set(s.random_moves) | set(terminals)
+    pairs = set()
+    for m1 in s.random_moves:
+        for m2 in s.random_moves:
+            if ge_x(m1, m2):
+                pairs.add((m1, m2))
+    for m in s.random_moves:
+        for (w, out) in terminals:
+            if w in m.domain and out in m.node_at(w):
+                pairs.add((m, (w, out)))
+    return TTree(Poset.of(elements, pairs), frozenset(s.random_moves), terminals)
 
 
 def brute_verify_rcs(s, r):

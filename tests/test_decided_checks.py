@@ -22,6 +22,7 @@ from sdfkit.action_path import (
     WindowChoiceSpec,
     build_action_path_sdf,
     check_apw,
+    product_outcomes,
     window_choice,
 )
 from sdfkit.errors import KernelError, SizeCapError
@@ -52,16 +53,11 @@ from conftest import (
     brute_window_choice,
     oracle_is_tree,
     oracle_separation_witness,
+    pairwise_ttree,
+    pairwise_verify_eis,
+    pairwise_x_above,
 )
-from tests_helpers import EXPLICIT_DOC, corpus_doc
-
-
-def outcome(fn, *args, **kwargs):
-    """What fn returns, or the type, code and text of the kernel error it raises."""
-    try:
-        return ("value", fn(*args, **kwargs))
-    except KernelError as e:
-        return ("error", type(e), e.code, str(e))
+from tests_helpers import EXPLICIT_DOC, corpus_doc, fresh_copy, outcome
 
 
 def corpus_sdfs(n: int) -> list:
@@ -257,6 +253,49 @@ class TestSdfChecks:
             "3c fail",
         } <= set(seen)
 
+    def test_x_above_and_ttree_match_the_pairwise_forms(self, rng, sdf_pool):
+        # the builtins and corpus draws 0-149, each also with one move or node
+        # altered: some fail axioms 3a-3c, some assign a set that is not a node
+        seen = Counter()
+        for s in sdf_pool:
+            for t in [s] + [mutated_sdf(rng, s) for _ in range(4)]:
+                assert t.x_above == pairwise_x_above(t)
+                assert t.ttree == pairwise_ttree(t)
+                # with two moves or more, x_above compares them
+                nodes = all(m.image <= t.forest.nodes for m in t.random_moves)
+                seen["nodes" if nodes else "not a node"] += len(t.random_moves) > 1
+                # o's node at m's first scenario contains m's, yet o is not above m
+                seen["contains, not above"] += any(
+                    o is not m and o.nodes.get(w, frozenset()) >= node and o not in t.x_above[m]
+                    for m in t.random_moves
+                    for w, node in m.graph[:1]
+                    for o in t.random_moves
+                )
+        assert min(seen[key] for key in ("nodes", "not a node", "contains, not above")) > 0, seen
+
+    def test_ttree_matches_the_pairwise_form_on_127_moves(self):
+        po = product_outcomes(ScenarioSpace.discrete([1]), TimeAxis.of(range(7)), ["a", "b"])
+        s = build_action_path_sdf(po).sdf
+        assert len(s.random_moves) == 127
+        assert s.ttree == pairwise_ttree(s)
+        assert check_ttree_theorem(s).ok
+
+    def test_verify_eis_matches_the_pairwise_form(self, rng, sdf_pool):
+        # each instance's first structures, and structures of random
+        # candidates per move, most of which fail the trace condition
+        seen = Counter()
+        for s in sdf_pool:
+            found = outcome(sigma_info.enumerate_eis, s)
+            structures = list(found[1][:4]) if found[0] == "value" else []
+            pools = {m: sigma_info.sub_sigma_candidates(s.space, m.domain) for m in s.sorted_moves}
+            for _ in range(4):
+                structures.append(sigma_info.Eis.of({m: rng.choice(c) for m, c in pools.items()}))
+            for e in structures:
+                verdict = sigma_info.verify_eis(s, e)
+                assert verdict == pairwise_verify_eis(s, e)
+                seen[verdict.code or "ok"] += 1
+        assert seen["ok"] > 0 and seen["eis-trace-violation"] > 0, seen
+
 
 # ---------------------------------------------------------------------------
 # action_path: AP.W0-W3
@@ -328,11 +367,6 @@ class TestWindowChoice:
 
 # ---------------------------------------------------------------------------
 # guard: a passing check makes no canonical-order call
-
-
-def fresh_copy(s: Sdf) -> Sdf:
-    """`s` with none of its derived tables built yet."""
-    return Sdf(SetForest(s.forest.universe, s.forest.nodes), s.space, s.projection, s.random_moves)
 
 
 def test_passing_checks_never_sort(monkeypatch, sdf_pool):

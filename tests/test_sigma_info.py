@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sdfkit.errors import InputError, SizeCapError
 from sdfkit.gen import random_filtration, random_observables, random_path_outcomes, rng_from_env
 from sdfkit.order_core import set_partitions
-from sdfkit.sdf import ScenarioSpace, ge_x, x_order
+from sdfkit.sdf import RandomMove, ScenarioSpace, Sdf, ge_x, x_order
+from sdfkit.set_forest import SetForest
 from sdfkit.sigma_info import (
     ChainStages,
     Eis,
@@ -25,10 +26,17 @@ from sdfkit.sigma_info import (
     sub_sigma_candidates,
     verify_eis,
 )
-from sdfkit.action_path import TimeAxis, build_action_path_sdf, check_apw, product_outcomes
+from sdfkit.action_path import (
+    ActionSpace,
+    PathOutcomes,
+    TimeAxis,
+    build_action_path_sdf,
+    check_apw,
+    product_outcomes,
+)
 from sdfkit.errors import KernelError
-from conftest import brute_enumerate_eis, brute_trace_failure
-from tests_helpers import recursion_headroom, simple_eis_list, variant_eis_list
+from conftest import brute_enumerate_eis, brute_trace_failure, scan_enumerate_eis
+from tests_helpers import fresh_copy, outcome, recursion_headroom, simple_eis_list, variant_eis_list
 
 
 def partitions_strategy(n):
@@ -153,11 +161,25 @@ def brute_force_eis(s):
     return out
 
 
+def three_domain_instance() -> Sdf:
+    """{a, b}^2 over 5 scenarios, without (b, b) at scenario 0 and (a, b) at
+    scenario 4: the root over all 5, the move after a over {0, 1, 2, 3} and
+    the move after b over {1, 2, 3, 4}."""
+    full = list(itertools.product("ab", repeat=2))
+    paths = (
+        [(0, f) for f in full if f != ("b", "b")]
+        + [(w, f) for w in (1, 2, 3) for f in full]
+        + [(4, f) for f in full if f != ("a", "b")]
+    )
+    space = ScenarioSpace.discrete(range(5))
+    return build_action_path_sdf(PathOutcomes.of(TimeAxis.of(range(2)), ActionSpace.of("ab"), space, paths)).sdf
+
+
 @pytest.fixture(scope="module")
 def eis_instances(simple, variant, timing_aps, upandout_aps):
-    """The four builtins, then the buildable draws among the first 200
-    seeds of the path-outcome generator."""
-    out = [simple, variant, timing_aps.sdf, upandout_aps.sdf]
+    """The four builtins, a document whose moves have three domains, then the
+    buildable draws among the first 200 seeds of the path-outcome generator."""
+    out = [simple, variant, timing_aps.sdf, upandout_aps.sdf, three_domain_instance()]
     for seed in range(200):
         try:
             aps = build_action_path_sdf(
@@ -230,13 +252,10 @@ class TestEnumerateEis:
             enumerate_eis(simple)
         assert str(exc.value) == "EIS enumeration exceeded 17 work units"
 
-    def test_cap_counts_each_candidate_list_as_it_is_built(self, monkeypatch):
-        # {a, b}^3 over 5 scenarios: 7 moves, each over 5 atoms, so 52
-        # candidates a move; the second list passes 100 units, and the
-        # lists of the other 5 moves are never built
-        po = product_outcomes(ScenarioSpace.discrete(range(5)), TimeAxis.of(range(3)), ["a", "b"])
-        s = build_action_path_sdf(po).sdf
-        assert len(s.random_moves) == 7
+    @staticmethod
+    def lists_built(monkeypatch, s, cap):
+        """The lengths of the candidate lists `enumerate_eis` builds on `s`
+        under a work cap of `cap`, which it must reach."""
         built = []
 
         def counting(space, carrier):
@@ -244,11 +263,65 @@ class TestEnumerateEis:
             return built[-1]
 
         monkeypatch.setattr("sdfkit.sigma_info.sub_sigma_candidates", counting)
-        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 100)
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", cap)
         with pytest.raises(SizeCapError) as exc:
             enumerate_eis(s)
-        assert str(exc.value) == "EIS enumeration exceeded 100 work units"
-        assert [len(c) for c in built] == [52, 52]
+        assert str(exc.value) == f"EIS enumeration exceeded {cap} work units"
+        return [len(c) for c in built]
+
+    def test_cap_counts_each_candidate_list_as_it_is_built(self, monkeypatch):
+        # {a, b}^3 over 5 scenarios: 7 moves, each over the same 5 atoms, so
+        # one list of 52 candidates, counted once per move; the second move
+        # passes 100 units
+        po = product_outcomes(ScenarioSpace.discrete(range(5)), TimeAxis.of(range(3)), ["a", "b"])
+        s = build_action_path_sdf(po).sdf
+        assert len(s.random_moves) == 7
+        assert self.lists_built(monkeypatch, s, 100) == [52]
+
+    def test_cap_builds_at_most_one_list_past_it(self, monkeypatch):
+        # 15 scenarios, each with a two-outcome tree, and three moves over
+        # disjoint groups of 5 scenarios: three domains, 52 candidates each;
+        # the second list passes 100 units, and the third is never built
+        groups = [range(0, 5), range(5, 10), range(10, 15)]
+        nodes, projection = [], {}
+        for w in range(15):
+            for node in ({(w, "a"), (w, "b")}, {(w, "a")}, {(w, "b")}):
+                nodes.append(frozenset(node))
+                projection[frozenset(node)] = w
+        forest = SetForest.of(frozenset().union(*nodes), nodes)
+        moves = [RandomMove.of({w: frozenset({(w, "a"), (w, "b")}) for w in g}) for g in groups]
+        s = Sdf.of(forest, ScenarioSpace.discrete(range(15)), projection, moves)
+        assert self.lists_built(monkeypatch, s, 100) == [52, 52]
+
+    def test_cap_points_match_the_scanning_form(self, monkeypatch, simple, variant, timing_aps):
+        # same units, counted in the same order: under every cap both raise
+        # the same error or return the same structures
+        cases = [(simple, cap) for cap in range(1, 61)] + [(variant, cap) for cap in range(1, 61)]
+        cases += [(timing_aps.sdf, cap) for cap in (257, 258, 259)]
+        seen = set()
+        for s, cap in cases:
+            monkeypatch.setattr("sdfkit.errors.WORK_CAP", cap)
+            got = outcome(enumerate_eis, s)
+            assert got == outcome(scan_enumerate_eis, s), (cap, got)
+            seen.add(got[0])
+        assert seen == {"value", "error"}
+
+    def test_reads_x_above_not_every_pair(self, monkeypatch):
+        # {a, b}^7 in one scenario: 127 moves; one `ge_x` per ordered pair
+        # would be 16002 calls, walking ancestors makes at most |X| per level
+        po = product_outcomes(ScenarioSpace.discrete([1]), TimeAxis.of(range(7)), ["a", "b"])
+        s = fresh_copy(build_action_path_sdf(po).sdf)
+        depth = max(len(up) for up in s.up.values())
+        calls = []
+
+        def counting(x1, x2):
+            calls.append((x1, x2))
+            return ge_x(x1, x2)
+
+        monkeypatch.setattr("sdfkit.sdf.ge_x", counting)
+        monkeypatch.setattr("sdfkit.sigma_info.ge_x", counting)
+        assert len(enumerate_eis(s)) == 1
+        assert 0 < len(calls) <= len(s.random_moves) * depth
 
     def test_candidate_list_cap_names_its_search(self, monkeypatch):
         # one move over 3 atoms: 9 partition search nodes

@@ -1,6 +1,7 @@
 """Small hand-built instances, instance documents, the worked examples'
-expected information structures and adapted-choice tables, and a
-recursion-limit guard, shared by several test modules."""
+expected information structures and adapted-choice tables, a
+recursion-limit guard, and the outcome and fresh-copy helpers of the
+differential tests, shared by several test modules."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import sys
 
 from sdfkit import gen
 from sdfkit._canon import canon_sorted
+from sdfkit.errors import KernelError
 from sdfkit.examples import (
     KM,
     SCENARIOS,
@@ -79,6 +81,19 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def outcome(fn, *args, **kwargs):
+    """What fn returns, or the type, code and text of the kernel error it raises."""
+    try:
+        return ("value", fn(*args, **kwargs))
+    except KernelError as e:
+        return ("error", type(e), e.code, str(e))
+
+
+def fresh_copy(s: Sdf) -> Sdf:
+    """`s` with none of its derived tables built yet."""
+    return Sdf(SetForest(s.forest.universe, s.forest.nodes), s.space, s.projection, s.random_moves)
 
 
 def corpus_doc(draw: int) -> str:

@@ -76,9 +76,33 @@ MUTANTS = [
     (
         "eis-lists-counted-after-all-are-built",
         "sdfkit/sigma_info.py",
-        "        count(len(candidates[m]))\n",
-        "    count(sum(len(c) for c in candidates.values()))\n",
-        ["tests/test_sigma_info.py::TestEnumerateEis::test_cap_counts_each_candidate_list_as_it_is_built"],
+        "        count(len(candidates[i]))\n",
+        "    count(sum(len(candidates[i]) for i in order))\n",
+        ["tests/test_sigma_info.py::TestEnumerateEis::test_cap_builds_at_most_one_list_past_it"],
+    ),
+    (
+        "eis-trace-table-keyed-without-domain",
+        "sdfkit/sigma_info.py",
+        "            key = (dom[o], pos[o], d, j)",
+        "            key = (pos[o], j)",
+        ["tests/test_sigma_info.py::TestEnumerateEis::test_order_matches_sorting_oracle"],
+    ),
+    (
+        "eis-heap-pops-greatest-rank",
+        "sdfkit/sigma_info.py",
+        "        i = heapq.heappop(ready)",
+        "        i = max(ready)\n        ready.remove(i)",
+        [
+            "tests/test_sigma_info.py::TestEnumerateEis::test_order_matches_sorting_oracle",
+            "tests/test_sigma_info.py::TestEnumerateEis::test_cap_points_match_the_scanning_form",
+        ],
+    ),
+    (
+        "x-above-ge-x-filter-skipped",
+        "sdfkit/sdf.py",
+        "if o is not m and ge_x(o, m)",
+        "if o is not m",
+        ["tests/test_decided_checks.py::TestSdfChecks::test_x_above_and_ttree_match_the_pairwise_forms"],
     ),
     (
         "generator-cap-literal",
