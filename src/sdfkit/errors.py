@@ -30,9 +30,10 @@ class StructureError(KernelError):
     code = "structure-error"
 
 
-# The one bound on the exhaustive searches: `maximal_chains`, `set_partitions`,
-# `enumerate_eis`, the AP.C3 generator search and `find_sdf_isomorphism` each
-# read it when called and count their work against it.
+# The one bound on the exhaustive searches: `set_partitions`, `enumerate_eis`,
+# the AP.C3 generator search, `find_sdf_isomorphism` and the literal
+# `maximal_chains` (which no check calls) each read it when called and count
+# their work against it.
 WORK_CAP = 2 ** 16
 
 

@@ -146,11 +146,11 @@ def forest_witness(p: Poset):
     """None, or the canonically least element whose up-set is not a chain.
 
     A set U is a chain iff every y in U is comparable with all of U, that is
-    U ⊆ ↑y ∪ ↓y.
+    U - ↑y ⊆ ↓y.
     """
     up, down = p.up, p.down
     failing = [
-        x for x, u in up.items() if not all(u <= up[y] | down[y] for y in u)
+        x for x, u in up.items() if not all(u - up[y] <= down[y] for y in u)
     ]
     return min(failing, key=canon_key) if failing else None
 
@@ -310,24 +310,23 @@ def is_decision_forest(p: Poset) -> bool:
 def separation_witness(p: Poset):
     """None, or a pair of distinct elements no maximal chain separates.
 
-    Some chain holds exactly one of x, y iff the sets of chains through x and
-    through y differ; each set is a bitmask over the chains' indices, and
-    elements with equal masks form a group. The witness is the first such
-    pair in canonical order: the canonically least element sharing its
+    Requires a forest. There every maximal chain is ↑y for a leaf y (a
+    minimal element), and it passes through x iff y ∈ ↓x; so some chain
+    holds exactly one of x, y iff the leaves below x and below y differ.
+    Elements with the same leaves form a group. The witness is the first
+    such pair in canonical order: the canonically least element sharing its
     group, with the next element of that group.
     """
-    through = {x: 0 for x in p.elements}
-    for i, c in enumerate(maximal_chains(p)):
-        for x in c:
-            through[x] |= 1 << i
+    _require_forest(p)
+    leaves = p.minimal_elements()
     groups: dict = {}
-    for x, mask in through.items():
-        groups.setdefault(mask, []).append(x)
+    for x, below in p.down.items():
+        groups.setdefault(below & leaves, []).append(x)
     shared = [x for g in groups.values() if len(g) > 1 for x in g]
     if not shared:
         return None
     first = min(shared, key=canon_key)
-    return first, min((y for y in groups[through[first]] if y != first), key=canon_key)
+    return first, min((y for y in groups[p.down[first] & leaves] if y != first), key=canon_key)
 
 
 def find_order_isomorphism(p: Poset, q: Poset):

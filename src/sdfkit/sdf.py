@@ -692,11 +692,7 @@ def check_ttree_theorem(s: Sdf) -> Verdict:
             "ttree-not-separated",
             f"elements {fmt(witness[0])}, {fmt(witness[1])} are not separated",
         )
-    tree_moves = frozenset(
-        y
-        for y in tree.poset.elements
-        if order_core.down_set(tree.poset, y) != frozenset([y])
-    )
+    tree_moves = tree.poset.elements - tree.poset.minimal_elements()
     if tree_moves != frozenset(s.random_moves):
         return Verdict.failed(
             "ttree-moves-mismatch", "moves of (T, ≥_T) differ from X"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 
 from . import order_core
-from ._canon import canon_key, canon_sorted, fmt
+from ._canon import canon_key, fmt
 from ._record import record
 from .errors import InputError, StructureError
 from .order_core import Poset
@@ -64,27 +64,6 @@ def decision_paths(sf: SetForest) -> dict:
     }
 
 
-@record(frozen=True)
-class DecisionPathMap:
-    """The verified bijection from outcomes to maximal chains of nodes.
-
-    Satisfies y ∈ map(v) iff v ∈ y for every node y and outcome v; only
-    obtainable from a forest that passes `verify_own_representation`.
-    """
-
-    entries: tuple  # ((outcome, chain), ...) in canonical outcome order
-
-    @classmethod
-    def of(cls, sf: SetForest) -> "DecisionPathMap":
-        verdict = verify_own_representation(sf)
-        if not verdict:
-            raise StructureError(
-                f"forest is not its own representation: {verdict.describe()}"
-            )
-        paths = decision_paths(sf)
-        return cls(tuple((v, paths[v]) for v in canon_sorted(sf.universe)))
-
-
 def verify_own_representation(sf: SetForest) -> Verdict:
     """Check that v ↦ ↑{v} is a bijection onto the maximal chains matching W(y).
 
@@ -99,8 +78,10 @@ def verify_own_representation(sf: SetForest) -> Verdict:
     containing v, which is {v}: distinct outcomes have distinct paths. A
     maximal chain ending at {t} is ↑{t}, the path of t, so every chain is
     hit. And ↑{v} passes through y iff v ∈ y, so W(y) is the image of y.
-    Each step is decided on sets; a failing one sorts only to name its
-    canonically first witness.
+    The third step needs no chain list: once terminals are singletons, ↑{v}
+    is a maximal chain iff {v} is a node (then it is the up-set of a leaf,
+    and otherwise it holds no terminal node). Each step is decided on sets;
+    a failing one sorts only to name its canonically first witness.
     """
     poset = sf.poset
     if not order_core.is_rooted_forest(poset):
@@ -112,14 +93,12 @@ def verify_own_representation(sf: SetForest) -> Verdict:
         return Verdict.failed(
             "non-singleton-terminal", f"terminal node {fmt(x)} has {len(x)} outcomes"
         )
-    chains = order_core.maximal_chains(poset)
-    f = decision_paths(sf)
-    stray = [v for v, chain in f.items() if chain not in chains]
+    stray = [v for v in sf.universe if frozenset([v]) not in sf.nodes]
     if stray:
         v = min(stray, key=canon_key)
         return Verdict.failed(
             "path-not-maximal-chain",
-            f"outcome {fmt(v)}: ↑{{v}} = {fmt(f[v])} is not a maximal chain",
+            f"outcome {fmt(v)}: ↑{{v}} = {fmt(decision_paths(sf)[v])} is not a maximal chain",
         )
     return Verdict.passed()
 
@@ -127,9 +106,10 @@ def verify_own_representation(sf: SetForest) -> Verdict:
 def representation_by_decision_paths(p: Poset) -> SetForest:
     """Represent a decision-forest poset over its own maximal chains.
 
-    Outcomes are the maximal chains of `p`; the node for x is the set of
-    chains through x. Requires every pair of distinct elements to be
-    separated by some maximal chain.
+    Outcomes are the maximal chains of `p`, which in a forest are the
+    up-sets ↑y of its leaves y; the node for x is the set of chains through
+    x. Requires every pair of distinct elements to be separated by some
+    maximal chain.
     """
     if not order_core.is_rooted_forest(p):
         raise StructureError(
@@ -143,7 +123,7 @@ def representation_by_decision_paths(p: Poset) -> SetForest:
             witness=witness,
             code="not-a-decision-forest",
         )
-    chains = order_core.maximal_chains(p)
+    chains = [p.up[y] for y in p.minimal_elements()]
     nodes = [frozenset(c for c in chains if x in c) for x in p.elements]
     return SetForest.of(chains, nodes)
 

@@ -506,12 +506,19 @@ class TestRun:
         assert report.ok
 
     def test_cap_error_reported(self, monkeypatch):
+        # axiom 1 and the T-tree's separation read the forests' leaves and
+        # enumerate no chains, so a work cap of 10 leaves both with verdicts:
+        # 3e reads partial above max_x, and exhaustive at 12 stays under it
         monkeypatch.setattr("sdfkit.errors.WORK_CAP", 10)
         doc = parse_instance(TIMING_DOC)
-        [verify] = run(doc, ["verify"]).records
-        assert (verify.status, verify.message) == (
-            "error", "cap-exceeded: maximal-chain enumeration exceeded 10 work units"
-        )
+        verify, ttree = run(doc, ["verify", "ttree"]).records
+        assert [(verify.status, verify.message), (ttree.status, ttree.message)] == [
+            ("partial", ""), ("ok", "")
+        ]
+        verify, ttree = run(doc, ["verify", "ttree"], max_x=12).records
+        assert [(verify.status, verify.message), (ttree.status, ttree.message)] == [
+            ("ok", ""), ("ok", "")
+        ]
 
     def test_eis_search_counts_against_the_work_cap(self, monkeypatch):
         # three scenarios over {a, b}^3: 7 moves of 5 candidates each and
@@ -971,8 +978,7 @@ def test_eis_index_has_one_spelling(index):
 
 def test_a_cap_in_the_build_reads_cap_exceeded_in_every_command(monkeypatch):
     # W0-W3 hold; axiom 3e of the built instance then outruns a work cap of
-    # 100, as every command that needs the build reports (at 50, axiom 1's
-    # maximal-chain enumeration would reach the cap first)
+    # 100, as every command that needs the build reports
     import sdfkit.errors
 
     p1 = ["a" + "".join(f) for f in itertools.product("ab", repeat=4)] + ["baaaa", "bbaaa"]

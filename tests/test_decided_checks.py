@@ -25,7 +25,7 @@ from sdfkit.action_path import (
     product_outcomes,
     window_choice,
 )
-from sdfkit.errors import KernelError, SizeCapError
+from sdfkit.errors import KernelError, SizeCapError, StructureError, not_a_forest
 from sdfkit.gen import random_path_outcomes, random_rooted_forest
 from sdfkit.order_core import Poset, forest_witness, is_tree, maximal_chains, separation_witness
 from sdfkit.sdf import (
@@ -98,15 +98,33 @@ def random_relation_poset(rng):
 
 class TestOrderCore:
     def test_forest_and_separation_witnesses(self, rng):
+        # separation is decided on forests only, and a non-forest raises
+        # not-a-forest as is_tree does
         kinds = Counter()
         for _ in range(200):
             p = random_relation_poset(rng)
             witness = forest_witness(p)
             assert witness == brute_forest_witness(p)
-            separated = separation_witness(p)
-            assert separated == oracle_separation_witness(p)
-            kinds[(witness is None, separated is None)] += 1
-        assert len(kinds) == 4
+            separated = outcome(separation_witness, p)
+            if witness is None:
+                assert separated == ("value", oracle_separation_witness(p))
+                kinds["separated" if separated[1] is None else "unseparated"] += 1
+            else:
+                assert separated == ("error", StructureError, "not-a-forest", str(not_a_forest(witness)))
+                kinds["not-a-forest"] += 1
+        assert kinds.keys() == {"separated", "unseparated", "not-a-forest"}
+
+    def test_separation_witness_matches_chain_oracle_on_forests(self, rng, sdf_pool):
+        # random rooted forests, and the node and T-tree posets of the corpus
+        # draws: the leaves below x stand for the maximal chains through x
+        posets = [random_rooted_forest(rng, 10) for _ in range(300)]
+        posets += [p for s in sdf_pool for p in (s.forest.poset, s.ttree.poset)]
+        kinds = Counter()
+        for p in posets:
+            witness = separation_witness(p)
+            assert witness == oracle_separation_witness(p)
+            kinds[witness is None] += 1
+        assert kinds[True] and kinds[False]
 
     def test_chain_cap_does_not_depend_on_order(self, rng):
         for _ in range(100):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sdfkit import cli, examples
+from sdfkit import cli, examples, order_core
 from sdfkit.cli import parse_instance, report_to_json, run
 from sdfkit.sigma_info import enumerate_eis
 
@@ -141,6 +141,21 @@ def test_reports_are_written_without_the_generic_writer(monkeypatch):
     assert dumped == []
     assert [v for v in emitted if type(v) is dict and {"items", "witness"} & v.keys()] == []
     assert len(emitted) > len(reports)
+
+
+def test_no_case_enumerates_maximal_chains(monkeypatch):
+    # axiom 1, separation and the derived tree read each forest's leaves;
+    # the literal chain enumeration is left to `separates` and the oracles
+    calls = []
+
+    def spy(p, _fn=order_core.maximal_chains):
+        calls.append(p)
+        return _fn(p)
+
+    monkeypatch.setattr(order_core, "maximal_chains", spy)
+    for name in sorted(CASES) + sorted(DOCUMENTS):
+        run_case(name)
+    assert calls == []
 
 
 if __name__ == "__main__":

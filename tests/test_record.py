@@ -30,7 +30,6 @@ from sdfkit import _record, cli
 from sdfkit.cli import InstanceDoc
 from sdfkit.errors import StructureError
 from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma
-from sdfkit.set_forest import DecisionPathMap
 from sdfkit.sigma_info import ObservationFamily, chain_filtration, enumerate_eis
 from sdfkit.verdict import Verdict
 
@@ -123,7 +122,6 @@ def samples() -> dict:
             report, doc = run_case(name)
             cli.report_to_text(report, doc)
         for s in list(found[sdfkit.Sdf]):
-            DecisionPathMap.of(s.forest)
             ObservationFamily.of({m: {w: 0 for w in m.domain} for m in s.sorted_moves})
             for e in enumerate_eis(s)[:3]:
                 for m in s.sorted_moves:

@@ -5,7 +5,6 @@ from sdfkit.errors import InputError, StructureError
 from sdfkit.gen import random_v_poset, rng_from_env
 from sdfkit.order_core import Poset, connected_components, find_order_isomorphism, is_tree
 from sdfkit.set_forest import (
-    DecisionPathMap,
     SetForest,
     decompose,
     glue,
@@ -70,13 +69,16 @@ class TestVerifyOwnRepresentation:
         v = verify_own_representation(sf("ab", [{"a", "b"}, {"a"}]))
         assert not v.ok
 
-    def test_decision_path_map(self, simple):
-        dpm = DecisionPathMap.of(simple.forest)
-        for v, chain in dpm.entries:
-            for y in simple.forest.nodes:
-                assert (y in chain) == (v in y)
-        with pytest.raises(StructureError):
-            DecisionPathMap.of(sf("ab", [{"a", "b"}]))
+    def test_missing_singleton_under_a_deep_chain(self):
+        # {a..e} ⊋ {a,b,c,d} ⊋ {a,b,c} ⊋ {a,b}, {c} and {a,b} ⊋ {a}, {b}:
+        # every terminal is a singleton, but {d} and {e} are missing, so the
+        # paths of d and e stop at wide nodes; d is named with its path
+        nodes = [set("abcde"), set("abcd"), set("abc"), set("ab"), {"a"}, {"b"}, {"c"}]
+        v = verify_own_representation(sf("abcde", nodes))
+        assert (v.ok, v.code) == (False, "path-not-maximal-chain")
+        assert v.witness == (
+            "outcome d: ↑{v} = {{a, b, c, d}, {a, b, c, d, e}} is not a maximal chain"
+        )
 
 
 class TestRepresentationByDecisionPaths:

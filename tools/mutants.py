@@ -230,6 +230,36 @@ MUTANTS = [
         ["tests/test_decided_checks.py::TestOrderCore::test_forest_and_separation_witnesses"],
     ),
     (
+        "separation-leaves-dropped",
+        "sdfkit/order_core.py",
+        "below & leaves",
+        "below",
+        [
+            "tests/test_decided_checks.py::TestOrderCore::test_separation_witness_matches_chain_oracle_on_forests",
+            "tests/test_order_core.py::TestIndexAgainstOracles::test_is_tree_and_separation_witness",
+        ],
+    ),
+    (
+        "axiom1-singleton-test-inverted",
+        "sdfkit/set_forest.py",
+        "if frozenset([v]) not in sf.nodes]",
+        "if frozenset([v]) in sf.nodes]",
+        [
+            "tests/test_set_forest.py::TestVerifyOwnRepresentation::test_missing_singleton_under_a_deep_chain",
+            "tests/test_decided_checks.py::TestOwnRepresentation::test_matches_canonical_loop",
+        ],
+    ),
+    (
+        "ttree-moves-from-minima-off",
+        "sdfkit/sdf.py",
+        "    tree_moves = tree.poset.elements - tree.poset.minimal_elements()",
+        "    tree_moves = tree.poset.elements",
+        [
+            "tests/test_sdf.py::TestTTree::test_theorem_on_worked_instances",
+            "tests/test_decided_checks.py::TestSdfChecks::test_ttree_matches_the_pairwise_form_on_127_moves",
+        ],
+    ),
+    (
         "w1-singleton-guard-dropped",
         "sdfkit/action_path.py",
         "             if groups[i] == groups[i + 1] and len(groups[i]) != 1),",
