@@ -28,8 +28,9 @@ from .verdict import MultiVerdict, Verdict
 
 
 def as_time(value) -> Fraction:
-    t = Fraction(value)
-    if t < 0:
+    # a Fraction is kept, not rebuilt; its sign is its numerator's
+    t = value if type(value) is Fraction else Fraction(value)
+    if t.numerator < 0:
         raise InputError(f"time points must be nonnegative rationals: {value!r}")
     return t
 
@@ -48,7 +49,19 @@ class TimeAxis:
     def of(cls, points) -> "TimeAxis":
         return cls(tuple(sorted({as_time(p) for p in points})))
 
+    @functools.cached_property
+    def _positions(self) -> dict:
+        """point ↦ its position on the axis."""
+        return {p: i for i, p in enumerate(self.points)}
+
     def index(self, t) -> int:
+        """The position of t on the axis. A number equal to a point hashes
+        like it, so the table answers it; a miss (a string, an unhashable or
+        a time off the axis) takes the scan, which converts t and raises."""
+        try:
+            return self._positions[t]
+        except (KeyError, TypeError):
+            pass
         t = as_time(t)
         try:
             return self.points.index(t)
@@ -57,6 +70,10 @@ class TimeAxis:
 
     def canon_key(self):
         return ("time", canon_key(self.points))
+
+
+def _no_projection(agent) -> InputError:
+    return InputError(f"no projection for agent {agent!r}", code="no-factorization")
 
 
 @record(frozen=True)
@@ -85,19 +102,28 @@ class ActionSpace:
             )
         return cls(actions, agents, tuple(projections))
 
+    @functools.cached_property
+    def _tables(self) -> dict:
+        """agent ↦ ({action: component}, the agent's components)."""
+        return {
+            agent: (dict(table), frozenset(comp for _, comp in table))
+            for agent, table in self.projections or ()
+        }
+
+    def _table(self, agent) -> tuple:
+        try:
+            return self._tables[agent]
+        except (KeyError, TypeError):
+            raise _no_projection(agent) from None
+
     def project(self, agent, action):
-        for a, table in self.projections or ():
-            if a == agent:
-                for act, comp in table:
-                    if act == action:
-                        return comp
-        raise InputError(f"no projection for agent {agent!r}", code="no-factorization")
+        try:
+            return self._table(agent)[0][action]
+        except (KeyError, TypeError):
+            raise _no_projection(agent) from None
 
     def components(self, agent) -> frozenset:
-        for a, table in self.projections or ():
-            if a == agent:
-                return frozenset(comp for _, comp in table)
-        raise InputError(f"no projection for agent {agent!r}", code="no-factorization")
+        return self._table(agent)[1]
 
     def verify_w4(self) -> Verdict:
         """The action set factors bijectively as the product of agent components."""
@@ -358,11 +384,27 @@ class ActionPathSdf:
         """_agent_pieces results by agent: ({(move, G): {h: (piece, C0-C2 ok)}}, Rcs)."""
         return {}
 
+    @functools.cached_property
+    def _subsets(self) -> dict:
+        """`_component_subsets` results by agent."""
+        return {}
+
+    @functools.cached_property
+    def _times(self) -> dict:
+        """move ↦ (its time t, the position of t on the axis); reversed, so a
+        repeated move keeps its first time."""
+        index = self.po.time.index
+        return {m: (t, index(t)) for m, t in reversed(self.move_times)}
+
+    def _time_at(self, m: RandomMove) -> tuple:
+        """(t, position of t) for the move m."""
+        try:
+            return self._times[m]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown random move {m.fmt()}") from None
+
     def time_of_move(self, m: RandomMove) -> Fraction:
-        for move, t in self.move_times:
-            if move == m:
-                return t
-        raise InputError(f"unknown random move {m.fmt()}")
+        return self._time_at(m)[0]
 
     def time_map(self) -> dict:
         return dict(self.move_times)
@@ -601,7 +643,7 @@ def _lifted(po: PathOutcomes, agent, components: dict) -> dict:
     On each scenario w keyed in `components`, the actions whose agent
     projection lies in components[w]; empty on every other scenario.
     """
-    projection = {a: po.space.project(agent, a) for a in po.space.actions}
+    projection = po.space._table(agent)[0]
     return {
         w: frozenset(a for a, c in projection.items() if c in components[w])
         if w in components
@@ -660,15 +702,13 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     idx = po.index
     table: dict = {}
     per_move: dict = {}
-    components = canon_sorted(po.space.components(agent))
-    projection = {a: po.space.project(agent, a) for a in po.space.actions}
-    lifted = {}
-    for cr in range(1, len(components) + 1):
-        for comp_set in itertools.combinations(components, cr):
-            g_set = frozenset(comp_set)
-            lifted[g_set] = frozenset(a for a, c in projection.items() if c in g_set)
+    projection = po.space._table(agent)[0]
+    lifted = {
+        g_set: frozenset(a for a, c in projection.items() if c in g_set)
+        for g_set in _component_subsets(aps, agent)[1:]
+    }
     for move, t in aps.move_times:
-        k = po.time.index(t)
+        k = aps._time_at(move)[1]
         groups = {h: idx.groups_of(h) for h in idx.realized[k]}
         own = _own_prefix(po, move, t)
         found = set()
@@ -738,22 +778,17 @@ def check_apc3(
     po = aps.po
     if po.space.agents is None:
         raise InputError("outcome set carries no factorization", code="no-factorization")
-    t = aps.time_of_move(move)
+    t, k = aps._time_at(move)
     own = _own_prefix(po, move, t)
     if choice is not None:
-        required = frozenset(prefix_of(po, f, t) for _, f in choice.outcomes)
+        required = frozenset(f[:k] for _, f in choice.outcomes)
     else:
         required = frozenset([own])
-    realized = frozenset(po.index.realized_prefixes(t))
+    realized = po.index.realized[k]
     if not required <= realized:
         raise InputError("required prefixes are not realized", witness=required)
     pieces = _agent_pieces(aps, agent)[0]
-    components = canon_sorted(po.space.components(agent))
-    subsets = [
-        frozenset(c)
-        for r in range(len(components) + 1)
-        for c in itertools.combinations(components, r)
-    ]
+    subsets = _component_subsets(aps, agent)
     if own in required:
         history_sets = [required]
     else:
@@ -781,6 +816,21 @@ def check_apc3(
     return Apc3Result(
         Verdict.failed("apc3-not-found", "no (A'_<t, generator) pair found")
     )
+
+
+def _component_subsets(aps: ActionPathSdf, agent) -> list:
+    """Every subset of the agent's components, by size, then in the order
+    of `itertools.combinations` over the canonically sorted components.
+    Built once per agent and kept on `aps`."""
+    subsets = aps._subsets.get(agent)
+    if subsets is None:
+        components = canon_sorted(aps.po.space.components(agent))
+        subsets = aps._subsets[agent] = [
+            frozenset(c)
+            for r in range(len(components) + 1)
+            for c in itertools.combinations(components, r)
+        ]
+    return subsets
 
 
 def _first_generator(subsets: list, passes) -> frozenset | None:
@@ -873,10 +923,11 @@ class MeasurabilityCase:
             )
             apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
             self.moves.append((move, levels, events, apc3))
+        self._available = tuple(move for move, *_ in self.moves)
         self._reports: dict = {}
 
     def report(self, e: Eis) -> MeasurabilityReport:
-        sigmas = tuple(e.for_move(move) for move, *_ in self.moves)
+        sigmas = tuple(map(e.for_move, self._available))
         report = self._reports.get(sigmas)
         if report is None:
             report = self._reports[sigmas] = self._decide(sigmas)
@@ -903,12 +954,14 @@ class MeasurabilityCase:
         return MeasurabilityReport(forward, backward, tuple(records))
 
 
-@record(frozen=True)
+@record
 class SweepCase:
     """One case of `measurability_sweep` and its outcome.
 
     `result` is the case's `MeasurabilityCase(...).report(e)`, or the
-    `KernelError` that building the case or its report raises.
+    `KernelError` that building the case or its report raises. A plain
+    record: its `g` is a dict, so it cannot hash, and the sweep makes one
+    per case and structure.
     """
 
     agent: object
@@ -943,8 +996,9 @@ def measurability_sweep(aps: ActionPathSdf, structures):
     scenarios = canon_sorted(po.scenarios.scenarios)
     windows = []
     for move, t in aps.move_times:
+        k = aps._time_at(move)[1]
         own = frozenset([_own_prefix(po, move, t)])
-        windows.append((t, (("all", po.index.realized_prefixes(t)), ("own", own))))
+        windows.append((t, k, (("all", po.index.realized[k]), ("own", own))))
     for agent in po.space.agents or ():
         rows = None
         for index, e in enumerate(structures, start=1):
@@ -968,11 +1022,11 @@ def _sweep_rows(aps: ActionPathSdf, agent, scenarios: list, windows: list) -> li
     components = canon_sorted(aps.po.space.components(agent))
     cases: dict = {}
     rows = []
-    for t, labelled in windows:
+    for t, k, labelled in windows:
         for label, histories in labelled:
             for values in itertools.product(components, repeat=len(scenarios)):
                 g = dict(zip(scenarios, values))
-                key = (t, histories, values)
+                key = (k, histories, values)
                 case = cases.get(key)
                 if case is None:
                     try:

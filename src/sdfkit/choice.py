@@ -10,6 +10,7 @@ instances live in the test suite as the second route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ._canon import canon_key, canon_sorted, fmt
@@ -70,11 +71,16 @@ class Rcs:
         items = sorted(per_move.items(), key=lambda kv: canon_key(kv[0]))
         return cls(tuple((m, frozenset(cs)) for m, cs in items))
 
+    @functools.cached_property
+    def _by_move(self) -> dict:
+        """move ↦ its choices; reversed, so a repeated move keeps its first."""
+        return dict(reversed(self.entries))
+
     def for_move(self, move: RandomMove) -> frozenset:
-        for m, cs in self.entries:
-            if m == move:
-                return cs
-        raise InputError(f"no reference choices for {move.fmt()}")
+        try:
+            return self._by_move[move]
+        except (KeyError, TypeError):
+            raise InputError(f"no reference choices for {move.fmt()}") from None
 
     def moves(self) -> frozenset:
         return frozenset(m for m, _ in self.entries)

@@ -205,8 +205,13 @@ class RandomMove:
     def restricted(self, scenarios) -> "RandomMove":
         return RandomMove.of({w: n for w, n in self.graph if w in scenarios})
 
-    def canon_key(self):
+    @functools.cached_property
+    def _key(self) -> tuple:
         return ("rmove", canon_key(self.graph))
+
+    def canon_key(self):
+        """The canonical key, built on first call and kept on the instance."""
+        return self._key
 
     @functools.cached_property
     def _text(self) -> str:

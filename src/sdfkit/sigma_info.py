@@ -8,6 +8,7 @@ along ≥_X (the no-forgetting condition, `SubSigma.trace_failure`).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
@@ -34,11 +35,18 @@ class Eis:
     def moves(self) -> frozenset:
         return frozenset(m for m, _ in self.entries)
 
+    @functools.cached_property
+    def _by_move(self) -> dict:
+        """move ↦ its algebra; reversed, so a repeated move keeps its first."""
+        return dict(reversed(self.entries))
+
     def for_move(self, move: RandomMove) -> SubSigma:
-        for m, sigma in self.entries:
-            if m == move:
-                return sigma
-        raise InputError(f"no algebra for move {move.fmt()}", code="carrier-mismatch")
+        try:
+            return self._by_move[move]
+        except (KeyError, TypeError):
+            raise InputError(
+                f"no algebra for move {move.fmt()}", code="carrier-mismatch"
+            ) from None
 
     def canon_key(self):
         return ("eis", canon_key(self.entries))

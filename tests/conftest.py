@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's algorithms: maximal chains
 by full subset enumeration, up-sets, down-sets, covers, extremal elements,
 trees and separation by scanning every element instead of the poset's
-index, rendering by the original `fmt` cascade, agent reference choices by one window choice per
+index, rendering by the original `fmt` cascade, the action-path lookups
+(a time's position on the axis, an agent's projection and components, a
+move's algebra, reference choices and time) by scanning their tuples,
+agent reference choices by one window choice per
 (history subset, component subset) pair, and by the unions of the
 library's per-history pieces (`agent_rcs`, the family Theorem 4.11's
 per-case oracle `check_measurable_iff_adapted` reads), the piece table of
@@ -207,6 +210,66 @@ def oracle_fmt(value) -> str:
     if custom is not None and not isinstance(value, type):
         return custom()
     return repr(value)
+
+
+def scan_as_time(value) -> Fraction:
+    """`as_time` as first written: every value made a new Fraction."""
+    t = Fraction(value)
+    if t < 0:
+        raise InputError(f"time points must be nonnegative rationals: {value!r}")
+    return t
+
+
+def scan_time_index(axis, t) -> int:
+    """`TimeAxis.index` by the literal scan: t made a time, then compared
+    with every point."""
+    t = scan_as_time(t)
+    try:
+        return axis.points.index(t)
+    except ValueError:
+        raise InputError(f"time {t} not on the axis", witness=t) from None
+
+
+def scan_project(space, agent, action):
+    """`ActionSpace.project` by scanning the agents, then the agent's table."""
+    for a, table in space.projections or ():
+        if a == agent:
+            for act, comp in table:
+                if act == action:
+                    return comp
+    raise InputError(f"no projection for agent {agent!r}", code="no-factorization")
+
+
+def scan_components(space, agent) -> frozenset:
+    """`ActionSpace.components` by scanning the agents."""
+    for a, table in space.projections or ():
+        if a == agent:
+            return frozenset(comp for _, comp in table)
+    raise InputError(f"no projection for agent {agent!r}", code="no-factorization")
+
+
+def scan_eis_for_move(e, move):
+    """`Eis.for_move` by scanning the entries; the first match wins."""
+    for m, sigma in e.entries:
+        if m == move:
+            return sigma
+    raise InputError(f"no algebra for move {move.fmt()}", code="carrier-mismatch")
+
+
+def scan_rcs_for_move(r, move) -> frozenset:
+    """`Rcs.for_move` by scanning the entries; the first match wins."""
+    for m, cs in r.entries:
+        if m == move:
+            return cs
+    raise InputError(f"no reference choices for {move.fmt()}")
+
+
+def scan_time_of_move(aps, move):
+    """`ActionPathSdf.time_of_move` by scanning the move-time pairs."""
+    for m, t in aps.move_times:
+        if m == move:
+            return t
+    raise InputError(f"unknown random move {move.fmt()}")
 
 
 def brute_trace_failure(sigma, domain, other):

@@ -249,7 +249,9 @@ def test_default_factory_is_called_per_instance():
 
 def test_plain_records_are_unhashable(samples):
     plain = [cls for cls in RECORDS if not cls.__record_frozen__]
-    assert {cls.__qualname__ for cls in plain} == {"InstanceDoc", "CheckRecord", "Report"}
+    assert {cls.__qualname__ for cls in plain} == {
+        "InstanceDoc", "CheckRecord", "Report", "SweepCase"
+    }
     for cls in plain:
         assert cls.__hash__ is None
         with pytest.raises(TypeError, match="unhashable type"):

@@ -1,0 +1,217 @@
+"""The action-path lookup tables against the scans they replace.
+
+`TimeAxis.index`, `ActionSpace.project` and `components`, `Eis.for_move`,
+`Rcs.for_move` and `ActionPathSdf.time_of_move` read tables built on first
+use and kept on the value, and `RandomMove` keeps its canonical key. Each
+lookup must give what its literal scan in `conftest` gives, or raise the
+same error: type, code, text and witness. A value whose tables are built
+stays equal to a fresh one, hashes alike, and has the same repr and
+canonical key.
+"""
+
+from __future__ import annotations
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+
+from conftest import (
+    oracle_canon_key,
+    scan_components,
+    scan_eis_for_move,
+    scan_project,
+    scan_rcs_for_move,
+    scan_time_index,
+    scan_time_of_move,
+)
+from sdfkit import examples
+from sdfkit._canon import canon_sorted
+from sdfkit.action_path import TimeAxis, _agent_pieces, build_action_path_sdf
+from sdfkit.choice import Rcs
+from sdfkit.sigma_info import Eis, enumerate_eis
+
+# On an axis, off it, negative, and of every type a caller may hand in.
+TIMES = [
+    Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(7),
+    0, 1, 2, 7,
+    "0", "1", "2", "1/2", "1/3", "x",
+    True, False,
+    -1, Fraction(-1, 2), "-1", Decimal("-1"),
+    0.5, 1.0, -0.0, float("nan"), Decimal("0.5"), Decimal(2),
+    None, [1],
+]
+# Agents and actions no builtin has, of several types.
+OTHER_AGENTS = ["3", 1, True, 1.0, None, [1], "1 "]
+OTHER_ACTIONS = ["z", 5, True, 1.0, (0,), (1, 1, 1), None, [0]]
+
+
+def result(fn, *args):
+    """What fn returns, or the type, code, text and witness of what it raises."""
+    try:
+        return ("value", fn(*args))
+    except Exception as e:  # the scan's error is compared, whatever its type
+        return ("error", type(e), getattr(e, "code", None), str(e), getattr(e, "witness", None))
+
+
+def fresh_instances() -> dict:
+    """The four builtins, built anew: none of their tables exists yet."""
+    return {
+        "simple": build_action_path_sdf(examples.encode_simple()),
+        "variant": build_action_path_sdf(examples.encode_variant()),
+        "timing": examples.timing_instance(),
+        "upandout": build_action_path_sdf(
+            examples.upandout_path_outcomes(), max_x_exhaustive=12
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def instances() -> dict:
+    return fresh_instances()
+
+
+def reference_families(aps) -> list:
+    """Each agent's own-prefix reference choices, as `_agent_pieces` keeps them."""
+    return [_agent_pieces(aps, agent)[1] for agent in aps.po.space.agents or ()]
+
+
+def probe_moves(instances: dict, aps) -> list:
+    """aps's moves, the other builtins' moves, a move restricted to part of
+    its domain, and two values that are not moves."""
+    moves = [m for other in instances.values() for m in other.sdf.sorted_moves]
+    moves += [
+        m.restricted(canon_sorted(m.domain)[:1]) for m in aps.sdf.sorted_moves if len(m.domain) > 1
+    ]
+    return moves + [None, "x"]
+
+
+def with_repeat(entries: tuple) -> tuple:
+    """`entries` led by the second move paired with the first entry's value,
+    so a lookup of that move must keep the first of its two entries."""
+    if len(entries) < 2:
+        return entries
+    return ((entries[1][0], entries[0][1]),) + entries
+
+
+def axes(instances: dict) -> list:
+    return [aps.po.time for aps in instances.values()] + [
+        TimeAxis.of([0, 1, 2]),
+        TimeAxis.of([0, Fraction(1, 3), Fraction(1, 2), 2]),
+        TimeAxis.of([0]),
+    ]
+
+
+def test_time_index_matches_the_scan(instances):
+    for axis in axes(instances):
+        axis.index(0)
+        assert "_positions" in vars(axis)
+        for t in TIMES + list(axis.points):
+            assert result(axis.index, t) == result(scan_time_index, axis, t), (axis, t)
+
+
+def test_projection_and_components_match_the_scans(instances):
+    for aps in instances.values():
+        space = aps.po.space
+        agents = list(space.agents or ()) + OTHER_AGENTS
+        actions = list(space.actions) + OTHER_ACTIONS
+        for agent in agents:
+            assert result(space.components, agent) == result(scan_components, space, agent), agent
+            for action in actions:
+                assert result(space.project, agent, action) == result(
+                    scan_project, space, agent, action
+                ), (agent, action)
+        assert "_tables" in vars(space)
+
+
+def test_eis_for_move_matches_the_scan(instances):
+    for aps in instances.values():
+        structures = list(enumerate_eis(aps.sdf))
+        structures.append(Eis(with_repeat(structures[0].entries)))
+        for e in structures:
+            for move in probe_moves(instances, aps):
+                assert result(e.for_move, move) == result(scan_eis_for_move, e, move), move
+            assert "_by_move" in vars(e)
+
+
+def test_rcs_for_move_matches_the_scan(instances):
+    checked = 0
+    for aps in instances.values():
+        for r in reference_families(aps):
+            for family in (r, Rcs(with_repeat(r.entries))):
+                for move in probe_moves(instances, aps):
+                    assert result(family.for_move, move) == result(
+                        scan_rcs_for_move, family, move
+                    ), move
+                    checked += 1
+    assert checked
+
+
+def test_time_of_move_matches_the_scan(instances):
+    for aps in instances.values():
+        for move in probe_moves(instances, aps):
+            assert result(aps.time_of_move, move) == result(scan_time_of_move, aps, move), move
+        assert "_times" in vars(aps)
+
+
+def test_kept_move_key_is_the_definition(instances):
+    for aps in instances.values():
+        for move in aps.sdf.sorted_moves:
+            key = move.canon_key()
+            assert key == ("rmove", oracle_canon_key(move.graph))
+            assert move.canon_key() is key
+
+
+def _build_tables(aps) -> list:
+    """Build every table of aps and of the values it holds; return the
+    values that hold one, with the names of their tables."""
+    po = aps.po
+    for t in po.time.points:
+        po.time.index(t)
+    for agent in po.space.agents or ():
+        po.space.components(agent)
+        for action in po.space.actions:
+            po.space.project(agent, action)
+    structures = list(enumerate_eis(aps.sdf)[:3])
+    families = reference_families(aps)
+    for move in aps.sdf.sorted_moves:
+        aps.time_of_move(move)
+        move.canon_key()
+        for family in structures + families:
+            family.for_move(move)
+    built = [(po.time, "_positions"), (aps, "_times")]
+    built += [(po.space, "_tables")] if po.space.agents else []
+    built += [(e, "_by_move") for e in structures + families]
+    built += [(m, "_key") for m in aps.sdf.sorted_moves]
+    return built
+
+
+def rebuilt(x):
+    """A value equal to x, built again from its fields: it holds no table."""
+    return type(x)(*(getattr(x, name) for name in type(x).__record_fields__))
+
+
+def assert_same_value(x, y):
+    assert x == y and y == x and not x != y
+    assert hash(x) == hash(y)
+    assert repr(x) == repr(y)
+    assert x.canon_key() == y.canon_key()
+
+
+@pytest.mark.parametrize("name", ["simple", "variant", "timing", "upandout"])
+def test_tables_do_not_leak_into_value_semantics(name):
+    built = fresh_instances()[name]
+    fresh = fresh_instances()[name]
+    kinds = set()
+    for x, table in _build_tables(built):
+        y = rebuilt(x)
+        assert table in vars(x) and table not in vars(y), (type(x), table)
+        assert_same_value(x, y)
+        kinds.add(type(x).__name__)
+    assert kinds >= {"TimeAxis", "Eis", "RandomMove", "ActionPathSdf"}
+    if name != "variant":
+        assert kinds >= {"ActionSpace", "Rcs"}
+    # the whole instance against one built apart, whose tables do not exist yet
+    assert not {"_times", "_pieces"} & set(vars(fresh))
+    assert "_positions" not in vars(fresh.po.time)
+    assert_same_value(built, fresh)

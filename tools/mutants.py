@@ -260,6 +260,34 @@ MUTANTS = [
         ],
     ),
     (
+        "time-position-table-off-by-one",
+        "sdfkit/action_path.py",
+        "        return {p: i for i, p in enumerate(self.points)}",
+        "        return {p: i + 1 for i, p in enumerate(self.points)}",
+        ["tests/test_tables.py::test_time_index_matches_the_scan"],
+    ),
+    (
+        "projection-table-ignores-the-agent",
+        "sdfkit/action_path.py",
+        "            return self._tables[agent]",
+        "            return next(iter(self._tables.values()))",
+        ["tests/test_tables.py::test_projection_and_components_match_the_scans"],
+    ),
+    (
+        "eis-map-returns-the-first-entry",
+        "sdfkit/sigma_info.py",
+        "            return self._by_move[move]",
+        "            return self.entries[0][1]",
+        ["tests/test_tables.py::test_eis_for_move_matches_the_scan"],
+    ),
+    (
+        "kept-move-key-drops-its-tag",
+        "sdfkit/sdf.py",
+        '        return ("rmove", canon_key(self.graph))',
+        "        return canon_key(self.graph)",
+        ["tests/test_tables.py::test_kept_move_key_is_the_definition"],
+    ),
+    (
         "w1-singleton-guard-dropped",
         "sdfkit/action_path.py",
         "             if groups[i] == groups[i + 1] and len(groups[i]) != 1),",
