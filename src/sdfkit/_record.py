@@ -12,10 +12,11 @@ uses postponed annotations), so it imports neither `inspect` nor `typing`.
 It supports what sdfkit uses: positional fields, plain defaults,
 `field(default_factory=...)`, `__post_init__`, undecorated subclasses of a
 record (they inherit its methods, equality included, which holds only
-between instances of the same class), and `functools.cached_property` on
-frozen classes (it writes the instance `__dict__` directly). It does not
-write a `__doc__`, a `__match_args__` or a recursion guard in `__repr__`,
-and `dataclasses.replace`, `fields` and `asdict` do not apply to records.
+between instances of the same class), and derived tables kept on an
+instance by this module's `cached_property`, which writes the instance
+`__dict__` directly, so it works on frozen records too. It does not write a
+`__doc__`, a `__match_args__` or a recursion guard in `__repr__`, and
+`dataclasses.replace`, `fields` and `asdict` do not apply to records.
 """
 
 from __future__ import annotations
@@ -45,6 +46,32 @@ _GENERATED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__de
 def field(*, default_factory):
     """A field whose default is `default_factory()`, called once per instance."""
     return _Factory(default_factory)
+
+
+class cached_property:
+    """A table derived from a record, computed on first read and kept on it.
+
+    The value is written to the instance `__dict__` under the attribute's
+    name, where later reads find it before this non-data descriptor, as
+    with `functools.cached_property`. Unlike that one in Python 3.11, the
+    first read takes no lock (Python 3.12 dropped it too, gh-87634): two
+    threads reading a table at once may both compute it, and one value wins.
+    Writing the `__dict__` bypasses a frozen record's `__setattr__`, and the
+    table is no field, so equality, hashing and `repr` ignore it.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def record(cls=None, /, *, frozen: bool = False):

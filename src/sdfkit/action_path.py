@@ -12,14 +12,13 @@ choices are all realised as checker operations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
 from . import choice as choice_mod
 from . import errors
 from ._canon import canon_key, canon_sorted, fmt
-from ._record import record
+from ._record import cached_property, record
 from .errors import InputError, KernelError, SizeCapError, StructureError
 from .sdf import RandomMove, ScenarioSpace, Sdf, verify_sdf
 from .set_forest import SetForest
@@ -49,7 +48,7 @@ class TimeAxis:
     def of(cls, points) -> "TimeAxis":
         return cls(tuple(sorted({as_time(p) for p in points})))
 
-    @functools.cached_property
+    @cached_property
     def _positions(self) -> dict:
         """point ↦ its position on the axis."""
         return {p: i for i, p in enumerate(self.points)}
@@ -102,7 +101,7 @@ class ActionSpace:
             )
         return cls(actions, agents, tuple(projections))
 
-    @functools.cached_property
+    @cached_property
     def _tables(self) -> dict:
         """agent ↦ ({action: component}, the agent's components)."""
         return {
@@ -204,26 +203,49 @@ class PathOutcomes:
             canon_key(self.paths),
         )
 
-    @functools.cached_property
+    @cached_property
     def index(self) -> "_PathIndex":
         """Outcome groups and realized prefixes, built on first use."""
         return _PathIndex(self)
 
 
 class _PathIndex:
+    """The outcome groups of a path-outcome set and the tables read off them.
+
+    `groups` maps (ω, p) to the outcomes of ω whose path starts with p, and
+    `realized` maps i to the prefixes of length i of some path. In the same
+    pass, `d_sets` maps each prefix p with D(p) ≠ ∅ to D(p), the scenarios
+    whose group at p has at least two outcomes, and `stuck` lists the (ω, p)
+    with |p| ≤ |T| − 2 whose group has at least two outcomes that all take
+    one action at position |p|: W1 fails on exactly the paths through them.
+    """
+
     def __init__(self, po: PathOutcomes):
         self.time = po.time
         self.scenarios = po.scenarios.scenarios
         self.points = po.time.points
-        self.groups: dict = {}
-        self.realized: dict = {i: set() for i in range(len(self.points) + 1)}
+        n = len(self.points)
+        groups: dict = {}
+        realized: dict = {i: set() for i in range(n + 1)}
         for w, f in po.paths:
-            for i in range(len(self.points) + 1):
+            for i in range(n + 1):
                 p = f[:i]
-                self.realized[i].add(p)
-                self.groups.setdefault((w, p), set()).add((w, f))
-        self.groups = {k: frozenset(v) for k, v in self.groups.items()}
-        self.realized = {k: frozenset(v) for k, v in self.realized.items()}
+                realized[i].add(p)
+                groups.setdefault((w, p), set()).add((w, f))
+        self.realized = {k: frozenset(v) for k, v in realized.items()}
+        self.groups: dict = {}
+        self.stuck: list = []
+        d_sets: dict = {}
+        for key, outcomes in groups.items():
+            g = self.groups[key] = frozenset(outcomes)
+            if len(g) < 2:
+                continue
+            w, p = key
+            d_sets.setdefault(p, set()).add(w)
+            k = len(p)
+            if k <= n - 2 and len({f[k] for _, f in g}) == 1:
+                self.stuck.append(key)
+        self.d_sets = {p: frozenset(ws) for p, ws in d_sets.items()}
 
     def group(self, scenario, prefix) -> frozenset:
         return self.groups.get((scenario, tuple(prefix)), frozenset())
@@ -234,11 +256,8 @@ class _PathIndex:
         return [(w, g) for w in self.scenarios if (g := groups.get((w, prefix)))]
 
     def d_set(self, prefix) -> frozenset:
-        return frozenset(
-            w
-            for w in self.scenarios
-            if len(self.group(w, prefix)) >= 2
-        )
+        """D(p): the scenarios whose group at p has at least two outcomes."""
+        return self.d_sets.get(tuple(prefix), frozenset())
 
     def realized_prefixes(self, t) -> frozenset:
         return self.realized[self.time.index(t)]
@@ -277,10 +296,10 @@ def check_apw(po: PathOutcomes) -> MultiVerdict:
     """Verdicts for assumptions W0-W3 (and W4 when a factorization is present).
 
     W0 and W3 range over A^i, W2 over A^|T| and all time subsets S, yet only
-    realized prefixes can decide them. An unrealized prefix has empty groups,
-    so its D is ∅: an event that meets no other D, failing neither W0 nor W3.
-    The realized prefixes in canonical order keep the order of A^i, hence the
-    same first failure. For W2 with S nonempty, any outcome in the nonempty
+    the prefixes with D ≠ ∅, the keys of the index's `d_sets`, can decide W0
+    and W3. Every other prefix, realized or not, has D = ∅: an event that
+    meets no other D, failing neither W0 nor W3. Those prefixes in canonical
+    order keep the order of A^i, hence the same first failure. For W2 with S nonempty, any outcome in the nonempty
     group of f̃[:max S] agrees with f̃ at every i ∈ S; with S = ∅ the scenario
     just needs an outcome (`PathOutcomes.of` ensures one), and the witness is
     the first path of A^|T|. No time subset is enumerated, so no cap bounds
@@ -288,44 +307,35 @@ def check_apw(po: PathOutcomes) -> MultiVerdict:
     """
     idx = po.index
     points = po.time.points
+    d_sets, empty = idx.d_sets, frozenset()
     items = []
-    # D of each prefix, computed once per call; the index outlives the call
-    d_set = functools.cache(idx.d_set)
 
     # Each assumption is decided on the unordered prefixes and paths; a
     # failure is then named by its canonically first witness.
     w0 = Verdict.passed()
-    for i, t in enumerate(points):
-        bad = [p for p in idx.realized[i] if not po.scenarios.is_event(d_set(p))]
-        if bad:
-            p = min(bad, key=canon_key)
-            w0 = Verdict.failed(
-                "apw0",
-                f"D_(t={t}, prefix={fmt(p)}) = {fmt(d_set(p))} is not an event",
-            )
-            break
+    bad = [p for p, d in d_sets.items() if not po.scenarios.is_event(d)]
+    if bad:
+        p = min(bad, key=lambda p: (len(p), canon_key(p)))
+        w0 = Verdict.failed(
+            "apw0",
+            f"D_(t={points[len(p)]}, prefix={fmt(p)}) = {fmt(d_sets[p])} is not an event",
+        )
     items.append(("W0", w0))
 
     # The nodes x_t along a path shrink as t grows, so two of them coincide
-    # iff two consecutive ones do, and the first coinciding pair (i, j) in
-    # lexicographic order is (i, i + 1) for the least such i.
-    def w1_failure(w, f):
-        groups = [idx.group(w, f[:i]) for i in range(len(points))]
-        return next(
-            (i for i in range(len(points) - 1)
-             if groups[i] == groups[i + 1] and len(groups[i]) != 1),
-            None,
-        )
-
+    # iff two consecutive ones do, and x at positions i and i + 1 coincide
+    # on a non-singleton iff the group at f[:i] is stuck. The first
+    # coinciding pair (i, j) in lexicographic order is (i, i + 1) for the
+    # least such i on the canonically first path through a stuck group.
     w1 = Verdict.passed()
-    bad = [path for path in po.paths if w1_failure(*path) is not None]
-    if bad:
-        w, f = min(bad, key=canon_key)
-        i = w1_failure(w, f)
+    if idx.stuck:
+        groups = idx.groups
+        w, f = min((path for key in idx.stuck for path in groups[key]), key=canon_key)
+        i = min(len(p) for v, p in idx.stuck if v == w and f[: len(p)] == p)
         w1 = Verdict.failed(
             "apw1",
             f"x at t={points[i]} and t={points[i + 1]} coincide on the "
-            f"non-singleton {fmt(idx.group(w, f[:i]))}",
+            f"non-singleton {fmt(groups[(w, f[:i])])}",
         )
     items.append(("W1", w1))
 
@@ -341,26 +351,29 @@ def check_apw(po: PathOutcomes) -> MultiVerdict:
     items.append(("W2", w2))
 
     def identifiable(p, q, i):
-        dp, dq = d_set(p), d_set(q)
-        if not dp or not dq or (dp & dq):
+        dp, dq = d_sets[p], d_sets[q]
+        if dp & dq:
             return False
         return not any(
-            (d_set(p[:j]) & d_set(q[:j])) and p[:j] != q[:j]
+            (d_sets.get(p[:j], empty) & d_sets.get(q[:j], empty)) and p[:j] != q[:j]
             for j in range(i + 1)
         )
 
+    live: dict = {}  # i ↦ the prefixes of length i with D ≠ ∅
+    for p in d_sets:
+        live.setdefault(len(p), []).append(p)
     w3 = Verdict.passed()
-    for i, t in enumerate(points):
-        live = [p for p in idx.realized[i] if d_set(p)]
-        if not any(identifiable(p, q, i) for p, q in itertools.combinations(live, 2)):
+    for i in sorted(live):
+        pool = live[i]
+        if not any(identifiable(p, q, i) for p, q in itertools.combinations(pool, 2)):
             continue
         p, q = next(
-            pq for pq in itertools.combinations(canon_sorted(live), 2) if identifiable(*pq, i)
+            pq for pq in itertools.combinations(canon_sorted(pool), 2) if identifiable(*pq, i)
         )
         w3 = Verdict.failed(
             "apw3",
-            f"t={t}: prefixes {fmt(p)} on {fmt(d_set(p))} and {fmt(q)} on "
-            f"{fmt(d_set(q))} could be identified",
+            f"t={points[i]}: prefixes {fmt(p)} on {fmt(d_sets[p])} and {fmt(q)} on "
+            f"{fmt(d_sets[q])} could be identified",
         )
         break
     items.append(("W3", w3))
@@ -379,17 +392,17 @@ class ActionPathSdf:
     sdf: Sdf
     move_times: tuple  # ((RandomMove, Fraction), ...)
 
-    @functools.cached_property
+    @cached_property
     def _pieces(self) -> dict:
         """_agent_pieces results by agent: ({(move, G): {h: (piece, C0-C2 ok)}}, Rcs)."""
         return {}
 
-    @functools.cached_property
+    @cached_property
     def _subsets(self) -> dict:
         """`_component_subsets` results by agent."""
         return {}
 
-    @functools.cached_property
+    @cached_property
     def _times(self) -> dict:
         """move ↦ (its time t, the position of t on the axis); reversed, so a
         repeated move keeps its first time."""
@@ -439,26 +452,19 @@ def _construct_action_path_sdf(
             witness=apw,
             code="assumption-failure",
         )
-    idx = po.index
-    nodes = {frozenset([w]) for w in po.paths}
-    projection = {frozenset([w]): w[0] for w in po.paths}
+    # the nodes are the groups, each projected to its scenario; each prefix
+    # with D ≠ ∅ makes the move at the time after it
+    groups = po.index.groups
+    points = po.time.points
+    projection = {g: w for (w, _), g in groups.items()}
     move_times: dict = {}
-    for i, t in enumerate(po.time.points):
-        for p in idx.realized[i]:
-            d = idx.d_set(p)
-            for w in po.scenarios.scenarios:
-                group = idx.group(w, p)
-                if group:
-                    nodes.add(group)
-                    projection[group] = w
-            if d:
-                m = RandomMove.of({w: idx.group(w, p) for w in d})
-                if m in move_times and move_times[m] != t:
-                    raise StructureError(
-                        f"random move {m.fmt()} arises at two times", witness=m
-                    )
-                move_times[m] = t
-    forest = SetForest.of(frozenset(po.paths), nodes)
+    for p, d in po.index.d_sets.items():
+        t = points[len(p)]
+        m = RandomMove.of({w: groups[(w, p)] for w in d})
+        if m in move_times and move_times[m] != t:
+            raise StructureError(f"random move {m.fmt()} arises at two times", witness=m)
+        move_times[m] = t
+    forest = SetForest.of(frozenset(po.paths), projection.keys())
     s = Sdf.of(forest, po.scenarios, projection, frozenset(move_times))
     verdict = verify_sdf(s, max_x_exhaustive=max_x_exhaustive)
     if not verdict.ok:

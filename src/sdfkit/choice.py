@@ -10,11 +10,10 @@ instances live in the test suite as the second route.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from ._canon import canon_key, canon_sorted, fmt
-from ._record import record
+from ._record import cached_property, record
 from .errors import InputError
 from .sdf import (
     RandomMove,
@@ -71,7 +70,7 @@ class Rcs:
         items = sorted(per_move.items(), key=lambda kv: canon_key(kv[0]))
         return cls(tuple((m, frozenset(cs)) for m, cs in items))
 
-    @functools.cached_property
+    @cached_property
     def _by_move(self) -> dict:
         """move ↦ its choices; reversed, so a repeated move keeps its first."""
         return dict(reversed(self.entries))

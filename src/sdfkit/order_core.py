@@ -11,12 +11,11 @@ Enumerations count their search nodes against `errors.WORK_CAP` and raise
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import errors
 from ._canon import canon_key, canon_sorted
-from ._record import record
+from ._record import cached_property, record
 from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
 
 
@@ -93,7 +92,7 @@ class Poset:
     # Principal up- and down-sets, each built on first use in one pass over
     # the pairs and kept on the instance, and the forest witness read off them.
 
-    @functools.cached_property
+    @cached_property
     def up(self) -> dict:
         """x ↦ {y | y >= x}."""
         up = {x: [] for x in self.elements}
@@ -101,7 +100,7 @@ class Poset:
             up[y].append(x)
         return {x: frozenset(ys) for x, ys in up.items()}
 
-    @functools.cached_property
+    @cached_property
     def down(self) -> dict:
         """x ↦ {y | x >= y}."""
         down = {x: [] for x in self.elements}
@@ -109,7 +108,7 @@ class Poset:
             down[x].append(y)
         return {x: frozenset(ys) for x, ys in down.items()}
 
-    @functools.cached_property
+    @cached_property
     def forest_witness(self):
         """`forest_witness(self)`, scanned once per poset."""
         return forest_witness(self)
@@ -186,24 +185,11 @@ def connected_components(p: Poset) -> tuple[frozenset, ...]:
 
 
 def component_blocks(p: Poset) -> frozenset:
-    """The blocks of `connected_components`, as a set, in no order."""
+    """The blocks of `connected_components`, as a set, in no order: in a
+    forest each element lies below exactly one maximal element, so the
+    blocks are the maximal elements' down-sets."""
     _require_forest(p)
-    parent = {x: x for x in p.elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in p.ge_pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    blocks: dict = {}
-    for x in p.elements:
-        blocks.setdefault(find(x), set()).add(x)
-    return frozenset(frozenset(b) for b in blocks.values())
+    return frozenset(p.down[r] for r in p.maximal_elements())
 
 
 def maximal_chains(p: Poset) -> frozenset:

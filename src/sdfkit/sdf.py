@@ -12,12 +12,11 @@ space is the `SubSigma` whose carrier is Ω.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import errors, order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
-from ._record import record
+from ._record import cached_property, record
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import Poset, set_partitions
 from .set_forest import SetForest
@@ -123,7 +122,7 @@ class SubSigma:
     def canon_key(self):
         return ("subsigma", canon_key(self.carrier), canon_key(self.atoms))
 
-    @functools.cached_property
+    @cached_property
     def _text(self) -> str:
         return fmt(self.atoms)
 
@@ -180,11 +179,11 @@ class RandomMove:
         items = sorted(assignment.items(), key=lambda kv: canon_key(kv[0]))
         return cls(tuple((w, frozenset(node)) for w, node in items))
 
-    @functools.cached_property
+    @cached_property
     def domain(self) -> frozenset:
         return frozenset(w for w, _ in self.graph)
 
-    @functools.cached_property
+    @cached_property
     def nodes(self) -> dict:
         """scenario ↦ node."""
         return dict(self.graph)
@@ -205,7 +204,7 @@ class RandomMove:
     def restricted(self, scenarios) -> "RandomMove":
         return RandomMove.of({w: n for w, n in self.graph if w in scenarios})
 
-    @functools.cached_property
+    @cached_property
     def _key(self) -> tuple:
         return ("rmove", canon_key(self.graph))
 
@@ -213,7 +212,7 @@ class RandomMove:
         """The canonical key, built on first call and kept on the instance."""
         return self._key
 
-    @functools.cached_property
+    @cached_property
     def _text(self) -> str:
         return "{" + ", ".join(f"{fmt(w)}↦{fmt(n)}" for w, n in self.graph) + "}"
 
@@ -263,45 +262,45 @@ class Sdf:
 
     # Derived tables, each built on first use and kept on the instance.
 
-    @functools.cached_property
+    @cached_property
     def proj(self) -> dict:
         return dict(self.projection)
 
     # The nodes under ⊇ are the forest's poset: its up-sets, its maximal
     # elements (the roots) and its minimal ones (the terminal nodes).
 
-    @functools.cached_property
+    @cached_property
     def up(self) -> dict:
         """x ↦ ↑x, the nodes containing x."""
         return self.forest.poset.up
 
-    @functools.cached_property
+    @cached_property
     def by_up(self) -> dict:
         """↑x ↦ x; up-sets are unique."""
         return {up: x for x, up in self.up.items()}
 
-    @functools.cached_property
+    @cached_property
     def maxima(self) -> frozenset:
         return self.forest.poset.maximal_elements()
 
-    @functools.cached_property
+    @cached_property
     def fibre(self) -> dict:
         fibre: dict = {}
         for node, w in self.projection:
             fibre.setdefault(w, set()).add(node)
         return {w: frozenset(v) for w, v in fibre.items()}
 
-    @functools.cached_property
+    @cached_property
     def sorted_moves(self) -> tuple:
         """The random moves in canonical order."""
         return tuple(canon_sorted(self.random_moves))
 
-    @functools.cached_property
+    @cached_property
     def sorted_scenarios(self) -> tuple:
         """The scenarios in canonical order."""
         return tuple(canon_sorted(self.space.scenarios))
 
-    @functools.cached_property
+    @cached_property
     def x_above(self) -> dict:
         """m ↦ the moves o ≠ m with o ≥_X m, as an unordered set, so a
         passing check that reads it sorts nothing.
@@ -327,16 +326,21 @@ class Sdf:
                 return moves
         return {m: frozenset(o for o in near(m) if o is not m and ge_x(o, m)) for m in moves}
 
-    @functools.cached_property
+    @cached_property
+    def terminals(self) -> frozenset:
+        """The random terminal nodes (ω, v), one per singleton node {v}."""
+        return frozenset(
+            (self.proj[x], next(iter(x))) for x in self.terminal_nodes if len(x) == 1
+        )
+
+    @cached_property
     def ttree(self) -> "TTree":
         """(T, ≥_T): random moves plus one random terminal node per terminal.
 
         A move is above the terminal (ω, v) iff its node at ω contains v, so
         the pairs are read off each move's nodes.
         """
-        terminals = frozenset(
-            (self.proj[x], next(iter(x))) for x in self.terminal_nodes if len(x) == 1
-        )
+        terminals = self.terminals
         elements = set(self.random_moves) | set(terminals)
         pairs = []
         for m in self.random_moves:
@@ -345,11 +349,11 @@ class Sdf:
                 pairs.extend((m, (w, out)) for out in node if (w, out) in terminals)
         return TTree(Poset.of(elements, pairs), frozenset(self.random_moves), terminals)
 
-    @functools.cached_property
+    @cached_property
     def terminal_nodes(self) -> frozenset:
         return self.forest.poset.minimal_elements()
 
-    @functools.cached_property
+    @cached_property
     def move_nodes(self) -> frozenset:
         return self.forest.nodes - self.terminal_nodes
 
@@ -598,7 +602,7 @@ def t_dot_omega(s: Sdf):
     for m in s.sorted_moves:
         for w in canon_sorted(m.domain):
             pairs.append((m, w))
-    for (w, out) in canon_sorted(s.ttree.terminals):
+    for (w, out) in canon_sorted(s.terminals):
         pairs.append(((w, out), w))
     return pairs
 
@@ -617,32 +621,47 @@ def check_evaluation_bijection(s: Sdf) -> Verdict:
     Decided on sets: ev is a bijection when its values are distinct nodes,
     one per node; it is then an order embedding when, for every p₂ = (y₂, ω₂),
     the pairs p₁ with ev(p₁) ⊇ ev(p₂), that is ev⁻¹(↑ev(p₂)), are exactly
-    {(y₁, ω₂) : y₁ ≥_T y₂, ω₂ in y₁'s domain}. Only a failure walks T•Ω in
-    canonical order, to name the first failing pair.
+    {(y₁, ω₂) : y₁ ≥_T y₂, ω₂ in y₁'s domain}. Those are read from the
+    definition of ≥_T, so no T-tree poset is built: above a move y₂ lie y₂
+    and its `x_above` moves, above a terminal (ω, v) the terminal and the
+    moves whose node at ω holds v. Only a failure walks T•Ω in canonical
+    order, to name the first failing pair.
     """
-    tree = s.ttree
     ev = {(m, w): node for m in s.random_moves for w, node in m.graph}
-    ev.update((((w, out), w), frozenset([out])) for w, out in tree.terminals)
+    ev.update((((w, out), w), frozenset([out])) for w, out in s.terminals)
     inverse = {node: pair for pair, node in ev.items()}
     if len(inverse) != len(ev) or inverse.keys() != s.forest.nodes:
         return _evaluation_failure(s)
-    up_t = tree.poset.up
+    holders: dict = {}  # (ω, v) ↦ the pairs (m, ω) whose node m(ω) holds v
+    for m in s.random_moves:
+        for w, node in m.graph:
+            for out in node:
+                holders.setdefault((w, out), []).append((m, w))
+    up, x_above = s.up, s.x_above
     for (y2, w2), node in ev.items():
-        above = frozenset(inverse[x] for x in s.up[node])
-        if above != {(y1, w2) for y1 in up_t[y2] if _in_domain(y1, w2)}:
+        if isinstance(y2, RandomMove):
+            expected = {(y2, w2), *((o, w2) for o in x_above[y2] if w2 in o.domain)}
+        else:
+            expected = {(y2, w2), *holders.get(y2, ())}
+        if frozenset(inverse[x] for x in up[node]) != expected:
             return _evaluation_failure(s)
     return Verdict.passed(f"|T•Ω| = {len(ev)} = |F|")
 
 
-def _in_domain(y, w) -> bool:
-    """ω in the domain of an element of T: a move's, or {ω'} for a terminal (ω', v)."""
-    return w in y.domain if isinstance(y, RandomMove) else y[0] == w
+def _ge_t(y1, y2) -> bool:
+    """y1 ≥_T y2 by its definition: ≥_X between moves; a move is above the
+    terminal (ω, v) iff its node at ω holds v; a terminal only above itself."""
+    if not isinstance(y1, RandomMove):
+        return y1 == y2
+    if isinstance(y2, RandomMove):
+        return ge_x(y1, y2)
+    w, out = y2
+    return out in y1.nodes.get(w, ())
 
 
 def _evaluation_failure(s: Sdf) -> Verdict:
     """The first failure of `check_evaluation_bijection`, walking T•Ω in
     canonical order."""
-    tree = s.ttree
     pairs = t_dot_omega(s)
     seen = {}
     for y, w in pairs:
@@ -663,7 +682,7 @@ def _evaluation_failure(s: Sdf) -> Verdict:
         )
     for y1, w1 in pairs:
         for y2, w2 in pairs:
-            lhs = tree.poset.ge(y1, y2) and w1 == w2
+            lhs = _ge_t(y1, y2) and w1 == w2
             rhs = _evaluate(y1, w1) >= _evaluate(y2, w2)
             if lhs != rhs:
                 return Verdict.failed(

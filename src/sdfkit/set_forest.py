@@ -10,11 +10,10 @@ construction errors.
 
 from __future__ import annotations
 
-import functools
 
 from . import order_core
 from ._canon import canon_key, fmt
-from ._record import record
+from ._record import cached_property, record
 from .errors import InputError, StructureError
 from .order_core import Poset
 from .verdict import Verdict
@@ -50,7 +49,7 @@ class SetForest:
     def canon_key(self):
         return ("set-forest", canon_key(self.universe), canon_key(self.nodes))
 
-    @functools.cached_property
+    @cached_property
     def poset(self) -> Poset:
         """The poset of nodes under reverse inclusion (x >= y iff x ⊇ y),
         built on first use and kept on the forest."""

@@ -8,13 +8,12 @@ along ≥_X (the no-forgetting condition, `SubSigma.trace_failure`).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 
 from . import errors
 from ._canon import canon_key, canon_sorted, fmt
-from ._record import record
+from ._record import cached_property, record
 from .errors import InputError, SizeCapError, StructureError
 from .order_core import set_partitions
 from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
@@ -35,7 +34,7 @@ class Eis:
     def moves(self) -> frozenset:
         return frozenset(m for m, _ in self.entries)
 
-    @functools.cached_property
+    @cached_property
     def _by_move(self) -> dict:
         """move ↦ its algebra; reversed, so a repeated move keeps its first."""
         return dict(reversed(self.entries))

@@ -573,6 +573,27 @@ def brute_agent_pieces(aps, agent):
     return table, own_family
 
 
+def scan_d_set(po, prefix) -> frozenset:
+    """D(p) by the literal scan: the scenarios whose group at p holds at
+    least two outcomes, each scenario's group looked at in turn."""
+    return frozenset(
+        w for w in po.scenarios.scenarios if len(po.index.group(w, prefix)) >= 2
+    )
+
+
+def scan_stuck(po) -> frozenset:
+    """The stuck groups by the definition of W1: every (ω, f[:i]) with
+    i ≤ |T| − 2 along an outcome (ω, f) whose node, of at least two
+    outcomes, coincides with the node at f[:i + 1]."""
+    group = po.index.group
+    return frozenset(
+        (w, f[:i])
+        for w, f in po.paths
+        for i in range(len(po.time.points) - 1)
+        if len(group(w, f[:i])) >= 2 and group(w, f[:i]) == group(w, f[: i + 1])
+    )
+
+
 def brute_window_choice(po, spec):
     """`window_choice` by the canonical scans: C1 over the outcomes and C2
     over the histories in canonical order, the first failure wins; a
@@ -596,7 +617,7 @@ def brute_window_choice(po, spec):
             raise InputError(
                 f"history {fmt(h)} has length {len(h)}, expected {k}", witness=h
             )
-        d = idx.d_set(h)
+        d = scan_d_set(po, h)
         meets = frozenset(w for w in d if idx.group(w, h) & outcomes)
         if meets and meets != d:
             c2 = Verdict.failed(
@@ -763,29 +784,11 @@ def _all_prefixes(po: PathOutcomes, length: int):
     return itertools.product(canon_sorted(po.space.actions), repeat=length)
 
 
-def brute_check_apw(po: PathOutcomes) -> MultiVerdict:
-    """AP.W0-W4 by enumeration: W0 and W3 over every prefix in A^i, W2 over
-    every (scenario, path in A^|T|, time subset) triple. Exponential in |T|,
-    and uncapped: the reference the decided `check_apw` is compared against
-    on small instances."""
+def brute_w1(po: PathOutcomes) -> Verdict:
+    """AP.W1 over every outcome in canonical order and every pair of times
+    i < j on it: the first pair whose nodes coincide on a non-singleton."""
     idx = po.index
     points = po.time.points
-    items = []
-
-    w0 = Verdict.passed()
-    for i, t in enumerate(points):
-        for p in _all_prefixes(po, i):
-            d = idx.d_set(p)
-            if not po.scenarios.is_event(d):
-                w0 = Verdict.failed(
-                    "apw0",
-                    f"D_(t={t}, prefix={fmt(p)}) = {fmt(d)} is not an event",
-                )
-                break
-        if not w0.ok:
-            break
-    items.append(("W0", w0))
-
     w1 = Verdict.passed()
     for w, f in canon_sorted(po.paths):
         for i, j in itertools.combinations(range(len(points)), 2):
@@ -800,7 +803,33 @@ def brute_check_apw(po: PathOutcomes) -> MultiVerdict:
                 break
         if not w1.ok:
             break
-    items.append(("W1", w1))
+    return w1
+
+
+def brute_check_apw(po: PathOutcomes) -> MultiVerdict:
+    """AP.W0-W4 by enumeration: W0 and W3 over every prefix in A^i, W2 over
+    every (scenario, path in A^|T|, time subset) triple. Exponential in |T|,
+    and uncapped: the reference the decided `check_apw` is compared against
+    on small instances."""
+    idx = po.index
+    points = po.time.points
+    items = []
+
+    w0 = Verdict.passed()
+    for i, t in enumerate(points):
+        for p in _all_prefixes(po, i):
+            d = scan_d_set(po, p)
+            if not po.scenarios.is_event(d):
+                w0 = Verdict.failed(
+                    "apw0",
+                    f"D_(t={t}, prefix={fmt(p)}) = {fmt(d)} is not an event",
+                )
+                break
+        if not w0.ok:
+            break
+    items.append(("W0", w0))
+
+    items.append(("W1", brute_w1(po)))
 
     subset_pool = [
         c
@@ -834,11 +863,11 @@ def brute_check_apw(po: PathOutcomes) -> MultiVerdict:
     for i, t in enumerate(points):
         fs = list(_all_prefixes(po, i))
         for p, q in itertools.combinations(fs, 2):
-            dp, dq = idx.d_set(p), idx.d_set(q)
+            dp, dq = scan_d_set(po, p), scan_d_set(po, q)
             if not dp or not dq or (dp & dq):
                 continue
             if not any(
-                (idx.d_set(p[:j]) & idx.d_set(q[:j])) and p[:j] != q[:j]
+                (scan_d_set(po, p[:j]) & scan_d_set(po, q[:j])) and p[:j] != q[:j]
                 for j in range(i + 1)
             ):
                 w3 = Verdict.failed(

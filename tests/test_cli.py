@@ -1354,3 +1354,42 @@ class TestMain:
         assert main(["--format", "json", "builtin", "variant", "enumerate-eis"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"][0]["data"]["count"] == 3
+
+    def test_no_command_ends_in_a_traceback_on_127_moves(self, tmp_path):
+        # one scenario whose paths are all of {a, b}^7: 127 random moves, one
+        # agent, and the named choice "x" of the paths that start with a
+        paths = [
+            {"scenario": "w", "path": list(p)} for p in itertools.product("ab", repeat=7)
+        ]
+        doc = {
+            "kind": "action-path",
+            "scenarios": ["w"],
+            "time_points": [str(i) for i in range(7)],
+            "actions": ["a", "b"],
+            "factorization": {"a": {"1": "a"}, "b": {"1": "b"}},
+            "paths": paths,
+            "choices": {"x": [p for p in paths if p["path"][0] == "a"]},
+        }
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        checks = [
+            "verify", "ttree", "enumerate-eis", "apw", "apc", "thm4-11",
+            "predecessors:x", "classify:x", "adapted:x:1",
+        ]
+        source_root = str(Path(sdfkit.__file__).resolve().parent.parent)
+        for fmt in ("text", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sdfkit.cli", "--format", fmt, "verify", "doc.json", *checks],
+                capture_output=True,
+                text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": source_root},
+                cwd=tmp_path,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            assert proc.stderr == ""
+            if fmt == "json":
+                assert [c["id"] for c in json.loads(proc.stdout)["checks"]] == checks
+            else:
+                lines = proc.stdout.splitlines()
+                assert [line.rsplit(": ", 1)[0] for line in lines if line.startswith("check ")] == [
+                    f"check {c}" for c in checks
+                ]

@@ -271,6 +271,24 @@ class TestSdfChecks:
             "3c fail",
         } <= set(seen)
 
+    def test_evaluation_bijection_reads_each_terminal_at_its_scenario(self):
+        # Each move assigns, at one scenario, the root of the other scenario's
+        # component. ev is a bijection and every move's row holds; only the
+        # row of a terminal (ω, v) sees that a move holds v at another scenario.
+        nodes = ["ab", "a", "b", "cd", "c", "d"]
+        s = Sdf.of(
+            SetForest.of("abcd", nodes),
+            ScenarioSpace.discrete("LR"),
+            {frozenset(x): "L" if x[0] in "ab" else "R" for x in nodes},
+            [RandomMove.of({"R": frozenset("ab")}), RandomMove.of({"L": frozenset("cd")})],
+        )
+        got = check_evaluation_bijection(s)
+        assert got == brute_check_evaluation_bijection(s)
+        assert (got.code, got.witness) == (
+            "ev-not-order-embedding",
+            "pairs ev⁻¹{c, d}, ev⁻¹{c} break the embedding (False vs True)",
+        )
+
     def test_x_above_and_ttree_match_the_pairwise_forms(self, rng, sdf_pool):
         # the builtins and corpus draws 0-149, each also with one move or node
         # altered: some fail axioms 3a-3c, some assign a set that is not a node

@@ -80,6 +80,29 @@ def test_ttree_command_builds_the_t_tree_once(monkeypatch):
     assert built.count(frozenset(elements)) == 1
 
 
+def test_ttree_command_builds_no_t_tree_where_a_root_is_no_move(monkeypatch):
+    # Draw 5 has three moves and a moveless component: the evaluation
+    # bijection reads ≥_T from its definition, and the tree theorem stops at
+    # its roots-are-moves test, so no (T, ≥_T) poset is built.
+    po = random_path_outcomes(random.Random(5))
+    s = build_action_path_sdf(po, max_x_exhaustive=9).sdf
+    assert len(s.random_moves) == 3 and s.maxima - s.move_nodes
+    of = Poset.of.__func__
+    built = []
+
+    def counting(cls, elements, ge_pairs):
+        built.append(frozenset(elements))
+        return of(cls, elements, ge_pairs)
+
+    monkeypatch.setattr(Poset, "of", classmethod(counting))
+    [ttree] = run(InstanceDoc("action-path", po=po), ["ttree"], max_x=9).records
+    assert [(k, v.ok, v.code) for k, v in ttree.items] == [
+        ("evaluation-bijection", True, ""),
+        ("rooted-tree", False, "roots-not-moves"),
+    ]
+    assert not [e for e in built if e & s.random_moves]
+
+
 def test_each_poset_decides_forest_ness_once(monkeypatch):
     # Axioms 1 and 2 both need the node poset to be a forest, and the tree
     # theorem asks it of (T, ≥_T) twice; each poset scans its up-sets once.

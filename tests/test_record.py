@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 import sdfkit
-from sdfkit import _record, cli
+from sdfkit import _record, cli, examples
+from sdfkit.action_path import build_action_path_sdf
 from sdfkit.cli import InstanceDoc
 from sdfkit.errors import StructureError
 from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma
@@ -245,6 +246,64 @@ def test_default_factory_is_called_per_instance():
     assert a.named_choices is not b.named_choices
     ours = _probe(_record.record, _record.field)
     assert ours(1).third is not ours(1).third
+
+
+def test_cached_property_computes_once_and_keeps_the_value_on_the_instance():
+    calls = []
+
+    @_record.record(frozen=True)
+    class Probe:
+        x: int
+
+        @_record.cached_property
+        def table(self) -> dict:
+            """x doubled."""
+            calls.append(self.x)
+            return {"doubled": 2 * self.x}
+
+    # on the class, the descriptor itself
+    assert isinstance(Probe.table, _record.cached_property)
+    assert Probe.table.__doc__ == "x doubled."
+    built, fresh = Probe(3), Probe(3)
+    assert "table" not in vars(built)
+    first = built.table
+    assert first == {"doubled": 6} and calls == [3]
+    assert vars(built)["table"] is first and built.table is first and calls == [3]
+    # the table is no field: the frozen record keeps its value semantics
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    with pytest.raises(_record.FrozenInstanceError):
+        built.x = 4
+
+
+def _tables_of(x) -> list:
+    """The names of the `cached_property` tables of x's class and its bases."""
+    return sorted(
+        {
+            name
+            for klass in type(x).__mro__
+            for name, attr in vars(klass).items()
+            if isinstance(attr, _record.cached_property)
+        }
+    )
+
+
+def test_frozen_records_with_every_table_built_keep_their_value_semantics():
+    aps = build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12)
+    s = aps.sdf
+    values = [
+        aps, aps.po, aps.po.time, aps.po.space, aps.po.scenarios,
+        s, s.forest, s.forest.poset, *s.sorted_moves,
+    ]
+    names = set()
+    for x in values:
+        for name in _tables_of(x):
+            getattr(x, name)
+            assert name in vars(x)
+            names.add(name)
+        # built again from its fields, without the tables
+        y = type(x)(*(getattr(x, f) for f in type(x).__record_fields__))
+        assert x == y and y == x and hash(x) == hash(y) and repr(x) == repr(y)
+    assert {"index", "_times", "up", "down", "ttree", "terminals", "_key"} <= names
 
 
 def test_plain_records_are_unhashable(samples):

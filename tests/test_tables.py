@@ -4,32 +4,49 @@
 `Rcs.for_move` and `ActionPathSdf.time_of_move` read tables built on first
 use and kept on the value, and `RandomMove` keeps its canonical key. Each
 lookup must give what its literal scan in `conftest` gives, or raise the
-same error: type, code, text and witness. A value whose tables are built
-stays equal to a fresh one, hashes alike, and has the same repr and
-canonical key.
+same error: type, code, text and witness. The path index's D table and
+its list of stuck groups must equal their scans, and W1 read off the list
+must name the witness that the pairwise W1 oracle names. A value whose
+tables are built stays equal to a fresh one, hashes alike, and has the
+same repr and canonical key.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    brute_w1,
     oracle_canon_key,
     scan_components,
+    scan_d_set,
     scan_eis_for_move,
     scan_project,
     scan_rcs_for_move,
+    scan_stuck,
     scan_time_index,
     scan_time_of_move,
 )
 from sdfkit import examples
 from sdfkit._canon import canon_sorted
-from sdfkit.action_path import TimeAxis, _agent_pieces, build_action_path_sdf
+from sdfkit.action_path import (
+    ActionSpace,
+    PathOutcomes,
+    TimeAxis,
+    _agent_pieces,
+    build_action_path_sdf,
+    check_apw,
+)
 from sdfkit.choice import Rcs
+from sdfkit.gen import random_path_outcomes
+from sdfkit.sdf import ScenarioSpace
 from sdfkit.sigma_info import Eis, enumerate_eis
+from test_action_path import w1_failure_outcomes, w3_failure_outcomes, w3_three_pairs_outcomes
 
 # On an axis, off it, negative, and of every type a caller may hand in.
 TIMES = [
@@ -152,6 +169,36 @@ def test_time_of_move_matches_the_scan(instances):
         for move in probe_moves(instances, aps):
             assert result(aps.time_of_move, move) == result(scan_time_of_move, aps, move), move
         assert "_times" in vars(aps)
+
+
+def w0_failure_outcomes():
+    """The document of `test_action_path.TestMoveEvent.test_apw0_violation`:
+    D = {1} at the prefix ("a",) is no event of the trivial algebra."""
+    paths = [(1, ("a", "a")), (1, ("a", "b")), (2, ("a", "a"))]
+    return PathOutcomes.of(
+        TimeAxis.of([0, 1]), ActionSpace.of(["a", "b"]), ScenarioSpace.of([1, 2], [[1, 2]]), paths
+    )
+
+
+def test_path_index_tables_match_the_scans(instances):
+    docs = [aps.po for aps in instances.values()]
+    docs += [w0_failure_outcomes(), w1_failure_outcomes(), w3_failure_outcomes()]
+    docs += [w3_three_pairs_outcomes()]
+    docs += [random_path_outcomes(random.Random(draw)) for draw in range(200)]
+    failing = Counter()
+    for po in docs:
+        idx = po.index
+        prefixes = {f[:i] for _, f in po.paths for i in range(len(po.time.points) + 1)}
+        scanned = {p: scan_d_set(po, p) for p in prefixes}
+        assert idx.d_sets == {p: d for p, d in scanned.items() if d}
+        assert all(idx.d_set(p) == d for p, d in scanned.items())
+        assert idx.d_set(("not an action",)) == frozenset()
+        assert len(idx.stuck) == len(set(idx.stuck))
+        assert set(idx.stuck) == scan_stuck(po)
+        apw = check_apw(po)
+        assert apw.verdict("W1") == brute_w1(po)
+        failing.update(k for k, v in apw.items if not v.ok)
+    assert {"W0", "W1", "W3"} <= set(failing), failing
 
 
 def test_kept_move_key_is_the_definition(instances):

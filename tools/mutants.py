@@ -290,11 +290,52 @@ MUTANTS = [
     (
         "w1-singleton-guard-dropped",
         "sdfkit/action_path.py",
-        "             if groups[i] == groups[i + 1] and len(groups[i]) != 1),",
-        "             if groups[i] == groups[i + 1]),",
+        "            if len(g) < 2:\n                continue\n            w, p = key",
+        "            if False:\n                continue\n            w, p = key",
         [
             "tests/test_action_path.py::TestCheckApw::test_decided_matches_enumeration",
             "tests/test_decided_checks.py::TestCheckApw::test_matches_enumeration",
+            "tests/test_tables.py::test_path_index_tables_match_the_scans",
+        ],
+    ),
+    (
+        "stuck-length-bound-off-by-one",
+        "sdfkit/action_path.py",
+        "            if k <= n - 2 and",
+        "            if k <= n - 1 and",
+        ["tests/test_tables.py::test_path_index_tables_match_the_scans"],
+    ),
+    (
+        "component-blocks-from-minimal-elements",
+        "sdfkit/order_core.py",
+        "    return frozenset(p.down[r] for r in p.maximal_elements())",
+        "    return frozenset(p.down[r] for r in p.minimal_elements())",
+        [
+            "tests/test_order_core.py::TestConnectedComponents::test_partition_and_merge_violation",
+            "tests/test_sdf.py::TestFibres::test_simple_instance",
+        ],
+    ),
+    (
+        "ev-terminal-table-keyed-by-outcome",
+        "sdfkit/sdf.py",
+        "                holders.setdefault((w, out), []).append((m, w))",
+        "                holders.setdefault(out, []).append((m, w))",
+        [
+            "tests/test_decided_checks.py::TestSdfChecks::test_matches_canonical_loops",
+            "tests/test_decided_checks.py::TestSdfChecks::"
+            "test_evaluation_bijection_reads_each_terminal_at_its_scenario",
+        ],
+    ),
+    (
+        "cached-property-does-not-store",
+        "sdfkit/_record.py",
+        "        value = instance.__dict__[self.name] = self.func(instance)",
+        "        value = self.func(instance)",
+        [
+            "tests/test_record.py::"
+            "test_cached_property_computes_once_and_keeps_the_value_on_the_instance",
+            "tests/test_record.py::"
+            "test_frozen_records_with_every_table_built_keep_their_value_semantics",
         ],
     ),
 ]
@@ -303,6 +344,9 @@ MUTANTS = [
 EQUIVALENT = {
     "report-code-isinstance": "a str subclass goes to _emit_json, whose json.dumps "
     "fallback writes the same encoded string as the C encoder",
+    "stuck-length-bound-off-by-one": "a group at |p| = |T| - 1 holds outcomes of one "
+    "scenario that share the path before the last time; two of them that also share "
+    "the last action are one outcome, so such a group of two or more is never stuck",
 }
 
 
