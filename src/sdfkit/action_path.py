@@ -394,7 +394,10 @@ class ActionPathSdf:
 
     @cached_property
     def _pieces(self) -> dict:
-        """_agent_pieces results by agent: ({(move, G): {h: (piece, C0-C2 ok)}}, Rcs)."""
+        """_agent_pieces results by agent: ({(move, G, h): (piece, C0-C2 ok) or
+        None}, own-prefix Rcs, {G: lifted actions}). The table holds p_x's
+        pieces once the agent is built; `_piece` adds any other history's
+        piece when it is first read."""
         return {}
 
     @cached_property
@@ -452,18 +455,23 @@ def _construct_action_path_sdf(
             witness=apw,
             code="assumption-failure",
         )
-    # the nodes are the groups, each projected to its scenario; each prefix
-    # with D ≠ ∅ makes the move at the time after it
+    # The nodes are the groups, each projected to its scenario; each prefix
+    # with D ≠ ∅ makes the move at the time after it. W1 gives each move one
+    # time. Two prefixes of one length have disjoint groups, so they make
+    # different moves. If prefixes p and p' with |p| < |p'| made one move,
+    # then for ω in its domain the groups at (ω, p) and (ω, p') would be
+    # equal. p' extends p, so the group at p's one-action extension toward
+    # p' lies between them and equals both: the two or more outcomes of the
+    # group at p all take one action at position |p|. That group is stuck,
+    # as |p| < |p'| ≤ |T| − 1 (a full path's group is one outcome), and W1
+    # would have failed.
     groups = po.index.groups
     points = po.time.points
     projection = {g: w for (w, _), g in groups.items()}
-    move_times: dict = {}
-    for p, d in po.index.d_sets.items():
-        t = points[len(p)]
-        m = RandomMove.of({w: groups[(w, p)] for w in d})
-        if m in move_times and move_times[m] != t:
-            raise StructureError(f"random move {m.fmt()} arises at two times", witness=m)
-        move_times[m] = t
+    move_times = {
+        RandomMove.of({w: groups[(w, p)] for w in d}): points[len(p)]
+        for p, d in po.index.d_sets.items()
+    }
     forest = SetForest.of(frozenset(po.paths), projection.keys())
     s = Sdf.of(forest, po.scenarios, projection, frozenset(move_times))
     verdict = verify_sdf(s, max_x_exhaustive=max_x_exhaustive)
@@ -676,11 +684,14 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     set G of agent components (lifted through the projection on x's domain,
     empty off it) that pass C0-C2 and meet every node of x. The piece of h
     is the window choice for the single history h, and the window choice of
-    (H, G) is the disjoint union of the pieces of H. Returns the table
-    {(move, G): {h: (piece, C0-C2 ok)}} of every nonempty piece, |H| window
-    choices per G instead of 2^|H|, and the own-prefix family: per move, the
-    piece_G(p_x) of each G whose piece passes and meets every node of x,
-    with p_x the history every outcome of x shares. Each piece is decided by
+    (H, G) is the disjoint union of the pieces of H. Returns (table,
+    own-prefix family, lifted): `table` maps (move, G, h) to (piece, C0-C2
+    ok), or None for an empty piece; `lifted` maps each nonempty G to its
+    actions. Only the own prefix's pieces are decided here, piece_G(p_x) for
+    every (move, G), with p_x the history every outcome of x shares; the
+    piece of any other history is decided by `_piece` when it is first
+    read. The own-prefix family is, per move, the piece_G(p_x) of each G
+    whose piece passes and meets every node of x. Each piece is decided by
     `_decide_history` on h's groups in the path index, with the agent's
     projection read once: no window choice is built and no witness named.
 
@@ -697,7 +708,9 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     x(ω) ⊄ D and a node y ⊊ x(ω) such that every node z with y ⊆ z ⊊ x(ω)
     lies in D, and each such z is a subset of x(ω). So the events over every
     reference choice are those over the own-prefix family, which is what
-    `MeasurabilityCase` reads; `check_apc3` decides from the table.
+    `MeasurabilityCase` reads; `check_apc3` decides from the pieces of the
+    history sets it tries, and `apc`, which tries {p_x} only, reads no other
+    history's piece.
 
     The own-prefix family is checked to verify as an RCS rather than
     assumed. The result is kept on `aps`, so each agent is built once.
@@ -715,19 +728,15 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     }
     for move, t in aps.move_times:
         k = aps._time_at(move)[1]
-        groups = {h: idx.groups_of(h) for h in idx.realized[k]}
         own = _own_prefix(po, move, t)
+        groups = idx.groups_of(own)
         found = set()
         for g_set, acts in lifted.items():
-            actions = dict.fromkeys(move.domain, acts)
-            held = table[move, g_set] = {}
-            for h, h_groups in groups.items():
-                piece, stuck, c2 = _decide_history(h_groups, k, actions)
-                if piece:
-                    held[h] = (piece, not stuck and c2 is None)
-            own_piece, own_ok = held.get(own, (frozenset(), False))
-            if own_ok and _meets_every_node(move, own_piece):
-                found.add(own_piece)
+            piece, stuck, c2 = _decide_history(groups, k, dict.fromkeys(move.domain, acts))
+            ok = not stuck and c2 is None
+            table[move, g_set, own] = (piece, ok) if piece else None
+            if piece and ok and _meets_every_node(move, piece):
+                found.add(piece)
         per_move[move] = frozenset(choice_mod.Choice.of(aps.sdf, o) for o in found)
     own_family = choice_mod.Rcs.of(per_move)
     verdict = choice_mod.verify_rcs(aps.sdf, own_family)
@@ -735,8 +744,29 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
         raise StructureError(
             f"agent reference choices fail to verify: {verdict.describe()}"
         )
-    aps._pieces[agent] = (table, own_family)
-    return table, own_family
+    aps._pieces[agent] = (table, own_family, lifted)
+    return aps._pieces[agent]
+
+
+def _piece(aps: ActionPathSdf, agent, move: RandomMove, g_set, h) -> tuple | None:
+    """(piece, C0-C2 ok) of the realized history h at the move x for the
+    agent's component set G, or None when the piece is empty, as it is for
+    the empty G. Read from the table of `_agent_pieces`; a piece not yet
+    there is decided on this first read by `_decide_history` on h's groups,
+    and kept in the table."""
+    if not g_set:
+        return None
+    table, _, lifted = _agent_pieces(aps, agent)
+    key = (move, g_set, h)
+    try:
+        return table[key]
+    except KeyError:
+        pass
+    k = aps._time_at(move)[1]
+    actions = dict.fromkeys(move.domain, lifted[g_set])
+    piece, stuck, c2 = _decide_history(aps.po.index.groups_of(h), k, actions)
+    entry = table[key] = (piece, not stuck and c2 is None) if piece else None
+    return entry
 
 
 @record(frozen=True)
@@ -763,12 +793,14 @@ def check_apc3(
     over the nonempty S ⊆ the other realized histories, by size; per H, the
     canonical generator (all proper subsets), then the other families.
 
-    A member G is decided from the piece table of `_agent_pieces`: the
-    window choice of (H, G) is the disjoint union of G's nonempty pieces in
-    H. G passes when H holds none, or when each passes C0-C2 and H holds
-    p_x, whose piece meets every node of x. That is the membership test, by
-    argument (a) of `_agent_pieces`: such a union is a reference choice.
-    Being a union of nodes, it is always a choice.
+    A member G is decided from the pieces of the histories of H, each read
+    through `_piece`, so a piece is decided when an H that holds it is first
+    tried: the window choice of (H, G) is the disjoint union of G's nonempty
+    pieces in H. G passes when H holds none, or when each passes C0-C2 and H
+    holds p_x, whose piece meets every node of x. That is the membership
+    test, by argument (a) of `_agent_pieces`: such a union is a reference
+    choice. Being a union of nodes, it is always a choice. Without a given
+    choice only H = {p_x} is tried, so only p_x's pieces are read.
 
     At most three history sets need a test. By the same argument, if
     (H, 𝒢) is a hit, so is (R, 𝒢) for every R ⊆ H that holds p_x. An H
@@ -793,7 +825,7 @@ def check_apc3(
     realized = po.index.realized[k]
     if not required <= realized:
         raise InputError("required prefixes are not realized", witness=required)
-    pieces = _agent_pieces(aps, agent)[0]
+    _agent_pieces(aps, agent)  # the own-prefix family verifies, or this raises
     subsets = _component_subsets(aps, agent)
     if own in required:
         history_sets = [required]
@@ -801,11 +833,10 @@ def check_apc3(
         history_sets = dict.fromkeys([required, realized, required | {own}])
     for histories in history_sets:
         def passes(g_set) -> bool:
-            held = pieces.get((move, g_set), {})
-            inside = [h for h in held if h in histories]
-            return not inside or (
-                all(held[h][1] for h in inside)
-                and own in inside
+            held = {h: e for h in histories if (e := _piece(aps, agent, move, g_set, h))}
+            return not held or (
+                all(ok for _, ok in held.values())
+                and own in held
                 and _meets_every_node(move, held[own][0])
             )
 

@@ -47,10 +47,10 @@ from sdfkit.action_path import (
     PathOutcomes,
     WindowChoice,
     WindowChoiceSpec,
-    _agent_pieces,
     _lifted,
     _meets_every_node,
     _own_prefix,
+    _piece,
     agent_choice,
     build_action_path_sdf,
     check_apc3,
@@ -516,28 +516,38 @@ def brute_agent_rcs(aps, agent):
 
 def agent_rcs(aps, agent):
     """The agent's full reference choice structure, built as unions of the
-    library's per-history pieces: per move x and component set G whose
-    own-prefix piece passes C0-C2 and meets every node of x, piece_G(p_x) ∪ ⋃S
-    over every set S of G's other passing pieces, 2^(H-1) unions per G. The
-    family `check_measurable_iff_adapted` reads; compared with
+    library's per-history pieces, each read through `_piece`: per move x
+    and component set G whose own-prefix piece passes C0-C2 and meets every
+    node of x, piece_G(p_x) ∪ ⋃S over every set S of G's other passing
+    pieces among the realized histories at x's time, 2^(H-1) unions per G.
+    The family `check_measurable_iff_adapted` reads; compared with
     `brute_agent_rcs` on small inputs."""
-    table = _agent_pieces(aps, agent)[0]
-    own = {move: _own_prefix(aps.po, move, t) for move, t in aps.move_times}
-    per_move = {move: set() for move in own}
-    for (move, _g_set), held in table.items():
-        own_piece, own_ok = held.get(own[move], (frozenset(), False))
-        if not own_ok or not all(node & own_piece for _, node in move.items()):
-            continue
-        unions = {own_piece}
-        for h, (piece, ok) in held.items():
-            if ok and h != own[move]:
-                unions |= {u | piece for u in unions}
-        per_move[move] |= {Choice.of(aps.sdf, u) for u in unions}
+    po = aps.po
+    components = canon_sorted(po.space.components(agent))
+    per_move = {}
+    for move, t in aps.move_times:
+        own = _own_prefix(po, move, t)
+        found = per_move.setdefault(move, set())
+        for r in range(1, len(components) + 1):
+            for comp_set in itertools.combinations(components, r):
+                g_set = frozenset(comp_set)
+                own_entry = _piece(aps, agent, move, g_set, own)
+                if own_entry is None or not own_entry[1]:
+                    continue
+                if not all(node & own_entry[0] for _, node in move.items()):
+                    continue
+                unions = {own_entry[0]}
+                for h in po.index.realized_prefixes(t):
+                    entry = _piece(aps, agent, move, g_set, h)
+                    if entry is not None and entry[1] and h != own:
+                        unions |= {u | entry[0] for u in unions}
+                found |= {Choice.of(aps.sdf, u) for u in unions}
     return Rcs.of(per_move)
 
 
 def brute_agent_pieces(aps, agent):
-    """`_agent_pieces` as it was built from full window choices: one window
+    """The pieces `_agent_pieces` and `_piece` decide, and the own-prefix
+    family, as they were built from full window choices: one window
     choice per (move, component set G, realized history h), over every path,
     with G lifted through `_lifted` on the move's domain, and decided by the
     canonical scans of `brute_window_choice`. Not kept on `aps`, so it never

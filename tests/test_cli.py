@@ -697,6 +697,51 @@ class TestOncePerRun:
         assert record.status == "ok"
         assert calls == {"agent_choice": len(cases), "check_apc3": pairs}
 
+    def test_apc3_decides_only_the_pieces_it_reads(self, monkeypatch):
+        # `apc` tries H = {p_x} only, so it decides one piece per move and
+        # nonempty component set: 127 × (2^2 − 1) on the one-agent
+        # {a, b}^7 document, where every realized history's pieces number
+        # Σ_moves 3·|realized_k| = 16383. With a choice, as `thm4-11` calls
+        # it, each piece of a hit (H, generator) is decided by the search.
+        import sdfkit.action_path as ap
+
+        decide, apc3 = ap._decide_history, ap.check_apc3
+        decided = []
+        hits = []
+
+        def counting(groups, k, actions):
+            decided.append(k)
+            return decide(groups, k, actions)
+
+        def watched(aps, agent, move, *, choice=None):
+            result = apc3(aps, agent, move, choice=choice)
+            if result.verdict.ok:
+                hits.append((aps, agent, move, result))
+            return result
+
+        monkeypatch.setattr(ap, "_decide_history", counting)
+        monkeypatch.setattr(ap, "check_apc3", watched)
+        paths = [("1", f) for f in itertools.product("ab", repeat=7)]
+        factorization = {"a": {"i": "a"}, "b": {"i": "b"}}
+        doc = _action_path_doc(["1"], range(7), ["a", "b"], paths, factorization)
+        [apc] = run(doc, ["apc"]).records
+        assert (apc.status, len(apc.items)) == ("ok", 127)
+        assert len(decided) == 127 * 3
+
+        paths = [("1", f) for f in itertools.product("ab", repeat=5)]
+        five = _action_path_doc(["1"], range(5), ["a", "b"], paths, factorization)
+        for doc, max_x in ((builtin_doc("upandout"), 12), (five, 6)):
+            hits.clear()
+            [thm] = run(doc, ["thm4-11"], max_x=max_x).records
+            assert thm.status == "ok" and hits
+            for aps, agent, move, result in hits:
+                table = ap._agent_pieces(aps, agent)[0]
+                assert {
+                    (move, g, h) for g in result.generator if g for h in result.histories
+                } <= table.keys()
+        # on {a, b}^5 the "all" cases require every realized history
+        assert any(len(r.histories) == 16 for *_, r in hits)
+
     def test_structures_and_reference_choices_read_once(self, monkeypatch):
         # a builtin's reference choices are built when it is parsed; the
         # structures and the RCS verdict once per run
@@ -1034,8 +1079,10 @@ def test_no_function_takes_a_cap_parameter():
 
 
 def test_verify_reports_a_build_that_fails_after_w0_to_w3(monkeypatch):
-    # No document is known whose build passes W0-W3 and then fails other
-    # than by a cap (which reads cap-exceeded, as above), so the failure is
+    # Covers the routing of a build whose `verify_sdf` fails into a
+    # construction-failed record that still lists the passing W0-W3. No
+    # document is known whose build passes W0-W3 and then fails other than
+    # by a cap (which reads cap-exceeded, as above), so the failure is
     # stubbed here.
     import sdfkit.cli
     from sdfkit.errors import StructureError

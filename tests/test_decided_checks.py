@@ -486,20 +486,35 @@ def piece_instances() -> list:
 
 class TestAgentPieces:
     def test_matches_full_window_choices(self):
+        # up front only p_x's pieces are decided; every other piece is
+        # decided by `_piece` when read, here for every realized history
         seen = Counter()
         for aps in piece_instances():
-            for agent in aps.po.space.agents:
+            po = aps.po
+            for agent in po.space.agents:
+                expected = outcome(brute_agent_pieces, aps, agent)
                 got = outcome(action_path._agent_pieces, aps, agent)
-                assert got == outcome(brute_agent_pieces, aps, agent)
-                table, own_family = got[1]
+                if expected[0] == "error":
+                    assert got == expected
+                    continue
+                brute_table, own_family = expected[1]
+                table, got_family, _ = got[1]
+                assert got_family == own_family
+                own = {m: action_path._own_prefix(po, m, t) for m, t in aps.move_times}
+                assert set(table) == {(m, g, own[m]) for m, g in brute_table}
                 seen["own choices"] += sum(len(cs) for _, cs in own_family.entries)
-                for held in table.values():
-                    seen.update("pass" if ok else "fail" for _, ok in held.values())
-        assert seen["own choices"] and seen["pass"] and seen["fail"], seen
+                for (move, g_set), held in brute_table.items():
+                    for h in po.index.realized_prefixes(aps.time_of_move(move)):
+                        entry = action_path._piece(aps, agent, move, g_set, h)
+                        assert entry == held.get(h)
+                        seen["no piece" if entry is None else "pass" if entry[1] else "fail"] += 1
+                    assert action_path._piece(aps, agent, move, frozenset(), own[move]) is None
+        assert seen["own choices"] and seen["pass"] and seen["fail"] and seen["no piece"], seen
 
     def test_timing_pieces_name_nothing(self, monkeypatch):
         # built from full window choices, the pieces of `timing` format 188
-        # C1/C2 witnesses that the table then discards
+        # C1/C2 witnesses that the table then discards; here every piece is
+        # decided, p_x's up front and the others through `_piece`
         aps = examples.timing_instance()
         calls = Counter()
         for module in (_canon, action_path, choice):
@@ -511,7 +526,11 @@ class TestAgentPieces:
 
             monkeypatch.setattr(module, "fmt", counting)
         for agent in aps.po.space.agents:
-            action_path._agent_pieces(aps, agent)
+            lifted = action_path._agent_pieces(aps, agent)[2]
+            for move, t in aps.move_times:
+                for g_set in lifted:
+                    for h in aps.po.index.realized_prefixes(t):
+                        action_path._piece(aps, agent, move, g_set, h)
         monkeypatch.undo()
         assert calls == Counter()
 

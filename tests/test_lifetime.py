@@ -63,8 +63,8 @@ def test_corpus_run_builds_the_node_poset_once(monkeypatch):
 
 
 def test_ttree_command_builds_the_t_tree_once(monkeypatch):
-    # The evaluation bijection and the tree theorem both read (T, ≥_T); the
-    # instance keeps it for both.
+    # Only the tree theorem reads (T, ≥_T); the evaluation bijection reads
+    # ≥_T from its definition. The instance builds the poset once.
     po = random_path_outcomes(random.Random(14))
     elements = build_action_path_sdf(po, max_x_exhaustive=9).sdf.ttree.poset.elements
     of = Poset.of.__func__

@@ -44,7 +44,8 @@ from sdfkit.action_path import (
 )
 from sdfkit.choice import Rcs
 from sdfkit.gen import random_path_outcomes
-from sdfkit.sdf import ScenarioSpace
+from sdfkit.errors import KernelError
+from sdfkit.sdf import RandomMove, ScenarioSpace
 from sdfkit.sigma_info import Eis, enumerate_eis
 from test_action_path import w1_failure_outcomes, w3_failure_outcomes, w3_three_pairs_outcomes
 
@@ -199,6 +200,32 @@ def test_path_index_tables_match_the_scans(instances):
         assert apw.verdict("W1") == brute_w1(po)
         failing.update(k for k, v in apw.items if not v.ok)
     assert {"W0", "W1", "W3"} <= set(failing), failing
+
+
+def test_each_move_arises_at_one_time(instances):
+    # The build gives each move the time after its prefix without checking
+    # that it has only one: W1 rules out two (see
+    # `_construct_action_path_sdf`). Scanning every prefix with D ≠ ∅ finds
+    # each built move made at exactly the one time the instance keeps.
+    built = list(instances.values())
+    for draw in range(200):
+        try:
+            built.append(build_action_path_sdf(random_path_outcomes(random.Random(draw))))
+        except KernelError:
+            pass
+    layered = 0
+    for aps in built:
+        po = aps.po
+        groups = po.index.groups
+        times: dict = {}
+        for p, d in po.index.d_sets.items():
+            move = RandomMove.of({w: groups[(w, p)] for w in d})
+            times.setdefault(move, set()).add(po.time.points[len(p)])
+        assert times.keys() == aps.sdf.random_moves
+        assert all(ts == {aps.time_of_move(m)} for m, ts in times.items())
+        layered += len({t for _, t in aps.move_times}) > 1
+    # the four builtins and 165 draws; 42 of them have moves at two or more times
+    assert (len(built), layered) == (169, 42)
 
 
 def test_kept_move_key_is_the_definition(instances):

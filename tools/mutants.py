@@ -138,8 +138,15 @@ MUTANTS = [
     (
         "piece-off-domain-scenario-acts",
         "sdfkit/action_path.py",
-        "            actions = dict.fromkeys(move.domain, acts)",
-        "            actions = dict.fromkeys(po.scenarios.scenarios, acts)",
+        "_decide_history(groups, k, dict.fromkeys(move.domain, acts))",
+        "_decide_history(groups, k, dict.fromkeys(po.scenarios.scenarios, acts))",
+        ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
+    ),
+    (
+        "read-piece-off-domain-scenario-acts",
+        "sdfkit/action_path.py",
+        "    actions = dict.fromkeys(move.domain, lifted[g_set])",
+        "    actions = dict.fromkeys(aps.po.scenarios.scenarios, lifted[g_set])",
         ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
     ),
     (
@@ -336,6 +343,37 @@ MUTANTS = [
             "test_cached_property_computes_once_and_keeps_the_value_on_the_instance",
             "tests/test_record.py::"
             "test_frozen_records_with_every_table_built_keep_their_value_semantics",
+        ],
+    ),
+    (
+        "piece-decided-at-the-own-prefix",
+        "sdfkit/action_path.py",
+        "_decide_history(aps.po.index.groups_of(h), k, actions)",
+        "_decide_history(aps.po.index.groups_of(_own_prefix(aps.po, move, "
+        "aps._time_at(move)[0])), k, actions)",
+        [
+            "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
+            "tests/test_action_path.py::TestAgentRcs::test_matches_brute_force_on_builtins",
+        ],
+    ),
+    (
+        "piece-key-drops-the-component-set",
+        "sdfkit/action_path.py",
+        "    key = (move, g_set, h)",
+        "    key = (move, h)",
+        [
+            "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
+            "tests/test_cli.py::TestOncePerRun::test_apc3_decides_only_the_pieces_it_reads",
+        ],
+    ),
+    (
+        "apc3-reads-only-the-own-prefix-piece",
+        "sdfkit/action_path.py",
+        "{h: e for h in histories if",
+        "{h: e for h in histories & {own} if",
+        [
+            "tests/test_cli.py::TestOncePerRun::test_apc3_decides_only_the_pieces_it_reads",
+            "tests/test_action_path.py::TestCheckApc3::test_matches_brute_force",
         ],
     ),
 ]
