@@ -917,9 +917,11 @@ class MeasurabilityCase:
     """Theorem 4.11 for one (agent, t, histories, g): measurability of g
     versus adaptedness of c(A_<t, i, g), per move c is available at.
 
-    Built once per case: the window choice c and its C0-C2 precondition, the
-    moves c is available at and, per move x, the level sets of g on D_x, the
-    events x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
+    `sweep_rows` builds one per distinct case of an agent's row table, and
+    `thm4-11` reports it for every structure. Construction raises
+    `precondition-violation` when c fails C0-C2, and keeps the moves c is
+    available at and, per move x, the level sets of g on D_x, the events
+    x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
     `_agent_pieces`, the events over every reference choice c' are those
     over the own-prefix pieces, so only those are taken. `report(e)` then
     only tests σ-containment in the EIS e's σ-algebras at those moves. It
@@ -991,76 +993,30 @@ class MeasurabilityCase:
         return MeasurabilityReport(forward, backward, tuple(records))
 
 
-@record
-class SweepCase:
-    """One case of `measurability_sweep` and its outcome.
+def sweep_rows(aps: ActionPathSdf, agent) -> list:
+    """Theorem 4.11's cases for one agent, as rows (t, label, histories, g,
+    case): the moves in order, then the history sets "all" (every realized
+    history at t) and "own" (the move's own prefix), then the total maps g
+    in canon order. `case` is the `MeasurabilityCase` or the `KernelError`
+    building it raised.
 
-    `result` is the case's `MeasurabilityCase(...).report(e)`, or the
-    `KernelError` that building the case or its report raises. A plain
-    record: its `g` is a dict, so it cannot hash, and the sweep makes one
-    per case and structure.
-    """
-
-    agent: object
-    eis_index: int  # 1-based position in the structures swept
-    t: Fraction
-    label: str  # "all": every realized history at t; "own": the move's own
-    histories: frozenset
-    g: dict
-    result: object
-
-
-def measurability_sweep(aps: ActionPathSdf, structures):
-    """Theorem 4.11 over every agent × EIS × move × {all, own} × total map g.
-
-    `structures` is a sequence of EIS; it is walked once per agent. Yields
-    one `SweepCase` per case, agents in order, then the structures, the
-    moves, the two history sets and the maps g in canon order. Nothing in a
-    row (t, label, histories, g) depends on the structure, so each agent's
-    rows are built once, at its first structure (none when there is no
-    structure), each with its `MeasurabilityCase` or the error building it
-    raised. Every structure walks that one table, so the `SweepCase`s of a
-    row share its `g` dict. A `MeasurabilityCase` depends on
-    (agent, t, histories, g) only, so the moves at t share it, as do both
-    labels when their history sets are equal. Per structure, only
-    `MeasurabilityCase.report` runs, and it decides σ-containment once per
-    distinct tuple of σ-algebras at the case's moves. A case reads the
-    agent's own-prefix pieces (see `_agent_pieces`), not their unions, so
-    its cost grows with the number of realized histories, not with the
-    number of their subsets.
+    Nothing in a row depends on an information structure, so the table is
+    built once per agent and walked for every structure, where only
+    `case.report(e)` runs. A case depends on (agent, t, histories, g) only,
+    so the moves at t share it, as do both labels when their history sets
+    are equal. A case reads the agent's own-prefix pieces (see
+    `_agent_pieces`), not their unions, so its cost grows with the number
+    of realized histories, not with the number of their subsets.
     """
     po = aps.po
     scenarios = canon_sorted(po.scenarios.scenarios)
-    windows = []
+    components = canon_sorted(po.space.components(agent))
+    cases: dict = {}
+    rows = []
     for move, t in aps.move_times:
         k = aps._time_at(move)[1]
         own = frozenset([_own_prefix(po, move, t)])
-        windows.append((t, k, (("all", po.index.realized[k]), ("own", own))))
-    for agent in po.space.agents or ():
-        rows = None
-        for index, e in enumerate(structures, start=1):
-            if rows is None:
-                rows = _sweep_rows(aps, agent, scenarios, windows)
-            for t, label, histories, g, case in rows:
-                if isinstance(case, KernelError):
-                    result = case
-                else:
-                    try:
-                        result = case.report(e)
-                    except KernelError as err:
-                        result = err
-                yield SweepCase(agent, index, t, label, histories, g, result)
-
-
-def _sweep_rows(aps: ActionPathSdf, agent, scenarios: list, windows: list) -> list:
-    """The agent's rows of `measurability_sweep`, in its order: (t, label,
-    histories, g, the `MeasurabilityCase` or the `KernelError` it raised),
-    one case per distinct (t, histories, g)."""
-    components = canon_sorted(aps.po.space.components(agent))
-    cases: dict = {}
-    rows = []
-    for t, k, labelled in windows:
-        for label, histories in labelled:
+        for label, histories in (("all", po.index.realized[k]), ("own", own)):
             for values in itertools.product(components, repeat=len(scenarios)):
                 g = dict(zip(scenarios, values))
                 key = (k, histories, values)

@@ -26,8 +26,8 @@ from .action_path import (
     _construct_action_path_sdf,
     check_apc3,
     check_apw,
-    measurability_sweep,
     product_outcomes,
+    sweep_rows,
     timing_outcomes,
     up_and_out_outcomes,
 )
@@ -666,41 +666,33 @@ def _apc(inst: _Instance, arg: str):
 
 
 def _thm4_11(inst: _Instance, arg: str):
+    """Every agent × structure × row of `sweep_rows`, as one item per row
+    whose case passed C0-C2. A row that failed them is skipped once per
+    structure; any other error is raised where that walk reaches it."""
     aps = inst.need_aps("thm4-11")
+    structures = inst.need_eis()
     items = []
     skipped = 0
-    # The sweep's rows repeat for every structure, each with its own g dict:
-    # a row's text is kept by the identity of that dict, held here so that
-    # its id stays unique until the sweep ends.
-    row_texts: dict = {}
-    for case in measurability_sweep(aps, inst.need_eis()):
-        result = case.result
-        if isinstance(result, KernelError):
-            if result.code != "precondition-violation":
-                raise result
-            skipped += 1
-            continue
-        held = row_texts.get(id(case.g))
-        if held is None:
-            held = row_texts[id(case.g)] = (
-                case.g,
-                f"t={case.t}, {case.label}, g={fmt(tuple(case.g.values()))}",
-            )
-        items.append(
-            (
-                f"agent {case.agent}, eis {case.eis_index}, {held[1]}",
-                Verdict.passed()
-                if result.ok
-                else Verdict.failed(
-                    "thm4-11",
-                    "; ".join(
-                        v.describe()
-                        for v in (result.forward, result.backward)
-                        if not v.ok
-                    ),
-                ),
-            )
-        )
+    passed = Verdict.passed()
+    for agent in aps.po.space.agents if structures else ():
+        live = []
+        for t, label, histories, g, case in sweep_rows(aps, agent):
+            if isinstance(case, KernelError) and case.code == "precondition-violation":
+                skipped += len(structures)
+            else:
+                live.append((f"t={t}, {label}, g={fmt(tuple(g.values()))}", case))
+        for index, e in enumerate(structures, start=1):
+            prefix = f"agent {agent}, eis {index}, "
+            for text, case in live:
+                if isinstance(case, KernelError):
+                    raise case
+                result = case.report(e)
+                if result.ok:
+                    verdict = passed
+                else:
+                    failed = (v for v in (result.forward, result.backward) if not v.ok)
+                    verdict = Verdict.failed("thm4-11", "; ".join(v.describe() for v in failed))
+                items.append((prefix + text, verdict))
     return items, {"skipped": skipped, "checked": len(items)}, ""
 
 
@@ -753,6 +745,9 @@ _ITEM = (
     '{\n          "code": %s,\n          "name": %s,\n          "notes": %s,\n'
     '          "ok": %s,\n          "partial": %s,\n          "witness": %s\n        }'
 )
+# An item whose verdict is the shared `Verdict.passed()` differs from the
+# next only by its name: it is written as head + encoded name + tail.
+_PASSED_HEAD, _PASSED_TAIL = (_ITEM % ('""', "%s", "[]", "true", "false", '""')).split("%s")
 _CHECK_END = ',\n      "message": %s,\n      "status": %s\n    }'
 _REPORT_END = '%s,\n  "kind": %s,\n  "name": %s,\n  "overall": %s\n}'
 _BOOL = ("false", "true")
@@ -770,7 +765,7 @@ def report_to_json(report: Report, doc: InstanceDoc) -> str:
     goes to one list, joined once: no part of the report is copied before
     the join, which keeps the peak memory of a large report down.
     """
-    enc = encode_basestring_ascii
+    enc, passed = encode_basestring_ascii, Verdict.passed()
     out = ['{\n  "caps": ']
     _emit_json(report.caps, "  ", out)
     out.append(',\n  "checks": ')
@@ -781,6 +776,10 @@ def report_to_json(report: Report, doc: InstanceDoc) -> str:
         out.append(',\n      "id": %s,\n      "items": ' % _text(r.check_id, _CHECK_KEYS))
         item_sep = "[\n        "
         for k, v in r.items:
+            if v is passed and type(k) is str:
+                out.append(item_sep + _PASSED_HEAD + enc(k) + _PASSED_TAIL)
+                item_sep = ",\n        "
+                continue
             # the items are most of a report, so their fields are inlined
             code, witness, ok, partial = v.code, v.witness, v.ok, v.partial
             out.append(item_sep + _ITEM % (

@@ -11,7 +11,8 @@ agent reference choices by one window choice per
 library's per-history pieces (`agent_rcs`, the family Theorem 4.11's
 per-case oracle `check_measurable_iff_adapted` reads), the piece table of
 an agent by one window choice per (move, component set, history) over every
-path (`brute_agent_pieces`), the window-choice verdicts by canonical scans, canonical keys by the type-tag
+path (`brute_agent_pieces`), Theorem 4.11's sweep by the literal agent ×
+structure × row loops (`oracle_measurability_sweep`), the window-choice verdicts by canonical scans, canonical keys by the type-tag
 cascade that wraps every number in a Fraction, the no-forgetting trace
 check by listing every event, the information structures and their
 order by sorting every result, ≥_X, the derived tree, the EIS check and the
@@ -33,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from sdfkit import errors, examples
+from sdfkit import action_path, errors, examples
 from sdfkit._canon import canon_key, canon_sorted, fmt
 from sdfkit.action_path import (
     Apc3Result,
@@ -65,7 +67,7 @@ from sdfkit.choice import (
     preimage,
     verify_rcs,
 )
-from sdfkit.errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
+from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import Poset, maximal_chains
 from sdfkit.sdf import TTree, ge_x, x_order
@@ -788,6 +790,49 @@ def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> Measura
             )
         records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
     return MeasurabilityReport(forward, backward, tuple(records))
+
+
+# One case of `oracle_measurability_sweep`: `eis_index` is the 1-based
+# position of the structure, `label` "all" (every realized history at t) or
+# "own" (the move's own prefix), `result` the report or the error raised.
+SweepCase = namedtuple("SweepCase", "agent eis_index t label histories g result")
+
+
+def oracle_measurability_sweep(aps, structures):
+    """Theorem 4.11 over every agent × EIS × move × {all, own} × total map g,
+    in that loop order: one `SweepCase` per case, whose `result` is
+    `MeasurabilityCase(...).report(e)` or the `KernelError` that building
+    the case or its report raised. The histories are read off the path
+    index and the move's nodes. A case is a function of (agent, t,
+    histories, g), so it is built once, at the first structure that
+    reaches it; nothing is built without a structure."""
+    po = aps.po
+    scenarios = canon_sorted(po.scenarios.scenarios)
+    cases: dict = {}
+    for agent in po.space.agents or ():
+        components = canon_sorted(po.space.components(agent))
+        for index, e in enumerate(structures, start=1):
+            for move, t in aps.move_times:
+                k = po.time.index(t)
+                own = frozenset(f[:k] for node in move.image for _, f in node)
+                for label, histories in (("all", po.index.realized_prefixes(t)), ("own", own)):
+                    for values in itertools.product(components, repeat=len(scenarios)):
+                        g = dict(zip(scenarios, values))
+                        key = (agent, t, histories, values)
+                        if key not in cases:
+                            try:
+                                cases[key] = action_path.MeasurabilityCase(
+                                    aps, agent, t, histories, g
+                                )
+                            except KernelError as err:
+                                cases[key] = err
+                        result = cases[key]
+                        if not isinstance(result, KernelError):
+                            try:
+                                result = result.report(e)
+                            except KernelError as err:
+                                result = err
+                        yield SweepCase(agent, index, t, label, histories, g, result)
 
 
 def _all_prefixes(po: PathOutcomes, length: int):

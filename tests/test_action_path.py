@@ -11,6 +11,7 @@ from conftest import (
     brute_check_apc3,
     brute_check_apw,
     check_measurable_iff_adapted,
+    oracle_measurability_sweep,
 )
 from sdfkit import examples
 from sdfkit.action_path import (
@@ -23,11 +24,11 @@ from sdfkit.action_path import (
     build_action_path_sdf,
     check_apc3,
     check_apw,
-    measurability_sweep,
     move_event,
     node_at,
     prefix_of,
     product_outcomes,
+    sweep_rows,
     time_of,
     times_of_node,
     timing_outcomes,
@@ -803,9 +804,32 @@ def _windows(aps):
         yield t, po.index.realized_prefixes(t), own
 
 
+def _walked_rows(aps, structures):
+    """`sweep_rows` walked as `thm4-11` walks it, agents × structures × rows,
+    each row with its report or the error building the case or its report
+    raised; no row is built without a structure."""
+    for agent in aps.po.space.agents:
+        rows = sweep_rows(aps, agent) if structures else []
+        for index, e in enumerate(structures, start=1):
+            for t, label, histories, g, case in rows:
+                if not isinstance(case, KernelError):
+                    try:
+                        case = case.report(e)
+                    except KernelError as err:
+                        case = err
+                yield agent, index, t, label, histories, g, case
+
+
+def _outcome(result):
+    if isinstance(result, KernelError):
+        return type(result), result.code, str(result)
+    return result
+
+
 def _sweep_against_oracle(aps) -> Counter:
-    """Every case of the sweep, in the order of the nested loops
-    agent × EIS × move × {all, own} × g, against the per-case oracle."""
+    """Every case of `sweep_rows` walked per structure against
+    `oracle_measurability_sweep`, in the order of the nested loops agent ×
+    EIS × move × {all, own} × g, and against the per-case oracle."""
     po = aps.po
     structures = enumerate_eis(aps.sdf)
     scenarios = canon_sorted(po.scenarios.scenarios)
@@ -819,21 +843,20 @@ def _sweep_against_oracle(aps) -> Counter:
             canon_sorted(po.space.components(agent)), repeat=len(scenarios)
         )
     ]
-    cases = list(measurability_sweep(aps, structures))
-    assert [
-        (c.agent, c.eis_index, c.t, c.label, c.histories, c.g) for c in cases
-    ] == expected_order
+    swept = list(oracle_measurability_sweep(aps, structures))
+    walked = list(_walked_rows(aps, structures))
+    assert [tuple(c[:6]) for c in swept] == expected_order
+    assert [c[:6] for c in walked] == expected_order
     # the oracle is a function of its arguments: the moves at one time share
     # its result for the "all" histories, so each distinct call runs once
     oracle: dict = {}
 
-    def call(c):
-        key = (c.agent, c.eis_index, c.t, c.histories, tuple(c.g.values()))
+    def call(agent, index, t, histories, g):
+        key = (agent, index, t, histories, tuple(g.values()))
         if key not in oracle:
-            e = structures[c.eis_index - 1]
             try:
                 oracle[key] = check_measurable_iff_adapted(
-                    aps, c.agent, e, c.t, c.histories, c.g
+                    aps, agent, structures[index - 1], t, histories, g
                 )
             except KernelError as err:
                 oracle[key] = err
@@ -842,8 +865,9 @@ def _sweep_against_oracle(aps) -> Counter:
         return oracle[key]
 
     tally = Counter()
-    for c in cases:
-        tally += _same_as_oracle(c.result, lambda: call(c))
+    for c, (agent, index, t, _, histories, g, result) in zip(swept, walked):
+        assert _outcome(result) == _outcome(c.result)
+        tally += _same_as_oracle(result, lambda: call(agent, index, t, histories, g))
     return tally
 
 
@@ -938,7 +962,8 @@ class TestMeasurabilitySweep:
         assert tally["apc3=False"] > 0 and tally["precondition-violation"] > 0, tally
 
     def test_reports_are_decided_once_per_sigma_tuple(self, timing_aps, monkeypatch):
-        # timing: 82 structures, 11808 cases, 5904 of them reported. A report
+        # timing: 82 structures, each walking the agents' rows of
+        # `sweep_rows`: 11808 cases, 5904 of them reported. A report
         # reads its structure only through the σ-algebras at the case's
         # moves. Deciding it anew for every structure makes 23308
         # containment tests; deciding it once per distinct tuple makes 480
@@ -954,14 +979,19 @@ class TestMeasurabilitySweep:
             return contains(self, event)
 
         monkeypatch.setattr(SubSigma, "contains", counting)
-        cases = list(measurability_sweep(timing_aps, structures))
+        cases = list(_walked_rows(timing_aps, structures))
         assert (len(structures), len(cases), calls) == (82, 11808, 480)
 
     def test_no_structures_compute_nothing(self, upandout_aps, monkeypatch):
         import sdfkit.action_path
+        import sdfkit.cli
+        from sdfkit.cli import builtin_doc, run
 
         def fail(*args, **kwargs):
             raise AssertionError("EIS-independent state built without an EIS")
 
         monkeypatch.setattr(sdfkit.action_path, "agent_choice", fail)
-        assert list(measurability_sweep(upandout_aps, ())) == []
+        assert list(oracle_measurability_sweep(upandout_aps, ())) == []
+        monkeypatch.setattr(sdfkit.cli, "enumerate_eis", lambda s: ())
+        [thm] = run(builtin_doc("upandout"), ["thm4-11"], max_x=12).records
+        assert (thm.status, thm.items, thm.data) == ("ok", (), {"skipped": 0, "checked": 0})

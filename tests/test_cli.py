@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import sdfkit
 from sdfkit import examples
+from sdfkit.action_path import build_action_path_sdf
 from sdfkit.cli import (
     BUILTINS,
     CheckRecord,
@@ -26,11 +27,11 @@ from sdfkit.cli import (
     report_to_text,
     run,
 )
-from sdfkit.errors import WORK_CAP
+from sdfkit.errors import WORK_CAP, KernelError, SizeCapError, StructureError
 from sdfkit.sigma_info import enumerate_eis
 from sdfkit.verdict import Verdict
 
-from conftest import brute_report_to_json, oracle_fmt
+from conftest import brute_report_to_json, oracle_fmt, oracle_measurability_sweep
 from tests_helpers import EXPLICIT_DOC, corpus_doc
 
 TIMING_DOC = json.dumps(
@@ -882,7 +883,122 @@ class TestOncePerRun:
         assert records[0].message.endswith("adapted needs a reference choice structure (rcs)")
 
 
+def _two_agent_doc():
+    # agents i and j over actions a-d; scenario 2 cannot start with a or b,
+    # so some window choices fail C0-C2, and the document has 5 structures
+    factorization = {
+        "a": {"i": "x", "j": "u"}, "b": {"i": "x", "j": "v"},
+        "c": {"i": "y", "j": "u"}, "d": {"i": "y", "j": "v"},
+    }
+    paths = [
+        (w, f)
+        for w in "12"
+        for f in itertools.product("abcd", repeat=2)
+        if w == "1" or f[0] not in "ab"
+    ]
+    return _action_path_doc(["1", "2"], [0, 1], list("abcd"), paths, factorization)
+
+
+def _thm4_11_by_the_oracle(doc, max_x):
+    """`thm4-11`'s (status, message, items, data), expanded case by case from
+    `oracle_measurability_sweep`: a case that fails C0-C2 is skipped, any
+    other error ends the check."""
+    aps = build_action_path_sdf(doc.po, max_x_exhaustive=max_x)
+    items = []
+    skipped = 0
+    for c in oracle_measurability_sweep(aps, enumerate_eis(aps.sdf)):
+        result = c.result
+        if isinstance(result, SizeCapError):
+            return "error", f"cap-exceeded: {result}", (), {}
+        if isinstance(result, KernelError):
+            if result.code != "precondition-violation":
+                return "error", f"{result.code}: {result}", (), {}
+            skipped += 1
+            continue
+        name = (
+            f"agent {c.agent}, eis {c.eis_index}, t={c.t}, {c.label}, "
+            f"g={oracle_fmt(tuple(c.g.values()))}"
+        )
+        failed = [v.describe() for v in (result.forward, result.backward) if not v.ok]
+        verdict = Verdict.failed("thm4-11", "; ".join(failed)) if failed else Verdict(ok=True)
+        items.append((name, verdict))
+    status = "ok" if all(v.ok for _, v in items) else "fail"
+    return status, "", tuple(items), {"skipped": skipped, "checked": len(items)}
+
+
 class TestThm411:
+    def test_matches_the_oracle_sweep(self):
+        two = _two_agent_doc()
+        for doc in (builtin_doc("timing"), builtin_doc("upandout"), two):
+            [thm] = run(doc, ["thm4-11"], max_x=12).records
+            expected = _thm4_11_by_the_oracle(doc, 12)
+            assert (thm.status, thm.message, thm.items, thm.data) == expected
+            # a passed item carries the one shared verdict
+            assert all(v is Verdict.passed() for _, v in thm.items if v.ok)
+        # the last record is the two-agent document's
+        structures = enumerate_eis(build_action_path_sdf(two.po, max_x_exhaustive=12).sdf)
+        assert (len(two.po.space.agents), len(structures)) == (2, 5)
+        assert thm.data == {"skipped": 40, "checked": 360}
+
+    def test_failed_reports_become_failed_items(self, monkeypatch):
+        # Theorem 4.11 holds on every document the suite builds, so a stub
+        # fails the forward implication wherever g is measurable at the
+        # case's first move
+        import sdfkit.action_path as ap
+
+        decide = ap.MeasurabilityCase._decide
+
+        def failing(self, sigmas):
+            report = decide(self, sigmas)
+            if report.records and report.records[0].measurable:
+                forward = Verdict.failed("forward-implication", "stub")
+                return ap.MeasurabilityReport(forward, report.backward, report.records)
+            return report
+
+        monkeypatch.setattr(ap.MeasurabilityCase, "_decide", failing)
+        doc = _two_agent_doc()
+        [thm] = run(doc, ["thm4-11"], max_x=12).records
+        assert thm.status == "fail"
+        assert {v.ok for _, v in thm.items} == {True, False}
+        assert (thm.status, thm.message, thm.items, thm.data) == _thm4_11_by_the_oracle(doc, 12)
+
+    @pytest.mark.parametrize("report_fails_at", [1, 2])
+    def test_errors_are_raised_in_walk_order(self, monkeypatch, report_fails_at):
+        # a late row of agent i fails to build and an early row's report
+        # fails at one structure: whichever the walk agents × structures ×
+        # rows reaches first ends the check, as in the oracle's order
+        import sdfkit.action_path as ap
+
+        doc = _two_agent_doc()
+        aps = build_action_path_sdf(doc.po, max_x_exhaustive=12)
+        structures = enumerate_eis(aps.sdf)
+        keys = [
+            (t, histories, tuple(g.values()))
+            for t, _, histories, g, case in ap.sweep_rows(aps, "i")
+            if not isinstance(case, KernelError)
+        ]
+        early, late = keys[0], keys[-1]
+        assert keys.index(late) > 0
+        fails_at = structures[report_fails_at - 1].entries
+
+        class Stubbed(ap.MeasurabilityCase):
+            def __init__(self, aps, agent, t, histories, g):
+                self.key = (agent, t, histories, tuple(g.values()))
+                if self.key == ("i", *late):
+                    raise StructureError("late row")
+                super().__init__(aps, agent, t, histories, g)
+
+            def report(self, e):
+                if self.key == ("i", *early) and e.entries == fails_at:
+                    raise StructureError("early report")
+                return super().report(e)
+
+        monkeypatch.setattr(ap, "MeasurabilityCase", Stubbed)
+        [thm] = run(doc, ["thm4-11"], max_x=12).records
+        message = {1: "structure-error: early report", 2: "structure-error: late row"}
+        assert (thm.status, thm.message) == ("error", message[report_fails_at])
+        assert (thm.status, thm.message, thm.items, thm.data) == _thm4_11_by_the_oracle(doc, 12)
+
     def test_cap_error_is_reported_not_skipped(self, monkeypatch):
         # four agent components after "a": the AP.C3 generator search tries
         # more than the patched 20 families, inside the sweep as in apc;
@@ -1297,7 +1413,9 @@ CHECK_RECORDS = st.builds(
     CheckRecord,
     check_id=TEXT_FIELDS,
     status=st.one_of(st.sampled_from(["ok", "partial", "fail", "error"]), TEXT_FIELDS),
-    items=st.lists(st.tuples(TEXT_FIELDS, VERDICTS), max_size=3).map(tuple),
+    items=st.lists(
+        st.tuples(TEXT_FIELDS, st.one_of(VERDICTS, st.just(Verdict.passed()))), max_size=3
+    ).map(tuple),
     data=JSON_PAYLOADS,
     message=TEXT_FIELDS,
     elapsed_ms=st.just(0.0),
@@ -1328,6 +1446,29 @@ class TestReportWriter:
         assert shapes == {
             "ok", "partial", "fail", "error", "cap", "notes", "partial item", "null name",
         }
+
+    def test_shared_passed_items_match_payload_writer(self):
+        # the shared passed verdict is written from one template; a passed
+        # verdict with notes or partial, or an item whose name is not a
+        # str, is written field by field
+        names = [
+            "plain", 'a "quoted" \\ name', "ctl \x00\x1f\t\n\x7f", "\u00e9t\u00e9 \u2028\U0001f600\ud800", "",
+        ]
+        verdicts = [Verdict.passed(), Verdict.passed("note"), Verdict.passed(partial=True)]
+        assert all(v is not Verdict.passed() for v in verdicts[1:])
+        items = tuple((name, v) for name in names for v in verdicts)
+        items += ((7, Verdict.passed()), (["x"], Verdict.passed()), (None, Verdict.passed()))
+        failed_first = ((names[1], Verdict.failed("c", "w")), (names[2], Verdict.passed()))
+        report = Report(
+            [
+                CheckRecord("thm4-11", "ok", items, {"checked": len(items)}, "", 0.0),
+                CheckRecord("apc", "fail", failed_first, {}, "", 0.0),
+                CheckRecord("apw", "ok", ((names[3], Verdict.passed()),), {}, "", 0.0),
+            ],
+            {"max_x": 6},
+        )
+        doc = InstanceDoc("builtin", name="timing")
+        assert report_to_json(report, doc) == brute_report_to_json(report, doc)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(CHECK_RECORDS, max_size=3), CAPS, INSTANCE_DOCS)

@@ -196,14 +196,33 @@ MUTANTS = [
         ],
     ),
     (
-        "sweep-row-text-first-row",
+        "sweep-row-text-of-the-first-row",
         "sdfkit/cli.py",
-        "        held = row_texts.get(id(case.g))",
-        "        held = next(iter(row_texts.values()), None)",
+        '                live.append((f"t={t}, {label}, g={fmt(tuple(g.values()))}", case))',
+        '                live.append((live[0][0] if live else f"t={t}, {label}, g={fmt(tuple(g.values()))}", case))',
         [
             "tests/test_golden.py::test_report_matches_golden[upandout]",
             "tests/test_golden.py::test_timing_thm4_11_matches_digest",
+            "tests/test_cli.py::TestThm411::test_matches_the_oracle_sweep",
         ],
+    ),
+    (
+        "sweep-skips-counted-once",
+        "sdfkit/cli.py",
+        "                skipped += len(structures)",
+        "                skipped += 1",
+        [
+            "tests/test_cli.py::TestThm411::test_matches_the_oracle_sweep",
+            "tests/test_golden.py::test_report_matches_golden[upandout]",
+        ],
+    ),
+    (
+        "sweep-row-errors-raised-at-build",
+        "sdfkit/cli.py",
+        "            else:\n                live.append(",
+        "            elif isinstance(case, KernelError):\n                raise case\n"
+        "            else:\n                live.append(",
+        ["tests/test_cli.py::TestThm411::test_errors_are_raised_in_walk_order[1]"],
     ),
     (
         "builtin-choices-of-simple",
@@ -221,6 +240,13 @@ MUTANTS = [
         "                enc(code) if type(code) is str else _emitted(code, _ITEM_KEYS),",
         "                enc(code) if isinstance(code, str) else _emitted(code, _ITEM_KEYS),",
         ["tests/test_cli.py::TestReportWriter::test_matches_payload_writer_on_synthetic_reports"],
+    ),
+    (
+        "passed-template-for-any-ok",
+        "sdfkit/cli.py",
+        "            if v is passed and type(k) is str:",
+        "            if v.ok and type(k) is str:",
+        ["tests/test_cli.py::TestReportWriter::test_shared_passed_items_match_payload_writer"],
     ),
     (
         "once-not-keeping",
