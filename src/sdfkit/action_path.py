@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import lt
 
 from . import choice as choice_mod
 from . import errors
@@ -34,19 +35,27 @@ def as_time(value) -> Fraction:
     return t
 
 
+def _increasing(points) -> bool:
+    """Each point below the next: one comparison per neighbour pair, with no
+    Fraction hashed or sorted."""
+    return all(map(lt, points, points[1:]))
+
+
 @record(frozen=True)
 class TimeAxis:
     points: tuple  # strictly increasing Fractions, containing 0
 
     def __post_init__(self):
-        if Fraction(0) not in self.points:
+        if 0 not in self.points:
             raise StructureError("time axis must contain 0")
-        if list(self.points) != sorted(set(self.points)):
+        if not _increasing(self.points):
             raise StructureError("time points must be strictly increasing")
 
     @classmethod
     def of(cls, points) -> "TimeAxis":
-        return cls(tuple(sorted({as_time(p) for p in points})))
+        # an increasing input is kept; only another is deduplicated and sorted
+        points = tuple(map(as_time, points))
+        return cls(points if _increasing(points) else tuple(sorted(set(points))))
 
     @cached_property
     def _positions(self) -> dict:
@@ -168,14 +177,14 @@ class PathOutcomes:
 
     @classmethod
     def of(cls, time, space, scenarios, paths) -> "PathOutcomes":
-        paths = frozenset((w, tuple(f)) for w, f in paths)
+        paths = frozenset([(w, tuple(f)) for w, f in paths])
         n = len(time.points)
         # decided on sets; a fault is named by the first faulty path in
         # canonical order, so a passing parse sorts nothing
         used = {w for w, _ in paths}
         if not (
             used <= scenarios.scenarios
-            and all(len(f) == n for _, f in paths)
+            and {len(f) for _, f in paths} <= {n}
             and {a for _, f in paths for a in f} <= space.actions
         ):
             for w, f in canon_sorted(paths):

@@ -85,8 +85,8 @@ def _get(obj, key, kind, path, optional=False, default=None):
         return default
     value = obj[key]
     # JSON true/false parse to bools, which are ints too; no field takes one
-    ok = isinstance(value, kind) and not isinstance(value, bool)
-    _expect(ok, f"field {key!r} has the wrong type", f"{path}.{key}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"field {key!r} has the wrong type", path=f"{path}.{key}")
     return value
 
 
@@ -103,28 +103,45 @@ def _same_types(values, declared: dict, what: str, path: str):
             raise ParseError(f"{what} {value!r} stands in for {match!r}", path=path)
 
 
+def _scalars(values, what: str, path: str):
+    """`_same_types` against no declared value, decided on the values' types:
+    only a JSON array or object fails, and the walk runs only to name it."""
+    if not {type(v) for v in values}.isdisjoint((list, dict)):
+        _same_types(values, {}, what, path)
+
+
 def _fraction(text, path) -> Fraction:
-    # JSON true/false are ints and a JSON float is binary: neither is exact
-    _expect(type(text) in (str, int), f"bad rational {text!r}", path)
+    # JSON true/false are ints and a JSON float is binary: neither is exact.
+    # An int or a run of ASCII digits skips the Fraction parser's regex.
+    kind = type(text)
     try:
-        return Fraction(text)
+        if kind is int or (kind is str and text.isascii() and text.isdigit()):
+            return Fraction(int(text))
+        if kind is str:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", path=path) from None
+        pass
+    raise ParseError(f"bad rational {text!r}", path=path)
 
 
 def _atoms(obj, path, optional=False):
-    """The `atoms` field: an array of scenario arrays."""
+    """The `atoms` field: an array of scenario arrays, decided on the types
+    of the atoms and their members and walked only to name a fault."""
     atoms = _get(obj, "atoms", list, path, optional=optional)
-    for atom in atoms or ():
-        _expect(isinstance(atom, list), "atom must be a scenario array", f"{path}.atoms")
-        _same_types(atom, {}, "scenario", f"{path}.atoms")
+    if atoms and not (
+        {type(a) for a in atoms} == {list}
+        and {type(w) for a in atoms for w in a}.isdisjoint((list, dict))
+    ):
+        for atom in atoms:
+            _expect(isinstance(atom, list), "atom must be a scenario array", f"{path}.atoms")
+            _same_types(atom, {}, "scenario", f"{path}.atoms")
     return atoms
 
 
 def _scenario_space(obj, path) -> ScenarioSpace:
     scenarios = _get(obj, "scenarios", list, path)
     _expect(bool(scenarios), "scenarios must be nonempty", f"{path}.scenarios")
-    _same_types(scenarios, {}, "scenario", f"{path}.scenarios")
+    _scalars(scenarios, "scenario", f"{path}.scenarios")
     atoms = _atoms(obj, path, optional=True)
     try:
         if atoms is None:
@@ -132,10 +149,12 @@ def _scenario_space(obj, path) -> ScenarioSpace:
         space = ScenarioSpace.of(scenarios, [frozenset(a) for a in atoms])
     except KernelError as e:
         raise ParseError(str(e), path=f"{path}.atoms") from None
-    scenario_of = {w: w for w in space.scenarios}
-    _same_types(
-        (w for atom in atoms for w in atom), scenario_of, "scenario", f"{path}.atoms"
-    )
+    # decided on (type, value) pairs: `true` and 1.0 equal 1 but their pairs
+    # differ, so the members pass iff each is declared with its own type
+    members = [w for atom in atoms for w in atom]
+    if not {(type(w), w) for w in members} <= {(type(w), w) for w in space.scenarios}:
+        scenario_of = {w: w for w in space.scenarios}
+        _same_types(members, scenario_of, "scenario", f"{path}.atoms")
     return space
 
 
@@ -143,7 +162,7 @@ def _parse_explicit(obj) -> InstanceDoc:
     path = "$"
     space = _scenario_space(obj, path)
     outcomes = _get(obj, "outcomes", list, path)
-    _same_types(outcomes, {}, "outcome", f"{path}.outcomes")
+    _scalars(outcomes, "outcome", f"{path}.outcomes")
     for o in outcomes:
         if type(o) is not str:
             raise ParseError(
@@ -155,7 +174,7 @@ def _parse_explicit(obj) -> InstanceDoc:
     nodes = []
     for i, entry in enumerate(node_lists):
         _expect(isinstance(entry, list), "node must be an outcome array", f"{path}.nodes[{i}]")
-        _same_types(entry, {}, "outcome", f"{path}.nodes[{i}]")
+        _scalars(entry, "outcome", f"{path}.nodes[{i}]")
         for o in entry:
             _expect(o in universe, f"unresolved outcome {o!r}", f"{path}.nodes[{i}]")
         nodes.append(frozenset(entry))
@@ -186,7 +205,7 @@ def _parse_explicit(obj) -> InstanceDoc:
         _expect(bool(mapping), "random move needs a nonempty assignment", mpath)
         domain = _get(entry, "domain", list, mpath, optional=True)
         if domain is not None:
-            _same_types(domain, {}, "scenario", f"{mpath}.domain")
+            _scalars(domain, "scenario", f"{mpath}.domain")
             _expect(
                 frozenset(domain) == frozenset(mapping),
                 "declared domain differs from the assignment's scenarios",
@@ -242,7 +261,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
         for name, outs in choices.items():
             _expect(isinstance(outs, list), "choice must be an outcome array", f"$.choices.{name}")
-            _same_types(outs, {}, "outcome", f"$.choices.{name}")
+            _scalars(outs, "outcome", f"$.choices.{name}")
             for o in outs:
                 _expect(o in universe, f"unresolved outcome {o!r}", f"$.choices.{name}")
             doc.named_choices[name] = frozenset(outs)
@@ -274,7 +293,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             outs = _get(entry, "choices", list, rpath)
             for c in outs:
                 _expect(isinstance(c, list), "choice must be an outcome array", f"{rpath}.choices")
-                _same_types(c, {}, "outcome", f"{rpath}.choices")
+                _scalars(c, "outcome", f"{rpath}.choices")
             try:
                 per_move[moves[idx]] = frozenset(
                     Choice.of(doc.sdf, frozenset(c)) for c in outs
@@ -299,14 +318,15 @@ def _parse_action_path(obj) -> InstanceDoc:
     space = _scenario_space(obj, path)
     scenario_of = {w: w for w in space.scenarios}
     raw_points = _get(obj, "time_points", list, path)
+    tpath = f"{path}.time_points"
     try:
-        time_axis = TimeAxis.of([_fraction(p, f"{path}.time_points") for p in raw_points])
+        time_axis = TimeAxis.of([_fraction(p, tpath) for p in raw_points])
     except KernelError as e:
-        raise ParseError(str(e), path=f"{path}.time_points") from None
+        raise ParseError(str(e), path=tpath) from None
     generator = obj.get("generator")
     if generator is None:
         actions = _get(obj, "actions", list, path)
-        _same_types(actions, {}, "action", f"{path}.actions")
+        _scalars(actions, "action", f"{path}.actions")
         factorization_src = _get(obj, "factorization", dict, path, optional=True)
         factorization = None
         if factorization_src is not None:
@@ -317,7 +337,7 @@ def _parse_action_path(obj) -> InstanceDoc:
             keyless = {str(a): a for a in actions if type(a) is not str}
             for action, table in factorization_src.items():
                 _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
-                _same_types(table.values(), {}, "component", fpath)
+                _scalars(table.values(), "component", fpath)
                 if action not in actions and action in keyless:
                     raise ParseError(
                         f"action {keyless[action]!r} is not a string, "
@@ -329,16 +349,33 @@ def _parse_action_path(obj) -> InstanceDoc:
                     factorization.setdefault(agent, {})[action] = comp
         try:
             action_space = ActionSpace.of(actions, factorization)
-            action_of = {a: a for a in action_space.actions}
-            paths = []
-            for i, entry in enumerate(_get(obj, "paths", list, path)):
-                ppath = f"{path}.paths[{i}]"
-                _expect(isinstance(entry, dict), "path entry must be an object", ppath)
-                scen = _get(entry, "scenario", (str, int), ppath)
-                seq = _get(entry, "path", list, ppath)
-                _same_types((scen,), scenario_of, "scenario", f"{ppath}.scenario")
-                _same_types(seq, action_of, "action", f"{ppath}.path")
-                paths.append((scen, tuple(seq)))
+            entries = _get(obj, "paths", list, path)
+            # decided on (type, value) pairs, as in _scenario_space: each entry
+            # is an object whose scenario is a declared str or int and whose
+            # path is an array of declared actions; the walk below runs only
+            # to name a fault
+            named = {(type(w), w) for w in space.scenarios if type(w) in (str, int)}
+            declared = {(type(a), a) for a in action_space.actions}
+            try:
+                paths = [(e["scenario"], e["path"]) for e in entries]
+                decided = (
+                    {type(f) for _, f in paths} <= {list}
+                    and {(type(w), w) for w, _ in paths} <= named
+                    and {(type(a), a) for _, f in paths for a in f} <= declared
+                )
+            except (KeyError, TypeError):  # a missing key; a non-object entry; an unhashable value
+                decided = False
+            if not decided:
+                action_of = {a: a for a in action_space.actions}
+                paths = []
+                for i, entry in enumerate(entries):
+                    ppath = f"{path}.paths[{i}]"
+                    _expect(isinstance(entry, dict), "path entry must be an object", ppath)
+                    scen = _get(entry, "scenario", (str, int), ppath)
+                    seq = _get(entry, "path", list, ppath)
+                    _same_types((scen,), scenario_of, "scenario", f"{ppath}.scenario")
+                    _same_types(seq, action_of, "action", f"{ppath}.path")
+                    paths.append((scen, tuple(seq)))
             po = PathOutcomes.of(time_axis, action_space, space, paths)
         except KernelError as e:
             raise ParseError(str(e), path=path) from None
@@ -346,11 +383,11 @@ def _parse_action_path(obj) -> InstanceDoc:
         try:
             if generator == "product":
                 actions = _get(obj, "actions", list, path)
-                _same_types(actions, {}, "action", f"{path}.actions")
+                _scalars(actions, "action", f"{path}.actions")
                 po = product_outcomes(space, time_axis, actions)
             elif generator == "timing":
                 agents = _get(obj, "agents", list, path)
-                _same_types(agents, {}, "agent", f"{path}.agents")
+                _scalars(agents, "agent", f"{path}.agents")
                 po = timing_outcomes(space, time_axis, agents)
             elif isinstance(generator, dict) and generator.get("name") == "up-and-out":
                 price_src = _get(generator, "price", dict, "$.generator")

@@ -25,7 +25,9 @@ assumptions by
 walking the whole path space A^|T| and every time subset, AP.C3 by trying
 every history set that covers the required prefixes against a listed
 generator table, the JSON report by building its payload and handing it to
-`json.dumps`, predecessors never
+`json.dumps`, the action-path parser by walking every entry with its
+per-value type checks and the time axis by sorting a set of its points
+(`oracle_parse_instance`), predecessors never
 (the library is the literal definition; expected values for those come from
 the worked instances' closed forms).
 """
@@ -43,10 +45,12 @@ import pytest
 from sdfkit import action_path, errors, examples
 from sdfkit._canon import canon_key, canon_sorted, fmt
 from sdfkit.action_path import (
+    ActionSpace,
     Apc3Result,
     MeasurabilityRecord,
     MeasurabilityReport,
     PathOutcomes,
+    TimeAxis,
     WindowChoice,
     WindowChoiceSpec,
     _lifted,
@@ -56,6 +60,9 @@ from sdfkit.action_path import (
     agent_choice,
     build_action_path_sdf,
     check_apc3,
+    product_outcomes,
+    timing_outcomes,
+    up_and_out_outcomes,
     window_choice,
 )
 from sdfkit.choice import (
@@ -67,10 +74,11 @@ from sdfkit.choice import (
     preimage,
     verify_rcs,
 )
+from sdfkit.cli import InstanceDoc, ParseError
 from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError, not_a_forest, unknown_element
 from sdfkit.gen import rng_from_env
 from sdfkit.order_core import Poset, maximal_chains
-from sdfkit.sdf import TTree, ge_x, x_order
+from sdfkit.sdf import ScenarioSpace, TTree, ge_x, x_order
 from sdfkit.sigma_info import Eis, sub_sigma_candidates
 from sdfkit.verdict import MultiVerdict, Verdict
 
@@ -1134,6 +1142,212 @@ def brute_report_to_json(report, doc) -> str:
         ],
     }
     return json.dumps(payload, sort_keys=True, indent=2, default=str)
+
+
+# ---------------------------------------------------------------------------
+# the action-path parser that walks every entry, and the time axis it built
+# by hashing and sorting every point; the parser's decided form must agree
+# with it on every document, error texts and locations included
+
+
+def oracle_time_axis(points) -> TimeAxis:
+    """`TimeAxis.of` as a sorted set of the points, checked for 0 and for
+    strict increase against `sorted(set(...))`."""
+    points = tuple(sorted({action_path.as_time(p) for p in points}))
+    if Fraction(0) not in points:
+        raise StructureError("time axis must contain 0")
+    if list(points) != sorted(set(points)):
+        raise StructureError("time points must be strictly increasing")
+    return TimeAxis(points)
+
+
+def _expect(cond: bool, message: str, path: str):
+    if not cond:
+        raise ParseError(message, path=path)
+
+
+def _get(obj, key, kind, path, optional=False, default=None):
+    if key not in obj:
+        _expect(optional, f"missing field {key!r}", path)
+        return default
+    value = obj[key]
+    # JSON true/false parse to bools, which are ints too; no field takes one
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    _expect(ok, f"field {key!r} has the wrong type", f"{path}.{key}")
+    return value
+
+
+def _same_types(values, declared: dict, what: str, path: str):
+    """Reject a value that equals a declared one of another type: JSON `true`
+    equals 1, and 1.0 equals 1, yet neither is that value. `declared` maps
+    each declared value to itself; a value it lacks is left to resolution.
+    A JSON array or object is never a scenario, action, outcome, agent or
+    component."""
+    for value in values:
+        _expect(not isinstance(value, (list, dict)), f"{what} {value!r} is not a scalar", path)
+        match = declared.get(value, value)
+        if type(match) is not type(value):
+            raise ParseError(f"{what} {value!r} stands in for {match!r}", path=path)
+
+
+def _fraction(text, path) -> Fraction:
+    # JSON true/false are ints and a JSON float is binary: neither is exact
+    _expect(type(text) in (str, int), f"bad rational {text!r}", path)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational {text!r}", path=path) from None
+
+
+def _atoms(obj, path, optional=False):
+    """The `atoms` field: an array of scenario arrays."""
+    atoms = _get(obj, "atoms", list, path, optional=optional)
+    for atom in atoms or ():
+        _expect(isinstance(atom, list), "atom must be a scenario array", f"{path}.atoms")
+        _same_types(atom, {}, "scenario", f"{path}.atoms")
+    return atoms
+
+
+def _scenario_space(obj, path) -> ScenarioSpace:
+    scenarios = _get(obj, "scenarios", list, path)
+    _expect(bool(scenarios), "scenarios must be nonempty", f"{path}.scenarios")
+    _same_types(scenarios, {}, "scenario", f"{path}.scenarios")
+    atoms = _atoms(obj, path, optional=True)
+    try:
+        if atoms is None:
+            return ScenarioSpace.discrete(scenarios)
+        space = ScenarioSpace.of(scenarios, [frozenset(a) for a in atoms])
+    except KernelError as e:
+        raise ParseError(str(e), path=f"{path}.atoms") from None
+    scenario_of = {w: w for w in space.scenarios}
+    _same_types(
+        (w for atom in atoms for w in atom), scenario_of, "scenario", f"{path}.atoms"
+    )
+    return space
+
+
+def _parse_action_path(obj) -> InstanceDoc:
+    path = "$"
+    space = _scenario_space(obj, path)
+    scenario_of = {w: w for w in space.scenarios}
+    raw_points = _get(obj, "time_points", list, path)
+    try:
+        time_axis = oracle_time_axis([_fraction(p, f"{path}.time_points") for p in raw_points])
+    except KernelError as e:
+        raise ParseError(str(e), path=f"{path}.time_points") from None
+    generator = obj.get("generator")
+    if generator is None:
+        actions = _get(obj, "actions", list, path)
+        _same_types(actions, {}, "action", f"{path}.actions")
+        factorization_src = _get(obj, "factorization", dict, path, optional=True)
+        factorization = None
+        if factorization_src is not None:
+            fpath = f"{path}.factorization"
+            factorization = {}
+            # as for scenarios in _parse_explicit: a key spelling a non-string
+            # action ("1" for 1) can never name it
+            keyless = {str(a): a for a in actions if type(a) is not str}
+            for action, table in factorization_src.items():
+                _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
+                _same_types(table.values(), {}, "component", fpath)
+                if action not in actions and action in keyless:
+                    raise ParseError(
+                        f"action {keyless[action]!r} is not a string, "
+                        "and action names key JSON objects",
+                        path=f"{path}.actions",
+                    )
+                _expect(action in actions, f"unresolved action {action!r}", fpath)
+                for agent, comp in table.items():
+                    factorization.setdefault(agent, {})[action] = comp
+        try:
+            action_space = ActionSpace.of(actions, factorization)
+            action_of = {a: a for a in action_space.actions}
+            paths = []
+            for i, entry in enumerate(_get(obj, "paths", list, path)):
+                ppath = f"{path}.paths[{i}]"
+                _expect(isinstance(entry, dict), "path entry must be an object", ppath)
+                scen = _get(entry, "scenario", (str, int), ppath)
+                seq = _get(entry, "path", list, ppath)
+                _same_types((scen,), scenario_of, "scenario", f"{ppath}.scenario")
+                _same_types(seq, action_of, "action", f"{ppath}.path")
+                paths.append((scen, tuple(seq)))
+            po = PathOutcomes.of(time_axis, action_space, space, paths)
+        except KernelError as e:
+            raise ParseError(str(e), path=path) from None
+    else:
+        try:
+            if generator == "product":
+                actions = _get(obj, "actions", list, path)
+                _same_types(actions, {}, "action", f"{path}.actions")
+                po = product_outcomes(space, time_axis, actions)
+            elif generator == "timing":
+                agents = _get(obj, "agents", list, path)
+                _same_types(agents, {}, "agent", f"{path}.agents")
+                po = timing_outcomes(space, time_axis, agents)
+            elif isinstance(generator, dict) and generator.get("name") == "up-and-out":
+                price_src = _get(generator, "price", dict, "$.generator")
+                price = {}
+                # in canonical order, so the first fault named is the same
+                # under every hash seed
+                for scen in canon_sorted(space.scenarios):
+                    key = str(scen)
+                    _expect(
+                        key in price_src,
+                        f"price table missing scenario {scen!r}",
+                        "$.generator.price",
+                    )
+                    # JSON object keys are strings: "1" prices scenario 1
+                    # only when no scenario "1" is declared as well
+                    _expect(
+                        type(scen) is str or key not in space.scenarios,
+                        f"price key {key!r} names scenario {scen!r} and scenario {key!r}",
+                        "$.generator.price",
+                    )
+                    row = price_src[key]
+                    _expect(
+                        isinstance(row, list) and len(row) == len(time_axis.points),
+                        "price row must list one value per time point",
+                        "$.generator.price",
+                    )
+                    for i, t in enumerate(time_axis.points):
+                        price[(t, scen)] = _fraction(row[i], "$.generator.price")
+                barrier = _fraction(generator.get("barrier", "2"), "$.generator.barrier")
+                po = up_and_out_outcomes(space, time_axis, price, barrier)
+            else:
+                raise ParseError(f"unknown generator {generator!r}", path="$.generator")
+        except KernelError as e:
+            raise ParseError(str(e), path="$.generator") from None
+    doc = InstanceDoc("action-path", po=po)
+    choices = obj.get("choices")
+    if choices is not None:
+        _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
+        action_of = {a: a for a in po.space.actions}
+        for name, outs in choices.items():
+            cpath = f"$.choices.{name}"
+            _expect(isinstance(outs, list), "choice must be an outcome array", cpath)
+            resolved = set()
+            for entry in outs:
+                _expect(isinstance(entry, dict), "outcome must be {scenario, path}", cpath)
+                scen, seq = entry.get("scenario"), entry.get("path")
+                _expect(isinstance(seq, list), "outcome path must be an array", cpath)
+                _same_types((scen,), scenario_of, "scenario", cpath)
+                _same_types(seq, action_of, "action", cpath)
+                w = (scen, tuple(seq))
+                _expect(w in po.paths, f"unresolved outcome {fmt(w)}", cpath)
+                resolved.add(w)
+            doc.named_choices[name] = frozenset(resolved)
+    return doc
+
+
+def oracle_parse_instance(text: str) -> InstanceDoc:
+    """`cli.parse_instance` on an action-path document, by the walk above."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"syntax error: {e.msg}", line=e.lineno, col=e.colno) from None
+    if not isinstance(obj, dict) or obj.get("kind") != "action-path":
+        raise ValueError("the oracle parses action-path documents only")
+    return _parse_action_path(obj)
 
 
 @pytest.fixture(scope="session")

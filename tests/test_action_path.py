@@ -12,6 +12,7 @@ from conftest import (
     brute_check_apw,
     check_measurable_iff_adapted,
     oracle_measurability_sweep,
+    oracle_time_axis,
 )
 from sdfkit import examples
 from sdfkit.action_path import (
@@ -41,6 +42,8 @@ from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
 from sdfkit.sdf import ScenarioSpace, find_sdf_isomorphism, verify_sdf
 from sdfkit.sigma_info import enumerate_eis
+
+from tests_helpers import outcome
 
 
 def small_product():
@@ -104,6 +107,19 @@ class TestTimeAxis:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             TimeAxis.of([0, -1])
+
+    @pytest.mark.parametrize(
+        "points",
+        [[0], [0, 1, 3], [3, 1, 0], [0, 0], [0, 1, 1, 2], [1, 0, "1/2", 1], [1, 2], [2, 1], [0, -1]],
+    )
+    def test_of_matches_a_sorted_set(self, points):
+        # neighbour comparisons on an increasing input, a sorted set otherwise
+        assert outcome(TimeAxis.of, points) == outcome(oracle_time_axis, points)
+
+    @pytest.mark.parametrize("points", [(0, 0), (0, 2, 1), (0, 1, 1)])
+    def test_constructor_rejects_an_order_that_is_not_strict(self, points):
+        with pytest.raises(StructureError, match="time points must be strictly increasing"):
+            TimeAxis(tuple(map(Fraction, points)))
 
 
 class TestNodeAt:

@@ -7,11 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdfkit
-from sdfkit import examples
+from sdfkit import cli, examples
 from sdfkit.action_path import build_action_path_sdf
 from sdfkit.cli import (
     BUILTINS,
@@ -31,7 +31,13 @@ from sdfkit.errors import WORK_CAP, KernelError, SizeCapError, StructureError
 from sdfkit.sigma_info import enumerate_eis
 from sdfkit.verdict import Verdict
 
-from conftest import brute_report_to_json, oracle_fmt, oracle_measurability_sweep
+import conftest
+from conftest import (
+    brute_report_to_json,
+    oracle_fmt,
+    oracle_measurability_sweep,
+    oracle_parse_instance,
+)
 from tests_helpers import EXPLICIT_DOC, corpus_doc
 
 TIMING_DOC = json.dumps(
@@ -460,6 +466,131 @@ class TestParse:
                 parse_instance("".join(text))
             except ParseError:
                 pass  # the only acceptable failure mode
+
+
+# ---------------------------------------------------------------------------
+# the decided parser against the walk that names every fault (conftest's
+# `oracle_parse_instance`), on the benchmark's corpus documents and on
+# documents one or two faults away from them
+
+CORPUS_TEXTS = [corpus_doc(draw) for draw in range(200)]
+
+# what a mutation may write into a scalar slot: stand-ins for declared values
+# (true for 1, 1.0 for 1), an array or object, and undeclared values
+SLOT_VALUES = [True, False, 1.0, [1], {"a": 1}, None, 1, "1", "a", "zz", 99]
+TIME_TEXTS = ["1/2", "0.5", " 3", "+3", "007", "\u0663", "-1", "1/0", "", "0", "1", 3]
+MUTATIONS = [
+    "scenario", "atom", "atom-member", "time", "time-duplicate", "time-reversed",
+    "action", "entry-scenario", "entry-action", "entry", "entry-key",
+]
+
+
+def _mutated(text, mutations) -> str:
+    """The corpus document `text` with each (kind, i, j, value) mutation
+    applied, indices taken modulo the length of what they index."""
+    obj = json.loads(text)
+    for kind, i, j, value in mutations:
+        entries = obj["paths"]
+        entry = entries[i % len(entries)] if entries else {}
+        if kind == "scenario":
+            obj["scenarios"][i % len(obj["scenarios"])] = value
+        elif kind == "atom":
+            obj["atoms"][i % len(obj["atoms"])] = value
+        elif kind == "atom-member":
+            atom = obj["atoms"][i % len(obj["atoms"])]
+            if isinstance(atom, list) and atom:
+                atom[j % len(atom)] = value
+        elif kind == "time":
+            obj["time_points"][i % len(obj["time_points"])] = value
+        elif kind == "time-duplicate":
+            points = obj["time_points"]
+            points.insert(j % (len(points) + 1), points[i % len(points)])
+        elif kind == "time-reversed":
+            obj["time_points"].reverse()
+        elif kind == "action":
+            obj["actions"][i % len(obj["actions"])] = value
+        elif kind == "entry-scenario" and isinstance(entry, dict):
+            entry["scenario"] = value
+        elif kind == "entry-action" and isinstance(entry, dict):
+            seq = entry.get("path")
+            if isinstance(seq, list) and seq:
+                seq[j % len(seq)] = value
+        elif kind == "entry" and entries:
+            entries[i % len(entries)] = value
+        elif kind == "entry-key" and isinstance(entry, dict):
+            entry.pop(("scenario", "path")[j % 2], None)
+    return json.dumps(obj)
+
+
+def _typed_po(po):
+    """`po` with the type of every scenario, action and time point beside it:
+    `true` and 1.0 equal 1, so `==` alone cannot tell them apart."""
+    def typed(values):
+        return frozenset((type(v), v) for v in values)
+
+    return (
+        tuple(map(type, po.time.points)),
+        typed(po.space.actions),
+        typed(po.scenarios.scenarios),
+        frozenset(typed(a) for a in po.scenarios.algebra_atoms),
+        frozenset((type(w), w, tuple(map(type, f)), f) for w, f in po.paths),
+    )
+
+
+def _parse_result(parse, text):
+    try:
+        doc = parse(text)
+    except ParseError as e:
+        return ("error", str(e), e.path)
+    return ("doc", doc.po, _typed_po(doc.po), doc.named_choices)
+
+
+mutation = st.tuples(
+    st.sampled_from(MUTATIONS),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(SLOT_VALUES + TIME_TEXTS),
+)
+
+
+class TestDecidedParse:
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "7", "007", "\u0663", "1\u0663", "\u00b2", "1_000", " 3", "3\n", "+3", "-0",
+         "1/2", "0.5", "1e2", "", "1" * 5000, 5, -2, True, 1.0, None],
+    )
+    def test_time_point_texts_match_fraction(self, text):
+        # ASCII digits skip the Fraction parser; every text reads as it would
+        def read(fraction):
+            try:
+                value = fraction(text, "$.time_points")
+            except ParseError as e:
+                return ("error", str(e), e.path)
+            return ("value", type(value), value)
+
+        assert read(cli._fraction) == read(conftest._fraction)
+
+    def test_corpus_matches_the_walk(self):
+        for text in CORPUS_TEXTS:
+            assert _parse_result(parse_instance, text) == _parse_result(oracle_parse_instance, text)
+
+    # each fault the parser decides on pairs or orders, once on draw 0
+    @example(0, [("entry-scenario", 0, 0, True)])
+    @example(0, [("entry-action", 0, 0, [1])])
+    @example(0, [("entry", 1, 0, ["a"])])
+    @example(0, [("entry-key", 0, 1, None)])
+    @example(0, [("entry-scenario", 0, 0, 99)])
+    @example(0, [("entry-action", 0, 0, "zz")])
+    @example(0, [("time-duplicate", 1, 1, None)])
+    @example(0, [("time-reversed", 0, 0, None)])
+    @example(0, [("time", 1, 0, "\u0663")])
+    @example(0, [("atom-member", 0, 0, 1.0)])
+    @example(0, [("atom", 0, 0, "ab")])
+    @given(st.integers(0, len(CORPUS_TEXTS) - 1), st.lists(mutation, min_size=1, max_size=2))
+    @settings(max_examples=250, deadline=None)
+    def test_mutated_corpus_matches_the_walk(self, draw, mutations):
+        text = _mutated(CORPUS_TEXTS[draw], mutations)
+        assert _parse_result(parse_instance, text) == _parse_result(oracle_parse_instance, text)
 
 
 class TestRun:
@@ -1531,6 +1662,17 @@ class TestMain:
                 main(argv)
             assert exit_info.value.code == 2
         assert "unrecognized arguments: --max-time-subsets 3" in capsys.readouterr().err
+
+    def test_readme_builtin_lines_run(self, capsys):
+        # every `sdf builtin ...` line of README's CLI block parses as written
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        runs = [argv[1:] for argv in lines if argv[:2] == ["sdf", "builtin"]]
+        assert len(runs) == 3
+        for argv in runs:
+            assert main(argv) in (0, 1), argv
+        capsys.readouterr()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -463,6 +464,30 @@ def test_passing_explicit_parse_sorts_nothing_in_the_parser(monkeypatch):
 
     monkeypatch.setattr(cli, "canon_sorted", counting)
     cli.parse_instance(EXPLICIT_DOC)
+    monkeypatch.undo()
+    assert calls == Counter()
+
+
+def test_a_passing_parse_walks_nothing(monkeypatch):
+    # a corpus document is decided section by section on (type, value)
+    # pairs and its time axis by neighbour comparisons: the walk that names a
+    # fault (`_same_types`) never runs, nothing is sorted, and no time point
+    # is hashed
+    docs = [corpus_doc(draw) for draw in range(150)]
+    calls = Counter()
+    spied = [(cli, "_same_types")] + [
+        (module, "canon_sorted") for module in (_canon, sdf, action_path, cli)
+    ]
+    for owner, name in spied + [(Fraction, "__hash__")]:
+        fn = getattr(owner, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    for text in docs:
+        cli.parse_instance(text)
     monkeypatch.undo()
     assert calls == Counter()
 

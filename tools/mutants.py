@@ -402,6 +402,40 @@ MUTANTS = [
             "tests/test_action_path.py::TestCheckApc3::test_matches_brute_force",
         ],
     ),
+    (
+        "path-scenario-pair-drops-its-type",
+        "sdfkit/cli.py",
+        "and {(type(w), w) for w, _ in paths} <= named",
+        "and {w for w, _ in paths} <= {w for _, w in named}",
+        ["tests/test_cli.py::TestDecidedParse::test_mutated_corpus_matches_the_walk"],
+    ),
+    (
+        "path-decision-unhashable-guard-dropped",
+        "sdfkit/cli.py",
+        "except (KeyError, TypeError):  # a missing key",
+        "except KeyError:  # a missing key",
+        ["tests/test_cli.py::TestDecidedParse::test_mutated_corpus_matches_the_walk"],
+    ),
+    (
+        "fraction-digit-path-drops-isascii",
+        "sdfkit/cli.py",
+        "kind is str and text.isascii() and text.isdigit()",
+        "kind is str and text.isdigit()",
+        [
+            "tests/test_cli.py::TestDecidedParse::test_mutated_corpus_matches_the_walk",
+            "tests/test_cli.py::TestDecidedParse::test_time_point_texts_match_fraction",
+        ],
+    ),
+    (
+        "time-axis-order-admits-equal-neighbours",
+        "sdfkit/action_path.py",
+        "all(map(lt, points, points[1:]))",
+        "all(map(lambda a, b: a <= b, points, points[1:]))",
+        [
+            "tests/test_cli.py::TestDecidedParse::test_mutated_corpus_matches_the_walk",
+            "tests/test_action_path.py::TestTimeAxis::test_of_matches_a_sorted_set",
+        ],
+    ),
 ]
 
 # Mutant name -> why no input can tell it from the original.
@@ -411,6 +445,9 @@ EQUIVALENT = {
     "stuck-length-bound-off-by-one": "a group at |p| = |T| - 1 holds outcomes of one "
     "scenario that share the path before the last time; two of them that also share "
     "the last action are one outcome, so such a group of two or more is never stuck",
+    "fraction-digit-path-drops-isascii": "str.isdigit also holds for non-ASCII digits; "
+    "int() and the Fraction parser read every decimal digit (Unicode Nd) alike and both "
+    "reject every other one (superscripts), as a scan of all code points shows",
 }
 
 
