@@ -410,6 +410,11 @@ class ActionPathSdf:
         return {}
 
     @cached_property
+    def _splits(self) -> dict:
+        """`_split` results by (agent, position k, history h)."""
+        return {}
+
+    @cached_property
     def _subsets(self) -> dict:
         """`_component_subsets` results by agent."""
         return {}
@@ -790,7 +795,7 @@ def check_apc3(
     agent,
     move: RandomMove,
     *,
-    choice: WindowChoice | None = None,
+    choice: WindowChoice | choice_mod.Choice | None = None,
 ) -> Apc3Result:
     """Find histories A'_<t and an intersection-stable generator for AP.C3.
 
@@ -903,6 +908,74 @@ def _first_generator(subsets: list, passes) -> frozenset | None:
     return None
 
 
+def _split(aps: ActionPathSdf, agent, k: int, h) -> list:
+    """The nonempty groups of the history h, each split by the agent
+    component of its action at position k: (w, |group(w, h)| ≥ 2,
+    {component: (part, part = group)}) per group. Kept on `aps`."""
+    key = (agent, k, h)
+    if key not in aps._splits:
+        projection = aps.po.space._table(agent)[0]
+        split = aps._splits[key] = []
+        for w, group in aps.po.index.groups_of(h):
+            parts: dict = {}
+            for o in group:
+                parts.setdefault(projection[o[1][k]], set()).add(o)
+            split.append((w, len(group) >= 2, {c: (frozenset(p), p == group) for c, p in parts.items()}))
+    return aps._splits[key]
+
+
+def _choice_outcomes(aps: ActionPathSdf, agent, t, histories, g) -> frozenset:
+    """The outcomes of c(A_<t, i, g), or the `precondition-violation` error
+    when it fails C0-C2, whose text `agent_choice` renders when it is read.
+
+    A total g with histories of t's length is decided on their `_split`s,
+    with no window choice built: the piece of h is the union over w of the
+    part of group(w, h) for g(w). As in `_decide_history`, C1 fails iff a
+    chosen part is its whole group, C2 fails for h iff the piece meets some
+    but not all of h's groups of two or more, and C0 asks for a nonempty
+    part. Any other input goes through `agent_choice`."""
+    po = aps.po
+    if agent in (po.space.agents or ()) and g.keys() == po.scenarios.scenarios:
+        t = as_time(t)
+        histories = frozenset(map(tuple, histories))
+        k = po.time.index(t)
+        if all(len(h) == k for h in histories):
+            outcomes: set = set()
+            ok = True
+            for h in histories:
+                meets = d = 0
+                for w, in_d, parts in _split(aps, agent, k, h):
+                    part = parts.get(g[w])
+                    if part:
+                        ok = ok and not part[1]
+                        outcomes |= part[0]
+                        meets += 1
+                    d += in_d
+                ok = ok and not 0 < meets < d
+            if ok and outcomes:
+                return frozenset(outcomes)
+            g = dict(g)
+            text = _C0C2Failures(lambda: agent_choice(po, t, histories, agent, g))
+            raise InputError(text, code="precondition-violation")
+    wc = agent_choice(po, t, histories, agent, g)
+    if wc.ok:
+        return wc.outcomes
+    raise InputError(_C0C2Failures(lambda: wc), code="precondition-violation")
+
+
+class _C0C2Failures:
+    """A `precondition-violation` text: the C0-C2 failures of the window
+    choice `choice()`, described each time the text is read."""
+
+    def __init__(self, choice):
+        self.choice = choice
+
+    def __str__(self) -> str:
+        return f"c(A_<t, i, g) fails C0-C2: {self.choice().verdicts.describe()}"
+
+    __repr__ = __str__
+
+
 @record(frozen=True)
 class MeasurabilityRecord:
     move: RandomMove
@@ -927,10 +1000,12 @@ class MeasurabilityCase:
     versus adaptedness of c(A_<t, i, g), per move c is available at.
 
     `sweep_rows` builds one per distinct case of an agent's row table, and
-    `thm4-11` reports it for every structure. Construction raises
-    `precondition-violation` when c fails C0-C2, and keeps the moves c is
-    available at and, per move x, the level sets of g on D_x, the events
-    x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
+    `thm4-11` reports it for every structure. Construction decides c from
+    the per-history split table (`_choice_outcomes`), building no window
+    choice. When c fails C0-C2 it raises `precondition-violation`, whose
+    text `agent_choice` renders only when it is read. Otherwise it keeps the
+    moves c is available at and, per move x, the level sets of g on D_x,
+    the events x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
     `_agent_pieces`, the events over every reference choice c' are those
     over the own-prefix pieces, so only those are taken. `report(e)` then
     only tests σ-containment in the EIS e's σ-algebras at those moves. It
@@ -947,14 +1022,8 @@ class MeasurabilityCase:
     """
 
     def __init__(self, aps: ActionPathSdf, agent, t, histories, g):
-        wc = agent_choice(aps.po, t, histories, agent, g)
-        if not wc.ok:
-            raise InputError(
-                f"c(A_<t, i, g) fails C0-C2: {wc.verdicts.describe()}",
-                code="precondition-violation",
-            )
         s = aps.sdf
-        c = choice_mod.Choice.of(s, wc.outcomes)
+        c = choice_mod.Choice.of(s, _choice_outcomes(aps, agent, t, histories, g))
         own_family = _agent_pieces(aps, agent)[1]
         flags = choice_mod.classify(s, c)
         self.moves = []
@@ -969,7 +1038,7 @@ class MeasurabilityCase:
                 )
                 for piece in own_family.for_move(move)
             )
-            apc3 = check_apc3(aps, agent, move, choice=wc).verdict.ok
+            apc3 = check_apc3(aps, agent, move, choice=c).verdict.ok
             self.moves.append((move, levels, events, apc3))
         self._available = tuple(move for move, *_ in self.moves)
         self._reports: dict = {}

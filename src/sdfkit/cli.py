@@ -176,7 +176,8 @@ def _parse_explicit(obj) -> InstanceDoc:
         _expect(isinstance(entry, list), "node must be an outcome array", f"{path}.nodes[{i}]")
         _scalars(entry, "outcome", f"{path}.nodes[{i}]")
         for o in entry:
-            _expect(o in universe, f"unresolved outcome {o!r}", f"{path}.nodes[{i}]")
+            if o not in universe:
+                raise ParseError(f"unresolved outcome {o!r}", path=f"{path}.nodes[{i}]")
         nodes.append(frozenset(entry))
     move_entries = _get(obj, "random_moves", list, path)
     # JSON object keys are strings, so an assignment key spelling a
@@ -263,7 +264,8 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             _expect(isinstance(outs, list), "choice must be an outcome array", f"$.choices.{name}")
             _scalars(outs, "outcome", f"$.choices.{name}")
             for o in outs:
-                _expect(o in universe, f"unresolved outcome {o!r}", f"$.choices.{name}")
+                if o not in universe:
+                    raise ParseError(f"unresolved outcome {o!r}", path=f"$.choices.{name}")
             doc.named_choices[name] = frozenset(outs)
     eis_src = obj.get("eis")
     if eis_src is not None:
@@ -438,7 +440,8 @@ def _parse_action_path(obj) -> InstanceDoc:
                 _same_types((scen,), scenario_of, "scenario", cpath)
                 _same_types(seq, action_of, "action", cpath)
                 w = (scen, tuple(seq))
-                _expect(w in po.paths, f"unresolved outcome {fmt(w)}", cpath)
+                if w not in po.paths:
+                    raise ParseError(f"unresolved outcome {fmt(w)}", path=cpath)
                 resolved.add(w)
             doc.named_choices[name] = frozenset(resolved)
     return doc

@@ -522,6 +522,37 @@ def _mutated(text, mutations) -> str:
     return json.dumps(obj)
 
 
+CHOICE_MUTATIONS = ["choice-scenario", "choice-action", "choice-entry", "choice-truncate"]
+
+
+def _with_choices(text) -> str:
+    """The corpus document `text` with a `choices` section: choice "c" names
+    its first two path entries, choice "d" its last one."""
+    obj = json.loads(text)
+    obj["choices"] = {"c": obj["paths"][:2], "d": obj["paths"][-1:]}
+    return json.dumps(obj)
+
+
+def _mutated_choices(text, mutations) -> str:
+    """`text` with each (kind, i, j, value) mutation of CHOICE_MUTATIONS
+    applied to the outcomes its choices list, indices taken modulo the
+    length of what they index."""
+    obj = json.loads(text)
+    slots = [(outs, k) for _, outs in sorted(obj["choices"].items()) for k in range(len(outs))]
+    for kind, i, j, value in mutations:
+        outs, k = slots[i % len(slots)]
+        seq = outs[k].get("path") if isinstance(outs[k], dict) else None
+        if kind == "choice-entry":
+            outs[k] = value
+        elif kind == "choice-scenario" and isinstance(outs[k], dict):
+            outs[k]["scenario"] = value
+        elif kind == "choice-action" and isinstance(seq, list) and seq:
+            seq[j % len(seq)] = value
+        elif kind == "choice-truncate" and isinstance(seq, list):
+            del seq[-1:]
+    return json.dumps(obj)
+
+
 def _typed_po(po):
     """`po` with the type of every scenario, action and time point beside it:
     `true` and 1.0 equal 1, so `==` alone cannot tell them apart."""
@@ -550,6 +581,14 @@ mutation = st.tuples(
     st.integers(0, 7),
     st.integers(0, 7),
     st.sampled_from(SLOT_VALUES + TIME_TEXTS),
+)
+
+
+choice_mutation = st.tuples(
+    st.sampled_from(CHOICE_MUTATIONS),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(SLOT_VALUES),
 )
 
 
@@ -591,6 +630,41 @@ class TestDecidedParse:
     def test_mutated_corpus_matches_the_walk(self, draw, mutations):
         text = _mutated(CORPUS_TEXTS[draw], mutations)
         assert _parse_result(parse_instance, text) == _parse_result(oracle_parse_instance, text)
+
+    # each fault of an outcome of a named choice, once on draw 0
+    @example(0, [])
+    @example(0, [("choice-truncate", 0, 0, None)])
+    @example(0, [("choice-scenario", 2, 0, 99)])
+    @example(0, [("choice-scenario", 1, 0, True)])
+    @example(0, [("choice-action", 0, 0, "zz")])
+    @example(0, [("choice-entry", 0, 0, "a")])
+    @given(st.integers(0, len(CORPUS_TEXTS) - 1), st.lists(choice_mutation, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_choices_match_the_walk(self, draw, mutations):
+        text = _mutated_choices(_with_choices(CORPUS_TEXTS[draw]), mutations)
+        assert _parse_result(parse_instance, text) == _parse_result(oracle_parse_instance, text)
+
+    def test_an_unresolved_outcome_is_named_where_it_is_listed(self):
+        # the one outcome that resolves to nothing is formatted, in each branch
+        def error(text):
+            with pytest.raises(ParseError) as caught:
+                parse_instance(text)
+            return str(caught.value), caught.value.path
+
+        doc = json.loads(_with_choices(CORPUS_TEXTS[0]))
+        doc["choices"]["d"][0]["path"].pop()
+        w = (doc["choices"]["d"][0]["scenario"], tuple(doc["choices"]["d"][0]["path"]))
+        assert error(json.dumps(doc)) == (
+            f"unresolved outcome {oracle_fmt(w)} at $.choices.d", "$.choices.d"
+        )
+        explicit = json.loads(EXPLICIT_DOC)
+        explicit["nodes"][2] = ["b", "q"]
+        assert error(json.dumps(explicit)) == ("unresolved outcome 'q' at $.nodes[2]", "$.nodes[2]")
+        explicit = json.loads(EXPLICIT_DOC)
+        explicit["choices"]["left_a"].append("q")
+        assert error(json.dumps(explicit)) == (
+            "unresolved outcome 'q' at $.choices.left_a", "$.choices.left_a"
+        )
 
 
 class TestRun:
@@ -783,8 +857,9 @@ class TestOncePerRun:
         assert apw.status == "fail"
 
     def test_thm4_11_builds_each_case_once(self, monkeypatch):
-        # agent_choice runs once per distinct (agent, t, histories, g) and
-        # check_apc3 once per (case, available move), however many EIS there are
+        # the agent choice is decided once per distinct (agent, t, histories,
+        # g), from the split table with no window choice built, and check_apc3
+        # runs once per (case, available move), however many EIS there are
         import sdfkit.action_path
         from sdfkit._canon import canon_sorted
         from sdfkit.action_path import agent_choice, build_action_path_sdf
@@ -812,7 +887,7 @@ class TestOncePerRun:
                 pairs += len(classify(aps.sdf, Choice.of(aps.sdf, wc.outcomes)).available_at)
         assert pairs > 0
 
-        calls = {"agent_choice": 0, "check_apc3": 0}
+        calls = {"_choice_outcomes": 0, "agent_choice": 0, "check_apc3": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -827,7 +902,7 @@ class TestOncePerRun:
             )
         [record] = run(builtin_doc("upandout"), ["thm4-11"], max_x=12).records
         assert record.status == "ok"
-        assert calls == {"agent_choice": len(cases), "check_apc3": pairs}
+        assert calls == {"_choice_outcomes": len(cases), "agent_choice": 0, "check_apc3": pairs}
 
     def test_apc3_decides_only_the_pieces_it_reads(self, monkeypatch):
         # `apc` tries H = {p_x} only, so it decides one piece per move and

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from sdfkit import _canon, action_path, choice, cli, examples, order_core, sdf, set_forest, sigma_info
+from sdfkit import _canon, action_path, choice, cli, errors, examples, order_core, sdf, set_forest, sigma_info
 from sdfkit._canon import canon_sorted
 from sdfkit.action_path import (
     ActionSpace,
@@ -40,6 +40,7 @@ from sdfkit.sdf import (
     fibres,
 )
 from sdfkit.set_forest import SetForest, representation_by_decision_paths, verify_own_representation
+from sdfkit.verdict import Verdict
 
 import conftest
 from conftest import (
@@ -591,3 +592,134 @@ def test_passing_window_choices_never_sort(monkeypatch):
     monkeypatch.undo()
     assert calls == Counter()
     assert (len(made), len(cases)) == (464, 148)
+
+
+def choice_instances() -> list:
+    """Fresh `timing` and `upandout`, and the buildable draws 0-59 of the
+    path-outcome generator with one agent whose components are the actions
+    and, on every other draw, a second agent with components x and y."""
+    instances = [
+        examples.timing_instance(),
+        build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12),
+    ]
+    for draw in range(60):
+        rng = random.Random(draw)
+        po = random_path_outcomes(rng)
+        factorization = {"i": {a: a for a in po.space.actions}}
+        if draw % 2:
+            factorization["j"] = {a: rng.choice("xy") for a in sorted(po.space.actions)}
+        space = ActionSpace.of(po.space.actions, factorization)
+        try:
+            instances.append(build_action_path_sdf(PathOutcomes(po.time, space, po.scenarios, po.paths)))
+        except KernelError:
+            pass
+    return instances
+
+
+def _choice_result(fn, *args):
+    """The outcomes fn gives, or the type, code, witness and text of the
+    kernel error it raises."""
+    try:
+        return ("value", fn(*args))
+    except KernelError as e:
+        return ("error", type(e), e.code, e.witness, str(e))
+
+
+def _literal_choice(po, t, histories, agent, g):
+    """The decision `_choice_outcomes` makes, by the literal window choice."""
+    wc = action_path.agent_choice(po, t, histories, agent, g)
+    if not wc.ok:
+        raise errors.InputError(
+            f"c(A_<t, i, g) fails C0-C2: {wc.verdicts.describe()}",
+            code="precondition-violation",
+        )
+    return wc.outcomes
+
+
+class TestAgentChoiceTable:
+    def test_matches_the_literal_agent_choice(self):
+        # every agent and time; the realized histories, the own prefixes, random
+        # subsets and sets holding an unrealized or a wrong-length history; every
+        # total map g (a random 40 where there are more) plus one off the
+        # components, and random partial maps
+        rng = random.Random(11)
+        seen = Counter()
+        for aps in choice_instances():
+            po = aps.po
+            scenarios = canon_sorted(po.scenarios.scenarios)
+            own = {}
+            for move, t in aps.move_times:
+                own.setdefault(t, set()).add(action_path._own_prefix(po, move, t))
+            for agent in po.space.agents:
+                components = canon_sorted(po.space.components(agent))
+                maps = [
+                    dict(zip(scenarios, values))
+                    for values in itertools.product(components, repeat=len(scenarios))
+                ]
+                if len(maps) > 40:
+                    maps = rng.sample(maps, 40)
+                maps.append(dict.fromkeys(scenarios, "off"))
+                for _ in range(4):
+                    domain = rng.sample(scenarios, rng.randrange(len(scenarios)))
+                    maps.append({w: rng.choice(components) for w in domain})
+                for k, t in enumerate(po.time.points):
+                    realized = canon_sorted(po.index.realized[k])
+                    history_sets = [realized, *([h] for h in own.get(t, ()))]
+                    history_sets += [
+                        rng.sample(realized, rng.randint(1, len(realized))) for _ in range(3)
+                    ]
+                    unrealized = tuple(rng.choice(canon_sorted(po.space.actions)) for _ in range(k))
+                    history_sets.append(realized[:1] + [unrealized])
+                    history_sets.append(realized[:1] + [realized[0] + ("a",)])
+                    for histories in history_sets:
+                        for g in maps:
+                            expected = _choice_result(_literal_choice, po, t, histories, agent, g)
+                            got = _choice_result(action_path._choice_outcomes, aps, agent, t, histories, g)
+                            assert got == expected, (agent, t, histories, g)
+                            seen["pass" if expected[0] == "value" else expected[2]] += 1
+                            if expected[0] == "error" and expected[2] == "precondition-violation":
+                                wc = action_path.agent_choice(po, t, histories, agent, g)
+                                seen.update(name for name, v in wc.verdicts.items if not v.ok)
+        assert all(seen[key] for key in ("pass", "input-error", "C0", "C1", "C2")), seen
+
+    def test_an_unknown_agent_or_no_factorization_takes_the_literal_path(self):
+        bare = build_action_path_sdf(
+            product_outcomes(ScenarioSpace.discrete([1, 2]), TimeAxis.of([0, 1]), ["a", "b"])
+        )
+        for aps, agent in ((examples.timing_instance(), "nobody"), (bare, "i")):
+            po = aps.po
+            g = dict.fromkeys(po.scenarios.scenarios, "a")
+            histories = po.index.realized[1]
+            expected = _choice_result(_literal_choice, po, po.time.points[1], histories, agent, g)
+            assert expected[:3] == ("error", errors.InputError, "no-factorization")
+            got = _choice_result(action_path._choice_outcomes, aps, agent, po.time.points[1], histories, g)
+            assert got == expected
+
+    def test_a_skipped_row_renders_nothing(self, monkeypatch):
+        # thm4-11 on upandout skips the rows whose agent choice fails C0-C2
+        # without building a window choice or naming a witness; reading an
+        # error's text renders it as the literal agent choice names it
+        calls = Counter()
+        spied = [(action_path, "window_choice"), (action_path, "fmt"), (Verdict, "describe")]
+        for owner, name in spied:
+            fn = getattr(owner, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        [thm] = cli.run(cli.builtin_doc("upandout"), ["thm4-11"], max_x=12).records
+        assert thm.status == "ok" and thm.data["skipped"] > 0
+        assert calls == Counter()
+        monkeypatch.undo()
+        aps = build_action_path_sdf(examples.upandout_path_outcomes(), max_x_exhaustive=12)
+        skipped = 0
+        for agent in aps.po.space.agents:
+            for t, _, histories, g, case in action_path.sweep_rows(aps, agent):
+                if isinstance(case, KernelError):
+                    expected = _choice_result(_literal_choice, aps.po, t, histories, agent, g)
+                    assert ("error", type(case), case.code, case.witness, str(case)) == expected
+                    assert str(case) == expected[4]  # read again: the same text
+                    skipped += 1
+        assert skipped > 0

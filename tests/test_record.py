@@ -27,7 +27,7 @@ import pytest
 
 import sdfkit
 from sdfkit import _record, cli, examples
-from sdfkit.action_path import build_action_path_sdf
+from sdfkit.action_path import ActionPathSdf, agent_choice, build_action_path_sdf
 from sdfkit.cli import InstanceDoc
 from sdfkit.errors import StructureError
 from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma
@@ -106,8 +106,9 @@ def _rebuilt(x, twins):
 
 @pytest.fixture(scope="module")
 def samples() -> dict:
-    """Instances per class, as the golden runs construct them, plus the four
-    classes no command builds, made from the same instances."""
+    """Instances per class, as the golden runs construct them, plus the
+    classes no command builds, made from the same instances: the window
+    choices by a direct `agent_choice` call."""
     found: dict = {cls: [] for cls in RECORDS}
 
     def wrapped(init):
@@ -127,6 +128,13 @@ def samples() -> dict:
             for e in enumerate_eis(s)[:3]:
                 for m in s.sorted_moves:
                     chain_filtration(s, e, [m])
+        # thm4-11 decides agent choices without building window choices
+        for aps in list(found[ActionPathSdf]):
+            po = aps.po
+            for agent in po.space.agents or ():
+                g = dict.fromkeys(po.scenarios.scenarios, min(po.space.components(agent)))
+                for t in po.time.points:
+                    agent_choice(po, t, po.index.realized_prefixes(t), agent, g)
     return {cls: xs[:PER_CLASS] for cls, xs in found.items()}
 
 

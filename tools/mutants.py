@@ -1,6 +1,7 @@
 """Re-runnable mutation check: every listed mutant must make its tests fail.
 
     python3 tools/mutants.py
+    python3 tools/mutants.py --only NAME [NAME ...]
 
 Each row of `MUTANTS` names a file under `src/`, an exact text that occurs
 exactly once in it, the text that replaces it, and the pytest node ids that
@@ -11,15 +12,18 @@ the check if they kill it. For each mutant the script copies `src/`,
 replacement there, and runs only the named tests in that copy. The checkout
 itself is never written. A mutant whose tests all pass survives.
 
-The named tests are first run once on an unmutated copy; if they fail
-there, no mutant is tried. The exit status is 0 when every mutant is
-killed and every equivalent one survives, 1 when one does otherwise or its
-text does not occur exactly once, and 2 when the unmutated tests fail or a
-mutant names no test. Standard library only; not part of the Tier-1 suite.
+With `--only NAME ...`, only the rows with those names are tried; an
+unknown name exits 2. The tests the tried rows name are first run once on
+an unmutated copy; if they fail there, no mutant is tried. The exit status
+is 0 when every mutant is killed and every equivalent one survives, 1 when
+one does otherwise or its text does not occur exactly once, and 2 when the
+unmutated tests fail or a mutant names no test. Standard library only; not
+part of the Tier-1 suite.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -436,6 +440,46 @@ MUTANTS = [
             "tests/test_action_path.py::TestTimeAxis::test_of_matches_a_sorted_set",
         ],
     ),
+    (
+        "agent-choice-singleton-group-not-stuck",
+        "sdfkit/action_path.py",
+        "(frozenset(p), p == group)",
+        "(frozenset(p), p == group and len(p) > 1)",
+        [
+            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
+            "tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_builtins",
+        ],
+    ),
+    (
+        "agent-choice-c2-weakened",
+        "sdfkit/action_path.py",
+        "ok = ok and not 0 < meets < d",
+        "ok = ok and not meets < d",
+        [
+            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
+            "tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_random_instances",
+        ],
+    ),
+    (
+        "agent-choice-c0-empty-check-dropped",
+        "sdfkit/action_path.py",
+        "if ok and outcomes:",
+        "if ok:",
+        [
+            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
+            "tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_builtins",
+        ],
+    ),
+    (
+        "agent-choice-text-for-the-wrong-g",
+        "sdfkit/action_path.py",
+        "_C0C2Failures(lambda: agent_choice(po, t, histories, agent, g))",
+        "_C0C2Failures(lambda: agent_choice(po, t, histories, agent, dict(zip(g, reversed(g.values())))))",
+        [
+            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
+            "tests/test_decided_checks.py::TestAgentChoiceTable::test_a_skipped_row_renders_nothing",
+        ],
+    ),
 ]
 
 # Mutant name -> why no input can tell it from the original.
@@ -482,21 +526,33 @@ def run_mutant(name, path, old, new, tests) -> str:
     return {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[passed]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run the mutation check.")
+    parser.add_argument(
+        "--only", nargs="+", action="extend", metavar="NAME", help="run only these mutants"
+    )
+    only = parser.parse_args(argv).only
+    mutants = MUTANTS
+    if only:
+        unknown = set(only) - {m[0] for m in MUTANTS}
+        if unknown:
+            print(f"no mutant named {', '.join(sorted(unknown))}", file=sys.stderr)
+            return 2
+        mutants = [m for m in MUTANTS if m[0] in only]
     if any(not m[4] for m in MUTANTS):
         print("every mutant must name at least one test", file=sys.stderr)
         return 2
     if not EQUIVALENT.keys() <= {m[0] for m in MUTANTS}:
         print("every equivalent mutant must be a row of MUTANTS", file=sys.stderr)
         return 2
-    baseline = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
+    baseline = list(dict.fromkeys(t for m in mutants for t in m[4]))
     with tempfile.TemporaryDirectory(prefix="sdfkit-mutant-") as tmp:
         _copy(Path(tmp))
         if not _tests_pass(Path(tmp), baseline):
             print("the named tests fail without a mutant; nothing tried", file=sys.stderr)
             return 2
     status = 0
-    for mutant in MUTANTS:
+    for mutant in mutants:
         equivalent = mutant[0] in EQUIVALENT
         outcome = run_mutant(*mutant) + (" (equivalent)" if equivalent else "")
         print(f"{mutant[0]}: {outcome}", flush=True)
