@@ -402,16 +402,19 @@ class ActionPathSdf:
     move_times: tuple  # ((RandomMove, Fraction), ...)
 
     @cached_property
+    def _families(self) -> dict:
+        """`_agent_pieces` results by agent: the own-prefix Rcs."""
+        return {}
+
+    @cached_property
     def _pieces(self) -> dict:
-        """_agent_pieces results by agent: ({(move, G, h): (piece, C0-C2 ok) or
-        None}, own-prefix Rcs, {G: lifted actions}). The table holds p_x's
-        pieces once the agent is built; `_piece` adds any other history's
-        piece when it is first read."""
+        """`_piece` results by (agent, move, G, h): (piece, C0-C2 ok), or
+        None for an empty piece. Each is decided when it is first read."""
         return {}
 
     @cached_property
     def _splits(self) -> dict:
-        """`_split` results by (agent, position k, history h)."""
+        """The agent's `_split` of h's groups, by (agent, position k, h)."""
         return {}
 
     @cached_property
@@ -562,35 +565,62 @@ class WindowChoice:
         return self.verdicts.ok
 
 
-def _decide_history(groups: list, k: int, actions: dict) -> tuple:
-    """The piece of one history h at time index k, and its C1/C2 decision.
-
-    `groups` lists (scenario w, group(w, h)) for the nonempty groups of h,
-    and `actions` maps a scenario to its action set (no entry: none). The
-    piece is the set of outcomes of those groups whose action at k lies in
-    their scenario's set. Returns (piece, stuck, c2): `stuck` lists the
-    groups that lie wholly in the piece, so C1 fails iff it is nonempty;
-    `c2` is None, or (meets, D(h)) when the scenarios of D(h) whose group
-    the piece meets are neither none nor all of D(h), so C2 fails. C0 is
-    that the piece is nonempty. Nothing is sorted or named.
-    """
-    piece = []
-    stuck = []
-    meets = []
-    d = []
+def _split(groups, k: int, projection) -> list:
+    """The groups (w, group) of one history, each split by the component
+    `projection` gives the action at position k, or by the action itself
+    when `projection` is None: (w, group, {component: part}) per group."""
+    split = []
     for w, group in groups:
-        acts = actions.get(w)
-        part = [o for o in group if o[1][k] in acts] if acts else ()
-        if part:
-            piece += part
-            if len(part) == len(group):
+        parts: dict = {}
+        for o in group:
+            a = o[1][k]
+            parts.setdefault(a if projection is None else projection[a], []).append(o)
+        split.append((w, group, {c: frozenset(p) for c, p in parts.items()}))
+    return split
+
+
+def _agent_split(aps: ActionPathSdf, agent, k: int, h) -> list:
+    """The `_split` of h's groups by the agent component of the action at
+    position k. Kept on `aps`."""
+    key = (agent, k, h)
+    split = aps._splits.get(key)
+    if split is None:
+        projection = aps.po.space._table(agent)[0]
+        split = aps._splits[key] = _split(aps.po.index.groups_of(h), k, projection)
+    return split
+
+
+def _c0_c2(splits: dict, chosen: dict) -> tuple:
+    """C0-C2 for the choice that takes, in each history h's group of
+    scenario w, the parts of `splits[h]` for the components chosen[w] (no
+    entry: none).
+
+    Returns (outcomes, stuck, bad): the union of the chosen parts, so C0
+    holds iff it is nonempty; the groups whose every part is chosen, so C1
+    fails iff one is; and the histories whose piece meets some, but not
+    all, of their groups of two or more outcomes, so C2 fails iff one is.
+    Nothing is sorted or named.
+    """
+    outcomes: set = set()
+    stuck = []
+    bad = []
+    for h, split in splits.items():
+        meets = d = 0
+        for w, group, parts in split:
+            n = 0
+            for c in chosen.get(w, ()):
+                part = parts.get(c)
+                if part:
+                    outcomes |= part
+                    n += len(part)
+            if n == len(group):
                 stuck.append(group)
-        if len(group) >= 2:
-            d.append(w)
-            if part:
-                meets.append(w)
-    c2 = None if not meets or len(meets) == len(d) else (frozenset(meets), frozenset(d))
-    return frozenset(piece), stuck, c2
+            if len(group) >= 2:
+                d += 1
+                meets += n > 0
+        if 0 < meets < d:
+            bad.append(h)
+    return outcomes, stuck, bad
 
 
 def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
@@ -599,24 +629,14 @@ def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
     C2 quantifies over the admissible histories only; the node at t and the
     move event depend on nothing later. Every outcome of a history h lies in
     a group of h, so the window choice is the disjoint union of the pieces
-    of its histories, and C1 and C2 are decided one history at a time by
-    `_decide_history`, read from the path index.
+    of its histories, and C0-C2 are decided by `_c0_c2` on each history's
+    groups in the path index, split by action.
     """
     idx = po.index
     k = po.time.index(spec.t)
-    actions = dict(spec.per_scenario)
-    outcomes: set = set()
-    stuck: list = []
-    bad: dict = {}  # history -> (meets, move event), or None for a wrong length
-    for h in spec.histories:
-        if len(h) != k:
-            bad[h] = None
-            continue
-        piece, stuck_h, c2 = _decide_history(idx.groups_of(h), k, actions)
-        outcomes |= piece
-        stuck += stuck_h
-        if c2 is not None:
-            bad[h] = c2
+    chosen = dict(spec.per_scenario)
+    splits = {h: _split(idx.groups_of(h), k, None) for h in spec.histories if len(h) == k}
+    outcomes, stuck, bad = _c0_c2(splits, chosen)
     c0 = (
         Verdict.passed()
         if outcomes
@@ -631,13 +651,17 @@ def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
         first = min((o for group in stuck for o in group), key=canon_key)
         c1 = Verdict.failed("apc1", f"no alternative to {fmt(first)} inside its node")
     c2 = Verdict.passed()
+    bad += [h for h in spec.histories if h not in splits]  # of a wrong length
     if bad:
         h = min(bad, key=canon_key)
-        if bad[h] is None:
+        if h not in splits:
             raise InputError(
                 f"history {fmt(h)} has length {len(h)}, expected {k}", witness=h
             )
-        meets, d = bad[h]
+        d = frozenset(w for w, group, _ in splits[h] if len(group) >= 2)
+        meets = frozenset(
+            w for w, _, parts in splits[h] if w in d and any(c in parts for c in chosen.get(w, ()))
+        )
         c2 = Verdict.failed(
             "apc2",
             f"history {fmt(h)}: choice meets the node for {fmt(meets)} "
@@ -690,24 +714,20 @@ def _own_prefix(po: PathOutcomes, move: RandomMove, t) -> tuple:
     return prefix_of(po, f, t)
 
 
-def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
-    """Agent reference choices as the per-history pieces they are made of.
+def _agent_pieces(aps: ActionPathSdf, agent) -> choice_mod.Rcs:
+    """The agent's own-prefix family of reference choices, read from the
+    per-history pieces they are made of.
 
     The agent's reference choices at a random move x at time t are the
     window choices of a nonempty set H of realized histories and a nonempty
     set G of agent components (lifted through the projection on x's domain,
     empty off it) that pass C0-C2 and meet every node of x. The piece of h
     is the window choice for the single history h, and the window choice of
-    (H, G) is the disjoint union of the pieces of H. Returns (table,
-    own-prefix family, lifted): `table` maps (move, G, h) to (piece, C0-C2
-    ok), or None for an empty piece; `lifted` maps each nonempty G to its
-    actions. Only the own prefix's pieces are decided here, piece_G(p_x) for
-    every (move, G), with p_x the history every outcome of x shares; the
-    piece of any other history is decided by `_piece` when it is first
-    read. The own-prefix family is, per move, the piece_G(p_x) of each G
-    whose piece passes and meets every node of x. Each piece is decided by
-    `_decide_history` on h's groups in the path index, with the agent's
-    projection read once: no window choice is built and no witness named.
+    (H, G) is the disjoint union of the pieces of H. The own-prefix family
+    is, per move, the piece_G(p_x) of each nonempty G whose piece passes and
+    meets every node of x, with p_x the history every outcome of x shares.
+    Each piece is read through `_piece`, so only p_x's pieces are decided
+    here; any other history's piece is decided when it is first read.
 
     (a) The reference choices for G are exactly the unions of passing
     pieces that contain piece_G(p_x), when that piece meets every node. C1
@@ -727,59 +747,46 @@ def _agent_pieces(aps: ActionPathSdf, agent) -> tuple:
     history's piece.
 
     The own-prefix family is checked to verify as an RCS rather than
-    assumed. The result is kept on `aps`, so each agent is built once.
+    assumed. It is kept on `aps`, so each agent is built once.
     """
-    if agent in aps._pieces:
-        return aps._pieces[agent]
-    po = aps.po
-    idx = po.index
-    table: dict = {}
+    family = aps._families.get(agent)
+    if family is not None:
+        return family
     per_move: dict = {}
-    projection = po.space._table(agent)[0]
-    lifted = {
-        g_set: frozenset(a for a, c in projection.items() if c in g_set)
-        for g_set in _component_subsets(aps, agent)[1:]
-    }
     for move, t in aps.move_times:
-        k = aps._time_at(move)[1]
-        own = _own_prefix(po, move, t)
-        groups = idx.groups_of(own)
+        own = _own_prefix(aps.po, move, t)
         found = set()
-        for g_set, acts in lifted.items():
-            piece, stuck, c2 = _decide_history(groups, k, dict.fromkeys(move.domain, acts))
-            ok = not stuck and c2 is None
-            table[move, g_set, own] = (piece, ok) if piece else None
-            if piece and ok and _meets_every_node(move, piece):
-                found.add(piece)
+        for g_set in _component_subsets(aps, agent)[1:]:
+            entry = _piece(aps, agent, move, g_set, own)
+            if entry and entry[1] and _meets_every_node(move, entry[0]):
+                found.add(entry[0])
         per_move[move] = frozenset(choice_mod.Choice.of(aps.sdf, o) for o in found)
-    own_family = choice_mod.Rcs.of(per_move)
-    verdict = choice_mod.verify_rcs(aps.sdf, own_family)
+    family = choice_mod.Rcs.of(per_move)
+    verdict = choice_mod.verify_rcs(aps.sdf, family)
     if not verdict:
         raise StructureError(
             f"agent reference choices fail to verify: {verdict.describe()}"
         )
-    aps._pieces[agent] = (table, own_family, lifted)
-    return aps._pieces[agent]
+    aps._families[agent] = family
+    return family
 
 
 def _piece(aps: ActionPathSdf, agent, move: RandomMove, g_set, h) -> tuple | None:
     """(piece, C0-C2 ok) of the realized history h at the move x for the
     agent's component set G, or None when the piece is empty, as it is for
-    the empty G. Read from the table of `_agent_pieces`; a piece not yet
-    there is decided on this first read by `_decide_history` on h's groups,
-    and kept in the table."""
+    the empty G. Decided on its first read by `_c0_c2` on the agent's split
+    of h's groups, with G chosen on x's domain, and kept on `aps`."""
     if not g_set:
         return None
-    table, _, lifted = _agent_pieces(aps, agent)
-    key = (move, g_set, h)
+    key = (agent, move, g_set, h)
     try:
-        return table[key]
+        return aps._pieces[key]
     except KeyError:
         pass
     k = aps._time_at(move)[1]
-    actions = dict.fromkeys(move.domain, lifted[g_set])
-    piece, stuck, c2 = _decide_history(aps.po.index.groups_of(h), k, actions)
-    entry = table[key] = (piece, not stuck and c2 is None) if piece else None
+    split = _agent_split(aps, agent, k, h)
+    piece, stuck, bad = _c0_c2({h: split}, dict.fromkeys(move.domain, g_set))
+    entry = aps._pieces[key] = (frozenset(piece), not stuck and not bad) if piece else None
     return entry
 
 
@@ -908,51 +915,22 @@ def _first_generator(subsets: list, passes) -> frozenset | None:
     return None
 
 
-def _split(aps: ActionPathSdf, agent, k: int, h) -> list:
-    """The nonempty groups of the history h, each split by the agent
-    component of its action at position k: (w, |group(w, h)| ≥ 2,
-    {component: (part, part = group)}) per group. Kept on `aps`."""
-    key = (agent, k, h)
-    if key not in aps._splits:
-        projection = aps.po.space._table(agent)[0]
-        split = aps._splits[key] = []
-        for w, group in aps.po.index.groups_of(h):
-            parts: dict = {}
-            for o in group:
-                parts.setdefault(projection[o[1][k]], set()).add(o)
-            split.append((w, len(group) >= 2, {c: (frozenset(p), p == group) for c, p in parts.items()}))
-    return aps._splits[key]
-
-
 def _choice_outcomes(aps: ActionPathSdf, agent, t, histories, g) -> frozenset:
     """The outcomes of c(A_<t, i, g), or the `precondition-violation` error
     when it fails C0-C2, whose text `agent_choice` renders when it is read.
 
-    A total g with histories of t's length is decided on their `_split`s,
-    with no window choice built: the piece of h is the union over w of the
-    part of group(w, h) for g(w). As in `_decide_history`, C1 fails iff a
-    chosen part is its whole group, C2 fails for h iff the piece meets some
-    but not all of h's groups of two or more, and C0 asks for a nonempty
-    part. Any other input goes through `agent_choice`."""
+    A total g with histories of t's length is decided by one `_c0_c2` call
+    on the histories' agent splits, choosing g(ω) in scenario ω's groups:
+    no window choice is built. Any other input goes through `agent_choice`."""
     po = aps.po
     if agent in (po.space.agents or ()) and g.keys() == po.scenarios.scenarios:
         t = as_time(t)
         histories = frozenset(map(tuple, histories))
         k = po.time.index(t)
         if all(len(h) == k for h in histories):
-            outcomes: set = set()
-            ok = True
-            for h in histories:
-                meets = d = 0
-                for w, in_d, parts in _split(aps, agent, k, h):
-                    part = parts.get(g[w])
-                    if part:
-                        ok = ok and not part[1]
-                        outcomes |= part[0]
-                        meets += 1
-                    d += in_d
-                ok = ok and not 0 < meets < d
-            if ok and outcomes:
+            splits = {h: _agent_split(aps, agent, k, h) for h in histories}
+            outcomes, stuck, bad = _c0_c2(splits, {w: (c,) for w, c in g.items()})
+            if outcomes and not stuck and not bad:
                 return frozenset(outcomes)
             g = dict(g)
             text = _C0C2Failures(lambda: agent_choice(po, t, histories, agent, g))
@@ -1000,18 +978,18 @@ class MeasurabilityCase:
     versus adaptedness of c(A_<t, i, g), per move c is available at.
 
     `sweep_rows` builds one per distinct case of an agent's row table, and
-    `thm4-11` reports it for every structure. Construction decides c from
-    the per-history split table (`_choice_outcomes`), building no window
-    choice. When c fails C0-C2 it raises `precondition-violation`, whose
-    text `agent_choice` renders only when it is read. Otherwise it keeps the
-    moves c is available at and, per move x, the level sets of g on D_x,
-    the events x⁻¹(P(c ∩ c')) and the AP.C3 verdict. By argument (b) of
-    `_agent_pieces`, the events over every reference choice c' are those
-    over the own-prefix pieces, so only those are taken. `report(e)` then
-    only tests σ-containment in the EIS e's σ-algebras at those moves. It
-    reads e through that tuple of σ-algebras alone, so it is decided once
-    per distinct tuple and kept on the case: EIS that agree at the case's
-    moves share one report.
+    `thm4-11` reports it for every structure. Construction decides c by one
+    `_c0_c2` call on the agent's splits of its histories
+    (`_choice_outcomes`), building no window choice. When c fails C0-C2 it
+    raises `precondition-violation`, whose text `agent_choice` renders only
+    when it is read. Otherwise it keeps the moves c is available at and,
+    per move x, the level sets of g on D_x, the events x⁻¹(P(c ∩ c')) and
+    the AP.C3 verdict. By argument (b) of `_agent_pieces`, the events over
+    every reference choice c' are those over the own-prefix pieces, so only
+    those are taken. `report(e)` then only tests σ-containment in the EIS
+    e's σ-algebras at those moves. It reads e through that tuple of
+    σ-algebras alone, so it is decided once per distinct tuple and kept on
+    the case: EIS that agree at the case's moves share one report.
 
     Forward: measurability of g on D_x implies adaptedness at x. Backward:
     when AP.C3 holds, adaptedness at x implies measurability. The third
@@ -1024,7 +1002,7 @@ class MeasurabilityCase:
     def __init__(self, aps: ActionPathSdf, agent, t, histories, g):
         s = aps.sdf
         c = choice_mod.Choice.of(s, _choice_outcomes(aps, agent, t, histories, g))
-        own_family = _agent_pieces(aps, agent)[1]
+        own_family = _agent_pieces(aps, agent)
         flags = choice_mod.classify(s, c)
         self.moves = []
         for move in canon_sorted(flags.available_at):

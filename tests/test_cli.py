@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -490,6 +491,7 @@ def _mutated(text, mutations) -> str:
     applied, indices taken modulo the length of what they index."""
     obj = json.loads(text)
     for kind, i, j, value in mutations:
+        value = copy.deepcopy(value)  # a later mutation may write into it
         entries = obj["paths"]
         entry = entries[i % len(entries)] if entries else {}
         if kind == "scenario":
@@ -540,6 +542,7 @@ def _mutated_choices(text, mutations) -> str:
     obj = json.loads(text)
     slots = [(outs, k) for _, outs in sorted(obj["choices"].items()) for k in range(len(outs))]
     for kind, i, j, value in mutations:
+        value = copy.deepcopy(value)  # a later mutation may write into it
         outs, k = slots[i % len(slots)]
         seq = outs[k].get("path") if isinstance(outs[k], dict) else None
         if kind == "choice-entry":
@@ -912,13 +915,13 @@ class TestOncePerRun:
         # it, each piece of a hit (H, generator) is decided by the search.
         import sdfkit.action_path as ap
 
-        decide, apc3 = ap._decide_history, ap.check_apc3
+        decide, apc3 = ap._c0_c2, ap.check_apc3
         decided = []
         hits = []
 
-        def counting(groups, k, actions):
-            decided.append(k)
-            return decide(groups, k, actions)
+        def counting(splits, chosen):
+            decided.append(splits)
+            return decide(splits, chosen)
 
         def watched(aps, agent, move, *, choice=None):
             result = apc3(aps, agent, move, choice=choice)
@@ -926,7 +929,7 @@ class TestOncePerRun:
                 hits.append((aps, agent, move, result))
             return result
 
-        monkeypatch.setattr(ap, "_decide_history", counting)
+        monkeypatch.setattr(ap, "_c0_c2", counting)
         monkeypatch.setattr(ap, "check_apc3", watched)
         paths = [("1", f) for f in itertools.product("ab", repeat=7)]
         factorization = {"a": {"i": "a"}, "b": {"i": "b"}}
@@ -942,10 +945,9 @@ class TestOncePerRun:
             [thm] = run(doc, ["thm4-11"], max_x=max_x).records
             assert thm.status == "ok" and hits
             for aps, agent, move, result in hits:
-                table = ap._agent_pieces(aps, agent)[0]
                 assert {
-                    (move, g, h) for g in result.generator if g for h in result.histories
-                } <= table.keys()
+                    (agent, move, g, h) for g in result.generator if g for h in result.histories
+                } <= aps._pieces.keys()
         # on {a, b}^5 the "all" cases require every realized history
         assert any(len(r.histories) == 16 for *_, r in hits)
 

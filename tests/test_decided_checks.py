@@ -524,10 +524,10 @@ class TestAgentPieces:
                     assert got == expected
                     continue
                 brute_table, own_family = expected[1]
-                table, got_family, _ = got[1]
-                assert got_family == own_family
+                assert got[1] == own_family
                 own = {m: action_path._own_prefix(po, m, t) for m, t in aps.move_times}
-                assert set(table) == {(m, g, own[m]) for m, g in brute_table}
+                table = {key[1:] for key in aps._pieces if key[0] == agent}
+                assert table == {(m, g, own[m]) for m, g in brute_table}
                 seen["own choices"] += sum(len(cs) for _, cs in own_family.entries)
                 for (move, g_set), held in brute_table.items():
                     for h in po.index.realized_prefixes(aps.time_of_move(move)):
@@ -552,9 +552,9 @@ class TestAgentPieces:
 
             monkeypatch.setattr(module, "fmt", counting)
         for agent in aps.po.space.agents:
-            lifted = action_path._agent_pieces(aps, agent)[2]
+            action_path._agent_pieces(aps, agent)
             for move, t in aps.move_times:
-                for g_set in lifted:
+                for g_set in action_path._component_subsets(aps, agent)[1:]:
                     for h in aps.po.index.realized_prefixes(t):
                         action_path._piece(aps, agent, move, g_set, h)
         monkeypatch.undo()
@@ -723,3 +723,35 @@ class TestAgentChoiceTable:
                     assert str(case) == expected[4]  # read again: the same text
                     skipped += 1
         assert skipped > 0
+
+
+def test_split_partitions_each_group_by_component():
+    # every agent, position k and realized history h: the agent's split and
+    # the split by action each partition h's groups into parts of one
+    # component, and a part by action is the group one action further on
+    seen = Counter()
+    for aps in choice_instances():
+        po = aps.po
+        groups = po.index.groups
+        for agent in po.space.agents:
+            projection = po.space._table(agent)[0]
+            for k in range(len(po.time.points)):
+                for h in po.index.realized[k]:
+                    by_action = action_path._split(po.index.groups_of(h), k, None)
+                    by_agent = action_path._agent_split(aps, agent, k, h)
+                    assert [(w, group) for w, group, _ in by_agent] == [
+                        (w, group) for w, group, _ in by_action
+                    ] == po.index.groups_of(h)
+                    for split, component in ((by_agent, projection.get), (by_action, lambda a: a)):
+                        for w, group, parts in split:
+                            assert frozenset().union(*parts.values()) == group
+                            assert sum(map(len, parts.values())) == len(group)
+                            for c, part in parts.items():
+                                assert {component(f[k]) for _, f in part} == {c}
+                    for w, _, parts in by_action:
+                        assert parts == {a: groups[(w, h + (a,))] for a in parts}
+                    seen["split"] += 1
+                    seen["merged"] += any(
+                        len(a) < len(b) for (_, _, a), (_, _, b) in zip(by_agent, by_action)
+                    )
+    assert seen["split"] and seen["merged"], seen

@@ -91,7 +91,7 @@ def instances() -> dict:
 
 def reference_families(aps) -> list:
     """Each agent's own-prefix reference choices, as `_agent_pieces` keeps them."""
-    return [_agent_pieces(aps, agent)[1] for agent in aps.po.space.agents or ()]
+    return [_agent_pieces(aps, agent) for agent in aps.po.space.agents or ()]
 
 
 def probe_moves(instances: dict, aps) -> list:

@@ -135,22 +135,25 @@ MUTANTS = [
     (
         "piece-c2-none-or-all-dropped",
         "sdfkit/action_path.py",
-        "    c2 = None if not meets or len(meets) == len(d) else",
-        "    c2 = None if True else",
-        ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
+        "            bad.append(h)",
+        "            pass",
+        [
+            "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
+            "tests/test_decided_checks.py::TestWindowChoice::test_matches_canonical_scans",
+        ],
     ),
     (
         "piece-off-domain-scenario-acts",
         "sdfkit/action_path.py",
-        "_decide_history(groups, k, dict.fromkeys(move.domain, acts))",
-        "_decide_history(groups, k, dict.fromkeys(po.scenarios.scenarios, acts))",
+        "dict.fromkeys(move.domain, g_set)",
+        "dict.fromkeys(aps.po.scenarios.scenarios, g_set)",
         ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
     ),
     (
         "read-piece-off-domain-scenario-acts",
         "sdfkit/action_path.py",
-        "    actions = dict.fromkeys(move.domain, lifted[g_set])",
-        "    actions = dict.fromkeys(aps.po.scenarios.scenarios, lifted[g_set])",
+        "for c in chosen.get(w, ()):",
+        "for c in chosen.get(w, parts):",
         ["tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices"],
     ),
     (
@@ -378,9 +381,8 @@ MUTANTS = [
     (
         "piece-decided-at-the-own-prefix",
         "sdfkit/action_path.py",
-        "_decide_history(aps.po.index.groups_of(h), k, actions)",
-        "_decide_history(aps.po.index.groups_of(_own_prefix(aps.po, move, "
-        "aps._time_at(move)[0])), k, actions)",
+        "    split = _agent_split(aps, agent, k, h)",
+        "    split = _agent_split(aps, agent, k, _own_prefix(aps.po, move, aps._time_at(move)[0]))",
         [
             "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
             "tests/test_action_path.py::TestAgentRcs::test_matches_brute_force_on_builtins",
@@ -389,8 +391,8 @@ MUTANTS = [
     (
         "piece-key-drops-the-component-set",
         "sdfkit/action_path.py",
-        "    key = (move, g_set, h)",
-        "    key = (move, h)",
+        "    key = (agent, move, g_set, h)",
+        "    key = (agent, move, h)",
         [
             "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
             "tests/test_cli.py::TestOncePerRun::test_apc3_decides_only_the_pieces_it_reads",
@@ -443,31 +445,41 @@ MUTANTS = [
     (
         "agent-choice-singleton-group-not-stuck",
         "sdfkit/action_path.py",
-        "(frozenset(p), p == group)",
-        "(frozenset(p), p == group and len(p) > 1)",
+        "            if n == len(group):",
+        "            if n == len(group) > 1:",
         [
-            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
-            "tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_builtins",
+            "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
+            "tests/test_decided_checks.py::TestWindowChoice::test_matches_canonical_scans",
         ],
     ),
     (
         "agent-choice-c2-weakened",
         "sdfkit/action_path.py",
-        "ok = ok and not 0 < meets < d",
-        "ok = ok and not meets < d",
+        "        if 0 < meets < d:",
+        "        if meets < d:",
         [
-            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
-            "tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_random_instances",
+            "tests/test_decided_checks.py::TestWindowChoice::test_matches_canonical_scans",
+            "tests/test_golden.py::test_timing_thm4_11_matches_digest",
         ],
     ),
     (
         "agent-choice-c0-empty-check-dropped",
         "sdfkit/action_path.py",
-        "if ok and outcomes:",
-        "if ok:",
+        "if outcomes and not stuck and not bad:",
+        "if not stuck and not bad:",
         [
             "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
             "tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_builtins",
+        ],
+    ),
+    (
+        "agent-split-ignores-the-projection",
+        "sdfkit/action_path.py",
+        "_split(aps.po.index.groups_of(h), k, projection)",
+        "_split(aps.po.index.groups_of(h), k, None)",
+        [
+            "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
+            "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
         ],
     ),
     (
