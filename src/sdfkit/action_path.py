@@ -17,11 +17,10 @@ from fractions import Fraction
 from operator import lt
 
 from . import choice as choice_mod
-from . import errors
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import cached_property, record
-from .errors import InputError, KernelError, SizeCapError, StructureError
-from .sdf import RandomMove, ScenarioSpace, Sdf, verify_sdf
+from .errors import InputError, KernelError, StructureError, Work
+from .sdf import MAX_X_EXHAUSTIVE, RandomMove, ScenarioSpace, Sdf, verify_sdf
 from .set_forest import SetForest
 from .sigma_info import Eis
 from .verdict import MultiVerdict, Verdict
@@ -447,7 +446,7 @@ class ActionPathSdf:
 
 
 def build_action_path_sdf(
-    po: PathOutcomes, *, max_x_exhaustive: int = 6
+    po: PathOutcomes, *, max_x_exhaustive: int = MAX_X_EXHAUSTIVE
 ) -> ActionPathSdf:
     """Construct the SDF {x_t(w)} ∪ {{w}} with the prefix sections as random moves.
 
@@ -566,15 +565,13 @@ class WindowChoice:
 
 
 def _split(groups, k: int, projection) -> list:
-    """The groups (w, group) of one history, each split by the component
-    `projection` gives the action at position k, or by the action itself
-    when `projection` is None: (w, group, {component: part}) per group."""
+    """The groups (w, group) of one history, each split by projection[a] of
+    the action a at position k: (w, group, {component: part}) per group."""
     split = []
     for w, group in groups:
         parts: dict = {}
         for o in group:
-            a = o[1][k]
-            parts.setdefault(a if projection is None else projection[a], []).append(o)
+            parts.setdefault(projection[o[1][k]], []).append(o)
         split.append((w, group, {c: frozenset(p) for c, p in parts.items()}))
     return split
 
@@ -635,7 +632,8 @@ def window_choice(po: PathOutcomes, spec: WindowChoiceSpec) -> WindowChoice:
     idx = po.index
     k = po.time.index(spec.t)
     chosen = dict(spec.per_scenario)
-    splits = {h: _split(idx.groups_of(h), k, None) for h in spec.histories if len(h) == k}
+    by_action = {a: a for a in po.space.actions}
+    splits = {h: _split(idx.groups_of(h), k, by_action) for h in spec.histories if len(h) == k}
     outcomes, stuck, bad = _c0_c2(splits, chosen)
     c0 = (
         Verdict.passed()
@@ -831,8 +829,8 @@ def check_apc3(
     required ∪ {p_x}, the first set after those two that can hit.
 
     Per H, a family is a hit when all its members pass; the first hit is the
-    one `_first_generator` returns, which raises SizeCapError past
-    WORK_CAP families.
+    one `_first_generator` returns, which spends one unit of a `Work`
+    counter per family tried.
     """
     po = aps.po
     if po.space.agents is None:
@@ -901,13 +899,10 @@ def _first_generator(subsets: list, passes) -> frozenset | None:
         return frozenset(subsets[:-1])
     full = subsets[-1]
     passing = [g for g in subsets if passes(g)]
-    tried = 0
-    cap = errors.WORK_CAP
+    work = Work("AP.C3 generator search", "families")
     for r in range(len(passing) + 1):
         for family in itertools.combinations(passing, r):
-            tried += 1
-            if tried > cap:
-                raise SizeCapError(f"AP.C3 generator search exceeded {cap} families")
+            work.spend()
             family = frozenset(family)
             stable = all(a & b in family for a in family for b in family)
             if stable and len({tuple(x in g for g in family) for x in full}) == len(full):

@@ -34,6 +34,7 @@ from .action_path import (
 from .choice import Choice, Rcs, classify, predecessors, verify_rcs, is_adapted
 from .errors import KernelError, SizeCapError
 from .sdf import (
+    MAX_X_EXHAUSTIVE,
     RandomMove,
     ScenarioSpace,
     Sdf,
@@ -79,10 +80,10 @@ def _expect(cond: bool, message: str, path: str):
         raise ParseError(message, path=path)
 
 
-def _get(obj, key, kind, path, optional=False, default=None):
+def _get(obj, key, kind, path, optional=False):
     if key not in obj:
         _expect(optional, f"missing field {key!r}", path)
-        return default
+        return None
     value = obj[key]
     # JSON true/false parse to bools, which are ints too; no field takes one
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -315,6 +316,31 @@ def _move_index(entry, moves, seen: set, path) -> int:
     return idx
 
 
+def _factorization(obj, actions, path) -> dict | None:
+    """The optional `factorization` field: agent ↦ {action: component}."""
+    factorization_src = _get(obj, "factorization", dict, path, optional=True)
+    if factorization_src is None:
+        return None
+    fpath = f"{path}.factorization"
+    factorization: dict = {}
+    # as for scenarios in _parse_explicit: a key spelling a non-string
+    # action ("1" for 1) can never name it
+    keyless = {str(a): a for a in actions if type(a) is not str}
+    for action, table in factorization_src.items():
+        _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
+        _scalars(table.values(), "component", fpath)
+        if action not in actions and action in keyless:
+            raise ParseError(
+                f"action {keyless[action]!r} is not a string, "
+                "and action names key JSON objects",
+                path=f"{path}.actions",
+            )
+        _expect(action in actions, f"unresolved action {action!r}", fpath)
+        for agent, comp in table.items():
+            factorization.setdefault(agent, {})[action] = comp
+    return factorization
+
+
 def _parse_action_path(obj) -> InstanceDoc:
     path = "$"
     space = _scenario_space(obj, path)
@@ -329,26 +355,7 @@ def _parse_action_path(obj) -> InstanceDoc:
     if generator is None:
         actions = _get(obj, "actions", list, path)
         _scalars(actions, "action", f"{path}.actions")
-        factorization_src = _get(obj, "factorization", dict, path, optional=True)
-        factorization = None
-        if factorization_src is not None:
-            fpath = f"{path}.factorization"
-            factorization = {}
-            # as for scenarios in _parse_explicit: a key spelling a non-string
-            # action ("1" for 1) can never name it
-            keyless = {str(a): a for a in actions if type(a) is not str}
-            for action, table in factorization_src.items():
-                _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
-                _scalars(table.values(), "component", fpath)
-                if action not in actions and action in keyless:
-                    raise ParseError(
-                        f"action {keyless[action]!r} is not a string, "
-                        "and action names key JSON objects",
-                        path=f"{path}.actions",
-                    )
-                _expect(action in actions, f"unresolved action {action!r}", fpath)
-                for agent, comp in table.items():
-                    factorization.setdefault(agent, {})[action] = comp
+        factorization = _factorization(obj, actions, path)
         try:
             action_space = ActionSpace.of(actions, factorization)
             entries = _get(obj, "paths", list, path)
@@ -386,7 +393,8 @@ def _parse_action_path(obj) -> InstanceDoc:
             if generator == "product":
                 actions = _get(obj, "actions", list, path)
                 _scalars(actions, "action", f"{path}.actions")
-                po = product_outcomes(space, time_axis, actions)
+                factorization = _factorization(obj, actions, path)
+                po = product_outcomes(space, time_axis, actions, factorization)
             elif generator == "timing":
                 agents = _get(obj, "agents", list, path)
                 _scalars(agents, "agent", f"{path}.agents")
@@ -424,6 +432,12 @@ def _parse_action_path(obj) -> InstanceDoc:
                 raise ParseError(f"unknown generator {generator!r}", path="$.generator")
         except KernelError as e:
             raise ParseError(str(e), path="$.generator") from None
+        # timing and up-and-out fix their own factorization
+        _expect(
+            generator == "product" or "factorization" not in obj,
+            f"generator {generator!r} takes no factorization",
+            "$.factorization",
+        )
     doc = InstanceDoc("action-path", po=po)
     choices = obj.get("choices")
     if choices is not None:
@@ -772,7 +786,7 @@ def _run_check(inst: _Instance, token: str) -> CheckRecord:
     return CheckRecord(token, status, bundle.items, data, message, elapsed_ms)
 
 
-def run(doc: InstanceDoc, commands, *, max_x: int = 6) -> Report:
+def run(doc: InstanceDoc, commands, *, max_x: int = MAX_X_EXHAUSTIVE) -> Report:
     inst = _Instance(doc, {"max_x": max_x})
     return Report([_run_check(inst, token) for token in commands], inst.caps)
 
@@ -940,7 +954,7 @@ def _add_options(parser, suppress: bool):
     )
     parser.add_argument(
         "--max-x", type=_cap, help="exhaustive axiom-3e cap on |X|",
-        **(kwargs or {"default": 6}),
+        **(kwargs or {"default": MAX_X_EXHAUSTIVE}),
     )
 
 

@@ -32,8 +32,8 @@ class StructureError(KernelError):
 
 # The one bound on the exhaustive searches: `set_partitions`, `enumerate_eis`,
 # the AP.C3 generator search, `find_sdf_isomorphism` and the literal
-# `maximal_chains` (which no check calls) each read it when called and count
-# their work against it.
+# `maximal_chains` (which no check calls) each spend a `Work` counter, which
+# reads it when the search starts.
 WORK_CAP = 2 ** 16
 
 
@@ -45,6 +45,22 @@ class SizeCapError(KernelError):
     """
 
     code = "size-cap"
+
+
+class Work:
+    """The units one exhaustive search has spent (`used`) against `WORK_CAP`,
+    read when the search starts. `spend` raises `SizeCapError` on the first
+    unit past the cap: "<search> exceeded <cap> <unit>"."""
+
+    __slots__ = ("search", "unit", "used", "cap")
+
+    def __init__(self, search: str, unit: str = "work units"):
+        self.search, self.unit, self.used, self.cap = search, unit, 0, WORK_CAP
+
+    def spend(self, units: int = 1):
+        self.used += units
+        if self.used > self.cap:
+            raise SizeCapError(f"{self.search} exceeded {self.cap} {self.unit}")
 
 
 def unknown_element(x):

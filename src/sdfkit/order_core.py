@@ -5,18 +5,17 @@ earlier / closer to a root than y", and for families of sets it is reverse
 inclusion. Relations are stored extensionally (the full set of ordered
 pairs), because the axiom checkers quantify over >= directly.
 
-Enumerations count their search nodes against `errors.WORK_CAP` and raise
-`SizeCapError` rather than degrade.
+Enumerations spend their search nodes from an `errors.Work` counter, which
+raises `SizeCapError` past `WORK_CAP` rather than degrade.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import errors
 from ._canon import canon_key, canon_sorted
 from ._record import cached_property, record
-from .errors import InputError, SizeCapError, StructureError, not_a_forest, unknown_element
+from .errors import InputError, StructureError, Work, not_a_forest, unknown_element
 
 
 @record(frozen=True)
@@ -196,22 +195,16 @@ def maximal_chains(p: Poset) -> frozenset:
     """All ⊆-maximal chains, by exhaustive descent along the cover relation.
 
     A maximal chain runs from a maximal element down to a minimal one through
-    covers; the enumeration counts visited nodes against `WORK_CAP`. Every
+    covers; each visited node spends one unit of a `Work` counter. Every
     node of the descent is visited whatever the order, so whether the cap is
     reached does not depend on it.
     """
     chains: set = set()
-    work = 0
-    cap = errors.WORK_CAP
+    work = Work("maximal-chain enumeration")
     cover_cache = {x: p.covers(x) for x in p.elements}
 
     def descend(x, acc):
-        nonlocal work
-        work += 1
-        if work > cap:
-            raise SizeCapError(
-                f"maximal-chain enumeration exceeded {cap} work units"
-            )
+        work.spend()
         below = cover_cache[x]
         if not below:
             chains.add(frozenset(acc))
@@ -229,21 +222,16 @@ def set_partitions(items, fits=None, label="set"):
     (Knuth, TAOCP 4A §7.2.1.5): item i joins each earlier block in turn,
     then opens a block of its own.
 
-    `fits(block, item)` may bar `item` from `block`. Each search node counts
-    one work unit; more than `WORK_CAP` raise `SizeCapError` naming `label`.
+    `fits(block, item)` may bar `item` from `block`. Each search node spends
+    one unit of a `Work` counter named "`label` partition enumeration".
     The search path is kept in `at`, not on the call stack.
     """
     items = list(items)
-    work = 0
-    cap = errors.WORK_CAP
+    work = Work(f"{label} partition enumeration")
     blocks, at = [], []  # at[i]: the block item i joined, None once it opened its own
 
     while True:
-        work += 1
-        if work > cap:
-            raise SizeCapError(
-                f"{label} partition enumeration exceeded {cap} work units"
-            )
+        work.spend()
         if len(at) == len(items):
             yield [list(b) for b in blocks]
         else:

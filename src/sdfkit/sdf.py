@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 
-from . import errors, order_core, set_forest
+from . import order_core, set_forest
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import cached_property, record
-from .errors import InputError, SizeCapError, StructureError
+from .errors import InputError, StructureError, Work
 from .order_core import Poset, set_partitions
 from .set_forest import SetForest
 from .verdict import MultiVerdict, Verdict
@@ -556,7 +556,10 @@ def _check_axiom_3e(s: Sdf, moves: tuple, max_x_exhaustive: int) -> Verdict:
     )
 
 
-def verify_sdf(s: Sdf, *, max_x_exhaustive: int = 6) -> MultiVerdict:
+MAX_X_EXHAUSTIVE = 6
+
+
+def verify_sdf(s: Sdf, *, max_x_exhaustive: int = MAX_X_EXHAUSTIVE) -> MultiVerdict:
     """Check axioms 1, 2, 3a-3f; one named verdict per axiom.
 
     Axiom 3e runs the exhaustive coarsening oracle up to `max_x_exhaustive`
@@ -754,8 +757,8 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf):
     The outcome bijection must respect the scenario bijection (pruning), carry
     nodes onto nodes, commute with the projections, map algebra atoms onto
     algebra atoms, and transport the random-move set onto the random-move set.
-    Returns (scenario_map, outcome_map) or None. Exhaustive up to `WORK_CAP`
-    candidate outcome bijections.
+    Returns (scenario_map, outcome_map) or None. Exhaustive; each candidate
+    outcome bijection spends one unit of a `Work` counter.
     """
     if (
         len(a.space.scenarios) != len(b.space.scenarios)
@@ -770,8 +773,7 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf):
 
     a_out, b_out = outcomes_by_scenario(a), outcomes_by_scenario(b)
     a_scen = canon_sorted(a.space.scenarios)
-    work = 0
-    cap = errors.WORK_CAP
+    work = Work("isomorphism search", "candidate bijections")
 
     def atom_map_ok(scen_map):
         mapped = {frozenset(scen_map[w] for w in atom) for atom in a.space.algebra_atoms}
@@ -813,11 +815,7 @@ def find_sdf_isomorphism(a: Sdf, b: Sdf):
                 ]
             )
         for combo in itertools.product(*per_scenario):
-            work += 1
-            if work > cap:
-                raise SizeCapError(
-                    f"isomorphism search exceeded {cap} candidate bijections"
-                )
+            work.spend()
             out_map = {}
             for part in combo:
                 out_map.update(part)

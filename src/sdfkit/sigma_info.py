@@ -11,10 +11,9 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from . import errors
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import cached_property, record
-from .errors import InputError, SizeCapError, StructureError
+from .errors import InputError, StructureError, Work
 from .order_core import set_partitions
 from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
 from .verdict import Verdict
@@ -203,16 +202,9 @@ def enumerate_eis(s: Sdf) -> tuple:
 
     Each candidate σ-algebra of a move's list (counted move by move, along
     the extension, as if every move built its own list) and each candidate
-    tried is one work unit; past `WORK_CAP` it raises `SizeCapError`.
+    tried spends one unit of the search's `Work` counter.
     """
-    work, cap = 0, errors.WORK_CAP
-
-    def count(units):
-        nonlocal work
-        work += units
-        if work > cap:
-            raise SizeCapError(f"EIS enumeration exceeded {cap} work units")
-
+    work = Work("EIS enumeration")
     # moves by canonical rank: above[i] ranks the moves above move i
     moves = s.sorted_moves
     if len(moves) > 1:
@@ -228,7 +220,7 @@ def enumerate_eis(s: Sdf) -> tuple:
         if domain not in lists:
             lists[domain] = (len(lists), sub_sigma_candidates(s.space, domain))
         dom[i], candidates[i] = lists[domain]
-        count(len(candidates[i]))
+        work.spend(len(candidates[i]))
 
     results = []
     pos = [0] * len(moves)  # pos[i]: the position of move i's placed candidate
@@ -237,7 +229,7 @@ def enumerate_eis(s: Sdf) -> tuple:
     traced: dict = {}
 
     def fits(i, j):
-        count(1)
+        work.spend()
         d, domain, sigma = dom[i], moves[i].domain, candidates[i][j]
         for o in above[i]:
             key = (dom[o], pos[o], d, j)

@@ -1166,10 +1166,10 @@ def _expect(cond: bool, message: str, path: str):
         raise ParseError(message, path=path)
 
 
-def _get(obj, key, kind, path, optional=False, default=None):
+def _get(obj, key, kind, path, optional=False):
     if key not in obj:
         _expect(optional, f"missing field {key!r}", path)
-        return default
+        return None
     value = obj[key]
     # JSON true/false parse to bools, which are ints too; no field takes one
     ok = isinstance(value, kind) and not isinstance(value, bool)
@@ -1226,6 +1226,30 @@ def _scenario_space(obj, path) -> ScenarioSpace:
     return space
 
 
+def _factorization(obj, actions, path):
+    factorization_src = _get(obj, "factorization", dict, path, optional=True)
+    if factorization_src is None:
+        return None
+    fpath = f"{path}.factorization"
+    factorization = {}
+    # as for scenarios in _parse_explicit: a key spelling a non-string
+    # action ("1" for 1) can never name it
+    keyless = {str(a): a for a in actions if type(a) is not str}
+    for action, table in factorization_src.items():
+        _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
+        _same_types(table.values(), {}, "component", fpath)
+        if action not in actions and action in keyless:
+            raise ParseError(
+                f"action {keyless[action]!r} is not a string, "
+                "and action names key JSON objects",
+                path=f"{path}.actions",
+            )
+        _expect(action in actions, f"unresolved action {action!r}", fpath)
+        for agent, comp in table.items():
+            factorization.setdefault(agent, {})[action] = comp
+    return factorization
+
+
 def _parse_action_path(obj) -> InstanceDoc:
     path = "$"
     space = _scenario_space(obj, path)
@@ -1239,26 +1263,7 @@ def _parse_action_path(obj) -> InstanceDoc:
     if generator is None:
         actions = _get(obj, "actions", list, path)
         _same_types(actions, {}, "action", f"{path}.actions")
-        factorization_src = _get(obj, "factorization", dict, path, optional=True)
-        factorization = None
-        if factorization_src is not None:
-            fpath = f"{path}.factorization"
-            factorization = {}
-            # as for scenarios in _parse_explicit: a key spelling a non-string
-            # action ("1" for 1) can never name it
-            keyless = {str(a): a for a in actions if type(a) is not str}
-            for action, table in factorization_src.items():
-                _expect(isinstance(table, dict), "factorization entry must be an object", fpath)
-                _same_types(table.values(), {}, "component", fpath)
-                if action not in actions and action in keyless:
-                    raise ParseError(
-                        f"action {keyless[action]!r} is not a string, "
-                        "and action names key JSON objects",
-                        path=f"{path}.actions",
-                    )
-                _expect(action in actions, f"unresolved action {action!r}", fpath)
-                for agent, comp in table.items():
-                    factorization.setdefault(agent, {})[action] = comp
+        factorization = _factorization(obj, actions, path)
         try:
             action_space = ActionSpace.of(actions, factorization)
             action_of = {a: a for a in action_space.actions}
@@ -1279,7 +1284,8 @@ def _parse_action_path(obj) -> InstanceDoc:
             if generator == "product":
                 actions = _get(obj, "actions", list, path)
                 _same_types(actions, {}, "action", f"{path}.actions")
-                po = product_outcomes(space, time_axis, actions)
+                factorization = _factorization(obj, actions, path)
+                po = product_outcomes(space, time_axis, actions, factorization)
             elif generator == "timing":
                 agents = _get(obj, "agents", list, path)
                 _same_types(agents, {}, "agent", f"{path}.agents")
@@ -1317,6 +1323,11 @@ def _parse_action_path(obj) -> InstanceDoc:
                 raise ParseError(f"unknown generator {generator!r}", path="$.generator")
         except KernelError as e:
             raise ParseError(str(e), path="$.generator") from None
+        _expect(
+            generator == "product" or "factorization" not in obj,
+            f"generator {generator!r} takes no factorization",
+            "$.factorization",
+        )
     doc = InstanceDoc("action-path", po=po)
     choices = obj.get("choices")
     if choices is not None:

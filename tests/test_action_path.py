@@ -713,12 +713,16 @@ class TestCheckApc3:
         assert result.generator == {frozenset("a"), frozenset("ac"), frozenset("ad")}
 
     def test_generator_search_past_its_cap_raises(self, monkeypatch):
+        # the search tries 159 families, the last of them the generator
         import sdfkit.errors
 
         aps, after_a = self._four_actions()
-        monkeypatch.setattr(sdfkit.errors, "WORK_CAP", 3)
-        with pytest.raises(SizeCapError, match="generator search exceeded 3 families"):
+        monkeypatch.setattr(sdfkit.errors, "WORK_CAP", 159)
+        assert check_apc3(aps, "1", after_a).verdict.ok
+        monkeypatch.setattr(sdfkit.errors, "WORK_CAP", 158)
+        with pytest.raises(SizeCapError) as exc:
             check_apc3(aps, "1", after_a)
+        assert str(exc.value) == "AP.C3 generator search exceeded 158 families"
 
 
 class TestMeasurabilityEquivalence:

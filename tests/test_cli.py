@@ -290,6 +290,38 @@ class TestParse:
         doc = parse_instance(json.dumps(obj))
         assert doc.named_choices == {"first": frozenset({(1.5, ("a", "b"))})}
 
+    def test_product_document_keeps_its_factorization(self):
+        obj = {
+            "kind": "action-path",
+            "scenarios": ["1"],
+            "time_points": ["0", "1"],
+            "generator": "product",
+            "actions": ["a", "b"],
+            "factorization": {"a": {"i": "a"}, "b": {"i": "b"}},
+        }
+        text = json.dumps(obj)
+        doc = parse_instance(text)
+        assert doc.po.space.agents == ("i",)
+        assert _parse_result(parse_instance, text) == _parse_result(oracle_parse_instance, text)
+        [record] = run(doc, ["apc"]).records
+        assert (record.status, record.message) == ("ok", "")
+
+    def test_a_factorization_beside_a_generator_that_fixes_its_own_is_rejected(self):
+        obj = {
+            "kind": "action-path",
+            "scenarios": ["1"],
+            "time_points": ["0", "1"],
+            "generator": "timing",
+            "agents": ["i"],
+            "factorization": {"a": {"i": "a"}},
+        }
+        text = json.dumps(obj)
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.path == "$.factorization"
+        assert "generator 'timing' takes no factorization" in str(exc.value)
+        assert _parse_result(parse_instance, text) == _parse_result(oracle_parse_instance, text)
+
     def test_array_action_in_paths_rejected(self):
         obj = {
             "kind": "action-path",

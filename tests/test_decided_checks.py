@@ -735,9 +735,10 @@ def test_split_partitions_each_group_by_component():
         groups = po.index.groups
         for agent in po.space.agents:
             projection = po.space._table(agent)[0]
+            identity = {a: a for a in po.space.actions}
             for k in range(len(po.time.points)):
                 for h in po.index.realized[k]:
-                    by_action = action_path._split(po.index.groups_of(h), k, None)
+                    by_action = action_path._split(po.index.groups_of(h), k, identity)
                     by_agent = action_path._agent_split(aps, agent, k, h)
                     assert [(w, group) for w, group, _ in by_agent] == [
                         (w, group) for w, group, _ in by_action

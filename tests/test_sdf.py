@@ -360,6 +360,18 @@ class TestTTreeAsDecisionTree:
             assert separation_witness(tree.poset) is None
 
 
+def _relabelled(s: Sdf, mapping: dict) -> Sdf:
+    """`s` with each outcome w renamed mapping[w]."""
+    nodes = [frozenset(mapping[v] for v in x) for x in s.forest.nodes]
+    forest = SetForest.of(frozenset(mapping.values()), nodes)
+    projection = {frozenset(mapping[v] for v in x): scen for x, scen in s.projection}
+    moves = [
+        RandomMove.of({w: frozenset(mapping[v] for v in node) for w, node in m.items()})
+        for m in s.random_moves
+    ]
+    return Sdf.of(forest, s.space, projection, moves)
+
+
 class TestIsomorphism:
     def test_self(self, simple):
         assert find_sdf_isomorphism(simple, simple) is not None
@@ -369,22 +381,22 @@ class TestIsomorphism:
 
     def test_relabelled(self, simple):
         mapping = {w: ("w", *w) for w in simple.forest.universe}
-        nodes = [frozenset(mapping[v] for v in x) for x in simple.forest.nodes]
-        forest = SetForest.of(frozenset(mapping.values()), nodes)
-        projection = {
-            frozenset(mapping[v] for v in x): scen for x, scen in simple.projection
-        }
-        moves = [
-            RandomMove.of(
-                {w: frozenset(mapping[v] for v in node) for w, node in m.items()}
-            )
-            for m in simple.random_moves
-        ]
-        other = Sdf.of(forest, simple.space, projection, moves)
-        found = find_sdf_isomorphism(simple, other)
+        found = find_sdf_isomorphism(simple, _relabelled(simple, mapping))
         assert found is not None
         scen_map, out_map = found
         assert out_map == mapping and scen_map == {1: 1, 2: 2}
+
+    def test_search_past_its_cap_raises(self, simple, monkeypatch):
+        # scenario 1's outcomes permuted so that the search tries 113
+        # candidate bijections, the last of them the first isomorphism
+        cycle = {(1, 1, 1): (1, 1, 2), (1, 1, 2): (1, 2, 1), (1, 2, 1): (1, 1, 1)}
+        other = _relabelled(simple, {w: cycle.get(w, w) for w in simple.forest.universe})
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 113)
+        assert find_sdf_isomorphism(simple, other) is not None
+        monkeypatch.setattr("sdfkit.errors.WORK_CAP", 112)
+        with pytest.raises(SizeCapError) as exc:
+            find_sdf_isomorphism(simple, other)
+        assert str(exc.value) == "isomorphism search exceeded 112 candidate bijections"
 
 
 class TestGeX:

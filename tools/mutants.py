@@ -2,6 +2,7 @@
 
     python3 tools/mutants.py
     python3 tools/mutants.py --only NAME [NAME ...]
+    python3 tools/mutants.py --each [--only NAME ...]
 
 Each row of `MUTANTS` names a file under `src/`, an exact text that occurs
 exactly once in it, the text that replaces it, and the pytest node ids that
@@ -11,6 +12,11 @@ the check if they kill it. For each mutant the script copies `src/`,
 `tests/` and `pyproject.toml` into a fresh temporary directory, applies the
 replacement there, and runs only the named tests in that copy. The checkout
 itself is never written. A mutant whose tests all pass survives.
+
+With `--each`, each named test runs alone on the mutant, and a row reads
+`killed` only when every one of them fails alone; otherwise it names the
+tests that pass alone. A test that cannot kill its mutant then shows, where
+one `pytest -x` call over all of them reads `killed` as soon as one fails.
 
 With `--only NAME ...`, only the rows with those names are tried; an
 unknown name exits 2. The tests the tried rows name are first run once on
@@ -37,24 +43,54 @@ TIMEOUT_S = 600
 # (name, file under src/, exact old text, new text, tests expected to fail)
 MUTANTS = [
     (
-        "chain-cap-off-by-one",
-        "sdfkit/order_core.py",
-        "        if work > cap:\n            raise SizeCapError(\n"
-        '                f"maximal-chain enumeration',
-        "        if work >= cap:\n            raise SizeCapError(\n"
-        '                f"maximal-chain enumeration',
-        ["tests/test_decided_checks.py::TestOrderCore::test_chain_cap_does_not_depend_on_order"],
+        "work-cap-off-by-one",
+        "sdfkit/errors.py",
+        "        if self.used > self.cap:",
+        "        if self.used >= self.cap:",
+        [
+            "tests/test_decided_checks.py::TestOrderCore::test_chain_cap_does_not_depend_on_order",
+            "tests/test_order_core.py::TestSetPartitions::test_fits_and_work_cap",
+            "tests/test_sdf.py::TestVerifySdf::test_3e_work_cap_and_visit_order",
+            "tests/test_sigma_info.py::TestEnumerateEis::test_cap",
+            "tests/test_action_path.py::TestCheckApc3::test_generator_search_past_its_cap_raises",
+            "tests/test_sdf.py::TestIsomorphism::test_search_past_its_cap_raises",
+        ],
     ),
     (
-        "partition-cap-dropped",
+        "work-cap-read-at-import",
+        "sdfkit/errors.py",
+        '    def __init__(self, search: str, unit: str = "work units"):\n'
+        "        self.search, self.unit, self.used, self.cap = search, unit, 0, WORK_CAP\n",
+        '    def __init__(self, search: str, unit: str = "work units", cap: int = WORK_CAP):\n'
+        "        self.search, self.unit, self.used, self.cap = search, unit, 0, cap\n",
+        [
+            "tests/test_decided_checks.py::TestOrderCore::test_chain_cap_does_not_depend_on_order",
+            "tests/test_order_core.py::TestSetPartitions::test_fits_and_work_cap",
+            "tests/test_sdf.py::TestVerifySdf::test_3e_work_cap_and_visit_order",
+            "tests/test_sigma_info.py::TestEnumerateEis::test_cap",
+            "tests/test_action_path.py::TestCheckApc3::test_generator_search_past_its_cap_raises",
+            "tests/test_sdf.py::TestIsomorphism::test_search_past_its_cap_raises",
+        ],
+    ),
+    (
+        "chain-spend-dropped",
         "sdfkit/order_core.py",
-        "        if work > cap:\n            raise SizeCapError(\n"
-        '                f"{label} partition',
-        "        if False:\n            raise SizeCapError(\n"
-        '                f"{label} partition',
+        "        work.spend()\n        below = cover_cache[x]",
+        "        below = cover_cache[x]",
+        [
+            "tests/test_decided_checks.py::TestOrderCore::test_chain_cap_does_not_depend_on_order",
+            "tests/test_order_core.py::TestMaximalChains::test_size_cap",
+        ],
+    ),
+    (
+        "partition-spend-dropped",
+        "sdfkit/order_core.py",
+        "        work.spend()\n        if len(at) == len(items):",
+        "        if len(at) == len(items):",
         [
             "tests/test_order_core.py::TestSetPartitions::test_fits_and_work_cap",
             "tests/test_sdf.py::TestVerifySdf::test_3e_work_cap_and_visit_order",
+            "tests/test_sigma_info.py::TestEnumerateEis::test_candidate_list_cap_names_its_search",
         ],
     ),
     (
@@ -68,10 +104,10 @@ MUTANTS = [
         ],
     ),
     (
-        "eis-cap-dropped",
+        "eis-spend-dropped",
         "sdfkit/sigma_info.py",
-        "        if work > cap:",
-        "        if False:",
+        "    def fits(i, j):\n        work.spend()\n",
+        "    def fits(i, j):\n",
         [
             "tests/test_sigma_info.py::TestEnumerateEis::test_cap",
             "tests/test_cli.py::TestRun::test_eis_search_counts_against_the_work_cap",
@@ -80,8 +116,8 @@ MUTANTS = [
     (
         "eis-lists-counted-after-all-are-built",
         "sdfkit/sigma_info.py",
-        "        count(len(candidates[i]))\n",
-        "    count(sum(len(candidates[i]) for i in order))\n",
+        "        work.spend(len(candidates[i]))\n",
+        "    work.spend(sum(len(candidates[i]) for i in order))\n",
         ["tests/test_sigma_info.py::TestEnumerateEis::test_cap_builds_at_most_one_list_past_it"],
     ),
     (
@@ -109,14 +145,21 @@ MUTANTS = [
         ["tests/test_decided_checks.py::TestSdfChecks::test_x_above_and_ttree_match_the_pairwise_forms"],
     ),
     (
-        "generator-cap-literal",
+        "generator-spend-dropped",
         "sdfkit/action_path.py",
-        "            if tried > cap:",
-        "            if tried > 2 ** 16:",
+        "            work.spend()\n            family = frozenset(family)",
+        "            family = frozenset(family)",
         [
             "tests/test_action_path.py::TestCheckApc3::test_generator_search_past_its_cap_raises",
             "tests/test_cli.py::TestThm411::test_cap_error_is_reported_not_skipped",
         ],
+    ),
+    (
+        "isomorphism-spend-dropped",
+        "sdfkit/sdf.py",
+        "            work.spend()\n            out_map = {}",
+        "            out_map = {}",
+        ["tests/test_sdf.py::TestIsomorphism::test_search_past_its_cap_raises"],
     ),
     (
         "price-key-ambiguity-unchecked",
@@ -476,7 +519,7 @@ MUTANTS = [
         "agent-split-ignores-the-projection",
         "sdfkit/action_path.py",
         "_split(aps.po.index.groups_of(h), k, projection)",
-        "_split(aps.po.index.groups_of(h), k, None)",
+        "_split(aps.po.index.groups_of(h), k, {a: a for a in aps.po.space.actions})",
         [
             "tests/test_decided_checks.py::TestAgentPieces::test_matches_full_window_choices",
             "tests/test_decided_checks.py::TestAgentChoiceTable::test_matches_the_literal_agent_choice",
@@ -525,7 +568,7 @@ def _tests_pass(copy: Path, tests: list) -> bool | None:
     return done.returncode == 0
 
 
-def run_mutant(name, path, old, new, tests) -> str:
+def run_mutant(name, path, old, new, tests, each=False) -> str:
     with tempfile.TemporaryDirectory(prefix="sdfkit-mutant-") as tmp:
         copy = Path(tmp)
         _copy(copy)
@@ -534,8 +577,13 @@ def run_mutant(name, path, old, new, tests) -> str:
         if text.count(old) != 1:
             return f"text found {text.count(old)} times"
         target.write_text(text.replace(old, new), encoding="utf-8")
-        passed = _tests_pass(copy, tests)
-    return {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[passed]
+        if not each:
+            passed = _tests_pass(copy, tests)
+            return {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[passed]
+        survivors = [t for t in tests if _tests_pass(copy, [t])]
+    if len(survivors) == len(tests):
+        return "SURVIVED"
+    return f"not killed alone by {', '.join(survivors)}" if survivors else "killed"
 
 
 def main(argv=None) -> int:
@@ -543,7 +591,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only", nargs="+", action="extend", metavar="NAME", help="run only these mutants"
     )
-    only = parser.parse_args(argv).only
+    parser.add_argument(
+        "--each", action="store_true", help="run each named test alone on each mutant"
+    )
+    args = parser.parse_args(argv)
+    only = args.only
     mutants = MUTANTS
     if only:
         unknown = set(only) - {m[0] for m in MUTANTS}
@@ -566,7 +618,7 @@ def main(argv=None) -> int:
     status = 0
     for mutant in mutants:
         equivalent = mutant[0] in EQUIVALENT
-        outcome = run_mutant(*mutant) + (" (equivalent)" if equivalent else "")
+        outcome = run_mutant(*mutant, each=args.each) + (" (equivalent)" if equivalent else "")
         print(f"{mutant[0]}: {outcome}", flush=True)
         if not outcome.startswith("SURVIVED" if equivalent else "killed"):
             status = 1
