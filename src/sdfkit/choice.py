@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 
 from ._canon import canon_key, canon_sorted, fmt
-from ._record import cached_property, record
+from ._record import record
 from .errors import InputError
 from .sdf import (
+    PerMove,
     RandomMove,
     Sdf,
     nodes_of_event,
@@ -59,33 +60,11 @@ class Choice:
         return fmt(self.outcomes)
 
 
-@record(frozen=True)
-class Rcs:
+class Rcs(PerMove):
     """Reference choice structure: a set of choices per random move."""
 
-    entries: tuple  # ((RandomMove, frozenset[Choice]), ...)
-
-    @classmethod
-    def of(cls, per_move) -> "Rcs":
-        items = sorted(per_move.items(), key=lambda kv: canon_key(kv[0]))
-        return cls(tuple((m, frozenset(cs)) for m, cs in items))
-
-    @cached_property
-    def _by_move(self) -> dict:
-        """move ↦ its choices; reversed, so a repeated move keeps its first."""
-        return dict(reversed(self.entries))
-
-    def for_move(self, move: RandomMove) -> frozenset:
-        try:
-            return self._by_move[move]
-        except (KeyError, TypeError):
-            raise InputError(f"no reference choices for {move.fmt()}") from None
-
-    def moves(self) -> frozenset:
-        return frozenset(m for m, _ in self.entries)
-
-    def canon_key(self):
-        return ("rcs", canon_key(self.entries))
+    _tag, _miss = "rcs", "no reference choices for"
+    _value = frozenset
 
 
 def down_set(s: Sdf, outcomes) -> frozenset:

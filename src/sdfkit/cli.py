@@ -286,7 +286,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
         _expect(len(per_move) == len(moves), "eis must cover every random move", "$.eis")
         doc.doc_eis = Eis.of(per_move)
     rcs_src = obj.get("rcs")
-    if rcs_src is not None and doc.sdf is not None:
+    if rcs_src is not None:
         _expect(isinstance(rcs_src, list), "rcs must be an array", "$.rcs")
         per_move, seen = {m: frozenset() for m in moves}, set()
         for i, entry in enumerate(rcs_src):

@@ -222,6 +222,40 @@ class RandomMove:
 
 
 @record(frozen=True)
+class PerMove:
+    """One value per random move. `Eis`, `Rcs` and `ObservationFamily` are
+    its undecorated subclasses: each sets its canonical-key tag and the text
+    and code of a `for_move` miss, and may set how `of` normalises a value."""
+
+    entries: tuple  # ((RandomMove, value), ...) canonical by move
+
+    _tag, _miss, _code = "per-move", "no value for move", "input-error"
+    _value = staticmethod(lambda value: value)
+
+    @classmethod
+    def of(cls, per_move):
+        items = sorted(per_move.items(), key=lambda kv: canon_key(kv[0]))
+        return cls(tuple((m, cls._value(value)) for m, value in items))
+
+    def moves(self) -> frozenset:
+        return frozenset(m for m, _ in self.entries)
+
+    @cached_property
+    def _by_move(self) -> dict:
+        """move ↦ its value; reversed, so a repeated move keeps its first."""
+        return dict(reversed(self.entries))
+
+    def for_move(self, move: RandomMove):
+        try:
+            return self._by_move[move]
+        except (KeyError, TypeError):
+            raise InputError(f"{self._miss} {move.fmt()}", code=self._code) from None
+
+    def canon_key(self):
+        return (self._tag, canon_key(self.entries))
+
+
+@record(frozen=True)
 class Sdf:
     forest: SetForest
     space: ScenarioSpace

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from . import order_core
-from ._canon import canon_key, fmt
+from ._canon import canon_key, canon_sorted, fmt
 from ._record import cached_property, record
 from .errors import InputError, StructureError
 from .order_core import Poset
@@ -27,24 +27,32 @@ class SetForest:
     @classmethod
     def of(cls, universe, nodes) -> "SetForest":
         """Validate and build; `nodes` is an iterable of outcome-subsets."""
+        # Decided on sets; a fault is named at the canonically first faulty
+        # node, so the name does not depend on the order `nodes` is given in.
         universe = frozenset(universe)
         node_list = [frozenset(n) for n in nodes]
-        seen = set()
-        for n in node_list:
-            if n in seen:
-                raise InputError(
-                    f"duplicate node: {fmt(n)}", witness=n, code="duplicate-node"
-                )
-            seen.add(n)
-            if not n:
-                raise StructureError("empty node", witness=n)
-            if not n <= universe:
-                raise StructureError(
-                    f"node {fmt(n)} not a subset of the universe", witness=n
-                )
+        node_set = frozenset(node_list)
+        if (
+            len(node_set) != len(node_list)
+            or frozenset() in node_set
+            or not all(map(universe.issuperset, node_set))
+        ):
+            seen = set()
+            for n in canon_sorted(node_list):
+                if n in seen:
+                    raise InputError(
+                        f"duplicate node: {fmt(n)}", witness=n, code="duplicate-node"
+                    )
+                seen.add(n)
+                if not n:
+                    raise StructureError("empty node", witness=n)
+                if not n <= universe:
+                    raise StructureError(
+                        f"node {fmt(n)} not a subset of the universe", witness=n
+                    )
         if not universe:
             raise StructureError("universe must be nonempty")
-        return cls(universe, frozenset(node_list))
+        return cls(universe, node_set)
 
     def canon_key(self):
         return ("set-forest", canon_key(self.universe), canon_key(self.nodes))

@@ -12,42 +12,17 @@ import heapq
 import itertools
 
 from ._canon import canon_key, canon_sorted, fmt
-from ._record import cached_property, record
+from ._record import record
 from .errors import InputError, StructureError, Work
 from .order_core import set_partitions
-from .sdf import RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
+from .sdf import PerMove, RandomMove, ScenarioSpace, Sdf, SubSigma, ge_x
 from .verdict import Verdict
 
 
-@record(frozen=True)
-class Eis:
+class Eis(PerMove):
     """Exogenous information structure: one SubSigma per random move."""
 
-    entries: tuple  # ((RandomMove, SubSigma), ...) canonical by move
-
-    @classmethod
-    def of(cls, per_move) -> "Eis":
-        items = sorted(per_move.items(), key=lambda kv: canon_key(kv[0]))
-        return cls(tuple(items))
-
-    def moves(self) -> frozenset:
-        return frozenset(m for m, _ in self.entries)
-
-    @cached_property
-    def _by_move(self) -> dict:
-        """move ↦ its algebra; reversed, so a repeated move keeps its first."""
-        return dict(reversed(self.entries))
-
-    def for_move(self, move: RandomMove) -> SubSigma:
-        try:
-            return self._by_move[move]
-        except (KeyError, TypeError):
-            raise InputError(
-                f"no algebra for move {move.fmt()}", code="carrier-mismatch"
-            ) from None
-
-    def canon_key(self):
-        return ("eis", canon_key(self.entries))
+    _tag, _miss, _code = "eis", "no algebra for move", "carrier-mismatch"
 
 
 @record(frozen=True)
@@ -83,27 +58,17 @@ class Filtration:
         raise InputError(f"time {t} not in the filtration", code="time-index-mismatch")
 
 
-@record(frozen=True)
-class ObservationFamily:
+class ObservationFamily(PerMove):
     """Finite-valued observables, one per random move, total on Ω."""
 
-    entries: tuple  # ((RandomMove, ((scenario, value), ...)), ...)
+    _tag, _miss = "observations", "no observable for move"
 
-    @classmethod
-    def of(cls, per_move) -> "ObservationFamily":
-        items = []
-        for move, obs in sorted(per_move.items(), key=lambda kv: canon_key(kv[0])):
-            obs_items = tuple(
-                sorted(obs.items(), key=lambda kv: canon_key(kv[0]))
-            )
-            items.append((move, obs_items))
-        return cls(tuple(items))
+    @staticmethod
+    def _value(obs: dict) -> tuple:
+        return tuple(sorted(obs.items(), key=lambda kv: canon_key(kv[0])))
 
     def for_move(self, move: RandomMove) -> dict:
-        for m, obs in self.entries:
-            if m == move:
-                return dict(obs)
-        raise InputError(f"no observable for move {move.fmt()}")
+        return dict(super().for_move(move))
 
 
 def level_set_partition(space: ScenarioSpace, observable: dict) -> SubSigma:

@@ -40,8 +40,8 @@ from sdfkit._canon import canon_sorted
 from sdfkit.choice import Choice, classify, down_set, predecessors, verify_rcs
 from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
-from sdfkit.sdf import ScenarioSpace, find_sdf_isomorphism, verify_sdf
-from sdfkit.sigma_info import enumerate_eis
+from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma, find_sdf_isomorphism, verify_sdf
+from sdfkit.sigma_info import Eis, enumerate_eis
 
 from tests_helpers import outcome
 
@@ -917,6 +917,35 @@ def _partial_maps_against_oracle(aps) -> Counter:
                                 lambda: check_measurable_iff_adapted(aps, agent, e, t, hist, g),
                             )
     return tally
+
+
+class TestMeasurabilityCaseTexts:
+    """`report`'s two failure texts. No case that construction builds reaches
+    them (Theorem 4.11), so the case's per-move table is set by hand."""
+
+    MOVE = RandomMove.of({"L": frozenset("ab"), "R": frozenset("yz")})
+
+    def _report(self, levels, events, apc3):
+        case = MeasurabilityCase.__new__(MeasurabilityCase)
+        case.moves = [(self.MOVE, levels, events, apc3)]
+        case._available, case._reports = (self.MOVE,), {}
+        return case.report(Eis.of({self.MOVE: SubSigma.trivial(self.MOVE.domain)}))
+
+    def test_measurable_but_not_adapted_fails_forward(self):
+        report = self._report([frozenset("LR")], [frozenset("L")], apc3=False)
+        assert report.backward.ok and not report.ok
+        assert (report.forward.code, report.forward.witness) == (
+            "forward-implication",
+            "g measurable at {L↦{a, b}, R↦{y, z}} but the choice is not adapted there",
+        )
+
+    def test_adapted_with_apc3_but_not_measurable_fails_backward(self):
+        report = self._report([frozenset("L"), frozenset("R")], [], apc3=True)
+        assert report.forward.ok and not report.ok
+        assert (report.backward.code, report.backward.witness) == (
+            "backward-implication",
+            "choice adapted at {L↦{a, b}, R↦{y, z}} with AP.C3, but g not measurable",
+        )
 
 
 class TestMeasurabilitySweep:

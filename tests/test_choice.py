@@ -16,17 +16,24 @@ from sdfkit.choice import (
     verify_rcs,
 )
 from sdfkit.errors import InputError
-from sdfkit.sdf import outcomes_of_event
+from sdfkit.sdf import ScenarioSpace, Sdf, outcomes_of_event
+from sdfkit.set_forest import SetForest
 from sdfkit.sigma_info import enumerate_eis
 
 from conftest import brute_adapted_at_move, brute_verify_rcs
-from tests_helpers import MAPS, lone_terminal_instance, simple_eis_list
+from tests_helpers import MAPS, explicit_doc, lone_terminal_instance, simple_eis_list
 
 C = examples.simple_choice_outcomes
 CV = examples.variant_choice_outcomes
 
 
 class TestChoiceValidation:
+    def test_outside_the_universe_rejected(self):
+        s = explicit_doc().sdf
+        with pytest.raises(InputError) as exc:
+            Choice.of(s, {"a", "q"})
+        assert (str(exc.value), exc.value.code) == ("outcomes {q} outside the universe", "not-a-choice")
+
     def test_empty_rejected(self, simple):
         with pytest.raises(InputError) as exc:
             Choice.of(simple, frozenset())
@@ -111,6 +118,17 @@ class TestRestrictCheck:
                     rhs = C(first=k, second=m) & outcomes_of_event(simple, event)
                     assert lhs == rhs
                     assert restrict_check(simple, C(first=k, second=m), event).ok
+
+    def test_fails_on_a_projection_that_splits_a_tree(self):
+        # {a, b} and {a} project to 0 but {b} to 1, so W_1 = {b, c}: the
+        # restriction {b} of c = {a, b} has the predecessor {a, b}, c has none
+        forest = SetForest.of("abc", ["ab", "a", "b", "c"])
+        projection = {frozenset("ab"): 0, frozenset("a"): 0, frozenset("b"): 1, frozenset("c"): 1}
+        s = Sdf.of(forest, ScenarioSpace.discrete([0, 1]), projection, [])
+        v = restrict_check(s, frozenset("ab"), {1})
+        assert (v.ok, v.code, v.witness, v.notes) == (
+            False, "restriction-identity", "P(c ∩ W_A) = {{a, b}} but P(c) ∩ F_A = {}", ()
+        )
 
     def test_non_event_rejected(self):
         from sdfkit.sdf import ScenarioSpace, Sdf
@@ -201,6 +219,25 @@ class TestVerifyRcs:
         )
         v = verify_rcs(simple, swapped)
         assert not v.ok and v.code == "rcs-unavailable"
+
+    def test_incomplete_choice_fails(self):
+        # {a} has the predecessor {a, b} = x(L) but not x(R)
+        doc = explicit_doc()
+        s, (move,) = doc.sdf, doc.sdf.sorted_moves
+        v = verify_rcs(s, Rcs.of({move: doc.doc_rcs.for_move(move) | {Choice.of(s, {"a"})}}))
+        assert (v.ok, v.code, v.witness) == (
+            False,
+            "rcs-incomplete",
+            "choice {a} at {L↦{a, b}, R↦{y, z}} is incomplete (move {L↦{a, b}, R↦{y, z}})",
+        )
+
+    def test_rejects_a_structure_off_the_random_moves(self):
+        with pytest.raises(InputError) as exc:
+            verify_rcs(explicit_doc().sdf, Rcs.of({}))
+        assert (str(exc.value), exc.value.code) == (
+            "reference choice structure does not index exactly the random moves",
+            "input-error",
+        )
 
 
 class TestIsAdapted:

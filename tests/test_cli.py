@@ -123,6 +123,8 @@ MULTI_FAULT_CALLS = [
     "Sdf.of(SetForest.of('ab', ['a', 'b']), ScenarioSpace.discrete('L'), "
     "{frozenset(o): 'L' for o in 'ab'}, [RandomMove.of({w: frozenset('a')}) for w in 'PQR'])",
     "level_set_partition(ScenarioSpace.of('abcd', ['ab', 'cd']), dict(zip('abcd', range(4))))",
+    "SetForest.of('ab', {frozenset('az'), frozenset('by'), frozenset('q')})",
+    "SetForest.of('ab', {frozenset('q'), frozenset(), frozenset('b')})",
 ]
 
 
@@ -1519,6 +1521,8 @@ class TestReports:
             "InputError projection targets unknown scenario 'A'",
             "InputError random move uses unknown scenario 'P'",
             "InputError observable level set {a} is not an event",
+            "StructureError node {a, z} not a subset of the universe",
+            "StructureError empty node",
         ]
 
     def test_text_report_has_timings(self):

@@ -30,7 +30,7 @@ from sdfkit import _record, cli, examples
 from sdfkit.action_path import ActionPathSdf, agent_choice, build_action_path_sdf
 from sdfkit.cli import InstanceDoc
 from sdfkit.errors import StructureError
-from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma
+from sdfkit.sdf import PerMove, RandomMove, ScenarioSpace, SubSigma
 from sdfkit.sigma_info import ObservationFamily, chain_filtration, enumerate_eis
 from sdfkit.verdict import Verdict
 
@@ -125,6 +125,7 @@ def samples() -> dict:
             cli.report_to_text(report, doc)
         for s in list(found[sdfkit.Sdf]):
             ObservationFamily.of({m: {w: 0 for w in m.domain} for m in s.sorted_moves})
+            PerMove.of(dict.fromkeys(s.sorted_moves, 0))  # the base builds none itself
             for e in enumerate_eis(s)[:3]:
                 for m in s.sorted_moves:
                     chain_filtration(s, e, [m])

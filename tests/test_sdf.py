@@ -399,6 +399,28 @@ class TestIsomorphism:
         assert str(exc.value) == "isomorphism search exceeded 112 candidate bijections"
 
 
+class TestSdfOfFaults:
+    """Each shape fault `Sdf.of` names, on the one-scenario tree {a, b}."""
+
+    AB, A, B = frozenset("ab"), frozenset("a"), frozenset("b")
+
+    @pytest.mark.parametrize(
+        "projection, move, message",
+        [
+            ({AB: 0, A: 0}, {0: AB}, "projection missing node {b}"),
+            ({AB: 0, A: 0, B: 0, frozenset("q"): 0}, {0: AB}, "projection maps unknown node {q}"),
+            ({AB: 0, A: 0, B: 9}, {0: AB}, "projection targets unknown scenario 9"),
+            ({AB: 0, A: 0, B: 0}, {7: AB}, "random move uses unknown scenario 7"),
+            ({AB: 0, A: 0, B: 0}, {0: frozenset("q")}, "random move assigns unknown node {q}"),
+        ],
+    )
+    def test_names_the_fault(self, projection, move, message):
+        forest = SetForest.of("ab", [self.AB, self.A, self.B])
+        with pytest.raises(InputError) as exc:
+            Sdf.of(forest, ScenarioSpace.discrete([0]), projection, [RandomMove.of(move)])
+        assert (str(exc.value), exc.value.code) == (message, "input-error")
+
+
 class TestGeX:
     def test_restriction_is_below(self, variant_moves):
         x1 = variant_moves["x1"]

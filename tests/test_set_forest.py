@@ -40,6 +40,27 @@ class TestInducedPoset:
             sf("ab", [{"a"}, {"a"}])
         assert exc.value.code == "duplicate-node"
 
+    @pytest.mark.parametrize(
+        "nodes, error, message, code, witness",
+        [
+            (["b", "a", "ab", "a"], InputError, "duplicate node: {a}", "duplicate-node", "a"),
+            (["ab", "", "a"], StructureError, "empty node", "structure-error", ""),
+            (["ab", "aq"], StructureError, "node {a, q} not a subset of the universe",
+             "structure-error", "aq"),
+            # several faults, in either order: the canonically first faulty node is named
+            (["bq", "b", "", "b"], StructureError, "empty node", "structure-error", ""),
+            (["bq", "b", "b"], InputError, "duplicate node: {b}", "duplicate-node", "b"),
+            (["bq", "b", "az", "b"], StructureError, "node {a, z} not a subset of the universe",
+             "structure-error", "az"),
+        ],
+    )
+    def test_names_the_canonically_first_fault(self, nodes, error, message, code, witness):
+        for order in (nodes, nodes[::-1]):
+            with pytest.raises(error) as exc:
+                sf("ab", order)
+            assert (str(exc.value), exc.value.code) == (message, code)
+            assert exc.value.witness == frozenset(witness)
+
 
 class TestVerifyOwnRepresentation:
     def test_missing_terminals(self):

@@ -36,7 +36,14 @@ from sdfkit.action_path import (
 )
 from sdfkit.errors import KernelError
 from conftest import brute_enumerate_eis, brute_trace_failure, scan_enumerate_eis
-from tests_helpers import fresh_copy, outcome, recursion_headroom, simple_eis_list, variant_eis_list
+from tests_helpers import (
+    explicit_doc,
+    fresh_copy,
+    outcome,
+    recursion_headroom,
+    simple_eis_list,
+    variant_eis_list,
+)
 
 
 def partitions_strategy(n):
@@ -97,6 +104,24 @@ class TestSubSigma:
         )
         expected = brute_trace_failure(sigma, domain, other)
         assert sigma.trace_failure(domain, other) == expected
+
+
+class TestMisses:
+    def test_observation_family_names_a_move_without_an_observable(self):
+        (move,) = explicit_doc().sdf.sorted_moves
+        y = ObservationFamily.of({move: {"R": 1, "L": 0}})
+        assert y.for_move(move) == {"L": 0, "R": 1}
+        with pytest.raises(InputError) as exc:
+            y.for_move(RandomMove.of({"L": frozenset("a")}))
+        assert (str(exc.value), exc.value.code) == ("no observable for move {L↦{a}}", "input-error")
+
+    def test_verify_eis_rejects_a_structure_off_the_random_moves(self):
+        with pytest.raises(InputError) as exc:
+            verify_eis(explicit_doc().sdf, Eis.of({}))
+        assert (str(exc.value), exc.value.code) == (
+            "information structure does not index exactly the random moves",
+            "carrier-mismatch",
+        )
 
 
 class TestVerifyEis:

@@ -12,6 +12,7 @@ import sys
 
 from sdfkit import gen
 from sdfkit._canon import canon_sorted
+from sdfkit.cli import parse_instance
 from sdfkit.errors import KernelError
 from sdfkit.examples import (
     KM,
@@ -39,6 +40,12 @@ EXPLICIT_DOC = json.dumps(
         "rcs": [{"move": 0, "choices": [["a", "z"], ["b", "y"]]}],
     }
 )
+
+
+def explicit_doc():
+    """`EXPLICIT_DOC` parsed: its instance has one move {L↦{a, b}, R↦{y, z}},
+    with the reference choices {a, z} and {b, y}."""
+    return parse_instance(EXPLICIT_DOC)
 
 
 def one_scenario_instance() -> Sdf:

@@ -2,7 +2,6 @@
 
     python3 tools/mutants.py
     python3 tools/mutants.py --only NAME [NAME ...]
-    python3 tools/mutants.py --each [--only NAME ...]
 
 Each row of `MUTANTS` names a file under `src/`, an exact text that occurs
 exactly once in it, the text that replaces it, and the pytest node ids that
@@ -10,13 +9,11 @@ must fail once it is replaced. A mutant named in `EQUIVALENT` changes no
 behaviour, so its tests must pass: it is expected to survive, and it fails
 the check if they kill it. For each mutant the script copies `src/`,
 `tests/` and `pyproject.toml` into a fresh temporary directory, applies the
-replacement there, and runs only the named tests in that copy. The checkout
-itself is never written. A mutant whose tests all pass survives.
-
-With `--each`, each named test runs alone on the mutant, and a row reads
-`killed` only when every one of them fails alone; otherwise it names the
-tests that pass alone. A test that cannot kill its mutant then shows, where
-one `pytest -x` call over all of them reads `killed` as soon as one fails.
+replacement there, and runs each named test alone in that copy. The
+checkout itself is never written. A mutant whose tests all pass survives.
+A row reads `killed` only when every one of its tests fails alone;
+otherwise it names the tests that pass alone, so a test that cannot kill
+its mutant shows even when another test of the row kills it.
 
 With `--only NAME ...`, only the rows with those names are tried; an
 unknown name exits 2. The tests the tried rows name are first run once on
@@ -358,10 +355,22 @@ MUTANTS = [
     ),
     (
         "eis-map-returns-the-first-entry",
-        "sdfkit/sigma_info.py",
+        "sdfkit/sdf.py",
         "            return self._by_move[move]",
         "            return self.entries[0][1]",
         ["tests/test_tables.py::test_eis_for_move_matches_the_scan"],
+    ),
+    (
+        "per-move-miss-text-of-the-base",
+        "sdfkit/sdf.py",
+        'raise InputError(f"{self._miss} {move.fmt()}", code=self._code)',
+        'raise InputError(f"{PerMove._miss} {move.fmt()}", code=self._code)',
+        [
+            "tests/test_sigma_info.py::TestMisses::"
+            "test_observation_family_names_a_move_without_an_observable",
+            "tests/test_tables.py::test_eis_for_move_matches_the_scan",
+            "tests/test_tables.py::test_rcs_for_move_matches_the_scan",
+        ],
     ),
     (
         "kept-move-key-drops-its-tag",
@@ -403,11 +412,7 @@ MUTANTS = [
         "sdfkit/sdf.py",
         "                holders.setdefault((w, out), []).append((m, w))",
         "                holders.setdefault(out, []).append((m, w))",
-        [
-            "tests/test_decided_checks.py::TestSdfChecks::test_matches_canonical_loops",
-            "tests/test_decided_checks.py::TestSdfChecks::"
-            "test_evaluation_bijection_reads_each_terminal_at_its_scenario",
-        ],
+        ["tests/test_decided_checks.py::TestSdfChecks::test_matches_canonical_loops"],
     ),
     (
         "cached-property-does-not-store",
@@ -568,7 +573,7 @@ def _tests_pass(copy: Path, tests: list) -> bool | None:
     return done.returncode == 0
 
 
-def run_mutant(name, path, old, new, tests, each=False) -> str:
+def run_mutant(name, path, old, new, tests) -> str:
     with tempfile.TemporaryDirectory(prefix="sdfkit-mutant-") as tmp:
         copy = Path(tmp)
         _copy(copy)
@@ -577,9 +582,6 @@ def run_mutant(name, path, old, new, tests, each=False) -> str:
         if text.count(old) != 1:
             return f"text found {text.count(old)} times"
         target.write_text(text.replace(old, new), encoding="utf-8")
-        if not each:
-            passed = _tests_pass(copy, tests)
-            return {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[passed]
         survivors = [t for t in tests if _tests_pass(copy, [t])]
     if len(survivors) == len(tests):
         return "SURVIVED"
@@ -590,9 +592,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the mutation check.")
     parser.add_argument(
         "--only", nargs="+", action="extend", metavar="NAME", help="run only these mutants"
-    )
-    parser.add_argument(
-        "--each", action="store_true", help="run each named test alone on each mutant"
     )
     args = parser.parse_args(argv)
     only = args.only
@@ -618,7 +617,7 @@ def main(argv=None) -> int:
     status = 0
     for mutant in mutants:
         equivalent = mutant[0] in EQUIVALENT
-        outcome = run_mutant(*mutant, each=args.each) + (" (equivalent)" if equivalent else "")
+        outcome = run_mutant(*mutant) + (" (equivalent)" if equivalent else "")
         print(f"{mutant[0]}: {outcome}", flush=True)
         if not outcome.startswith("SURVIVED" if equivalent else "killed"):
             status = 1
