@@ -20,7 +20,7 @@ from . import choice as choice_mod
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import cached_property, record
 from .errors import InputError, KernelError, StructureError, Work
-from .sdf import MAX_X_EXHAUSTIVE, RandomMove, ScenarioSpace, Sdf, verify_sdf
+from .sdf import MAX_X_EXHAUSTIVE, RandomMove, ScenarioSpace, Sdf, SubSigma, verify_sdf
 from .set_forest import SetForest
 from .sigma_info import Eis
 from .verdict import MultiVerdict, Verdict
@@ -973,7 +973,7 @@ class MeasurabilityCase:
     versus adaptedness of c(A_<t, i, g), per move c is available at.
 
     `sweep_rows` builds one per distinct case of an agent's row table, and
-    `thm4-11` reports it for every structure. Construction decides c by one
+    `thm4-11` walks it for every structure. Construction decides c by one
     `_c0_c2` call on the agent's splits of its histories
     (`_choice_outcomes`), building no window choice. When c fails C0-C2 it
     raises `precondition-violation`, whose text `agent_choice` renders only
@@ -985,6 +985,9 @@ class MeasurabilityCase:
     e's σ-algebras at those moves. It reads e through that tuple of
     σ-algebras alone, so it is decided once per distinct tuple and kept on
     the case: EIS that agree at the case's moves share one report.
+    `holds_for_every_sigma`, decided on its first read, says that every
+    report passes whatever the σ-algebras, so `thm4-11` writes a passed item
+    per structure without asking for one.
 
     Forward: measurability of g on D_x implies adaptedness at x. Backward:
     when AP.C3 holds, adaptedness at x implies measurability. The third
@@ -1015,6 +1018,25 @@ class MeasurabilityCase:
             self.moves.append((move, levels, events, apc3))
         self._available = tuple(move for move, *_ in self.moves)
         self._reports: dict = {}
+        self._space = s.space
+
+    @cached_property
+    def holds_for_every_sigma(self) -> bool:
+        """Whether forward and backward hold at each move x for every
+        sub-σ-algebra σ of 𝒜|D_x, so `report(e)` passes for every EIS e of the
+        instance.
+
+        Forward fails at σ only when σ holds every level set but not every
+        event. No σ holds a level set that is not a union of trace atoms.
+        Otherwise σ(levels), the level sets' unions, is one of the σ, and
+        every σ holding the level sets holds σ(levels), being closed under
+        unions: forward holds for every σ iff every event lies in σ(levels).
+        Backward fails at σ only when AP.C3 holds and σ holds every event but
+        not every level set, so in the same way it holds for every σ iff AP.C3
+        fails, some event is not a union of trace atoms, or every level set
+        lies in σ(events), the partition of D_x by membership in the events.
+        """
+        return all(_every_sigma_passes(self._space, *row) for row in self.moves)
 
     def report(self, e: Eis) -> MeasurabilityReport:
         sigmas = tuple(map(e.for_move, self._available))
@@ -1042,6 +1064,26 @@ class MeasurabilityCase:
                 )
             records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
         return MeasurabilityReport(forward, backward, tuple(records))
+
+
+def _every_sigma_passes(space: ScenarioSpace, move, levels, events, apc3) -> bool:
+    """`MeasurabilityCase.holds_for_every_sigma` at one move: every σ that
+    holds the level sets holds the events, and with AP.C3 the converse."""
+    ambient = SubSigma.ambient_trace(space, move.domain)
+    forward = _every_sigma_implies(ambient, levels, events)
+    return forward and (not apc3 or _every_sigma_implies(ambient, events, levels))
+
+
+def _every_sigma_implies(ambient: SubSigma, given, wanted) -> bool:
+    """Whether every sub-σ-algebra of `ambient` that holds the sets `given`
+    holds the sets `wanted`: true when none holds them, else iff σ(given),
+    the partition of the carrier by membership in them, holds `wanted`."""
+    if not all(map(ambient.contains, given)):
+        return True
+    atoms = {ambient.carrier}
+    for event in given:
+        atoms = {part for a in atoms for part in (a & event, a - event) if part}
+    return all(map(SubSigma(ambient.carrier, frozenset(atoms)).contains, wanted))
 
 
 def sweep_rows(aps: ActionPathSdf, agent) -> list:

@@ -93,19 +93,21 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
     The pairs are read from `Sdf.x_above`, and the trace condition is decided
     on them unordered. Only a failure walks the moves in canonical order, and
     for each the moves strictly below it in canonical order, to name the
-    first failing pair."""
+    first failing pair. A move with more than one entry is read as
+    `Eis.for_move` reads it: by its first entry."""
     if e.moves() != s.random_moves:
         raise InputError(
             "information structure does not index exactly the random moves",
             code="carrier-mismatch",
         )
-    for m, sigma in e.entries:
+    sigmas = {m: e.for_move(m) for m, _ in e.entries}
+    for m, sigma in sigmas.items():
         if sigma.carrier != m.domain:
             raise InputError(
                 f"carrier {fmt(sigma.carrier)} differs from the domain of {m.fmt()}",
                 code="carrier-mismatch",
             )
-    for m, sigma in e.entries:
+    for m, sigma in sigmas.items():
         bad = [atom for atom in sigma.atoms if not s.space.is_event(atom)]
         if bad:
             return Verdict.failed(
@@ -113,15 +115,14 @@ def verify_eis(s: Sdf, e: Eis) -> Verdict:
                 f"atom {fmt(min(bad, key=canon_key))} of the algebra at {m.fmt()} "
                 "is not an event",
             )
-    sigmas = dict(e.entries)
     if all(
         sigmas[m1].traces_into(m2.domain, sigmas[m2])
         for m2, above in s.x_above.items()
         for m1 in above
     ):
         return Verdict.passed()
-    for m1, sigma1 in e.entries:
-        for m2, sigma2 in e.entries:
+    for m1, sigma1 in sigmas.items():
+        for m2, sigma2 in sigmas.items():
             if m1 not in s.x_above[m2]:
                 continue
             event = sigma1.trace_failure(m2.domain, sigma2)

@@ -41,7 +41,7 @@ from sdfkit.choice import Choice, classify, down_set, predecessors, verify_rcs
 from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
 from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma, find_sdf_isomorphism, verify_sdf
-from sdfkit.sigma_info import Eis, enumerate_eis
+from sdfkit.sigma_info import Eis, enumerate_eis, sub_sigma_candidates
 
 from tests_helpers import outcome
 
@@ -926,9 +926,7 @@ class TestMeasurabilityCaseTexts:
     MOVE = RandomMove.of({"L": frozenset("ab"), "R": frozenset("yz")})
 
     def _report(self, levels, events, apc3):
-        case = MeasurabilityCase.__new__(MeasurabilityCase)
-        case.moves = [(self.MOVE, levels, events, apc3)]
-        case._available, case._reports = (self.MOVE,), {}
+        case = _case_of(None, [(self.MOVE, levels, events, apc3)])
         return case.report(Eis.of({self.MOVE: SubSigma.trivial(self.MOVE.domain)}))
 
     def test_measurable_but_not_adapted_fails_forward(self):
@@ -946,6 +944,115 @@ class TestMeasurabilityCaseTexts:
             "backward-implication",
             "choice adapted at {L↦{a, b}, R↦{y, z}} with AP.C3, but g not measurable",
         )
+
+
+def _case_of(space, moves) -> MeasurabilityCase:
+    """A case with the given per-move table (move, levels, events, apc3)."""
+    case = MeasurabilityCase.__new__(MeasurabilityCase)
+    case.moves, case._space, case._reports = list(moves), space, {}
+    case._available = tuple(move for move, *_ in case.moves)
+    return case
+
+
+def _perturbed(case, rng) -> MeasurabilityCase:
+    """A copy of `case` with random level sets, events and AP.C3 flags at
+    each of its moves. The level sets partition D_x, by its trace atoms or
+    by its scenarios; an event is a union of trace atoms, of level sets or
+    of scenarios."""
+    space = case._space
+    moves = []
+    for move, *_ in case.moves:
+        scenarios = canon_sorted(move.domain)
+        atoms = canon_sorted(space.trace_atoms(move.domain))
+        parts = atoms if rng.random() < 0.5 else [frozenset([w]) for w in scenarios]
+        blocks: dict = {}
+        for part in parts:
+            blocks.setdefault(rng.randrange(len(parts)), set()).update(part)
+        levels = [frozenset(blocks[k]) for k in sorted(blocks)]
+        events = set()
+        for _ in range(rng.randrange(4)):
+            pool = rng.choice([atoms, levels, [frozenset([w]) for w in scenarios]])
+            events.add(frozenset().union(*(x for x in pool if rng.random() < 0.5)))
+        moves.append((move, levels, frozenset(events), rng.random() < 0.7))
+    return _case_of(space, moves)
+
+
+def _every_sigma_against_candidates(case) -> Counter:
+    """Assert that `holds_for_every_sigma` is true at each of the case's
+    moves iff `_decide` passes there for every σ in `sub_sigma_candidates`,
+    and true for the case iff at every move; tally the verdicts."""
+    tally = Counter()
+    every_move = True
+    for row in case.moves:
+        one = _case_of(case._space, [row])
+        reports = [
+            one._decide((sigma,))
+            for sigma in sub_sigma_candidates(case._space, row[0].domain)
+        ]
+        expected = all(report.ok for report in reports)
+        assert one.holds_for_every_sigma == expected, row
+        every_move = every_move and expected
+        tally["holds" if expected else "fails"] += 1
+        tally["forward fails"] += not all(report.forward.ok for report in reports)
+        tally["backward fails"] += not all(report.backward.ok for report in reports)
+    assert case.holds_for_every_sigma == every_move
+    return tally
+
+
+def _distinct_cases(aps) -> list:
+    found = {}
+    for agent in aps.po.space.agents:
+        for *_, case in sweep_rows(aps, agent):
+            if not isinstance(case, KernelError):
+                found[id(case)] = case
+    return list(found.values())
+
+
+class TestEverySigma:
+    """`MeasurabilityCase.holds_for_every_sigma` against the σ-algebras it
+    stands for: every sub-σ-algebra of 𝒜|D_x, listed, at each move x."""
+
+    def _instances(self, rng, timing_aps, upandout_aps) -> list:
+        from sdfkit.gen import random_path_outcomes
+        from test_cli import _two_agent_doc
+
+        # on a coarse space a level set or an event can cut a trace atom
+        coarse = product_outcomes(
+            ScenarioSpace.of([1, 2, 3, 4], [[1, 2], [3], [4]]),
+            TimeAxis.of([0, 1]),
+            ["a", "b"],
+            factorization={"i": {"a": "a", "b": "b"}},
+        )
+        instances = [
+            timing_aps,
+            upandout_aps,
+            build_action_path_sdf(_two_agent_doc().po, max_x_exhaustive=12),
+            build_action_path_sdf(coarse),
+        ]
+        draws = 0
+        while draws < 60:
+            po = random_path_outcomes(rng)
+            factorization = {"i": {a: a for a in po.space.actions}}
+            if draws % 2:
+                factorization["j"] = {a: rng.choice("xy") for a in sorted(po.space.actions)}
+            try:
+                instances.append(build_action_path_sdf(_factorized(po, factorization)))
+            except StructureError:
+                continue
+            draws += 1
+        return instances
+
+    def test_matches_the_candidate_walk(self, rng, timing_aps, upandout_aps):
+        real, perturbed = Counter(), Counter()
+        for aps in self._instances(rng, timing_aps, upandout_aps):
+            for case in _distinct_cases(aps):
+                real += _every_sigma_against_candidates(case)
+                for _ in range(3):
+                    perturbed += _every_sigma_against_candidates(_perturbed(case, rng))
+        # Theorem 4.11: every real case passes for every σ
+        assert real["fails"] == 0 and real["holds"] > 0, real
+        assert perturbed["forward fails"] > 0 and perturbed["backward fails"] > 0, perturbed
+        assert perturbed["holds"] > 0, perturbed
 
 
 class TestMeasurabilitySweep:

@@ -1185,7 +1185,7 @@ class TestThm411:
     def test_failed_reports_become_failed_items(self, monkeypatch):
         # Theorem 4.11 holds on every document the suite builds, so a stub
         # fails the forward implication wherever g is measurable at the
-        # case's first move
+        # case's first move; the stubbed cases no longer pass for every σ
         import sdfkit.action_path as ap
 
         decide = ap.MeasurabilityCase._decide
@@ -1198,6 +1198,7 @@ class TestThm411:
             return report
 
         monkeypatch.setattr(ap.MeasurabilityCase, "_decide", failing)
+        monkeypatch.setattr(ap.MeasurabilityCase, "holds_for_every_sigma", False)
         doc = _two_agent_doc()
         [thm] = run(doc, ["thm4-11"], max_x=12).records
         assert thm.status == "fail"
@@ -1229,6 +1230,10 @@ class TestThm411:
                 if self.key == ("i", *late):
                     raise StructureError("late row")
                 super().__init__(aps, agent, t, histories, g)
+
+            @property
+            def holds_for_every_sigma(self):
+                return self.key != ("i", *early) and super().holds_for_every_sigma
 
             def report(self, e):
                 if self.key == ("i", *early) and e.entries == fails_at:

@@ -115,6 +115,27 @@ def test_timing_thm4_11_matches_digest():
     assert json.loads(report)["checks"][0]["data"] == {"checked": 5904, "skipped": 5904}
 
 
+def test_thm4_11_reports_no_case_per_structure(monkeypatch):
+    # every case of timing and upandout passes for every σ-algebra, so
+    # thm4-11 writes their items without asking a case for a report
+    from sdfkit.action_path import MeasurabilityCase
+
+    report = MeasurabilityCase.report
+    calls = 0
+
+    def counting(self, e):
+        nonlocal calls
+        calls += 1
+        return report(self, e)
+
+    monkeypatch.setattr(MeasurabilityCase, "report", counting)
+    timing = _report("timing-thm4-11")
+    upandout = _report("upandout")
+    assert calls == 0
+    assert _digest(timing) == (GOLDEN_DIR / "timing-thm4-11.sha256").read_text()
+    assert upandout == (GOLDEN_DIR / "upandout.json").read_text()
+
+
 def test_reports_are_written_without_the_generic_writer(monkeypatch):
     # Every field of these reports has its declared type, so the report
     # skeleton (checks and items) never reaches `_emit_json` and nothing

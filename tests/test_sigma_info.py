@@ -156,6 +156,26 @@ class TestVerifyEis:
             "∉ algebra at {1↦{(1, 1, 1), (1, 1, 2)}, 2↦{(2, 1, 1), (2, 1, 2)}}"
         )
 
+    def test_a_repeated_move_is_read_by_its_first_entry(self, simple, simple_moves):
+        # as `for_move` reads it: the discrete algebra at x0, which fails the
+        # trace into x1 whether or not a later entry repeats x0
+        omega = frozenset([1, 2])
+        x0, x1, x2 = (simple_moves[name] for name in ("x0", "x1", "x2"))
+        discrete = SubSigma.ambient_trace(simple.space, omega)
+        e = Eis(
+            (
+                (x0, discrete),
+                (x0, SubSigma.trivial(omega)),
+                (x1, SubSigma.trivial(omega)),
+                (x2, SubSigma.trivial(omega)),
+            )
+        )
+        assert e.for_move(x0) == discrete
+        once = Eis.of({m: e.for_move(m) for m in (x0, x1, x2)})
+        v = verify_eis(simple, e)
+        assert not v.ok and v.code == "eis-trace-violation"
+        assert v == verify_eis(simple, once)
+
     def test_case_2b(self, simple):
         # root trivial, scenario revealed only at the first successor
         assert verify_eis(simple, simple_eis_list()[2]).ok

@@ -540,6 +540,41 @@ MUTANTS = [
             "tests/test_decided_checks.py::TestAgentChoiceTable::test_a_skipped_row_renders_nothing",
         ],
     ),
+    (
+        "verify-eis-last-entry-wins",
+        "sdfkit/sigma_info.py",
+        "    sigmas = {m: e.for_move(m) for m, _ in e.entries}",
+        "    sigmas = dict(e.entries)",
+        ["tests/test_sigma_info.py::TestVerifyEis::test_a_repeated_move_is_read_by_its_first_entry"],
+    ),
+    (
+        "every-sigma-forward-against-the-event-algebra",
+        "sdfkit/action_path.py",
+        "    forward = _every_sigma_implies(ambient, levels, events)",
+        "    forward = _every_sigma_implies(ambient, events, levels)",
+        ["tests/test_action_path.py::TestEverySigma::test_matches_the_candidate_walk"],
+    ),
+    (
+        "every-sigma-trace-atom-escape-dropped",
+        "sdfkit/action_path.py",
+        "    if not all(map(ambient.contains, given)):\n        return True\n",
+        "",
+        ["tests/test_action_path.py::TestEverySigma::test_matches_the_candidate_walk"],
+    ),
+    (
+        "every-sigma-backward-ignores-apc3",
+        "sdfkit/action_path.py",
+        "(not apc3 or _every_sigma_implies(",
+        "(_every_sigma_implies(",
+        ["tests/test_action_path.py::TestEverySigma::test_matches_the_candidate_walk"],
+    ),
+    (
+        "every-sigma-forced-true",
+        "sdfkit/action_path.py",
+        "        return all(_every_sigma_passes(self._space, *row) for row in self.moves)",
+        "        return True",
+        ["tests/test_action_path.py::TestEverySigma::test_matches_the_candidate_walk"],
+    ),
 ]
 
 # Mutant name -> why no input can tell it from the original.
