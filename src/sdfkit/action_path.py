@@ -949,25 +949,6 @@ class _C0C2Failures:
     __repr__ = __str__
 
 
-@record(frozen=True)
-class MeasurabilityRecord:
-    move: RandomMove
-    measurable: bool
-    adapted: bool
-    apc3: bool
-
-
-@record(frozen=True)
-class MeasurabilityReport:
-    forward: Verdict
-    backward: Verdict
-    records: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.forward.ok and self.backward.ok
-
-
 class MeasurabilityCase:
     """Theorem 4.11 for one (agent, t, histories, g): measurability of g
     versus adaptedness of c(A_<t, i, g), per move c is available at.
@@ -981,13 +962,11 @@ class MeasurabilityCase:
     per move x, the level sets of g on D_x, the events x⁻¹(P(c ∩ c')) and
     the AP.C3 verdict. By argument (b) of `_agent_pieces`, the events over
     every reference choice c' are those over the own-prefix pieces, so only
-    those are taken. `report(e)` then only tests σ-containment in the EIS
-    e's σ-algebras at those moves. It reads e through that tuple of
-    σ-algebras alone, so it is decided once per distinct tuple and kept on
-    the case: EIS that agree at the case's moves share one report.
-    `holds_for_every_sigma`, decided on its first read, says that every
-    report passes whatever the σ-algebras, so `thm4-11` writes a passed item
-    per structure without asking for one.
+    those are taken. `holds_for_every_sigma`, decided on its first read,
+    says that both implications hold whatever the σ-algebras at those
+    moves, so `verdict(e)`, the case's `thm4-11` item at the EIS e, is
+    then passed without reading e. Otherwise `verdict(e)` tests
+    σ-containment in e's σ-algebra at each of the moves.
 
     Forward: measurability of g on D_x implies adaptedness at x. Backward:
     when AP.C3 holds, adaptedness at x implies measurability. The third
@@ -1016,15 +995,13 @@ class MeasurabilityCase:
             )
             apc3 = check_apc3(aps, agent, move, choice=c).verdict.ok
             self.moves.append((move, levels, events, apc3))
-        self._available = tuple(move for move, *_ in self.moves)
-        self._reports: dict = {}
         self._space = s.space
 
     @cached_property
     def holds_for_every_sigma(self) -> bool:
         """Whether forward and backward hold at each move x for every
-        sub-σ-algebra σ of 𝒜|D_x, so `report(e)` passes for every EIS e of the
-        instance.
+        sub-σ-algebra σ of 𝒜|D_x, so `verdict(e)` passes for every EIS e of
+        the instance.
 
         Forward fails at σ only when σ holds every level set but not every
         event. No σ holds a level set that is not a union of trace atoms.
@@ -1038,32 +1015,29 @@ class MeasurabilityCase:
         """
         return all(_every_sigma_passes(self._space, *row) for row in self.moves)
 
-    def report(self, e: Eis) -> MeasurabilityReport:
-        sigmas = tuple(map(e.for_move, self._available))
-        report = self._reports.get(sigmas)
-        if report is None:
-            report = self._reports[sigmas] = self._decide(sigmas)
-        return report
-
-    def _decide(self, sigmas: tuple) -> MeasurabilityReport:
-        forward = Verdict.passed()
-        backward = Verdict.passed()
-        records = []
-        for (move, levels, events, apc3), sigma in zip(self.moves, sigmas):
-            measurable = all(sigma.contains(level) for level in levels)
-            adapted = all(sigma.contains(event) for event in events)
-            if measurable and not adapted and forward.ok:
+    def verdict(self, e: Eis) -> Verdict:
+        """The `thm4-11` item at the EIS e: the shared passed verdict, or
+        one failure naming the first move where forward fails, then the
+        first where backward fails."""
+        if self.holds_for_every_sigma:
+            return Verdict.passed()
+        forward = backward = None
+        for move, levels, events, apc3 in self.moves:
+            sigma = e.for_move(move)
+            measurable = all(map(sigma.contains, levels))
+            adapted = all(map(sigma.contains, events))
+            if measurable and not adapted and forward is None:
                 forward = Verdict.failed(
                     "forward-implication",
                     f"g measurable at {move.fmt()} but the choice is not adapted there",
                 )
-            if apc3 and adapted and not measurable and backward.ok:
+            if apc3 and adapted and not measurable and backward is None:
                 backward = Verdict.failed(
                     "backward-implication",
                     f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
                 )
-            records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
-        return MeasurabilityReport(forward, backward, tuple(records))
+        failed = [v.describe() for v in (forward, backward) if v is not None]
+        return Verdict.failed("thm4-11", "; ".join(failed)) if failed else Verdict.passed()
 
 
 def _every_sigma_passes(space: ScenarioSpace, move, levels, events, apc3) -> bool:
@@ -1095,7 +1069,7 @@ def sweep_rows(aps: ActionPathSdf, agent) -> list:
 
     Nothing in a row depends on an information structure, so the table is
     built once per agent and walked for every structure, where only
-    `case.report(e)` runs. A case depends on (agent, t, histories, g) only,
+    `case.verdict(e)` runs. A case depends on (agent, t, histories, g) only,
     so the moves at t share it, as do both labels when their history sets
     are equal. A case reads the agent's own-prefix pieces (see
     `_agent_pieces`), not their unions, so its cost grows with the number

@@ -34,6 +34,7 @@ the worked instances' closed forms).
 
 from __future__ import annotations
 
+import fractions
 import itertools
 import json
 from collections import namedtuple
@@ -47,8 +48,6 @@ from sdfkit._canon import canon_key, canon_sorted, fmt
 from sdfkit.action_path import (
     ActionSpace,
     Apc3Result,
-    MeasurabilityRecord,
-    MeasurabilityReport,
     PathOutcomes,
     TimeAxis,
     WindowChoice,
@@ -754,11 +753,44 @@ def brute_check_apc3(aps, agent, move, *, choice=None, max_candidates=512):
     )
 
 
-def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> MeasurabilityReport:
+# Theorem 4.11 at one move, as `check_measurable_iff_adapted` finds it.
+OracleRecord = namedtuple("OracleRecord", "move measurable adapted apc3")
+
+
+class OracleReport(namedtuple("OracleReport", "forward backward records")):
+    """`check_measurable_iff_adapted`'s result: the first forward and the
+    first backward failure, if any, and one `OracleRecord` per move."""
+
+    @property
+    def ok(self) -> bool:
+        return self.forward.ok and self.backward.ok
+
+    def item(self) -> Verdict:
+        """`thm4-11`'s item for the case: the failed implications, forward
+        first, described in one failure, or a passed verdict."""
+        failed = [v.describe() for v in (self.forward, self.backward) if not v.ok]
+        return Verdict.failed("thm4-11", "; ".join(failed)) if failed else Verdict(ok=True)
+
+
+def case_records(case, e: Eis) -> tuple:
+    """One `OracleRecord` per row (move, levels, events, apc3) of
+    `case.moves`, with the level sets and the events tested against e's
+    σ-algebra at the move one by one, not through `case.verdict`."""
+    records = []
+    for move, levels, events, apc3 in case.moves:
+        sigma = e.for_move(move)
+        measurable = all(sigma.contains(level) for level in levels)
+        adapted = all(sigma.contains(event) for event in events)
+        records.append(OracleRecord(move, measurable, adapted, apc3))
+    return tuple(records)
+
+
+def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> OracleReport:
     """Theorem 4.11 for one case by the definition: measurability of g versus
     adaptedness of c(A_<t, i, g) over every reference choice of
     `agent_rcs`, per move c is available at. The per-case oracle that
-    `MeasurabilityCase(...).report(e)` is compared against.
+    `MeasurabilityCase(...).verdict(e)` and the case's per-move table are
+    compared against.
 
     Forward: measurability of g on D_x implies the adaptedness condition at
     x. Backward: when the generator search succeeds, the adaptedness
@@ -796,21 +828,21 @@ def check_measurable_iff_adapted(aps, agent, e: Eis, t, histories, g) -> Measura
                 "backward-implication",
                 f"choice adapted at {move.fmt()} with AP.C3, but g not measurable",
             )
-        records.append(MeasurabilityRecord(move, measurable, adapted, apc3))
-    return MeasurabilityReport(forward, backward, tuple(records))
+        records.append(OracleRecord(move, measurable, adapted, apc3))
+    return OracleReport(forward, backward, tuple(records))
 
 
 # One case of `oracle_measurability_sweep`: `eis_index` is the 1-based
 # position of the structure, `label` "all" (every realized history at t) or
-# "own" (the move's own prefix), `result` the report or the error raised.
+# "own" (the move's own prefix), `result` the item or the error raised.
 SweepCase = namedtuple("SweepCase", "agent eis_index t label histories g result")
 
 
 def oracle_measurability_sweep(aps, structures):
     """Theorem 4.11 over every agent × EIS × move × {all, own} × total map g,
     in that loop order: one `SweepCase` per case, whose `result` is
-    `MeasurabilityCase(...).report(e)` or the `KernelError` that building
-    the case or its report raised. The histories are read off the path
+    `MeasurabilityCase(...).verdict(e)` or the `KernelError` that building
+    the case or its item raised. The histories are read off the path
     index and the move's nodes. A case is a function of (agent, t,
     histories, g), so it is built once, at the first structure that
     reaches it; nothing is built without a structure."""
@@ -837,7 +869,7 @@ def oracle_measurability_sweep(aps, structures):
                         result = cases[key]
                         if not isinstance(result, KernelError):
                             try:
-                                result = result.report(e)
+                                result = result.verdict(e)
                             except KernelError as err:
                                 result = err
                         yield SweepCase(agent, index, t, label, histories, g, result)
@@ -1190,13 +1222,58 @@ def _same_types(values, declared: dict, what: str, path: str):
             raise ParseError(f"{what} {value!r} stands in for {match!r}", path=path)
 
 
+_BOUND = 10**4300  # a numerator or denominator must lie below it
+
+
 def _fraction(text, path) -> Fraction:
-    # JSON true/false are ints and a JSON float is binary: neither is exact
+    # JSON true/false are ints and a JSON float is binary: neither is exact.
+    # A text with an exponent is its mantissa times 10**exp, whose size is
+    # decided from the powers of 2 and 5 without computing 10**exp.
     _expect(type(text) in (str, int), f"bad rational {text!r}", path)
     try:
-        return Fraction(text)
+        match = fractions._RATIONAL_FORMAT.match(text) if type(text) is str else None
+        if match and match["exp"]:
+            value = _scaled(Fraction(text[: match.start("exp") - 1]), int(match["exp"]))
+        else:
+            value = _scaled(Fraction(text), 0)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", path=path) from None
+        value = None
+    if value is None:
+        raise ParseError(f"bad rational {text!r}", path=path)
+    return value
+
+
+def _scaled(mantissa: Fraction, exp: int):
+    """mantissa · 10**exp in lowest terms, or None when its numerator or
+    denominator is not below `_BOUND`."""
+    if not mantissa:
+        return mantissa
+
+    def split(n):
+        """(r, a, b) with n = r · 2**a · 5**b and r prime to 10."""
+        a = b = 0
+        while n % 2 == 0:
+            n, a = n // 2, a + 1
+        while n % 5 == 0:
+            n, b = n // 5, b + 1
+        return n, a, b
+
+    r, a, b = split(abs(mantissa.numerator))
+    q, c, d = split(mantissa.denominator)
+    twos, fives = a - c + exp, b - d + exp
+
+    def below(n, twos, fives):
+        # 5**k > 2**k > _BOUND once k reaches _BOUND's bit length
+        if max(twos, fives) >= _BOUND.bit_length():
+            return False
+        return n * 2**twos * 5**fives < _BOUND
+
+    top = (r, max(twos, 0), max(fives, 0))
+    bottom = (q, max(-twos, 0), max(-fives, 0))
+    if not (below(*top) and below(*bottom)):
+        return None
+    value = Fraction(top[0] * 2**top[1] * 5**top[2], bottom[0] * 2**bottom[1] * 5**bottom[2])
+    return -value if mantissa < 0 else value
 
 
 def _atoms(obj, path, optional=False):
@@ -1356,6 +1433,8 @@ def oracle_parse_instance(text: str) -> InstanceDoc:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"syntax error: {e.msg}", line=e.lineno, col=e.colno) from None
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        raise ParseError("syntax error: an integer literal has too many digits") from None
     if not isinstance(obj, dict) or obj.get("kind") != "action-path":
         raise ValueError("the oracle parses action-path documents only")
     return _parse_action_path(obj)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_measurable_iff_adapted
+from conftest import case_records, check_measurable_iff_adapted
 from sdfkit import examples
 from sdfkit.action_path import (
     MeasurabilityCase,
@@ -188,8 +188,8 @@ def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps
     cases = 0
 
     def sweep(aps, agent, t, histories, domain):
-        # One MeasurabilityCase per g, reported per structure; the per-case
-        # definition stays the oracle on the first structure.
+        # One MeasurabilityCase per g, its item and per-move table read per
+        # structure; the per-case definition stays the oracle on the first.
         nonlocal checked, cases
         comps = sorted(aps.po.space.components(agent))
         structures = enumerate_eis(aps.sdf)
@@ -203,15 +203,18 @@ def test_criterion_08_measurability_theorem(simple_aps, timing_aps, upandout_aps
                     check_measurable_iff_adapted(aps, agent, structures[0], t, histories, g)
                 continue
             cases += 1
-            assert case.report(structures[0]) == check_measurable_iff_adapted(
-                aps, agent, structures[0], t, histories, g
-            )
+            expected = check_measurable_iff_adapted(aps, agent, structures[0], t, histories, g)
+            assert case.verdict(structures[0]) == expected.item()
+            assert case_records(case, structures[0]) == expected.records
             for e in structures:
-                res = case.report(e)
-                assert all(rec.move.domain <= set(g) for rec in res.records), (agent, t, g)
-                assert res.forward.ok, (agent, t, g, res.forward.describe())
-                assert res.backward.ok, (agent, t, g, res.backward.describe())
-                assert any(rec.apc3 for rec in res.records) or not res.records
+                assert case.verdict(e).ok, (agent, t, g, case.verdict(e).describe())
+                records = case_records(case, e)
+                assert all(rec.move.domain <= set(g) for rec in records), (agent, t, g)
+                forward = all(rec.adapted for rec in records if rec.measurable)
+                backward = all(rec.measurable for rec in records if rec.apc3 and rec.adapted)
+                assert forward, (agent, t, g, records)
+                assert backward, (agent, t, g, records)
+                assert any(rec.apc3 for rec in records) or not records
                 checked += 1
 
     # product family (the worked instance as an action path)

@@ -10,6 +10,7 @@ from conftest import (
     brute_agent_rcs,
     brute_check_apc3,
     brute_check_apw,
+    case_records,
     check_measurable_iff_adapted,
     oracle_measurability_sweep,
     oracle_time_axis,
@@ -42,6 +43,7 @@ from sdfkit.errors import InputError, KernelError, SizeCapError, StructureError
 from sdfkit.order_core import up_set
 from sdfkit.sdf import RandomMove, ScenarioSpace, SubSigma, find_sdf_isomorphism, verify_sdf
 from sdfkit.sigma_info import Eis, enumerate_eis, sub_sigma_candidates
+from sdfkit.verdict import Verdict
 
 from tests_helpers import outcome
 
@@ -798,16 +800,20 @@ class TestMeasurabilityEquivalence:
             )
 
 
-def _same_as_oracle(result, oracle) -> Counter:
-    """Assert `result` equals what `oracle()` returns, or is the error it raises
+def _same_as_oracle(case, e, oracle) -> Counter:
+    """Assert that `case.verdict(e)` is the item of the report `oracle()`
+    returns and that the flags read from `case.moves` at e's σ-algebras are
+    its per-move records, or that `case` is the error `oracle()` raises
     (same type, code and message); tally what was compared."""
     try:
         expected = oracle()
     except KernelError as err:
-        assert isinstance(result, KernelError), result
-        assert (type(result), result.code, str(result)) == (type(err), err.code, str(err))
+        assert isinstance(case, KernelError), case
+        assert (type(case), case.code, str(case)) == (type(err), err.code, str(err))
         return Counter({err.code: 1})
-    assert result == expected
+    assert not isinstance(case, KernelError), case
+    assert case.verdict(e) == expected.item()
+    assert case_records(case, e) == expected.records
     tally = Counter(report=1)
     for rec in expected.records:
         for flag in ("measurable", "adapted", "apc3"):
@@ -826,18 +832,19 @@ def _windows(aps):
 
 def _walked_rows(aps, structures):
     """`sweep_rows` walked as `thm4-11` walks it, agents × structures × rows,
-    each row with its report or the error building the case or its report
-    raised; no row is built without a structure."""
+    each row with its case and its item, or the error building the case or
+    its item raised; no row is built without a structure."""
     for agent in aps.po.space.agents:
         rows = sweep_rows(aps, agent) if structures else []
         for index, e in enumerate(structures, start=1):
             for t, label, histories, g, case in rows:
+                result = case
                 if not isinstance(case, KernelError):
                     try:
-                        case = case.report(e)
+                        result = case.verdict(e)
                     except KernelError as err:
-                        case = err
-                yield agent, index, t, label, histories, g, case
+                        result = err
+                yield agent, index, t, label, histories, g, case, result
 
 
 def _outcome(result):
@@ -885,9 +892,10 @@ def _sweep_against_oracle(aps) -> Counter:
         return oracle[key]
 
     tally = Counter()
-    for c, (agent, index, t, _, histories, g, result) in zip(swept, walked):
+    for c, (agent, index, t, _, histories, g, case, result) in zip(swept, walked):
         assert _outcome(result) == _outcome(c.result)
-        tally += _same_as_oracle(result, lambda: call(agent, index, t, histories, g))
+        e = structures[index - 1]
+        tally += _same_as_oracle(case, e, lambda: call(agent, index, t, histories, g))
     return tally
 
 
@@ -911,46 +919,78 @@ def _partial_maps_against_oracle(aps) -> Counter:
                         except KernelError as err:
                             case = err
                         for e in structures:
-                            result = case if isinstance(case, KernelError) else case.report(e)
                             tally += _same_as_oracle(
-                                result,
+                                case,
+                                e,
                                 lambda: check_measurable_iff_adapted(aps, agent, e, t, hist, g),
                             )
     return tally
 
 
 class TestMeasurabilityCaseTexts:
-    """`report`'s two failure texts. No case that construction builds reaches
-    them (Theorem 4.11), so the case's per-move table is set by hand."""
+    """`verdict`'s failure texts. No case that construction builds reaches
+    them (Theorem 4.11), so a two-move case's table is set by hand and
+    `holds_for_every_sigma` set false. The moves A and B share the domain
+    {L, M, R}; the structure holds the trivial algebra at A and the one
+    that {L} generates at B."""
 
-    MOVE = RandomMove.of({"L": frozenset("ab"), "R": frozenset("yz")})
+    A = RandomMove.of({"L": frozenset("a"), "M": frozenset("b"), "R": frozenset("c")})
+    B = RandomMove.of({"L": frozenset("d"), "M": frozenset("e"), "R": frozenset("f")})
+    E = Eis.of({A: SubSigma.trivial("LMR"), B: SubSigma.of("LMR", ["L", "MR"])})
+    # the level sets {L} and {M, R}: measurable at B, not at A
+    SPLIT = [frozenset("L"), frozenset("MR")]
 
-    def _report(self, levels, events, apc3):
-        case = _case_of(None, [(self.MOVE, levels, events, apc3)])
-        return case.report(Eis.of({self.MOVE: SubSigma.trivial(self.MOVE.domain)}))
+    def _verdict(self, at_a, at_b):
+        """The item of a case whose rows are (levels, events, apc3) at A and B."""
+        case = _case_of(None, [(self.A, *at_a), (self.B, *at_b)])
+        case.holds_for_every_sigma = False
+        return case.verdict(self.E)
 
     def test_measurable_but_not_adapted_fails_forward(self):
-        report = self._report([frozenset("LR")], [frozenset("L")], apc3=False)
-        assert report.backward.ok and not report.ok
-        assert (report.forward.code, report.forward.witness) == (
-            "forward-implication",
-            "g measurable at {L↦{a, b}, R↦{y, z}} but the choice is not adapted there",
+        # forward fails at both moves; the first is named
+        verdict = self._verdict(
+            ([frozenset("LMR")], [frozenset("L")], True), (self.SPLIT, [frozenset("M")], True)
+        )
+        assert (verdict.ok, verdict.code, verdict.witness) == (
+            False,
+            "thm4-11",
+            "FAIL[forward-implication]; witness: g measurable at {L↦{a}, M↦{b}, R↦{c}} "
+            "but the choice is not adapted there",
         )
 
     def test_adapted_with_apc3_but_not_measurable_fails_backward(self):
-        report = self._report([frozenset("L"), frozenset("R")], [], apc3=True)
-        assert report.forward.ok and not report.ok
-        assert (report.backward.code, report.backward.witness) == (
-            "backward-implication",
-            "choice adapted at {L↦{a, b}, R↦{y, z}} with AP.C3, but g not measurable",
+        # adapted and not measurable at both moves, with AP.C3 at B only
+        verdict = self._verdict(
+            (self.SPLIT, [], False), ([frozenset("M"), frozenset("LR")], [frozenset("L")], True)
         )
+        assert (verdict.ok, verdict.code, verdict.witness) == (
+            False,
+            "thm4-11",
+            "FAIL[backward-implication]; witness: choice adapted at {L↦{d}, M↦{e}, R↦{f}} "
+            "with AP.C3, but g not measurable",
+        )
+
+    def test_forward_is_named_before_backward(self):
+        # backward fails at A, forward at B: forward comes first all the same
+        verdict = self._verdict((self.SPLIT, [], True), (self.SPLIT, [frozenset("M")], True))
+        assert (verdict.ok, verdict.code, verdict.witness) == (
+            False,
+            "thm4-11",
+            "FAIL[forward-implication]; witness: g measurable at {L↦{d}, M↦{e}, R↦{f}} "
+            "but the choice is not adapted there; "
+            "FAIL[backward-implication]; witness: choice adapted at {L↦{a}, M↦{b}, R↦{c}} "
+            "with AP.C3, but g not measurable",
+        )
+
+    def test_no_failure_is_the_shared_passed_verdict(self):
+        verdict = self._verdict((self.SPLIT, [], False), (self.SPLIT, [frozenset("L")], True))
+        assert verdict is Verdict.passed()
 
 
 def _case_of(space, moves) -> MeasurabilityCase:
     """A case with the given per-move table (move, levels, events, apc3)."""
     case = MeasurabilityCase.__new__(MeasurabilityCase)
-    case.moves, case._space, case._reports = list(moves), space, {}
-    case._available = tuple(move for move, *_ in case.moves)
+    case.moves, case._space = list(moves), space
     return case
 
 
@@ -977,25 +1017,65 @@ def _perturbed(case, rng) -> MeasurabilityCase:
     return _case_of(space, moves)
 
 
+def _fails_at(row, sigma) -> tuple:
+    """Whether forward and whether backward fail at the row (move, levels,
+    events, apc3) of a case when σ is the algebra at its move."""
+    _, levels, events, apc3 = row
+    measurable = all(sigma.contains(level) for level in levels)
+    adapted = all(sigma.contains(event) for event in events)
+    return measurable and not adapted, apc3 and adapted and not measurable
+
+
 def _every_sigma_against_candidates(case) -> Counter:
     """Assert that `holds_for_every_sigma` is true at each of the case's
-    moves iff `_decide` passes there for every σ in `sub_sigma_candidates`,
-    and true for the case iff at every move; tally the verdicts."""
+    moves iff neither implication fails there at any σ in
+    `sub_sigma_candidates`, and true for the case iff at every move; tally
+    the verdicts."""
     tally = Counter()
     every_move = True
     for row in case.moves:
         one = _case_of(case._space, [row])
-        reports = [
-            one._decide((sigma,))
-            for sigma in sub_sigma_candidates(case._space, row[0].domain)
-        ]
-        expected = all(report.ok for report in reports)
+        fails = [_fails_at(row, sigma) for sigma in sub_sigma_candidates(case._space, row[0].domain)]
+        expected = not any(forward or backward for forward, backward in fails)
         assert one.holds_for_every_sigma == expected, row
         every_move = every_move and expected
         tally["holds" if expected else "fails"] += 1
-        tally["forward fails"] += not all(report.forward.ok for report in reports)
-        tally["backward fails"] += not all(report.backward.ok for report in reports)
+        tally["forward fails"] += any(forward for forward, _ in fails)
+        tally["backward fails"] += any(backward for _, backward in fails)
     assert case.holds_for_every_sigma == every_move
+    return tally
+
+
+def _verdict_against_the_rows(case, rng) -> Counter:
+    """`case.verdict(e)` at 4 structures that put a random σ of
+    `sub_sigma_candidates` at each of the case's moves, against the item
+    composed from `_fails_at` row by row: the first forward failure's text,
+    then the first backward failure's, joined by "; "."""
+    candidates = [sub_sigma_candidates(case._space, move.domain) for move, *_ in case.moves]
+    tally = Counter()
+    for _ in range(4):
+        sigmas = [rng.choice(listed) for listed in candidates]
+        e = Eis.of({move: sigma for (move, *_), sigma in zip(case.moves, sigmas)})
+        forward = backward = ""
+        for row, sigma in zip(case.moves, sigmas):
+            text = row[0].fmt()
+            fails_forward, fails_backward = _fails_at(row, sigma)
+            if fails_forward and not forward:
+                forward = (
+                    f"FAIL[forward-implication]; witness: g measurable at {text} "
+                    "but the choice is not adapted there"
+                )
+            if fails_backward and not backward:
+                backward = (
+                    f"FAIL[backward-implication]; witness: choice adapted at {text} "
+                    "with AP.C3, but g not measurable"
+                )
+        failed = [x for x in (forward, backward) if x]
+        expected = Verdict.failed("thm4-11", "; ".join(failed)) if failed else Verdict.passed()
+        assert case.verdict(e) == expected, (case.moves, sigmas)
+        tally["forward" if forward else "no forward"] += 1
+        tally["backward" if backward else "no backward"] += 1
+        tally["both"] += bool(forward and backward)
     return tally
 
 
@@ -1053,6 +1133,18 @@ class TestEverySigma:
         assert real["fails"] == 0 and real["holds"] > 0, real
         assert perturbed["forward fails"] > 0 and perturbed["backward fails"] > 0, perturbed
         assert perturbed["holds"] > 0, perturbed
+
+    def test_verdict_matches_the_per_move_walk(self, rng, timing_aps, upandout_aps):
+        # perturbed cases of two or more moves, whatever their every-σ flag
+        tally = Counter()
+        for aps in self._instances(rng, timing_aps, upandout_aps):
+            for case in _distinct_cases(aps):
+                for _ in range(3):
+                    perturbed = _perturbed(case, rng)
+                    if len(perturbed.moves) > 1:
+                        tally += _verdict_against_the_rows(perturbed, rng)
+        assert tally["forward"] > 0 and tally["backward"] > 0 and tally["both"] > 0, tally
+        assert tally["no forward"] > 0 and tally["no backward"] > 0, tally
 
 
 class TestMeasurabilitySweep:
@@ -1116,27 +1208,6 @@ class TestMeasurabilitySweep:
         assert compared == 150
         assert tally["measurable=False"] >= 100 and tally["adapted=False"] >= 100, tally
         assert tally["apc3=False"] > 0 and tally["precondition-violation"] > 0, tally
-
-    def test_reports_are_decided_once_per_sigma_tuple(self, timing_aps, monkeypatch):
-        # timing: 82 structures, each walking the agents' rows of
-        # `sweep_rows`: 11808 cases, 5904 of them reported. A report
-        # reads its structure only through the σ-algebras at the case's
-        # moves. Deciding it anew for every structure makes 23308
-        # containment tests; deciding it once per distinct tuple makes 480
-        from sdfkit.sdf import SubSigma
-
-        structures = enumerate_eis(timing_aps.sdf)
-        contains = SubSigma.contains
-        calls = 0
-
-        def counting(self, event):
-            nonlocal calls
-            calls += 1
-            return contains(self, event)
-
-        monkeypatch.setattr(SubSigma, "contains", counting)
-        cases = list(_walked_rows(timing_aps, structures))
-        assert (len(structures), len(cases), calls) == (82, 11808, 480)
 
     def test_no_structures_compute_nothing(self, upandout_aps, monkeypatch):
         import sdfkit.action_path

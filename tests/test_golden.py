@@ -117,21 +117,31 @@ def test_timing_thm4_11_matches_digest():
 
 def test_thm4_11_reports_no_case_per_structure(monkeypatch):
     # every case of timing and upandout passes for every σ-algebra, so
-    # thm4-11 writes their items without asking a case for a report
+    # thm4-11 takes each of their items from `verdict` without reading the
+    # structure it is given
     from sdfkit.action_path import MeasurabilityCase
 
-    report = MeasurabilityCase.report
-    calls = 0
+    verdict = MeasurabilityCase.verdict
+    calls = reads = 0
+
+    class Counting:
+        def __init__(self, e):
+            self.e = e
+
+        def for_move(self, move):
+            nonlocal reads
+            reads += 1
+            return self.e.for_move(move)
 
     def counting(self, e):
         nonlocal calls
         calls += 1
-        return report(self, e)
+        return verdict(self, Counting(e))
 
-    monkeypatch.setattr(MeasurabilityCase, "report", counting)
+    monkeypatch.setattr(MeasurabilityCase, "verdict", counting)
     timing = _report("timing-thm4-11")
     upandout = _report("upandout")
-    assert calls == 0
+    assert (calls, reads) == (5904 + 45, 0)
     assert _digest(timing) == (GOLDEN_DIR / "timing-thm4-11.sha256").read_text()
     assert upandout == (GOLDEN_DIR / "upandout.json").read_text()
 

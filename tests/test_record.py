@@ -27,9 +27,9 @@ import pytest
 
 import sdfkit
 from sdfkit import _record, cli, examples
-from sdfkit.action_path import ActionPathSdf, agent_choice, build_action_path_sdf, sweep_rows
+from sdfkit.action_path import ActionPathSdf, agent_choice, build_action_path_sdf
 from sdfkit.cli import InstanceDoc
-from sdfkit.errors import KernelError, StructureError
+from sdfkit.errors import StructureError
 from sdfkit.sdf import PerMove, RandomMove, ScenarioSpace, SubSigma
 from sdfkit.sigma_info import ObservationFamily, chain_filtration, enumerate_eis
 from sdfkit.verdict import Verdict
@@ -133,16 +133,10 @@ def samples() -> dict:
         # thm4-11 decides agent choices without building window choices
         for aps in list(found[ActionPathSdf]):
             po = aps.po
-            structures = enumerate_eis(aps.sdf)[:3]
             for agent in po.space.agents or ():
                 g = dict.fromkeys(po.scenarios.scenarios, min(po.space.components(agent)))
                 for t in po.time.points:
                     agent_choice(po, t, po.index.realized_prefixes(t), agent, g)
-                # thm4-11 asks no case that passes for every σ for a report
-                for *_, case in sweep_rows(aps, agent):
-                    if not isinstance(case, KernelError):
-                        for e in structures:
-                            case.report(e)
     return {cls: xs[:PER_CLASS] for cls, xs in found.items()}
 
 

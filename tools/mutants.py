@@ -222,17 +222,6 @@ MUTANTS = [
         ],
     ),
     (
-        "sweep-report-memo-first-move",
-        "sdfkit/action_path.py",
-        "        report = self._reports.get(sigmas)\n"
-        "        if report is None:\n"
-        "            report = self._reports[sigmas] = self._decide(sigmas)",
-        "        report = self._reports.get(sigmas[:1])\n"
-        "        if report is None:\n"
-        "            report = self._reports[sigmas[:1]] = self._decide(sigmas)",
-        ["tests/test_action_path.py::TestMeasurabilitySweep::test_matches_oracle_on_builtins"],
-    ),
-    (
         "passed-shared-with-notes",
         "sdfkit/verdict.py",
         "        if notes or partial:",
@@ -541,6 +530,20 @@ MUTANTS = [
         ],
     ),
     (
+        "rational-bound-inclusive",
+        "sdfkit/cli.py",
+        "    return value if max(abs(value.numerator), value.denominator) < _BOUND else None",
+        "    return value if max(abs(value.numerator), value.denominator) <= _BOUND else None",
+        ["tests/test_cli.py::TestDecidedParse::test_time_point_texts_match_fraction[1e4300]"],
+    ),
+    (
+        "rational-zero-refused-past-the-exponent-bound",
+        "sdfkit/cli.py",
+        "        return None if value else value",
+        "        return None",
+        ["tests/test_cli.py::TestDecidedParse::test_time_point_texts_match_fraction[0e999999999]"],
+    ),
+    (
         "verify-eis-last-entry-wins",
         "sdfkit/sigma_info.py",
         "    sigmas = {m: e.for_move(m) for m, _ in e.entries}",
@@ -574,6 +577,53 @@ MUTANTS = [
         "        return all(_every_sigma_passes(self._space, *row) for row in self.moves)",
         "        return True",
         ["tests/test_action_path.py::TestEverySigma::test_matches_the_candidate_walk"],
+    ),
+    (
+        "verdict-first-move-sigma-reused",
+        "sdfkit/action_path.py",
+        "            sigma = e.for_move(move)",
+        "            sigma = e.for_move(self.moves[0][0])",
+        [
+            "tests/test_action_path.py::TestMeasurabilityCaseTexts::test_forward_is_named_before_backward",
+            "tests/test_action_path.py::TestEverySigma::test_verdict_matches_the_per_move_walk",
+        ],
+    ),
+    (
+        "verdict-backward-ignores-apc3",
+        "sdfkit/action_path.py",
+        "            if apc3 and adapted and not measurable and backward is None:",
+        "            if adapted and not measurable and backward is None:",
+        [
+            "tests/test_action_path.py::TestMeasurabilityCaseTexts::test_adapted_with_apc3_but_not_measurable_fails_backward",
+            "tests/test_action_path.py::TestEverySigma::test_verdict_matches_the_per_move_walk",
+        ],
+    ),
+    (
+        "verdict-last-failure-named",
+        "sdfkit/action_path.py",
+        "            if measurable and not adapted and forward is None:",
+        "            if measurable and not adapted:",
+        [
+            "tests/test_action_path.py::TestMeasurabilityCaseTexts::test_measurable_but_not_adapted_fails_forward",
+            "tests/test_action_path.py::TestEverySigma::test_verdict_matches_the_per_move_walk",
+        ],
+    ),
+    (
+        "verdict-backward-joined-first",
+        "sdfkit/action_path.py",
+        "        failed = [v.describe() for v in (forward, backward) if v is not None]",
+        "        failed = [v.describe() for v in (backward, forward) if v is not None]",
+        [
+            "tests/test_action_path.py::TestMeasurabilityCaseTexts::test_forward_is_named_before_backward",
+            "tests/test_action_path.py::TestEverySigma::test_verdict_matches_the_per_move_walk",
+        ],
+    ),
+    (
+        "verdict-reads-every-structure",
+        "sdfkit/action_path.py",
+        "        if self.holds_for_every_sigma:\n            return Verdict.passed()\n",
+        "",
+        ["tests/test_golden.py::test_thm4_11_reports_no_case_per_structure"],
     ),
 ]
 
