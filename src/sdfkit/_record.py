@@ -1,51 +1,34 @@
-"""Value classes without `dataclasses`.
+"""Frozen value classes without `dataclasses`.
 
-`record` writes the `__init__`, `__repr__`, `__eq__`, `__hash__` and, for a
-frozen class, the `__setattr__`/`__delattr__` that `dataclasses.dataclass`
-writes. `__init__`, `__repr__`, `__eq__` and `__hash__` are compiled from
-one source string per class; the frozen guards are closures. Importing `dataclasses` pulls in `inspect`, `ast` and
-`dis`, and it compiles each generated method separately; for a
-command-line checker that is most of its start-up.
+`record` writes the `__init__`, `__repr__`, `__eq__`, `__hash__`,
+`__setattr__` and `__delattr__` that `dataclasses.dataclass` writes for a
+frozen class: every record is a frozen value, and `record` takes no
+option. `__init__`, `__repr__`, `__eq__` and `__hash__` are compiled from
+one source string per class; the frozen guards are closures. Importing `dataclasses` pulls in `inspect`, `ast` and `dis`,
+and it compiles each generated method separately; for a command-line
+checker that is most of its start-up.
 
 It reads only the names of a class's own annotations (every sdfkit module
 uses postponed annotations), so it imports neither `inspect` nor `typing`.
 It supports what sdfkit uses: positional fields, plain defaults,
-`field(default_factory=...)`, `__post_init__`, undecorated subclasses of a
-record (they inherit its methods, equality included, which holds only
-between instances of the same class), and derived tables kept on an
-instance by this module's `cached_property`, which writes the instance
-`__dict__` directly, so it works on frozen records too. It does not write a
-`__doc__`, a `__match_args__` or a recursion guard in `__repr__`, and
-`dataclasses.replace`, `fields` and `asdict` do not apply to records.
+`__post_init__`, undecorated subclasses of a record (they inherit its
+methods, equality included, which holds only between instances of the same
+class), and derived tables kept on an instance by this module's
+`cached_property`, which writes the instance `__dict__` directly, so it
+works on frozen records. It does not write a `__doc__`, a `__match_args__`
+or a recursion guard in `__repr__`, and `dataclasses.replace`, `fields` and
+`asdict` do not apply to records.
 """
 
 from __future__ import annotations
 
 
 class FrozenInstanceError(AttributeError):
-    """Assignment to or deletion of a field of a frozen record."""
-
-
-class _Factory:
-    __slots__ = ("factory",)
-
-    def __init__(self, factory):
-        self.factory = factory
-
-
-class _HasFactory:
-    def __repr__(self) -> str:
-        return "<factory>"
+    """Assignment to or deletion of a field of a record."""
 
 
 _MISSING = object()
-_HAS_FACTORY = _HasFactory()
 _GENERATED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
-
-
-def field(*, default_factory):
-    """A field whose default is `default_factory()`, called once per instance."""
-    return _Factory(default_factory)
 
 
 class cached_property:
@@ -56,8 +39,8 @@ class cached_property:
     with `functools.cached_property`. Unlike that one in Python 3.11, the
     first read takes no lock (Python 3.12 dropped it too, gh-87634): two
     threads reading a table at once may both compute it, and one value wins.
-    Writing the `__dict__` bypasses a frozen record's `__setattr__`, and the
-    table is no field, so equality, hashing and `repr` ignore it.
+    Writing the `__dict__` bypasses the record's frozen `__setattr__`, and
+    the table is no field, so equality, hashing and `repr` ignore it.
     """
 
     def __init__(self, func):
@@ -74,14 +57,8 @@ class cached_property:
         return value
 
 
-def record(cls=None, /, *, frozen: bool = False):
-    """Class decorator: `@record` or `@record(frozen=True)`."""
-    if cls is None:
-        return lambda c: _build(c, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen: bool):
+def record(cls):
+    """Class decorator: `cls` as a frozen value class."""
     # name -> (annotation, default); a decorated base's fields come first
     fields = dict(getattr(cls, "__record_fields__", {}))
     own = cls.__dict__
@@ -90,21 +67,15 @@ def _build(cls, frozen: bool):
     for name in _GENERATED:
         if name in own:
             raise TypeError(f"record {cls.__qualname__} defines {name}")
-    ns = {"_set": object.__setattr__, "_HAS_FACTORY": _HAS_FACTORY}
+    ns = {"_set": object.__setattr__}
     params, body = [], []
     for name, (_, default) in fields.items():
-        value = name
         if default is _MISSING:
             params.append(name)
-        elif isinstance(default, _Factory):
-            ns[f"_factory_{name}"] = default.factory
-            params.append(f"{name}=_HAS_FACTORY")
-            value = f"_factory_{name}() if {name} is _HAS_FACTORY else {name}"
-            delattr(cls, name)
         else:
             ns[f"_dflt_{name}"] = default
             params.append(f"{name}=_dflt_{name}")
-        body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+        body.append(f"_set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "".join(f"self.{name}," for name in fields)
@@ -119,29 +90,24 @@ def _build(cls, frozen: bool):
         "  if other.__class__ is self.__class__:",
         f"    return ({mine}) == ({theirs})",
         "  return NotImplemented",
+        "def __hash__(self):",
+        f"  return hash(({mine}))",
     ]
-    if frozen:
-        source += ["def __hash__(self):", f"  return hash(({mine}))"]
     exec("\n".join(source), ns)
     ns["__init__"].__annotations__ = {
         **{name: annotation for name, (annotation, _) in fields.items()}, "return": None
     }
-    methods = [ns["__init__"], ns["__repr__"], ns["__eq__"]]
-    if frozen:
-        methods += [ns["__hash__"], *_frozen_guards(cls, tuple(fields))]
-    for fn in methods:
+    generated = (ns["__init__"], ns["__repr__"], ns["__eq__"], ns["__hash__"])
+    for fn in (*generated, *_frozen_guards(cls, tuple(fields))):
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
         setattr(cls, fn.__name__, fn)
-    if not frozen:
-        cls.__hash__ = None  # equal by value, yet mutable
     cls.__record_fields__ = fields
-    cls.__record_frozen__ = frozen
     return cls
 
 
 def _frozen_guards(cls, names: tuple):
-    """The `__setattr__` and `__delattr__` of a frozen record. They read no
-    field by name, so they are closures, not compiled per class."""
+    """The `__setattr__` and `__delattr__` of a record. They read no field by
+    name, so they are closures, not compiled per class."""
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:

@@ -40,7 +40,7 @@ def _increasing(points) -> bool:
     return all(map(lt, points, points[1:]))
 
 
-@record(frozen=True)
+@record
 class TimeAxis:
     points: tuple  # strictly increasing Fractions, containing 0
 
@@ -83,7 +83,7 @@ def _no_projection(agent) -> InputError:
     return InputError(f"no projection for agent {agent!r}", code="no-factorization")
 
 
-@record(frozen=True)
+@record
 class ActionSpace:
     actions: frozenset
     agents: tuple | None = None
@@ -167,7 +167,7 @@ class ActionSpace:
         )
 
 
-@record(frozen=True)
+@record
 class PathOutcomes:
     time: TimeAxis
     space: ActionSpace
@@ -392,7 +392,7 @@ def check_apw(po: PathOutcomes) -> MultiVerdict:
     return MultiVerdict(tuple(items))
 
 
-@record(frozen=True)
+@record
 class ActionPathSdf:
     """An SDF built from path outcomes, together with the move-time map."""
 
@@ -527,7 +527,7 @@ def time_of(aps: ActionPathSdf, x) -> Fraction:
     return next(iter(times))
 
 
-@record(frozen=True)
+@record
 class WindowChoiceSpec:
     """A time point, a set of admissible histories, and per-scenario action sets."""
 
@@ -553,7 +553,7 @@ class WindowChoiceSpec:
         return frozenset()
 
 
-@record(frozen=True)
+@record
 class WindowChoice:
     spec: WindowChoiceSpec
     outcomes: frozenset
@@ -788,7 +788,7 @@ def _piece(aps: ActionPathSdf, agent, move: RandomMove, g_set, h) -> tuple | Non
     return entry
 
 
-@record(frozen=True)
+@record
 class Apc3Result:
     verdict: Verdict
     histories: frozenset | None = None

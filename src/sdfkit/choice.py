@@ -10,8 +10,6 @@ instances live in the test suite as the second route.
 
 from __future__ import annotations
 
-import itertools
-
 from ._canon import canon_key, canon_sorted, fmt
 from ._record import record
 from .errors import InputError
@@ -27,7 +25,7 @@ from .sigma_info import Eis
 from .verdict import Verdict
 
 
-@record(frozen=True)
+@record
 class Choice:
     """A nonempty union of nodes, stored as its outcome set."""
 
@@ -110,7 +108,7 @@ def restrict_check(s: Sdf, outcomes, event) -> Verdict:
     return Verdict.passed(*notes)
 
 
-@record(frozen=True)
+@record
 class ChoiceFlags:
     non_redundant: bool
     complete: bool

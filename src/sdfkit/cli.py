@@ -10,15 +10,17 @@ and come in a human text format (with timings) and a machine JSON format
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from . import examples
 from ._canon import canon_sorted, fmt
-from ._record import field, record
+from ._record import record
 from .action_path import (
     ActionPathSdf,
     ActionSpace,
@@ -71,7 +73,7 @@ class InstanceDoc:
     name: str | None = None
     sdf: Sdf | None = None
     po: PathOutcomes | None = None
-    named_choices: dict = field(default_factory=dict)
+    named_choices: dict | MappingProxyType = MappingProxyType({})
     doc_eis: Eis | None = None
     doc_rcs: Rcs | None = None
 
@@ -274,12 +276,13 @@ def _parse_explicit(obj) -> InstanceDoc:
         sdf = Sdf.of(forest, space, projection, moves)
     except KernelError as e:
         raise ParseError(str(e), path=path) from None
-    doc = InstanceDoc("explicit-sdf", sdf=sdf)
-    _parse_sections(doc, obj, moves, universe)
-    return doc
+    return InstanceDoc("explicit-sdf", sdf=sdf, **_parse_sections(obj, sdf, moves, universe))
 
 
-def _parse_sections(doc: InstanceDoc, obj, moves, universe):
+def _parse_sections(obj, sdf: Sdf, moves, universe) -> dict:
+    """The `named_choices`, `doc_eis` and `doc_rcs` fields of an explicit
+    document, from its optional `choices`, `eis` and `rcs` sections."""
+    named, doc_eis, doc_rcs = {}, None, None
     choices = obj.get("choices")
     if choices is not None:
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
@@ -289,7 +292,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             for o in outs:
                 if o not in universe:
                     raise ParseError(f"unresolved outcome {o!r}", path=f"$.choices.{name}")
-            doc.named_choices[name] = frozenset(outs)
+            named[name] = frozenset(outs)
     eis_src = obj.get("eis")
     if eis_src is not None:
         _expect(isinstance(eis_src, list), "eis must be an array", "$.eis")
@@ -306,7 +309,7 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
             except KernelError as e:
                 raise ParseError(str(e), path=epath) from None
         _expect(len(per_move) == len(moves), "eis must cover every random move", "$.eis")
-        doc.doc_eis = Eis.of(per_move)
+        doc_eis = Eis.of(per_move)
     rcs_src = obj.get("rcs")
     if rcs_src is not None:
         _expect(isinstance(rcs_src, list), "rcs must be an array", "$.rcs")
@@ -321,11 +324,12 @@ def _parse_sections(doc: InstanceDoc, obj, moves, universe):
                 _scalars(c, "outcome", f"{rpath}.choices")
             try:
                 per_move[moves[idx]] = frozenset(
-                    Choice.of(doc.sdf, frozenset(c)) for c in outs
+                    Choice.of(sdf, frozenset(c)) for c in outs
                 )
             except KernelError as e:
                 raise ParseError(str(e), path=rpath) from None
-        doc.doc_rcs = Rcs.of(per_move)
+        doc_rcs = Rcs.of(per_move)
+    return {"named_choices": named, "doc_eis": doc_eis, "doc_rcs": doc_rcs}
 
 
 def _move_index(entry, moves, seen: set, path) -> int:
@@ -460,7 +464,7 @@ def _parse_action_path(obj) -> InstanceDoc:
             f"generator {generator!r} takes no factorization",
             "$.factorization",
         )
-    doc = InstanceDoc("action-path", po=po)
+    named = {}
     choices = obj.get("choices")
     if choices is not None:
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
@@ -479,8 +483,8 @@ def _parse_action_path(obj) -> InstanceDoc:
                 if w not in po.paths:
                     raise ParseError(f"unresolved outcome {fmt(w)}", path=cpath)
                 resolved.add(w)
-            doc.named_choices[name] = frozenset(resolved)
-    return doc
+            named[name] = frozenset(resolved)
+    return InstanceDoc("action-path", po=po, named_choices=named)
 
 
 def builtin_doc(name) -> InstanceDoc:
@@ -491,24 +495,35 @@ def builtin_doc(name) -> InstanceDoc:
         raise ParseError(
             f"unknown builtin {name!r}; expected one of {', '.join(BUILTINS)}", path="$.name"
         )
-    doc = InstanceDoc("builtin", name=name, named_choices=examples.all_named_choices(name))
+    choices = examples.all_named_choices(name)
     if name == "simple":
-        doc.sdf = examples.build_simple()
-        doc.doc_rcs = examples.simple_rcs(doc.sdf)
-    elif name == "variant":
-        doc.sdf = examples.build_variant()
-        doc.doc_rcs = examples.variant_rcs(doc.sdf)
-    elif name == "timing":
-        doc.po = examples.timing_path_outcomes()
-    else:
-        doc.po = examples.upandout_path_outcomes()
-    return doc
+        s = examples.build_simple()
+        return InstanceDoc("builtin", name, s, named_choices=choices, doc_rcs=examples.simple_rcs(s))
+    if name == "variant":
+        s = examples.build_variant()
+        return InstanceDoc("builtin", name, s, named_choices=choices, doc_rcs=examples.variant_rcs(s))
+    if name == "timing":
+        return InstanceDoc("builtin", name, po=examples.timing_path_outcomes(), named_choices=choices)
+    return InstanceDoc("builtin", name, po=examples.upandout_path_outcomes(), named_choices=choices)
+
+
+def _non_finite(text: str):
+    """NaN, Infinity or -Infinity: `json.loads` reads them, JSON lacks them."""
+    raise ParseError(f"syntax error: {text} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    """A JSON float literal, refused when it overflows to an infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"syntax error: number {text} is out of range")
+    return value
 
 
 def parse_instance(text: str) -> InstanceDoc:
     """Parse an instance document or raise a positioned ParseError."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
     except json.JSONDecodeError as e:
         raise ParseError(f"syntax error: {e.msg}", line=e.lineno, col=e.colno) from None
     except ValueError:  # an integer literal past the int-to-str digit limit
@@ -1008,7 +1023,10 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(report_to_json(report, doc))
     else:
-        print(report_to_text(report, doc))
+        # a name may hold a lone surrogate, which no encoding writes: escape
+        # what the stream cannot encode, as Python does on stderr
+        text, encoding = report_to_text(report, doc), sys.stdout.encoding or "utf-8"
+        print(text.encode(encoding, "backslashreplace").decode(encoding))
     return 0 if report.ok else 1
 
 

@@ -18,7 +18,7 @@ from ._record import cached_property, record
 from .errors import InputError, StructureError, Work, not_a_forest, unknown_element
 
 
-@record(frozen=True)
+@record
 class Poset:
     """A finite weak partial order, given by its element set and all pairs x >= y."""
 

@@ -23,7 +23,7 @@ from .set_forest import SetForest
 from .verdict import MultiVerdict, Verdict
 
 
-@record(frozen=True)
+@record
 class SubSigma:
     """A σ-algebra over a carrier event, as the atom partition of the carrier."""
 
@@ -161,7 +161,7 @@ class ScenarioSpace(SubSigma):
         return frozenset(a for a in self.atoms if a <= frozenset(carrier))
 
 
-@record(frozen=True)
+@record
 class RandomMove:
     """A section of moves: one node per scenario of its domain, π ∘ x = id."""
 
@@ -221,7 +221,7 @@ class RandomMove:
         return self._text
 
 
-@record(frozen=True)
+@record
 class PerMove:
     """One value per random move. `Eis`, `Rcs` and `ObservationFamily` are
     its undecorated subclasses: each sets its canonical-key tag and the text
@@ -255,7 +255,7 @@ class PerMove:
         return (self._tag, canon_key(self.entries))
 
 
-@record(frozen=True)
+@record
 class Sdf:
     forest: SetForest
     space: ScenarioSpace
@@ -401,7 +401,7 @@ class Sdf:
         )
 
 
-@record(frozen=True)
+@record
 class TTree:
     """Random moves plus random terminal nodes under the extended order."""
 
@@ -492,9 +492,6 @@ def _axioms_3a_to_3d(s: Sdf, moves):
     for m in moves:
         if not s.space.is_event(m.domain):
             failure = ("domain {} of {} is not an event", m.domain, m)
-            break
-        if not m.domain:
-            failure = ("{} has empty domain", m)
             break
         bad = next(
             (

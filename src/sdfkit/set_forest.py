@@ -19,7 +19,7 @@ from .order_core import Poset
 from .verdict import Verdict
 
 
-@record(frozen=True)
+@record
 class SetForest:
     universe: frozenset
     nodes: frozenset

@@ -25,7 +25,7 @@ class Eis(PerMove):
     _tag, _miss, _code = "eis", "no algebra for move", "carrier-mismatch"
 
 
-@record(frozen=True)
+@record
 class Filtration:
     """Time-indexed increasing family of σ-algebras over all of Ω."""
 
@@ -246,7 +246,7 @@ def _linear_extension(above: list) -> list:
     return order
 
 
-@record(frozen=True)
+@record
 class ChainStages:
     """Information along a ≥_X-chain of random moves, earliest move first."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._record import record
 
 
-@record(frozen=True)
+@record
 class Verdict:
     ok: bool
     code: str = ""
@@ -49,7 +49,7 @@ class Verdict:
 _PASSED = Verdict(ok=True)
 
 
-@record(frozen=True)
+@record
 class MultiVerdict:
     """An ordered bundle of named verdicts (per axiom / per assumption)."""
 

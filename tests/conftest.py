@@ -1405,7 +1405,7 @@ def _parse_action_path(obj) -> InstanceDoc:
             f"generator {generator!r} takes no factorization",
             "$.factorization",
         )
-    doc = InstanceDoc("action-path", po=po)
+    named = {}
     choices = obj.get("choices")
     if choices is not None:
         _expect(isinstance(choices, dict), "choices must be an object", "$.choices")
@@ -1423,14 +1423,27 @@ def _parse_action_path(obj) -> InstanceDoc:
                 w = (scen, tuple(seq))
                 _expect(w in po.paths, f"unresolved outcome {fmt(w)}", cpath)
                 resolved.add(w)
-            doc.named_choices[name] = frozenset(resolved)
-    return doc
+            named[name] = frozenset(resolved)
+    return InstanceDoc("action-path", po=po, named_choices=named)
+
+
+def _refused(text: str):
+    """NaN, Infinity and -Infinity, which `json.loads` reads and JSON lacks."""
+    raise ParseError(f"syntax error: {text} is not a JSON number")
+
+
+def _refused_if_infinite(text: str) -> float:
+    """A float literal, refused when it is too large for a float (1e400)."""
+    value = float(text)
+    if value in (float("inf"), float("-inf")):
+        raise ParseError(f"syntax error: number {text} is out of range")
+    return value
 
 
 def oracle_parse_instance(text: str) -> InstanceDoc:
     """`cli.parse_instance` on an action-path document, by the walk above."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_refused, parse_float=_refused_if_infinite)
     except json.JSONDecodeError as e:
         raise ParseError(f"syntax error: {e.msg}", line=e.lineno, col=e.colno) from None
     except ValueError:  # an integer literal past the int-to-str digit limit

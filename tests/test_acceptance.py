@@ -6,7 +6,6 @@ deterministically.
 """
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,6 @@ from sdfkit import examples
 from sdfkit.action_path import (
     MeasurabilityCase,
     WindowChoiceSpec,
-    agent_choice,
     build_action_path_sdf,
     check_apw,
     node_at,

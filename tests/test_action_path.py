@@ -15,7 +15,6 @@ from conftest import (
     oracle_measurability_sweep,
     oracle_time_axis,
 )
-from sdfkit import examples
 from sdfkit.action_path import (
     ActionSpace,
     MeasurabilityCase,
@@ -28,13 +27,11 @@ from sdfkit.action_path import (
     check_apw,
     move_event,
     node_at,
-    prefix_of,
     product_outcomes,
     sweep_rows,
     time_of,
     times_of_node,
     timing_outcomes,
-    up_and_out_outcomes,
     window_choice,
 )
 from sdfkit._canon import canon_sorted

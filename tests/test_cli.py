@@ -1,4 +1,5 @@
 import copy
+import io
 import itertools
 import json
 import random
@@ -1389,6 +1390,66 @@ def test_error_and_fail_records(make_doc, check, expected):
     assert got == expected
 
 
+def _small_explicit(table, nodes, moves, **extra):
+    """The explicit document over `table` (outcome ↦ scenario), each node
+    spelled as a string of outcomes and each random move as
+    {scenario: node index}."""
+    obj = {
+        "kind": "explicit-sdf",
+        "scenarios": sorted(set(table.values())),
+        "outcomes": sorted(table),
+        "outcome_scenarios": table,
+        "nodes": [list(node) for node in nodes],
+        "random_moves": [{"assignment": move} for move in moves],
+        **extra,
+    }
+    return parse_instance(json.dumps(obj))
+
+
+ONE_SCENARIO = dict.fromkeys("abc", "w")
+
+# (table, nodes, moves, extra fields, check, item name, code, witness)
+FAILED_ITEMS = {
+    "empty-t": (
+        dict.fromkeys("abcd", "w"), ["abcd", "ab", "cd"], [], {}, "ttree", "rooted-tree",
+        "ttree-not-rooted-forest", "(T, ≥_T) is not a rooted forest",
+    ),
+    "one-root-move-per-scenario": (
+        {"a": "L", "b": "L", "c": "R", "d": "R"}, ["ab", "cd", "a", "b", "c", "d"],
+        [{"L": 0}, {"R": 1}], {}, "ttree", "rooted-tree",
+        "ttree-not-tree", "(T, ≥_T) has multiple components",
+    ),
+    "unseparated": (
+        ONE_SCENARIO, ["abc", "ab", "a", "c"], [{"w": 0}, {"w": 1}], {}, "ttree", "rooted-tree",
+        "ttree-not-separated", "elements {w↦{a, b}}, (w, a) are not separated",
+    ),
+    "terminal-move": (
+        ONE_SCENARIO, ["abc", "ab", "c"], [{"w": 0}, {"w": 1}], {}, "ttree", "rooted-tree",
+        "ttree-moves-mismatch", "moves of (T, ≥_T) differ from X",
+    ),
+    "domain-not-an-event": (
+        {"a": "s", "b": "u"}, ["a", "b"], [{"s": 0}], {"atoms": [["s", "u"]]}, "verify",
+        "axiom-3a", "axiom-3a", "domain {s} of {s↦{a}} is not an event",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_ITEMS.values(), ids=FAILED_ITEMS)
+def test_failed_item_code_and_witness(case):
+    table, nodes, moves, extra, check, item, code, witness = case
+    [record] = run(_small_explicit(table, nodes, moves, **extra), [check]).records
+    assert record.status == "fail"
+    assert (dict(record.items)[item].code, dict(record.items)[item].witness) == (code, witness)
+
+
+def test_a_node_that_mixes_scenarios_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        _small_explicit({"a": "L", "b": "R"}, ["ab"], [{"L": 0}])
+    assert (str(info.value), info.value.path) == (
+        "node {a, b} mixes scenarios at $.nodes", "$.nodes"
+    )
+
+
 def test_non_integer_eis_index_is_an_error_record():
     [record] = run(parse_instance(EXPLICIT_DOC), ["adapted:left_a:x"]).records
     assert (record.status, record.message) == (
@@ -1753,6 +1814,18 @@ class TestReportWriter:
         assert report_to_json(report, doc) == brute_report_to_json(report, doc)
 
 
+OVERFLOWING_FLOAT_DOC = (
+    '{"kind": "action-path", "scenarios": ["w"], "time_points": ["0", "1"], '
+    '"actions": [1e400, 2], "paths": [{"scenario": "w", "path": [2, 1e400]}, '
+    '{"scenario": "w", "path": [2, 2]}]}'
+)
+NAN_COMPONENT_DOC = (
+    '{"kind": "action-path", "scenarios": ["w"], "time_points": ["0", "1"], '
+    '"actions": ["a", "b"], "factorization": {"a": {"1": NaN}, "b": {"1": "b"}}, '
+    '"paths": [{"scenario": "w", "path": ["a", "b"]}, {"scenario": "w", "path": ["b", "a"]}]}'
+)
+
+
 class TestMain:
     def test_builtin_ok_exit(self, capsys):
         assert main(["builtin", "simple"]) == 0
@@ -1789,6 +1862,44 @@ class TestMain:
         assert main(["verify", str(f)]) == 2
         err = capsys.readouterr().err
         assert err == "error: syntax error: an integer literal has too many digits\n"
+
+    # json.loads reads NaN, Infinity and -Infinity, which are not JSON, and
+    # reads a float literal past the float range as an infinity
+    @pytest.mark.parametrize(
+        "text, check, message",
+        [
+            (OVERFLOWING_FLOAT_DOC, "verify", "number 1e400 is out of range"),
+            (NAN_COMPONENT_DOC, "verify", "NaN is not a JSON number"),
+            (NAN_COMPONENT_DOC, "apw", "NaN is not a JSON number"),
+            (NAN_COMPONENT_DOC, "apc", "NaN is not a JSON number"),
+            (NAN_COMPONENT_DOC.replace("NaN", "-Infinity"), "verify",
+             "-Infinity is not a JSON number"),
+        ],
+        ids=["1e400", "nan-verify", "nan-apw", "nan-apc", "minus-infinity"],
+    )
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, text, check, message):
+        f = tmp_path / "doc.json"
+        f.write_text(text)
+        assert main(["verify", str(f), check]) == 2
+        assert capsys.readouterr().err == f"error: syntax error: {message}\n"
+
+    def test_text_report_escapes_a_lone_surrogate(self, tmp_path, monkeypatch):
+        # "\ud800" is valid JSON, yet no encoding writes a lone surrogate
+        f = tmp_path / "surrogate.json"
+        table = {"\ud800": "w", "b": "w"}
+        doc = {
+            "kind": "explicit-sdf", "scenarios": ["w"], "outcomes": list(table),
+            "outcome_scenarios": table, "nodes": [["\ud800", "b"], ["\ud800"]],
+            "random_moves": [{"assignment": {"w": 0}}],
+        }
+        f.write_text(json.dumps(doc))
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["verify", str(f), "verify"]) == 1
+        out.flush()
+        text = out.buffer.getvalue().decode("utf-8")
+        assert "witness: outcome b: ↑{v} = {{b, \\ud800}} is not a maximal chain\n" in text
+        assert text.endswith("overall: fail\n")
 
     def test_undecodable_file_exit_two(self, tmp_path, capsys):
         f = tmp_path / "binary.json"

@@ -11,7 +11,7 @@ import sdfkit
 from sdfkit import examples
 from sdfkit.action_path import build_action_path_sdf
 from sdfkit.errors import InputError, SizeCapError, StructureError
-from sdfkit.gen import random_rooted_forest, rng_from_env
+from sdfkit.gen import random_rooted_forest
 from sdfkit.order_core import (
     Poset,
     connected_components,

@@ -1,14 +1,15 @@
 """`sdfkit._record` against `dataclasses.dataclass`, its oracle.
 
 Every class in `src/sdfkit` that `record` decorates, and every subclass of
-one, is found by walking the package. Its twin is `dataclasses.dataclass`
-applied to a class of the same name with the same annotations and defaults.
-The generated methods must behave alike: the `__init__` signature, `repr`,
-`==` and `hash` on instances that the four builtins and the `draw-5` golden
-document build, frozen assignment and deletion, `__post_init__` and
-`default_factory`. `Verdict.passed()` shares one frozen value. The last
-test keeps start-up lean: importing sdfkit loads neither `dataclasses` nor
-`inspect` nor `argparse`.
+one, is found by walking the package. Its twin is
+`dataclasses.dataclass(frozen=True)` applied to a class of the same name
+with the same annotations and defaults: every record is a frozen value. The
+generated methods must behave alike: the `__init__` signature, `repr`, `==`
+and `hash` on instances that the four builtins and the `draw-5` golden
+document build, assignment and deletion, and `__post_init__`.
+`Verdict.passed()` shares one frozen value. The last test keeps start-up
+lean: importing sdfkit loads neither `dataclasses` nor `inspect` nor
+`argparse`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import pytest
 import sdfkit
 from sdfkit import _record, cli, examples
 from sdfkit.action_path import ActionPathSdf, agent_choice, build_action_path_sdf
-from sdfkit.cli import InstanceDoc
 from sdfkit.errors import StructureError
 from sdfkit.sdf import PerMove, RandomMove, ScenarioSpace, SubSigma
 from sdfkit.sigma_info import ObservationFamily, chain_filtration, enumerate_eis
@@ -73,15 +73,22 @@ def _twin(cls, twins: dict):
     if not _decorated(cls):
         return type(cls.__name__, bases, body)
     body["__annotations__"] = dict(vars(cls)["__annotations__"])
+    # dataclass refuses a default whose type is unhashable (InstanceDoc's
+    # empty mappingproxy) as mutable: the twin is built with a stand-in,
+    # which its __init__ and class attribute then trade for that default
+    stand_ins = []
     for name in body["__annotations__"]:
-        default = vars(cls)["__record_fields__"][name][1]
         if name in vars(cls):
-            body[name] = vars(cls)[name]
-        elif isinstance(default, _record._Factory):  # removed from the class, as dataclass does
-            body[name] = dataclasses.field(default_factory=default.factory)
-    return dataclasses.dataclass(frozen=vars(cls)["__record_frozen__"])(
-        type(cls.__name__, bases, body)
-    )
+            default = body[name] = vars(cls)[name]
+            if type(default).__hash__ is None:
+                body[name] = object()
+                stand_ins.append((name, body[name], default))
+    twin = dataclasses.dataclass(frozen=True)(type(cls.__name__, bases, body))
+    for name, stand_in, default in stand_ins:
+        defaults = twin.__init__.__defaults__
+        twin.__init__.__defaults__ = tuple(default if d is stand_in else d for d in defaults)
+        setattr(twin, name, default)
+    return twin
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +169,7 @@ def test_init_signature(cls, twins):
     assert ours.return_annotation == theirs.return_annotation
     for p, q in zip(ours.parameters.values(), theirs.parameters.values(), strict=True):
         assert (p.name, p.kind, p.annotation) == (q.name, q.kind, q.annotation)
-        assert repr(p.default) == repr(q.default)
-        if repr(p.default) != "<factory>":
-            assert p.default is q.default
+        assert p.default is q.default
 
 
 def _hashed(x):
@@ -184,8 +189,7 @@ def test_repr_eq_hash(cls, samples, twins):
     for x, y in zip(xs, ys):
         assert repr(x) == repr(y)
         assert (x == y, y == x, x != y) == (False, False, True)
-        if cls.__record_frozen__:
-            assert _hashed(x) == _hashed(y)
+        assert _hashed(x) == _hashed(y)
     for (x1, y1), (x2, y2) in itertools.product(zip(xs, ys), repeat=2):
         assert (x1 == x2, x1 != x2) == (y1 == y2, y1 != y2)
 
@@ -216,31 +220,29 @@ def test_assignment_and_deletion(cls, samples, twins):
         value = getattr(x, name, None)
         assert _outcome(setattr, x, name, value) == _outcome(setattr, y, name, value)
         assert _outcome(delattr, x, name) == _outcome(delattr, y, name)
+    # every record is frozen: no field takes a new value
+    assert _outcome(setattr, x, names[0], None)[0] == "FrozenInstanceError"
+    assert _outcome(delattr, x, names[0])[0] == "FrozenInstanceError"
 
 
-def _probe(decorate, field):
+def _probe(decorate):
     class Probe:
         first: int
         second: int = 2
-        third: list = field(default_factory=list)
         seen = []
 
         def __post_init__(self):
             self.seen.append(dict(vars(self)))
 
-    return decorate(frozen=True)(Probe)
+    return decorate(Probe)
 
 
 def test_post_init_runs_after_every_field_is_set():
-    ours = _probe(_record.record, _record.field)
-    theirs = _probe(dataclasses.dataclass, dataclasses.field)
-    for args in [(1,), (1, 3), (1, 3, [4])]:
+    ours = _probe(_record.record)
+    theirs = _probe(dataclasses.dataclass(frozen=True))
+    for args in [(1,), (1, 3)]:
         ours(*args), theirs(*args)
-    assert ours.seen == theirs.seen == [
-        {"first": 1, "second": 2, "third": []},
-        {"first": 1, "second": 3, "third": []},
-        {"first": 1, "second": 3, "third": [4]},
-    ]
+    assert ours.seen == theirs.seen == [{"first": 1, "second": 2}, {"first": 1, "second": 3}]
     with pytest.raises(StructureError, match="random move must have nonempty domain"):
         RandomMove(())
     # the subclass's own __post_init__ runs, and calls its base's
@@ -250,18 +252,21 @@ def test_post_init_runs_after_every_field_is_set():
         ScenarioSpace(frozenset([1]), frozenset([frozenset()]))
 
 
-def test_default_factory_is_called_per_instance():
-    a, b = InstanceDoc("builtin"), InstanceDoc("builtin")
-    assert a.named_choices == b.named_choices == {}
-    assert a.named_choices is not b.named_choices
-    ours = _probe(_record.record, _record.field)
-    assert ours(1).third is not ours(1).third
+def test_record_takes_no_option():
+    assert list(inspect.signature(_record.record).parameters) == ["cls"]
+
+
+def test_a_doc_without_named_choices_shares_one_read_only_empty_mapping():
+    a, b = cli.InstanceDoc("builtin"), cli.InstanceDoc("builtin")
+    assert a.named_choices == {} and a.named_choices is b.named_choices
+    with pytest.raises(TypeError):
+        a.named_choices["x"] = frozenset()
 
 
 def test_cached_property_computes_once_and_keeps_the_value_on_the_instance():
     calls = []
 
-    @_record.record(frozen=True)
+    @_record.record
     class Probe:
         x: int
 
@@ -314,15 +319,6 @@ def test_frozen_records_with_every_table_built_keep_their_value_semantics():
         y = type(x)(*(getattr(x, f) for f in type(x).__record_fields__))
         assert x == y and y == x and hash(x) == hash(y) and repr(x) == repr(y)
     assert {"index", "_times", "up", "down", "ttree", "terminals", "_key"} <= names
-
-
-def test_plain_records_are_unhashable(samples):
-    plain = [cls for cls in RECORDS if not cls.__record_frozen__]
-    assert {cls.__qualname__ for cls in plain} == {"InstanceDoc", "CheckRecord", "Report"}
-    for cls in plain:
-        assert cls.__hash__ is None
-        with pytest.raises(TypeError, match="unhashable type"):
-            hash(samples[cls][0])
 
 
 def test_plain_passed_verdict_is_one_frozen_value():

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from sdfkit import examples
 from sdfkit._canon import canon_key, canon_sorted
 from sdfkit.errors import InputError, SizeCapError, StructureError
 from sdfkit.order_core import find_order_isomorphism, is_rooted_forest, is_tree, separation_witness

@@ -1,8 +1,7 @@
 import pytest
 
-from sdfkit import examples
 from sdfkit.errors import InputError, StructureError
-from sdfkit.gen import random_v_poset, rng_from_env
+from sdfkit.gen import random_v_poset
 from sdfkit.order_core import Poset, connected_components, find_order_isomorphism, is_tree
 from sdfkit.set_forest import (
     SetForest,

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdfkit.errors import InputError, SizeCapError
-from sdfkit.gen import random_filtration, random_observables, random_path_outcomes, rng_from_env
+from sdfkit.gen import random_filtration, random_observables, random_path_outcomes
 from sdfkit.order_core import set_partitions
 from sdfkit.sdf import RandomMove, ScenarioSpace, Sdf, ge_x, x_order
 from sdfkit.set_forest import SetForest
 from sdfkit.sigma_info import (
-    ChainStages,
     Eis,
     Filtration,
     ObservationFamily,

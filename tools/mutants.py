@@ -263,8 +263,8 @@ MUTANTS = [
     (
         "builtin-choices-of-simple",
         "sdfkit/cli.py",
-        'InstanceDoc("builtin", name=name, named_choices=examples.all_named_choices(name))',
-        'InstanceDoc("builtin", name=name, named_choices=examples.all_named_choices("simple"))',
+        "    choices = examples.all_named_choices(name)",
+        '    choices = examples.all_named_choices("simple")',
         [
             "tests/test_cli.py::TestNamedChoices::test_every_name_resolves_to_its_set[variant]",
             "tests/test_golden.py::test_report_matches_golden[variant-adapted]",
@@ -413,6 +413,16 @@ MUTANTS = [
             "test_cached_property_computes_once_and_keeps_the_value_on_the_instance",
             "tests/test_record.py::"
             "test_frozen_records_with_every_table_built_keep_their_value_semantics",
+        ],
+    ),
+    (
+        "frozen-guard-accepts-assignment",
+        "sdfkit/_record.py",
+        '            raise FrozenInstanceError(f"cannot assign to field {name!r}")',
+        "            return object.__setattr__(self, name, value)",
+        [
+            "tests/test_record.py::test_assignment_and_deletion[InstanceDoc]",
+            "tests/test_record.py::test_plain_passed_verdict_is_one_frozen_value",
         ],
     ),
     (
